@@ -1,6 +1,6 @@
 # Tier-1 gate: everything must compile, vet clean, and pass the full test
 # suite under the race detector (the Engine and collective tests rely on it).
-.PHONY: check build test vet race bench fuzz cover
+.PHONY: check build test vet race bench bench-module fuzz cover
 
 check: vet build race
 
@@ -20,6 +20,17 @@ race:
 # benchmarks.
 bench:
 	go test -run xxx -bench BenchmarkStepExchange -benchmem .
+
+# benchmark/ is a Go module of its own, so the root `go vet`/`go test ./...`
+# never compile it: a comm or grace symbol it uses could be renamed and only
+# the benchmark pipeline would notice. Vet and test it here, in the same
+# offline, checkout-local environment benchmark/run.sh builds in.
+BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOPATH=$(CURDIR)/.bench_build/gopath \
+	XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config GOENV=off GOPROXY=off GOTOOLCHAIN=local
+bench-module:
+	mkdir -p .bench_build
+	$(BENCH_ENV) go -C benchmark vet ./...
+	$(BENCH_ENV) go -C benchmark test -count=1 ./...
 
 # Fuzz smoke: run every fuzz target for a short burst. Decoders must reject
 # hostile payloads with errors — never panic or over-allocate.

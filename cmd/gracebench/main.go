@@ -30,12 +30,8 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "experiment seed")
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 		artDir  = flag.String("artifacts", "", "write auto-named BENCH_<exp>.json artifacts into this directory")
-		jsonDir = flag.String("json", "", "deprecated alias of -artifacts")
 	)
 	flag.Parse()
-	if *artDir == "" {
-		*artDir = *jsonDir
-	}
 
 	if *list {
 		exps := harness.Experiments()

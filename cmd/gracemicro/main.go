@@ -5,7 +5,7 @@
 //
 //	gracemicro [-sizes 1,10,100] [-reps 30] [-method topk] [-artifacts results]
 //
-// With -artifacts (or its deprecated alias -json), each (method, size) point
+// With -artifacts, each (method, size) point
 // also lands as a machine-readable BENCH_codec_<method>_<size>.json artifact
 // carrying mean ns/op, payload wire bytes, and the compression ratio.
 package main
@@ -25,16 +25,12 @@ import (
 
 func main() {
 	var (
-		sizes   = flag.String("sizes", "1,10", "input sizes in MB, comma separated")
-		reps    = flag.Int("reps", 10, "repetitions per point (paper: 30)")
-		method  = flag.String("method", "", "restrict to one method label (e.g. 'Topk(0.01)')")
-		artDir  = flag.String("artifacts", "", "write auto-named BENCH_codec_*.json artifacts into this directory")
-		jsonDir = flag.String("json", "", "deprecated alias of -artifacts")
+		sizes  = flag.String("sizes", "1,10", "input sizes in MB, comma separated")
+		reps   = flag.Int("reps", 10, "repetitions per point (paper: 30)")
+		method = flag.String("method", "", "restrict to one method label (e.g. 'Topk(0.01)')")
+		artDir = flag.String("artifacts", "", "write auto-named BENCH_codec_*.json artifacts into this directory")
 	)
 	flag.Parse()
-	if *artDir == "" {
-		*artDir = *jsonDir
-	}
 
 	var mbs []int
 	for _, s := range strings.Split(*sizes, ",") {

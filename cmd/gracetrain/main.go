@@ -12,7 +12,7 @@
 // -method accepts a comma-separated list; each method trains in turn inside
 // the one process, so a single live telemetry endpoint (-telemetry-addr)
 // observes all of them. -trace writes a Chrome trace_event file of every
-// phase span; -runjson writes a machine-readable run summary.
+// phase span; -artifacts writes a machine-readable run summary.
 package main
 
 import (
@@ -59,7 +59,6 @@ func main() {
 		tracePath   = flag.String("trace", "", "write a Chrome trace_event file (load in Perfetto / chrome://tracing); also enables span recording")
 		telLinger   = flag.Duration("telemetry-linger", 0, "keep the telemetry server up this long after the run, for a final scrape")
 		artifacts   = flag.String("artifacts", "", "write an auto-named run summary (RUN_<kind>.json) into this directory")
-		runJSON     = flag.String("runjson", "", "write a machine-readable run summary (JSON) to this exact path (deprecated: use -artifacts)")
 	)
 	flag.Parse()
 
@@ -90,7 +89,7 @@ func main() {
 	if *straggler {
 		summary.Kind = "straggler"
 		failed := runStraggler(*seed, *artifacts, summary)
-		writeSummary(*runJSON, *artifacts, summary)
+		writeSummary(*artifacts, summary)
 		finishTel()
 		if failed {
 			fatal(fmt.Errorf("straggler-attribution battery failed"))
@@ -121,7 +120,7 @@ func main() {
 			chaosFailed += runElasticScenarios(summary)
 		}
 		if !trainRequested {
-			writeSummary(*runJSON, *artifacts, summary)
+			writeSummary(*artifacts, summary)
 			finishTel()
 			if chaosFailed > 0 {
 				fatal(fmt.Errorf("%d chaos/recovery scenario(s) failed", chaosFailed))
@@ -174,7 +173,7 @@ func main() {
 		// per-tensor collective schedules.
 		sc.FusionBytes = 0
 		runAutotune(b, sc, *artifacts, summary)
-		writeSummary(*runJSON, *artifacts, summary)
+		writeSummary(*artifacts, summary)
 		finishTel()
 		if chaosFailed > 0 {
 			fatal(fmt.Errorf("%d chaos/recovery scenario(s) failed", chaosFailed))
@@ -233,7 +232,7 @@ func main() {
 		}
 	}
 
-	writeSummary(*runJSON, *artifacts, summary)
+	writeSummary(*artifacts, summary)
 	finishTel()
 	if chaosFailed > 0 {
 		fatal(fmt.Errorf("%d chaos/recovery scenario(s) failed", chaosFailed))
@@ -284,27 +283,18 @@ func startTelemetry(addr, tracePath string, linger time.Duration) func() {
 }
 
 // writeSummary snapshots the telemetry registry into the summary and writes
-// it — auto-named into dir (-artifacts) and/or to the exact path (-runjson,
-// the deprecated alias). With neither set, it does nothing.
-func writeSummary(path, dir string, s *harness.RunSummary) {
-	if path == "" && dir == "" {
+// it auto-named into dir (-artifacts). With no dir set, it does nothing.
+func writeSummary(dir string, s *harness.RunSummary) {
+	if dir == "" {
 		return
 	}
 	snap := telemetry.Default.Snapshot()
 	s.Telemetry = &snap
-	if dir != "" {
-		out, err := harness.WriteRunSummaryDir(dir, s)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("run summary written to %s\n", out)
+	out, err := harness.WriteRunSummaryDir(dir, s)
+	if err != nil {
+		fatal(err)
 	}
-	if path != "" {
-		if err := harness.WriteRunSummary(path, s); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("run summary written to %s\n", path)
-	}
+	fmt.Printf("run summary written to %s\n", out)
 }
 
 // runAutotune runs the autotune battery on one benchmark — a tuned training

@@ -145,9 +145,9 @@ func main() {
 
 	// The ring is dialed with frame deadlines off: op timeouts are owned by
 	// the context layer below (comm.WithTimeout), which bounds each whole
-	// collective instead of each wire frame. With -rejoin the ring is the
-	// re-dialable wrapper, so the trainer's heal path can reform it under the
-	// next generation after a peer death.
+	// collective instead of each wire frame. With -heartbeat the ring can
+	// reform under the next generation after a peer death; whether the
+	// trainer asks it to is -rejoin / -elastic's business, not the ring's.
 	rcfg := comm.RingConfig{
 		Rank:          *rank,
 		Addrs:         addrs,
@@ -156,35 +156,16 @@ func main() {
 		MaxFrameBytes: *maxframe,
 		Heartbeat:     *heartbeat,
 	}
-	var ring comm.Collective
-	var closeRing func()
-	switch {
-	case *elasticJoin:
-		r, err := comm.JoinElasticRing(rcfg, *timeout)
-		if err != nil {
-			fatal(fmt.Errorf("elastic join: %w", err))
-		}
-		ring, closeRing = r, func() { r.Close() }
-	case *elastic:
-		r, err := comm.DialElasticRing(rcfg)
-		if err != nil {
-			fatal(fmt.Errorf("ring setup: %w", err))
-		}
-		ring, closeRing = r, func() { r.Close() }
-	case *rejoin:
-		r, err := comm.DialRing(rcfg)
-		if err != nil {
-			fatal(fmt.Errorf("ring setup: %w", err))
-		}
-		ring, closeRing = r, func() { r.Close() }
-	default:
-		r, err := comm.DialTCPRingConfig(rcfg)
-		if err != nil {
-			fatal(fmt.Errorf("ring setup: %w", err))
-		}
-		ring, closeRing = r, func() { r.Close() }
+	var ring *comm.TCPRing
+	if *elasticJoin {
+		ring, err = comm.JoinTCPRing(rcfg, *timeout)
+	} else {
+		ring, err = comm.DialTCPRingConfig(rcfg)
 	}
-	defer closeRing()
+	if err != nil {
+		fatal(fmt.Errorf("ring setup: %w", err))
+	}
+	defer ring.Close()
 	fmt.Printf("rank %d/%d joined the ring\n", *rank, len(addrs))
 
 	// The worker's collective handle: the hardened ring, optionally wrapped in
@@ -192,7 +173,7 @@ func main() {
 	// deadline wrapper, then — outermost — the bounded-retry wrapper when a
 	// -retry-budget is given, so its retries cover injected faults and
 	// deadline expiries alike.
-	coll := ring
+	var coll comm.Collective = ring
 	if *chaos != "" {
 		plan, err := comm.ParsePlan(*chaos, *chaosSeed)
 		if err != nil {

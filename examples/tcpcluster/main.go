@@ -53,7 +53,7 @@ func main() {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ring, err := comm.DialTCPRing(rank, addrs, 5*time.Second)
+			ring, err := comm.DialTCPRingConfig(comm.RingConfig{Rank: rank, Addrs: addrs, SetupTimeout: 5 * time.Second})
 			if err != nil {
 				panic(fmt.Sprintf("rank %d: %v", rank, err))
 			}

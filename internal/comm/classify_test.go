@@ -109,21 +109,3 @@ func TestSentinelRoundTrips(t *testing.T) {
 		t.Fatalf("injected drop should classify transient on both sides")
 	}
 }
-
-// TestAsReformerWalksWrapperChain: the capability probe must reach the hub
-// through every wrapper the trainers stack.
-func TestAsReformerWalksWrapperChain(t *testing.T) {
-	hub := NewHub(1)
-	stacked := NewResilient(NewMeter(WithTimeout(NewFaulty(hub.Worker(0), Plan{}), time.Second)), RetryPolicy{})
-	rf, ok := AsReformer(stacked)
-	if !ok {
-		t.Fatal("AsReformer failed to reach the hub through the wrapper chain")
-	}
-	gen, err := rf.Reform()
-	if err != nil || gen != 1 {
-		t.Fatalf("reform through chain: gen %d, err %v", gen, err)
-	}
-	if _, ok := AsReformer(Serial{}); ok {
-		t.Fatal("Serial should not report reform capability")
-	}
-}

@@ -72,94 +72,67 @@ func (Serial) Barrier() error { return nil }
 // receives. Sends are the paper's "data volume each worker generates" metric
 // (§V): for AllreduceF32 the logical send volume is the full vector
 // (4 bytes/element); for AllgatherBytes and BroadcastBytes it is the worker's
-// own payload. Receives are the mirror image — the peer payload bytes this
-// worker collects — which is what allgather-heavy sparsifiers need for an
-// honest wire-cost figure: each worker sends one compressed payload but
-// receives n-1 of them.
+// own payload (broadcast: on the root only). Receives are the mirror image —
+// the peer payload bytes this worker collects — which is what allgather-heavy
+// sparsifiers need for an honest wire-cost figure: each worker sends one
+// compressed payload but receives n-1 of them. Barriers carry no payload and
+// are not counted as ops.
 type Meter struct {
-	inner Collective
-	sent  atomic.Int64
-	recv  atomic.Int64
-	ops   atomic.Int64
+	middleware
+	sent atomic.Int64
+	recv atomic.Int64
+	ops  atomic.Int64
 }
 
 var _ ContextCollective = (*Meter)(nil)
 
-// NewMeter wraps inner with byte accounting.
-func NewMeter(inner Collective) *Meter { return &Meter{inner: inner} }
-
-// Rank forwards to the wrapped collective.
-func (m *Meter) Rank() int { return m.inner.Rank() }
-
-// Size forwards to the wrapped collective.
-func (m *Meter) Size() int { return m.inner.Size() }
-
-// Unwrap exposes the wrapped collective to capability probes (AsReformer).
-func (m *Meter) Unwrap() Collective { return m.inner }
-
-// AllreduceF32 forwards, accounting 4 bytes per element in each direction
-// (the reduced vector comes back at full width).
-func (m *Meter) AllreduceF32(x []float32) error {
-	return m.AllreduceF32Ctx(context.Background(), x)
+// NewMeter wraps inner with byte accounting. The counters may be read from
+// any goroutine; the ops themselves follow the single-goroutine handle
+// contract, whatever inner tolerates.
+func NewMeter(inner Collective) *Meter {
+	m := &Meter{}
+	m.middleware = middleware{inner: inner, hook: m.account}
+	return m
 }
 
-// AllreduceF32Ctx is AllreduceF32 with the context relayed to the wrapped
-// collective (see the package-level dispatch helpers).
-func (m *Meter) AllreduceF32Ctx(ctx context.Context, x []float32) error {
-	m.sent.Add(int64(len(x) * 4))
-	m.ops.Add(1)
-	err := AllreduceF32(ctx, m.inner, x)
-	if err == nil {
-		m.recv.Add(int64(len(x) * 4))
+// account is Meter's intercept: sends are counted on entry, receives only
+// once the op succeeded.
+func (m *Meter) account(ctx context.Context, k *call) error {
+	if k.op == OpBarrier {
+		return k.invoke(ctx, m.inner)
 	}
-	return err
-}
-
-// AllgatherBytes forwards, accounting the local payload length as sent and
-// the n-1 peer payloads as received.
-func (m *Meter) AllgatherBytes(b []byte) ([][]byte, error) {
-	return m.AllgatherBytesCtx(context.Background(), b)
-}
-
-// AllgatherBytesCtx is AllgatherBytes with the context relayed.
-func (m *Meter) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, error) {
-	m.sent.Add(int64(len(b)))
+	rank := m.inner.Rank()
 	m.ops.Add(1)
-	all, err := AllgatherBytes(ctx, m.inner, b)
-	if err == nil {
-		for i, p := range all {
-			if i != m.inner.Rank() {
+	switch k.op {
+	case OpAllreduce:
+		m.sent.Add(int64(len(k.x) * 4))
+	case OpAllgather:
+		m.sent.Add(int64(len(k.b)))
+	case OpBroadcast:
+		if rank == k.root {
+			m.sent.Add(int64(len(k.b)))
+		}
+	}
+	if err := k.invoke(ctx, m.inner); err != nil {
+		return err
+	}
+	switch k.op {
+	case OpAllreduce:
+		// The reduced vector comes back at full width.
+		m.recv.Add(int64(len(k.x) * 4))
+	case OpAllgather:
+		for i, p := range k.all {
+			if i != rank {
 				m.recv.Add(int64(len(p)))
 			}
 		}
+	case OpBroadcast:
+		if rank != k.root {
+			m.recv.Add(int64(len(k.out)))
+		}
 	}
-	return all, err
+	return nil
 }
-
-// BroadcastBytes forwards, accounting the payload as sent only on the root
-// and as received everywhere else.
-func (m *Meter) BroadcastBytes(b []byte, root int) ([]byte, error) {
-	return m.BroadcastBytesCtx(context.Background(), b, root)
-}
-
-// BroadcastBytesCtx is BroadcastBytes with the context relayed.
-func (m *Meter) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]byte, error) {
-	if m.inner.Rank() == root {
-		m.sent.Add(int64(len(b)))
-	}
-	m.ops.Add(1)
-	out, err := BroadcastBytes(ctx, m.inner, b, root)
-	if err == nil && m.inner.Rank() != root {
-		m.recv.Add(int64(len(out)))
-	}
-	return out, err
-}
-
-// Barrier forwards without accounting.
-func (m *Meter) Barrier() error { return m.inner.Barrier() }
-
-// BarrierCtx forwards with the context relayed, without accounting.
-func (m *Meter) BarrierCtx(ctx context.Context) error { return Barrier(ctx, m.inner) }
 
 // BytesSent reports the total payload bytes this worker has sent.
 func (m *Meter) BytesSent() int64 { return m.sent.Load() }

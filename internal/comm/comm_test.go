@@ -219,7 +219,7 @@ func runTCPGroup(t *testing.T, n int, fn func(w Collective) error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ring, err := DialTCPRing(rank, addrs, 5*time.Second)
+			ring, err := DialTCPRingConfig(RingConfig{Rank: rank, Addrs: addrs, SetupTimeout: 5 * time.Second})
 			if err != nil {
 				errs[rank] = err
 				return
@@ -340,10 +340,10 @@ func TestTCPRingLargePayload(t *testing.T) {
 }
 
 func TestDialTCPRingRejectsBadConfig(t *testing.T) {
-	if _, err := DialTCPRing(0, []string{"127.0.0.1:1"}, time.Second); err == nil {
+	if _, err := DialTCPRingConfig(RingConfig{Rank: 0, Addrs: []string{"127.0.0.1:1"}, SetupTimeout: time.Second}); err == nil {
 		t.Fatal("expected error for 1-node ring")
 	}
-	if _, err := DialTCPRing(5, []string{"a", "b"}, time.Second); err == nil {
+	if _, err := DialTCPRingConfig(RingConfig{Rank: 5, Addrs: []string{"a", "b"}, SetupTimeout: time.Second}); err == nil {
 		t.Fatal("expected error for out-of-range rank")
 	}
 }

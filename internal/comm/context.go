@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // ContextCollective is the optional context-aware extension of Collective:
 // every primitive gains a variant that honors ctx cancellation and deadlines.
@@ -74,93 +71,4 @@ func Barrier(ctx context.Context, c Collective) error {
 		return err
 	}
 	return c.Barrier()
-}
-
-var _ ContextCollective = Serial{}
-
-// AllreduceF32Ctx is the single-worker identity, gated on ctx.
-func (Serial) AllreduceF32Ctx(ctx context.Context, x []float32) error { return ctx.Err() }
-
-// AllgatherBytesCtx returns the worker's own payload, gated on ctx.
-func (Serial) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return [][]byte{b}, nil
-}
-
-// BroadcastBytesCtx returns the payload unchanged, gated on ctx.
-func (Serial) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// BarrierCtx is a no-op, gated on ctx.
-func (Serial) BarrierCtx(ctx context.Context) error { return ctx.Err() }
-
-// timeoutColl bounds every collective op with a per-op timeout by deriving a
-// context deadline around each call; see WithTimeout.
-type timeoutColl struct {
-	inner Collective
-	d     time.Duration
-}
-
-var _ ContextCollective = (*timeoutColl)(nil)
-
-// WithTimeout wraps a Collective so that every operation runs under a per-op
-// deadline of d, delivered through the context layer: the declarative
-// replacement for threading ad-hoc timeout knobs into each transport's
-// config. Callers that pass their own context get the tighter of the two
-// deadlines (context.WithTimeout composes). d <= 0 returns inner unchanged.
-func WithTimeout(inner Collective, d time.Duration) Collective {
-	if d <= 0 {
-		return inner
-	}
-	return &timeoutColl{inner: inner, d: d}
-}
-
-func (t *timeoutColl) Rank() int { return t.inner.Rank() }
-func (t *timeoutColl) Size() int { return t.inner.Size() }
-
-// Unwrap exposes the wrapped collective to capability probes (AsReformer).
-func (t *timeoutColl) Unwrap() Collective { return t.inner }
-
-func (t *timeoutColl) AllreduceF32(x []float32) error {
-	return t.AllreduceF32Ctx(context.Background(), x)
-}
-
-func (t *timeoutColl) AllgatherBytes(b []byte) ([][]byte, error) {
-	return t.AllgatherBytesCtx(context.Background(), b)
-}
-
-func (t *timeoutColl) BroadcastBytes(b []byte, root int) ([]byte, error) {
-	return t.BroadcastBytesCtx(context.Background(), b, root)
-}
-
-func (t *timeoutColl) Barrier() error { return t.BarrierCtx(context.Background()) }
-
-func (t *timeoutColl) AllreduceF32Ctx(ctx context.Context, x []float32) error {
-	ctx, cancel := context.WithTimeout(ctx, t.d)
-	defer cancel()
-	return AllreduceF32(ctx, t.inner, x)
-}
-
-func (t *timeoutColl) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, t.d)
-	defer cancel()
-	return AllgatherBytes(ctx, t.inner, b)
-}
-
-func (t *timeoutColl) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, t.d)
-	defer cancel()
-	return BroadcastBytes(ctx, t.inner, b, root)
-}
-
-func (t *timeoutColl) BarrierCtx(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, t.d)
-	defer cancel()
-	return Barrier(ctx, t.inner)
 }

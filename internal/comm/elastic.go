@@ -86,35 +86,11 @@ type Joiner interface {
 
 // AsElastic walks a wrapper chain down to the first layer that supports
 // elastic membership, if any.
-func AsElastic(c Collective) (Elastic, bool) {
-	for c != nil {
-		if e, ok := c.(Elastic); ok {
-			return e, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-	return nil, false
-}
+func AsElastic(c Collective) (Elastic, bool) { return reformCapable(as[Elastic](c)) }
 
 // AsJoiner walks a wrapper chain down to the first layer that can join an
 // elastic group, if any.
-func AsJoiner(c Collective) (Joiner, bool) {
-	for c != nil {
-		if j, ok := c.(Joiner); ok {
-			return j, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-	return nil, false
-}
+func AsJoiner(c Collective) (Joiner, bool) { return as[Joiner](c) }
 
 // maxMembers bounds a decoded member list, mirroring maxFrame's role for
 // payload frames: a hostile or corrupt length can't force a huge allocation.

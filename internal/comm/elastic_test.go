@@ -206,11 +206,11 @@ func TestMembersCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestElasticRingShrinkAndGrow drives the full TCP elastic lifecycle on
+// TestTCPRingShrinkAndGrow drives the full TCP elastic lifecycle on
 // loopback: 3 ranks form, rank 1 is killed (machine loss), the survivors
 // shrink to 2 and allreduce at the new size; then a fresh worker joins and a
 // grow restores world size 3.
-func TestElasticRingShrinkAndGrow(t *testing.T) {
+func TestTCPRingShrinkAndGrow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback ring lifecycle")
 	}
@@ -232,14 +232,14 @@ func TestElasticRingShrinkAndGrow(t *testing.T) {
 			Seed:         7,
 		}
 	}
-	rings := make([]*ElasticRing, 3)
+	rings := make([]*TCPRing, 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rings[i], errs[i] = DialElasticRing(cfg(i))
+			rings[i], errs[i] = DialTCPRingConfig(cfg(i))
 		}(i)
 	}
 	wg.Wait()
@@ -294,16 +294,16 @@ func TestElasticRingShrinkAndGrow(t *testing.T) {
 	}
 
 	// Grow back: a fresh incarnation of rank 1 joins. Its request lands on
-	// one member's elastic acceptor; in training the step-boundary beacon
+	// one member's join point; in training the step-boundary beacon
 	// unions the pending sets across ranks, so here rank 0 waits for the
 	// request and hands rank 2 the agreed absorb set out-of-band.
-	var joined *ElasticRing
+	var joined *TCPRing
 	var joinErr error
 	agreed := make(chan []int, 1)
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		joined, joinErr = JoinElasticRing(cfg(1), 20*time.Second)
+		joined, joinErr = JoinTCPRing(cfg(1), 20*time.Second)
 	}()
 	go func() {
 		defer wg.Done()

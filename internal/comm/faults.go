@@ -112,45 +112,13 @@ type Aborter interface {
 	Abort(cause error)
 }
 
-// asAborter walks the wrapper chain (see Unwrapper) to the first layer that
-// can poison the group, so fault injection reaches the substrate no matter
-// how the wrappers are stacked.
-func asAborter(c Collective) (Aborter, bool) {
-	for c != nil {
-		if a, ok := c.(Aborter); ok {
-			return a, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-	return nil, false
-}
-
-// asCloser walks the wrapper chain to the first closable transport.
-func asCloser(c Collective) (io.Closer, bool) {
-	for c != nil {
-		if cl, ok := c.(io.Closer); ok {
-			return cl, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-	return nil, false
-}
-
 // Faulty wraps a Collective with deterministic fault injection driven by a
 // Plan. With an empty plan it is a transparent passthrough: results are
 // bitwise identical to the raw collective. Like every Collective handle it
 // must be driven from a single goroutine; the injection counters may be read
 // concurrently.
 type Faulty struct {
-	inner  Collective
+	middleware
 	plan   Plan
 	rng    *fxrand.RNG
 	step   atomic.Int64
@@ -160,19 +128,14 @@ type Faulty struct {
 var _ ContextCollective = (*Faulty)(nil)
 
 // NewFaulty wraps inner with the given fault plan.
+//
+// Reforms reached through Unwrap bypass the fault plan: faults target
+// collective ops, not recovery.
 func NewFaulty(inner Collective, plan Plan) *Faulty {
-	return &Faulty{inner: inner, plan: plan, rng: fxrand.New(plan.Seed*2654435761 + 1)}
+	f := &Faulty{plan: plan, rng: fxrand.New(plan.Seed*2654435761 + 1)}
+	f.middleware = middleware{inner: inner, hook: f.inject}
+	return f
 }
-
-// Rank forwards to the wrapped collective.
-func (f *Faulty) Rank() int { return f.inner.Rank() }
-
-// Size forwards to the wrapped collective.
-func (f *Faulty) Size() int { return f.inner.Size() }
-
-// Unwrap exposes the wrapped collective to capability probes (AsReformer).
-// Reforms bypass the fault plan: faults target collective ops, not recovery.
-func (f *Faulty) Unwrap() Collective { return f.inner }
 
 // Step reports how many collective operations this handle has performed.
 func (f *Faulty) Step() int64 { return f.step.Load() }
@@ -227,8 +190,8 @@ func (ft *Fault) sleep() {
 // fallback, reset prefers a hard transport close.
 func (f *Faulty) fail(ft *Fault, op Op, step int64) error {
 	cause := fmt.Errorf("%w: %s at rank %d %s step %d", ErrInjected, ft.Kind, f.inner.Rank(), op, step)
-	ab, canAbort := asAborter(f.inner)
-	cl, canClose := asCloser(f.inner)
+	ab, canAbort := as[Aborter](f.inner)
+	cl, canClose := as[io.Closer](f.inner)
 	switch {
 	case ft.Kind == FaultReset && canClose:
 		cl.Close()
@@ -271,124 +234,41 @@ func (f *Faulty) corruptF32(x []float32) {
 	}
 }
 
-// AllreduceF32 forwards with fault injection; corruption perturbs this
-// worker's contribution (the sum still completes, wrongly).
-func (f *Faulty) AllreduceF32(x []float32) error {
-	return f.AllreduceF32Ctx(context.Background(), x)
-}
-
-// AllreduceF32Ctx is AllreduceF32 with the context relayed to the wrapped
-// collective; injected delays and stalls still burn real time, so a tight
-// deadline can expire across one.
-func (f *Faulty) AllreduceF32Ctx(ctx context.Context, x []float32) error {
+// inject is Faulty's intercept: it counts the op, consults the plan, and
+// applies the matching fault around (or instead of) the wrapped call. Injected
+// delays and stalls burn real time, so a tight context deadline can expire
+// across one. Corruption perturbs what this worker contributes — the allreduce
+// vector in place (the sum still completes, wrongly), a bit-flipped copy of
+// the allgather payload, the broadcast payload on the root only (it is what
+// everyone receives), nothing for a barrier's empty token — and the collective
+// itself succeeds.
+func (f *Faulty) inject(ctx context.Context, k *call) error {
 	step := f.step.Add(1)
-	ft := f.pick(OpAllreduce, step)
+	ft := f.pick(k.op, step)
 	if ft == nil {
-		return AllreduceF32(ctx, f.inner, x)
+		return k.invoke(ctx, f.inner)
 	}
-	f.note(ft.Kind, OpAllreduce)
+	f.note(ft.Kind, k.op)
 	switch ft.Kind {
 	case FaultDelay:
 		ft.sleep()
-		return AllreduceF32(ctx, f.inner, x)
 	case FaultStall:
-		err := AllreduceF32(ctx, f.inner, x)
+		err := k.invoke(ctx, f.inner)
 		ft.sleep()
 		return err
 	case FaultCorrupt:
-		f.corruptF32(x)
-		return AllreduceF32(ctx, f.inner, x)
-	default: // drop, reset
-		return f.fail(ft, OpAllreduce, step)
-	}
-}
-
-// AllgatherBytes forwards with fault injection; corruption bit-flips this
-// worker's outgoing payload so peers receive garbage bytes.
-func (f *Faulty) AllgatherBytes(b []byte) ([][]byte, error) {
-	return f.AllgatherBytesCtx(context.Background(), b)
-}
-
-// AllgatherBytesCtx is AllgatherBytes with the context relayed.
-func (f *Faulty) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, error) {
-	step := f.step.Add(1)
-	ft := f.pick(OpAllgather, step)
-	if ft == nil {
-		return AllgatherBytes(ctx, f.inner, b)
-	}
-	f.note(ft.Kind, OpAllgather)
-	switch ft.Kind {
-	case FaultDelay:
-		ft.sleep()
-		return AllgatherBytes(ctx, f.inner, b)
-	case FaultStall:
-		all, err := AllgatherBytes(ctx, f.inner, b)
-		ft.sleep()
-		return all, err
-	case FaultCorrupt:
-		return AllgatherBytes(ctx, f.inner, f.corrupt(b))
-	default:
-		return nil, f.fail(ft, OpAllgather, step)
-	}
-}
-
-// BroadcastBytes forwards with fault injection; corruption only matters on
-// the root, whose payload is what everyone receives.
-func (f *Faulty) BroadcastBytes(b []byte, root int) ([]byte, error) {
-	return f.BroadcastBytesCtx(context.Background(), b, root)
-}
-
-// BroadcastBytesCtx is BroadcastBytes with the context relayed.
-func (f *Faulty) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]byte, error) {
-	step := f.step.Add(1)
-	ft := f.pick(OpBroadcast, step)
-	if ft == nil {
-		return BroadcastBytes(ctx, f.inner, b, root)
-	}
-	f.note(ft.Kind, OpBroadcast)
-	switch ft.Kind {
-	case FaultDelay:
-		ft.sleep()
-		return BroadcastBytes(ctx, f.inner, b, root)
-	case FaultStall:
-		out, err := BroadcastBytes(ctx, f.inner, b, root)
-		ft.sleep()
-		return out, err
-	case FaultCorrupt:
-		if f.inner.Rank() == root {
-			b = f.corrupt(b)
+		switch k.op {
+		case OpAllreduce:
+			f.corruptF32(k.x)
+		case OpAllgather:
+			k.b = f.corrupt(k.b)
+		case OpBroadcast:
+			if f.inner.Rank() == k.root {
+				k.b = f.corrupt(k.b)
+			}
 		}
-		return BroadcastBytes(ctx, f.inner, b, root)
-	default:
-		return nil, f.fail(ft, OpBroadcast, step)
+	default: // drop, reset
+		return f.fail(ft, k.op, step)
 	}
-}
-
-// Barrier forwards with fault injection (corruption is a no-op for the empty
-// token and degrades to a plain passthrough).
-func (f *Faulty) Barrier() error {
-	return f.BarrierCtx(context.Background())
-}
-
-// BarrierCtx is Barrier with the context relayed.
-func (f *Faulty) BarrierCtx(ctx context.Context) error {
-	step := f.step.Add(1)
-	ft := f.pick(OpBarrier, step)
-	if ft == nil {
-		return Barrier(ctx, f.inner)
-	}
-	f.note(ft.Kind, OpBarrier)
-	switch ft.Kind {
-	case FaultDelay:
-		ft.sleep()
-		return Barrier(ctx, f.inner)
-	case FaultStall:
-		err := Barrier(ctx, f.inner)
-		ft.sleep()
-		return err
-	case FaultCorrupt:
-		return Barrier(ctx, f.inner)
-	default:
-		return f.fail(ft, OpBarrier, step)
-	}
+	return k.invoke(ctx, f.inner)
 }

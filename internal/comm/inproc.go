@@ -428,6 +428,10 @@ func (w *InProc) Reform() (uint64, error) {
 	return gen, nil
 }
 
+// opsFailTogether marks the hub as group-atomic: an op either completes the
+// rendezvous for every rank or fails on every rank.
+func (w *InProc) opsFailTogether() {}
+
 // ReformElastic joins the elastic recovery rendezvous: the full membership
 // reforms intact when everyone arrives within wait; otherwise the arrived
 // ranks commit a smaller world size and the missing ranks are evicted.

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -77,7 +78,7 @@ func TestHubReformTimeout(t *testing.T) {
 // TestRingReformAfterKill is the transport-level rejoin scenario: a 3-rank
 // generation ring loses rank 1 (abrupt socket teardown), the survivors'
 // collectives fail with ErrPeerDead without their processes restarting, and a
-// concurrent Reform on the survivors plus a fresh DialRing at the replacement
+// concurrent Reform on the survivors plus a fresh DialTCPRingConfig at the replacement
 // — dialing blind at generation 0 — converges the whole group on generation 1
 // and completes bitwise-correct collectives.
 func TestRingReformAfterKill(t *testing.T) {
@@ -85,7 +86,7 @@ func TestRingReformAfterKill(t *testing.T) {
 	const hbInterval = 25 * time.Millisecond
 	addrs := freeAddrs(t, n)
 
-	rings := make([]*Ring, n)
+	rings := make([]*TCPRing, n)
 	cfg := func(rank int) RingConfig {
 		return RingConfig{
 			Rank: rank, Addrs: addrs,
@@ -102,7 +103,7 @@ func TestRingReformAfterKill(t *testing.T) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				r, err := DialRing(cfg(rank))
+				r, err := DialTCPRingConfig(cfg(rank))
 				if err != nil {
 					t.Errorf("rank %d dial: %v", rank, err)
 					return
@@ -171,7 +172,7 @@ func TestRingReformAfterKill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := DialRing(cfg(1)) // Generation left at 0: must discover
+			r, err := DialTCPRingConfig(cfg(1)) // Generation left at 0: must discover
 			if err != nil {
 				t.Errorf("replacement dial: %v", err)
 				return
@@ -213,6 +214,116 @@ func TestRingReformAfterKill(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// dialHBRing founds an n-rank heartbeat ring on loopback with frame deadlines
+// off, the way graceworker dials it; the rings are killed at test end.
+func dialHBRing(t *testing.T, n int, hb, setup time.Duration) []*TCPRing {
+	t.Helper()
+	addrs := freeAddrs(t, n)
+	rings := make([]*TCPRing, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for rank := 0; rank < n; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			rings[rank], errs[rank] = DialTCPRingConfig(RingConfig{
+				Rank: rank, Addrs: addrs, SetupTimeout: setup, OpTimeout: -1, Heartbeat: hb, Seed: 3,
+			})
+		}(rank)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d dial: %v", rank, err)
+		}
+	}
+	t.Cleanup(func() {
+		for _, r := range rings {
+			r.Kill()
+		}
+	})
+	return rings
+}
+
+// TestWithTimeoutBoundsHungPeer is the -optimeout regression: a peer that is
+// wedged but not yet convicted by the liveness layer (its miss window is
+// seconds long) must not block a survivor's step. WithTimeout's deadline has
+// to reach the ring's sockets — on the founding incarnation and again on the
+// one an elastic shrink produced, which used to be a type without Ctx methods
+// that the deadline fell straight through.
+func TestWithTimeoutBoundsHungPeer(t *testing.T) {
+	rings := dialHBRing(t, 3, time.Second, 10*time.Second)
+	withDeadline(t, 60*time.Second, func() {
+		expectTimeout := func(when string) {
+			start := time.Now()
+			err := WithTimeout(rings[0], 200*time.Millisecond).AllreduceF32(make([]float32, 64))
+			var ce *Error
+			if !errors.Is(err, context.DeadlineExceeded) || !errors.As(err, &ce) || ce.Op != OpAllreduce {
+				t.Errorf("%s: err = %v, want a typed allreduce error wrapping DeadlineExceeded", when, err)
+			}
+			if waited := time.Since(start); waited > time.Second {
+				t.Errorf("%s: the 200ms deadline took %v to fire", when, waited)
+			}
+		}
+		rings[1].Hang()
+		expectTimeout("founding ring")
+
+		// The wedged rank is lost for good; the survivors shrink to {0,2}.
+		rings[1].Kill()
+		var wg sync.WaitGroup
+		for _, rank := range []int{0, 2} {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				if mem, err := rings[rank].ReformElastic(300 * time.Millisecond); err != nil || mem.Size() != 2 {
+					t.Errorf("rank %d shrink: %v %v", rank, mem, err)
+				}
+			}(rank)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		rings[2].Hang()
+		expectTimeout("after ReformElastic")
+	})
+}
+
+// TestReformFailuresAreTyped: whichever outcome was asked of the reform
+// routine, failing it against an unreachable peer yields a *Error{Op:
+// OpReform} stamped with the ring's op count at the time.
+func TestReformFailuresAreTyped(t *testing.T) {
+	cases := map[string]func(r *TCPRing) error{
+		"reform": func(r *TCPRing) error { _, err := r.Reform(); return err },
+		"shrink": func(r *TCPRing) error { _, err := r.ReformElastic(100 * time.Millisecond); return err },
+		"grow":   func(r *TCPRing) error { _, err := r.ReformGrow([]int{0, 1}); return err },
+	}
+	for name, reform := range cases {
+		t.Run(name, func(t *testing.T) {
+			rings := dialHBRing(t, 2, 25*time.Millisecond, time.Second)
+			withDeadline(t, 30*time.Second, func() {
+				var wg sync.WaitGroup
+				for _, r := range rings { // two ops, so the count is not the zero value
+					wg.Add(1)
+					go func(r *TCPRing) {
+						defer wg.Done()
+						if err := errors.Join(r.Barrier(), r.Barrier()); err != nil {
+							t.Error(err)
+						}
+					}(r)
+				}
+				wg.Wait()
+				rings[1].Kill()
+				err := reform(rings[0])
+				ce, ok := err.(*Error)
+				if !ok || ce.Op != OpReform || ce.Step != 2 || ce.Rank != 0 {
+					t.Errorf("err = %#v (%v), want *Error{Rank: 0, Op: OpReform, Step: 2}", err, err)
+				}
+			})
+		})
+	}
 }
 
 // TestHBParser: the stateful heartbeat decoder must handle split records,

@@ -13,7 +13,7 @@ import (
 
 // Reformer is implemented by collectives that can rebuild their group under a
 // new generation after a failure: the in-process Hub (clearing abort poison at
-// an all-ranks rendezvous) and the re-dialable TCP Ring. Reform is itself a
+// an all-ranks rendezvous) and TCPRing (with heartbeats on). Reform is itself a
 // synchronization point — every member of the group must call it, in the same
 // position of its op sequence, before any member's call returns. It returns
 // the generation the group reconvened under.
@@ -21,26 +21,17 @@ type Reformer interface {
 	Reform() (uint64, error)
 }
 
-// Unwrapper is implemented by collective wrappers (Meter, Faulty, WithTimeout,
-// Resilient) so capability probes can walk to the transport underneath.
-type Unwrapper interface {
-	Unwrap() Collective
-}
-
 // AsReformer walks a wrapper chain down to the first layer that can reform
-// the group, if any.
-func AsReformer(c Collective) (Reformer, bool) {
-	for c != nil {
-		if r, ok := c.(Reformer); ok {
-			return r, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-	return nil, false
+// the group, if any. A TCPRing without heartbeats cannot, and reports none.
+func AsReformer(c Collective) (Reformer, bool) { return reformCapable(as[Reformer](c)) }
+
+// groupAtomic marks a Reformer on which a failed op failed on every rank and
+// completed on none (the hub's rendezvous). Only there can each rank's
+// Resilient reform on its own initiative and trust that the whole group is
+// doing the same.
+type groupAtomic interface {
+	Reformer
+	opsFailTogether()
 }
 
 // RetryPolicy bounds the Resilient wrapper. The zero value picks the
@@ -82,15 +73,19 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // failures (see Classify): per-op deadline expiries, reset connections, and
 // injected chaos faults are reabsorbed with capped jittered backoff instead
 // of escalating to the supervisor. Before each retry the wrapper reforms the
-// group when the transport supports it — on the hub that rendezvous clears
-// the abort poison a drop/reset fault left behind, so every rank's retry of
-// the same lockstep op can succeed together.
+// group when op failures on the transport are group-atomic — on the hub that
+// rendezvous clears the abort poison a drop/reset fault left behind, so every
+// rank's retry of the same lockstep op can succeed together.
 //
 // Retrying an op in place is sound only where an op failure is group-atomic
 // (no rank completed it), which holds for the rendezvous-based hub. Ring
 // allreduce is not atomic — a failing rank's last frame can complete a peer's
 // op — so ring deployments lean on the trainer-level rejoin path instead and
-// use Resilient only to absorb pre-op dial/timeout flakes.
+// use Resilient only to absorb pre-op dial/timeout flakes. Those are local to
+// one rank: its peers are not reforming, so Resilient never reforms a TCPRing,
+// heartbeats or not — it would sever a healthy incarnation and wait out
+// SetupTimeout alone. A ring is reformed by the trainer's heal path, where
+// every member arrives together.
 //
 // Retries never straddle a group-generation bump. If the group reforms
 // between a failure and its retry (a rejoin heal, or an elastic shrink or
@@ -106,10 +101,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // sequences across ranks (retries happen inside the op, so the sequence the
 // caller sees is unchanged).
 type Resilient struct {
-	inner   Collective
+	middleware
 	pol     RetryPolicy
 	rng     *fxrand.RNG
-	spent   int // total retries consumed; single-goroutine per handle
+	spent   int       // total retries consumed; single-goroutine per handle
+	snap    []float32 // allreduce input snapshot, reused across ops
 	retries atomic.Int64
 	reforms atomic.Int64
 }
@@ -119,21 +115,10 @@ var _ ContextCollective = (*Resilient)(nil)
 // NewResilient wraps inner with the given retry policy.
 func NewResilient(inner Collective, pol RetryPolicy) *Resilient {
 	pol = pol.withDefaults()
-	return &Resilient{
-		inner: inner,
-		pol:   pol,
-		rng:   fxrand.New(pol.Seed*0x9e3779b9 + uint64(inner.Rank()) + 1),
-	}
+	r := &Resilient{pol: pol, rng: fxrand.New(pol.Seed*0x9e3779b9 + uint64(inner.Rank()) + 1)}
+	r.middleware = middleware{inner: inner, hook: r.retry}
+	return r
 }
-
-// Rank forwards to the wrapped collective.
-func (r *Resilient) Rank() int { return r.inner.Rank() }
-
-// Size forwards to the wrapped collective.
-func (r *Resilient) Size() int { return r.inner.Size() }
-
-// Unwrap exposes the wrapped collective to capability probes.
-func (r *Resilient) Unwrap() Collective { return r.inner }
 
 // Retries reports the transient failures this handle has retried through.
 func (r *Resilient) Retries() int64 { return r.retries.Load() }
@@ -141,21 +126,20 @@ func (r *Resilient) Retries() int64 { return r.retries.Load() }
 // Reforms reports the group reforms this handle has driven before retries.
 func (r *Resilient) Reforms() int64 { return r.reforms.Load() }
 
-// Reform forwards to the wrapped transport's reform, so the trainer-level
-// heal path reaches it through this wrapper too.
-func (r *Resilient) Reform() (uint64, error) {
-	rf, ok := AsReformer(r.inner)
-	if !ok {
-		return 0, wrapErr(r.Rank(), OpReform, 0, fmt.Errorf("transport cannot reform"))
+// retry is Resilient's intercept: it runs the op, absorbing transient
+// failures within the policy's bounds. An allreduce input is snapshotted into
+// a handle-owned buffer so each retry starts from the caller's original vector
+// even on transports that reduce in place.
+func (r *Resilient) retry(ctx context.Context, k *call) error {
+	if k.op == OpAllreduce {
+		r.snap = append(r.snap[:0], k.x...)
 	}
-	return rf.Reform()
-}
-
-// retry runs call, absorbing transient failures within the policy's bounds.
-func (r *Resilient) retry(ctx context.Context, call func() error) error {
-	var err error
 	for attempt := 1; ; attempt++ {
-		if err = call(); err == nil || !IsTransient(err) {
+		if attempt > 1 && k.op == OpAllreduce {
+			copy(k.x, r.snap)
+		}
+		err := k.invoke(ctx, r.inner)
+		if err == nil || !IsTransient(err) {
 			return err
 		}
 		if attempt >= r.pol.PerOp {
@@ -174,7 +158,7 @@ func (r *Resilient) retry(ctx context.Context, call func() error) error {
 		// Reform before retrying so the whole group reconverges on the same
 		// op: on the hub every rank failed this op (rendezvous atomicity) and
 		// every rank's Resilient reforms here, completing the rendezvous.
-		if rf, ok := AsReformer(r.inner); ok {
+		if rf, ok := as[groupAtomic](r.inner); ok {
 			if _, err := rf.Reform(); err != nil {
 				return err
 			}
@@ -206,64 +190,4 @@ func (r *Resilient) sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// AllreduceF32 retries transiently failed allreduces. The input is snapshotted
-// so each retry starts from the caller's original vector even on transports
-// that reduce in place.
-func (r *Resilient) AllreduceF32(x []float32) error {
-	return r.AllreduceF32Ctx(context.Background(), x)
-}
-
-// AllreduceF32Ctx is AllreduceF32 bounded by ctx.
-func (r *Resilient) AllreduceF32Ctx(ctx context.Context, x []float32) error {
-	orig := append([]float32(nil), x...)
-	first := true
-	return r.retry(ctx, func() error {
-		if !first {
-			copy(x, orig)
-		}
-		first = false
-		return AllreduceF32(ctx, r.inner, x)
-	})
-}
-
-// AllgatherBytes retries transiently failed allgathers.
-func (r *Resilient) AllgatherBytes(b []byte) ([][]byte, error) {
-	return r.AllgatherBytesCtx(context.Background(), b)
-}
-
-// AllgatherBytesCtx is AllgatherBytes bounded by ctx.
-func (r *Resilient) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, error) {
-	var out [][]byte
-	err := r.retry(ctx, func() error {
-		var err error
-		out, err = AllgatherBytes(ctx, r.inner, b)
-		return err
-	})
-	return out, err
-}
-
-// BroadcastBytes retries transiently failed broadcasts.
-func (r *Resilient) BroadcastBytes(b []byte, root int) ([]byte, error) {
-	return r.BroadcastBytesCtx(context.Background(), b, root)
-}
-
-// BroadcastBytesCtx is BroadcastBytes bounded by ctx.
-func (r *Resilient) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]byte, error) {
-	var out []byte
-	err := r.retry(ctx, func() error {
-		var err error
-		out, err = BroadcastBytes(ctx, r.inner, b, root)
-		return err
-	})
-	return out, err
-}
-
-// Barrier retries transiently failed barriers.
-func (r *Resilient) Barrier() error { return r.BarrierCtx(context.Background()) }
-
-// BarrierCtx is Barrier bounded by ctx.
-func (r *Resilient) BarrierCtx(ctx context.Context) error {
-	return r.retry(ctx, func() error { return Barrier(ctx, r.inner) })
 }

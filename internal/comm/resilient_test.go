@@ -78,6 +78,12 @@ func TestResilientAbsorbsTransientFailures(t *testing.T) {
 	if r.Retries() != 2 {
 		t.Fatalf("retries = %d, want 2", r.Retries())
 	}
+	// The snapshot buffer is reused across ops: a shorter vector next must
+	// restore exactly its own length.
+	inner.calls = 1
+	if y := []float32{4, 5}; r.AllreduceF32(y) != nil || y[0] != 4 || y[1] != 5 {
+		t.Fatalf("retry on a reused snapshot corrupted the input restore: %v", y)
+	}
 
 	inner = &flakyColl{failN: 1}
 	r = NewResilient(inner, fastPolicy())
@@ -224,6 +230,51 @@ func TestResilientHubChaosCompletes(t *testing.T) {
 	}
 	if hub.Generation() == 0 {
 		t.Fatal("chaos plan with drops should have forced at least one reform")
+	}
+}
+
+// TestResilientOverTCPRingRetriesWithoutReform drives graceworker's wrapper
+// stack (ring → -chaos → -optimeout → -retry-budget) into a pre-op flake: an
+// injected delay outlasts the op deadline on rank 0 only, the ring refuses the
+// expired context before anything reaches the wire, and Resilient must simply
+// try again. Its peer is healthy and waiting in the same op, so a reform —
+// which a heartbeat ring can do and a heartbeat-less one cannot — would be
+// wrong either way: the retry has to land on the incarnation the ring was
+// dialled with.
+func TestResilientOverTCPRingRetriesWithoutReform(t *testing.T) {
+	for name, dial := range map[string]func(*testing.T) []*TCPRing{
+		"no-heartbeat": func(t *testing.T) []*TCPRing {
+			r0, r1 := dialRingPair(t, -1)
+			return []*TCPRing{r0, r1}
+		},
+		"heartbeat": func(t *testing.T) []*TCPRing {
+			return dialHBRing(t, 2, 50*time.Millisecond, 5*time.Second)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rings := dial(t)
+			plan := Plan{Faults: []Fault{{Kind: FaultDelay, Rank: 0, FromStep: 1, ToStep: 1, Delay: 300 * time.Millisecond}}}
+			rs := NewResilient(WithTimeout(NewFaulty(rings[0], plan), 100*time.Millisecond), fastPolicy())
+			peer := make(chan error, 1)
+			y := []float32{2, 20}
+			go func() { peer <- rings[1].AllreduceF32(y) }()
+			x := []float32{1, 10}
+			if err := rs.AllreduceF32(x); err != nil {
+				t.Fatalf("rank 0: %v, want the expired first attempt absorbed", err)
+			}
+			if err := <-peer; err != nil {
+				t.Fatalf("rank 1: %v", err)
+			}
+			if x[0] != 3 || x[1] != 30 || y[0] != 3 || y[1] != 30 {
+				t.Fatalf("allreduce after the retry: rank 0 %v, rank 1 %v, want [3 30]", x, y)
+			}
+			if rs.Retries() != 1 || rs.Reforms() != 0 {
+				t.Fatalf("%d retries / %d reforms, want 1 / 0", rs.Retries(), rs.Reforms())
+			}
+			if gen := rings[0].Membership().Gen; gen != 0 {
+				t.Fatalf("ring moved to generation %d under Resilient", gen)
+			}
+		})
 	}
 }
 

@@ -9,12 +9,11 @@ import (
 	"io"
 	"math"
 	"net"
-	"strconv"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fxrand"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/xrank"
 )
@@ -34,57 +33,18 @@ const (
 	DefaultHeartbeatMisses = 3
 )
 
-// Connection preambles distinguish the data stream from the heartbeat side
-// channel when RingConfig.Heartbeat is enabled; without heartbeats the wire
-// format carries no preamble and stays byte-compatible with older rings.
-//
-// With heartbeats on, every dialed connection opens with a 9-byte generation
-// handshake ([role][8-byte big-endian generation]) that the acceptor answers
-// with a 9-byte reply ([hsAccept|hsReject][generation]). A rejection carries
-// the higher of the two generations, and both sides adopt upward and retry,
-// so a ring reforming after a member death converges on generation g+1 while
-// every connection from the old incarnation is refused — a stale member can
-// never splice itself into the new ring. Heartbeat pings then carry the
-// generation in every record, so a generation mismatch that slips past setup
-// is detected within one ping interval and the peer is rejected with
-// ErrStaleGeneration.
-const (
-	preambleData      = 'G'
-	preambleHeartbeat = 'H'
-	// hbBye is sent on the heartbeat channel by a rank closing gracefully,
-	// so neighbors still draining their final collective can tell an orderly
-	// departure from a crash.
-	hbBye = 'B'
-	// hsAccept / hsReject open the acceptor's handshake reply.
-	hsAccept = 'A'
-	hsReject = 'R'
-	// confirmMagic opens the post-setup ring confirmation token.
-	confirmMagic = 'C'
-	// hsProbe is an elastic liveness census probe: the payload field carries
-	// the prober's generation, the reply ('A') the acceptor's current one.
-	// Probes are answered during ring setup too — an overlapping setup phase
-	// must not read as a death — and never affect the acceptor's state.
-	hsProbe = 'E'
-	// hsJoin is an elastic join request; the payload field carries the
-	// joiner's original rank, not a generation. A member's elastic acceptor
-	// answers with its generation and member list; plain ring setup rejects
-	// it (the joiner retries until a member is listening).
-	hsJoin = 'J'
-	// handshakeLen is the wire size of handshake records, replies, ping
-	// records, and confirmation tokens alike: one kind byte plus the
-	// generation.
-	handshakeLen = 9
-)
-
 // RingConfig tunes the hardened TCP ring transport beyond the required rank
 // and address list. The zero value of every knob selects the documented
 // default.
 type RingConfig struct {
 	// Rank is this worker's id; Addrs[i] is the listen address of rank i.
+	// Both stay in original-rank space for the life of the ring: after a
+	// shrink the handle's Rank() is an index into the surviving member set,
+	// while cfg.Rank keeps naming the worker.
 	Rank  int
 	Addrs []string
-	// SetupTimeout bounds the whole ring establishment (accept + dial),
-	// default 30s.
+	// SetupTimeout bounds the whole ring establishment (accept + dial), and
+	// each later Reform / ReformGrow; default 30s.
 	SetupTimeout time.Duration
 	// OpTimeout is the per-frame read/write deadline; 0 selects
 	// DefaultOpTimeout, negative disables deadlines entirely.
@@ -99,40 +59,41 @@ type RingConfig struct {
 	// ring then fails every pending and future collective immediately with
 	// a typed *Error wrapping ErrPeerDead — seconds-fast crash detection
 	// decoupled from OpTimeout, which stays long enough for slow but live
-	// peers. All ranks must agree on whether heartbeats are on (it changes
+	// peers. Heartbeats also carry the group generation, so they are what
+	// makes a ring reformable (Reform, ReformElastic, ReformGrow) and
+	// joinable. All ranks must agree on whether heartbeats are on (it changes
 	// the connection handshake).
 	Heartbeat time.Duration
 	// HeartbeatMisses is the consecutive-miss threshold; 0 selects
 	// DefaultHeartbeatMisses.
 	HeartbeatMisses int
 	// Generation is the group generation this ring starts its handshake at.
-	// A reforming group dials at its previous generation + 1; a rejoiner may
-	// dial at 0 and discover the group's actual generation through handshake
-	// rejections (it adopts the higher generation and retries within
-	// SetupTimeout). Only meaningful with Heartbeat > 0 — without the
-	// liveness layer the wire carries no generation.
+	// A respawned member of a reforming group may dial at 0 and discover the
+	// group's actual generation through handshake rejections (it adopts the
+	// higher generation and retries within SetupTimeout). Only meaningful
+	// with Heartbeat > 0 — without the liveness layer the wire carries no
+	// generation.
 	Generation uint64
 	// Seed drives the deterministic jitter stream (fxrand) behind dial
 	// retries and setup backoff, mixed with Rank so ranks desynchronize.
 	// Chaos and recovery tests are reproducible from the run seed.
 	Seed uint64
-	// Members, when non-nil, forms the ring over a subset of the world:
-	// the sorted original ranks participating in this incarnation. Rank is
-	// then an original rank that must appear in Members, Addrs stays indexed
-	// by original rank, and the ring's effective rank/size are the index in /
-	// length of Members. Ring confirmation additionally circulates a digest
+	// Members, when non-nil, founds the ring over a subset of the world: the
+	// sorted original ranks participating. Rank must appear in it and Addrs
+	// stays indexed by original rank. Ring confirmation circulates a digest
 	// of the member list, so two ranks that disagree on who is in the group
 	// can never splice into one ring. Nil means the full world [0,len(Addrs)).
 	Members []int
 	// Listener, when non-nil, is the already-bound listen socket for
-	// Addrs[Rank]. Ring setup uses it without closing it, so an elastic
-	// membership layer can keep one persistent listener across incarnations
-	// (answering probes and joins between setups). Nil makes setup bind and
-	// close its own.
+	// Addrs[Rank]. The founding setup borrows it — it is neither retained nor
+	// closed — so such a ring has no join point: it cannot be probed or
+	// joined, and a reform would have to bind Addrs[Rank] itself. Nil makes
+	// the ring bind its own: for the setup only without heartbeats, for the
+	// life of the handle (the join point) with them.
 	Listener net.Listener
 }
 
-// TCPRing is a real network implementation of Collective over a TCP ring:
+// TCPRing is the network implementation of Collective over a TCP ring:
 // worker i accepts a connection from worker i-1 and dials worker i+1
 // (mod n). AllreduceF32 runs the bandwidth-optimal ring algorithm
 // (reduce-scatter followed by allgather, 2(n-1) steps), which is the same
@@ -144,843 +105,634 @@ type RingConfig struct {
 // MaxFrameBytes before allocation, ring setup retries dials with jittered
 // exponential backoff, and every failure is wrapped in a typed *Error
 // carrying (rank, op, step).
-type TCPRing struct {
-	rank, n  int
-	orig     int   // original rank (== rank unless Members narrowed the ring)
-	members  []int // sorted original member ranks; nil = full world
-	digest   uint64
-	next     net.Conn // to rank+1
-	prev     net.Conn // from rank-1
-	nextW    *bufio.Writer
-	prevR    *bufio.Reader
-	opTO     time.Duration
-	maxFrame int
-	gen      uint64 // group generation this incarnation of the ring formed under
-	step     atomic.Int64
-	closed   atomic.Bool
-
-	// opCtx is the context of the collective op in flight, set by the Ctx
-	// method variants (nil for the plain methods). The handle is
-	// single-goroutine by contract, and sendRecv's helper goroutine is
-	// spawned after the field is written and joined before the op returns,
-	// so no synchronization is needed.
-	opCtx context.Context
-
-	// Liveness side channel (nil/zero when RingConfig.Heartbeat is off).
-	hbNext     *hbLink // heartbeat link to rank+1 (this side dialed)
-	hbPrev     *hbLink // heartbeat link from rank-1 (this side accepted)
-	hbInterval time.Duration
-	hbMisses   int
-	hbStop     chan struct{}
-
-	peerMu  sync.Mutex
-	peerErr error // first liveness failure; poisons all frame ops
-}
-
-// hbLink is one heartbeat connection plus the neighbor behind it. departed
-// flips when the neighbor announces a graceful close (hbBye): its silence
-// afterwards is expected, not a death.
-type hbLink struct {
-	conn     net.Conn
-	peer     int
-	departed atomic.Bool
-}
-
-var _ ContextCollective = (*TCPRing)(nil)
-
-// DialTCPRing establishes the ring with default hardening knobs. addrs[i] is
-// the listen address of rank i; every participant must call DialTCPRing
-// concurrently. The timeout bounds the whole setup.
-func DialTCPRing(rank int, addrs []string, timeout time.Duration) (*TCPRing, error) {
-	return DialTCPRingConfig(RingConfig{Rank: rank, Addrs: addrs, SetupTimeout: timeout})
-}
-
-// DialTCPRingConfig establishes the ring with explicit hardening knobs.
 //
-// With heartbeats enabled the setup is generation-aware: the listener stays
-// open across attempts, every connection handshakes the group generation, and
-// an attempt that discovers a higher generation (through a handshake
-// rejection or a mismatched confirmation token) restarts at that generation
-// until SetupTimeout. This is what lets a reforming group converge on g+1
-// while a respawned member dialing at generation 0 discovers the group's
-// actual generation on the fly.
+// The handle owns its RingConfig and the current incarnation — one set of
+// connections formed over one member list at one group generation. Without
+// heartbeats that is the whole story: the founding incarnation lives until
+// Close. With heartbeats the handle also keeps a join point (a persistent
+// listener on its own address, answering liveness probes and join requests
+// between setups) and can replace its incarnation through one routine with
+// three outcomes, the TCP mirror of Hub.rendezvous:
+//
+//   - Reform: every member comes back; same member set, generation+1.
+//   - ReformElastic: as Reform within the rejoin deadline; otherwise a census
+//     of the members' join points decides who is permanently gone and the
+//     survivors form generation+2 without them.
+//   - ReformGrow: the members plus the agreed joiners (each entering through
+//     JoinTCPRing) form generation+1.
+//
+// A rank the group moved on without finds every handshake rejected at a
+// generation ahead of its own and its collectives failing fatally; it must
+// re-enter through JoinTCPRing.
+//
+// Collective calls follow the usual single-goroutine contract; the reform
+// calls occupy a slot in the lockstep op sequence on every member. Kill,
+// Hang, and Close may race them from other goroutines (they synchronize on
+// the incarnation pointer, and the op in flight fails with a typed error when
+// its sockets die underneath it).
+type TCPRing struct {
+	cfg RingConfig // as dialled, SetupTimeout defaulted; Listener only while founding
+	cur atomic.Pointer[incarnation]
+
+	// Join point; all nil/zero when the ring has none (see RingConfig.Listener).
+	ln      net.Listener
+	lnTok   chan struct{} // listener ownership token (cap 1): acceptor vs ring setup
+	stop    chan struct{}
+	stopped sync.Once
+	wg      sync.WaitGroup
+	pendMu  sync.Mutex
+	pending map[int]bool // join requests observed by the acceptor
+}
+
+var (
+	_ ContextCollective = (*TCPRing)(nil)
+	_ Reformer          = (*TCPRing)(nil)
+	_ Elastic           = (*TCPRing)(nil)
+)
+
+// DialTCPRingConfig establishes the ring as a founding member; every
+// participant must call it concurrently. A respawned member of a reforming
+// group enters the same way (see RingConfig.Generation).
 func DialTCPRingConfig(cfg RingConfig) (*TCPRing, error) {
-	if cfg.Members != nil {
-		// Narrow the world to the member subset: the effective ring is
-		// indexed by position in the sorted member list, while Addrs (and
-		// Rank on entry) stay in original-rank space.
-		idx := indexOf(cfg.Members, cfg.Rank)
-		if idx < 0 {
-			return nil, fmt.Errorf("comm: rank %d not in ring members %v", cfg.Rank, cfg.Members)
-		}
-		sub := make([]string, len(cfg.Members))
-		for i, m := range cfg.Members {
-			if m < 0 || m >= len(cfg.Addrs) {
-				return nil, fmt.Errorf("comm: ring member %d outside address table [0,%d)", m, len(cfg.Addrs))
-			}
-			if i > 0 && cfg.Members[i] <= cfg.Members[i-1] {
-				return nil, fmt.Errorf("comm: ring members %v not strictly ascending", cfg.Members)
-			}
-			sub[i] = cfg.Addrs[m]
-		}
-		cfg.Rank, cfg.Addrs = idx, sub
-	}
-	rank, addrs := cfg.Rank, cfg.Addrs
-	n := len(addrs)
-	if n < 2 {
-		return nil, fmt.Errorf("comm: tcp ring needs >= 2 workers, got %d", n)
-	}
-	if rank < 0 || rank >= n {
-		return nil, fmt.Errorf("comm: rank %d out of [0,%d)", rank, n)
-	}
-	setupTO := cfg.SetupTimeout
-	if setupTO <= 0 {
-		setupTO = 30 * time.Second
-	}
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", addrs[rank])
-		if err != nil {
-			return nil, wrapErr(rank, OpDial, 0, fmt.Errorf("listen %s: %w", addrs[rank], err))
-		}
-		defer ln.Close()
-	}
-
-	deadline := time.Now().Add(setupTO)
-	rng := fxrand.New(cfg.Seed*0x9e3779b97f4a7c15 + uint64(rank) + 1)
-	hb := cfg.Heartbeat > 0
-	gen := cfg.Generation
-	for attempt := 0; ; attempt++ {
-		t, adopt, err := setupAttempt(cfg, ln, gen, deadline, rng)
-		if err == nil {
-			return t, nil
-		}
-		// Only the generation-aware protocol retries whole attempts: a
-		// rejected handshake or a broken confirmation round means a peer is
-		// reforming, not that setup failed. Legacy (no-heartbeat) setup keeps
-		// its single-attempt semantics.
-		if hb && time.Now().Before(deadline) {
-			if adopt > gen {
-				gen = adopt
-			}
-			// Brief jittered pause so restarting ranks don't re-collide.
-			time.Sleep(time.Duration(rng.Int63()%int64(5*time.Millisecond)) + time.Millisecond)
-			continue
-		}
-		return nil, wrapErr(rank, OpDial, 0, err)
-	}
-}
-
-// acceptOut is the accept side's verdict for one setup attempt.
-type acceptOut struct {
-	data, hb net.Conn
-	adopt    uint64 // non-zero: a dialer announced this higher generation
-	err      error
-}
-
-// setupAttempt runs one complete ring-establishment attempt at a fixed
-// generation: concurrent accept+classify of the predecessor's connections and
-// dial of the successor's, followed (in generation mode) by a two-round ring
-// confirmation that proves every member formed this same incarnation. On
-// failure it reports the highest generation it learned about so the caller
-// can adopt it.
-func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Time, rng *fxrand.RNG) (*TCPRing, uint64, error) {
-	rank, addrs := cfg.Rank, cfg.Addrs
-	n := len(addrs)
-	hb := cfg.Heartbeat > 0
-	succ := addrs[(rank+1)%n]
-
-	stop := make(chan struct{})
-	acceptCh := make(chan acceptOut, 1)
-	go func() { acceptCh <- acceptSide(ln, gen, hb, deadline, stop) }()
-
-	var opened []net.Conn
-	var adopt uint64
-	// join collects the accept goroutine's verdict exactly once. The success
-	// path waits for it to finish naturally (the predecessor may still be
-	// dialing); the failure path abandons it through the stop channel first.
-	var joined *acceptOut
-	join := func(abandon bool) acceptOut {
-		if joined == nil {
-			if abandon {
-				close(stop)
-			}
-			ao := <-acceptCh
-			joined = &ao
-		}
-		return *joined
-	}
-	fail := func(err error) (*TCPRing, uint64, error) {
-		ao := join(true)
-		for _, c := range []net.Conn{ao.data, ao.hb} {
-			if c != nil {
-				c.Close()
-			}
-		}
-		for _, c := range opened {
-			c.Close()
-		}
-		if ao.adopt > adopt {
-			adopt = ao.adopt
-		}
-		return nil, adopt, err
-	}
-
-	// Dial the successor's data connection (and, with heartbeats, the
-	// liveness connection). In generation mode each dialed connection opens
-	// with the role+generation handshake and must be accepted by the peer.
-	next, dAdopt, err := dialHandshake(succ, preambleData, gen, hb, deadline, rng)
-	if dAdopt > adopt {
-		adopt = dAdopt
-	}
+	t, err := newTCPRing(cfg)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	opened = append(opened, next)
-	var hbNext net.Conn
-	if hb {
-		hbNext, dAdopt, err = dialHandshake(succ, preambleHeartbeat, gen, hb, deadline, rng)
-		if dAdopt > adopt {
-			adopt = dAdopt
+	members := append([]int(nil), cfg.Members...)
+	if cfg.Members == nil {
+		members = make([]int, len(cfg.Addrs))
+		for i := range members {
+			members[i] = i
 		}
+	}
+	inc, err := t.dial(members, cfg.Generation, t.cfg.SetupTimeout)
+	if err != nil {
+		t.stopJoinPoint()
+		return nil, wrapErr(cfg.Rank, OpDial, 0, err)
+	}
+	t.found(inc)
+	return t, nil
+}
+
+// JoinTCPRing enters a running group as a fresh worker: it announces itself
+// to any live member's join point, learns the current generation and member
+// set, and then dials into the grow reform the members initiate at their next
+// join point (ReformGrow). The call blocks up to wait; cfg.Rank is the
+// joiner's original rank and cfg.Addrs the full world address table (the
+// joiner's own address included). Heartbeats are required: the join rides the
+// generation handshake.
+func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
+	if cfg.Heartbeat <= 0 {
+		return nil, fmt.Errorf("comm: joining a ring requires Heartbeat > 0")
+	}
+	t, err := newTCPRing(cfg)
+	if err != nil {
+		return nil, err
+	}
+	fail := func(err error) (*TCPRing, error) {
+		t.stopJoinPoint()
+		return nil, wrapErr(cfg.Rank, OpDial, 0, fmt.Errorf("ring join: %w", err))
+	}
+	deadline := time.Now().Add(wait)
+	for {
+		gen, members, err := requestJoin(cfg, deadline)
 		if err != nil {
 			return fail(err)
 		}
-		opened = append(opened, hbNext)
-	}
-
-	// Wait for the accept side's verdict.
-	ao := join(false)
-	if ao.err != nil {
-		return fail(ao.err)
-	}
-	prev, hbPrev := ao.data, ao.hb
-	opened = append(opened, prev)
-	if hbPrev != nil {
-		opened = append(opened, hbPrev)
-	}
-
-	t := &TCPRing{rank: rank, n: n, orig: rank, next: next, prev: prev, gen: gen}
-	if cfg.Members != nil {
-		t.members = append([]int(nil), cfg.Members...)
-		t.orig = cfg.Members[rank]
-		t.digest = membershipDigest(cfg.Members)
-	}
-	t.nextW = bufio.NewWriterSize(next, 1<<16)
-	t.prevR = bufio.NewReaderSize(prev, 1<<16)
-	t.opTO = cfg.OpTimeout
-	if t.opTO == 0 {
-		t.opTO = DefaultOpTimeout
-	}
-	t.maxFrame = cfg.MaxFrameBytes
-	if t.maxFrame <= 0 {
-		t.maxFrame = DefaultMaxFrameBytes
-	}
-	if hb {
-		// Ring confirmation: two token circulations carrying the generation.
-		// Completing them proves every member of the loop handshook this
-		// generation and is still alive — a neighbor that restarted into a
-		// newer incarnation after its handshake breaks the round here, before
-		// the ring is handed to callers.
-		if peerGen, err := t.confirmRing(deadline); err != nil {
-			if peerGen > adopt {
-				adopt = peerGen
-			}
-			return fail(fmt.Errorf("ring confirmation: %w", err))
-		}
-		t.hbNext = &hbLink{conn: hbNext, peer: (rank + 1) % n}
-		t.hbPrev = &hbLink{conn: hbPrev, peer: (rank - 1 + n) % n}
-		t.hbInterval = cfg.Heartbeat
-		t.hbMisses = cfg.HeartbeatMisses
-		if t.hbMisses <= 0 {
-			t.hbMisses = DefaultHeartbeatMisses
-		}
-		t.hbStop = make(chan struct{})
-		go t.pingLoop()
-		go t.watchLoop(t.hbPrev)
-		go t.watchLoop(t.hbNext)
-	}
-	return t, 0, nil
-}
-
-// acceptSide collects and classifies the predecessor's connections for one
-// setup attempt: the data stream, plus the heartbeat stream in generation
-// mode. Generation-mode connections handshake first — a matching generation
-// is accepted ('A'), a mismatch is rejected ('R') carrying the higher of the
-// two generations, and a higher announced generation additionally abandons
-// the attempt so the caller can adopt it. Malformed handshakes close the
-// offending connection and keep listening: a hostile dialer must not be able
-// to wedge ring setup.
-func acceptSide(ln net.Listener, gen uint64, hb bool, deadline time.Time, stop chan struct{}) acceptOut {
-	var out acceptOut
-	cleanup := func() {
-		for _, c := range []net.Conn{out.data, out.hb} {
-			if c != nil {
-				c.Close()
-			}
-		}
-		out.data, out.hb = nil, nil
-	}
-	need := func() bool { return out.data == nil || (hb && out.hb == nil) }
-	tl, _ := ln.(*net.TCPListener)
-	for need() {
-		select {
-		case <-stop:
-			cleanup()
-			out.err = fmt.Errorf("setup attempt abandoned")
-			return out
-		default:
-		}
-		if tl != nil {
-			poll := time.Now().Add(150 * time.Millisecond)
-			if poll.After(deadline) {
-				poll = deadline
-			}
-			tl.SetDeadline(poll)
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if time.Now().After(deadline) {
-					cleanup()
-					out.err = fmt.Errorf("timed out waiting for predecessor")
-					return out
-				}
-				continue
-			}
-			cleanup()
-			out.err = fmt.Errorf("accept: %w", err)
-			return out
-		}
-		if !hb {
-			out.data = c
-			continue
-		}
-		role, peerGen, err := readHandshake(c, deadline)
-		if err != nil {
-			c.Close() // hostile or truncated handshake: drop, keep listening
-			continue
-		}
-		if role == hsProbe {
-			// Elastic census probe: answer with our generation and keep
-			// listening. Answered before the generation check so a probe
-			// landing mid-setup reads as "alive", never as a death.
-			writeHandshakeReply(c, hsAccept, gen, deadline)
-			c.Close()
-			continue
-		}
-		if role == hsJoin {
-			// A joiner found us mid-setup; reject so it retries against a
-			// formed member's elastic acceptor (the payload is its rank, so
-			// the generation check below would misfire on it).
-			writeHandshakeReply(c, hsReject, gen, deadline)
-			c.Close()
-			continue
-		}
-		if peerGen != gen {
-			reject := gen
-			if peerGen > reject {
-				reject = peerGen
-			}
-			writeHandshakeReply(c, hsReject, reject, deadline)
-			c.Close()
-			if peerGen > gen {
-				cleanup()
-				out.adopt = peerGen
-				out.err = fmt.Errorf("peer announced generation %d > %d", peerGen, gen)
-				return out
-			}
-			continue // stale dialer; it will adopt our generation and retry
-		}
-		switch {
-		case role == preambleData && out.data == nil:
-			if err := writeHandshakeReply(c, hsAccept, gen, deadline); err != nil {
-				c.Close()
-				continue
-			}
-			out.data = c
-		case role == preambleHeartbeat && out.hb == nil:
-			if err := writeHandshakeReply(c, hsAccept, gen, deadline); err != nil {
-				c.Close()
-				continue
-			}
-			out.hb = c
-		default:
-			c.Close() // duplicate role: drop, keep listening
-		}
-	}
-	return out
-}
-
-// dialHandshake dials the successor and, in generation mode, runs the
-// role+generation handshake until accepted. A rejection carrying a higher
-// generation aborts with that generation for the caller to adopt; a rejection
-// at or below our own backs off and redials (the peer is still converging).
-func dialHandshake(addr string, role byte, gen uint64, hb bool, deadline time.Time, rng *fxrand.RNG) (net.Conn, uint64, error) {
-	for {
-		c, err := dialRetry(addr, deadline, rng)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !hb {
-			return c, 0, nil
-		}
-		if err := writeHandshake(c, role, gen, deadline); err != nil {
-			c.Close()
-			return nil, 0, err
-		}
-		status, peerGen, err := readHandshakeReply(c, deadline)
-		if err != nil {
-			c.Close()
-			if time.Now().After(deadline) {
-				return nil, 0, fmt.Errorf("handshake with %s: %w", addr, err)
-			}
-			// The peer may be mid-restart between incarnations; pause and
-			// redial.
-			time.Sleep(time.Duration(rng.Int63()%int64(10*time.Millisecond)) + time.Millisecond)
-			continue
-		}
-		if status == hsAccept {
-			return c, 0, nil
-		}
-		c.Close()
-		if peerGen > gen {
-			return nil, peerGen, fmt.Errorf("handshake rejected: peer at generation %d > %d", peerGen, gen)
-		}
-		if time.Now().After(deadline) {
-			return nil, 0, fmt.Errorf("handshake with %s: rejected at generation %d", addr, gen)
-		}
-		time.Sleep(time.Duration(rng.Int63()%int64(10*time.Millisecond)) + time.Millisecond)
-	}
-}
-
-// confirmRing circulates a generation-stamped token around the ring twice.
-// Completion proves the whole loop is alive at this generation; a mismatched
-// token reports the peer's generation for adoption.
-func (t *TCPRing) confirmRing(deadline time.Time) (uint64, error) {
-	var tok [handshakeLen]byte
-	for round := 0; round < 2; round++ {
-		appendHandshakeInto(tok[:0], confirmMagic, t.gen)
-		t.next.SetWriteDeadline(deadline)
-		if _, err := t.nextW.Write(tok[:]); err != nil {
-			return 0, err
-		}
-		if err := t.nextW.Flush(); err != nil {
-			return 0, err
-		}
-		t.prev.SetReadDeadline(deadline)
-		if _, err := ioReadFull(t.prevR, tok[:]); err != nil {
-			return 0, err
-		}
-		kind, peerGen, err := parseHandshake(tok[:])
-		if err != nil || kind != confirmMagic {
-			return 0, fmt.Errorf("%w: bad confirmation token", ErrCorrupt)
-		}
-		if peerGen != t.gen {
-			return peerGen, fmt.Errorf("%w: predecessor confirmed generation %d, ours %d",
-				ErrStaleGeneration, peerGen, t.gen)
-		}
-	}
-	if t.digest != 0 {
-		// Membership round: the token carries the member-list digest instead
-		// of the generation. A mismatch means two ranks formed this
-		// generation with different ideas of who is in the group — a
-		// retryable setup failure (no generation to adopt), so overlapping
-		// elastic reforms self-stabilize instead of exchanging payloads
-		// across disagreeing rings.
-		appendHandshakeInto(tok[:0], confirmMagic, t.digest)
-		t.next.SetWriteDeadline(deadline)
-		if _, err := t.nextW.Write(tok[:]); err != nil {
-			return 0, err
-		}
-		if err := t.nextW.Flush(); err != nil {
-			return 0, err
-		}
-		t.prev.SetReadDeadline(deadline)
-		if _, err := ioReadFull(t.prevR, tok[:]); err != nil {
-			return 0, err
-		}
-		kind, peerDigest, err := parseHandshake(tok[:])
-		if err != nil || kind != confirmMagic {
-			return 0, fmt.Errorf("%w: bad membership confirmation token", ErrCorrupt)
-		}
-		if peerDigest != t.digest {
-			return 0, fmt.Errorf("membership digest mismatch: predecessor %016x, ours %016x", peerDigest, t.digest)
-		}
-	}
-	t.next.SetWriteDeadline(time.Time{})
-	t.prev.SetReadDeadline(time.Time{})
-	return 0, nil
-}
-
-// dialRetry dials addr with jittered exponential backoff until it connects
-// or the deadline passes. The jitter stream is deterministic (fxrand seeded
-// from RingConfig.Seed and the rank), so chaos and recovery runs retry in a
-// reproducible pattern while still desynchronizing the ranks' retry storms.
-func dialRetry(addr string, deadline time.Time, rng *fxrand.RNG) (net.Conn, error) {
-	backoff := 10 * time.Millisecond
-	for {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
+		inc, err := t.dial(sortedUnion(members, []int{cfg.Rank}), gen+1, time.Until(deadline))
 		if err == nil {
-			return c, nil
+			t.found(inc)
+			xrank.Default.SetGeneration(inc.gen)
+			xrank.Default.SetWorldSize(inc.n)
+			telemetry.Default.SetGauge("world_size", int64(inc.n))
+			return t, nil
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dial %s: %w", addr, err)
-		}
-		sleep := backoff/2 + time.Duration(rng.Int63()%int64(backoff))
-		if remain := time.Until(deadline); sleep > remain {
-			sleep = remain
-		}
-		time.Sleep(sleep)
-		if backoff < 500*time.Millisecond {
-			backoff *= 2
+		// The group may have reformed (new generation or membership) while
+		// we dialed; re-request and try again.
+		if !time.Now().Before(deadline) {
+			return fail(fmt.Errorf("not absorbed within %v: %w", wait, err))
 		}
 	}
 }
 
-// appendHandshakeInto encodes a handshake-format record (kind byte + 8-byte
-// big-endian generation) into dst.
-func appendHandshakeInto(dst []byte, kind byte, gen uint64) []byte {
-	dst = append(dst, kind)
-	var g [8]byte
-	binary.BigEndian.PutUint64(g[:], gen)
-	return append(dst, g[:]...)
+// newTCPRing validates cfg and builds the handle, binding the join point when
+// the ring is to have one.
+func newTCPRing(cfg RingConfig) (*TCPRing, error) {
+	if cfg.Rank < 0 || cfg.Rank >= len(cfg.Addrs) {
+		return nil, fmt.Errorf("comm: rank %d out of [0,%d)", cfg.Rank, len(cfg.Addrs))
+	}
+	if cfg.SetupTimeout <= 0 {
+		cfg.SetupTimeout = 30 * time.Second
+	}
+	t := &TCPRing{cfg: cfg}
+	if cfg.Heartbeat > 0 && cfg.Listener == nil {
+		ln, err := net.Listen("tcp", cfg.Addrs[cfg.Rank])
+		if err != nil {
+			return nil, wrapErr(cfg.Rank, OpDial, 0, fmt.Errorf("listen %s: %w", cfg.Addrs[cfg.Rank], err))
+		}
+		t.ln = ln
+		t.lnTok = make(chan struct{}, 1)
+		t.lnTok <- struct{}{}
+		t.stop = make(chan struct{})
+		t.pending = make(map[int]bool)
+	}
+	return t, nil
 }
 
-// parseHandshake decodes a dialer's opening record: role ('G' data or 'H'
-// heartbeat) plus generation. Anything else is protocol corruption.
-func parseHandshake(b []byte) (kind byte, gen uint64, err error) {
-	if len(b) != handshakeLen {
-		return 0, 0, fmt.Errorf("%w: handshake record is %d bytes, want %d", ErrCorrupt, len(b), handshakeLen)
+// dial forms one incarnation over members at generation gen, lending the
+// join point's listener to the setup for its duration.
+func (t *TCPRing) dial(members []int, gen uint64, timeout time.Duration) (*incarnation, error) {
+	cfg := t.cfg
+	cfg.Members, cfg.Generation, cfg.SetupTimeout = members, gen, timeout
+	if t.ln != nil {
+		<-t.lnTok
+		defer func() { t.lnTok <- struct{}{} }()
+		cfg.Listener = t.ln
 	}
-	kind = b[0]
-	switch kind {
-	case preambleData, preambleHeartbeat, confirmMagic, hsProbe, hsJoin:
-	default:
-		return 0, 0, fmt.Errorf("%w: unknown handshake kind %q", ErrCorrupt, kind)
-	}
-	return kind, binary.BigEndian.Uint64(b[1:]), nil
+	return dialIncarnation(cfg)
 }
 
-// parseHandshakeReply decodes an acceptor's reply: accept/reject plus the
-// generation the verdict refers to.
-func parseHandshakeReply(b []byte) (status byte, gen uint64, err error) {
-	if len(b) != handshakeLen {
-		return 0, 0, fmt.Errorf("%w: handshake reply is %d bytes, want %d", ErrCorrupt, len(b), handshakeLen)
+// found installs the founding incarnation and opens the join point.
+func (t *TCPRing) found(inc *incarnation) {
+	t.cur.Store(inc)
+	t.cfg.Listener = nil
+	if t.ln != nil {
+		t.wg.Add(1)
+		go t.acceptorLoop()
 	}
-	status = b[0]
-	if status != hsAccept && status != hsReject {
-		return 0, 0, fmt.Errorf("%w: unknown handshake reply %q", ErrCorrupt, status)
-	}
-	return status, binary.BigEndian.Uint64(b[1:]), nil
 }
 
-func writeHandshake(c net.Conn, role byte, gen uint64, deadline time.Time) error {
-	if err := c.SetWriteDeadline(deadline); err != nil {
-		return err
-	}
-	defer c.SetWriteDeadline(time.Time{})
-	_, err := c.Write(appendHandshakeInto(nil, role, gen))
-	return err
+// canReform reports whether the reform calls can work on this handle: the
+// generation protocol rides the heartbeat handshake (see reformCapable).
+func (t *TCPRing) canReform() bool { return t.cfg.Heartbeat > 0 }
+
+// Reform tears down the current incarnation and forms the same member set at
+// the next group generation. Every member must reform concurrently (survivors
+// after an ErrPeerDead verdict, a respawned replacement through
+// DialTCPRingConfig); the handshake protocol rejects members still at the old
+// generation, so a completed Reform guarantees the whole group moved together.
+func (t *TCPRing) Reform() (uint64, error) {
+	mem, err := t.reform(t.cfg.SetupTimeout, false, nil)
+	return mem.Gen, err
 }
 
-func readHandshake(c net.Conn, deadline time.Time) (byte, uint64, error) {
-	b, err := readHandshakeBytes(c, deadline)
+// ReformElastic is Reform with a deadline vote: if the full membership is not
+// back within wait, the members whose join points still answer form the next
+// incarnation without the rest (see Elastic).
+func (t *TCPRing) ReformElastic(wait time.Duration) (Membership, error) {
+	return t.reform(wait, true, nil)
+}
+
+// ReformGrow forms the agreed post-grow member set. All current members must
+// pass the same set; the pending joiners it names dial into the same setup
+// from JoinTCPRing.
+func (t *TCPRing) ReformGrow(members []int) (Membership, error) {
+	return t.reform(t.cfg.SetupTimeout, false, members)
+}
+
+// reform is the one routine behind all three reform calls: kill the old
+// incarnation, dial the target member set at the next generation — falling
+// back, when shrinkOK, to a census and the survivors at the generation after
+// — and commit. Every failure is a typed *Error{Op: OpReform} at the old
+// incarnation's op count.
+func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Membership, error) {
+	old := t.cur.Load()
+	step := old.step.Load()
+	fail := func(err error) (Membership, error) {
+		return Membership{}, wrapErr(t.cfg.Rank, OpReform, step, err)
+	}
+	if !t.canReform() {
+		return fail(errors.New("ring reform needs a heartbeat interval (the generation protocol rides the liveness layer)"))
+	}
+	old.kill() // sever every old-incarnation connection before redialing
+	target := old.members
+	if grow != nil {
+		target = append([]int(nil), grow...)
+		sort.Ints(target)
+	}
+	// A transiently lost rank that respawned in time joins here and nothing
+	// shrinks.
+	inc, err := t.dial(target, old.gen+1, wait)
+	if err != nil && shrinkOK {
+		// Census, then the survivors at generation+2. A refused or silent
+		// join point is a permanent loss (the process, and so its listener,
+		// is gone). The member digest circulated during ring confirmation
+		// guarantees all survivors agreed on the same set; a disagreement
+		// fails the attempt, the census reruns, and the retry converges.
+		budget := 2 * t.cfg.SetupTimeout
+		deadline := time.Now().Add(budget)
+		for {
+			target = t.census(old.members, old.gen)
+			if len(target) < 2 {
+				return fail(fmt.Errorf("elastic shrink: %d of %d members reachable, ring needs 2: %w",
+					len(target), len(old.members), ErrPeerDead))
+			}
+			if inc, err = t.dial(target, old.gen+2, t.cfg.SetupTimeout); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				err = fmt.Errorf("no stable ring within %v: %w", budget, err)
+				break
+			}
+		}
+	}
 	if err != nil {
-		return 0, 0, err
+		return fail(fmt.Errorf("ring reform over members %v: %w", target, err))
 	}
-	return parseHandshake(b)
+	for _, m := range old.members {
+		if indexOf(target, m) < 0 {
+			inc.lost = append(inc.lost, m)
+		}
+	}
+	t.cur.Store(inc)
+	t.pendMu.Lock()
+	for _, m := range target {
+		delete(t.pending, m)
+	}
+	t.pendMu.Unlock()
+
+	telemetry.Default.Add(telemetry.CtrRingReconnects, 1)
+	telemetry.Default.Add(telemetry.CtrGroupReforms, 1)
+	xrank.Default.SetGeneration(inc.gen)
+	if inc.n != old.n {
+		ctr := telemetry.CtrElasticGrows
+		if inc.n < old.n {
+			ctr = telemetry.CtrElasticShrinks
+		}
+		telemetry.Default.Add(ctr, 1)
+		xrank.Default.SetWorldSize(inc.n)
+		telemetry.Default.SetGauge("world_size", int64(inc.n))
+	}
+	xrank.Default.RecordFault(t.cfg.Rank, xrank.OpReform, step, xrank.FaultReform)
+	return t.Membership(), nil
 }
 
-func writeHandshakeReply(c net.Conn, status byte, gen uint64, deadline time.Time) error {
-	if err := c.SetWriteDeadline(deadline); err != nil {
-		return err
+// census probes every other member's join point and returns the reachable
+// set (always including self), sorted.
+func (t *TCPRing) census(members []int, gen uint64) []int {
+	alive := make([]int, 0, len(members))
+	for _, m := range members {
+		if m == t.cfg.Rank || probe(t.cfg.Addrs[m], gen) {
+			alive = append(alive, m)
+		}
 	}
-	defer c.SetWriteDeadline(time.Time{})
-	_, err := c.Write(appendHandshakeInto(nil, status, gen))
-	return err
+	return alive
 }
 
-func readHandshakeReply(c net.Conn, deadline time.Time) (byte, uint64, error) {
-	b, err := readHandshakeBytes(c, deadline)
+// probe sends one hsProbe to addr and reports whether anything answered.
+// Any well-formed reply counts as life — a member mid-setup at a different
+// generation is alive, just busy.
+func probe(addr string, gen uint64) bool {
+	deadline := time.Now().Add(time.Second)
+	c, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
-		return 0, 0, err
+		return false
 	}
-	return parseHandshakeReply(b)
+	defer c.Close()
+	if err := writeHandshake(c, hsProbe, gen, deadline); err != nil {
+		return false
+	}
+	_, _, err = readHandshakeReply(c, deadline)
+	return err == nil
 }
 
-func readHandshakeBytes(c net.Conn, deadline time.Time) ([]byte, error) {
-	// Individual handshakes answer fast or not at all; bound each one to a
-	// slice of the setup budget so one wedged dialer can't consume it all.
-	hsDeadline := time.Now().Add(2 * time.Second)
-	if hsDeadline.After(deadline) {
-		hsDeadline = deadline
+// requestJoin announces the joiner to the first member that answers and
+// returns the group's current generation and member list.
+func requestJoin(cfg RingConfig, deadline time.Time) (uint64, []int, error) {
+	var lastErr error = fmt.Errorf("no live member answered")
+	for time.Now().Before(deadline) {
+		for peer, addr := range cfg.Addrs {
+			if peer == cfg.Rank {
+				continue
+			}
+			gen, members, err := requestJoinOne(addr, cfg.Rank, deadline)
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			return gen, members, nil
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	if err := c.SetReadDeadline(hsDeadline); err != nil {
+	return 0, nil, fmt.Errorf("join request: %w", lastErr)
+}
+
+func requestJoinOne(addr string, rank int, deadline time.Time) (uint64, []int, error) {
+	c, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer c.Close()
+	if err := writeHandshake(c, hsJoin, uint64(rank), deadline); err != nil {
+		return 0, nil, err
+	}
+	status, gen, err := readHandshakeReply(c, deadline)
+	if err != nil {
+		return 0, nil, err
+	}
+	if status != hsAccept {
+		return 0, nil, fmt.Errorf("join rejected at generation %d", gen)
+	}
+	members, err := readMembers(c, deadline)
+	if err != nil {
+		return 0, nil, err
+	}
+	return gen, members, nil
+}
+
+// readMembers reads one encodeMembers blob with a bounded deadline.
+func readMembers(c net.Conn, deadline time.Time) ([]int, error) {
+	if err := c.SetReadDeadline(handshakeDeadline(deadline)); err != nil {
 		return nil, err
 	}
 	defer c.SetReadDeadline(time.Time{})
-	var b [handshakeLen]byte
-	if _, err := io.ReadFull(c, b[:]); err != nil {
+	var hdr [4]byte
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
 		return nil, err
 	}
-	return b[:], nil
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n == 0 || n > maxMembers {
+		return nil, fmt.Errorf("%w: member count %d out of [1,%d]", ErrCorrupt, n, maxMembers)
+	}
+	body := make([]byte, 4*n)
+	if _, err := io.ReadFull(c, body); err != nil {
+		return nil, err
+	}
+	return decodeMembers(append(hdr[:], body...))
 }
 
-// pingLoop writes one generation-stamped ping record to each heartbeat
-// neighbor every interval. A write failure means the neighbor's socket reset
-// — declare it dead rather than waiting for the read side to time out.
-func (t *TCPRing) pingLoop() {
-	ping := appendHandshakeInto(nil, preambleHeartbeat, t.gen)
-	ticker := time.NewTicker(t.hbInterval)
-	defer ticker.Stop()
+// acceptorLoop answers probes and join requests on the join point whenever a
+// ring setup isn't borrowing the listener. Each iteration holds the listener
+// token for at most one bounded accept.
+func (t *TCPRing) acceptorLoop() {
+	defer t.wg.Done()
+	tl, _ := t.ln.(*net.TCPListener)
 	for {
 		select {
-		case <-t.hbStop:
+		case <-t.stop:
 			return
-		case <-ticker.C:
+		case <-t.lnTok:
 		}
-		for _, link := range []*hbLink{t.hbNext, t.hbPrev} {
-			if link.departed.Load() {
+		if tl != nil {
+			tl.SetDeadline(time.Now().Add(150 * time.Millisecond))
+		}
+		c, err := t.ln.Accept()
+		t.lnTok <- struct{}{}
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
 				continue
 			}
-			link.conn.SetWriteDeadline(time.Now().Add(t.hbInterval))
-			if _, err := link.conn.Write(ping); err != nil {
-				if !t.closed.Load() && !link.departed.Load() {
-					t.failPeer(link.peer, fmt.Errorf("heartbeat write: %w", err))
-				}
-				return
-			}
-			telemetry.Default.Add(telemetry.CtrHeartbeatPings, 1)
+			return // listener closed (Close/Kill) or broken: nothing to serve
 		}
+		t.serveConn(c)
 	}
 }
 
-// hbParser is the stateful decoder of one heartbeat stream: a sequence of
-// 9-byte generation-stamped ping records interleaved with single goodbye
-// bytes, arriving in arbitrary read-sized pieces. Partial records are carried
-// across feeds.
-type hbParser struct {
-	buf []byte
-}
-
-// feed consumes one read's worth of bytes and reports whether a goodbye was
-// seen. A record with an unknown kind is protocol corruption; a ping stamped
-// with a generation other than gen is a stale (or future) incarnation talking
-// on this incarnation's wire — both are returned as typed errors for the
-// liveness verdict.
-func (p *hbParser) feed(b []byte, gen uint64) (bye bool, err error) {
-	p.buf = append(p.buf, b...)
-	for len(p.buf) > 0 {
-		switch p.buf[0] {
-		case hbBye:
-			return true, nil
-		case preambleHeartbeat:
-			if len(p.buf) < handshakeLen {
-				return false, nil // partial ping; wait for the rest
-			}
-			_, pingGen, perr := parseHandshake(p.buf[:handshakeLen])
-			if perr != nil {
-				return false, perr
-			}
-			if pingGen != gen {
-				return false, fmt.Errorf("%w: ping stamped generation %d, ours %d",
-					ErrStaleGeneration, pingGen, gen)
-			}
-			p.buf = p.buf[handshakeLen:]
-		default:
-			return false, fmt.Errorf("%w: unknown heartbeat record kind %q", ErrCorrupt, p.buf[0])
-		}
-	}
-	return false, nil
-}
-
-// watchLoop reads pings from one heartbeat connection. hbMisses consecutive
-// silent intervals, or a connection reset, declare the peer dead; a goodbye
-// record instead marks an orderly departure and ends the watch without
-// declaring anything. A corrupt record or a ping from another generation is
-// an immediate death verdict carrying the typed cause. Watching interval by
-// interval (rather than one read with a window-sized deadline) keeps the same
-// death timing — hbInterval × hbMisses of total silence — while making each
-// individual miss observable as a telemetry counter tick before the verdict
-// lands.
-func (t *TCPRing) watchLoop(link *hbLink) {
-	buf := make([]byte, 64)
-	var parser hbParser
-	misses := 0
-	for {
-		link.conn.SetReadDeadline(time.Now().Add(t.hbInterval))
-		n, err := link.conn.Read(buf)
-		if n > 0 {
-			misses = 0
-		}
-		bye, perr := parser.feed(buf[:n], t.gen)
-		if bye {
-			link.departed.Store(true)
-			link.conn.Close()
-			return
-		}
-		if perr != nil {
-			if !t.closed.Load() && !link.departed.Load() {
-				t.failPeer(link.peer, fmt.Errorf("heartbeat stream: %w", perr))
-			} else {
-				link.conn.Close()
-			}
-			return
-		}
-		if err == nil {
-			continue
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			misses++
-			if !t.closed.Load() && !link.departed.Load() {
-				telemetry.Default.Add(telemetry.CtrHeartbeatMisses, 1)
-			}
-			if misses < t.hbMisses {
-				continue
-			}
-			err = fmt.Errorf("silent for %d intervals: %w", misses, err)
-		}
-		if !t.closed.Load() && !link.departed.Load() {
-			t.failPeer(link.peer, fmt.Errorf("heartbeat silent/reset: %w", err))
-		} else {
-			link.conn.Close()
-		}
+// serveConn handles one between-setups connection on the join point.
+func (t *TCPRing) serveConn(c net.Conn) {
+	defer c.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	role, payload, err := readHandshake(c, deadline)
+	if err != nil {
 		return
 	}
-}
-
-// failPeer records the first liveness failure as a typed *Error wrapping
-// ErrPeerDead and closes every connection: pending frame ops fail
-// immediately instead of running out their OpTimeout, and the teardown
-// cascades the death announcement to the other neighbor.
-func (t *TCPRing) failPeer(peer int, cause error) {
-	t.peerMu.Lock()
-	first := t.peerErr == nil
-	if first {
-		t.peerErr = &Error{
-			Rank: t.rank,
-			Op:   OpHeartbeat,
-			Step: t.step.Load(),
-			Err:  fmt.Errorf("ring neighbor rank %d: %w (%w)", peer, ErrPeerDead, cause),
+	cur := t.cur.Load()
+	switch role {
+	case hsProbe:
+		writeHandshakeReply(c, hsAccept, cur.gen, deadline)
+	case hsJoin:
+		rank := int(payload)
+		if rank < 0 || rank > maxMembers || indexOf(cur.members, rank) >= 0 {
+			writeHandshakeReply(c, hsReject, cur.gen, deadline)
+			return
 		}
-	}
-	verdict := t.peerErr
-	t.peerMu.Unlock()
-	if first {
-		telemetry.Default.Add(telemetry.CtrPeerDeaths, 1)
-		telemetry.Default.Mark("peer_dead:rank"+strconv.Itoa(peer), t.rank)
-		xrank.Default.RecordFault(t.rank, xrank.OpHeartbeat, t.step.Load(), xrank.FaultPeerDead)
-		xrank.Default.Flight("peer_dead", verdict)
-	}
-	t.next.Close()
-	t.prev.Close()
-	if t.hbNext != nil {
-		t.hbNext.conn.Close()
-	}
-	if t.hbPrev != nil {
-		t.hbPrev.conn.Close()
-	}
-}
-
-// livenessErr returns the recorded peer-death error, if any.
-func (t *TCPRing) livenessErr() error {
-	t.peerMu.Lock()
-	defer t.peerMu.Unlock()
-	return t.peerErr
-}
-
-// frameErr maps a raw frame-op failure to the liveness error when one is
-// recorded: the interesting fact is that the neighbor died, not that the
-// locally-closed socket reported "use of closed connection".
-func (t *TCPRing) frameErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if le := t.livenessErr(); le != nil {
-		return le
-	}
-	// A frame failing under an expired op context is the context's doing
-	// (beginOp pokes the socket deadlines on cancellation): surface the
-	// context error so errors.Is(err, context.Canceled/DeadlineExceeded)
-	// works at the call site.
-	if ce := t.ctxErr(); ce != nil {
-		return fmt.Errorf("%w (%v)", ce, err)
-	}
-	// A frame op failing because the neighbor just died races the watchLoop's
-	// verdict: the data and heartbeat sockets reset at the same instant. Give
-	// the liveness layer one miss window to render its judgment so callers see
-	// ErrPeerDead rather than a bare EOF/reset.
-	if t.hbStop != nil && !t.closed.Load() {
-		deadline := time.Now().Add(t.hbInterval * time.Duration(t.hbMisses))
-		for time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-			if le := t.livenessErr(); le != nil {
-				return le
-			}
+		t.pendMu.Lock()
+		t.pending[rank] = true
+		t.pendMu.Unlock()
+		if writeHandshakeReply(c, hsAccept, cur.gen, deadline) != nil {
+			return
 		}
+		c.SetWriteDeadline(deadline)
+		c.Write(encodeMembers(cur.members))
+	default:
+		// A data/heartbeat dialer reached us while no setup is running — a
+		// stale incarnation, or a respawned member ahead of our own reform.
+		// Reject with our generation so it adopts and converges.
+		writeHandshakeReply(c, hsReject, cur.gen, deadline)
 	}
+}
+
+// stopJoinPoint shuts the acceptor and its listener down; peers' probes then
+// find nothing listening, which is the census's permanent-loss signal.
+func (t *TCPRing) stopJoinPoint() {
+	if t.ln == nil {
+		return
+	}
+	t.stopped.Do(func() { close(t.stop) })
+	t.ln.Close()
+	t.wg.Wait()
+}
+
+// Close shuts the join point and the current incarnation down gracefully
+// (with heartbeats: a goodbye, so neighbors still draining their final
+// collective can tell an orderly departure from a crash). Safe to call from
+// another goroutine to reset a worker stuck mid-collective: its pending frame
+// ops fail immediately.
+func (t *TCPRing) Close() error {
+	t.stopJoinPoint()
+	return t.cur.Load().close()
+}
+
+// Kill abruptly severs everything — ring and heartbeat sockets with no
+// goodbye, join point, acceptor — the way a process or machine loss would:
+// neighbors observe resets/silence and declare this rank dead with
+// ErrPeerDead, and a census finds nothing listening. For fault-injection
+// harnesses; an orderly shutdown is Close.
+func (t *TCPRing) Kill() {
+	t.stopJoinPoint()
+	t.cur.Load().kill()
+}
+
+// Hang freezes this rank without touching its sockets, reproducing a stalled
+// process (SIGSTOP, a wedged disk, a pathological GC pause): connections stay
+// open and ACKing, but pings stop, so neighbors' liveness layer must reach
+// its verdict through the full miss window rather than a socket reset. The
+// join point keeps answering probes — wedged but alive — so a census will not
+// evict it; only Kill does. For fault-injection harnesses. A later Close
+// releases the join point but sends no goodbye.
+func (t *TCPRing) Hang() { t.cur.Load().hang() }
+
+// Rank returns this worker's current rank: its index in the member set.
+func (t *TCPRing) Rank() int { return t.cur.Load().rank }
+
+// Size returns the current ring size.
+func (t *TCPRing) Size() int { return t.cur.Load().n }
+
+// OriginalRank reports this worker's lifetime identity (RingConfig.Rank),
+// stable across membership changes.
+func (t *TCPRing) OriginalRank() int { return t.cfg.Rank }
+
+// MaxFrameBytes reports the configured incoming-frame bound.
+func (t *TCPRing) MaxFrameBytes() int { return t.cur.Load().maxFrame }
+
+// Generation reports the group generation the current incarnation formed
+// under (always 0 when heartbeats are off — that wire carries no generation).
+func (t *TCPRing) Generation() uint64 { return t.cur.Load().gen }
+
+// Step reports how many collective operations the current incarnation has
+// performed; a reform restarts the count on every member alike.
+func (t *TCPRing) Step() int64 { return t.cur.Load().step.Load() }
+
+// Membership reports the current committed configuration.
+func (t *TCPRing) Membership() Membership {
+	c := t.cur.Load()
+	return Membership{
+		Gen:     c.gen,
+		Members: append([]int(nil), c.members...),
+		Rank:    c.rank,
+		Lost:    append([]int(nil), c.lost...),
+	}
+}
+
+// PendingJoins reports the original ranks whose join requests the join point
+// has recorded, sorted ascending.
+func (t *TCPRing) PendingJoins() []int {
+	t.pendMu.Lock()
+	defer t.pendMu.Unlock()
+	out := make([]int, 0, len(t.pending))
+	for k := range t.pending {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// AllreduceF32 performs ring allreduce: reduce-scatter then allgather.
+func (t *TCPRing) AllreduceF32(x []float32) error {
+	return t.AllreduceF32Ctx(context.Background(), x)
+}
+
+// AllgatherBytes circulates payloads around the ring for n-1 steps.
+func (t *TCPRing) AllgatherBytes(b []byte) ([][]byte, error) {
+	return t.AllgatherBytesCtx(context.Background(), b)
+}
+
+// BroadcastBytes forwards root's payload around the ring.
+func (t *TCPRing) BroadcastBytes(b []byte, root int) ([]byte, error) {
+	return t.BroadcastBytesCtx(context.Background(), b, root)
+}
+
+// Barrier circulates an empty token twice so that completion implies every
+// worker has entered.
+func (t *TCPRing) Barrier() error { return t.BarrierCtx(context.Background()) }
+
+// AllreduceF32Ctx is AllreduceF32 bounded by ctx (see beginOp).
+func (t *TCPRing) AllreduceF32Ctx(ctx context.Context, x []float32) error {
+	c := t.cur.Load()
+	step, stop, err := c.beginOp(ctx, OpAllreduce)
+	if err != nil {
+		return err
+	}
+	xt0 := xrank.Default.Start()
+	err = c.allreduceRounds(step, x)
+	xrank.Default.RecordOp(c.rank, xrank.OpAllreduce, step, int64(len(x)*4), xt0)
+	c.endOp(stop)
 	return err
 }
 
-// Close tears down both ring connections (and the heartbeat channel, when
-// enabled). Safe to call from another goroutine to reset a worker stuck
-// mid-collective: its pending frame ops fail immediately.
-func (t *TCPRing) Close() error {
-	if !t.closed.CompareAndSwap(false, true) {
+// AllgatherBytesCtx is AllgatherBytes bounded by ctx (see beginOp).
+func (t *TCPRing) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, error) {
+	c := t.cur.Load()
+	step, stop, err := c.beginOp(ctx, OpAllgather)
+	if err != nil {
+		return nil, err
+	}
+	xt0 := xrank.Default.Start()
+	out, err := c.gatherRounds(step, b)
+	xrank.Default.RecordOp(c.rank, xrank.OpAllgather, step, int64(len(b)), xt0)
+	c.endOp(stop)
+	return out, err
+}
+
+// BroadcastBytesCtx is BroadcastBytes bounded by ctx (see beginOp).
+func (t *TCPRing) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]byte, error) {
+	c := t.cur.Load()
+	step, stop, err := c.beginOp(ctx, OpBroadcast)
+	if err != nil {
+		return nil, err
+	}
+	xt0 := xrank.Default.Start()
+	out, err := c.broadcastRounds(step, b, root)
+	xrank.Default.RecordOp(c.rank, xrank.OpBroadcast, step, int64(len(b)), xt0)
+	c.endOp(stop)
+	return out, err
+}
+
+// BarrierCtx is Barrier bounded by ctx (see beginOp).
+func (t *TCPRing) BarrierCtx(ctx context.Context) error {
+	c := t.cur.Load()
+	step, stop, err := c.beginOp(ctx, OpBarrier)
+	if err != nil {
+		return err
+	}
+	xt0 := xrank.Default.Start()
+	for s := 0; s < 2 && err == nil; s++ {
+		_, err = c.sendRecv(nil)
+	}
+	xrank.Default.RecordOp(c.rank, xrank.OpBarrier, step, 0, xt0)
+	c.endOp(stop)
+	return wrapErr(c.rank, OpBarrier, step, err)
+}
+
+// close tears down both ring connections (and the heartbeat channel, when
+// enabled) gracefully.
+func (c *incarnation) close() error {
+	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if t.hbStop != nil {
-		close(t.hbStop)
-		window := t.hbInterval * time.Duration(t.hbMisses)
-		sayGoodbye(t.hbNext, window)
-		sayGoodbye(t.hbPrev, window)
+	if c.hbStop != nil {
+		close(c.hbStop)
+		window := c.hbInterval * time.Duration(c.hbMisses)
+		sayGoodbye(c.hbNext, window)
+		sayGoodbye(c.hbPrev, window)
 	}
-	err1 := t.next.Close()
-	err2 := t.prev.Close()
+	err1 := c.next.Close()
+	err2 := c.prev.Close()
 	if err1 != nil {
 		return err1
 	}
 	return err2
 }
 
-// Kill abruptly severs every ring and heartbeat connection without the
-// goodbye handshake, reproducing the socket teardown of a process death:
-// neighbors observe resets/silence with no preceding bye and declare this
-// rank dead with ErrPeerDead. For fault-injection harnesses; an orderly
-// shutdown is Close. A later Close is a no-op.
-func (t *TCPRing) Kill() {
-	if !t.closed.CompareAndSwap(false, true) {
+// kill abruptly severs every ring and heartbeat connection without the
+// goodbye handshake, reproducing the socket teardown of a process death.
+// A later close is a no-op.
+func (c *incarnation) kill() {
+	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if t.hbStop != nil {
-		close(t.hbStop)
+	if c.hbStop != nil {
+		close(c.hbStop)
 	}
-	t.next.Close()
-	t.prev.Close()
-	if t.hbNext != nil {
-		t.hbNext.conn.Close()
-	}
-	if t.hbPrev != nil {
-		t.hbPrev.conn.Close()
+	c.severAll()
+}
+
+// hang stops the pings and marks the incarnation closed without touching its
+// sockets. A later close or kill is a no-op.
+func (c *incarnation) hang() {
+	if c.closed.CompareAndSwap(false, true) && c.hbStop != nil {
+		close(c.hbStop)
 	}
 }
 
-// Hang freezes this rank without touching its sockets, reproducing a stalled
-// process (SIGSTOP, a wedged disk, a pathological GC pause): connections stay
-// open and ACKing, but pings stop, so neighbors' liveness layer must reach
-// its verdict through the full miss window rather than a socket reset. For
-// fault-injection harnesses; the abrupt socket teardown of a process death
-// is Kill. A later Close is a no-op.
-func (t *TCPRing) Hang() {
-	if !t.closed.CompareAndSwap(false, true) {
-		return
-	}
-	if t.hbStop != nil {
-		close(t.hbStop)
+// severAll closes every connection of the incarnation.
+func (c *incarnation) severAll() {
+	c.next.Close()
+	c.prev.Close()
+	if c.hbNext != nil {
+		c.hbNext.conn.Close()
+		c.hbPrev.conn.Close()
 	}
 }
 
@@ -1000,76 +752,49 @@ func sayGoodbye(link *hbLink, window time.Duration) {
 	}
 }
 
-// Rank returns this worker's rank.
-func (t *TCPRing) Rank() int { return t.rank }
-
-// Size returns the ring size.
-func (t *TCPRing) Size() int { return t.n }
-
-// MaxFrameBytes reports the configured incoming-frame bound.
-func (t *TCPRing) MaxFrameBytes() int { return t.maxFrame }
-
-// Generation reports the group generation this ring incarnation formed under
-// (always 0 when heartbeats are off — the legacy wire carries no generation).
-func (t *TCPRing) Generation() uint64 { return t.gen }
-
-// Step reports how many collective operations this handle has performed.
-func (t *TCPRing) Step() int64 { return t.step.Load() }
-
-// OriginalRank reports this worker's lifetime identity: equal to Rank unless
-// RingConfig.Members narrowed the ring to a subset of the world.
-func (t *TCPRing) OriginalRank() int { return t.orig }
-
-// Membership reports the member set this incarnation of the ring formed
-// over. For a full-world ring that is simply [0,n).
-func (t *TCPRing) Membership() Membership {
-	members := t.members
-	if members == nil {
-		members = make([]int, t.n)
-		for i := range members {
-			members[i] = i
-		}
-	}
-	return Membership{Gen: t.gen, Members: append([]int(nil), members...), Rank: t.rank}
-}
-
-// beginOp arms one collective op with a context: an already-expired ctx
-// refuses to start, a ctx deadline caps every frame deadline inside the op
-// (see frameDeadline), and a cancellation fires an immediate socket deadline
-// so in-flight reads/writes unblock promptly instead of running out
-// OpTimeout. The returned func disarms; callers must run it before the op
-// returns.
-func (t *TCPRing) beginOp(ctx context.Context) (func(), error) {
+// beginOp opens one collective op under ctx: an already-expired ctx refuses
+// to start (the step counter does not advance, so the lockstep sequence is
+// not consumed on a rank that never touched the wire), a ctx deadline caps
+// every frame deadline inside the op (see frameDeadline), and a cancellation
+// fires an immediate socket deadline so in-flight reads/writes unblock
+// promptly instead of running out OpTimeout. It returns the op's step number
+// and the disarm handle endOp must be given before the op returns. Under a
+// context that can never expire (the plain methods' background context)
+// nothing is armed and nothing is allocated.
+func (c *incarnation) beginOp(ctx context.Context, op Op) (step int64, stop func() bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, nil, wrapErr(c.rank, op, c.step.Load(), err)
 	}
-	t.opCtx = ctx
-	var stop func() bool
 	if ctx.Done() != nil {
+		c.opCtx = ctx
 		stop = context.AfterFunc(ctx, func() {
 			now := time.Now()
-			t.next.SetDeadline(now)
-			t.prev.SetDeadline(now)
+			c.next.SetDeadline(now)
+			c.prev.SetDeadline(now)
 		})
 	}
-	return func() {
-		if stop != nil {
-			stop()
-		}
-		t.opCtx = nil
-	}, nil
+	telemetry.Default.Add(telemetry.CtrCollectiveOps, 1)
+	return c.step.Add(1), stop, nil
+}
+
+// endOp disarms what beginOp armed.
+func (c *incarnation) endOp(stop func() bool) {
+	if stop != nil {
+		stop()
+		c.opCtx = nil
+	}
 }
 
 // frameDeadline picks the effective deadline of one frame op: the per-frame
 // OpTimeout, tightened by the op context's deadline when one is set. Zero
 // means no deadline (OpTimeout disabled, no ctx deadline).
-func (t *TCPRing) frameDeadline() time.Time {
+func (c *incarnation) frameDeadline() time.Time {
 	var dl time.Time
-	if t.opTO > 0 {
-		dl = time.Now().Add(t.opTO)
+	if c.opTO > 0 {
+		dl = time.Now().Add(c.opTO)
 	}
-	if t.opCtx != nil {
-		if cd, ok := t.opCtx.Deadline(); ok && (dl.IsZero() || cd.Before(dl)) {
+	if c.opCtx != nil {
+		if cd, ok := c.opCtx.Deadline(); ok && (dl.IsZero() || cd.Before(dl)) {
 			dl = cd
 		}
 	}
@@ -1084,90 +809,50 @@ func (t *TCPRing) frameDeadline() time.Time {
 // deadline, so a socket timeout can beat the context's own cancellation by
 // a few microseconds, and that wire error must still surface as
 // DeadlineExceeded.
-func (t *TCPRing) ctxErr() error {
-	if t.opCtx == nil {
+func (c *incarnation) ctxErr() error {
+	if c.opCtx == nil {
 		return nil
 	}
-	if err := t.opCtx.Err(); err != nil {
+	if err := c.opCtx.Err(); err != nil {
 		return err
 	}
-	if dl, ok := t.opCtx.Deadline(); ok && !time.Now().Before(dl) {
+	if dl, ok := c.opCtx.Deadline(); ok && !time.Now().Before(dl) {
 		return context.DeadlineExceeded
 	}
 	return nil
 }
 
-// AllreduceF32Ctx is AllreduceF32 bounded by ctx (see beginOp).
-func (t *TCPRing) AllreduceF32Ctx(ctx context.Context, x []float32) error {
-	end, err := t.beginOp(ctx)
-	if err != nil {
-		return wrapErr(t.rank, OpAllreduce, t.step.Load(), err)
-	}
-	defer end()
-	return t.AllreduceF32(x)
-}
-
-// AllgatherBytesCtx is AllgatherBytes bounded by ctx (see beginOp).
-func (t *TCPRing) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, error) {
-	end, err := t.beginOp(ctx)
-	if err != nil {
-		return nil, wrapErr(t.rank, OpAllgather, t.step.Load(), err)
-	}
-	defer end()
-	return t.AllgatherBytes(b)
-}
-
-// BroadcastBytesCtx is BroadcastBytes bounded by ctx (see beginOp).
-func (t *TCPRing) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]byte, error) {
-	end, err := t.beginOp(ctx)
-	if err != nil {
-		return nil, wrapErr(t.rank, OpBroadcast, t.step.Load(), err)
-	}
-	defer end()
-	return t.BroadcastBytes(b, root)
-}
-
-// BarrierCtx is Barrier bounded by ctx (see beginOp).
-func (t *TCPRing) BarrierCtx(ctx context.Context) error {
-	end, err := t.beginOp(ctx)
-	if err != nil {
-		return wrapErr(t.rank, OpBarrier, t.step.Load(), err)
-	}
-	defer end()
-	return t.Barrier()
-}
-
 // sendFrame writes one length-prefixed frame to the successor under the
 // per-op write deadline.
-func (t *TCPRing) sendFrame(b []byte) error {
-	if err := t.livenessErr(); err != nil {
+func (c *incarnation) sendFrame(b []byte) error {
+	if err := c.livenessErr(); err != nil {
 		return err
 	}
-	if err := t.ctxErr(); err != nil {
+	if err := c.ctxErr(); err != nil {
 		return err
 	}
-	if len(b) > t.maxFrame {
-		return fmt.Errorf("%w: sending %d bytes > limit %d", ErrFrameTooLarge, len(b), t.maxFrame)
+	if len(b) > c.maxFrame {
+		return fmt.Errorf("%w: sending %d bytes > limit %d", ErrFrameTooLarge, len(b), c.maxFrame)
 	}
 	span := telemetry.Default.Start()
-	if dl := t.frameDeadline(); !dl.IsZero() {
-		if err := t.next.SetWriteDeadline(dl); err != nil {
-			return t.frameErr(fmt.Errorf("set write deadline: %w", err))
+	if dl := c.frameDeadline(); !dl.IsZero() {
+		if err := c.next.SetWriteDeadline(dl); err != nil {
+			return c.frameErr(fmt.Errorf("set write deadline: %w", err))
 		}
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := t.nextW.Write(hdr[:]); err != nil {
-		return t.frameErr(err)
+	if _, err := c.nextW.Write(hdr[:]); err != nil {
+		return c.frameErr(err)
 	}
-	if _, err := t.nextW.Write(b); err != nil {
-		return t.frameErr(err)
+	if _, err := c.nextW.Write(b); err != nil {
+		return c.frameErr(err)
 	}
-	if err := t.frameErr(t.nextW.Flush()); err != nil {
+	if err := c.frameErr(c.nextW.Flush()); err != nil {
 		return err
 	}
 	telemetry.Default.Add(telemetry.CtrWireBytesSent, int64(4+len(b)))
-	telemetry.Default.Observe(telemetry.PhaseWireSend, t.rank, telemetry.TIDWireSend, "", span)
+	telemetry.Default.Observe(telemetry.PhaseWireSend, c.rank, telemetry.TIDWireSend, "", span)
 	return nil
 }
 
@@ -1175,25 +860,25 @@ func (t *TCPRing) sendFrame(b []byte) error {
 // per-op read deadline. A header announcing more than MaxFrameBytes is
 // rejected before any body allocation: a corrupt or hostile 4-byte prefix
 // must not be able to demand a multi-gigabyte buffer.
-func (t *TCPRing) recvFrame() ([]byte, error) {
-	if err := t.livenessErr(); err != nil {
+func (c *incarnation) recvFrame() ([]byte, error) {
+	if err := c.livenessErr(); err != nil {
 		return nil, err
 	}
-	if err := t.ctxErr(); err != nil {
+	if err := c.ctxErr(); err != nil {
 		return nil, err
 	}
 	span := telemetry.Default.Start()
-	if dl := t.frameDeadline(); !dl.IsZero() {
-		if err := t.prev.SetReadDeadline(dl); err != nil {
-			return nil, t.frameErr(fmt.Errorf("set read deadline: %w", err))
+	if dl := c.frameDeadline(); !dl.IsZero() {
+		if err := c.prev.SetReadDeadline(dl); err != nil {
+			return nil, c.frameErr(fmt.Errorf("set read deadline: %w", err))
 		}
 	}
-	b, err := readFrame(t.prevR, t.maxFrame)
+	b, err := readFrame(c.prevR, c.maxFrame)
 	if err != nil {
-		return b, t.frameErr(err)
+		return b, c.frameErr(err)
 	}
 	telemetry.Default.Add(telemetry.CtrWireBytesRecv, int64(4+len(b)))
-	telemetry.Default.Observe(telemetry.PhaseWireRecv, t.rank, telemetry.TIDWireRecv, "", span)
+	telemetry.Default.Observe(telemetry.PhaseWireRecv, c.rank, telemetry.TIDWireRecv, "", span)
 	return b, nil
 }
 
@@ -1227,10 +912,10 @@ func appendFrame(dst, b []byte) []byte {
 
 // sendRecv overlaps a send to the successor with a receive from the
 // predecessor, which is what keeps the ring deadlock-free for large frames.
-func (t *TCPRing) sendRecv(out []byte) ([]byte, error) {
+func (c *incarnation) sendRecv(out []byte) ([]byte, error) {
 	errCh := make(chan error, 1)
-	go func() { errCh <- t.sendFrame(out) }()
-	in, rerr := t.recvFrame()
+	go func() { errCh <- c.sendFrame(out) }()
+	in, rerr := c.recvFrame()
 	serr := <-errCh
 	if serr != nil {
 		return nil, fmt.Errorf("ring send: %w", serr)
@@ -1241,20 +926,10 @@ func (t *TCPRing) sendRecv(out []byte) ([]byte, error) {
 	return in, nil
 }
 
-// AllreduceF32 performs ring allreduce: reduce-scatter then allgather.
-func (t *TCPRing) AllreduceF32(x []float32) error {
-	step := t.step.Add(1)
-	telemetry.Default.Add(telemetry.CtrCollectiveOps, 1)
-	xt0 := xrank.Default.Start()
-	err := t.allreduceRounds(step, x)
-	xrank.Default.RecordOp(t.rank, xrank.OpAllreduce, step, int64(len(x)*4), xt0)
-	return err
-}
-
 // allreduceRounds is AllreduceF32's ring schedule, split out so the op-level
 // xrank event covers exactly the time spent in ring I/O.
-func (t *TCPRing) allreduceRounds(step int64, x []float32) error {
-	n := t.n
+func (c *incarnation) allreduceRounds(step int64, x []float32) error {
+	n := c.n
 	chunk := func(i int) (lo, hi int) {
 		i = ((i % n) + n) % n
 		lo = i * len(x) / n
@@ -1264,15 +939,15 @@ func (t *TCPRing) allreduceRounds(step int64, x []float32) error {
 	// Reduce-scatter: after n-1 steps, rank r holds the fully reduced chunk
 	// (r+1) mod n.
 	for s := 0; s < n-1; s++ {
-		sendLo, sendHi := chunk(t.rank - s)
-		recvLo, recvHi := chunk(t.rank - s - 1)
-		in, err := t.sendRecv(f32ToBytes(x[sendLo:sendHi]))
+		sendLo, sendHi := chunk(c.rank - s)
+		recvLo, recvHi := chunk(c.rank - s - 1)
+		in, err := c.sendRecv(f32ToBytes(x[sendLo:sendHi]))
 		if err != nil {
-			return wrapErr(t.rank, OpAllreduce, step, err)
+			return wrapErr(c.rank, OpAllreduce, step, err)
 		}
 		recv := bytesToF32(in)
 		if len(recv) != recvHi-recvLo {
-			return wrapErr(t.rank, OpAllreduce, step, fmt.Errorf("allreduce chunk size mismatch"))
+			return wrapErr(c.rank, OpAllreduce, step, fmt.Errorf("allreduce chunk size mismatch"))
 		}
 		for i, v := range recv {
 			x[recvLo+i] += v
@@ -1280,96 +955,59 @@ func (t *TCPRing) allreduceRounds(step int64, x []float32) error {
 	}
 	// Allgather of the reduced chunks.
 	for s := 0; s < n-1; s++ {
-		sendLo, sendHi := chunk(t.rank + 1 - s)
-		recvLo, recvHi := chunk(t.rank - s)
-		in, err := t.sendRecv(f32ToBytes(x[sendLo:sendHi]))
+		sendLo, sendHi := chunk(c.rank + 1 - s)
+		recvLo, recvHi := chunk(c.rank - s)
+		in, err := c.sendRecv(f32ToBytes(x[sendLo:sendHi]))
 		if err != nil {
-			return wrapErr(t.rank, OpAllreduce, step, err)
+			return wrapErr(c.rank, OpAllreduce, step, err)
 		}
 		recv := bytesToF32(in)
 		if len(recv) != recvHi-recvLo {
-			return wrapErr(t.rank, OpAllreduce, step, fmt.Errorf("allgather chunk size mismatch"))
+			return wrapErr(c.rank, OpAllreduce, step, fmt.Errorf("allgather chunk size mismatch"))
 		}
 		copy(x[recvLo:recvHi], recv)
 	}
 	return nil
 }
 
-// AllgatherBytes circulates payloads around the ring for n-1 steps.
-func (t *TCPRing) AllgatherBytes(b []byte) ([][]byte, error) {
-	step := t.step.Add(1)
-	telemetry.Default.Add(telemetry.CtrCollectiveOps, 1)
-	xt0 := xrank.Default.Start()
-	out, err := t.gatherRounds(step, b)
-	xrank.Default.RecordOp(t.rank, xrank.OpAllgather, step, int64(len(b)), xt0)
-	return out, err
-}
-
-func (t *TCPRing) gatherRounds(step int64, b []byte) ([][]byte, error) {
-	out := make([][]byte, t.n)
-	out[t.rank] = b
+func (c *incarnation) gatherRounds(step int64, b []byte) ([][]byte, error) {
+	out := make([][]byte, c.n)
+	out[c.rank] = b
 	cur := b
-	for s := 0; s < t.n-1; s++ {
-		in, err := t.sendRecv(cur)
+	for s := 0; s < c.n-1; s++ {
+		in, err := c.sendRecv(cur)
 		if err != nil {
-			return nil, wrapErr(t.rank, OpAllgather, step, err)
+			return nil, wrapErr(c.rank, OpAllgather, step, err)
 		}
-		origin := ((t.rank-s-1)%t.n + t.n) % t.n
+		origin := ((c.rank-s-1)%c.n + c.n) % c.n
 		out[origin] = in
 		cur = in
 	}
 	return out, nil
 }
 
-// BroadcastBytes forwards root's payload around the ring.
-func (t *TCPRing) BroadcastBytes(b []byte, root int) ([]byte, error) {
-	step := t.step.Add(1)
-	telemetry.Default.Add(telemetry.CtrCollectiveOps, 1)
-	xt0 := xrank.Default.Start()
-	out, err := t.broadcastRounds(step, b, root)
-	xrank.Default.RecordOp(t.rank, xrank.OpBroadcast, step, int64(len(b)), xt0)
-	return out, err
-}
-
-func (t *TCPRing) broadcastRounds(step int64, b []byte, root int) ([]byte, error) {
-	if root < 0 || root >= t.n {
-		return nil, wrapErr(t.rank, OpBroadcast, step, fmt.Errorf("broadcast root %d out of range", root))
+func (c *incarnation) broadcastRounds(step int64, b []byte, root int) ([]byte, error) {
+	if root < 0 || root >= c.n {
+		return nil, wrapErr(c.rank, OpBroadcast, step, fmt.Errorf("broadcast root %d out of range", root))
 	}
-	if t.rank == root {
-		if err := t.sendFrame(b); err != nil {
-			return nil, wrapErr(t.rank, OpBroadcast, step, err)
+	if c.rank == root {
+		if err := c.sendFrame(b); err != nil {
+			return nil, wrapErr(c.rank, OpBroadcast, step, err)
 		}
 		// Absorb the frame completing the loop.
-		if _, err := t.recvFrame(); err != nil {
-			return nil, wrapErr(t.rank, OpBroadcast, step, err)
+		if _, err := c.recvFrame(); err != nil {
+			return nil, wrapErr(c.rank, OpBroadcast, step, err)
 		}
 		return b, nil
 	}
-	in, err := t.recvFrame()
+	in, err := c.recvFrame()
 	if err != nil {
-		return nil, wrapErr(t.rank, OpBroadcast, step, err)
+		return nil, wrapErr(c.rank, OpBroadcast, step, err)
 	}
-	if err := t.sendFrame(in); err != nil {
-		return nil, wrapErr(t.rank, OpBroadcast, step, err)
+	if err := c.sendFrame(in); err != nil {
+		return nil, wrapErr(c.rank, OpBroadcast, step, err)
 	}
 	return in, nil
-}
-
-// Barrier circulates an empty token twice so that completion implies every
-// worker has entered.
-func (t *TCPRing) Barrier() error {
-	step := t.step.Add(1)
-	telemetry.Default.Add(telemetry.CtrCollectiveOps, 1)
-	xt0 := xrank.Default.Start()
-	var err error
-	for s := 0; s < 2; s++ {
-		if _, e := t.sendRecv(nil); e != nil {
-			err = wrapErr(t.rank, OpBarrier, step, e)
-			break
-		}
-	}
-	xrank.Default.RecordOp(t.rank, xrank.OpBarrier, step, 0, xt0)
-	return err
 }
 
 func ioReadFull(r *bufio.Reader, buf []byte) (int, error) {

@@ -161,7 +161,7 @@ func TestTCPRingOpDeadline(t *testing.T) {
 }
 
 // fakeSilentRank performs the generation-era ring handshake for rank —
-// including the two ring-confirmation rounds, so its neighbors' setup
+// including the ring-confirmation rounds, so its neighbors' setup
 // completes — and then goes silent: connections held open, no heartbeats, no
 // frames. This is the failure mode only the liveness layer can detect — a
 // hung or partitioned process emits no RST, so the data connections of its
@@ -212,10 +212,15 @@ func fakeSilentRank(t *testing.T, rank int, addrs []string) (stop func()) {
 				acceptedData = c
 			}
 		}
-		// Relay the two ring-confirmation tokens so neighbors finish setup.
-		tok := appendHandshakeInto(nil, confirmMagic, 0)
+		// Play the three ring-confirmation rounds (generation twice, member
+		// digest once) so neighbors finish setup.
+		all := make([]int, len(addrs))
+		for i := range all {
+			all[i] = i
+		}
 		var in [handshakeLen]byte
-		for round := 0; round < 2; round++ {
+		for _, stamp := range []uint64{0, 0, membershipDigest(all)} {
+			tok := appendHandshakeInto(nil, confirmMagic, stamp)
 			dialedData.SetWriteDeadline(deadline)
 			if _, err := dialedData.Write(tok); err != nil {
 				t.Error(err)

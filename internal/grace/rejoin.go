@@ -241,7 +241,7 @@ func healSync(cfg *Config, rank int, coll comm.Collective, model Model, opt opti
 // fails with the abort verdict while the survivors wait at the reform
 // rendezvous; this rank's Reform is then the final arrival that heals the
 // group, after which the sync round runs cleanly. A TCP replacement has
-// already joined the new generation in DialRing, so its first attempt
+// already joined the new generation in DialTCPRingConfig, so its first attempt
 // succeeds outright.
 func startupSync(cfg *Config, rank int, coll comm.Collective, model Model, opt optim.Optimizer,
 	mem *Memory, eng *Engine, syncPoint []*tensor.Dense) (trainerPos, uint64, error) {

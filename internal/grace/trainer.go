@@ -325,7 +325,7 @@ func RunWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluste
 		}
 		if el.JoinOnStart {
 			// A hub joiner blocks here until the members' join beacon absorbs
-			// it; a TCP joiner arrives pre-joined through JoinElasticRing (its
+			// it; a TCP joiner arrives pre-joined through JoinTCPRing (its
 			// handle has no JoinGroup), so the miss is not an error. Either
 			// way the joiner's own pre-eviction checkpoints are unusable until
 			// it has adopted the group's state: the wrapped ListSteps keeps

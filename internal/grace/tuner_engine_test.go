@@ -219,7 +219,7 @@ func TestTunedLockstepSubstrates(t *testing.T) {
 			dial.Add(1)
 			go func(rank int) {
 				defer dial.Done()
-				r, err := comm.DialTCPRing(rank, addrs, 5*time.Second)
+				r, err := comm.DialTCPRingConfig(comm.RingConfig{Rank: rank, Addrs: addrs, SetupTimeout: 5 * time.Second})
 				rings[rank] = r
 				dialErrs[rank] = err
 			}(rank)

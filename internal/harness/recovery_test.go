@@ -145,25 +145,14 @@ func recoveryWorkerMain() int {
 		OpTimeout:    30 * time.Second,
 		Heartbeat:    25 * time.Millisecond,
 	}
-	// Rejoin mode uses the re-dialable ring so a peer's SIGKILL is healed by
-	// generation reform instead of ending this process.
+	// In rejoin mode a peer's SIGKILL is healed by generation reform of this
+	// same ring instead of ending this process.
 	selfHeal := os.Getenv("GRACE_REJOIN") != ""
-	var ring comm.Collective
-	if selfHeal {
-		r, err := comm.DialRing(rcfg)
-		if err != nil {
-			return fail(err)
-		}
-		defer r.Close()
-		ring = r
-	} else {
-		r, err := comm.DialTCPRingConfig(rcfg)
-		if err != nil {
-			return fail(err)
-		}
-		defer r.Close()
-		ring = r
+	ring, err := comm.DialTCPRingConfig(rcfg)
+	if err != nil {
+		return fail(err)
 	}
+	defer ring.Close()
 	d, err := ckpt.OpenDir(dir, rank)
 	if err != nil {
 		return fail(err)

@@ -24,15 +24,6 @@ const (
 	scaffoldElastic
 )
 
-// tcpFaultRing is the surface the scaffold needs from any TCP ring flavor:
-// the collective itself plus the two death modes and orderly shutdown.
-type tcpFaultRing interface {
-	comm.Collective
-	Kill()
-	Hang()
-	Close() error
-}
-
 // faultScaffold bundles the transport-specific pieces shared by the restart,
 // rejoin, and elastic batteries, so each battery describes only its scenario,
 // not how to sever a rank on each substrate.
@@ -103,26 +94,11 @@ func newFaultScaffold(cfg *RecoveryConfig, kind scaffoldKind) (*faultScaffold, e
 	if err != nil {
 		return nil, err
 	}
-	var dial func(rank int) (tcpFaultRing, error)
-	switch kind {
-	case scaffoldRestart:
-		dial = func(rank int) (tcpFaultRing, error) {
-			return comm.DialTCPRingConfig(cfg.ringConfig(rank, addrs))
-		}
-	case scaffoldReform:
-		dial = func(rank int) (tcpFaultRing, error) {
-			return comm.DialRing(cfg.ringConfig(rank, addrs))
-		}
-	case scaffoldElastic:
-		dial = func(rank int) (tcpFaultRing, error) {
-			return comm.DialElasticRing(cfg.ringConfig(rank, addrs))
-		}
-	}
 	var mu sync.Mutex
-	var rings []tcpFaultRing
+	var rings []*comm.TCPRing
 	sc := &faultScaffold{}
 	sc.collFor = func(rank int) (comm.Collective, func(), error) {
-		ring, err := dial(rank)
+		ring, err := comm.DialTCPRingConfig(cfg.ringConfig(rank, addrs))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -148,7 +124,7 @@ func newFaultScaffold(cfg *RecoveryConfig, kind scaffoldKind) (*faultScaffold, e
 	}
 	if kind == scaffoldElastic {
 		sc.join = func(rank int, wait time.Duration) (comm.Collective, error) {
-			ring, err := comm.JoinElasticRing(cfg.ringConfig(rank, addrs), wait)
+			ring, err := comm.JoinTCPRing(cfg.ringConfig(rank, addrs), wait)
 			if err != nil {
 				return nil, err
 			}
@@ -162,9 +138,7 @@ func newFaultScaffold(cfg *RecoveryConfig, kind scaffoldKind) (*faultScaffold, e
 			defer mu.Unlock()
 			var out []int
 			for _, r := range rings {
-				if er, ok := r.(*comm.ElasticRing); ok {
-					out = append(out, er.PendingJoins()...)
-				}
+				out = append(out, r.PendingJoins()...)
 			}
 			return out
 		}

@@ -34,12 +34,6 @@ func (t *T) WritePrometheus(w io.Writer) error {
 		v := t.counters[c].Load()
 		fmt.Fprintf(bw, "# TYPE %s counter\n", name)
 		fmt.Fprintf(bw, "%s %d\n", name, v)
-		if old, ok := deprecatedCounterAliases[c.String()]; ok {
-			alias := "grace_" + old
-			fmt.Fprintf(bw, "# HELP %s Deprecated alias for %s; removed next release.\n", alias, name)
-			fmt.Fprintf(bw, "# TYPE %s counter\n", alias)
-			fmt.Fprintf(bw, "%s %d\n", alias, v)
-		}
 	}
 
 	if gs := t.Gauges(); len(gs) > 0 {

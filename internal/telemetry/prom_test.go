@@ -153,7 +153,10 @@ func TestPrometheusEmptyRegistry(t *testing.T) {
 	}
 }
 
-func TestPrometheusDeprecatedHeartbeatAlias(t *testing.T) {
+// TestPrometheusHeartbeatNaming: the heartbeat family is uniformly
+// heartbeat_*-prefixed; the pre-unification peer_deaths_total name is gone
+// from the exposition and the snapshot alike.
+func TestPrometheusHeartbeatNaming(t *testing.T) {
 	reg := New()
 	reg.Add(CtrPeerDeaths, 3)
 	var buf bytes.Buffer
@@ -164,19 +167,15 @@ func TestPrometheusDeprecatedHeartbeatAlias(t *testing.T) {
 	if !strings.Contains(out, "grace_heartbeat_peer_deaths_total 3") {
 		t.Fatalf("canonical heartbeat_peer_deaths_total missing:\n%s", out)
 	}
-	if !strings.Contains(out, "grace_peer_deaths_total 3") {
-		t.Fatalf("deprecated alias grace_peer_deaths_total missing:\n%s", out)
+	if strings.Contains(out, "grace_peer_deaths_total") {
+		t.Fatalf("expired alias grace_peer_deaths_total still served:\n%s", out)
 	}
-	if !strings.Contains(out, "Deprecated alias for grace_heartbeat_peer_deaths_total") {
-		t.Fatal("alias must be marked deprecated in HELP")
-	}
-	// The snapshot carries only the canonical name.
 	snap := reg.Snapshot()
 	if snap.Counters["heartbeat_peer_deaths_total"] != 3 {
 		t.Fatalf("snapshot missing canonical counter: %+v", snap.Counters)
 	}
 	if _, ok := snap.Counters["peer_deaths_total"]; ok {
-		t.Fatal("snapshot must not duplicate the deprecated alias")
+		t.Fatal("snapshot carries the expired alias")
 	}
 }
 

@@ -216,15 +216,6 @@ func (c Counter) String() string {
 	return "unknown"
 }
 
-// deprecatedCounterAliases maps a counter's canonical name to a deprecated
-// name the Prometheus exporter still emits (same value) for one release, so
-// dashboards migrate without a gap. The heartbeat family is uniformly
-// heartbeat_*-prefixed as of this release; "peer_deaths_total" was the
-// odd one out.
-var deprecatedCounterAliases = map[string]string{
-	"heartbeat_peer_deaths_total": "peer_deaths_total",
-}
-
 // NumStrategies sizes the per-communication-strategy byte accounting; the
 // indices follow grace.Strategy (Allgather, Allreduce, Custom).
 const NumStrategies = 3
