@@ -1,6 +1,6 @@
 # Tier-1 gate: everything must compile, vet clean, and pass the full test
 # suite under the race detector (the Engine and collective tests rely on it).
-.PHONY: check build test vet race bench bench-module fuzz cover
+.PHONY: check build test vet race bench bench-module fuzz cover loc
 
 check: vet build race
 
@@ -62,3 +62,17 @@ cover:
 		awk -v p="$$pct" -v f="$$floor" 'BEGIN{exit !(p+0 >= f+0)}' \
 			|| { echo "FAIL: $$pkg coverage $$pct% is below the $$floor% floor"; exit 1; }; \
 	done
+
+# Size ledger: non-test Go line counts (wc -l), in total outside benchmark/
+# and for the groups simplification PRs set targets on, plus the longest
+# function in the trainer files, so size criteria are one command.
+LOC_HARNESS = internal/harness/scenario.go internal/harness/scaffold.go
+LOC_TRAINER = internal/grace/trainer.go internal/grace/rejoin.go internal/grace/elastic.go internal/grace/checkpoint.go
+loc:
+	@echo "non-test Go outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' \
+		! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
+	@echo "harness scenario files ($(LOC_HARNESS)): $$(cat $(LOC_HARNESS) | wc -l)"
+	@echo "cmd/gracetrain: $$(cat cmd/gracetrain/*.go | wc -l)"
+	@echo "grace trainer files ($(LOC_TRAINER)): $$(cat $(LOC_TRAINER) | wc -l)"
+	@awk 'FNR==1{fn=""} /^func /{fn=$$0; start=FNR} /^}/{if(fn!=""){n=FNR-start+1; if(n>best){best=n; name=fn}; fn=""}} \
+		END{sub(/ *\{$$/, "", name); print "longest function in the grace trainer files: " best " lines: " name}' $(LOC_TRAINER)

@@ -86,6 +86,15 @@ func main() {
 	})
 	summary := &harness.RunSummary{Kind: "train", Workers: *workers, Seed: *seed, Pass: true}
 	chaosFailed := 0
+	// finish writes the summary, stops telemetry, and fails the process if any
+	// fault scenario did.
+	finish := func() {
+		writeSummary(*artifacts, summary)
+		finishTel()
+		if chaosFailed > 0 {
+			fatal(fmt.Errorf("%d chaos/recovery scenario(s) failed", chaosFailed))
+		}
+	}
 	if *straggler {
 		summary.Kind = "straggler"
 		failed := runStraggler(*seed, *artifacts, summary)
@@ -96,37 +105,28 @@ func main() {
 		}
 		return
 	}
-	if *chaos || *rejoin || *elastic {
-		var kinds []string
-		if *chaos {
-			kinds = append(kinds, "chaos")
-		} else if *rejoin {
-			kinds = append(kinds, "rejoin")
-		}
-		if *elastic {
-			kinds = append(kinds, "elastic")
-		}
-		summary.Kind = strings.Join(kinds, "+")
-		if trainRequested {
-			summary.Kind += "+train"
-		}
-		if *chaos {
-			// The full sweep already includes the rejoin battery.
-			chaosFailed = runChaos(*workers, *seed, *retryBudget, summary)
-		} else if *rejoin {
-			chaosFailed = runRejoinScenarios(summary)
-		}
-		if *elastic {
-			chaosFailed += runElasticScenarios(summary)
-		}
+	_, rejoinTable, shrinkTable, growTable := scenarioTables(summary)
+	var kinds []string
+	switch {
+	case *chaos:
+		// The full sweep already includes the rejoin battery.
+		kinds = append(kinds, "chaos")
+		chaosFailed = runChaos(*workers, *seed, *retryBudget, summary)
+	case *rejoin:
+		kinds = append(kinds, "rejoin")
+		chaosFailed = runScenarios(summary, rejoinTable)
+	}
+	if *elastic {
+		kinds = append(kinds, "elastic")
+		chaosFailed += runScenarios(summary, shrinkTable, growTable)
+	}
+	if len(kinds) > 0 {
 		if !trainRequested {
-			writeSummary(*artifacts, summary)
-			finishTel()
-			if chaosFailed > 0 {
-				fatal(fmt.Errorf("%d chaos/recovery scenario(s) failed", chaosFailed))
-			}
+			summary.Kind = strings.Join(kinds, "+")
+			finish()
 			return
 		}
+		summary.Kind = strings.Join(kinds, "+") + "+train"
 	}
 
 	if *benchlist {
@@ -173,11 +173,7 @@ func main() {
 		// per-tensor collective schedules.
 		sc.FusionBytes = 0
 		runAutotune(b, sc, *artifacts, summary)
-		writeSummary(*artifacts, summary)
-		finishTel()
-		if chaosFailed > 0 {
-			fatal(fmt.Errorf("%d chaos/recovery scenario(s) failed", chaosFailed))
-		}
+		finish()
 		return
 	}
 
@@ -232,11 +228,7 @@ func main() {
 		}
 	}
 
-	writeSummary(*artifacts, summary)
-	finishTel()
-	if chaosFailed > 0 {
-		fatal(fmt.Errorf("%d chaos/recovery scenario(s) failed", chaosFailed))
-	}
+	finish()
 }
 
 // startTelemetry enables span recording and stands up the exporters the
@@ -332,10 +324,6 @@ func runAutotune(b harness.Benchmark, sc harness.SweepConfig, artifactsDir strin
 	fmt.Printf("bench artifact written to %s\n", out)
 }
 
-// runChaos executes the default fault-injection battery: engines over a
-// Faulty-wrapped hub, one scenario per fault kind, with a watchdog converting
-// any deadlock into a failed row. Scenario rows land in summary; the return
-// value is the number of failed scenarios.
 // runStraggler executes the straggler-attribution battery and reports the
 // verdict; artifacts (merged trace + skew summary) land in artifactsDir for
 // gracestat. Returns true on failure.
@@ -369,6 +357,11 @@ func runStraggler(seed uint64, artifactsDir string, summary *harness.RunSummary)
 	return !res.Pass
 }
 
+// runChaos executes the default fault-injection battery: engines over a
+// Faulty-wrapped hub, one scenario per fault kind, with a watchdog converting
+// any deadlock into a failed row — then the restart and rejoin scenario
+// tables. Scenario rows land in summary; the return value is the number of
+// failed scenarios.
 func runChaos(workers int, seed uint64, retryBudget int, summary *harness.RunSummary) int {
 	cfg := harness.DefaultChaos(workers, seed)
 	tuned := harness.AutotuneChaos(workers, seed)
@@ -409,257 +402,192 @@ func runChaos(workers int, seed uint64, retryBudget int, summary *harness.RunSum
 	for _, r := range harness.RunChaos(tuned) {
 		report(r, "tuned/")
 	}
-	return failed + runRecoveryScenarios(summary) + runRejoinScenarios(summary)
+	recovery, rejoin, _, _ := scenarioTables(summary)
+	return failed + runScenarios(summary, recovery, rejoin)
 }
 
-// runRecoveryScenarios executes the supervised kill/restart battery: one
-// worker dies mid-run, the group rolls back to the newest common checkpoint,
-// and the recovered finals must match an uninterrupted run bit for bit — on
-// both the in-process hub and a real heartbeat-enabled TCP ring, for a
-// stateless codec with framework error feedback and a codec with internal
-// state.
-func runRecoveryScenarios(summary *harness.RunSummary) int {
-	fmt.Printf("\nrecovery scenarios: kill one rank mid-run, restart from the newest common checkpoint\n")
-	fmt.Printf("%-14s %-6s %-12s %-8s\n", "scenario", "pass", "resume-step", "elapsed")
-	failed := 0
-	for _, sc := range []struct {
-		transport, method string
-		mem               bool
-		// hang freezes the victim instead of severing its sockets, so the
-		// survivors convict it through the heartbeat miss window.
-		hang bool
-		// autotune runs the workers under the runtime policy engine; the
-		// restart must resume the policy trajectory bitwise too.
-		autotune bool
-	}{
-		{harness.TransportHub, "topk", true, false, false},
-		{harness.TransportHub, "dgc", false, false, false},
-		{harness.TransportTCP, "topk", true, false, false},
-		{harness.TransportTCP, "dgc", false, true, false},
-		{harness.TransportHub, "autotune", true, false, true},
-		{harness.TransportTCP, "autotune", true, false, true},
-	} {
-		name := sc.transport + "/" + sc.method
-		if sc.hang {
-			name += "/hang"
-		}
-		dir, err := os.MkdirTemp("", "grace-recovery-*")
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		rcfg := harness.DefaultRecovery(sc.transport, sc.method, sc.mem, dir)
-		if sc.autotune {
-			rcfg = harness.AutotuneRecovery(sc.transport, dir)
-		}
-		if sc.hang {
-			rcfg.KillMode = "hang"
-		}
-		res, err := harness.RunRecovery(rcfg)
-		elapsed := time.Since(start).Round(time.Millisecond)
-		os.RemoveAll(dir)
-		row := harness.RecoveryJSON(name, res, elapsed, err)
-		summary.Recovery = append(summary.Recovery, row)
-		switch {
-		case err != nil:
-			failed++
-			summary.Pass = false
-			fmt.Printf("%-14s %-6s %-12s %-8s\n    %v\n", name, "FAIL", "-", elapsed, err)
-		case !res.Match:
-			failed++
-			summary.Pass = false
-			fmt.Printf("%-14s %-6s %-12d %-8s\n    %s\n", name, "FAIL", res.ResumeStep, elapsed, res.Detail)
-		default:
-			fmt.Printf("%-14s %-6s %-12d %-8s\n", name, "ok", res.ResumeStep, elapsed)
-		}
-	}
-	return failed
+// scenarioRow describes one row of a fault-scenario table: which scenario, on
+// which transport, training with which method ("autotune" runs the workers
+// under the runtime policy engine, whose trajectory the recovery must resume
+// bitwise too). hang freezes the victim instead of severing its sockets, so
+// the survivors convict it through the heartbeat miss window.
+type scenarioRow struct {
+	scenario          harness.Scenario
+	transport, method string
+	mem, hang         bool
 }
 
-// runRejoinScenarios executes the live-rejoin battery and prints the
-// restart-vs-rejoin downtime comparison: the same kill handled by (a) the
-// supervised full-restart path, where every rank's worker is torn down and
-// relaunched from the newest common checkpoint, and (b) the self-healing
-// path, where the survivors reform at the next generation and roll back in
-// place while only the dead rank is respawned. Both must converge bitwise to
-// the uninterrupted reference; the rejoin path must additionally keep every
-// healthy rank's worker alive (launch count 1).
-func runRejoinScenarios(summary *harness.RunSummary) int {
-	fmt.Printf("\nrejoin scenarios: kill one rank mid-run, survivors heal in place (vs full restart)\n")
-	fmt.Printf("%-14s %-6s %-12s %-4s %-10s %-16s %-16s\n",
-		"scenario", "pass", "resume-step", "gen", "launches", "rejoin-downtime", "restart-downtime")
-	failed := 0
-	for _, sc := range []struct {
-		transport, method string
-		mem               bool
-		autotune          bool
-	}{
-		{harness.TransportHub, "topk", true, false},
-		{harness.TransportTCP, "topk", true, false},
-		{harness.TransportTCP, "dgc", false, false},
-		{harness.TransportTCP, "autotune", true, true},
-	} {
-		name := sc.transport + "/" + sc.method
-		mkcfg := func() (harness.RecoveryConfig, string, error) {
-			dir, err := os.MkdirTemp("", "grace-rejoin-*")
-			if err != nil {
-				return harness.RecoveryConfig{}, "", err
-			}
-			cfg := harness.DefaultRecovery(sc.transport, sc.method, sc.mem, dir)
-			if sc.autotune {
-				cfg = harness.AutotuneRecovery(sc.transport, dir)
-			}
-			return cfg, dir, nil
-		}
-
-		// The restart baseline: same transport, same kill, full teardown.
-		cfg, dir, err := mkcfg()
-		if err != nil {
-			fatal(err)
-		}
-		var restartDowntime time.Duration
-		if rres, rerr := harness.RunRecovery(cfg); rerr == nil && rres.Match {
-			restartDowntime = rres.Downtime
-		}
-		os.RemoveAll(dir)
-
-		if cfg, dir, err = mkcfg(); err != nil {
-			fatal(err)
-		}
-		res, err := harness.RunRejoin(cfg)
-		os.RemoveAll(dir)
-		row := harness.RejoinJSON(name, res, restartDowntime, err)
-		summary.Rejoin = append(summary.Rejoin, row)
-		healthyStayed := err == nil
-		if err == nil {
-			for rank, launches := range res.Launches {
-				want := 1
-				if rank == cfg.KillRank {
-					want = 2
-				}
-				if launches != want {
-					healthyStayed = false
-				}
-			}
-		}
-		switch {
-		case err != nil:
-			failed++
-			summary.Pass = false
-			fmt.Printf("%-14s %-6s\n    %v\n", name, "FAIL", err)
-		case !res.Match || !healthyStayed:
-			failed++
-			summary.Pass = false
-			fmt.Printf("%-14s %-6s %-12d %-4d %-10v %-16s %-16s\n    %s\n",
-				name, "FAIL", res.ResumeStep, res.Generation, res.Launches,
-				res.Downtime.Round(time.Millisecond), restartDowntime.Round(time.Millisecond), res.Detail)
-		default:
-			fmt.Printf("%-14s %-6s %-12d %-4d %-10v %-16s %-16s\n",
-				name, "ok", res.ResumeStep, res.Generation, res.Launches,
-				res.Downtime.Round(time.Millisecond), restartDowntime.Round(time.Millisecond))
-		}
-	}
-	return failed
-}
-
-// runElasticScenarios drives the elastic-membership battery: a rank dies for
-// good, the survivors vote to continue at N−1 (finishing bitwise-identical to
-// an N−1 reference started from the post-reform state), and — in the grow
-// scenario — a fresh joiner presented at a step boundary is absorbed back to
-// full size. The supervised full-restart path on the same kill provides the
-// degrade-vs-restart downtime comparison.
-func runElasticScenarios(summary *harness.RunSummary) int {
-	fmt.Printf("\nelastic scenarios: kill one rank for good; survivors commit N-1 and continue, then a fresh joiner grows the group back\n")
-	fmt.Printf("%-12s %-6s %-7s %-12s %-6s %-9s %-17s %-16s\n",
-		"scenario", "pass", "size", "shrink-step", "lost", "ef-drops", "shrink-downtime", "restart-downtime")
-	failed := 0
-	for _, sc := range []struct {
-		transport, method string
-		mem               bool
-	}{
-		{harness.TransportHub, "topk", true},
-		{harness.TransportHub, "dgc", false},
-		{harness.TransportTCP, "topk", true},
-	} {
-		name := sc.transport + "/" + sc.method
-		mkcfg := func() (harness.RecoveryConfig, string, error) {
-			dir, err := os.MkdirTemp("", "grace-elastic-*")
-			if err != nil {
-				return harness.RecoveryConfig{}, "", err
-			}
-			return harness.DefaultElastic(sc.transport, sc.method, sc.mem, dir), dir, nil
-		}
-
-		// The restart baseline: same transport, same kill, full teardown of
-		// every rank instead of a degraded continue.
-		cfg, dir, err := mkcfg()
-		if err != nil {
-			fatal(err)
-		}
-		var restartDowntime time.Duration
-		if rres, rerr := harness.RunRecovery(cfg); rerr == nil && rres.Match {
-			restartDowntime = rres.Downtime
-		}
-		os.RemoveAll(dir)
-
-		if cfg, dir, err = mkcfg(); err != nil {
-			fatal(err)
-		}
-		res, err := harness.RunElastic(cfg)
-		os.RemoveAll(dir)
-		row := harness.ElasticJSON(name, res, restartDowntime, err)
-		summary.Elastic = append(summary.Elastic, row)
-		switch {
-		case err != nil:
-			failed++
-			summary.Pass = false
-			fmt.Printf("%-12s %-6s\n    %v\n", name, "FAIL", err)
-		case !res.Match:
-			failed++
-			summary.Pass = false
-			fmt.Printf("%-12s %-6s %-7s %-12d %-6s %-9d %-17s %-16s\n    %s\n",
-				name, "FAIL", fmt.Sprintf("%d->%d", cfg.Train.Workers, res.ShrinkSize),
-				res.ShrinkStep, fmt.Sprint(res.Lost), res.EFDrops,
-				res.Downtime.Round(time.Millisecond), restartDowntime.Round(time.Millisecond), res.Detail)
-		default:
-			fmt.Printf("%-12s %-6s %-7s %-12d %-6s %-9d %-17s %-16s\n",
-				name, "ok", fmt.Sprintf("%d->%d", cfg.Train.Workers, res.ShrinkSize),
-				res.ShrinkStep, fmt.Sprint(res.Lost), res.EFDrops,
-				res.Downtime.Round(time.Millisecond), restartDowntime.Round(time.Millisecond))
-		}
-	}
-
-	// The grow scenario: shrink as above, then a fresh worker presents at the
-	// members' join point and the group absorbs it back to full size.
-	name := harness.TransportHub + "/grow"
-	dir, err := os.MkdirTemp("", "grace-elastic-*")
+// run executes scenario s on the row's configuration in a scratch checkpoint
+// directory. A scenario that could not reach a verdict comes back as a failed
+// row carrying the error.
+func (r scenarioRow) run(s harness.Scenario) harness.ScenarioResult {
+	dir, err := os.MkdirTemp("", "grace-scenario-*")
 	if err != nil {
 		fatal(err)
 	}
-	growCfg := harness.DefaultElastic(harness.TransportHub, "topk", true, dir)
-	gres, gerr := harness.RunElasticGrow(growCfg)
-	os.RemoveAll(dir)
-	row := harness.ElasticGrowJSON(name, gres, growCfg.Train.Workers, gerr)
-	summary.Elastic = append(summary.Elastic, row)
-	fmt.Printf("\n%-12s %-6s %-7s %-12s %-12s %-16s\n",
-		"scenario", "pass", "size", "shrink-step", "grow-step", "grow-downtime")
-	switch {
-	case gerr != nil:
-		failed++
-		summary.Pass = false
-		fmt.Printf("%-12s %-6s\n    %v\n", name, "FAIL", gerr)
-	case !row.Pass:
-		failed++
-		summary.Pass = false
-		fmt.Printf("%-12s %-6s %-7s %-12d %-12d %-16s\n",
-			name, "FAIL", fmt.Sprintf("%d->%d", growCfg.Train.Workers-1, gres.GrowSize),
-			gres.ShrinkStep, gres.GrowStep, gres.GrowDowntime.Round(time.Millisecond))
-	default:
-		fmt.Printf("%-12s %-6s %-7s %-12d %-12d %-16s\n",
-			name, "ok", fmt.Sprintf("%d->%d", growCfg.Train.Workers-1, gres.GrowSize),
-			gres.ShrinkStep, gres.GrowStep, gres.GrowDowntime.Round(time.Millisecond))
+	defer os.RemoveAll(dir)
+	cfg := harness.DefaultRecovery(r.transport, r.method, r.mem, dir)
+	name := r.transport + "/" + r.method
+	if r.method == "autotune" {
+		cfg = harness.AutotuneRecovery(r.transport, dir)
+	}
+	if r.hang {
+		cfg.KillMode = "hang"
+		name += "/hang"
+	}
+	if r.scenario == harness.ScenarioGrow {
+		name = r.transport + "/grow"
+	}
+	res, err := harness.RunScenario(s, cfg)
+	if err != nil {
+		res = &harness.ScenarioResult{Err: err.Error()}
+	}
+	res.Scenario = name
+	return *res
+}
+
+// battery is one printed fault-scenario table: its title, its columns
+// (header and width; cells renders them), its rows, and the RunSummary array
+// the rows land in. baseline additionally runs the supervised full-restart
+// path on each row's kill, for the restart-downtime comparison column.
+type battery struct {
+	title    string
+	cols     []column
+	rows     []scenarioRow
+	baseline bool
+	dest     *[]harness.ScenarioResult
+}
+
+type column struct {
+	head  string
+	width int
+}
+
+// cells renders a ScenarioResult's fields, keyed by column header.
+var cells = map[string]func(r *harness.ScenarioResult) any{
+	"scenario":    func(r *harness.ScenarioResult) any { return r.Scenario },
+	"pass":        func(r *harness.ScenarioResult) any { return map[bool]string{true: "ok", false: "FAIL"}[r.Pass] },
+	"resume-step": func(r *harness.ScenarioResult) any { return r.ResumeStep },
+	"elapsed":     func(r *harness.ScenarioResult) any { return millis(r.ElapsedMs) },
+	"gen":         func(r *harness.ScenarioResult) any { return r.Generation },
+	"launches":    func(r *harness.ScenarioResult) any { return r.Launches },
+	"size": func(r *harness.ScenarioResult) any {
+		if r.GrowSize > 0 {
+			return fmt.Sprintf("%d->%d", r.GrowSize-1, r.GrowSize)
+		}
+		return fmt.Sprintf("%d->%d", r.ShrinkSize+len(r.Lost), r.ShrinkSize)
+	},
+	"shrink-step":      func(r *harness.ScenarioResult) any { return r.ShrinkStep },
+	"lost":             func(r *harness.ScenarioResult) any { return r.Lost },
+	"ef-drops":         func(r *harness.ScenarioResult) any { return r.EFDrops },
+	"rejoin-downtime":  func(r *harness.ScenarioResult) any { return millis(r.DowntimeMs) },
+	"shrink-downtime":  func(r *harness.ScenarioResult) any { return millis(r.DowntimeMs) },
+	"restart-downtime": func(r *harness.ScenarioResult) any { return millis(r.RestartDowntimeMs) },
+	"grow-step":        func(r *harness.ScenarioResult) any { return r.GrowStep },
+	"grow-downtime":    func(r *harness.ScenarioResult) any { return millis(r.GrowDowntimeMs) },
+}
+
+func millis(v float64) time.Duration {
+	return time.Duration(v * float64(time.Millisecond)).Round(time.Millisecond)
+}
+
+// scenarioTables defines every fault-scenario table, all on the standard kill
+// (harness.DefaultRecovery), verified bitwise against the fault-free
+// reference on the in-process hub and a real heartbeat-enabled TCP ring, for
+// a stateless codec with framework error feedback, a codec with internal
+// state, and the autotuner:
+//
+//   - recovery: the group is torn down and restarted from the newest common
+//     checkpoint;
+//   - rejoin: the survivors reform and roll back in place while only the dead
+//     rank is respawned (every healthy rank's launch count stays 1), next to
+//     the full-restart downtime on the same kill;
+//   - shrink: the rank is gone for good and the survivors commit N−1, next to
+//     the full-restart downtime; then grow, where a fresh joiner presented at
+//     a step boundary is absorbed back to full size.
+func scenarioTables(summary *harness.RunSummary) (recovery, rejoin, shrink, grow battery) {
+	const (
+		hub, tcp       = harness.TransportHub, harness.TransportTCP
+		rs, rj, sh, gr = harness.ScenarioRestart, harness.ScenarioRejoin, harness.ScenarioShrink, harness.ScenarioGrow
+	)
+	recovery = battery{
+		title: "recovery scenarios: kill one rank mid-run, restart from the newest common checkpoint",
+		cols:  []column{{"scenario", 14}, {"pass", 6}, {"resume-step", 12}, {"elapsed", 8}},
+		rows: []scenarioRow{{rs, hub, "topk", true, false}, {rs, hub, "dgc", false, false},
+			{rs, tcp, "topk", true, false}, {rs, tcp, "dgc", false, true},
+			{rs, hub, "autotune", true, false}, {rs, tcp, "autotune", true, false}},
+		dest: &summary.Recovery,
+	}
+	rejoin = battery{
+		title: "rejoin scenarios: kill one rank mid-run, survivors heal in place (vs full restart)",
+		cols: []column{{"scenario", 14}, {"pass", 6}, {"resume-step", 12}, {"gen", 4}, {"launches", 10},
+			{"rejoin-downtime", 16}, {"restart-downtime", 16}},
+		rows: []scenarioRow{{rj, hub, "topk", true, false}, {rj, tcp, "topk", true, false},
+			{rj, tcp, "dgc", false, false}, {rj, tcp, "autotune", true, false}},
+		baseline: true,
+		dest:     &summary.Rejoin,
+	}
+	shrink = battery{
+		title: "elastic scenarios: kill one rank for good; survivors commit N-1 and continue, then a fresh joiner grows the group back",
+		cols: []column{{"scenario", 12}, {"pass", 6}, {"size", 7}, {"shrink-step", 12}, {"lost", 6}, {"ef-drops", 9},
+			{"shrink-downtime", 17}, {"restart-downtime", 16}},
+		rows:     []scenarioRow{{sh, hub, "topk", true, false}, {sh, hub, "dgc", false, false}, {sh, tcp, "topk", true, false}},
+		baseline: true,
+		dest:     &summary.Elastic,
+	}
+	grow = battery{
+		cols: []column{{"scenario", 12}, {"pass", 6}, {"size", 7}, {"shrink-step", 12}, {"grow-step", 12},
+			{"grow-downtime", 16}},
+		rows: []scenarioRow{{gr, hub, "topk", true, false}},
+		dest: &summary.Elastic,
+	}
+	return recovery, rejoin, shrink, grow
+}
+
+// runScenarios runs and prints fault-scenario tables — the one printer every
+// restart, rejoin, shrink and grow row goes through — appends the rows to the
+// summary, and returns the number of failed rows.
+func runScenarios(summary *harness.RunSummary, tables ...battery) int {
+	failed := 0
+	for _, b := range tables {
+		fmt.Println()
+		if b.title != "" {
+			fmt.Println(b.title)
+		}
+		printRow(b.cols, func(c column) any { return c.head })
+		for _, row := range b.rows {
+			res := row.run(row.scenario)
+			if b.baseline {
+				// Same transport, same kill, full teardown of every rank.
+				if base := row.run(harness.ScenarioRestart); base.Pass {
+					res.RestartDowntimeMs = base.DowntimeMs
+				}
+			}
+			*b.dest = append(*b.dest, res)
+			cols, note := b.cols, res.Detail
+			if res.Err != "" {
+				// No verdict was reached: only name and verdict have cells.
+				cols, note = b.cols[:2], res.Err
+			}
+			printRow(cols, func(c column) any { return cells[c.head](&res) })
+			if note != "" {
+				fmt.Printf("    %s\n", note)
+			}
+			if !res.Pass {
+				failed++
+				summary.Pass = false
+			}
+		}
 	}
 	return failed
+}
+
+func printRow(cols []column, cell func(c column) any) {
+	padded := make([]string, len(cols))
+	for i, c := range cols {
+		padded[i] = fmt.Sprintf("%-*s", c.width, fmt.Sprint(cell(c)))
+	}
+	fmt.Println(strings.Join(padded, " "))
 }
 
 func fatal(err error) {

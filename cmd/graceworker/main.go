@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -256,11 +255,18 @@ func main() {
 			Save:  d.SaveStep,
 		}
 		if *resume {
-			step, err := negotiateResume(ring, d)
+			// A whole-group restart has no donor path: unlike a heal, every
+			// rank must hold the step itself, so one rank without checkpoints
+			// means there is no common step.
+			mine, err := loadableSteps(d)
 			if err != nil {
 				fatal(fmt.Errorf("resume negotiation: %w", err))
 			}
-			if step < 0 {
+			step, _, stateless, err := grace.NegotiateCommonStep(ring, mine)
+			if err != nil {
+				fatal(fmt.Errorf("resume negotiation: %w", err))
+			}
+			if step < 0 || stateless > 0 {
 				fmt.Printf("rank %d: no common checkpoint, starting fresh\n", *rank)
 			} else {
 				s, err := ckpt.Load(d.Path(step))
@@ -365,44 +371,20 @@ func startTelemetry(addr, tracePath string, linger time.Duration) func() {
 	}
 }
 
-// negotiateResume allgathers every rank's loadable checkpoint steps over the
-// ring and returns the newest step present on all ranks, or -1 when the
-// intersection is empty.
-func negotiateResume(ring comm.Collective, d *ckpt.Dir) (int64, error) {
+// loadableSteps lists the checkpoint steps in d that actually load (a crash
+// can leave a torn newest file behind).
+func loadableSteps(d *ckpt.Dir) ([]int64, error) {
 	steps, err := d.Steps()
 	if err != nil {
-		return -1, err
+		return nil, err
 	}
-	var mine []string
+	mine := steps[:0]
 	for _, step := range steps {
 		if _, err := ckpt.Load(d.Path(step)); err == nil {
-			mine = append(mine, strconv.FormatInt(step, 10))
+			mine = append(mine, step)
 		}
 	}
-	gathered, err := ring.AllgatherBytes([]byte(strings.Join(mine, ",")))
-	if err != nil {
-		return -1, err
-	}
-	counts := map[int64]int{}
-	for _, b := range gathered {
-		if len(b) == 0 {
-			continue
-		}
-		for _, f := range strings.Split(string(b), ",") {
-			step, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return -1, fmt.Errorf("malformed step list %q from a peer", b)
-			}
-			counts[step]++
-		}
-	}
-	common := int64(-1)
-	for step, n := range counts {
-		if n == ring.Size() && step > common {
-			common = step
-		}
-	}
-	return common, nil
+	return mine, nil
 }
 
 func scaledEpochs(b harness.Benchmark, scale float64) int {

@@ -148,8 +148,8 @@ func (d *Dir) SaveStep(s *Snapshot) error {
 // this directory: step listing and own-snapshot loads come from the rank's
 // files here, and the donor state transfer rides the checkpoint encoding
 // (versioned, CRC-sealed — a truncated or corrupted transfer is rejected,
-// not trusted). Callers set the policy fields (SyncOnStart, MaxHeals,
-// OnHeal) on the returned value.
+// not trusted). Callers set the policy fields (SyncOnStart, OnHeal) on the
+// returned value.
 func (d *Dir) RejoinConfig() *grace.RejoinConfig {
 	return &grace.RejoinConfig{
 		ListSteps: d.Steps,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/optim"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -89,39 +90,52 @@ type trainerPos struct {
 	sinceSync int
 }
 
-// captureSnapshot deep-copies the worker's full training state.
-func captureSnapshot(cfg *Config, rank int, model Model, opt optim.Optimizer,
-	mem *Memory, eng *Engine, syncPoint []*tensor.Dense, pos trainerPos) (*Snapshot, error) {
-	sf, ok := opt.(optim.Stateful)
-	if !ok {
-		return nil, fmt.Errorf("grace: optimizer %q does not export state; checkpointing needs optim.Stateful", opt.Name())
+// checkpoint captures the worker's state at pos and hands it to
+// Checkpoint.Save.
+func (w *worker) checkpoint(pos trainerPos) error {
+	span := w.ts.start()
+	snap, err := w.captureSnapshot(pos)
+	if err != nil {
+		return err
 	}
-	params := model.Params()
+	if err := w.cfg.Checkpoint.Save(snap); err != nil {
+		return err
+	}
+	w.ts.end(telemetry.PhaseCheckpoint, "", span)
+	return nil
+}
+
+// captureSnapshot deep-copies the worker's full training state.
+func (w *worker) captureSnapshot(pos trainerPos) (*Snapshot, error) {
+	sf, ok := w.opt.(optim.Stateful)
+	if !ok {
+		return nil, fmt.Errorf("grace: optimizer %q does not export state; checkpointing needs optim.Stateful", w.opt.Name())
+	}
 	s := &Snapshot{
 		Step:      pos.step,
 		Epoch:     pos.epoch,
 		Iter:      pos.iter,
 		SinceSync: pos.sinceSync,
-		Seed:      cfg.Seed,
-		Rank:      rank,
-		Workers:   cfg.Workers,
-		Method:    eng.Method(),
-		Fusion:    eng.Fusion(),
-		Opt:       sf.State(params),
-		Codec:     eng.CodecState(),
-		Tuner:     eng.TunerState(),
+		Seed:      w.cfg.Seed,
+		Rank:      w.rank,
+		Workers:   w.cfg.Workers,
+		Method:    w.eng.Method(),
+		Fusion:    w.eng.Fusion(),
+		Opt:       sf.State(w.params),
+		Codec:     w.eng.CodecState(),
+		Tuner:     w.eng.TunerState(),
 	}
-	s.Params = make([]ParamTensor, len(params))
-	for i, p := range params {
+	s.Params = make([]ParamTensor, len(w.params))
+	for i, p := range w.params {
 		s.Params[i] = copyTensor(p.Name, p.Value)
 	}
-	if mem != nil {
-		s.Memory = mem.State()
+	if w.mem != nil {
+		s.Memory = w.mem.State()
 	}
-	if syncPoint != nil {
-		s.SyncPoint = make([]ParamTensor, len(syncPoint))
-		for i, t := range syncPoint {
-			s.SyncPoint[i] = copyTensor(params[i].Name, t)
+	if w.syncPoint != nil {
+		s.SyncPoint = make([]ParamTensor, len(w.syncPoint))
+		for i, t := range w.syncPoint {
+			s.SyncPoint[i] = copyTensor(w.params[i].Name, t)
 		}
 	}
 	return s, nil
@@ -130,34 +144,32 @@ func captureSnapshot(cfg *Config, rank int, model Model, opt optim.Optimizer,
 // applySnapshot validates the snapshot against the worker's configuration
 // and restores every piece of state, returning the loop position to resume
 // from.
-func applySnapshot(cfg *Config, rank int, s *Snapshot, model Model, opt optim.Optimizer,
-	mem *Memory, eng *Engine, syncPoint []*tensor.Dense) (trainerPos, error) {
+func (w *worker) applySnapshot(s *Snapshot) (trainerPos, error) {
 	var pos trainerPos
-	if s.Seed != cfg.Seed {
-		return pos, fmt.Errorf("grace: checkpoint is for seed %d, run uses %d", s.Seed, cfg.Seed)
+	if s.Seed != w.cfg.Seed {
+		return pos, fmt.Errorf("grace: checkpoint is for seed %d, run uses %d", s.Seed, w.cfg.Seed)
 	}
 	// An elastic run may restore a snapshot taken at a different world size
 	// (the shrink/grow rollback): per-rank state transfers unchanged, but the
 	// loop position and policy state are world-size-shaped and are
 	// re-derived — see the resize block at the end.
-	elasticResize := cfg.Elastic != nil && s.Workers != cfg.Workers
-	if s.Workers != cfg.Workers && !elasticResize {
-		return pos, fmt.Errorf("grace: checkpoint is for %d workers, run has %d", s.Workers, cfg.Workers)
+	elasticResize := w.cfg.Elastic != nil && s.Workers != w.cfg.Workers
+	if s.Workers != w.cfg.Workers && !elasticResize {
+		return pos, fmt.Errorf("grace: checkpoint is for %d workers, run has %d", s.Workers, w.cfg.Workers)
 	}
-	if s.Rank != rank {
-		return pos, fmt.Errorf("grace: checkpoint belongs to rank %d, not rank %d", s.Rank, rank)
+	if s.Rank != w.rank {
+		return pos, fmt.Errorf("grace: checkpoint belongs to rank %d, not rank %d", s.Rank, w.rank)
 	}
-	if s.Method != eng.Method() {
-		return pos, fmt.Errorf("grace: checkpoint is for method %q, run uses %q", s.Method, eng.Method())
+	if s.Method != w.eng.Method() {
+		return pos, fmt.Errorf("grace: checkpoint is for method %q, run uses %q", s.Method, w.eng.Method())
 	}
-	if s.Fusion != eng.Fusion() {
-		return pos, fmt.Errorf("grace: checkpoint is for fusion policy %+v, run uses %+v", s.Fusion, eng.Fusion())
+	if s.Fusion != w.eng.Fusion() {
+		return pos, fmt.Errorf("grace: checkpoint is for fusion policy %+v, run uses %+v", s.Fusion, w.eng.Fusion())
 	}
-	params := model.Params()
-	if len(s.Params) != len(params) {
-		return pos, fmt.Errorf("grace: checkpoint has %d parameters, model has %d", len(s.Params), len(params))
+	if len(s.Params) != len(w.params) {
+		return pos, fmt.Errorf("grace: checkpoint has %d parameters, model has %d", len(s.Params), len(w.params))
 	}
-	for i, p := range params {
+	for i, p := range w.params {
 		pt := s.Params[i]
 		if pt.Name != p.Name || len(pt.Data) != p.Value.Size() {
 			return pos, fmt.Errorf("grace: checkpoint param %d is %s[%d], model wants %s[%d]",
@@ -165,21 +177,21 @@ func applySnapshot(cfg *Config, rank int, s *Snapshot, model Model, opt optim.Op
 		}
 		copy(p.Value.Data(), pt.Data)
 	}
-	sf, ok := opt.(optim.Stateful)
+	sf, ok := w.opt.(optim.Stateful)
 	if !ok {
-		return pos, fmt.Errorf("grace: optimizer %q does not load state; checkpointing needs optim.Stateful", opt.Name())
+		return pos, fmt.Errorf("grace: optimizer %q does not load state; checkpointing needs optim.Stateful", w.opt.Name())
 	}
-	if err := sf.LoadState(params, s.Opt); err != nil {
+	if err := sf.LoadState(w.params, s.Opt); err != nil {
 		return pos, err
 	}
-	if (mem != nil) != (s.Memory != nil) {
+	if (w.mem != nil) != (s.Memory != nil) {
 		return pos, fmt.Errorf("grace: checkpoint and run disagree on error-feedback memory (checkpoint %v, run %v)",
-			s.Memory != nil, mem != nil)
+			s.Memory != nil, w.mem != nil)
 	}
-	if mem != nil {
-		mem.LoadState(s.Memory)
+	if w.mem != nil {
+		w.mem.LoadState(s.Memory)
 	}
-	if err := eng.LoadCodecState(s.Codec); err != nil {
+	if err := w.eng.LoadCodecState(s.Codec); err != nil {
 		return pos, err
 	}
 	if elasticResize {
@@ -188,21 +200,21 @@ func applySnapshot(cfg *Config, rank int, s *Snapshot, model Model, opt optim.Op
 		// switch tuning modes mid-flight). The policy was deterministically
 		// reset by the resize (Engine.Rebind → WorldSizeSetter) on every
 		// member, so trajectories stay rank-identical — they just restart.
-		if (s.Tuner != nil) != (eng.TunerState() != nil) {
+		if (s.Tuner != nil) != (w.eng.TunerState() != nil) {
 			return pos, errTunerPresence(s.Tuner != nil)
 		}
-	} else if err := eng.LoadTunerState(s.Tuner); err != nil {
+	} else if err := w.eng.LoadTunerState(s.Tuner); err != nil {
 		return pos, err
 	}
-	if (syncPoint != nil) != (s.SyncPoint != nil) {
+	if (w.syncPoint != nil) != (s.SyncPoint != nil) {
 		return pos, fmt.Errorf("grace: checkpoint and run disagree on local-SGD (checkpoint sync point %v, run %v)",
-			s.SyncPoint != nil, syncPoint != nil)
+			s.SyncPoint != nil, w.syncPoint != nil)
 	}
-	if syncPoint != nil {
-		if len(s.SyncPoint) != len(syncPoint) {
-			return pos, fmt.Errorf("grace: checkpoint sync point has %d tensors, run has %d", len(s.SyncPoint), len(syncPoint))
+	if w.syncPoint != nil {
+		if len(s.SyncPoint) != len(w.syncPoint) {
+			return pos, fmt.Errorf("grace: checkpoint sync point has %d tensors, run has %d", len(s.SyncPoint), len(w.syncPoint))
 		}
-		for i, t := range syncPoint {
+		for i, t := range w.syncPoint {
 			if len(s.SyncPoint[i].Data) != t.Size() {
 				return pos, fmt.Errorf("grace: checkpoint sync point %d has %d elements, run wants %d",
 					i, len(s.SyncPoint[i].Data), t.Size())
@@ -235,11 +247,10 @@ func applySnapshot(cfg *Config, rank int, s *Snapshot, model Model, opt optim.Op
 // RNG or EF memory will train on the donor's residual stream after adoption —
 // still a valid model, but not the uninterrupted run bit for bit. The
 // rejoining rank's own-checkpoint path (applySnapshot) has no such caveat.
-func adoptSnapshot(cfg *Config, rank int, s *Snapshot, model Model, opt optim.Optimizer,
-	mem *Memory, eng *Engine, syncPoint []*tensor.Dense) (trainerPos, error) {
+func (w *worker) adoptSnapshot(s *Snapshot) (trainerPos, error) {
 	donated := *s
-	donated.Rank = rank
-	return applySnapshot(cfg, rank, &donated, model, opt, mem, eng, syncPoint)
+	donated.Rank = w.rank
+	return w.applySnapshot(&donated)
 }
 
 func copyTensor(name string, t *tensor.Dense) ParamTensor {

@@ -2,10 +2,14 @@ package grace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/data"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/xrank"
 )
 
 // ElasticConfig opts a training run into elastic world-size membership: when
@@ -44,17 +48,6 @@ type ElasticConfig struct {
 	// that re-presents within the deadline rejoins an intact group and
 	// nothing shrinks. 0 selects 10s.
 	RejoinDeadline time.Duration
-	// MinWorkers is the smallest world size the run may degrade to; a shrink
-	// that would go below it fails the run instead. 0 selects 2 (a ring
-	// needs two members; a singleton "group" is training alone, which the
-	// operator should opt into explicitly by restarting, not slide into).
-	MinWorkers int
-	// JoinEvery is the cadence, in optimizer steps, of the elastic join
-	// beacon: every JoinEvery steps the members allgather their pending-join
-	// sets and, when the union is non-empty, reform the group to absorb the
-	// joiners. The beacon is one extra AllgatherBytes in the lockstep op
-	// sequence, so the value must be identical on every rank. 0 selects 1.
-	JoinEvery int
 	// JoinOnStart marks this worker as a fresh joiner: before its first step
 	// it presents at the group's join point (comm.Joiner.JoinGroup), adopts
 	// the survivors' state through the heal sync round, and starts training
@@ -74,19 +67,11 @@ func (el *ElasticConfig) rejoinDeadline() time.Duration {
 	return 10 * time.Second
 }
 
-func (el *ElasticConfig) minWorkers() int {
-	if el.MinWorkers > 0 {
-		return el.MinWorkers
-	}
-	return 2
-}
-
-func (el *ElasticConfig) joinEvery() int {
-	if el.JoinEvery > 0 {
-		return el.JoinEvery
-	}
-	return 1
-}
+// minWorkers is the smallest world size an elastic run may degrade to; a
+// shrink that would go below it fails the run instead. A ring needs two
+// members, and a singleton "group" is training alone, which the operator
+// should opt into explicitly by restarting, not slide into.
+const minWorkers = 2
 
 func (el *ElasticConfig) validate(cfg *Config) error {
 	if cfg.Rejoin == nil {
@@ -98,6 +83,73 @@ func (el *ElasticConfig) validate(cfg *Config) error {
 	if cfg.SyncEvery > 1 {
 		return fmt.Errorf("grace: Elastic does not support local-SGD runs (SyncEvery > 1)")
 	}
+	return nil
+}
+
+// bindElastic is newWorker's elastic half: it validates the configuration,
+// presents a JoinOnStart worker at the group's join point, and hands the
+// world size over to the collective.
+func (w *worker) bindElastic() error {
+	el := w.cfg.Elastic
+	if err := el.validate(&w.cfg); err != nil {
+		return err
+	}
+	if el.JoinOnStart {
+		// A hub joiner blocks here until the members' join beacon absorbs
+		// it; a TCP joiner arrives pre-joined through JoinTCPRing (its
+		// handle has no JoinGroup), so the miss is not an error. Either way
+		// the joiner's own pre-eviction checkpoints are unusable until it
+		// has adopted the group's state: the join floor keeps them invisible
+		// until the startup sync pins it.
+		if j, ok := comm.AsJoiner(w.coll); ok {
+			if _, err := j.JoinGroup(el.rejoinDeadline()); err != nil {
+				return fmt.Errorf("grace: elastic join: %w", err)
+			}
+		}
+		w.joinFloor = math.MaxInt64
+		rj := *w.cfg.Rejoin
+		rj.SyncOnStart = true
+		w.cfg.Rejoin = &rj
+	}
+	ec, ok := comm.AsElastic(w.coll)
+	if !ok {
+		return fmt.Errorf("grace: Elastic needs a collective with elastic membership (comm.Elastic)")
+	}
+	w.elastic = ec
+	// Under elastic membership the collective, not the config, owns the
+	// world size: a joiner or a post-shrink restart arrives at whatever size
+	// the group currently has.
+	w.cfg.Workers = w.coll.Size()
+	return nil
+}
+
+// resize re-derives every world-size-shaped piece of worker state after a
+// committed elastic membership change: the config's worker count, the data
+// shard (current rank under the new partition), the modeled network cluster,
+// the engine's denominators/fan-in (and, through it, the autotuner's link
+// model; the evicted ranks' error-feedback residuals are counted as dropped),
+// and the xrank aggregator.
+func (w *worker) resize(m comm.Membership) error {
+	if m.Size() < minWorkers {
+		return fmt.Errorf("grace: elastic shrink to %d workers is below the floor of %d: %w",
+			m.Size(), minWorkers, comm.ErrPeerDead)
+	}
+	cfg := &w.cfg
+	cfg.Workers = m.Size()
+	w.sampler = data.NewSampler(cfg.Dataset.Len(), cfg.Workers, w.coll.Rank(), cfg.Seed)
+	w.cluster = cfg.Cluster()
+	if err := w.eng.Pause(); err != nil {
+		return err
+	}
+	err := w.eng.Rebind(len(m.Lost))
+	w.eng.Resume()
+	if err != nil {
+		return err
+	}
+	if w.xagg != nil {
+		w.xagg = xrank.NewAggregator(xrank.Default, w.coll.Rank(), cfg.Workers)
+	}
+	telemetry.Default.Mark(fmt.Sprintf("elastic:size%d", m.Size()), w.rank)
 	return nil
 }
 
@@ -133,31 +185,26 @@ func joinBeacon(coll comm.Collective, el comm.Elastic) (*growSignal, error) {
 	if err != nil {
 		return nil, err
 	}
-	joiners := make(map[int]bool)
+	agreed := make(map[int]bool)
 	for r, b := range lists {
 		l, derr := decodeStepList(b)
 		if derr != nil {
 			return nil, fmt.Errorf("rank %d sent a malformed pending-join list: %w", r, derr)
 		}
 		for _, j := range l {
-			joiners[int(j)] = true
+			agreed[int(j)] = true
 		}
 	}
-	if len(joiners) == 0 {
+	if len(agreed) == 0 {
 		return nil, nil
 	}
-	members := el.Membership().Members
-	set := make(map[int]bool, len(members)+len(joiners))
-	for _, m := range members {
-		set[m] = true
+	for _, m := range el.Membership().Members {
+		agreed[m] = true
 	}
-	for j := range joiners {
-		set[j] = true
+	gs := &growSignal{}
+	for m := range agreed {
+		gs.members = append(gs.members, m)
 	}
-	agreed := make([]int, 0, len(set))
-	for m := range set {
-		agreed = append(agreed, m)
-	}
-	sort.Ints(agreed)
-	return &growSignal{members: agreed}, nil
+	sort.Ints(gs.members)
+	return gs, nil
 }

@@ -13,6 +13,9 @@ func TestStepListCodec(t *testing.T) {
 		{nil, ""},
 		{[]int64{3}, "3"},
 		{[]int64{3, 6, 9}, "3,6,9"},
+		// A duplicated step is well-formed on the wire; commonStep counts it
+		// once (TestCommonStep "duplicates").
+		{[]int64{3, 3, 6}, "3,3,6"},
 	}
 	for _, tc := range cases {
 		b := encodeStepList(tc.steps)
@@ -29,8 +32,9 @@ func TestStepListCodec(t *testing.T) {
 			}
 		}
 	}
-	// Hostile peers: malformed text must error, never panic or mis-parse.
-	for _, bad := range []string{",", "3,", "x", "3,-4", "9223372036854775808"} {
+	// Hostile peers: malformed text must error, never panic or mis-parse —
+	// a negative step anywhere in the list, an empty element, overflow.
+	for _, bad := range []string{",", "3,", ",3", "x", "-4", "3,-4", "-0x1", "9223372036854775808"} {
 		if _, err := decodeStepList([]byte(bad)); err == nil {
 			t.Errorf("decodeStepList(%q) accepted malformed input", bad)
 		}
@@ -60,17 +64,10 @@ func TestCommonStep(t *testing.T) {
 	}
 }
 
-func TestRejoinConfigDefaults(t *testing.T) {
+func TestRejoinConfigValidation(t *testing.T) {
 	rj := &RejoinConfig{}
 	if err := rj.validate(); err == nil {
 		t.Fatal("empty RejoinConfig passed validation")
-	}
-	if rj.maxHeals() != 3 {
-		t.Fatalf("default MaxHeals = %d, want 3", rj.maxHeals())
-	}
-	rj.MaxHeals = 7
-	if rj.maxHeals() != 7 {
-		t.Fatalf("explicit MaxHeals = %d, want 7", rj.maxHeals())
 	}
 	if !bytes.Equal(encodeStepList(nil), nil) {
 		t.Fatal("stateless rank must encode as the empty payload")

@@ -229,11 +229,18 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 		scrapers.Add(1)
 		go func() {
 			defer scrapers.Done()
+			// Scrape on a short tick, not in a busy loop: three spinning
+			// scrapers starve the 10 ms heartbeat loops on a 2-CPU box (worse
+			// under -race) into convicting a healthy peer. A real scraper
+			// polls; the race detector needs concurrent access, not
+			// saturation.
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
 			for {
 				select {
 				case <-stop:
 					return
-				default:
+				case <-tick.C:
 				}
 				telemetry.Default.WritePrometheus(io.Discard)
 				telemetry.Default.Snapshot()
@@ -249,8 +256,8 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			// A generous miss budget: the hot scraper goroutines contend for
-			// CPU, and a starved ping loop must not convict a healthy peer.
+			// A generous miss budget: the scraper goroutines contend for CPU,
+			// and a late ping loop must not convict a healthy peer.
 			ring, err := comm.DialTCPRingConfig(comm.RingConfig{
 				Rank: rank, Addrs: addrs,
 				SetupTimeout:    10 * time.Second,

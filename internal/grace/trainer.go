@@ -1,7 +1,6 @@
 package grace
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -30,12 +29,10 @@ type XRankConfig struct {
 	// remain available to the flight recorder.
 	AggregateEvery int
 	// ArtifactsDir receives rank 0's merged trace + skew artifacts at run
-	// end and every rank's flight-recorder dumps. Empty leaves the flight
-	// recorder disarmed and skips the artifact write.
+	// end and every rank's flight-recorder dumps (covering the recorder's
+	// default look-back window). Empty leaves the flight recorder disarmed
+	// and skips the artifact write.
 	ArtifactsDir string
-	// FlightWindow bounds the flight recorder's look-back (0 keeps the
-	// recorder's default, 10s).
-	FlightWindow time.Duration
 }
 
 // Model is what the trainer needs from a benchmark model: parameters with
@@ -228,16 +225,6 @@ func Run(cfg Config) (*Report, error) {
 		// workers. Multi-rank restarts drive RunWorker per rank instead.
 		return nil, fmt.Errorf("grace: Checkpoint.Resume is per-rank; use RunWorker")
 	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 1
-	}
-	beta, gamma := cfg.Beta, cfg.Gamma
-	if beta == 0 {
-		beta = 1
-	}
-	if gamma == 0 {
-		gamma = 1
-	}
 
 	// Surface compressor/policy configuration errors before any worker blocks
 	// in a collective; factories are deterministic across ranks.
@@ -249,43 +236,29 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("grace: autotune config: %w", err)
 	}
 
-	var worker func(rank int) comm.Collective
-	cluster := simnet.NewCluster(cfg.Net, cfg.Workers)
+	var coll func(rank int) comm.Collective
 	if cfg.ParamServer {
 		hub := comm.NewPSHub(cfg.Workers)
-		worker = func(rank int) comm.Collective { return hub.Worker(rank) }
-		cluster = simnet.NewStarCluster(cfg.Net, cfg.Workers)
+		coll = func(rank int) comm.Collective { return hub.Worker(rank) }
 	} else {
 		hub := comm.NewHub(cfg.Workers)
-		worker = func(rank int) comm.Collective { return hub.Worker(rank) }
+		coll = func(rank int) comm.Collective { return hub.Worker(rank) }
 	}
+	cluster := cfg.Cluster()
 
-	var (
-		wg     sync.WaitGroup
-		report *Report
-		runErr error
-		errMu  sync.Mutex
-	)
-	fail := func(rank int, err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = fmt.Errorf("grace: worker %d: %w", rank, err)
-		}
-		errMu.Unlock()
-		// Collectives would deadlock with a missing participant; a worker
-		// that cannot continue must abort the process-wide run. This only
-		// fires on programming errors in compressors, which the per-method
-		// unit tests catch first.
-		panic(err)
-	}
-
+	var wg sync.WaitGroup
+	var report *Report
 	for rank := 0; rank < cfg.Workers; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			rep, err := RunWorker(cfg, rank, worker(rank), cluster)
+			rep, err := RunWorker(cfg, rank, coll(rank), cluster)
 			if err != nil {
-				fail(rank, err)
+				// Collectives would deadlock with a missing participant; a
+				// worker that cannot continue must abort the process-wide
+				// run. This only fires on programming errors in compressors,
+				// which the per-method unit tests catch first.
+				panic(fmt.Errorf("grace: worker %d: %w", rank, err))
 			}
 			if rank == 0 {
 				report = rep
@@ -293,10 +266,17 @@ func Run(cfg Config) (*Report, error) {
 		}(rank)
 	}
 	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
 	return report, nil
+}
+
+// Cluster builds the modeled network matching the run's communication
+// architecture and current worker count: a ring of peers, or a star around
+// the parameter server.
+func (cfg *Config) Cluster() simnet.Cluster {
+	if cfg.ParamServer {
+		return simnet.NewStarCluster(cfg.Net, cfg.Workers)
+	}
+	return simnet.NewCluster(cfg.Net, cfg.Workers)
 }
 
 // RunWorker executes one worker's share of the training loop over an
@@ -305,120 +285,155 @@ func Run(cfg Config) (*Report, error) {
 // cfg.Workers must equal coll.Size(). Quality evaluation and the epoch time
 // series are produced on rank 0; other ranks return per-rank accounting
 // only.
+//
+// runEpochs trains until it finishes or unwinds with a cause; heal either
+// repairs the group and rewinds the loop position, so the next runEpochs
+// replays from the agreed checkpoint, or declares the cause fatal.
 func RunWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluster) (*Report, error) {
+	w, err := newWorker(cfg, rank, coll, cluster)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.restore(); err != nil {
+		return nil, err
+	}
+	for {
+		cause := w.runEpochs()
+		if cause == nil {
+			break
+		}
+		if err := w.heal(cause); err != nil {
+			return nil, err
+		}
+	}
+	return w.finish()
+}
+
+// worker is one rank's training state, shared by RunWorker's phases (setup,
+// the epoch loop, checkpointing, the heal path) and confined to the goroutine
+// that called RunWorker.
+type worker struct {
+	cfg Config // private copy; cfg.Workers tracks the committed world size
+	// rank is the worker's original identity: it keys checkpoint ownership,
+	// compressor seeding and telemetry for life, while coll.Rank() is its
+	// current index in the (possibly resized) group.
+	rank    int
+	coll    comm.Collective
+	elastic comm.Elastic // nil unless cfg.Elastic is set
+	cluster simnet.Cluster
+
+	model     Model
+	params    []*nn.Param
+	infos     []TensorInfo
+	opt       optim.Optimizer
+	mem       *Memory // nil when error feedback is off
+	eng       *Engine
+	syncPoint []*tensor.Dense // local SGD: parameters at the last sync (nil when off)
+	sampler   *data.Sampler
+	xagg      *xrank.Aggregator // nil unless trace aggregation is on
+
+	// Loop position: runEpochs starts at (startEpoch, skipIters), rewind
+	// moves it. Epoch schedules are pure functions of (seed, epoch), so
+	// seeking the sampler and skipping the start epoch's consumed batches
+	// replays exactly the uninterrupted run's remaining batches.
+	step                  int64 // completed optimizer steps (the lockstep position)
+	startEpoch, skipIters int
+	sinceSync             int // local-SGD steps since the last model sync
+	baseEpoch             int // epoch the rank-0 epoch series starts at
+	heals                 int // peer-death heals so far, bounded by maxHeals
+	// joinFloor hides stale checkpoints from heal negotiations: local steps
+	// at or below it are not offered. -1 (everything visible) except on a
+	// JoinOnStart worker, whose pre-eviction checkpoints are unusable: there
+	// it is MaxInt64 until the startup sync lands, then the adopted step.
+	joinFloor int64
+
+	gradVecs    [][]float32     // step-scoped vectors handed to the Engine,
+	gradTensors []*tensor.Dense // reused every iteration
+
+	rep                   *Report // and its accumulators
+	evaluated             bool
+	clock                 simnet.Clock
+	lastEpochStart        time.Duration
+	lastEpochIters        int
+	totalBytes, totalRecv int64
+	ts                    telScope
+}
+
+// newWorker validates the configuration and builds the worker's model,
+// optimizer, memory and engine over coll. A JoinOnStart worker blocks in here
+// until the group absorbs it.
+func newWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluster) (*worker, error) {
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 1
 	}
-	beta, gamma := cfg.Beta, cfg.Gamma
-	if beta == 0 {
-		beta = 1
+	if cfg.Beta == 0 {
+		cfg.Beta = 1
 	}
-	if gamma == 0 {
-		gamma = 1
+	if cfg.Gamma == 0 {
+		cfg.Gamma = 1
 	}
-	el := cfg.Elastic
-	var elColl comm.Elastic
-	joinFloor := int64(-1) // JoinOnStart: checkpoint steps at or below are stale
-	if el != nil {
-		if err := el.validate(&cfg); err != nil {
+	w := &worker{cfg: cfg, rank: rank, coll: coll, cluster: cluster, joinFloor: -1,
+		rep: &Report{}, ts: telScope{rank: rank, tid: telemetry.TIDDriver}}
+	if cfg.Elastic != nil {
+		if err := w.bindElastic(); err != nil {
 			return nil, err
 		}
-		if el.JoinOnStart {
-			// A hub joiner blocks here until the members' join beacon absorbs
-			// it; a TCP joiner arrives pre-joined through JoinTCPRing (its
-			// handle has no JoinGroup), so the miss is not an error. Either
-			// way the joiner's own pre-eviction checkpoints are unusable until
-			// it has adopted the group's state: the wrapped ListSteps keeps
-			// them invisible until the startup sync pins the join floor.
-			if j, ok := comm.AsJoiner(coll); ok {
-				if _, err := j.JoinGroup(el.rejoinDeadline()); err != nil {
-					return nil, fmt.Errorf("grace: elastic join: %w", err)
-				}
-			}
-			if cfg.Rejoin != nil && cfg.Rejoin.ListSteps != nil {
-				rj := *cfg.Rejoin
-				inner := rj.ListSteps
-				rj.ListSteps = func() ([]int64, error) {
-					if joinFloor < 0 {
-						return nil, nil
-					}
-					steps, err := inner()
-					if err != nil {
-						return nil, err
-					}
-					kept := steps[:0]
-					for _, s := range steps {
-						if s > joinFloor {
-							kept = append(kept, s)
-						}
-					}
-					return kept, nil
-				}
-				rj.SyncOnStart = true
-				cfg.Rejoin = &rj
-			}
-		}
-		ec, ok := comm.AsElastic(coll)
-		if !ok {
-			return nil, fmt.Errorf("grace: Elastic needs a collective with elastic membership (comm.Elastic)")
-		}
-		elColl = ec
-		// Under elastic membership the collective, not the config, owns the
-		// world size: a joiner or a post-shrink restart arrives at whatever
-		// size the group currently has.
-		cfg.Workers = coll.Size()
+		cfg = w.cfg // bindElastic hands Workers to the collective
 	}
 	if coll.Size() != cfg.Workers {
 		return nil, fmt.Errorf("grace: collective size %d != configured workers %d", coll.Size(), cfg.Workers)
 	}
-
-	model := cfg.NewModel(cfg.Seed)
-	params := model.Params()
-	infos := make([]TensorInfo, len(params))
-	for i, p := range params {
-		infos[i] = NewTensorInfo(p.Name, p.Value.Shape())
+	if rj := cfg.Rejoin; rj != nil {
+		if err := rj.validate(); err != nil {
+			return nil, err
+		}
 	}
-	opt := cfg.NewOptimizer()
-	var mem *Memory
+	if ck := cfg.Checkpoint; ck != nil && (ck.Every > 0 || ck.Final) && ck.Save == nil {
+		return nil, fmt.Errorf("grace: CheckpointConfig needs Save when Every or Final is set")
+	}
+
+	w.model = cfg.NewModel(cfg.Seed)
+	w.params = w.model.Params()
+	w.infos = make([]TensorInfo, len(w.params))
+	for i, p := range w.params {
+		w.infos[i] = NewTensorInfo(p.Name, p.Value.Shape())
+	}
+	w.opt = cfg.NewOptimizer()
 	if cfg.UseMemory {
-		mem = NewMemory(beta, gamma)
+		w.mem = NewMemory(cfg.Beta, cfg.Gamma)
 	}
 	engOpts := []EngineOption{
 		WithCollective(coll),
-		WithEngineMemory(mem),
+		WithEngineMemory(w.mem),
 		WithParallelism(cfg.CodecParallelism),
 		WithFusion(cfg.Fusion),
 	}
 	switch {
+	case (cfg.NewTuner == nil) == (cfg.NewCompressor == nil):
+		return nil, fmt.Errorf("grace: config needs exactly one of NewCompressor or NewTuner")
 	case cfg.NewTuner != nil:
-		if cfg.NewCompressor != nil {
-			return nil, fmt.Errorf("grace: config needs exactly one of NewCompressor or NewTuner")
-		}
 		tn, err := cfg.NewTuner()
 		if err != nil {
 			return nil, fmt.Errorf("grace: autotune config: %w", err)
 		}
 		engOpts = append(engOpts, WithTuner(tn))
-	case cfg.NewCompressor != nil:
-		engOpts = append(engOpts, WithCompressorFactory(func() (Compressor, error) { return cfg.NewCompressor(rank) }))
 	default:
-		return nil, fmt.Errorf("grace: config needs exactly one of NewCompressor or NewTuner")
+		engOpts = append(engOpts, WithCompressorFactory(func() (Compressor, error) { return cfg.NewCompressor(rank) }))
 	}
-	eng, err := NewEngine(engOpts...)
-	if err != nil {
+	var err error
+	if w.eng, err = NewEngine(engOpts...); err != nil {
 		return nil, err
 	}
 
 	// Cross-rank observability: arm the process-wide recorder and, when an
 	// aggregation cadence is configured, prepare the piggyback collector.
-	var xagg *xrank.Aggregator
 	if cfg.XRank.Enable {
 		xrank.Default.SetEnabled(true)
 		if cfg.XRank.ArtifactsDir != "" {
-			xrank.Default.ConfigureFlight(cfg.XRank.ArtifactsDir, cfg.XRank.FlightWindow, 0)
+			xrank.Default.ConfigureFlight(cfg.XRank.ArtifactsDir, 0, 0)
 		}
 		if cfg.XRank.AggregateEvery > 0 {
-			xagg = xrank.NewAggregator(xrank.Default, rank, cfg.Workers)
+			w.xagg = xrank.NewAggregator(xrank.Default, rank, cfg.Workers)
 		}
 	}
 
@@ -427,457 +442,274 @@ func RunWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluste
 	// lost rank's shard deterministically across survivors); a static group's
 	// current rank is its original rank, so the fallback is the same value.
 	shardRank := rank
-	if el != nil {
+	if w.elastic != nil {
 		shardRank = coll.Rank()
 	}
-	sampler := data.NewSampler(cfg.Dataset.Len(), cfg.Workers, shardRank, cfg.Seed)
-
-	rep := &Report{}
-	evaluated := false
-	var clock simnet.Clock
-	var lastEpochStart time.Duration
-	var lastEpochIters int
-	var totalBytes, totalRecv int64
-	ts := telScope{rank: rank, tid: telemetry.TIDDriver}
-
-	// Local-SGD state: the parameter values at the last synchronization.
-	var syncPoint []*tensor.Dense
+	w.sampler = data.NewSampler(cfg.Dataset.Len(), cfg.Workers, shardRank, cfg.Seed)
 	if cfg.SyncEvery > 1 {
-		syncPoint = make([]*tensor.Dense, len(params))
-		for i, p := range params {
-			syncPoint[i] = p.Value.Clone()
+		w.syncPoint = make([]*tensor.Dense, len(w.params))
+		for i, p := range w.params {
+			w.syncPoint[i] = p.Value.Clone()
 		}
 	}
-	sinceSync := 0
+	w.gradVecs = make([][]float32, len(w.params))
+	w.gradTensors = make([]*tensor.Dense, len(w.params))
+	return w, nil
+}
 
-	// Step-scoped vectors handed to the Engine, reused every iteration.
-	gradVecs := make([][]float32, len(params))
-	gradTensors := make([]*tensor.Dense, len(params))
-
-	// Checkpoint resume: restore the full state and fast-forward the loop
-	// position. Epoch schedules are pure functions of (seed, epoch), so
-	// seeking the sampler and skipping the already-consumed batches of the
-	// resume epoch replays exactly the uninterrupted run's remaining batches.
-	var globalStep int64
-	startEpoch, skipIters := 0, 0
-	if rj := cfg.Rejoin; rj != nil {
-		if err := rj.validate(); err != nil {
-			return nil, err
-		}
-	}
-	if ck := cfg.Checkpoint; ck != nil {
-		if (ck.Every > 0 || ck.Final) && ck.Save == nil {
-			return nil, fmt.Errorf("grace: CheckpointConfig needs Save when Every or Final is set")
-		}
-		if ck.Resume != nil {
-			pos, err := applySnapshot(&cfg, rank, ck.Resume, model, opt, mem, eng, syncPoint)
-			if err != nil {
-				return nil, err
-			}
-			globalStep = pos.step
-			startEpoch, skipIters = pos.epoch, pos.iter
-			sinceSync = pos.sinceSync
-			sampler.Seek(startEpoch)
-			// Counted here, at the one successful application, rather than in
-			// ckpt.Load: resume negotiation probes many candidate files.
-			telemetry.Default.Add(telemetry.CtrCheckpointRestores, 1)
-			telemetry.Default.Mark(fmt.Sprintf("restore:step%d", pos.step), rank)
-		}
-	}
-
-	// resize re-derives every world-size-shaped piece of worker state after a
-	// committed elastic membership change: the config's worker count, the
-	// data shard (current rank under the new partition), the modeled network
-	// cluster, the engine's denominators/fan-in (and, through it, the
-	// autotuner's link model), and the xrank aggregator.
-	resize := func(m comm.Membership, lost int) error {
-		if m.Size() < el.minWorkers() {
-			return fmt.Errorf("grace: elastic shrink to %d workers is below MinWorkers %d: %w",
-				m.Size(), el.minWorkers(), comm.ErrPeerDead)
-		}
-		cfg.Workers = m.Size()
-		sampler = data.NewSampler(cfg.Dataset.Len(), cfg.Workers, coll.Rank(), cfg.Seed)
-		if cfg.ParamServer {
-			cluster = simnet.NewStarCluster(cfg.Net, cfg.Workers)
-		} else {
-			cluster = simnet.NewCluster(cfg.Net, cfg.Workers)
-		}
-		if err := eng.Pause(); err != nil {
-			return err
-		}
-		err := eng.Rebind(lost)
-		eng.Resume()
+// restore positions the worker before its first step: Checkpoint.Resume
+// fast-forwards to a snapshot; Rejoin.SyncOnStart instead (or additionally)
+// joins the running group's heal round.
+func (w *worker) restore() error {
+	if ck := w.cfg.Checkpoint; ck != nil && ck.Resume != nil {
+		pos, err := w.applySnapshot(ck.Resume)
 		if err != nil {
 			return err
 		}
-		if xagg != nil {
-			xagg = xrank.NewAggregator(xrank.Default, coll.Rank(), cfg.Workers)
+		w.rewind(pos)
+		// Counted here, at the one successful application, rather than in
+		// ckpt.Load: resume negotiation probes many candidate files.
+		telemetry.Default.Add(telemetry.CtrCheckpointRestores, 1)
+		telemetry.Default.Mark(fmt.Sprintf("restore:step%d", pos.step), w.rank)
+	}
+	w.baseEpoch = w.startEpoch
+	if rj := w.cfg.Rejoin; rj != nil && rj.SyncOnStart {
+		return w.startupSync()
+	}
+	return nil
+}
+
+// stepDone runs the post-step bookkeeping shared by both training modes:
+// periodic checkpointing first (so a crash right after the boundary can roll
+// back to it), then the lockstep piggyback collectives, then the OnStep hook.
+func (w *worker) stepDone(epoch, iter int) error {
+	w.step++
+	if ck := w.cfg.Checkpoint; ck != nil && ck.Every > 0 && w.step%int64(ck.Every) == 0 {
+		pos := trainerPos{step: w.step, epoch: epoch, iter: iter + 1, sinceSync: w.sinceSync}
+		if err := w.checkpoint(pos); err != nil {
+			return fmt.Errorf("grace: checkpoint save at step %d: %w", w.step, err)
 		}
-		telemetry.Default.Mark(fmt.Sprintf("elastic:size%d", m.Size()), rank)
-		return nil
+	}
+	// Trace aggregation piggybacks one AllgatherBytes at the cadence
+	// boundary — same position in every rank's op sequence, so the
+	// lockstep contract holds.
+	if w.xagg != nil && w.step%int64(w.cfg.XRank.AggregateEvery) == 0 {
+		if err := w.xagg.Exchange(w.coll); err != nil {
+			return fmt.Errorf("grace: xrank trace aggregation at step %d: %w", w.step, err)
+		}
+	}
+	// Elastic join beacon: at every step boundary the members allgather
+	// their pending-join sets; a non-empty union unwinds to heal as a
+	// growSignal, so the whole group reforms over the same agreed member set
+	// at the same op position.
+	if w.elastic != nil {
+		gs, err := joinBeacon(w.coll, w.elastic)
+		if err != nil {
+			return fmt.Errorf("grace: elastic join beacon at step %d: %w", w.step, err)
+		}
+		if gs != nil {
+			return gs
+		}
+	}
+	if w.cfg.OnStep != nil {
+		return w.cfg.OnStep(w.rank, w.step)
+	}
+	return nil
+}
+
+// exchange runs one whole-step Engine exchange over gradVecs and accumulates
+// the time/volume accounting.
+func (w *worker) exchange(codecScale float64) (aggs [][]float32, codecDur, commDur time.Duration, err error) {
+	aggs, stepRep, err := w.eng.Step(w.gradVecs, w.infos)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	codecDur = time.Duration(float64(stepRep.CodecTime) * codecScale)
+	commDur = ModeledStepCommTime(w.cluster, stepRep)
+	w.totalBytes += int64(stepRep.SentBytes)
+	w.totalRecv += int64(stepRep.RecvBytes)
+	w.rep.Switches += int64(stepRep.Switches)
+	if stepRep.PolicyByTensor != nil {
+		w.rep.FinalPolicy = append(w.rep.FinalPolicy[:0], stepRep.PolicyByTensor...)
+	}
+	return aggs, codecDur, commDur, nil
+}
+
+// trainStep runs one iteration of Algorithm 1 on batch: forward/backward,
+// the compressed exchange (or, in local-SGD mode, a local step with a delta
+// sync every SyncEvery iterations), the optimizer update, and the virtual
+// clock accounting.
+func (w *worker) trainStep(batch data.Batch) error {
+	cfg := &w.cfg
+	nn.ZeroGrads(w.params)
+	t0 := time.Now()
+	span := w.ts.start()
+	w.model.ForwardBackward(batch)
+	w.ts.end(telemetry.PhaseCompute, "", span)
+	computeDur := time.Since(t0)
+	codecScale := 1.0
+	if cfg.ComputePerIter > 0 {
+		if computeDur > 0 && cfg.ComputePerIter < computeDur {
+			codecScale = float64(cfg.ComputePerIter) / float64(computeDur)
+		}
+		computeDur = cfg.ComputePerIter
 	}
 
-	// stepDone runs the post-step bookkeeping shared by both training modes:
-	// periodic checkpointing first (so a crash right after the boundary can
-	// roll back to it), then the OnStep hook.
-	stepDone := func(epoch, iter int) error {
-		globalStep++
-		ck := cfg.Checkpoint
-		if ck != nil && ck.Every > 0 && globalStep%int64(ck.Every) == 0 {
-			span := ts.start()
-			snap, err := captureSnapshot(&cfg, rank, model, opt, mem, eng, syncPoint,
-				trainerPos{step: globalStep, epoch: epoch, iter: iter + 1, sinceSync: sinceSync})
+	var codecDur, commDur time.Duration
+	if cfg.SyncEvery > 1 {
+		// Local step on the worker's own gradients; communicate only at
+		// sync boundaries.
+		grads := make([]*tensor.Dense, len(w.params))
+		for i, p := range w.params {
+			grads[i] = p.Grad
+		}
+		w.opt.Step(w.params, grads)
+		w.sinceSync++
+		if w.sinceSync >= cfg.SyncEvery {
+			// Synchronize (Qsparse-local-SGD): exchange the compressed model
+			// deltas and reset every replica to syncPoint + mean(delta).
+			w.sinceSync = 0
+			for i, p := range w.params {
+				w.gradVecs[i] = p.Value.Clone().Sub(w.syncPoint[i]).Data()
+			}
+			aggs, cd, md, err := w.exchange(codecScale)
 			if err != nil {
 				return err
 			}
-			if err := ck.Save(snap); err != nil {
-				return fmt.Errorf("grace: checkpoint save at step %d: %w", globalStep, err)
-			}
-			ts.end(telemetry.PhaseCheckpoint, "", span)
-		}
-		// Trace aggregation piggybacks one AllgatherBytes at the cadence
-		// boundary — same position in every rank's op sequence, so the
-		// lockstep contract holds.
-		if xagg != nil && globalStep%int64(cfg.XRank.AggregateEvery) == 0 {
-			if err := xagg.Exchange(coll); err != nil {
-				return fmt.Errorf("grace: xrank trace aggregation at step %d: %w", globalStep, err)
+			codecDur, commDur = cd, md
+			for i, p := range w.params {
+				p.Value.CopyFrom(w.syncPoint[i])
+				p.Value.Add(tensor.FromSlice(aggs[i], p.Value.Shape()...))
+				w.syncPoint[i].CopyFrom(p.Value)
 			}
 		}
-		// Elastic join beacon: at the cadence boundary every member
-		// allgathers its pending-join set; a non-empty union unwinds to the
-		// heal loop as a growSignal, so the whole group reforms over the
-		// same agreed member set at the same op position.
-		if elColl != nil && globalStep%int64(el.joinEvery()) == 0 {
-			gs, err := joinBeacon(coll, elColl)
-			if err != nil {
-				return fmt.Errorf("grace: elastic join beacon at step %d: %w", globalStep, err)
-			}
-			if gs != nil {
-				return gs
-			}
+	} else {
+		// Whole-step exchange: the Engine overlaps codec compute for later
+		// tensors with earlier tensors' collectives.
+		for i, p := range w.params {
+			w.gradVecs[i] = p.Grad.Data()
 		}
-		if cfg.OnStep != nil {
-			if err := cfg.OnStep(rank, globalStep); err != nil {
+		aggs, cd, md, err := w.exchange(codecScale)
+		if err != nil {
+			return err
+		}
+		codecDur, commDur = cd, md
+		for i, p := range w.params {
+			w.gradTensors[i] = tensor.FromSlice(aggs[i], p.Grad.Shape()...)
+		}
+		w.opt.Step(w.params, w.gradTensors)
+	}
+
+	w.clock.Advance(computeDur + codecDur + commDur)
+	w.rep.ComputeTime += computeDur
+	w.rep.CodecTime += codecDur
+	w.rep.CommTime += commDur
+	w.rep.Iters++
+	w.lastEpochIters++
+	return nil
+}
+
+// runEpochs is the training loop proper, starting from the worker's loop
+// position so heal can rewind it. It returns nil when the run is complete and
+// the unwind cause otherwise.
+func (w *worker) runEpochs() error {
+	cfg := &w.cfg
+	first := w.startEpoch
+	for epoch := first; epoch < cfg.Epochs; epoch++ {
+		if cfg.LRSchedule != nil {
+			w.opt.SetLR(cfg.LRSchedule(epoch))
+		}
+		w.lastEpochStart = w.clock.Elapsed()
+		w.lastEpochIters = 0
+		for iter, batchIdx := range w.sampler.EpochBatches(cfg.BatchSize) {
+			if epoch == first && iter < w.skipIters {
+				continue
+			}
+			if err := w.trainStep(cfg.Dataset.Batch(batchIdx)); err != nil {
+				return err
+			}
+			if err := w.stepDone(epoch, iter); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-
-	// exchange runs one whole-step Engine exchange over gradVecs and
-	// accumulates the time/volume accounting.
-	exchange := func(codecScale float64) ([][]float32, time.Duration, time.Duration, error) {
-		aggs, stepRep, err := eng.Step(gradVecs, infos)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		codecDur := time.Duration(float64(stepRep.CodecTime) * codecScale)
-		commDur := ModeledStepCommTime(cluster, stepRep)
-		totalBytes += int64(stepRep.SentBytes)
-		totalRecv += int64(stepRep.RecvBytes)
-		rep.Switches += int64(stepRep.Switches)
-		if stepRep.PolicyByTensor != nil {
-			rep.FinalPolicy = append(rep.FinalPolicy[:0], stepRep.PolicyByTensor...)
-		}
-		return aggs, codecDur, commDur, nil
-	}
-
-	// syncDeltas exchanges compressed model deltas and resets every replica
-	// to syncPoint + mean(delta) (Qsparse-local-SGD's synchronization).
-	syncDeltas := func(codecScale float64) (codecDur, commDur time.Duration, err error) {
-		for i, p := range params {
-			gradVecs[i] = p.Value.Clone().Sub(syncPoint[i]).Data()
-		}
-		aggs, codecDur, commDur, err := exchange(codecScale)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i, p := range params {
-			p.Value.CopyFrom(syncPoint[i])
-			p.Value.Add(tensor.FromSlice(aggs[i], p.Value.Shape()...))
-			syncPoint[i].CopyFrom(p.Value)
-		}
-		return codecDur, commDur, nil
-	}
-
-	// runEpochs is the training loop proper, reading the loop position from
-	// the enclosing startEpoch/skipIters so the heal loop below can rewind it.
-	runEpochs := func() error {
-		for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-			if cfg.LRSchedule != nil {
-				opt.SetLR(cfg.LRSchedule(epoch))
-			}
-			lastEpochStart = clock.Elapsed()
-			lastEpochIters = 0
-			for iter, batchIdx := range sampler.EpochBatches(cfg.BatchSize) {
-				if epoch == startEpoch && iter < skipIters {
-					continue
-				}
-				batch := cfg.Dataset.Batch(batchIdx)
-				nn.ZeroGrads(params)
-				t0 := time.Now()
-				span := ts.start()
-				model.ForwardBackward(batch)
-				ts.end(telemetry.PhaseCompute, "", span)
-				computeDur := time.Since(t0)
-				codecScale := 1.0
-				if cfg.ComputePerIter > 0 {
-					if computeDur > 0 && cfg.ComputePerIter < computeDur {
-						codecScale = float64(cfg.ComputePerIter) / float64(computeDur)
-					}
-					computeDur = cfg.ComputePerIter
-				}
-
-				var codecDur, commDur time.Duration
-				if cfg.SyncEvery > 1 {
-					// Local step on the worker's own gradients; communicate
-					// only at sync boundaries.
-					grads := make([]*tensor.Dense, len(params))
-					for i, p := range params {
-						grads[i] = p.Grad
-					}
-					opt.Step(params, grads)
-					sinceSync++
-					if sinceSync >= cfg.SyncEvery {
-						sinceSync = 0
-						var err error
-						codecDur, commDur, err = syncDeltas(codecScale)
-						if err != nil {
-							return err
-						}
-					}
-				} else {
-					// Whole-step exchange: the Engine overlaps codec compute for
-					// later tensors with earlier tensors' collectives.
-					for i, p := range params {
-						gradVecs[i] = p.Grad.Data()
-					}
-					var aggs [][]float32
-					var err error
-					aggs, codecDur, commDur, err = exchange(codecScale)
-					if err != nil {
-						return err
-					}
-					for i, p := range params {
-						gradTensors[i] = tensor.FromSlice(aggs[i], p.Grad.Shape()...)
-					}
-					opt.Step(params, gradTensors)
-				}
-
-				clock.Advance(computeDur + codecDur + commDur)
-				rep.ComputeTime += computeDur
-				rep.CodecTime += codecDur
-				rep.CommTime += commDur
-				rep.Iters++
-				lastEpochIters++
-				if err := stepDone(epoch, iter); err != nil {
-					return err
-				}
-			}
-
-			if rank == 0 {
-				rep.EpochVirtualTime = append(rep.EpochVirtualTime, clock.Elapsed())
-				rep.EpochCommTime = append(rep.EpochCommTime, rep.CommTime)
-				rep.EpochIters = append(rep.EpochIters, lastEpochIters)
-				q := 0.0
-				if cfg.Eval != nil && (epoch+1)%cfg.EvalEvery == 0 {
-					q = cfg.Eval(model)
-					rep.FinalQuality = q
-					better := q > rep.BestQuality
-					if cfg.QualityLowerIsBetter {
-						better = q < rep.BestQuality
-					}
-					if !evaluated || better {
-						rep.BestQuality = q
-						evaluated = true
-					}
-				}
-				rep.EpochQuality = append(rep.EpochQuality, q)
-			}
-		}
-		return nil
-	}
-
-	// rewind moves the loop position to a heal sync round's verdict and drops
-	// the rank-0 epoch-series entries the rollback will re-produce. Scalar
-	// totals (Iters, time and volume sums) intentionally keep the redone
-	// work: they measure effort spent, while the epoch series describes the
-	// logical training trajectory.
-	baseEpoch := startEpoch
-	rewind := func(pos trainerPos) {
-		globalStep = pos.step
-		startEpoch, skipIters = pos.epoch, pos.iter
-		sinceSync = pos.sinceSync
-		sampler.Seek(startEpoch)
-		if rank == 0 {
-			keep := pos.epoch - baseEpoch
-			if keep < 0 {
-				keep = 0
-			}
-			if keep < len(rep.EpochQuality) {
-				rep.EpochQuality = rep.EpochQuality[:keep]
-				rep.EpochVirtualTime = rep.EpochVirtualTime[:keep]
-				rep.EpochCommTime = rep.EpochCommTime[:keep]
-				rep.EpochIters = rep.EpochIters[:keep]
-			}
-		}
-	}
-
-	if rj := cfg.Rejoin; rj != nil && rj.SyncOnStart {
-		// A respawned rank syncs with the survivors' recovery barrier before
-		// its first step: the heal round replaces the Resume fast-forward.
-		pos, gen, err := startupSync(&cfg, rank, coll, model, opt, mem, eng, syncPoint)
-		if err != nil {
-			return nil, err
-		}
-		rewind(pos)
-		baseEpoch = startEpoch
-		if el != nil && el.JoinOnStart {
-			// The adopted step is the join floor: everything this rank's
-			// checkpoint store holds at or below it predates the join and
-			// stays invisible to future heal negotiations.
-			joinFloor = pos.step
-			// startupSync's fast path never reformed, so its generation is 0;
-			// the joiner was absorbed under the committed membership's.
-			gen = elColl.Membership().Gen
-			if el.OnResize != nil {
-				el.OnResize(elColl.Membership(), pos.step)
-			}
-		}
-		if rj.OnHeal != nil {
-			rj.OnHeal(gen, pos.step)
-		}
-	}
-	heals := 0
-	for {
-		err := runEpochs()
-		if err == nil {
-			break
-		}
-		rj := cfg.Rejoin
-
-		// Elastic join point: not a failure — the beacon observed pending
-		// joiners and every member unwound at the identical step. Reform over
-		// the agreed set, re-derive the world-size-shaped state, and run the
-		// same heal sync the joiner enters through startupSync.
-		var gs *growSignal
-		if errors.As(err, &gs) {
-			mship, gerr := elColl.ReformGrow(gs.members)
-			if gerr != nil {
-				return nil, fmt.Errorf("grace: elastic grow: %w", gerr)
-			}
-			if rerr := resize(mship, 0); rerr != nil {
-				return nil, rerr
-			}
-			pos, herr := healSync(&cfg, rank, coll, model, opt, mem, eng, syncPoint)
-			if herr != nil {
-				return nil, herr
-			}
-			rewind(pos)
-			if el.OnResize != nil {
-				el.OnResize(mship, pos.step)
-			}
-			if rj.OnHeal != nil {
-				rj.OnHeal(mship.Gen, pos.step)
-			}
+		if w.rank != 0 {
 			continue
 		}
-
-		if rj == nil || !errors.Is(err, comm.ErrPeerDead) {
-			return nil, err
-		}
-		if heals++; heals > rj.maxHeals() {
-			return nil, fmt.Errorf("grace: giving up after %d heals: %w", heals-1, err)
-		}
-		// Freeze the event window before the reform rewrites the group: the
-		// dump captures the conviction and the ops leading up to it. The
-		// recorder rate-limits, so a whole group healing at once still yields
-		// a bounded artifact set.
-		xrank.Default.Flight("heal_peer_dead", err)
-
-		if elColl != nil {
-			// Elastic heal: hold the door open for the rejoin deadline, then
-			// vote to continue without whoever is still missing. An intact
-			// reform (everyone made it back) commits no membership change and
-			// needs no resize.
-			mship, rerr := elColl.ReformElastic(el.rejoinDeadline())
-			if rerr != nil {
-				return nil, fmt.Errorf("grace: elastic reform after peer death: %w", rerr)
+		rep := w.rep
+		rep.EpochVirtualTime = append(rep.EpochVirtualTime, w.clock.Elapsed())
+		rep.EpochCommTime = append(rep.EpochCommTime, rep.CommTime)
+		rep.EpochIters = append(rep.EpochIters, w.lastEpochIters)
+		q := 0.0
+		if cfg.Eval != nil && (epoch+1)%cfg.EvalEvery == 0 {
+			q = cfg.Eval(w.model)
+			rep.FinalQuality = q
+			better := q > rep.BestQuality
+			if cfg.QualityLowerIsBetter {
+				better = q < rep.BestQuality
 			}
-			if len(mship.Lost) > 0 {
-				if rerr := resize(mship, len(mship.Lost)); rerr != nil {
-					return nil, rerr
-				}
+			if !w.evaluated || better {
+				rep.BestQuality = q
+				w.evaluated = true
 			}
-			pos, herr := healSync(&cfg, rank, coll, model, opt, mem, eng, syncPoint)
-			if herr != nil {
-				return nil, herr
-			}
-			rewind(pos)
-			if len(mship.Lost) > 0 && el.OnResize != nil {
-				el.OnResize(mship, pos.step)
-			}
-			if rj.OnHeal != nil {
-				rj.OnHeal(mship.Gen, pos.step)
-			}
-			continue
 		}
-
-		rf, ok := comm.AsReformer(coll)
-		if !ok {
-			return nil, fmt.Errorf("grace: peer died and the collective cannot reform: %w", err)
-		}
-		gen, rerr := rf.Reform()
-		if rerr != nil {
-			return nil, fmt.Errorf("grace: reform after peer death: %w", rerr)
-		}
-		pos, herr := healSync(&cfg, rank, coll, model, opt, mem, eng, syncPoint)
-		if herr != nil {
-			return nil, herr
-		}
-		rewind(pos)
-		if rj.OnHeal != nil {
-			rj.OnHeal(gen, pos.step)
-		}
+		rep.EpochQuality = append(rep.EpochQuality, q)
 	}
+	return nil
+}
 
+// rewind moves the loop position to pos — a restored snapshot's or a heal
+// sync round's verdict — and drops the rank-0 epoch-series entries the
+// rollback will re-produce. Scalar totals (Iters, time and volume sums)
+// intentionally keep the redone work: they measure effort spent, while the
+// epoch series describes the logical training trajectory.
+func (w *worker) rewind(pos trainerPos) {
+	w.step = pos.step
+	w.startEpoch, w.skipIters = pos.epoch, pos.iter
+	w.sinceSync = pos.sinceSync
+	w.sampler.Seek(w.startEpoch)
+	rep := w.rep
+	if keep := max(pos.epoch-w.baseEpoch, 0); keep < len(rep.EpochQuality) {
+		rep.EpochQuality = rep.EpochQuality[:keep]
+		rep.EpochVirtualTime = rep.EpochVirtualTime[:keep]
+		rep.EpochCommTime = rep.EpochCommTime[:keep]
+		rep.EpochIters = rep.EpochIters[:keep]
+	}
+}
+
+// finish runs the end-of-run collectives and bookkeeping: the final trace
+// aggregation, the terminal checkpoint, and the report's derived figures.
+func (w *worker) finish() (*Report, error) {
+	cfg, rep := &w.cfg, w.rep
 	// Final trace aggregation picks up the tail since the last cadence tick;
 	// every rank participates (it is a collective), rank 0 then renders the
 	// merged artifacts. A failure here loses only the tail — whatever earlier
 	// ticks merged is still written.
-	if xagg != nil {
-		if err := xagg.Exchange(coll); err != nil {
-			telemetry.Default.Mark("xrank:final-exchange-failed", rank)
+	if w.xagg != nil {
+		if err := w.xagg.Exchange(w.coll); err != nil {
+			telemetry.Default.Mark("xrank:final-exchange-failed", w.rank)
 		}
 		if cfg.XRank.ArtifactsDir != "" {
-			if err := xagg.WriteArtifacts(cfg.XRank.ArtifactsDir); err != nil {
+			if err := w.xagg.WriteArtifacts(cfg.XRank.ArtifactsDir); err != nil {
 				return nil, fmt.Errorf("grace: xrank artifacts: %w", err)
 			}
 		}
 	}
-
 	if ck := cfg.Checkpoint; ck != nil && ck.Final {
-		span := ts.start()
-		snap, err := captureSnapshot(&cfg, rank, model, opt, mem, eng, syncPoint,
-			trainerPos{step: globalStep, epoch: cfg.Epochs, iter: 0, sinceSync: sinceSync})
-		if err != nil {
-			return nil, err
-		}
-		if err := ck.Save(snap); err != nil {
+		pos := trainerPos{step: w.step, epoch: cfg.Epochs, iter: 0, sinceSync: w.sinceSync}
+		if err := w.checkpoint(pos); err != nil {
 			return nil, fmt.Errorf("grace: final checkpoint save: %w", err)
 		}
-		ts.end(telemetry.PhaseCheckpoint, "", span)
 	}
 
-	rep.Quality = eng.QualityReport()
-	rep.TotalVirtualTime = clock.Elapsed()
+	rep.Quality = w.eng.QualityReport()
+	rep.TotalVirtualTime = w.clock.Elapsed()
 	if rep.Iters > 0 {
-		rep.BytesPerIter = float64(totalBytes) / float64(rep.Iters)
-		rep.RecvPerIter = float64(totalRecv) / float64(rep.Iters)
+		rep.BytesPerIter = float64(w.totalBytes) / float64(rep.Iters)
+		rep.RecvPerIter = float64(w.totalRecv) / float64(rep.Iters)
 	}
-	lastDur := clock.Elapsed() - lastEpochStart
-	if lastDur > 0 && lastEpochIters > 0 {
-		samples := float64(lastEpochIters * cfg.BatchSize * cfg.Workers)
+	lastDur := w.clock.Elapsed() - w.lastEpochStart
+	if lastDur > 0 && w.lastEpochIters > 0 {
+		samples := float64(w.lastEpochIters * cfg.BatchSize * cfg.Workers)
 		rep.Throughput = samples / lastDur.Seconds()
 	}
 	return rep, nil
@@ -896,46 +728,36 @@ func ModeledStepCommTime(c simnet.Cluster, rep *StepReport) time.Duration {
 }
 
 // commTimeBucket models the transfer time of one collective round — a fusion
-// bucket — on the cluster. A singleton bucket is the legacy per-tensor charge;
-// a fused bucket merges its tensors' volumes into one round, which is exactly
-// the saving fusion exists for: one latency charge instead of len(span).
+// bucket — on the cluster. A fused bucket merges its tensors' volumes into one
+// round, which is exactly the saving fusion exists for: one latency charge
+// instead of len(span). Singleton buckets and custom-strategy tensors (never
+// fused) are charged per tensor.
 func commTimeBucket(c simnet.Cluster, span []StepStats) time.Duration {
-	if len(span) == 1 {
-		return commTime(c, span[0])
-	}
-	switch span[0].Strategy {
-	case Allreduce:
+	if len(span) > 1 && span[0].Strategy == Allreduce {
 		total := 0
 		for _, s := range span {
 			total += s.SentBytes
 		}
 		return c.AllreduceTime(total)
-	case Allgather:
+	}
+	if len(span) > 1 && span[0].Strategy == Allgather {
 		// Per-rank fused frame = framing header + that rank's payloads.
-		var sizes []int
-		over := comm.FusedOverhead(len(span))
+		sizes := make([]int, len(span[0].GatherSizes))
+		for r := range sizes {
+			sizes[r] = comm.FusedOverhead(len(span))
+		}
 		for _, s := range span {
-			if len(sizes) < len(s.GatherSizes) {
-				grown := make([]int, len(s.GatherSizes))
-				copy(grown, sizes)
-				for r := len(sizes); r < len(grown); r++ {
-					grown[r] = over
-				}
-				sizes = grown
-			}
 			for r, sz := range s.GatherSizes {
 				sizes[r] += sz
 			}
 		}
 		return c.AllgatherTime(sizes)
-	default:
-		// Custom-strategy tensors are never fused; charge per tensor.
-		var d time.Duration
-		for _, s := range span {
-			d += commTime(c, s)
-		}
-		return d
 	}
+	var d time.Duration
+	for _, s := range span {
+		d += commTime(c, s)
+	}
+	return d
 }
 
 // commTime models the transfer time of one exchange on the cluster.

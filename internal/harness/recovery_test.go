@@ -33,7 +33,7 @@ func TestMain(m *testing.M) {
 // failure evidence from the crash phase.
 func runRecoveryCase(t *testing.T, transport, method string, mem bool) {
 	t.Helper()
-	res, err := RunRecovery(DefaultRecovery(transport, method, mem, t.TempDir()))
+	res, err := RunScenario(ScenarioRestart, DefaultRecovery(transport, method, mem, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRecoveryBitwiseTCP(t *testing.T) {
 func TestRecoveryBitwiseAutotune(t *testing.T) {
 	for _, transport := range []string{TransportHub, TransportTCP} {
 		t.Run(transport, func(t *testing.T) {
-			res, err := RunRecovery(AutotuneRecovery(transport, t.TempDir()))
+			res, err := RunScenario(ScenarioRestart, AutotuneRecovery(transport, t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestRecoveryBitwiseAutotune(t *testing.T) {
 			if !res.Match {
 				t.Fatalf("recovered autotune run diverged: %s", res.Detail)
 			}
-			for rank, s := range res.Recovered {
+			for rank, s := range res.Finals {
 				if s.Tuner == nil {
 					t.Fatalf("rank %d final snapshot carries no policy state", rank)
 				}

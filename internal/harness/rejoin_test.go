@@ -11,7 +11,7 @@ import (
 // step 5, cadence 3).
 func runRejoinCase(t *testing.T, cfg RecoveryConfig) {
 	t.Helper()
-	res, err := RunRejoin(cfg)
+	res, err := RunScenario(ScenarioRejoin, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func runRejoinCase(t *testing.T, cfg RecoveryConfig) {
 	if res.Reforms < 1 {
 		t.Fatalf("group-reform counter did not move (delta %d)", res.Reforms)
 	}
-	if res.Downtime <= 0 {
-		t.Fatalf("downtime %v not measured", res.Downtime)
+	if res.DowntimeMs <= 0 {
+		t.Fatalf("downtime %v ms not measured", res.DowntimeMs)
 	}
 	// Nobody lost a checkpoint directory in this scenario, so the heal must
 	// have used own-checkpoint rollback, not a donor transfer.
@@ -107,12 +107,12 @@ func TestRejoinHangTCP(t *testing.T) {
 func TestRejoinValidation(t *testing.T) {
 	cfg := DefaultRecovery(TransportHub, "topk", true, t.TempDir())
 	cfg.Train.OnStep = func(int, int64) error { return nil }
-	if _, err := RunRejoin(cfg); err == nil {
+	if _, err := RunScenario(ScenarioRejoin, cfg); err == nil {
 		t.Fatal("config with a caller OnStep must be rejected")
 	}
 	cfg = DefaultRecovery(TransportHub, "topk", true, t.TempDir())
 	cfg.Every = 0
-	if _, err := RunRejoin(cfg); err == nil {
+	if _, err := RunScenario(ScenarioRejoin, cfg); err == nil {
 		t.Fatal("config without a checkpoint cadence must be rejected")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/grace"
 	"repro/internal/telemetry"
@@ -27,11 +26,13 @@ type RunSummary struct {
 	// itself) succeeded.
 	Pass bool `json:"pass"`
 
-	Train     []TrainResultJSON     `json:"train,omitempty"`
-	Chaos     []ChaosResultJSON     `json:"chaos,omitempty"`
-	Recovery  []RecoveryResultJSON  `json:"recovery,omitempty"`
-	Rejoin    []RejoinResultJSON    `json:"rejoin,omitempty"`
-	Elastic   []ElasticResultJSON   `json:"elastic,omitempty"`
+	Train []TrainResultJSON `json:"train,omitempty"`
+	Chaos []ChaosResultJSON `json:"chaos,omitempty"`
+	// Recovery, Rejoin and Elastic hold the fault-scenario rows (RunScenario):
+	// restart rows; rejoin rows; shrink and grow rows.
+	Recovery  []ScenarioResult      `json:"recovery,omitempty"`
+	Rejoin    []ScenarioResult      `json:"rejoin,omitempty"`
+	Elastic   []ScenarioResult      `json:"elastic,omitempty"`
 	Straggler []StragglerResultJSON `json:"straggler,omitempty"`
 	// Quality is the last training run's per-tensor compression-quality
 	// table (achieved bits/param, EF residual L2, fault history); gracestat
@@ -67,7 +68,7 @@ func TrainJSON(bench, method string, rep *grace.Report) TrainResultJSON {
 		BytesPerIter: rep.BytesPerIter,
 		RecvPerIter:  rep.RecvPerIter,
 		Iters:        rep.Iters,
-		VirtualMs:    float64(rep.TotalVirtualTime) / float64(time.Millisecond),
+		VirtualMs:    ms(rep.TotalVirtualTime),
 	}
 }
 
@@ -95,7 +96,7 @@ func ChaosJSON(r ChaosResult) ChaosResultJSON {
 		Scenario:  r.Scenario,
 		Pass:      r.Pass,
 		Hung:      r.Hung,
-		ElapsedMs: float64(r.Elapsed) / float64(time.Millisecond),
+		ElapsedMs: ms(r.Elapsed),
 		Injected:  r.Injected,
 		Retries:   r.Retries,
 		Faults:    r.Faults,
@@ -113,153 +114,6 @@ func ChaosJSON(r ChaosResult) ChaosResultJSON {
 	if any {
 		out.Errs = errs
 	}
-	return out
-}
-
-// RecoveryResultJSON records one kill/restart scenario: the rollback step
-// every rank resumed from and the bitwise-verify verdict against the
-// uninterrupted reference run.
-type RecoveryResultJSON struct {
-	Scenario   string   `json:"scenario"`
-	Pass       bool     `json:"pass"`
-	ResumeStep int64    `json:"resume_step"`
-	Match      bool     `json:"bitwise_match"`
-	ElapsedMs  float64  `json:"elapsed_ms"`
-	KillErrs   []string `json:"kill_errors,omitempty"`
-	Detail     string   `json:"detail,omitempty"`
-	// Err reports an infrastructure failure that prevented a verdict.
-	Err string `json:"error,omitempty"`
-}
-
-// RecoveryJSON converts a recovery outcome to its JSON form. res may be nil
-// when err is non-nil.
-func RecoveryJSON(scenario string, res *RecoveryResult, elapsed time.Duration, err error) RecoveryResultJSON {
-	out := RecoveryResultJSON{
-		Scenario:  scenario,
-		ElapsedMs: float64(elapsed) / float64(time.Millisecond),
-	}
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	out.ResumeStep = res.ResumeStep
-	out.Match = res.Match
-	out.Detail = res.Detail
-	out.Pass = res.Match
-	for _, kerr := range res.KillErrs {
-		if kerr != nil {
-			out.KillErrs = append(out.KillErrs, kerr.Error())
-		} else {
-			out.KillErrs = append(out.KillErrs, "")
-		}
-	}
-	return out
-}
-
-// RejoinResultJSON records one live-rejoin scenario: the heal's rollback
-// step and generation, the per-rank launch counts (healthy ranks must stay
-// at 1), downtime, and the bitwise verdict — alongside the restart path's
-// downtime for the same scenario when the caller measured it.
-type RejoinResultJSON struct {
-	Scenario      string  `json:"scenario"`
-	Pass          bool    `json:"pass"`
-	ResumeStep    int64   `json:"resume_step"`
-	Generation    uint64  `json:"generation"`
-	Launches      []int   `json:"launches"`
-	Heals         int     `json:"heals"`
-	Reforms       int64   `json:"reforms"`
-	TransferBytes int64   `json:"transfer_bytes,omitempty"`
-	Match         bool    `json:"bitwise_match"`
-	DowntimeMs    float64 `json:"downtime_ms"`
-	// RestartDowntimeMs is the supervised full-restart path's downtime on the
-	// same scenario, for the restart-vs-rejoin comparison (0 when not run).
-	RestartDowntimeMs float64 `json:"restart_downtime_ms,omitempty"`
-	Detail            string  `json:"detail,omitempty"`
-	// Err reports an infrastructure failure that prevented a verdict.
-	Err string `json:"error,omitempty"`
-}
-
-// RejoinJSON converts a rejoin outcome to its JSON form. res may be nil when
-// err is non-nil. restartDowntime 0 means the comparison run was not made.
-func RejoinJSON(scenario string, res *RejoinResult, restartDowntime time.Duration, err error) RejoinResultJSON {
-	out := RejoinResultJSON{Scenario: scenario}
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	out.ResumeStep = res.ResumeStep
-	out.Generation = res.Generation
-	out.Launches = res.Launches
-	out.Heals = res.Heals
-	out.Reforms = res.Reforms
-	out.TransferBytes = res.TransferBytes
-	out.Match = res.Match
-	out.Detail = res.Detail
-	out.DowntimeMs = float64(res.Downtime) / float64(time.Millisecond)
-	out.RestartDowntimeMs = float64(restartDowntime) / float64(time.Millisecond)
-	out.Pass = res.Match
-	return out
-}
-
-// ElasticResultJSON records one elastic-membership scenario. Shrink rows
-// carry the degraded group's commit (size, evicted ranks, EF-residual drops)
-// and the bitwise verdict against an N−1 reference started from the
-// post-reform state; grow rows carry the absorption step and size instead.
-// The restart path's downtime on the same kill gives the comparison column.
-type ElasticResultJSON struct {
-	Scenario   string `json:"scenario"`
-	Pass       bool   `json:"pass"`
-	ShrinkStep int64  `json:"shrink_step"`
-	ShrinkSize int    `json:"shrink_size,omitempty"`
-	Lost       []int  `json:"lost,omitempty"`
-	EFDrops    int64  `json:"ef_drops,omitempty"`
-	Match      bool   `json:"bitwise_match,omitempty"`
-	DowntimeMs float64 `json:"downtime_ms,omitempty"`
-	// RestartDowntimeMs is the supervised full-restart path's downtime on the
-	// same scenario, for the degrade-vs-restart comparison (0 when not run).
-	RestartDowntimeMs float64 `json:"restart_downtime_ms,omitempty"`
-	GrowStep          int64   `json:"grow_step,omitempty"`
-	GrowSize          int     `json:"grow_size,omitempty"`
-	GrowDowntimeMs    float64 `json:"grow_downtime_ms,omitempty"`
-	Detail            string  `json:"detail,omitempty"`
-	// Err reports an infrastructure failure that prevented a verdict.
-	Err string `json:"error,omitempty"`
-}
-
-// ElasticJSON converts a shrink outcome to its JSON form. res may be nil when
-// err is non-nil. restartDowntime 0 means the comparison run was not made.
-func ElasticJSON(scenario string, res *ElasticResult, restartDowntime time.Duration, err error) ElasticResultJSON {
-	out := ElasticResultJSON{Scenario: scenario}
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	out.ShrinkStep = res.ShrinkStep
-	out.ShrinkSize = res.ShrinkSize
-	out.Lost = res.Lost
-	out.EFDrops = res.EFDrops
-	out.Match = res.Match
-	out.Detail = res.Detail
-	out.DowntimeMs = float64(res.Downtime) / float64(time.Millisecond)
-	out.RestartDowntimeMs = float64(restartDowntime) / float64(time.Millisecond)
-	out.Pass = res.Match
-	return out
-}
-
-// ElasticGrowJSON converts a grow outcome to its JSON form; workers is the
-// full world size the group must reach again. res may be nil when err is
-// non-nil.
-func ElasticGrowJSON(scenario string, res *ElasticGrowResult, workers int, err error) ElasticResultJSON {
-	out := ElasticResultJSON{Scenario: scenario}
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	out.ShrinkStep = res.ShrinkStep
-	out.GrowStep = res.GrowStep
-	out.GrowSize = res.GrowSize
-	out.GrowDowntimeMs = float64(res.GrowDowntime) / float64(time.Millisecond)
-	out.Pass = res.GrowSize == workers && res.GrowStep > res.ShrinkStep
 	return out
 }
 
@@ -286,7 +140,7 @@ func StragglerJSON(r StragglerResult) StragglerResultJSON {
 		Attributed:  r.Attributed,
 		Counts:      r.Counts,
 		MaxSkewMs:   float64(r.MaxSkewNs) / 1e6,
-		ElapsedMs:   float64(r.Elapsed) / float64(time.Millisecond),
+		ElapsedMs:   ms(r.Elapsed),
 		Detail:      r.Detail,
 	}
 }

@@ -1,32 +1,21 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/comm"
+	"repro/internal/grace"
 )
 
-// scaffoldKind selects which collective substrate flavor a supervised fault
-// scenario runs on top of.
-type scaffoldKind int
-
-const (
-	// scaffoldRestart is the one-shot group: a crash poisons it for good and
-	// recovery is a full restart of every rank (RunRecovery).
-	scaffoldRestart scaffoldKind = iota
-	// scaffoldReform is the resilient self-healing group: survivors reform at
-	// the next generation in place (RunRejoin).
-	scaffoldReform
-	// scaffoldElastic is the elastic-membership group: survivors may commit a
-	// smaller world size and absorb joiners back later (RunElastic).
-	scaffoldElastic
-)
-
-// faultScaffold bundles the transport-specific pieces shared by the restart,
-// rejoin, and elastic batteries, so each battery describes only its scenario,
-// not how to sever a rank on each substrate.
+// faultScaffold bundles the transport-specific pieces of a supervised fault
+// scenario, so each scenario describes only what happens to the group, not
+// how to sever or add a rank on each substrate.
 type faultScaffold struct {
 	// collFor builds one rank's collective and its death action. On TCP the
 	// action severs the victim's sockets with no goodbye handshake (Kill, not
@@ -38,56 +27,39 @@ type faultScaffold struct {
 	collFor func(rank int) (comm.Collective, func(), error)
 	// teardown force-releases the whole group when the phase watchdog fires.
 	teardown func()
-	// hub is non-nil on the hub transport; elastic grow scenarios register
-	// fresh joiners through it.
-	hub *comm.Hub
-	// join (elastic kind only) builds a fresh joiner's collective: the hub
-	// registers a pending join and returns a handle whose JoinGroup blocks
-	// until absorbed; TCP dials the group's join point and blocks until the
-	// members' ReformGrow completes.
+	// join builds a fresh joiner's collective: the hub registers a pending
+	// join and returns a handle whose JoinGroup blocks until absorbed; TCP
+	// dials the group's join point and blocks until the members' ReformGrow
+	// completes.
 	join func(rank int, wait time.Duration) (comm.Collective, error)
-	// pending (elastic kind only) reports the original ranks currently
-	// registered as joiners, as visible to any live member — the supervisor
-	// polls it to know a join request has landed before releasing the gate.
+	// pending reports the original ranks currently registered as joiners, as
+	// visible to any live member — the grow supervisor polls it to know a
+	// join request has landed before releasing the gate.
 	pending func() []int
 }
 
-// newFaultScaffold assembles the scaffold for one phase of a supervised
-// scenario. Each call builds a fresh group.
-func newFaultScaffold(cfg *RecoveryConfig, kind scaffoldKind) (*faultScaffold, error) {
+// newFaultScaffold assembles the scaffold for one group of a supervised
+// scenario. Each call builds a fresh group of cfg.Train.Workers ranks.
+func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 	n := cfg.Train.Workers
 	if cfg.Transport != TransportTCP {
 		hub := comm.NewHub(n)
-		sc := &faultScaffold{hub: hub}
-		if kind == scaffoldRestart {
-			abort := func() {
-				hub.Abort(fmt.Errorf("supervisor: rank %d declared dead: %w", cfg.KillRank, ErrSimulatedCrash))
-			}
-			sc.collFor = func(rank int) (comm.Collective, func(), error) {
-				return hub.Worker(rank), abort, nil
-			}
-			sc.teardown = abort
-			return sc, nil
-		}
-		hub.SetReformTimeout(cfg.watchdog())
+		hub.SetReformTimeout(scenarioWatchdog)
 		die := func() {
 			hub.Abort(fmt.Errorf("supervisor: rank %d process died: %w", cfg.KillRank, comm.ErrPeerDead))
 		}
-		sc.collFor = func(rank int) (comm.Collective, func(), error) {
-			return hub.Worker(rank), die, nil
-		}
-		sc.teardown = func() {
-			hub.Abort(fmt.Errorf("harness watchdog teardown: %w", comm.ErrPeerDead))
-		}
-		if kind == scaffoldElastic {
-			sc.join = func(rank int, _ time.Duration) (comm.Collective, error) {
+		return &faultScaffold{
+			collFor: func(rank int) (comm.Collective, func(), error) {
+				return hub.Worker(rank), die, nil
+			},
+			teardown: func() {
+				hub.Abort(fmt.Errorf("harness watchdog teardown: %w", comm.ErrPeerDead))
+			},
+			join: func(rank int, _ time.Duration) (comm.Collective, error) {
 				return hub.Join(rank)
-			}
-			sc.pending = func() []int {
-				return hub.Worker(0).PendingJoins()
-			}
-		}
-		return sc, nil
+			},
+			pending: func() []int { return hub.Worker(0).PendingJoins() },
+		}, nil
 	}
 
 	addrs, err := freeLoopbackAddrs(n)
@@ -96,44 +68,39 @@ func newFaultScaffold(cfg *RecoveryConfig, kind scaffoldKind) (*faultScaffold, e
 	}
 	var mu sync.Mutex
 	var rings []*comm.TCPRing
-	sc := &faultScaffold{}
-	sc.collFor = func(rank int) (comm.Collective, func(), error) {
-		ring, err := comm.DialTCPRingConfig(cfg.ringConfig(rank, addrs))
-		if err != nil {
-			return nil, nil, err
-		}
+	track := func(ring *comm.TCPRing) {
 		mu.Lock()
 		rings = append(rings, ring)
 		mu.Unlock()
-		die := ring.Kill
-		if cfg.KillMode == "hang" {
-			die = ring.Hang
-		}
-		return ring, die, nil
 	}
-	sc.teardown = func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, r := range rings {
-			if kind == scaffoldRestart {
-				r.Close()
-			} else {
+	return &faultScaffold{
+		collFor: func(rank int) (comm.Collective, func(), error) {
+			ring, err := comm.DialTCPRingConfig(cfg.ringConfig(rank, addrs))
+			if err != nil {
+				return nil, nil, err
+			}
+			track(ring)
+			if cfg.KillMode == "hang" {
+				return ring, ring.Hang, nil
+			}
+			return ring, ring.Kill, nil
+		},
+		teardown: func() {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, r := range rings {
 				r.Kill()
 			}
-		}
-	}
-	if kind == scaffoldElastic {
-		sc.join = func(rank int, wait time.Duration) (comm.Collective, error) {
+		},
+		join: func(rank int, wait time.Duration) (comm.Collective, error) {
 			ring, err := comm.JoinTCPRing(cfg.ringConfig(rank, addrs), wait)
 			if err != nil {
 				return nil, err
 			}
-			mu.Lock()
-			rings = append(rings, ring)
-			mu.Unlock()
+			track(ring)
 			return ring, nil
-		}
-		sc.pending = func() []int {
+		},
+		pending: func() []int {
 			mu.Lock()
 			defer mu.Unlock()
 			var out []int
@@ -141,7 +108,272 @@ func newFaultScaffold(cfg *RecoveryConfig, kind scaffoldKind) (*faultScaffold, e
 				out = append(out, r.PendingJoins()...)
 			}
 			return out
+		},
+	}, nil
+}
+
+// freeLoopbackAddrs reserves n distinct loopback ports by briefly listening
+// on them.
+func freeLoopbackAddrs(n int) ([]string, error) {
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	return addrs, nil
+}
+
+// group is one supervised set of RunWorker calls over one collective group:
+// the transport scaffold, how its ranks are wired, and what they reported.
+// Every phase of every scenario — reference, crash, restart, heal, shrink,
+// grow — is one group.
+type group struct {
+	cfg RecoveryConfig // cfg.Train.Workers is this group's size
+	// scenario selects the trainer's recovery wiring: Rejoin for every
+	// scenario but restart, Elastic on top for shrink and grow.
+	scenario Scenario
+	dir      string // checkpoint root; "" keeps the finals in memory only
+	sc       *faultScaffold
+
+	// finals and errs are per rank, written by that rank's goroutine and
+	// read after launch returns. errs holds the first incarnation's RunWorker
+	// error; a replacement victim's lands in replErr.
+	finals     []*grace.Snapshot
+	errs       []error
+	replErr    error
+	victimDown chan struct{} // closed when KillRank's first incarnation returns
+
+	mu       sync.Mutex
+	launches []int
+	killT    time.Time
+	heals    []healEvent
+	resizes  []resizeEvent
+	maxStep  int64 // highest step a gated survivor completed (grow)
+}
+
+// healEvent and resizeEvent record one rank's OnHeal / OnResize callback.
+type healEvent struct {
+	gen  uint64
+	step int64
+	at   time.Time
+}
+
+type resizeEvent struct {
+	m    comm.Membership
+	step int64
+	at   time.Time
+}
+
+func newGroup(cfg RecoveryConfig, s Scenario, dir string) (*group, error) {
+	sc, err := newFaultScaffold(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := cfg.Train.Workers
+	return &group{
+		cfg: cfg, scenario: s, dir: dir, sc: sc,
+		finals: make([]*grace.Snapshot, n), errs: make([]error, n),
+		launches: make([]int, n), victimDown: make(chan struct{}),
+	}, nil
+}
+
+// rankOpts is what distinguishes one RunWorker launch from another inside a
+// group.
+type rankOpts struct {
+	resume  *grace.Snapshot // Checkpoint.Resume (restart, shrink reference)
+	respawn bool            // Rejoin.SyncOnStart: sync into the healing group
+	joiner  bool            // Elastic.JoinOnStart over the scaffold's join point
+	victim  bool            // dies right after KillStep
+	// onStep, when set, observes every completed step (before any kill): the
+	// downtime measurement and the grow gate hang off it.
+	onStep func(step int64)
+}
+
+// victimOnly is the rank description of a plain faulted phase: KillRank dies,
+// everyone else just trains.
+func (g *group) victimOnly(rank int) rankOpts {
+	return rankOpts{victim: rank == g.cfg.KillRank}
+}
+
+// runRank is the one place a scenario rank is wired: collective → checkpoint
+// dir → CheckpointConfig → RejoinConfig → ElasticConfig → kill/observe hook →
+// RunWorker.
+func (g *group) runRank(rank int, o rankOpts) error {
+	g.mu.Lock()
+	g.launches[rank]++
+	g.mu.Unlock()
+	var coll comm.Collective
+	var die func()
+	var err error
+	if o.joiner {
+		coll, err = g.sc.join(rank, scenarioWatchdog)
+	} else {
+		coll, die, err = g.sc.collFor(rank)
+	}
+	if err != nil {
+		return err
+	}
+	if c, ok := coll.(io.Closer); ok {
+		defer c.Close()
+	}
+
+	tc := g.cfg.Train
+	save := func(s *grace.Snapshot) error { return nil }
+	if g.dir != "" {
+		d, err := ckpt.OpenDir(g.dir, rank)
+		if err != nil {
+			return err
+		}
+		d.Keep = scenarioKeep
+		save = d.SaveStep
+		if g.scenario != ScenarioRestart {
+			tc.Rejoin = d.RejoinConfig()
+			tc.Rejoin.SyncOnStart = o.respawn
+			tc.Rejoin.OnHeal = func(gen uint64, step int64) {
+				g.mu.Lock()
+				g.heals = append(g.heals, healEvent{gen, step, time.Now()})
+				g.mu.Unlock()
+			}
 		}
 	}
-	return sc, nil
+	tc.Checkpoint = &grace.CheckpointConfig{
+		Every:  g.cfg.Every,
+		Final:  true,
+		Resume: o.resume,
+		Save: func(s *grace.Snapshot) error {
+			g.finals[rank] = s
+			return save(s)
+		},
+	}
+	if g.scenario == ScenarioShrink || g.scenario == ScenarioGrow {
+		// The joiner's deadline also bounds its JoinGroup wait — give it the
+		// whole phase budget, since absorption needs the members to reach
+		// their next step boundary first.
+		deadline := scenarioRejoinDeadline
+		if o.joiner {
+			deadline = scenarioWatchdog
+		}
+		tc.Elastic = &grace.ElasticConfig{
+			RejoinDeadline: deadline,
+			JoinOnStart:    o.joiner,
+			OnResize: func(m comm.Membership, step int64) {
+				g.mu.Lock()
+				g.resizes = append(g.resizes, resizeEvent{m, step, time.Now()})
+				g.mu.Unlock()
+			},
+		}
+	}
+	if o.victim || o.onStep != nil {
+		tc.OnStep = func(_ int, step int64) error {
+			if o.onStep != nil {
+				o.onStep(step)
+			}
+			if o.victim && step == g.cfg.KillStep {
+				g.mu.Lock()
+				g.killT = time.Now()
+				g.mu.Unlock()
+				// Sever this rank's presence the way a process death would,
+				// then stop.
+				die()
+				return ErrSimulatedCrash
+			}
+			return nil
+		}
+	}
+	_, err = grace.RunWorker(tc, rank, coll, tc.Cluster())
+	return err
+}
+
+// launch runs every rank of the group (opts describes each) plus an optional
+// supervisor, and waits for all of them under the watchdog — the one place a
+// scenario can time out. what names the phase in errors. The returned error
+// is the watchdog's; the ranks' own outcomes are judged by check.
+func (g *group) launch(what string, timeout time.Duration, opts func(rank int) rankOpts, supervisor func()) error {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for rank := range g.errs {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				g.errs[rank] = g.runRank(rank, opts(rank))
+				if rank == g.cfg.KillRank {
+					close(g.victimDown)
+				}
+			}(rank)
+		}
+		if supervisor != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				supervisor()
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-time.After(timeout):
+		g.sc.teardown()
+		<-done
+		return fmt.Errorf("harness: %s phase watchdog fired after %v", what, timeout)
+	}
+}
+
+// replaceVictim is the supervisor's half of rejoin and grow: once the
+// victim's first incarnation is down — for the right reason; check reports a
+// wrong one — launch its replacement into the same group.
+func (g *group) replaceVictim(o rankOpts) {
+	<-g.victimDown
+	if errors.Is(g.errs[g.cfg.KillRank], ErrSimulatedCrash) {
+		g.replErr = g.runRank(g.cfg.KillRank, o)
+	}
+}
+
+// check judges a finished phase. With victim set, KillRank's first
+// incarnation must have died of the simulated crash; every other launch —
+// including the victim's replacement when replaced is set — must have
+// finished cleanly, and each healthy rank must have kept its one and only
+// RunWorker call.
+func (g *group) check(what string, victim, replaced bool) error {
+	for rank, err := range g.errs {
+		want := 1
+		if victim && rank == g.cfg.KillRank {
+			if !errors.Is(err, ErrSimulatedCrash) {
+				return fmt.Errorf("harness: %s: victim rank %d exited with %v, want the simulated crash", what, rank, err)
+			}
+			if replaced {
+				want, err = 2, g.replErr
+			} else {
+				err = nil
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("harness: %s rank %d: %w", what, rank, err)
+		}
+		if g.launches[rank] != want {
+			return fmt.Errorf("harness: %s: rank %d launched %d times, want %d (healthy ranks must keep their process)",
+				what, rank, g.launches[rank], want)
+		}
+	}
+	return nil
+}
+
+// lastResize returns the newest committed membership change whose size
+// satisfies match, as reported by any rank's OnResize.
+func (g *group) lastResize(match func(size int) bool) (ev resizeEvent, ok bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, e := range g.resizes {
+		if match(e.m.Size()) {
+			ev, ok = e, true
+		}
+	}
+	return ev, ok
 }
