@@ -33,7 +33,10 @@ type Collective interface {
 	Size() int
 	// AllreduceF32 sums x elementwise across all workers, in place. All
 	// workers must pass equal-length slices. The result is bitwise identical
-	// on every worker.
+	// on every worker. The implementation owns x for the duration of the call
+	// and reduces in place; after an error the contents of x are unspecified
+	// (a ring that lost a frame mid-body has summed part of it), so a caller
+	// that retries must restore its input first, as Resilient does.
 	AllreduceF32(x []float32) error
 	// AllgatherBytes distributes each worker's payload to all workers,
 	// returned in rank order. Payload lengths may differ across workers.

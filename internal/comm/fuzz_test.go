@@ -10,16 +10,33 @@ import (
 // FuzzReadFrame drives the ring's frame codec with arbitrary byte streams:
 // it must either return a frame within the configured bound or a clean
 // error — never panic, and never allocate a body larger than maxFrame from a
-// hostile length prefix.
+// hostile length prefix. The float-frame reader sees the same streams as a
+// 3-float chunk: it must take the header plus exactly 12 body bytes, or
+// reject a header of any other length without touching the body.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, []byte("hello")))
+	f.Add(appendFrame(nil, leFloats(1, -2, 3)))
+	f.Add(appendFrame(nil, leFloats(1, -2, 3))[:9])
 	f.Add(appendFrame(appendFrame(nil, nil), []byte{1, 2, 3}))
 	f.Add(hostileFrame(1<<32 - 1))
 	f.Add(hostileFrame(1 << 20))
 	f.Add([]byte{0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxFrame = 1 << 16
+		src := bytes.NewReader(data)
+		fr := bufio.NewReaderSize(src, 16)
+		chunk := make([]float32, 3)
+		err := readF32Frame(fr, maxFrame, chunk, true)
+		taken := len(data) - src.Len() - fr.Buffered()
+		switch {
+		case err == nil && taken != 16:
+			t.Fatalf("3-float frame accepted after %d bytes, want 16", taken)
+		case (errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFrameTooLarge)) && taken != 4:
+			t.Fatalf("mis-sized frame rejected after %d bytes, want the 4-byte header only (%v)", taken, err)
+		case taken > 16:
+			t.Fatalf("float reader took %d bytes for a 12-byte chunk (%v)", taken, err)
+		}
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
 			frame, err := readFrame(r, maxFrame)

@@ -32,6 +32,7 @@ type Hub struct {
 	members  []int // sorted original ranks currently in the group
 	lost     []int // original ranks evicted by the most recent elastic shrink
 	cur      *round
+	spare    *round        // the previous round; becomes cur again at the next completion
 	aborted  chan struct{} // closed on Abort
 	abortErr error
 	gen      uint64      // group generation, bumped by each reform
@@ -56,10 +57,19 @@ type joinWait struct {
 	done chan struct{}
 }
 
+// round is one rendezvous: every rank deposits a byte payload (slots) or, for
+// an allreduce, a snapshot of its vector (f32), and reads the others' once
+// the round completes. The hub alternates between two rounds and allocates
+// none in steady state. That is safe because a rank deposits into round r+1
+// only after it has finished reading round r: when the last deposit of r+1
+// arrives, round r has no reader left and can be cleared for r+2. Completion
+// is signalled by one token per waiting rank on done, which for the same
+// reason are all consumed before the round is entered again.
 type round struct {
 	slots [][]byte
+	f32   [][]float32
 	count int
-	done  chan struct{}
+	done  chan struct{} // cap n-1: one token per rank that waited
 }
 
 // NewHub creates a hub for n workers.
@@ -75,6 +85,7 @@ func NewHub(n int) *Hub {
 		world:    n,
 		members:  members,
 		cur:      newRound(n),
+		spare:    newRound(n),
 		aborted:  make(chan struct{}),
 		pending:  make(map[int]*joinWait),
 		reformTO: DefaultReformTimeout,
@@ -232,7 +243,7 @@ func (h *Hub) commitLocked(rs *reformSync, members, lost []int) Membership {
 	h.lost = append([]int(nil), lost...)
 	h.aborted = make(chan struct{})
 	h.abortErr = nil
-	h.cur = newRound(len(members))
+	h.cur, h.spare = newRound(len(members)), newRound(len(members))
 	h.gen++
 	rs.mem = Membership{Gen: h.gen, Members: members, Rank: -1, Lost: h.lost}
 	h.ref = nil
@@ -262,7 +273,7 @@ func (h *Hub) reform(orig int) (uint64, error) {
 }
 
 func newRound(n int) *round {
-	return &round{slots: make([][]byte, n), done: make(chan struct{})}
+	return &round{slots: make([][]byte, n), f32: make([][]float32, n), done: make(chan struct{}, n-1)}
 }
 
 // Worker returns the collective handle for the given original rank.
@@ -337,23 +348,24 @@ func (h *Hub) abortedErr() error {
 	return ErrAborted
 }
 
-// exchange deposits this worker's payload and returns everyone's payloads in
-// current-rank order. Each round object is written only before its done
-// channel closes and read only after, so rounds are race-free; the last
-// depositor installs a fresh round before waking the others, letting fast
-// workers proceed to the next operation immediately. An aborted hub fails
-// the exchange instead of blocking on peers that will never deposit, and a
-// worker the group has moved on without fails with ErrEvicted.
+// exchange deposits this worker's payload — bytes, or an allreduce snapshot
+// — and returns the completed round, whose slots are in current-rank order.
+// A round's slots are written only before it completes and read only after,
+// so rounds are race-free; the last depositor makes the other round current
+// before waking the rest, letting fast workers proceed to the next operation
+// immediately. An aborted hub fails the exchange instead of blocking on peers
+// that will never deposit, and a worker the group has moved on without fails
+// with ErrEvicted.
 //
 // Though no packet leaves the process, the deposited payload is accounted as
 // wire traffic in the telemetry registry: the hub substitutes for a network,
 // so its "wire" volume is what a real transport would have carried.
-func (h *Hub) exchange(orig int, payload []byte) ([][]byte, error) {
+func (h *Hub) exchange(orig int, payload []byte, snap []float32) (*round, error) {
 	if err := h.abortedErr(); err != nil {
 		return nil, err
 	}
 	telemetry.Default.Add(telemetry.CtrCollectiveOps, 1)
-	telemetry.Default.Add(telemetry.CtrWireBytesSent, int64(len(payload)))
+	telemetry.Default.Add(telemetry.CtrWireBytesSent, int64(len(payload)+4*len(snap)))
 	h.mu.Lock()
 	idx := indexOf(h.members, orig)
 	if idx < 0 {
@@ -361,29 +373,37 @@ func (h *Hub) exchange(orig int, payload []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("rank %d: %w", orig, ErrEvicted)
 	}
 	r := h.cur
-	r.slots[idx] = payload
+	r.slots[idx], r.f32[idx] = payload, snap
 	r.count++
-	if r.count == len(r.slots) {
-		h.cur = newRound(len(r.slots))
-		close(r.done)
+	last := r.count == len(r.slots)
+	if last {
+		clear(h.spare.slots)
+		clear(h.spare.f32)
+		h.spare.count = 0
+		h.cur, h.spare = h.spare, r
+		for i := 1; i < len(r.slots); i++ {
+			r.done <- struct{}{}
+		}
 	}
 	aborted := h.aborted
 	h.mu.Unlock()
-	select {
-	case <-r.done:
-		var recv int64
-		for i, s := range r.slots {
-			if i != idx {
-				recv += int64(len(s))
-			}
+	if !last {
+		select {
+		case <-r.done:
+		case <-aborted:
+			// The round may still complete concurrently, but once the group is
+			// poisoned no result can be trusted; fail deterministically.
+			return nil, h.abortedErr()
 		}
-		telemetry.Default.Add(telemetry.CtrWireBytesRecv, recv)
-		return r.slots, nil
-	case <-aborted:
-		// The round may still complete concurrently, but once the group is
-		// poisoned no result can be trusted; fail deterministically.
-		return nil, h.abortedErr()
 	}
+	var recv int64
+	for i := range r.slots {
+		if i != idx {
+			recv += int64(len(r.slots[i]) + 4*len(r.f32[i]))
+		}
+	}
+	telemetry.Default.Add(telemetry.CtrWireBytesRecv, recv)
+	return r, nil
 }
 
 // InProc is one worker's handle onto a Hub. rank is the worker's original,
@@ -393,6 +413,13 @@ type InProc struct {
 	rank int
 	join *joinWait // non-nil until a pending joiner is absorbed
 	step int64
+	// snaps are the buffers AllreduceF32 deposits its input in; snap indexes
+	// the next one and flips after each completed allreduce. Peers read the
+	// snapshot of allreduce k only until they deposit into a later round,
+	// which all of them have done once this worker's allreduce k+1 completes
+	// — so when k+2 overwrites k's buffer, nobody is reading it.
+	snaps [2][]float32
+	snap  int
 }
 
 var _ Collective = (*InProc)(nil)
@@ -501,25 +528,27 @@ func (w *InProc) JoinGroup(wait time.Duration) (Membership, error) {
 }
 
 // AllreduceF32 sums x across workers in place. Every worker reduces the
-// gathered slices in rank order, so results are bitwise identical everywhere.
+// deposited snapshots in rank order (0 + s₀ + s₁ + …), so results are bitwise
+// identical everywhere.
 func (w *InProc) AllreduceF32(x []float32) error {
 	w.step++
-	buf := f32ToBytes(x)
+	snap := append(w.snaps[w.snap][:0], x...)
+	w.snaps[w.snap] = snap
 	xt0 := xrank.Default.Start()
-	all, err := w.hub.exchange(w.rank, buf)
-	xrank.Default.RecordOp(w.rank, xrank.OpAllreduce, w.step, int64(len(buf)), xt0)
+	r, err := w.hub.exchange(w.rank, nil, snap)
+	xrank.Default.RecordOp(w.rank, xrank.OpAllreduce, w.step, int64(4*len(x)), xt0)
 	if err != nil {
 		return wrapErr(w.rank, OpAllreduce, w.step, err)
 	}
-	for i := range x {
-		x[i] = 0
-	}
-	for _, b := range all {
-		other := bytesToF32(b)
+	w.snap ^= 1
+	for _, other := range r.f32 {
 		if len(other) != len(x) {
 			return wrapErr(w.rank, OpAllreduce, w.step,
 				fmt.Errorf("allreduce length mismatch: %d vs %d", len(other), len(x)))
 		}
+	}
+	clear(x)
+	for _, other := range r.f32 {
 		for i, v := range other {
 			x[i] += v
 		}
@@ -531,14 +560,12 @@ func (w *InProc) AllreduceF32(x []float32) error {
 func (w *InProc) AllgatherBytes(b []byte) ([][]byte, error) {
 	w.step++
 	xt0 := xrank.Default.Start()
-	all, err := w.hub.exchange(w.rank, b)
+	r, err := w.hub.exchange(w.rank, b, nil)
 	xrank.Default.RecordOp(w.rank, xrank.OpAllgather, w.step, int64(len(b)), xt0)
 	if err != nil {
 		return nil, wrapErr(w.rank, OpAllgather, w.step, err)
 	}
-	out := make([][]byte, len(all))
-	copy(out, all)
-	return out, nil
+	return append([][]byte(nil), r.slots...), nil
 }
 
 // BroadcastBytes distributes root's payload. root is a current rank.
@@ -556,19 +583,19 @@ func (w *InProc) BroadcastBytes(b []byte, root int) ([]byte, error) {
 		payload = b
 	}
 	xt0 := xrank.Default.Start()
-	all, err := w.hub.exchange(w.rank, payload)
+	r, err := w.hub.exchange(w.rank, payload, nil)
 	xrank.Default.RecordOp(w.rank, xrank.OpBroadcast, w.step, int64(len(payload)), xt0)
 	if err != nil {
 		return nil, wrapErr(w.rank, OpBroadcast, w.step, err)
 	}
-	return all[root], nil
+	return r.slots[root], nil
 }
 
 // Barrier blocks until all workers arrive.
 func (w *InProc) Barrier() error {
 	w.step++
 	xt0 := xrank.Default.Start()
-	_, err := w.hub.exchange(w.rank, nil)
+	_, err := w.hub.exchange(w.rank, nil, nil)
 	xrank.Default.RecordOp(w.rank, xrank.OpBarrier, w.step, 0, xt0)
 	if err != nil {
 		return wrapErr(w.rank, OpBarrier, w.step, err)
@@ -587,21 +614,4 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// f32ToBytes reinterprets a float32 slice as little-endian bytes by copy.
-func f32ToBytes(x []float32) []byte {
-	out := make([]byte, len(x)*4)
-	for i, v := range x {
-		putF32(out[i*4:], v)
-	}
-	return out
-}
-
-func bytesToF32(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = getF32(b[i*4:])
-	}
-	return out
 }

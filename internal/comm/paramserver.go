@@ -23,6 +23,7 @@ type PSHub struct {
 
 type psRound struct {
 	slots   [][]byte
+	vecs    [][]float32 // allreduce inputs, summed by the last depositor
 	reduced []float32
 	count   int
 	done    chan struct{}
@@ -37,7 +38,7 @@ func NewPSHub(n int) *PSHub {
 }
 
 func newPSRound(n int) *psRound {
-	return &psRound{slots: make([][]byte, n), done: make(chan struct{})}
+	return &psRound{slots: make([][]byte, n), vecs: make([][]float32, n), done: make(chan struct{})}
 }
 
 // Worker returns the handle for one rank.
@@ -48,16 +49,17 @@ func (h *PSHub) Worker(rank int) *PSWorker {
 	return &PSWorker{hub: h, rank: rank}
 }
 
-// push deposits a payload; the last depositor (acting as the server's
-// aggregation step) optionally sums float32 payloads before waking everyone.
-func (h *PSHub) push(rank int, payload []byte, reduce bool) *psRound {
+// push deposits a payload or an allreduce vector; the last depositor (acting
+// as the server's aggregation step) sums the vectors before waking everyone.
+// Every depositor is still blocked here then, so the vectors need no copy.
+func (h *PSHub) push(rank int, payload []byte, vec []float32) *psRound {
 	h.mu.Lock()
 	r := h.cur
-	r.slots[rank] = payload
+	r.slots[rank], r.vecs[rank] = payload, vec
 	r.count++
 	if r.count == h.n {
-		if reduce {
-			r.reduced = sumF32Payloads(r.slots)
+		if vec != nil {
+			r.reduced = sumVecs(r.vecs)
 		}
 		h.cur = newPSRound(h.n)
 		close(r.done)
@@ -67,13 +69,12 @@ func (h *PSHub) push(rank int, payload []byte, reduce bool) *psRound {
 	return r
 }
 
-func sumF32Payloads(slots [][]byte) []float32 {
-	if len(slots) == 0 || len(slots[0]) == 0 {
+func sumVecs(vecs [][]float32) []float32 {
+	if len(vecs[0]) == 0 {
 		return nil
 	}
-	out := bytesToF32(slots[0])
-	for _, b := range slots[1:] {
-		other := bytesToF32(b)
+	out := append([]float32(nil), vecs[0]...)
+	for _, other := range vecs[1:] {
 		for i := range out {
 			if i < len(other) {
 				out[i] += other[i]
@@ -100,7 +101,7 @@ func (w *PSWorker) Size() int { return w.hub.n }
 // AllreduceF32 pushes the vector to the server, which sums once; every
 // worker pulls the same aggregate.
 func (w *PSWorker) AllreduceF32(x []float32) error {
-	r := w.hub.push(w.rank, f32ToBytes(x), true)
+	r := w.hub.push(w.rank, nil, x)
 	if len(r.reduced) != len(x) {
 		return fmt.Errorf("comm: ps allreduce length mismatch: %d vs %d", len(r.reduced), len(x))
 	}
@@ -111,7 +112,7 @@ func (w *PSWorker) AllreduceF32(x []float32) error {
 // AllgatherBytes pushes the payload and pulls everyone's (the server relays
 // all payloads, which is what makes PS allgather expensive at scale).
 func (w *PSWorker) AllgatherBytes(b []byte) ([][]byte, error) {
-	r := w.hub.push(w.rank, b, false)
+	r := w.hub.push(w.rank, b, nil)
 	out := make([][]byte, len(r.slots))
 	copy(out, r.slots)
 	return out, nil
@@ -126,12 +127,12 @@ func (w *PSWorker) BroadcastBytes(b []byte, root int) ([]byte, error) {
 	if w.rank == root {
 		payload = b
 	}
-	r := w.hub.push(w.rank, payload, false)
+	r := w.hub.push(w.rank, payload, nil)
 	return r.slots[root], nil
 }
 
 // Barrier blocks until all workers arrive at the server.
 func (w *PSWorker) Barrier() error {
-	w.hub.push(w.rank, nil, false)
+	w.hub.push(w.rank, nil, nil)
 	return nil
 }

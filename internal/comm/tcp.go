@@ -686,19 +686,20 @@ func (t *TCPRing) BarrierCtx(ctx context.Context) error {
 }
 
 // close tears down both ring connections (and the heartbeat channel, when
-// enabled) gracefully.
+// enabled) gracefully, and waits for the sender goroutine.
 func (c *incarnation) close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if c.hbStop != nil {
-		close(c.hbStop)
+	close(c.stop)
+	if c.hbNext != nil {
 		window := c.hbInterval * time.Duration(c.hbMisses)
 		sayGoodbye(c.hbNext, window)
 		sayGoodbye(c.hbPrev, window)
 	}
 	err1 := c.next.Close()
 	err2 := c.prev.Close()
+	<-c.sendDone
 	if err1 != nil {
 		return err1
 	}
@@ -706,23 +707,23 @@ func (c *incarnation) close() error {
 }
 
 // kill abruptly severs every ring and heartbeat connection without the
-// goodbye handshake, reproducing the socket teardown of a process death.
-// A later close is a no-op.
+// goodbye handshake, reproducing the socket teardown of a process death, and
+// waits for the sender goroutine. A later close is a no-op.
 func (c *incarnation) kill() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if c.hbStop != nil {
-		close(c.hbStop)
-	}
+	close(c.stop)
 	c.severAll()
+	<-c.sendDone
 }
 
 // hang stops the pings and marks the incarnation closed without touching its
-// sockets. A later close or kill is a no-op.
+// sockets; the sender goroutine leaves once the frame it may be writing is
+// done, and is not waited for. A later close or kill is a no-op.
 func (c *incarnation) hang() {
-	if c.closed.CompareAndSwap(false, true) && c.hbStop != nil {
-		close(c.hbStop)
+	if c.closed.CompareAndSwap(false, true) {
+		close(c.stop)
 	}
 }
 
@@ -823,16 +824,19 @@ func (c *incarnation) ctxErr() error {
 }
 
 // sendFrame writes one length-prefixed frame to the successor under the
-// per-op write deadline.
-func (c *incarnation) sendFrame(b []byte) error {
+// per-op write deadline: the header, then b, then f encoded little-endian
+// straight into the write buffer's free space, a buffer-sized piece at a time
+// (no staging copy). It runs on the sender goroutine.
+func (c *incarnation) sendFrame(b []byte, f []float32) error {
 	if err := c.livenessErr(); err != nil {
 		return err
 	}
 	if err := c.ctxErr(); err != nil {
 		return err
 	}
-	if len(b) > c.maxFrame {
-		return fmt.Errorf("%w: sending %d bytes > limit %d", ErrFrameTooLarge, len(b), c.maxFrame)
+	size := len(b) + 4*len(f)
+	if size > c.maxFrame {
+		return fmt.Errorf("%w: sending %d bytes > limit %d", ErrFrameTooLarge, size, c.maxFrame)
 	}
 	span := telemetry.Default.Start()
 	if dl := c.frameDeadline(); !dl.IsZero() {
@@ -840,132 +844,242 @@ func (c *incarnation) sendFrame(b []byte) error {
 			return c.frameErr(fmt.Errorf("set write deadline: %w", err))
 		}
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := c.nextW.Write(hdr[:]); err != nil {
+	// Every frame ends flushed, so the header fits the free space (a stack
+	// array would escape through Write).
+	hdr := binary.LittleEndian.AppendUint32(c.nextW.AvailableBuffer(), uint32(size))
+	if _, err := c.nextW.Write(hdr); err != nil {
 		return c.frameErr(err)
 	}
 	if _, err := c.nextW.Write(b); err != nil {
 		return c.frameErr(err)
 	}
+	for len(f) > 0 {
+		buf := c.nextW.AvailableBuffer()
+		m := min(len(f), cap(buf)/4)
+		if m == 0 {
+			if err := c.nextW.Flush(); err != nil {
+				return c.frameErr(err)
+			}
+			continue
+		}
+		buf = buf[:4*m]
+		for i, v := range f[:m] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		if _, err := c.nextW.Write(buf); err != nil {
+			return c.frameErr(err)
+		}
+		f = f[m:]
+	}
 	if err := c.frameErr(c.nextW.Flush()); err != nil {
 		return err
 	}
-	telemetry.Default.Add(telemetry.CtrWireBytesSent, int64(4+len(b)))
+	telemetry.Default.Add(telemetry.CtrWireBytesSent, int64(4+size))
 	telemetry.Default.Observe(telemetry.PhaseWireSend, c.rank, telemetry.TIDWireSend, "", span)
 	return nil
 }
 
-// recvFrame reads one length-prefixed frame from the predecessor under the
-// per-op read deadline. A header announcing more than MaxFrameBytes is
-// rejected before any body allocation: a corrupt or hostile 4-byte prefix
-// must not be able to demand a multi-gigabyte buffer.
-func (c *incarnation) recvFrame() ([]byte, error) {
+// beginRecv runs the checks every incoming frame starts with and arms the
+// per-op read deadline; endRecv maps the reader's verdict and accounts a frame
+// of n body bytes.
+func (c *incarnation) beginRecv() (span time.Time, err error) {
 	if err := c.livenessErr(); err != nil {
-		return nil, err
+		return span, err
 	}
 	if err := c.ctxErr(); err != nil {
-		return nil, err
+		return span, err
 	}
-	span := telemetry.Default.Start()
+	span = telemetry.Default.Start()
 	if dl := c.frameDeadline(); !dl.IsZero() {
 		if err := c.prev.SetReadDeadline(dl); err != nil {
-			return nil, c.frameErr(fmt.Errorf("set read deadline: %w", err))
+			return span, c.frameErr(fmt.Errorf("set read deadline: %w", err))
 		}
 	}
-	b, err := readFrame(c.prevR, c.maxFrame)
-	if err != nil {
-		return b, c.frameErr(err)
-	}
-	telemetry.Default.Add(telemetry.CtrWireBytesRecv, int64(4+len(b)))
-	telemetry.Default.Observe(telemetry.PhaseWireRecv, c.rank, telemetry.TIDWireRecv, "", span)
-	return b, nil
+	return span, nil
 }
 
-// readFrame decodes one length-prefixed frame from r, rejecting bodies
-// larger than maxFrame without allocating them. It is the ring's frame codec,
-// factored out so the fuzz harness can drive it with arbitrary byte streams.
-func readFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := ioReadFull(r, hdr[:]); err != nil {
+func (c *incarnation) endRecv(span time.Time, n int, err error) error {
+	if err != nil {
+		return c.frameErr(err)
+	}
+	telemetry.Default.Add(telemetry.CtrWireBytesRecv, int64(4+n))
+	telemetry.Default.Observe(telemetry.PhaseWireRecv, c.rank, telemetry.TIDWireRecv, "", span)
+	return nil
+}
+
+// recvFrame reads one frame from the predecessor into a buffer the caller keeps.
+func (c *incarnation) recvFrame() ([]byte, error) {
+	span, err := c.beginRecv()
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	b, err := readFrame(c.prevR, c.maxFrame)
+	return b, c.endRecv(span, len(b), err)
+}
+
+// recvF32 reads one frame from the predecessor into dst (see readF32Frame).
+func (c *incarnation) recvF32(dst []float32, add bool) error {
+	span, err := c.beginRecv()
+	if err != nil {
+		return err
+	}
+	return c.endRecv(span, 4*len(dst), readF32Frame(c.prevR, c.maxFrame, dst, add))
+}
+
+// readFrameLen decodes a frame's length prefix. A header announcing more than
+// maxFrame is rejected before any body is read or allocated: a corrupt or
+// hostile prefix must not be able to demand a multi-gigabyte buffer.
+func readFrameLen(r *bufio.Reader, maxFrame int) (int, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	r.Discard(4)
 	if uint64(n) > uint64(maxFrame) {
-		return nil, fmt.Errorf("%w: header claims %d bytes > limit %d", ErrFrameTooLarge, n, maxFrame)
+		return 0, fmt.Errorf("%w: header claims %d bytes > limit %d", ErrFrameTooLarge, n, maxFrame)
+	}
+	return int(n), nil
+}
+
+// readFrame decodes one length-prefixed frame from r into a new buffer. With
+// readF32Frame it is the ring's frame codec, factored out so the fuzz harness
+// can drive it with arbitrary byte streams.
+func readFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
+	n, err := readFrameLen(r, maxFrame)
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, n)
-	if _, err := ioReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-// appendFrame encodes b as a length-prefixed frame onto dst; the inverse of
-// readFrame, exposed for the codec fuzz harness.
-func appendFrame(dst, b []byte) []byte {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, b...)
+// readF32Frame decodes one frame that must carry exactly len(dst)
+// little-endian floats, adding them to dst (reduce-scatter) or storing them
+// (allgather phase). The header is checked against the chunk before any body
+// byte is consumed, and the body is decoded out of r's own buffer as it fills.
+// On an error dst may be partly updated.
+func readF32Frame(r *bufio.Reader, maxFrame int, dst []float32, add bool) error {
+	n, err := readFrameLen(r, maxFrame)
+	if err != nil {
+		return err
+	}
+	if n != 4*len(dst) {
+		return fmt.Errorf("%w: allreduce frame of %d bytes, chunk is %d", ErrCorrupt, n, 4*len(dst))
+	}
+	for len(dst) > 0 {
+		if _, err := r.Peek(4); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		m := min(len(dst), r.Buffered()/4)
+		p, _ := r.Peek(4 * m)
+		for i := range dst[:m] {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+			if add {
+				v = dst[i] + v
+			}
+			dst[i] = v
+		}
+		r.Discard(4 * m)
+		dst = dst[m:]
+	}
+	return nil
 }
 
-// sendRecv overlaps a send to the successor with a receive from the
-// predecessor, which is what keeps the ring deadlock-free for large frames.
-func (c *incarnation) sendRecv(out []byte) ([]byte, error) {
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.sendFrame(out) }()
-	in, rerr := c.recvFrame()
-	serr := <-errCh
-	if serr != nil {
-		return nil, fmt.Errorf("ring send: %w", serr)
+// sendJob is one outgoing frame handed to the sender goroutine: a byte body,
+// a float body, or (the barrier token) neither.
+type sendJob struct {
+	b []byte
+	f []float32
+}
+
+// senderLoop is the incarnation's one sender goroutine: writing each round's
+// frame here while the op's own goroutine reads the predecessor's is what
+// keeps the ring deadlock-free for large frames. It exits once the
+// incarnation is closed, killed or hung, after any frame it is writing.
+func (c *incarnation) senderLoop() {
+	defer close(c.sendDone)
+	for {
+		select {
+		case <-c.stop:
+			return
+		case j := <-c.sendJobs:
+			c.sendErrs <- c.sendFrame(j.b, j.f)
+		}
+	}
+}
+
+// startSend hands one frame to the sender; every successful startSend must be
+// paired with a joinSend before the next.
+func (c *incarnation) startSend(b []byte, f []float32) error {
+	select {
+	case c.sendJobs <- sendJob{b, f}:
+		return nil
+	case <-c.stop:
+		return fmt.Errorf("ring send: %w", c.frameErr(net.ErrClosed))
+	}
+}
+
+// joinSend waits for the frame in flight and merges its verdict with the
+// receive side's.
+func (c *incarnation) joinSend(rerr error) error {
+	if serr := <-c.sendErrs; serr != nil {
+		return fmt.Errorf("ring send: %w", serr)
 	}
 	if rerr != nil {
-		return nil, fmt.Errorf("ring recv: %w", rerr)
+		return fmt.Errorf("ring recv: %w", rerr)
 	}
-	return in, nil
+	return nil
+}
+
+// sendRecv overlaps sending out to the successor with receiving one frame
+// from the predecessor.
+func (c *incarnation) sendRecv(out []byte) ([]byte, error) {
+	if err := c.startSend(out, nil); err != nil {
+		return nil, err
+	}
+	in, rerr := c.recvFrame()
+	return in, c.joinSend(rerr)
+}
+
+// sendRecvF32 is one allreduce round: send streams out through the write
+// buffer while the predecessor's frame streams through the read buffer into
+// recv. The two must not overlap.
+func (c *incarnation) sendRecvF32(send, recv []float32, add bool) error {
+	if err := c.startSend(nil, send); err != nil {
+		return err
+	}
+	return c.joinSend(c.recvF32(recv, add))
 }
 
 // allreduceRounds is AllreduceF32's ring schedule, split out so the op-level
-// xrank event covers exactly the time spent in ring I/O.
+// xrank event covers exactly the time spent in ring I/O. The chunks a round
+// sends and receives are distinct, so the sender reads x while this goroutine
+// writes it.
 func (c *incarnation) allreduceRounds(step int64, x []float32) error {
 	n := c.n
-	chunk := func(i int) (lo, hi int) {
+	chunk := func(i int) []float32 {
 		i = ((i % n) + n) % n
-		lo = i * len(x) / n
-		hi = (i + 1) * len(x) / n
-		return
+		return x[i*len(x)/n : (i+1)*len(x)/n]
 	}
 	// Reduce-scatter: after n-1 steps, rank r holds the fully reduced chunk
 	// (r+1) mod n.
 	for s := 0; s < n-1; s++ {
-		sendLo, sendHi := chunk(c.rank - s)
-		recvLo, recvHi := chunk(c.rank - s - 1)
-		in, err := c.sendRecv(f32ToBytes(x[sendLo:sendHi]))
-		if err != nil {
+		if err := c.sendRecvF32(chunk(c.rank-s), chunk(c.rank-s-1), true); err != nil {
 			return wrapErr(c.rank, OpAllreduce, step, err)
-		}
-		recv := bytesToF32(in)
-		if len(recv) != recvHi-recvLo {
-			return wrapErr(c.rank, OpAllreduce, step, fmt.Errorf("allreduce chunk size mismatch"))
-		}
-		for i, v := range recv {
-			x[recvLo+i] += v
 		}
 	}
 	// Allgather of the reduced chunks.
 	for s := 0; s < n-1; s++ {
-		sendLo, sendHi := chunk(c.rank + 1 - s)
-		recvLo, recvHi := chunk(c.rank - s)
-		in, err := c.sendRecv(f32ToBytes(x[sendLo:sendHi]))
-		if err != nil {
+		if err := c.sendRecvF32(chunk(c.rank+1-s), chunk(c.rank-s), false); err != nil {
 			return wrapErr(c.rank, OpAllreduce, step, err)
 		}
-		recv := bytesToF32(in)
-		if len(recv) != recvHi-recvLo {
-			return wrapErr(c.rank, OpAllreduce, step, fmt.Errorf("allgather chunk size mismatch"))
-		}
-		copy(x[recvLo:recvHi], recv)
 	}
 	return nil
 }
@@ -991,41 +1105,20 @@ func (c *incarnation) broadcastRounds(step int64, b []byte, root int) ([]byte, e
 		return nil, wrapErr(c.rank, OpBroadcast, step, fmt.Errorf("broadcast root %d out of range", root))
 	}
 	if c.rank == root {
-		if err := c.sendFrame(b); err != nil {
-			return nil, wrapErr(c.rank, OpBroadcast, step, err)
-		}
-		// Absorb the frame completing the loop.
-		if _, err := c.recvFrame(); err != nil {
+		// The frame completing the loop is absorbed.
+		if _, err := c.sendRecv(b); err != nil {
 			return nil, wrapErr(c.rank, OpBroadcast, step, err)
 		}
 		return b, nil
 	}
 	in, err := c.recvFrame()
+	if err == nil {
+		if err = c.startSend(in, nil); err == nil {
+			err = c.joinSend(nil)
+		}
+	}
 	if err != nil {
 		return nil, wrapErr(c.rank, OpBroadcast, step, err)
 	}
-	if err := c.sendFrame(in); err != nil {
-		return nil, wrapErr(c.rank, OpBroadcast, step, err)
-	}
 	return in, nil
-}
-
-func ioReadFull(r *bufio.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func putF32(b []byte, v float32) {
-	binary.LittleEndian.PutUint32(b, math.Float32bits(v))
-}
-
-func getF32(b []byte) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b))
 }

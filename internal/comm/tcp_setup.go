@@ -82,17 +82,24 @@ type incarnation struct {
 
 	// opCtx is the context of the collective op in flight when it can expire
 	// (nil under the background context). The handle is single-goroutine by
-	// contract, and sendRecv's helper goroutine is spawned after the field is
-	// written and joined before the op returns, so no synchronization is
-	// needed.
+	// contract, and the sender goroutine is handed each frame after the field
+	// is written and has reported back before the op returns, so no
+	// synchronization is needed.
 	opCtx context.Context
+
+	// The sender goroutine (senderLoop), started with the incarnation; after
+	// setup it is the only writer of nextW. stop is closed by whichever of
+	// close, kill and hang comes first, and also ends the ping loop.
+	sendJobs chan sendJob
+	sendErrs chan error // cap 1: the sender never blocks reporting a frame
+	sendDone chan struct{}
+	stop     chan struct{}
 
 	// Liveness side channel (nil/zero when RingConfig.Heartbeat is off).
 	hbNext     *hbLink // heartbeat link to rank+1 (this side dialed)
 	hbPrev     *hbLink // heartbeat link from rank-1 (this side accepted)
 	hbInterval time.Duration
 	hbMisses   int
-	hbStop     chan struct{}
 
 	peerMu  sync.Mutex
 	peerErr error // first liveness failure; poisons all frame ops
@@ -264,6 +271,8 @@ func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Tim
 		rank: rank, n: n, gen: gen,
 		members: cfg.Members, digest: membershipDigest(cfg.Members),
 		next: next, prev: prev,
+		sendJobs: make(chan sendJob), sendErrs: make(chan error, 1),
+		sendDone: make(chan struct{}), stop: make(chan struct{}),
 	}
 	c.nextW = bufio.NewWriterSize(next, 1<<16)
 	c.prevR = bufio.NewReaderSize(prev, 1<<16)
@@ -293,11 +302,11 @@ func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Tim
 		if c.hbMisses <= 0 {
 			c.hbMisses = DefaultHeartbeatMisses
 		}
-		c.hbStop = make(chan struct{})
 		go c.pingLoop()
 		go c.watchLoop(c.hbPrev)
 		go c.watchLoop(c.hbNext)
 	}
+	go c.senderLoop()
 	return c, 0, nil
 }
 
@@ -477,7 +486,7 @@ func (c *incarnation) confirmRing(deadline time.Time) (uint64, error) {
 			return 0, err
 		}
 		c.prev.SetReadDeadline(deadline)
-		if _, err := ioReadFull(c.prevR, tok[:]); err != nil {
+		if _, err := io.ReadFull(c.prevR, tok[:]); err != nil {
 			return 0, err
 		}
 		kind, got, err := parseHandshake(tok[:])
@@ -625,7 +634,7 @@ func (c *incarnation) pingLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-c.hbStop:
+		case <-c.stop:
 			return
 		case <-ticker.C:
 		}
@@ -794,7 +803,7 @@ func (c *incarnation) frameErr(err error) error {
 	// verdict: the data and heartbeat sockets reset at the same instant. Give
 	// the liveness layer one miss window to render its judgment so callers see
 	// ErrPeerDead rather than a bare EOF/reset.
-	if c.hbStop != nil && !c.closed.Load() {
+	if c.hbNext != nil && !c.closed.Load() {
 		deadline := time.Now().Add(c.hbInterval * time.Duration(c.hbMisses))
 		for time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)

@@ -21,6 +21,12 @@ func hostileFrame(n uint32) []byte {
 	return hdr[:]
 }
 
+// appendFrame encodes b as a length-prefixed frame onto dst: what sendFrame
+// puts on the wire for a byte body, and the inverse of readFrame.
+func appendFrame(dst, b []byte) []byte {
+	return append(append(dst, hostileFrame(uint32(len(b)))...), b...)
+}
+
 // TestReadFrameRejectsOversizedHeader: a corrupt/hostile 4-byte length prefix
 // must be rejected before the body buffer is allocated.
 func TestReadFrameRejectsOversizedHeader(t *testing.T) {

@@ -98,7 +98,7 @@ func mixedOps(c Collective) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		h.Write(f32ToBytes(x))
+		h.Write(leFloats(x...))
 		for _, p := range all {
 			h.Write(p)
 		}

@@ -6,6 +6,7 @@ package cbase
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/encode"
 )
@@ -63,6 +64,10 @@ func DecodeSparseInto(buf []byte, dst []float32) error {
 	return r.Err()
 }
 
+// topkScratch recycles the len(g)-sized index permutation TopK selects in
+// (*[]int); only the k winners are copied out.
+var topkScratch = sync.Pool{New: func() any { return new([]int) }}
+
 // TopK returns the indices of the k elements of g with the largest absolute
 // values (k clamped to [1, len(g)] for non-empty g), in unspecified order.
 // Selection is O(d) expected via quickselect.
@@ -77,12 +82,18 @@ func TopK(g []float32, k int) []int {
 	if k > d {
 		k = d
 	}
-	idx := make([]int, d)
+	sp := topkScratch.Get().(*[]int)
+	if cap(*sp) < d {
+		*sp = make([]int, d)
+	}
+	idx := (*sp)[:d]
 	for i := range idx {
 		idx[i] = i
 	}
 	quickSelectAbs(g, idx, k)
-	return idx[:k]
+	out := append([]int(nil), idx[:k]...)
+	topkScratch.Put(sp)
+	return out
 }
 
 // quickSelectAbs partially sorts idx so its first k entries reference the

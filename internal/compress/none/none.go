@@ -33,9 +33,11 @@ func (Compressor) Name() string { return "none" }
 // Strategy returns Allreduce: dense float32 sums directly.
 func (Compressor) Strategy() grace.Strategy { return grace.Allreduce }
 
-// Compress copies the gradient into a dense payload.
+// Compress hands the gradient through as the dense payload. The payload
+// aliases g (see grace.Payload): whoever runs the collective copies it into
+// the buffer the allreduce sums in place.
 func (Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
-	return &grace.Payload{Dense: append([]float32(nil), g...)}, nil
+	return &grace.Payload{Dense: g}, nil
 }
 
 // Decompress copies the dense payload back out.

@@ -65,7 +65,8 @@ type Engine struct {
 	compVec [][]float32 // what went into the codec (comp[i] or the raw grad)
 	pays    []*Payload
 	gathers [][][]byte // allgather results awaiting decode
-	summed  [][]float32
+	summed  [][]float32 // allreduce results awaiting decode, backed by sumBuf or fusedBuf
+	sumBuf  [][]float32 // per-tensor allreduce working buffers, kept across steps
 	gsz     [][]int // persistent GatherSizes backing store
 	have    []bool  // driver-side arrival tracking
 	failed  []bool  // recoverable per-tensor decode failures (DecodeFallback)
@@ -89,18 +90,14 @@ type Engine struct {
 
 	// Fusion state. buckets is the step's bucket plan (contiguous tensor
 	// ranges, identical on every rank); bucketOf inverts it. For multi-tensor
-	// allreduce buckets the summed result is one pooled fused buffer shared
-	// by the bucket's tensors as subslices: fusedBuf holds it, fusedRef
-	// counts outstanding decodes (atomic — lanes decode concurrently), and
-	// sharedSummed[i] tells the decoding lane that tensor i's summed slice is
-	// a shared segment, returned to the pool only by the last decoder. gsplit
-	// is the per-tensor per-rank view of split fused allgather frames.
-	buckets      []Bucket
-	bucketOf     []int
-	fusedBuf     [][]float32
-	fusedRef     []int32
-	sharedSummed []bool
-	gsplit       [][][]byte
+	// allreduce buckets the summed result is one fused buffer shared by the
+	// bucket's tensors as subslices: fusedBuf holds it, kept across steps like
+	// sumBuf. gsplit is the per-tensor per-rank view of split fused allgather
+	// frames.
+	buckets  []Bucket
+	bucketOf []int
+	fusedBuf [][]float32
+	gsplit   [][][]byte
 
 	// Autotuning state (nil/empty when the engine runs a fixed method).
 	// assign is the tuner's per-tensor plan for the current step; obs is the
@@ -797,9 +794,9 @@ func (e *Engine) issueBucket(bi int, infos []TensorInfo) error {
 	return e.issueFusedAllgather(bi, b, infos)
 }
 
-// issueFusedAllreduce concatenates the bucket's dense payloads into one
-// pooled buffer, allreduces it in a single round, and hands each tensor its
-// segment as a shared subslice. Per-element summation is position-independent
+// issueFusedAllreduce concatenates the bucket's dense payloads into the
+// bucket's buffer, allreduces it in a single round, and hands each tensor its
+// segment as a subslice. Per-element summation is position-independent
 // on rank-ordered substrates (the in-process hub), so each segment's sum is
 // bitwise identical to the unfused per-tensor allreduce there; ring
 // transports chunk by element position, so fused results remain internally
@@ -815,7 +812,7 @@ func (e *Engine) issueFusedAllreduce(bi int, b Bucket, infos []TensorInfo) error
 		}
 		total += len(pay.Dense)
 	}
-	fused := getF32(total)
+	fused := sized(&e.fusedBuf[bi], total)
 	off := 0
 	for i := b.Lo; i < b.Hi; i++ {
 		off += copy(fused[off:], e.pays[i].Dense)
@@ -825,18 +822,14 @@ func (e *Engine) issueFusedAllreduce(bi int, b Bucket, infos []TensorInfo) error
 
 	span = e.drv.start()
 	if err := e.coll.AllreduceF32(fused); err != nil {
-		putF32(fused)
 		return &StepError{Tensor: b.Lo, Name: infos[b.Lo].Name, Phase: "collective", Err: err}
 	}
 	e.drv.end(telemetry.PhaseCollective, infos[b.Lo].Name, span)
 
-	e.fusedBuf[bi] = fused
-	atomic.StoreInt32(&e.fusedRef[bi], int32(b.size()))
 	off = 0
 	for i := b.Lo; i < b.Hi; i++ {
 		n := len(e.pays[i].Dense)
 		e.summed[i] = fused[off : off+n : off+n]
-		e.sharedSummed[i] = true
 		e.rep.Tensors[i].RecvBytes = n * 4
 		off += n
 		e.lanes[i%len(e.lanes)].dec <- i
@@ -914,20 +907,15 @@ func (e *Engine) issueFusedAllgather(bi int, b Bucket, infos []TensorInfo) error
 	return nil
 }
 
-// releaseSummed returns tensor i's allreduce result buffer to the pool. A
-// tensor from a multi-tensor bucket holds a segment of the bucket's shared
-// fused buffer, which only the last decoder may release; an aborted step
-// leaves the refcount above zero and the buffer falls to the GC, which is
-// safe.
-func (e *Engine) releaseSummed(i int, summed []float32) {
-	if !e.sharedSummed[i] {
-		putF32(summed)
-		return
+// sized returns *buf at length n, replacing it when it is too small. The
+// allreduce working buffers live in the Engine rather than in the shared
+// pool: a tensor's buffer is read by its decoding lane while the driver is
+// inside the next tensor's collective, and is free again by the next Step.
+func sized(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
 	}
-	bi := e.bucketOf[i]
-	if atomic.AddInt32(&e.fusedRef[bi], -1) == 0 {
-		putF32(e.fusedBuf[bi])
-	}
+	return (*buf)[:n]
 }
 
 // issue runs tensor i's collective on the driver goroutine and hands the
@@ -969,12 +957,11 @@ func (e *Engine) issue(i int, info TensorInfo) error {
 			return fmt.Errorf("grace: %s uses Allreduce but produced no dense payload", cp.Name())
 		}
 		span := e.drv.start()
-		summed := getF32(len(pay.Dense))
+		summed := sized(&e.sumBuf[i], len(pay.Dense))
 		copy(summed, pay.Dense)
 		e.drv.end(telemetry.PhaseEncode, info.Name, span)
 		span = e.drv.start()
 		if err := e.coll.AllreduceF32(summed); err != nil {
-			putF32(summed)
 			return &StepError{Tensor: i, Name: info.Name, Phase: "collective", Err: err}
 		}
 		e.drv.end(telemetry.PhaseCollective, info.Name, span)
@@ -1033,13 +1020,11 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 			copy(e.out[i], summed)
 			scale(e.out[i], 1/e.n)
 			ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
-			e.releaseSummed(i, summed)
 			break
 		}
 		span := ln.ts.start()
 		if caps.Into != nil {
 			if err := caps.Into.DecompressInto(&Payload{Dense: summed}, info, e.out[i]); err != nil {
-				e.releaseSummed(i, summed)
 				e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", cp.Name(), err))
 				return
 			}
@@ -1050,7 +1035,6 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 		} else {
 			agg, err := cp.Decompress(&Payload{Dense: summed}, info)
 			if err != nil {
-				e.releaseSummed(i, summed)
 				e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", cp.Name(), err))
 				return
 			}
@@ -1060,7 +1044,6 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 			ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 			e.out[i] = agg
 		}
-		e.releaseSummed(i, summed)
 
 	case Allgather:
 		all := e.gathers[i]
@@ -1176,8 +1159,6 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 		e.buckets = planBuckets(infos, e.fusion, strategy)
 		e.bucketOf = make([]int, m)
 		e.fusedBuf = make([][]float32, len(e.buckets))
-		e.fusedRef = make([]int32, len(e.buckets))
-		e.sharedSummed = make([]bool, m)
 		e.gsplit = make([][][]byte, m)
 		for bi, b := range e.buckets {
 			for i := b.Lo; i < b.Hi; i++ {
@@ -1194,6 +1175,7 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 		e.pays = make([]*Payload, m)
 		e.gathers = make([][][]byte, m)
 		e.summed = make([][]float32, m)
+		e.sumBuf = make([][]float32, m)
 		e.gsz = make([][]int, m)
 		e.have = make([]bool, m)
 		e.failed = make([]bool, m)
@@ -1283,11 +1265,6 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 		e.compVec[i] = nil
 		e.gathers[i] = nil
 		e.summed[i] = nil
-		e.sharedSummed[i] = false
-	}
-	for bi := range e.buckets {
-		e.fusedBuf[bi] = nil
-		e.fusedRef[bi] = 0
 	}
 	return nil
 }

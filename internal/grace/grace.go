@@ -85,6 +85,11 @@ func (t TensorInfo) Size() int {
 // Payload is one compressed gradient message. Exactly one of Dense and Bytes
 // is populated: Dense for Allreduce-strategy compressors (summable float32
 // form), Bytes for the packed Allgather wire format.
+//
+// Dense may alias the slice Compress was given (the identity codec returns
+// its input) and is read-only to whoever consumes the payload: Engine and
+// Pipeline copy it into a buffer of their own before the allreduce sums in
+// place. It is valid only as long as the Compress input is.
 type Payload struct {
 	Dense []float32
 	Bytes []byte
