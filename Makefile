@@ -16,10 +16,11 @@ test:
 race:
 	go test -race ./...
 
-# Engine vs sequential-Pipeline step exchange, plus the paper's figure
-# benchmarks.
+# Engine vs sequential-Pipeline step exchange, and the top-k selection
+# kernel across the benchmark workloads' tensor sizes and input shapes.
 bench:
 	go test -run xxx -bench BenchmarkStepExchange -benchmem .
+	go test -run xxx -bench BenchmarkTopK -benchmem ./internal/compress/cbase
 
 # benchmark/ is a Go module of its own, so the root `go vet`/`go test ./...`
 # never compile it: a comm or grace symbol it uses could be renamed and only

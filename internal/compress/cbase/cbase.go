@@ -4,7 +4,10 @@
 package cbase
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,20 +15,45 @@ import (
 )
 
 // EncodeSparse serializes selected (index, value) pairs:
-// [index block (delta varint)] [values, 4 bytes each]. Pairs are sorted by
-// index; idx and vals are mutated (sorted) in place.
+// [index block (delta varint), length-prefixed] [values, 4 bytes each]. Pairs
+// go out sorted by index; idx and vals are sorted in place unless they
+// already ascend. It panics on duplicate indices.
 func EncodeSparse(idx []int, vals []float32) []byte {
 	if len(idx) != len(vals) {
 		panic(fmt.Sprintf("cbase: %d indices vs %d values", len(idx), len(vals)))
 	}
-	encode.SortByIndex(idx, vals)
-	idxBlock := encode.EncodeIndices(idx)
-	w := encode.NewWriter(len(idxBlock) + 4*len(vals) + 8)
-	w.BytesSlice(idxBlock)
-	for _, v := range vals {
-		w.F32(v)
+	if !slices.IsSorted(idx) {
+		encode.SortByIndex(idx, vals)
 	}
-	return w.Bytes()
+	return encodeAscending(idx, func(n int) float32 { return vals[n] })
+}
+
+// EncodeTopK is EncodeSparse over the k elements of g that TopK selects. The
+// selection comes out in ascending index order, the order the wire format
+// wants, so it is written as it stands: no sort, no index or value list.
+func EncodeTopK(g []float32, k int) []byte {
+	if len(g) == 0 {
+		return EncodeSparse(nil, nil)
+	}
+	win, sp := selectTopK(g, k)
+	out := encodeAscending(win, func(n int) float32 { return g[win[n]] })
+	selPool.Put(sp)
+	return out
+}
+
+// encodeAscending writes EncodeSparse's format for strictly ascending idx in
+// one exactly sized allocation; value(n) is the value paired with idx[n].
+func encodeAscending[I encode.Index](idx []I, value func(n int) float32) []byte {
+	block := encode.IndicesLen(idx)
+	out := make([]byte, 0, binary.MaxVarintLen64+block+4*len(idx))
+	out, bad := encode.AppendIndices(binary.AppendUvarint(out, uint64(block)), idx)
+	if bad >= 0 {
+		panic(fmt.Sprintf("cbase: duplicate sparse index %d", idx[bad]))
+	}
+	for n := range idx {
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(value(n)))
+	}
+	return out
 }
 
 // DecodeSparse reconstructs a dense vector of the given size from
@@ -64,78 +92,135 @@ func DecodeSparseInto(buf []byte, dst []float32) error {
 	return r.Err()
 }
 
-// topkScratch recycles the len(g)-sized index permutation TopK selects in
-// (*[]int); only the k winners are copied out.
-var topkScratch = sync.Pool{New: func() any { return new([]int) }}
+// selPool recycles selectTopK's scratch (*[]uint32).
+var selPool = sync.Pool{New: func() any { return new([]uint32) }}
 
-// TopK returns the indices of the k elements of g with the largest absolute
-// values (k clamped to [1, len(g)] for non-empty g), in unspecified order.
-// Selection is O(d) expected via quickselect.
+// TopK returns the indices of the k elements of g that come first in the
+// total order "larger |g| first, lower index on ties", in ascending index
+// order (k clamped to [1, len(g)] for non-empty g). ±0 tie with each other,
+// subnormals rank by magnitude like any other value, ±Inf rank above every
+// finite value and NaN ranks as magnitude 0. Selection is a radix select on
+// the magnitude bits: O(d) for any input, constant and mostly-zero tensors
+// included.
 func TopK(g []float32, k int) []int {
-	d := len(g)
-	if d == 0 {
+	if len(g) == 0 {
 		return nil
 	}
-	if k < 1 {
-		k = 1
+	win, sp := selectTopK(g, k)
+	out := make([]int, len(win))
+	for j, i := range win {
+		out[j] = int(i)
 	}
-	if k > d {
-		k = d
-	}
-	sp := topkScratch.Get().(*[]int)
-	if cap(*sp) < d {
-		*sp = make([]int, d)
-	}
-	idx := (*sp)[:d]
-	for i := range idx {
-		idx[i] = i
-	}
-	quickSelectAbs(g, idx, k)
-	out := append([]int(nil), idx[:k]...)
-	topkScratch.Put(sp)
+	selPool.Put(sp)
 	return out
 }
 
-// quickSelectAbs partially sorts idx so its first k entries reference the
-// largest |g| values. Deterministic median-of-three pivoting keeps runs
-// reproducible.
-func quickSelectAbs(g []float32, idx []int, k int) {
-	lo, hi := 0, len(idx)-1
-	for lo < hi {
-		p := partitionAbs(g, idx, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
+// magKey maps v to a key that orders like |v|: the IEEE-754 bits with the
+// sign shifted out, which leaves the exponent in the top byte. NaN maps to 0.
+func magKey(v float32) uint32 {
+	c := math.Float32bits(v) << 1
+	if c > 0xff<<24 {
+		return 0
 	}
+	return c
 }
 
-func partitionAbs(g []float32, idx []int, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three on |g|, descending.
-	if abs(g[idx[mid]]) > abs(g[idx[lo]]) {
-		idx[lo], idx[mid] = idx[mid], idx[lo]
+// selectTopK returns TopK's winners, ascending, in scratch the caller hands
+// back with selPool.Put(sp). It clamps k to [1, len(g)]; g must be non-empty
+// and shorter than 2^31.
+//
+// One pass over g histograms the exponents, which names the exponent e of the
+// k-th magnitude; a second collects the indices of the elements at or above
+// e. The rest touches only those: the keys of the ones at e are candidates, a
+// radix select over the mantissa digits they differ in narrows them to the
+// k-th key t, and the winners are the collected elements above t plus the
+// first few equal to it. Each step is linear in what it is given, so the cost
+// is O(len(g)) whatever the values. The filtering loops store unconditionally
+// and advance conditionally (conditional moves): which elements qualify is
+// nothing a branch predictor can learn.
+func selectTopK(g []float32, k int) (win []uint32, sp *[]uint32) {
+	k = min(max(k, 1), len(g))
+	var hist [256]int32
+	top := uint32(0)
+	for _, v := range g {
+		e := magKey(v) >> 24
+		hist[e]++
+		top = max(top, e)
 	}
-	if abs(g[idx[hi]]) > abs(g[idx[lo]]) {
-		idx[lo], idx[hi] = idx[hi], idx[lo]
+	e, need := top, int32(k)
+	for ; hist[e] < need; e-- {
+		need -= hist[e]
 	}
-	if abs(g[idx[mid]]) > abs(g[idx[hi]]) {
-		idx[mid], idx[hi] = idx[hi], idx[mid]
+	nsel, ncand := k-int(need-hist[e]), int(hist[e])
+
+	sp = selPool.Get().(*[]uint32)
+	if cap(*sp) < nsel+ncand+2 {
+		*sp = make([]uint32, nsel+ncand+2)
 	}
-	pivot := abs(g[idx[hi]])
-	i := lo
-	for j := lo; j < hi; j++ {
-		if abs(g[idx[j]]) > pivot {
-			idx[i], idx[j] = idx[j], idx[i]
-			i++
+	sel, cand := (*sp)[:nsel+1], (*sp)[nsel+1:nsel+ncand+2]
+	n := 0
+	for i, v := range g {
+		sel[n] = uint32(i)
+		if magKey(v)>>24 >= e {
+			n++
 		}
 	}
-	idx[i], idx[hi] = idx[hi], idx[i]
-	return i
+	sel = sel[:nsel]
+	n = 0
+	for _, i := range sel {
+		c := magKey(g[i])
+		cand[n] = c
+		if c>>24 == e {
+			n++
+		}
+	}
+	cand = cand[:ncand]
+	or, and := uint32(0), ^uint32(0)
+	for _, c := range cand {
+		or |= c
+		and &= c
+	}
+	// Four mantissa bits a level, keep the digit bucket holding the need-th
+	// largest; digits all candidates agree on (every one, for a constant or
+	// mostly-zero tensor) cost nothing.
+	for sh := 20; sh >= 0 && len(cand) > 1; sh -= 4 {
+		if (or^and)>>sh&15 == 0 {
+			continue
+		}
+		var cnt [16]int32
+		for _, c := range cand {
+			cnt[c>>sh&15]++
+		}
+		b := uint32(15)
+		for ; cnt[b] < need; b-- {
+			need -= cnt[b]
+		}
+		n = 0
+		for _, c := range cand {
+			cand[n] = c
+			if c>>sh&15 == b {
+				n++
+			}
+		}
+		cand = cand[:n]
+	}
+	t := cand[0]
+	n = 0
+	for _, i := range sel {
+		if n == k {
+			break
+		}
+		c := magKey(g[i])
+		sel[n] = i
+		if c > t {
+			n++
+		}
+		if c == t && need > 0 {
+			need--
+			n++
+		}
+	}
+	return sel[:k], sp
 }
 
 func abs(x float32) float32 {

@@ -1,12 +1,17 @@
 package cbase
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/encode"
 	"repro/internal/fxrand"
+	"repro/internal/testrace"
 )
 
 func TestEncodeDecodeSparseRoundTrip(t *testing.T) {
@@ -77,13 +82,8 @@ func TestSparseProperty(t *testing.T) {
 
 func TestTopKSelectsLargestMagnitudes(t *testing.T) {
 	g := []float32{0.1, -5, 3, -0.2, 4, 0}
-	idx := TopK(g, 3)
-	sort.Ints(idx)
-	want := []int{1, 2, 4}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("TopK got %v want %v", idx, want)
-		}
+	if idx, want := TopK(g, 3), []int{1, 2, 4}; !slices.Equal(idx, want) {
+		t.Fatalf("TopK got %v want %v", idx, want)
 	}
 }
 
@@ -100,41 +100,180 @@ func TestTopKClamps(t *testing.T) {
 	}
 }
 
-func TestTopKProperty(t *testing.T) {
-	// Every selected element's magnitude must be >= every unselected one's.
-	f := func(seed uint64, nRaw, kRaw uint8) bool {
-		n := int(nRaw%200) + 1
-		k := int(kRaw)%n + 1
-		r := fxrand.New(seed)
-		g := make([]float32, n)
+// topkShapes are the inputs the selection order is pinned on: every way a
+// magnitude can tie or be special.
+var topkShapes = map[string]func(r *fxrand.RNG, g []float32){
+	"normal": func(r *fxrand.RNG, g []float32) {
 		for i := range g {
 			g[i] = r.NormFloat32()
 		}
-		idx := TopK(g, k)
-		if len(idx) != k {
-			return false
+	},
+	"constant": func(r *fxrand.RNG, g []float32) {
+		for i := range g {
+			g[i] = -0.25
 		}
-		selected := make(map[int]bool, k)
-		minSel := math.Inf(1)
-		for _, i := range idx {
-			if selected[i] {
-				return false // duplicate
-			}
-			selected[i] = true
-			if a := math.Abs(float64(g[i])); a < minSel {
-				minSel = a
+	},
+	"allzero": func(r *fxrand.RNG, g []float32) {},
+	"mostlyzero-0.5%": func(r *fxrand.RNG, g []float32) { // fewer non-zeros than k = d/100
+		for i := range g {
+			if r.Intn(200) == 0 {
+				g[i] = r.NormFloat32()
 			}
 		}
-		for i, v := range g {
-			if !selected[i] && math.Abs(float64(v)) > minSel {
-				return false
+	},
+	"mostlyzero-5%": func(r *fxrand.RNG, g []float32) { // more non-zeros than k = d/100
+		for i := range g {
+			if r.Intn(20) == 0 {
+				g[i] = r.NormFloat32()
 			}
 		}
-		return true
+	},
+	"signedzero": func(r *fxrand.RNG, g []float32) {
+		for i := range g {
+			g[i] = [...]float32{0, float32(math.Copysign(0, -1)), 1, -1}[r.Intn(4)]
+		}
+	},
+	"subnormal": func(r *fxrand.RNG, g []float32) {
+		for i := range g {
+			g[i] = math.Float32frombits(r.Uint32() & 0x7fffff >> uint(r.Intn(20)))
+			if r.Intn(2) == 0 {
+				g[i] = -g[i]
+			}
+		}
+	},
+	"inf": func(r *fxrand.RNG, g []float32) {
+		for i := range g {
+			g[i] = r.NormFloat32()
+			if r.Intn(10) == 0 {
+				g[i] = float32(math.Inf(r.Intn(2)*2 - 1))
+			}
+		}
+	},
+	"nan": func(r *fxrand.RNG, g []float32) {
+		for i := range g {
+			switch r.Intn(4) {
+			case 0:
+				g[i] = math.Float32frombits(0x7fc00000 | r.Uint32()&0x803fffff) // any NaN payload, either sign
+			case 1:
+				g[i] = r.NormFloat32()
+			}
+		}
+	},
+	"fewvalues": func(r *fxrand.RNG, g []float32) { // many ties at every rank, some one ulp apart
+		for i := range g {
+			g[i] = math.Float32frombits(0x3f800000 + uint32(r.Intn(3)))
+		}
+	},
+}
+
+// TestTopKMatchesReferenceSort pins the documented total order: TopK must
+// return exactly the first k indices of a full sort by (|g| descending with
+// NaN as 0, index ascending), in ascending index order, and EncodeTopK must
+// be the EncodeSparse of that selection.
+func TestTopKMatchesReferenceSort(t *testing.T) {
+	mag := func(v float32) float64 {
+		if v != v {
+			return 0
+		}
+		return math.Abs(float64(v))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	for _, d := range []int{1, 2, 24, 64, 4096, 294912} {
+		for name, fill := range topkShapes {
+			g := make([]float32, d)
+			fill(fxrand.New(uint64(d)), g)
+			order := make([]int, d)
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(a, b int) bool { return mag(g[order[a]]) > mag(g[order[b]]) })
+			for _, k := range []int{1, d / 100, d / 2, d} {
+				k = min(max(k, 1), d)
+				want := slices.Clone(order[:k])
+				sort.Ints(want)
+				if got := TopK(g, k); !slices.Equal(got, want) {
+					t.Fatalf("d=%d %s k=%d: TopK differs from the reference sort (first indices got %v want %v)",
+						d, name, k, got[:min(k, 8)], want[:min(k, 8)])
+				}
+				vals := make([]float32, k)
+				for n, i := range want {
+					vals[n] = g[i]
+				}
+				if !bytes.Equal(EncodeTopK(g, k), EncodeSparse(want, vals)) {
+					t.Fatalf("d=%d %s k=%d: EncodeTopK differs from EncodeSparse of the selection", d, name, k)
+				}
+			}
+		}
 	}
+}
+
+// TestEncodeSparseWireFormat pins the bytes against the format spelled out
+// with the encode primitives, for sorted and unsorted input alike.
+func TestEncodeSparseWireFormat(t *testing.T) {
+	r := fxrand.New(5)
+	for _, n := range []int{0, 1, 3, 200, 5000} {
+		idx := r.Sample(1<<uint(3+r.Intn(20))+n, n)
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = r.NormFloat32()
+		}
+		byIdx := map[int]float32{}
+		for i, j := range idx {
+			byIdx[j] = vals[i]
+		}
+		sorted := slices.Clone(idx)
+		sort.Ints(sorted)
+		w := encode.NewWriter(0)
+		w.BytesSlice(encode.EncodeIndices(sorted))
+		for _, j := range sorted {
+			w.F32(byIdx[j])
+		}
+		if got := EncodeSparse(idx, vals); !bytes.Equal(got, w.Bytes()) {
+			t.Fatalf("n=%d: unsorted input encodes to the wrong bytes", n)
+		}
+		// idx and vals are sorted now; the no-sort path must agree.
+		if got := EncodeSparse(idx, vals); !bytes.Equal(got, w.Bytes()) {
+			t.Fatalf("n=%d: sorted input encodes to the wrong bytes", n)
+		}
+	}
+}
+
+func TestEncodeSparseDuplicatePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on duplicate index")
+		}
+	}()
+	EncodeSparse([]int{4, 1, 4}, []float32{1, 2, 3})
+}
+
+// TestTopKDegenerateInputCost is the regression test for the quadratic case:
+// a mostly-zero tensor used to cost 100x a normal one of the same size under
+// the quickselect; a linear-time selection keeps it within a small factor.
+func TestTopKDegenerateInputCost(t *testing.T) {
+	if testrace.Enabled || testing.Short() {
+		t.Skip("timing comparison")
+	}
+	const d = 294912
+	normal, sparse := benchInput("normal", d), benchInput("mostlyzero", d)
+	best := func(g []float32) time.Duration {
+		b := time.Duration(math.MaxInt64)
+		for i := 0; i < 10; i++ {
+			t0 := time.Now()
+			TopK(g, d/100)
+			b = min(b, time.Since(t0))
+		}
+		return b
+	}
+	// Best-of-ten per side, and three tries, so a scheduling hiccup on one
+	// side cannot fail the test; a quadratic selection fails all three.
+	var n, s time.Duration
+	for try := 0; try < 3; try++ {
+		n, s = best(normal), best(sparse)
+		if s <= 3*n {
+			return
+		}
+	}
+	t.Fatalf("mostly-zero input took %v, normal input %v: more than 3x", s, n)
 }
 
 func TestQuantileAbsThreshold(t *testing.T) {

@@ -70,26 +70,23 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 
 	k := cbase.KFor(c.ratio, d)
 	threshold := cbase.QuantileAbsThreshold(v, c.ratio, 4096, max(1, d/4096))
-	idx := make([]int, 0, k*2)
+	// The sampled threshold can overshoot badly: past 2k candidates, fall
+	// back to exact top-k selection (one hierarchical refinement step, the
+	// expensive loop §V-D profiles). With that many candidates the top k of
+	// v are all among them, so the selection runs on v itself.
+	idx := make([]int, 0, 2*k+1)
 	for i, vi := range v {
 		a := vi
 		if a < 0 {
 			a = -a
 		}
 		if a >= threshold && a > 0 {
-			idx = append(idx, i)
+			if idx = append(idx, i); len(idx) > 2*k {
+				break
+			}
 		}
 	}
-	// The sampled threshold can overshoot badly; fall back to exact top-k
-	// selection over the candidates (one hierarchical refinement step, the
-	// expensive loop §V-D profiles).
-	if len(idx) > 2*k {
-		cand := make([]float32, d)
-		for _, i := range idx {
-			cand[i] = v[i]
-		}
-		idx = cbase.TopK(cand, k)
-	} else if len(idx) == 0 {
+	if len(idx) > 2*k || len(idx) == 0 {
 		idx = cbase.TopK(v, k)
 	}
 

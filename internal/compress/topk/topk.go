@@ -47,13 +47,7 @@ func (*Compressor) Strategy() grace.Strategy { return grace.Allgather }
 
 // Compress selects and serializes the k largest-magnitude elements.
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
-	k := cbase.KFor(c.ratio, len(g))
-	idx := cbase.TopK(g, k)
-	vals := make([]float32, len(idx))
-	for i, j := range idx {
-		vals[i] = g[j]
-	}
-	return &grace.Payload{Bytes: cbase.EncodeSparse(idx, vals)}, nil
+	return &grace.Payload{Bytes: cbase.EncodeTopK(g, cbase.KFor(c.ratio, len(g)))}, nil
 }
 
 // Decompress restores the dense gradient with zeros at unselected positions.

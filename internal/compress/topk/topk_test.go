@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fxrand"
 	"repro/internal/grace"
+	"repro/internal/testrace"
 )
 
 func TestExactSelectionCount(t *testing.T) {
@@ -72,5 +73,30 @@ func TestRejectsBadRatio(t *testing.T) {
 	}
 	if _, err := grace.New("topk", grace.Options{Ratio: -0.1}); err == nil {
 		t.Fatal("expected error for negative ratio")
+	}
+}
+
+// TestTopKCompressAllocs pins the one-pass encode: Compress allocates the
+// payload bytes and the Payload, and nothing per selected element.
+func TestTopKCompressAllocs(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	c, err := grace.New("topk", grace.Options{Ratio: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := fxrand.New(3)
+	g := make([]float32, 196608)
+	for i := range g {
+		g[i] = r.NormFloat32()
+	}
+	info := grace.NewTensorInfo("t", []int{len(g)})
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.Compress(g, info); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("topk.Compress: %v allocs/op, want <= 2", allocs)
 	}
 }

@@ -1,31 +1,65 @@
 package encode
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 )
 
-// EncodeIndices delta-varint encodes a strictly increasing index list. Sparse
-// compressors (Top-k, Random-k, DGC, ...) transmit the positions of selected
-// gradient elements; delta+LEB128 coding makes dense selections cost ~1 byte
-// per index instead of 4.
+// EncodeIndices delta-varint encodes an index list. Sparse compressors
+// (Top-k, Random-k, DGC, ...) transmit the positions of selected gradient
+// elements; delta+LEB128 coding makes dense selections cost ~1 byte per index
+// instead of 4.
 //
-// The input need not be sorted; a sorted copy is encoded, since the positions
-// of a sparse tensor are a set. It panics on duplicate indices.
+// The input need not be sorted: the positions of a sparse tensor are a set,
+// so a list that turns out not to be ascending is encoded from a sorted copy.
+// It panics on duplicate or negative indices.
 func EncodeIndices(idx []int) []byte {
-	sorted := append([]int(nil), idx...)
-	sort.Ints(sorted)
-	w := NewWriter(len(sorted) + 8)
-	w.Uvarint(uint64(len(sorted)))
-	prev := -1
-	for _, v := range sorted {
-		if v == prev {
-			panic(fmt.Sprintf("encode: duplicate index %d", v))
-		}
-		w.Uvarint(uint64(v - prev))
-		prev = v
+	out, bad := AppendIndices(make([]byte, 0, len(idx)+8), idx)
+	if bad < 0 {
+		return out
 	}
-	return w.Bytes()
+	sorted := slices.Clone(idx)
+	slices.Sort(sorted)
+	if out, bad = AppendIndices(out[:0], sorted); bad >= 0 {
+		panic(fmt.Sprintf("encode: duplicate or negative index %d", sorted[bad]))
+	}
+	return out
+}
+
+// Index is an integer type an index list may be held in.
+type Index interface{ ~int | ~uint32 }
+
+// AppendIndices appends the EncodeIndices block of a strictly ascending list
+// to dst. It stops at the first position whose index does not exceed its
+// predecessor and returns that position, or -1 when the whole block was
+// written.
+func AppendIndices[I Index](dst []byte, idx []I) ([]byte, int) {
+	dst = binary.AppendUvarint(dst, uint64(len(idx)))
+	prev := -1
+	for n, i := range idx {
+		if int(i) <= prev {
+			return dst, n
+		}
+		dst = binary.AppendUvarint(dst, uint64(int(i)-prev))
+		prev = int(i)
+	}
+	return dst, -1
+}
+
+// IndicesLen returns how many bytes AppendIndices appends for a strictly
+// ascending idx, so a caller can size one buffer for the block and whatever
+// follows it.
+func IndicesLen[I Index](idx []I) int {
+	uvarintLen := func(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
+	n, prev := uvarintLen(len(idx)), -1
+	for _, i := range idx {
+		n += uvarintLen(int(i) - prev)
+		prev = int(i)
+	}
+	return n
 }
 
 // DecodeIndices reverses EncodeIndices, returning the sorted index list.
@@ -52,23 +86,23 @@ func DecodeIndices(buf []byte) ([]int, error) {
 }
 
 // SortByIndex sorts (idx, vals) pairs by ascending index in place. Sparse
-// compressors select (index, value) pairs in arbitrary order but the wire
-// format requires sorted indices for delta coding.
+// compressors that select (index, value) pairs in arbitrary order need it
+// before delta coding. Each pair is packed into one word, index above value
+// bits, so the sort compares integers directly; indices must fit 32 bits.
 func SortByIndex(idx []int, vals []float32) {
 	if len(idx) != len(vals) {
 		panic("encode: SortByIndex length mismatch")
 	}
-	sort.Sort(&pairSlice{idx, vals})
-}
-
-type pairSlice struct {
-	idx  []int
-	vals []float32
-}
-
-func (p *pairSlice) Len() int           { return len(p.idx) }
-func (p *pairSlice) Less(i, j int) bool { return p.idx[i] < p.idx[j] }
-func (p *pairSlice) Swap(i, j int) {
-	p.idx[i], p.idx[j] = p.idx[j], p.idx[i]
-	p.vals[i], p.vals[j] = p.vals[j], p.vals[i]
+	packed := make([]uint64, len(idx))
+	for n, i := range idx {
+		if uint64(i) > math.MaxUint32 {
+			panic(fmt.Sprintf("encode: index %d outside [0, 2^32)", i))
+		}
+		packed[n] = uint64(i)<<32 | uint64(math.Float32bits(vals[n]))
+	}
+	slices.Sort(packed)
+	for n, p := range packed {
+		idx[n] = int(p >> 32)
+		vals[n] = math.Float32frombits(uint32(p))
+	}
 }

@@ -18,6 +18,7 @@ type Dense struct {
 	w, b    *Param
 
 	x       *tensor.Dense // cached input, flattened to [batch, in]
+	dw      *tensor.Dense // Backward's xᵀ·dY, kept between steps
 	inShape []int         // original input shape for gradient reshaping
 }
 
@@ -68,7 +69,11 @@ func (d *Dense) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 func (d *Dense) Backward(dout *tensor.Dense) *tensor.Dense {
 	batch := dout.Size() / d.out
 	dy := dout.Reshape(batch, d.out)
-	d.w.Grad.Add(tensor.MatmulTA(d.x, dy))
+	if d.dw == nil {
+		d.dw = tensor.New(d.in, d.out)
+	}
+	tensor.MatmulTAInto(d.dw, d.x, dy)
+	d.w.Grad.Add(d.dw)
 	gb := d.b.Grad.Data()
 	dyd := dy.Data()
 	for i := 0; i < batch; i++ {

@@ -53,12 +53,23 @@ func matmulInto(c, a, b []float32, m, k, n int) {
 // MatmulTA computes C = Aᵀ·B where A is k×m and B is k×n, producing m×n.
 // Used for weight gradients (dW = Xᵀ·dY).
 func MatmulTA(a, b *Dense) *Dense {
-	k, m := mustMatrix(a, "MatmulTA lhs")
-	k2, n := mustMatrix(b, "MatmulTA rhs")
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatmulTA inner dimensions %d vs %d", k, k2))
-	}
+	_, m := mustMatrix(a, "MatmulTA lhs")
+	_, n := mustMatrix(b, "MatmulTA rhs")
 	c := New(m, n)
+	MatmulTAInto(c, a, b)
+	return c
+}
+
+// MatmulTAInto computes C = Aᵀ·B into an existing m×n tensor, avoiding the
+// allocation. C must not alias A or B.
+func MatmulTAInto(c, a, b *Dense) {
+	k, m := mustMatrix(a, "MatmulTAInto lhs")
+	k2, n := mustMatrix(b, "MatmulTAInto rhs")
+	cm, cn := mustMatrix(c, "MatmulTAInto dst")
+	if k != k2 || cm != m || cn != n {
+		panic(fmt.Sprintf("tensor: MatmulTAInto shapes %vᵀ·%v -> %v", a.shape, b.shape, c.shape))
+	}
+	c.Zero()
 	// C[i,j] = sum_p A[p,i]*B[p,j]; iterate p outer for sequential access.
 	for p := 0; p < k; p++ {
 		ap := a.data[p*m : (p+1)*m]
@@ -73,7 +84,6 @@ func MatmulTA(a, b *Dense) *Dense {
 			}
 		}
 	}
-	return c
 }
 
 // MatmulTB computes C = A·Bᵀ where A is m×k and B is n×k, producing m×n.

@@ -261,6 +261,23 @@ func TestMatmulTAMatchesTranspose(t *testing.T) {
 	}
 }
 
+func TestMatmulTAIntoMatchesMatmulTABitwise(t *testing.T) {
+	r := fxrand.New(4)
+	c := New(7, 6).RandN(r, 1) // reused, dirty destination
+	for step := 0; step < 3; step++ {
+		a := New(9, 7).RandN(r, 1)
+		b := New(9, 6).RandN(r, 1)
+		a.Data()[step] = 0 // the kernel skips zero lhs entries
+		MatmulTAInto(c, a, b)
+		want := MatmulTA(a, b)
+		for i, v := range c.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("step %d: MatmulTAInto[%d] = %v, MatmulTA = %v", step, i, v, want.Data()[i])
+			}
+		}
+	}
+}
+
 func TestMatmulTBMatchesTranspose(t *testing.T) {
 	r := fxrand.New(3)
 	a := New(5, 3).RandN(r, 1)
