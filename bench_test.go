@@ -71,7 +71,7 @@ func BenchmarkFig7(b *testing.B) {
 
 // BenchmarkFig8Codec measures compress+decompress latency per method on a
 // 1 MB gradient — the natural testing.B form of the paper's Figure 8
-// micro-benchmark (gracemicro runs the 10 MB / 100 MB points).
+// micro-benchmark (gracebench -exp fig8 runs the 10 MB / 100 MB points).
 func BenchmarkFig8Codec(b *testing.B) {
 	const d = 1024 * 1024 / 4
 	for _, spec := range harness.Suite() {

@@ -62,7 +62,10 @@ func main() {
 	)
 	flag.Parse()
 
-	finishTel := startTelemetry(*telAddr, *tracePath, *telLinger)
+	finishTel, err := telemetry.Default.StartExporters("gracetrain", *telAddr, *tracePath, *telLinger)
+	if err != nil {
+		fatal(err)
+	}
 
 	// -xrank arms the cross-rank plane process-wide up front, so the chaos
 	// battery's injected faults leave flight recordings too — not only the
@@ -231,49 +234,6 @@ func main() {
 	finish()
 }
 
-// startTelemetry enables span recording and stands up the exporters the
-// flags ask for; the returned func finishes them (linger for a last scrape,
-// flush and close the trace). With no flags set, both are no-ops.
-func startTelemetry(addr, tracePath string, linger time.Duration) func() {
-	if addr == "" && tracePath == "" {
-		return func() {}
-	}
-	telemetry.Default.Enable(true)
-	var tr *telemetry.Tracer
-	if tracePath != "" {
-		var err error
-		if tr, err = telemetry.CreateTrace(tracePath); err != nil {
-			fatal(err)
-		}
-		telemetry.Default.SetTracer(tr)
-	}
-	var srv *telemetry.MetricsServer
-	if addr != "" {
-		var err error
-		if srv, err = telemetry.Default.Serve(addr); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("telemetry: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
-	}
-	return func() {
-		if srv != nil && linger > 0 {
-			fmt.Printf("telemetry: lingering %v for a final scrape of http://%s/metrics\n", linger, srv.Addr())
-			time.Sleep(linger)
-		}
-		if tr != nil {
-			telemetry.Default.SetTracer(nil)
-			if err := tr.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "gracetrain: closing trace:", err)
-			} else {
-				fmt.Printf("telemetry: trace written to %s\n", tracePath)
-			}
-		}
-		if srv != nil {
-			srv.Close()
-		}
-	}
-}
-
 // writeSummary snapshots the telemetry registry into the summary and writes
 // it auto-named into dir (-artifacts). With no dir set, it does nothing.
 func writeSummary(dir string, s *harness.RunSummary) {
@@ -343,9 +303,8 @@ func runStraggler(seed uint64, artifactsDir string, summary *harness.RunSummary)
 		verdict = "FAIL"
 		summary.Pass = false
 	}
-	fmt.Printf("%-6s attributed %d/%d steps to rank %d, max skew %v, counts %v\n",
-		verdict, res.Attributed, res.SkewSteps, res.DelayedRank,
-		time.Duration(res.MaxSkewNs).Round(time.Microsecond), res.Counts)
+	fmt.Printf("%-6s attributed %d/%d steps to rank %d, max skew %.3fms, counts %v\n",
+		verdict, res.Attributed, res.SkewSteps, res.DelayedRank, res.MaxSkewMs, res.Counts)
 	if res.Detail != "" {
 		fmt.Printf("    %s\n", res.Detail)
 	}
@@ -353,7 +312,7 @@ func runStraggler(seed uint64, artifactsDir string, summary *harness.RunSummary)
 		fmt.Printf("artifacts: %s/XRANK_trace.json (chrome://tracing), %s/XRANK_skew.json (gracestat)\n",
 			artifactsDir, artifactsDir)
 	}
-	summary.Straggler = append(summary.Straggler, harness.StragglerJSON(res))
+	summary.Straggler = append(summary.Straggler, res)
 	return !res.Pass
 }
 
@@ -388,11 +347,11 @@ func runChaos(workers int, seed uint64, retryBudget int, summary *harness.RunSum
 		}
 		r.Scenario = prefix + r.Scenario
 		fmt.Printf("%-18s %-6s %-9d %-8d %-9d %-10d %-8s\n",
-			r.Scenario, verdict, r.Injected, r.Retries, r.Faults, r.Fallbacks, r.Elapsed.Round(time.Millisecond))
+			r.Scenario, verdict, r.Injected, r.Retries, r.Faults, r.Fallbacks, millis(r.ElapsedMs))
 		if r.Detail != "" {
 			fmt.Printf("    %s\n", r.Detail)
 		}
-		summary.Chaos = append(summary.Chaos, harness.ChaosJSON(r))
+		summary.Chaos = append(summary.Chaos, r)
 	}
 	for _, r := range harness.RunChaos(cfg) {
 		report(r, "")

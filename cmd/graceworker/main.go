@@ -88,7 +88,10 @@ func main() {
 	)
 	flag.Parse()
 
-	finishTel := startTelemetry(*telAddr, *tracePath, *telLinger)
+	finishTel, err := telemetry.Default.StartExporters("graceworker", *telAddr, *tracePath, *telLinger)
+	if err != nil {
+		fatal(err)
+	}
 
 	addrs := strings.Split(*addrsFlag, ",")
 	if *addrsFlag == "" || len(addrs) < 2 {
@@ -201,7 +204,7 @@ func main() {
 	cfg := grace.Config{
 		Workers:              workers,
 		BatchSize:            b.BatchSize,
-		Epochs:               scaledEpochs(b, *scale),
+		Epochs:               b.ScaledEpochs(*scale),
 		Seed:                 *seed,
 		NewModel:             b.NewModel,
 		Dataset:              b.NewDataset(),
@@ -326,51 +329,6 @@ func main() {
 	finishTel()
 }
 
-// startTelemetry enables span recording and stands up the exporters the
-// flags ask for; the returned func finishes them (linger for a last scrape,
-// flush and close the trace). With no flags set, both are no-ops. Each rank
-// is its own process, so each serves its own endpoint and writes its own
-// trace file.
-func startTelemetry(addr, tracePath string, linger time.Duration) func() {
-	if addr == "" && tracePath == "" {
-		return func() {}
-	}
-	telemetry.Default.Enable(true)
-	var tr *telemetry.Tracer
-	if tracePath != "" {
-		var err error
-		if tr, err = telemetry.CreateTrace(tracePath); err != nil {
-			fatal(err)
-		}
-		telemetry.Default.SetTracer(tr)
-	}
-	var srv *telemetry.MetricsServer
-	if addr != "" {
-		var err error
-		if srv, err = telemetry.Default.Serve(addr); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("telemetry: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
-	}
-	return func() {
-		if srv != nil && linger > 0 {
-			fmt.Printf("telemetry: lingering %v for a final scrape of http://%s/metrics\n", linger, srv.Addr())
-			time.Sleep(linger)
-		}
-		if tr != nil {
-			telemetry.Default.SetTracer(nil)
-			if err := tr.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "graceworker: closing trace:", err)
-			} else {
-				fmt.Printf("telemetry: trace written to %s\n", tracePath)
-			}
-		}
-		if srv != nil {
-			srv.Close()
-		}
-	}
-}
-
 // loadableSteps lists the checkpoint steps in d that actually load (a crash
 // can leave a torn newest file behind).
 func loadableSteps(d *ckpt.Dir) ([]int64, error) {
@@ -385,14 +343,6 @@ func loadableSteps(d *ckpt.Dir) ([]int64, error) {
 		}
 	}
 	return mine, nil
-}
-
-func scaledEpochs(b harness.Benchmark, scale float64) int {
-	e := int(float64(b.Epochs) * scale)
-	if e < 1 {
-		e = 1
-	}
-	return e
 }
 
 func fatal(err error) {

@@ -81,12 +81,10 @@ func Encode(s *Snapshot) []byte {
 	w.Uvarint(uint64(s.Workers))
 	putString(w, s.Method)
 	w.Uvarint(uint64(s.Fusion.TargetBytes))
-	w.Uvarint(uint64(s.Fusion.MaxTensors))
-	if s.Fusion.ByStrategy {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
+	// Two reserved slots, always zero: the per-bucket tensor cap and the
+	// by-strategy flag the fusion policy carried until both were removed.
+	w.Uvarint(0)
+	w.U8(0)
 
 	putTensors(w, s.Params)
 	if s.SyncPoint != nil {
@@ -211,8 +209,13 @@ func Decode(b []byte) (*Snapshot, error) {
 	s.Method = getString(r)
 	if v >= 2 {
 		s.Fusion.TargetBytes = boundedInt(r)
-		s.Fusion.MaxTensors = boundedInt(r)
-		s.Fusion.ByStrategy = r.U8() == 1
+		// A non-zero reserved slot describes a bucket plan this build cannot
+		// reproduce; replanning silently would desync the resumed run's
+		// collective sequence from the one the checkpoint was taken in.
+		if maxTensors, byStrategy := r.Uvarint(), r.U8(); maxTensors != 0 || byStrategy != 0 {
+			return nil, fmt.Errorf("%w: fusion policy uses removed options (tensor cap %d, by-strategy flag %d)",
+				ErrCorrupt, maxTensors, byStrategy)
+		}
 	}
 
 	var err error

@@ -26,7 +26,7 @@ func sampleSnapshot() *Snapshot {
 		Rank:      1,
 		Workers:   4,
 		Method:    "dgc",
-		Fusion:    grace.FusionConfig{TargetBytes: 1 << 20, MaxTensors: 8, ByStrategy: true},
+		Fusion:    grace.FusionConfig{TargetBytes: 1 << 20},
 		Params: []Tensor{
 			{Name: "w0", Shape: []int{2, 3}, Data: []float32{1, 2, 3, 4, 5, 6}},
 			{Name: "b0", Shape: []int{3}, Data: []float32{-0.5, 0, 0.5}},
@@ -92,19 +92,9 @@ func TestEncodeDecodeMinimal(t *testing.T) {
 	}
 }
 
-// TestDecodeAcceptsVersion1 splices the version-2 fusion fields and the
-// version-3 tuner section out of an encoded record and stamps it version 1,
-// reproducing a checkpoint written before either existed. It must still
-// decode — with the zero (disabled) fusion policy and no tuner state —
-// because operators resume old runs with new binaries.
-func TestDecodeAcceptsVersion1(t *testing.T) {
-	s := sampleSnapshot()
-	s.Fusion = grace.FusionConfig{} // v1 files can only describe unfused runs
-	s.Tuner = nil                   // ... and fixed-method runs
-	b := Encode(s)
-
-	// Replay the pre-fusion field sequence to locate where the fusion bytes
-	// start; a zero policy encodes as exactly 3 bytes (two 0 uvarints + flag).
+// fusionOffset replays the pre-fusion field sequence to locate where the
+// fusion bytes of s's encoding start.
+func fusionOffset(s *Snapshot) int {
 	w := encode.NewWriter(64)
 	w.Raw([]byte(magic))
 	w.U32(Version)
@@ -116,8 +106,45 @@ func TestDecodeAcceptsVersion1(t *testing.T) {
 	w.Uvarint(uint64(s.Rank))
 	w.Uvarint(uint64(s.Workers))
 	putString(w, s.Method)
-	off := w.Len()
+	return w.Len()
+}
 
+// TestDecodeRefusesReservedFusionSlots: the two slots after the fusion fill
+// target held a per-bucket tensor cap and a by-strategy flag until both
+// options were removed. Encode writes them zero; a record with either set —
+// a checkpoint from a build that had the options, describing a bucket plan
+// this one cannot reproduce — is refused rather than silently replanned.
+func TestDecodeRefusesReservedFusionSlots(t *testing.T) {
+	s := sampleSnapshot()
+	valid := Encode(s)
+	// The 1 MiB fill target is a 3-byte uvarint; the slots follow it.
+	slots := fusionOffset(s) + 3
+	if valid[slots] != 0 || valid[slots+1] != 0 {
+		t.Fatalf("Encode wrote reserved slots %d, %d; want both zero", valid[slots], valid[slots+1])
+	}
+	for name, at := range map[string]int{"tensor cap": slots, "by-strategy flag": slots + 1} {
+		b := append([]byte(nil), valid...)
+		b[at] = 1
+		reseal(b)
+		if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("non-zero %s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestDecodeAcceptsVersion1 splices the version-2 fusion fields and the
+// version-3 tuner section out of an encoded record and stamps it version 1,
+// reproducing a checkpoint written before either existed. It must still
+// decode — with the zero (disabled) fusion policy and no tuner state —
+// because operators resume old runs with new binaries.
+func TestDecodeAcceptsVersion1(t *testing.T) {
+	s := sampleSnapshot()
+	s.Fusion = grace.FusionConfig{} // v1 files can only describe unfused runs
+	s.Tuner = nil                   // ... and fixed-method runs
+	b := Encode(s)
+
+	// A zero policy encodes as exactly 3 bytes (two 0 uvarints + flag).
+	off := fusionOffset(s)
 	v1 := append(append([]byte(nil), b[:off]...), b[off+3:]...)
 	// Drop the v3 tuner presence byte (a nil tuner encodes as one 0 byte at
 	// the end of the body, just before the CRC).

@@ -19,9 +19,17 @@ import (
 // subslices of the input — no copying — because the engine immediately hands
 // each part to a per-tensor decoder that treats it as read-only.
 //
-// Decoding is hostile-input safe: the header is validated against the bytes
-// actually present before any allocation is sized from it, so a corrupt or
-// adversarial frame can neither over-allocate nor panic (see FuzzSplitFused).
+// A frame of exactly one part is the bare payload: no header, overhead 0.
+// This is the one place that rule lives, and it is what makes an unfused
+// exchange — a bucket of one — byte-identical on the wire to a per-tensor
+// collective. The layouts cannot be confused because the part count is never
+// taken from the wire: both sides know their bucket sizes a priori, and
+// SplitFused is told how many parts to expect.
+//
+// Decoding is hostile-input safe: the caller supplies the slice the parts
+// land in, and the header is validated against the bytes actually present,
+// so a corrupt or adversarial frame can neither over-allocate nor panic (see
+// FuzzSplitFused).
 
 // ErrBadFusedFrame is wrapped by every SplitFused failure: short header,
 // part count or lengths inconsistent with the bytes present, or trailing
@@ -29,8 +37,14 @@ import (
 var ErrBadFusedFrame = errors.New("comm: malformed fused frame")
 
 // FusedOverhead returns the framing overhead in bytes of a fused frame
-// carrying n parts (the header: count word plus one length word per part).
-func FusedOverhead(n int) int { return 4 + 4*n }
+// carrying n parts: the header (count word plus one length word per part),
+// or nothing for the bare one-part frame.
+func FusedOverhead(n int) int {
+	if n == 1 {
+		return 0
+	}
+	return 4 + 4*n
+}
 
 // FusedSize returns the exact encoded size of a fused frame carrying parts.
 func FusedSize(parts [][]byte) int {
@@ -43,8 +57,15 @@ func FusedSize(parts [][]byte) int {
 
 // AppendFused appends the fused frame for parts to dst and returns the
 // extended slice. Pass nil dst to allocate exactly; pass a reused buffer to
-// amortize.
+// amortize. A one-part frame appended to an empty dst is parts[0] itself, not
+// a copy.
 func AppendFused(dst []byte, parts [][]byte) []byte {
+	if len(parts) == 1 {
+		if len(dst) == 0 {
+			return parts[0]
+		}
+		return append(dst, parts[0]...)
+	}
 	if need := len(dst) + FusedSize(parts); cap(dst) < need {
 		grown := make([]byte, len(dst), need)
 		copy(grown, dst)
@@ -60,42 +81,41 @@ func AppendFused(dst []byte, parts [][]byte) []byte {
 	return dst
 }
 
-// SplitFused parses a fused frame and returns its parts as subslices of b
-// (zero-copy; the parts alias b). Every structural violation — truncated
-// header, a part count the frame cannot hold, lengths exceeding the bytes
-// present, or trailing bytes after the last part — returns an error wrapping
-// ErrBadFusedFrame. When want >= 0 the part count must equal want exactly;
-// the engine knows its bucket sizes a priori, so a peer disagreeing on the
-// count is a protocol violation, not a recoverable layout.
-func SplitFused(b []byte, want int) ([][]byte, error) {
+// SplitFused parses a fused frame of exactly len(parts) parts into parts, as
+// subslices of b (zero-copy; the parts alias b). Every structural violation —
+// truncated header, a part count other than len(parts), lengths exceeding the
+// bytes present, or trailing bytes after the last part — returns an error
+// wrapping ErrBadFusedFrame: the engine knows its bucket sizes a priori, so a
+// peer disagreeing on the count is a protocol violation, not a recoverable
+// layout. On error parts is left partly written.
+func SplitFused(b []byte, parts [][]byte) error {
+	n := len(parts)
+	if n == 1 {
+		parts[0] = b
+		return nil
+	}
 	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the count header", ErrBadFusedFrame, len(b))
+		return fmt.Errorf("%w: %d bytes is shorter than the count header", ErrBadFusedFrame, len(b))
 	}
-	count := binary.LittleEndian.Uint32(b)
-	// Each declared part costs at least its 4-byte length word, so a count
-	// beyond (len(b)-4)/4 cannot be honest; reject before allocating for it.
-	if uint64(count) > uint64(len(b)-4)/4 {
-		return nil, fmt.Errorf("%w: count %d exceeds what %d bytes can frame", ErrBadFusedFrame, count, len(b))
+	if count := binary.LittleEndian.Uint32(b); uint64(count) != uint64(n) {
+		return fmt.Errorf("%w: frame carries %d parts, want %d", ErrBadFusedFrame, count, n)
 	}
-	if want >= 0 && int(count) != want {
-		return nil, fmt.Errorf("%w: frame carries %d parts, want %d", ErrBadFusedFrame, count, want)
+	head := FusedOverhead(n)
+	if len(b) < head {
+		return fmt.Errorf("%w: %d bytes cannot frame %d parts", ErrBadFusedFrame, len(b), n)
 	}
-	n := int(count)
-	head := 4 + 4*n
 	body := b[head:]
-	var total uint64
-	for i := 0; i < n; i++ {
-		total += uint64(binary.LittleEndian.Uint32(b[4+4*i:]))
-	}
-	if total != uint64(len(body)) {
-		return nil, fmt.Errorf("%w: parts declare %d payload bytes, frame carries %d", ErrBadFusedFrame, total, len(body))
-	}
-	parts := make([][]byte, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		ln := int(binary.LittleEndian.Uint32(b[4+4*i:]))
+	off := uint64(0)
+	for i := range parts {
+		ln := uint64(binary.LittleEndian.Uint32(b[4+4*i:]))
+		if off+ln > uint64(len(body)) {
+			return fmt.Errorf("%w: parts declare more than the %d payload bytes the frame carries", ErrBadFusedFrame, len(body))
+		}
 		parts[i] = body[off : off+ln : off+ln]
 		off += ln
 	}
-	return parts, nil
+	if off != uint64(len(body)) {
+		return fmt.Errorf("%w: parts declare %d payload bytes, frame carries %d", ErrBadFusedFrame, off, len(body))
+	}
+	return nil
 }

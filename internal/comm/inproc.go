@@ -469,7 +469,6 @@ func (w *InProc) ReformElastic(wait time.Duration) (Membership, error) {
 	}
 	mem.Rank = mem.CurrentRank(w.rank)
 	xrank.Default.SetGeneration(mem.Gen)
-	xrank.Default.SetWorldSize(mem.Size())
 	telemetry.Default.SetGauge("world_size", int64(mem.Size()))
 	xrank.Default.RecordFault(w.rank, xrank.OpReform, w.step, xrank.FaultReform)
 	return mem, nil
@@ -486,7 +485,6 @@ func (w *InProc) ReformGrow(members []int) (Membership, error) {
 	}
 	mem.Rank = mem.CurrentRank(w.rank)
 	xrank.Default.SetGeneration(mem.Gen)
-	xrank.Default.SetWorldSize(mem.Size())
 	telemetry.Default.SetGauge("world_size", int64(mem.Size()))
 	xrank.Default.RecordFault(w.rank, xrank.OpReform, w.step, xrank.FaultReform)
 	return mem, nil
@@ -519,7 +517,6 @@ func (w *InProc) JoinGroup(wait time.Duration) (Membership, error) {
 		mem := jw.mem
 		mem.Rank = mem.CurrentRank(w.rank)
 		xrank.Default.SetGeneration(mem.Gen)
-		xrank.Default.SetWorldSize(mem.Size())
 		return mem, nil
 	case <-t.C:
 		return Membership{}, wrapErr(w.rank, OpReform, w.step,

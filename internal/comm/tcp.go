@@ -203,7 +203,6 @@ func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 		if err == nil {
 			t.found(inc)
 			xrank.Default.SetGeneration(inc.gen)
-			xrank.Default.SetWorldSize(inc.n)
 			telemetry.Default.SetGauge("world_size", int64(inc.n))
 			return t, nil
 		}
@@ -360,7 +359,6 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 			ctr = telemetry.CtrElasticShrinks
 		}
 		telemetry.Default.Add(ctr, 1)
-		xrank.Default.SetWorldSize(inc.n)
 		telemetry.Default.SetGauge("world_size", int64(inc.n))
 	}
 	xrank.Default.RecordFault(t.cfg.Rank, xrank.OpReform, step, xrank.FaultReform)

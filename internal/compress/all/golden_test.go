@@ -166,8 +166,8 @@ func computeFusedGolden(method string, ins []goldenInput) (goldenEntry, bool, er
 	frame := comm.AppendFused(nil, parts)
 	e.WireBytes += comm.FusedOverhead(len(parts))
 	e.Payload = frame
-	split, err := comm.SplitFused(frame, len(ins))
-	if err != nil {
+	split := make([][]byte, len(ins))
+	if err := comm.SplitFused(frame, split); err != nil {
 		return goldenEntry{}, false, fmt.Errorf("%s fused split: %w", method, err)
 	}
 	for i, in := range ins {

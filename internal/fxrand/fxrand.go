@@ -144,14 +144,6 @@ func (r *RNG) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle permutes n elements in place using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
 

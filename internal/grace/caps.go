@@ -4,8 +4,9 @@ package grace
 // directly into a caller-provided buffer instead of allocating the output.
 // dst has exactly info.Size() elements and must be fully overwritten
 // (including zeros for unselected positions of sparse formats). The Engine
-// and Pipeline use this fast path, when available, to keep per-rank decoding
-// allocation-free under the Allgather mean-aggregation strategy.
+// uses this fast path, when available, to keep the EF update's local
+// decompression and the per-rank decoding of the Allgather mean allocation-free
+// over a lane-owned scratch buffer.
 type DecompressorInto interface {
 	Compressor
 	DecompressInto(p *Payload, info TensorInfo, dst []float32) error

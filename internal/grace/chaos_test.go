@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -399,4 +400,57 @@ func TestEngineDrainsLanesAfterError(t *testing.T) {
 			t.Fatalf("post-recovery step returned %d tensors, want %d", len(aggs), len(infos))
 		}
 	})
+}
+
+// lyingComp declares one strategy and hands the engine the other strategy's
+// payload form for one tensor: dense floats under Allgather, bytes under
+// Allreduce.
+type lyingComp struct {
+	rawComp
+	strategy grace.Strategy
+	liesOn   string
+}
+
+func (c *lyingComp) Name() string             { return "liartest" }
+func (c *lyingComp) Strategy() grace.Strategy { return c.strategy }
+
+func (c *lyingComp) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
+	if (c.strategy == grace.Allreduce) == (info.Name == c.liesOn) {
+		return c.rawComp.Compress(g, info)
+	}
+	return &grace.Payload{Dense: g}, nil
+}
+
+func (c *lyingComp) Decompress(p *grace.Payload, info grace.TensorInfo) ([]float32, error) {
+	if p.Dense != nil {
+		return append([]float32(nil), p.Dense...), nil
+	}
+	return c.rawComp.Decompress(p, info)
+}
+
+// TestEnginePayloadContradictsStrategy: a compressor whose payload is not the
+// form its declared strategy exchanges fails the step as a compress-phase
+// StepError pinning the tensor and naming the method — like every other
+// Engine failure — before anything reaches the collective.
+func TestEnginePayloadContradictsStrategy(t *testing.T) {
+	infos := engineTestInfos(4)
+	for _, strategy := range []grace.Strategy{grace.Allreduce, grace.Allgather} {
+		for _, fusion := range []int{0, 1 << 20} {
+			eng, err := grace.NewEngine(
+				grace.WithCollective(comm.NewHub(1).Worker(0)),
+				grace.WithCompressor(&lyingComp{strategy: strategy, liesOn: infos[2].Name}),
+				grace.WithFusionBytes(fusion))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = eng.Step(engineTestGrads(0, 0, infos), infos)
+			var se *grace.StepError
+			if !errors.As(err, &se) || se.Phase != "compress" || se.Tensor != 2 || se.Name != infos[2].Name {
+				t.Fatalf("%v fusion=%d: step error %v, want a compress-phase StepError at tensor 2", strategy, fusion, err)
+			}
+			if !strings.Contains(err.Error(), "liartest") {
+				t.Fatalf("%v fusion=%d: step error %q does not name the method", strategy, fusion, err)
+			}
+		}
+	}
 }

@@ -59,7 +59,7 @@ func (e *Engine) Method() string {
 	if e.tuner != nil {
 		return e.tuner.Sig()
 	}
-	return e.lanes[0].comp.Name()
+	return e.lanes[0].comps[0].Name()
 }
 
 // CodecState captures the merged compressor state across all codec lanes as
@@ -67,12 +67,13 @@ func (e *Engine) Method() string {
 // (tensor index mod lane count, per the last Step's tensor set) contributes
 // its entry; entries for tensors the engine has never exchanged are dropped
 // as stale. Stateless methods yield a state with empty Tensors and nil
-// LaneRNGs.
+// LaneRNGs. Only a lane's first instance can carry state: a fixed-method
+// lane has no other, and a tuning lane's candidates are stateless (admit).
 func (e *Engine) CodecState() EngineCodecState {
 	p := len(e.lanes)
 	out := EngineCodecState{Method: e.Method()}
 	for l, ln := range e.lanes {
-		sf, ok := ln.comp.(Stateful)
+		sf, ok := ln.comps[0].(Stateful)
 		if !ok {
 			continue
 		}
@@ -116,7 +117,7 @@ func (e *Engine) LoadCodecState(st EngineCodecState) error {
 			"restore with the same codec parallelism", len(st.LaneRNGs), len(e.lanes))
 	}
 	for l, ln := range e.lanes {
-		sf, ok := ln.comp.(Stateful)
+		sf, ok := ln.comps[0].(Stateful)
 		if !ok {
 			if len(st.Tensors) > 0 || st.LaneRNGs != nil {
 				return fmt.Errorf("grace: method %q carries codec state but the engine's compressor is stateless", st.Method)

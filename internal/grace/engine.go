@@ -29,9 +29,10 @@ import (
 // lockstep contract: every worker issues the identical operation sequence,
 // and no Collective handle is ever used concurrently.
 //
-// Buffers persist across steps (outputs, compensated gradients, gather-size
-// slices) or come from a sync.Pool (allreduce working copies, decode
-// scratch), so a steady-state Step performs near-zero framework allocation.
+// Every buffer the exchange needs belongs to the Engine and persists across
+// steps (outputs, compensated gradients, gather-size slices, the per-bucket
+// allreduce buffers, each lane's decode scratch), so a steady-state Step
+// performs near-zero framework allocation.
 //
 // An Engine belongs to one worker; Step must not be called concurrently.
 // The returned gradients and report are valid until the next Step call.
@@ -64,12 +65,11 @@ type Engine struct {
 	comp    [][]float32 // compensated gradient per tensor (mem != nil)
 	compVec [][]float32 // what went into the codec (comp[i] or the raw grad)
 	pays    []*Payload
-	gathers [][][]byte // allgather results awaiting decode
-	summed  [][]float32 // allreduce results awaiting decode, backed by sumBuf or fusedBuf
-	sumBuf  [][]float32 // per-tensor allreduce working buffers, kept across steps
-	gsz     [][]int // persistent GatherSizes backing store
-	have    []bool  // driver-side arrival tracking
-	failed  []bool  // recoverable per-tensor decode failures (DecodeFallback)
+	views   [][][]byte  // allgather results awaiting decode: per tensor, every rank's payload
+	summed  [][]float32 // allreduce results awaiting decode: subslices of the bucket's bucketBuf entry
+	gsz     [][]int     // persistent GatherSizes backing store
+	have    []bool      // driver-side arrival tracking
+	failed  []bool      // recoverable per-tensor decode failures (DecodeFallback)
 	rep     StepReport
 
 	// Cross-rank observability + per-tensor quality accounting. stepNum
@@ -88,16 +88,16 @@ type Engine struct {
 	qSteps     []int64
 	qEFDrops   []int64 // EF residual sets lost to elastic shrinks (Rebind)
 
-	// Fusion state. buckets is the step's bucket plan (contiguous tensor
-	// ranges, identical on every rank); bucketOf inverts it. For multi-tensor
-	// allreduce buckets the summed result is one fused buffer shared by the
-	// bucket's tensors as subslices: fusedBuf holds it, kept across steps like
-	// sumBuf. gsplit is the per-tensor per-rank view of split fused allgather
-	// frames.
-	buckets  []Bucket
-	bucketOf []int
-	fusedBuf [][]float32
-	gsplit   [][][]byte
+	// Exchange units. buckets is the step's bucket plan (contiguous tensor
+	// ranges, identical on every rank; one tensor each when fusion is off).
+	// bucketBuf holds one allreduce working buffer per bucket, kept across
+	// steps: the bucket's dense payloads are packed into it, summed in place,
+	// and handed to the decoding lanes as subslices. parts is the driver's
+	// scratch for one bucket's byte payloads on the way out and one rank's
+	// split frame on the way back.
+	buckets   []Bucket
+	bucketBuf [][]float32
+	parts     [][]byte
 
 	// Autotuning state (nil/empty when the engine runs a fixed method).
 	// assign is the tuner's per-tensor plan for the current step; obs is the
@@ -122,15 +122,14 @@ type Engine struct {
 	paused atomic.Bool
 }
 
-// engineLane is one codec worker: a compressor instance plus its probed
-// capabilities and a decode-task queue fed by the comm driver. In autotuning
-// mode comp/caps are unset and comps/capsL hold one instance per Tuner
-// candidate instead; tensors stay pinned to lanes either way.
+// engineLane is one codec worker: its compressor instances with their probed
+// capabilities, and a decode-task queue fed by the comm driver. comps is the
+// lane's candidate list: the one instance of a fixed-method engine, or one
+// instance per Tuner candidate followed by the flush codec in autotuning
+// mode; tensors stay pinned to lanes either way.
 type engineLane struct {
-	comp    Compressor
-	caps    Caps
 	comps   []Compressor
-	capsL   []Caps
+	caps    []Caps
 	dec     chan int // tensor indices to decode; -1 ends the step
 	scratch []float32
 
@@ -183,6 +182,27 @@ type EngineConfig struct {
 	// identically configured Tuner — the policy trajectory is part of the
 	// collective sequence.
 	Tuner Tuner
+}
+
+// StepStats reports what one tensor's exchange did, for volume accounting and
+// modeled communication time.
+type StepStats struct {
+	Strategy Strategy
+	// SentBytes is this worker's wire payload (the paper's data-volume
+	// metric).
+	SentBytes int
+	// RecvBytes is the peer payload volume this worker collected for the
+	// tensor: the reduced vector for Allreduce (full width), the n-1 peer
+	// payloads for Allgather — which is where sparsifiers' true wire cost
+	// hides at scale — and, for Custom strategies that do not report their
+	// own receive volume, a SentBytes mirror (symmetric-exchange assumption).
+	RecvBytes int
+	// GatherSizes holds every worker's payload size for Allgather exchanges
+	// (nil otherwise); simnet's allgather cost model consumes it.
+	GatherSizes []int
+	// CodecTime is the measured compress+decompress+memory time, excluding
+	// time spent blocked in the collective.
+	CodecTime time.Duration
 }
 
 // StrategyStats is the per-strategy slice of a step's exchange volume.
@@ -263,114 +283,124 @@ type StepReport struct {
 
 // NewEngine builds an Engine from functional options (see EngineOption; an
 // EngineConfig literal is itself an option, so both construction styles
-// work). All lane compressors must agree on method name and strategy;
-// Custom-strategy methods must implement CustomComm.
+// work). Every lane holds the same candidate list — one compressor for a
+// fixed method, one per Tuner candidate plus the flush codec when autotuning,
+// so a tensor can run any candidate while staying pinned to its lane — and
+// admit applies the mode's rules to it.
 func NewEngine(opts ...EngineOption) (*Engine, error) {
 	cfg := BuildEngineConfig(opts...)
 	if cfg.Coll == nil {
 		return nil, fmt.Errorf("grace: engine needs a collective")
 	}
-	if cfg.Tuner != nil {
-		return newTunedEngine(cfg)
-	}
-	var comps []Compressor
-	switch {
-	case cfg.New != nil:
-		p := cfg.Parallelism
-		if p <= 0 {
-			p = runtime.GOMAXPROCS(0)
-		}
-		for i := 0; i < p; i++ {
-			c, err := cfg.New()
-			if err != nil {
-				return nil, fmt.Errorf("grace: engine lane %d: %w", i, err)
-			}
-			comps = append(comps, c)
-		}
-	case cfg.Comp != nil:
-		comps = []Compressor{cfg.Comp}
-	default:
-		return nil, fmt.Errorf("grace: engine needs a compressor (Comp) or factory (New)")
-	}
 	if err := cfg.Fusion.validate(); err != nil {
 		return nil, err
-	}
-	first := comps[0]
-	e := &Engine{coll: cfg.Coll, mem: cfg.Mem, n: float32(cfg.Coll.Size()),
-		rank: cfg.Coll.Rank(), fallback: cfg.DecodeFallback, fusion: cfg.Fusion}
-	e.drv = telScope{rank: e.rank, tid: telemetry.TIDDriver, acc: &e.drvNs}
-	for i, c := range comps {
-		if c.Name() != first.Name() || c.Strategy() != first.Strategy() {
-			return nil, fmt.Errorf("grace: engine lanes disagree: lane 0 is %s/%v, lane %d is %s/%v",
-				first.Name(), first.Strategy(), i, c.Name(), c.Strategy())
-		}
-		caps := Capabilities(c)
-		if caps.Strategy == Custom && caps.Custom == nil {
-			return nil, fmt.Errorf("grace: %s declares Custom strategy but lacks CustomComm", c.Name())
-		}
-		ln := &engineLane{comp: c, caps: caps}
-		ln.ts = telScope{rank: e.rank, tid: 1 + i, acc: &ln.phaseNs}
-		e.lanes = append(e.lanes, ln)
-	}
-	return e, nil
-}
-
-// newTunedEngine builds an Engine in autotuning mode: every lane holds one
-// instance of every Tuner candidate, so a tensor can run any candidate while
-// staying pinned to its lane. Fusion is rejected (a mixed-method step has no
-// single-strategy buckets), as are stateful and Custom-strategy candidates —
-// the former would need per-candidate codec-state checkpointing, the latter
-// own their collective sequence and cannot be hot-swapped safely.
-func newTunedEngine(cfg EngineConfig) (*Engine, error) {
-	if cfg.Fusion.Enabled() {
-		return nil, fmt.Errorf("grace: autotuning and tensor fusion are mutually exclusive")
-	}
-	cands := cfg.Tuner.Candidates()
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("grace: autotune policy has no candidates")
 	}
 	p := cfg.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{coll: cfg.Coll, mem: cfg.Mem, n: float32(cfg.Coll.Size()),
-		rank: cfg.Coll.Rank(), fallback: cfg.DecodeFallback,
-		tuner: cfg.Tuner, cands: cands}
+		rank: cfg.Coll.Rank(), fallback: cfg.DecodeFallback, fusion: cfg.Fusion, tuner: cfg.Tuner}
 	e.drv = telScope{rank: e.rank, tid: telemetry.TIDDriver, acc: &e.drvNs}
-	e.occup = make([]int64, len(cands)+1)
+	var candidates func() ([]Compressor, error) // builds one lane's list
+	switch {
+	case cfg.Tuner != nil:
+		e.cands = cfg.Tuner.Candidates()
+		e.occup = make([]int64, len(e.cands)+1)
+		candidates = func() ([]Compressor, error) {
+			comps := make([]Compressor, 0, len(e.cands)+1)
+			for ci, cand := range e.cands {
+				c, err := New(cand.Method, cand.Opts)
+				if err != nil {
+					return nil, fmt.Errorf("autotune candidate %d (%s): %w", ci, cand.Label, err)
+				}
+				comps = append(comps, c)
+			}
+			return append(comps, flushCodec{}), nil
+		}
+	case cfg.New != nil:
+		candidates = func() ([]Compressor, error) {
+			c, err := cfg.New()
+			return []Compressor{c}, err
+		}
+	case cfg.Comp != nil:
+		p = 1
+		candidates = func() ([]Compressor, error) { return []Compressor{cfg.Comp}, nil }
+	default:
+		return nil, fmt.Errorf("grace: engine needs a compressor (Comp) or factory (New)")
+	}
 	for l := 0; l < p; l++ {
-		ln := &engineLane{}
-		for ci, cand := range cands {
-			c, err := New(cand.Method, cand.Opts)
-			if err != nil {
-				return nil, fmt.Errorf("grace: autotune candidate %d (%s): %w", ci, cand.Label, err)
-			}
-			if _, stateful := c.(Stateful); stateful {
-				return nil, fmt.Errorf("grace: autotune candidate %q: method %s carries codec state; "+
-					"only codec-stateless methods can be autotuned", cand.Label, cand.Method)
-			}
-			caps := Capabilities(c)
-			if caps.Strategy == Custom {
-				return nil, fmt.Errorf("grace: autotune candidate %q: Custom-strategy methods cannot be autotuned", cand.Label)
-			}
-			ln.comps = append(ln.comps, c)
-			ln.capsL = append(ln.capsL, caps)
+		comps, err := candidates()
+		if err != nil {
+			return nil, fmt.Errorf("grace: engine lane %d: %w", l, err)
+		}
+		ln := &engineLane{comps: comps}
+		for _, c := range comps {
+			ln.caps = append(ln.caps, Capabilities(c))
 		}
 		ln.ts = telScope{rank: e.rank, tid: 1 + l, acc: &ln.phaseNs}
 		e.lanes = append(e.lanes, ln)
 	}
+	if err := e.admit(); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
-// compCaps resolves tensor i's compressor instance and capabilities on lane
-// ln: the lane's single instance in fixed-method mode, the instance of the
-// tensor's assigned candidate in autotuning mode.
-func (e *Engine) compCaps(ln *engineLane, i int) (Compressor, Caps) {
+// admit applies the construction rules that depend on the mode. A
+// fixed-method engine needs its lanes to agree on method name and strategy,
+// and a Custom-strategy method to implement CustomComm. A tuning engine
+// rejects fusion (a mixed-method step has no single-strategy buckets) and
+// stateful or Custom-strategy candidates — the former would need
+// per-candidate codec-state checkpointing, the latter own their collective
+// sequence and cannot be hot-swapped safely.
+func (e *Engine) admit() error {
+	first := e.lanes[0]
 	if e.tuner == nil {
-		return ln.comp, ln.caps
+		c0 := first.comps[0]
+		for l, ln := range e.lanes {
+			c, caps := ln.comps[0], ln.caps[0]
+			if c.Name() != c0.Name() || c.Strategy() != c0.Strategy() {
+				return fmt.Errorf("grace: engine lanes disagree: lane 0 is %s/%v, lane %d is %s/%v",
+					c0.Name(), c0.Strategy(), l, c.Name(), c.Strategy())
+			}
+			if caps.Strategy == Custom && caps.Custom == nil {
+				return fmt.Errorf("grace: %s declares Custom strategy but lacks CustomComm", c.Name())
+			}
+		}
+		return nil
 	}
-	c := e.assign[i].Cand
-	return ln.comps[c], ln.capsL[c]
+	if e.fusion.Enabled() {
+		return fmt.Errorf("grace: autotuning and tensor fusion are mutually exclusive")
+	}
+	if len(e.cands) == 0 {
+		return fmt.Errorf("grace: autotune policy has no candidates")
+	}
+	for ci, cand := range e.cands {
+		if _, stateful := first.comps[ci].(Stateful); stateful {
+			return fmt.Errorf("grace: autotune candidate %q: method %s carries codec state; "+
+				"only codec-stateless methods can be autotuned", cand.Label, cand.Method)
+		}
+		if first.caps[ci].Strategy == Custom {
+			return fmt.Errorf("grace: autotune candidate %q: Custom-strategy methods cannot be autotuned", cand.Label)
+		}
+	}
+	return nil
+}
+
+// compCaps resolves tensor i's compressor instance and capabilities on lane
+// ln: the lane's only instance in fixed-method mode; in autotuning mode the
+// instance of the tensor's assigned candidate, or the flush codec that
+// follows the candidates when the tensor runs the EF flush handoff.
+func (e *Engine) compCaps(ln *engineLane, i int) (Compressor, Caps) {
+	c := 0
+	if e.tuner != nil {
+		c = e.assign[i].Cand
+		if e.isFlush(i) {
+			c = len(e.cands)
+		}
+	}
+	return ln.comps[c], ln.caps[c]
 }
 
 // isFlush reports whether tensor i runs the EF flush handoff this step: the
@@ -428,16 +458,13 @@ func (e *Engine) Rebind(lost int) error {
 	e.n = float32(n)
 	e.rank = e.coll.Rank()
 	e.drv.rank = e.rank
-	for l, ln := range e.lanes {
+	for _, ln := range e.lanes {
 		ln.ts.rank = e.rank
-		_ = l
 	}
 	for i := range e.gsz {
 		if len(e.gsz[i]) != n {
 			e.gsz[i] = make([]int, n)
-		}
-		if e.gsplit[i] != nil && len(e.gsplit[i]) != n {
-			e.gsplit[i] = make([][]byte, n)
+			e.views[i] = make([][]byte, n)
 		}
 	}
 	if e.mem != nil && lost > 0 {
@@ -716,20 +743,6 @@ func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo
 	}
 	e.compVec[i] = comp
 
-	if e.isFlush(i) {
-		// EF flush handoff: the compensated gradient travels uncompressed as
-		// a dense allreduce (the allreduce path copies it into a pooled
-		// buffer before the collective, so aliasing comp is safe) and the
-		// residual becomes ψ = comp − comp = exactly zero, so the incoming
-		// method starts from clean error accounting.
-		st.Strategy = Allreduce
-		e.pays[i] = &Payload{Dense: comp}
-		st.SentBytes = len(comp) * 4
-		e.mem.Update(info.Name, comp, comp)
-		st.CodecTime = time.Since(t0)
-		return
-	}
-
 	if caps.Strategy == Custom {
 		// The compressor drives communication itself; all codec happens
 		// inside CommunicateAggregate on the driver goroutine.
@@ -745,6 +758,19 @@ func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo
 		return
 	}
 	ln.ts.end(telemetry.PhaseCompress, info.Name, span)
+	// The exchange packs Dense for Allreduce and Bytes for Allgather (nil
+	// Bytes is an empty payload); a codec whose payload contradicts its
+	// declared strategy would desync the collective sequence.
+	switch {
+	case caps.Strategy == Allreduce && pay.Dense == nil:
+		err = fmt.Errorf("%s uses Allreduce but produced no dense payload", cp.Name())
+	case caps.Strategy == Allgather && pay.Bytes == nil && pay.Dense != nil:
+		err = fmt.Errorf("%s uses Allgather but produced a dense payload", cp.Name())
+	}
+	if err != nil {
+		e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "compress", Err: err})
+		return
+	}
 	e.pays[i] = pay
 	st.SentBytes = pay.WireBytes()
 
@@ -776,25 +802,45 @@ func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo
 	st.CodecTime = time.Since(t0)
 }
 
-// issueBucket runs bucket bi's collective round on the driver goroutine. A
-// single-tensor bucket takes the legacy per-tensor path — byte-identical wire
-// payloads and accounting — so disabling fusion reproduces the unfused engine
-// exactly; multi-tensor buckets pack their payloads into one fused exchange.
+// issueBucket runs bucket bi's collective round on the driver goroutine: it
+// dispatches once on the bucket's strategy (a bucket never mixes strategies;
+// compressOne recorded it) to the one exchange function of that strategy. An
+// unfused run is a plan of one-tensor buckets through the same code, and
+// because a one-part frame is the bare payload (comm.AppendFused) its wire
+// bytes are those of a per-tensor exchange.
 func (e *Engine) issueBucket(bi int, infos []TensorInfo) error {
 	b := e.buckets[bi]
 	e.rep.Rounds++
-	if b.size() == 1 {
-		return e.issue(b.Lo, infos[b.Lo])
+	if b.size() > 1 {
+		e.rep.FusedBuckets++
+		e.rep.FusedTensors += b.size()
+		for i := b.Lo; i < b.Hi; i++ {
+			e.rep.FusedBytes += e.rep.Tensors[i].SentBytes
+		}
 	}
-	e.rep.FusedBuckets++
-	e.rep.FusedTensors += b.size()
-	if e.lanes[0].caps.Strategy == Allreduce {
-		return e.issueFusedAllreduce(bi, b, infos)
+	switch strat := e.rep.Tensors[b.Lo].Strategy; strat {
+	case Allreduce:
+		return e.exchangeAllreduce(bi, b, infos)
+	case Allgather:
+		return e.exchangeAllgather(b, infos)
+	case Custom:
+		return e.exchangeCustom(b.Lo, infos[b.Lo])
+	default:
+		return &StepError{Tensor: b.Lo, Name: infos[b.Lo].Name, Phase: "collective",
+			Err: fmt.Errorf("unhandled strategy %v", strat)}
 	}
-	return e.issueFusedAllgather(bi, b, infos)
 }
 
-// issueFusedAllreduce concatenates the bucket's dense payloads into the
+// stagePhase labels the driver's pack and split work around a bucket's
+// collective: payload staging for a bucket of one, fusion work otherwise.
+func stagePhase(b Bucket) telemetry.Phase {
+	if b.size() > 1 {
+		return telemetry.PhaseFuse
+	}
+	return telemetry.PhaseEncode
+}
+
+// exchangeAllreduce concatenates the bucket's dense payloads into the
 // bucket's buffer, allreduces it in a single round, and hands each tensor its
 // segment as a subslice. Per-element summation is position-independent
 // on rank-ordered substrates (the in-process hub), so each segment's sum is
@@ -802,34 +848,30 @@ func (e *Engine) issueBucket(bi int, infos []TensorInfo) error {
 // transports chunk by element position, so fused results remain internally
 // consistent across ranks but may round differently from the unfused
 // schedule (see DESIGN.md).
-func (e *Engine) issueFusedAllreduce(bi int, b Bucket, infos []TensorInfo) error {
+func (e *Engine) exchangeAllreduce(bi int, b Bucket, infos []TensorInfo) error {
+	name := infos[b.Lo].Name
 	span := e.drv.start()
 	total := 0
 	for i := b.Lo; i < b.Hi; i++ {
-		pay := e.pays[i]
-		if pay.Dense == nil {
-			return fmt.Errorf("grace: %s uses Allreduce but produced no dense payload", e.lanes[0].comp.Name())
-		}
-		total += len(pay.Dense)
+		total += len(e.pays[i].Dense)
 	}
-	fused := sized(&e.fusedBuf[bi], total)
+	buf := sized(&e.bucketBuf[bi], total)
 	off := 0
 	for i := b.Lo; i < b.Hi; i++ {
-		off += copy(fused[off:], e.pays[i].Dense)
+		off += copy(buf[off:], e.pays[i].Dense)
 	}
-	e.rep.FusedBytes += total * 4
-	e.drv.end(telemetry.PhaseFuse, infos[b.Lo].Name, span)
+	e.drv.end(stagePhase(b), name, span)
 
 	span = e.drv.start()
-	if err := e.coll.AllreduceF32(fused); err != nil {
-		return &StepError{Tensor: b.Lo, Name: infos[b.Lo].Name, Phase: "collective", Err: err}
+	if err := e.coll.AllreduceF32(buf); err != nil {
+		return &StepError{Tensor: b.Lo, Name: name, Phase: "collective", Err: err}
 	}
-	e.drv.end(telemetry.PhaseCollective, infos[b.Lo].Name, span)
+	e.drv.end(telemetry.PhaseCollective, name, span)
 
 	off = 0
 	for i := b.Lo; i < b.Hi; i++ {
 		n := len(e.pays[i].Dense)
-		e.summed[i] = fused[off : off+n : off+n]
+		e.summed[i] = buf[off : off+n : off+n]
 		e.rep.Tensors[i].RecvBytes = n * 4
 		off += n
 		e.lanes[i%len(e.lanes)].dec <- i
@@ -837,162 +879,102 @@ func (e *Engine) issueFusedAllreduce(bi int, b Bucket, infos []TensorInfo) error
 	return nil
 }
 
-// issueFusedAllgather frames the bucket's byte payloads into one fused frame,
+// exchangeAllgather frames the bucket's byte payloads into one frame,
 // allgathers it in a single round, and splits every rank's frame back into
-// per-tensor parts (zero-copy subslices). A frame that fails to split is a
-// decode fault for the whole bucket: under DecodeFallback each of its tensors
-// degrades per-tensor through the recovery round, exactly as an unfused
-// corrupt payload would; without it the step fails.
-func (e *Engine) issueFusedAllgather(bi int, b Bucket, infos []TensorInfo) error {
+// the per-tensor rank views (zero-copy subslices). A frame that fails to
+// split is a decode fault for the whole bucket: under DecodeFallback each of
+// its tensors degrades per-tensor through the recovery round, exactly as an
+// unfused corrupt payload would; without it the step fails.
+func (e *Engine) exchangeAllgather(b Bucket, infos []TensorInfo) error {
+	name, stage := infos[b.Lo].Name, stagePhase(b)
 	span := e.drv.start()
-	parts := make([][]byte, 0, b.size())
-	payloadBytes := 0
+	parts := e.parts[:0]
 	for i := b.Lo; i < b.Hi; i++ {
-		pay := e.pays[i]
-		if pay.Bytes == nil && pay.Dense != nil {
-			return fmt.Errorf("grace: %s uses Allgather but produced a dense payload", e.lanes[0].comp.Name())
-		}
-		parts = append(parts, pay.Bytes)
-		payloadBytes += len(pay.Bytes)
+		parts = append(parts, e.pays[i].Bytes)
 	}
-	// The frame is freshly allocated per bucket: on the in-process hub peers
-	// read the deposited slice after the exchange returns, so it must not be
-	// reused while a later bucket is in flight.
+	e.parts = parts
+	// The frame is never a reused buffer: on the in-process hub peers read
+	// the deposited slice after the exchange returns, so it must stay intact
+	// while a later bucket is in flight.
 	frame := comm.AppendFused(nil, parts)
-	e.rep.FusedBytes += payloadBytes
-	e.rep.FusionOverheadBytes += comm.FusedOverhead(b.size())
+	over := comm.FusedOverhead(b.size())
+	e.rep.FusionOverheadBytes += over
 	// Each peer's frame arrives with the same header overhead.
-	e.rep.RecvBytes += (int(e.n) - 1) * comm.FusedOverhead(b.size())
-	e.drv.end(telemetry.PhaseFuse, infos[b.Lo].Name, span)
+	e.rep.RecvBytes += (int(e.n) - 1) * over
+	e.drv.end(stage, name, span)
 
 	span = e.drv.start()
 	all, err := e.coll.AllgatherBytes(frame)
 	if err != nil {
-		return &StepError{Tensor: b.Lo, Name: infos[b.Lo].Name, Phase: "collective", Err: err}
+		return &StepError{Tensor: b.Lo, Name: name, Phase: "collective", Err: err}
 	}
-	e.drv.end(telemetry.PhaseCollective, infos[b.Lo].Name, span)
+	e.drv.end(telemetry.PhaseCollective, name, span)
 
 	span = e.drv.start()
 	for r, rframe := range all {
-		rparts, err := comm.SplitFused(rframe, b.size())
-		if err != nil {
-			ferr := fmt.Errorf("fused frame from rank %d: %w", r, err)
-			if !e.fallback {
-				return &StepError{Tensor: b.Lo, Name: infos[b.Lo].Name, Phase: "decode", Err: ferr}
-			}
-			// Degrade the whole bucket per-tensor; the lanes never see these
-			// indices, so the driver owns failed[Lo:Hi] exclusively here.
+		if err := comm.SplitFused(rframe, parts); err != nil {
+			// The lanes never see these indices, so the driver owns the
+			// bucket's fault state exclusively here.
 			for i := b.Lo; i < b.Hi; i++ {
-				e.failed[i] = true
+				e.failTensor(i, infos[i], fmt.Errorf("fused frame from rank %d: %w", r, err))
 			}
-			e.drv.end(telemetry.PhaseFuse, infos[b.Lo].Name, span)
-			return nil
+			e.drv.end(stage, name, span)
+			return e.err()
 		}
-		for k, p := range rparts {
-			e.gsplit[b.Lo+k][r] = p
+		for k, p := range parts {
+			e.views[b.Lo+k][r] = p
 		}
 	}
-	e.drv.end(telemetry.PhaseFuse, infos[b.Lo].Name, span)
+	e.drv.end(stage, name, span)
 
 	for i := b.Lo; i < b.Hi; i++ {
 		st := &e.rep.Tensors[i]
-		for r, p := range e.gsplit[i] {
+		for r, p := range e.views[i] {
 			if r != e.rank {
 				st.RecvBytes += len(p)
 			}
 		}
-		e.gathers[i] = e.gsplit[i]
 		e.lanes[i%len(e.lanes)].dec <- i
 	}
 	return nil
 }
 
-// sized returns *buf at length n, replacing it when it is too small. The
-// allreduce working buffers live in the Engine rather than in the shared
-// pool: a tensor's buffer is read by its decoding lane while the driver is
-// inside the next tensor's collective, and is free again by the next Step.
+// exchangeCustom lets a Custom-strategy compressor drive tensor i's
+// communication itself (never fused, never autotuned); all of its codec work
+// happens inside CommunicateAggregate on the driver goroutine.
+func (e *Engine) exchangeCustom(i int, info TensorInfo) error {
+	cp, caps := e.compCaps(e.lanes[i%len(e.lanes)], i)
+	st := &e.rep.Tensors[i]
+	span := e.drv.start()
+	agg, sent, err := caps.Custom.CommunicateAggregate(e.compVec[i], info, e.coll)
+	if err != nil {
+		return &StepError{Tensor: i, Name: info.Name, Phase: "custom",
+			Err: fmt.Errorf("%s: %w", cp.Name(), err)}
+	}
+	e.drv.end(telemetry.PhaseCollective, info.Name, span)
+	st.SentBytes = sent
+	// CustomComm reports only its send volume; assume a symmetric
+	// exchange for the receive side rather than report zero.
+	st.RecvBytes = sent
+	if e.mem != nil {
+		t := time.Now()
+		span = e.drv.start()
+		e.mem.Update(info.Name, e.compVec[i], agg)
+		e.drv.end(telemetry.PhaseCompensate, info.Name, span)
+		st.CodecTime += time.Since(t)
+	}
+	e.out[i] = agg
+	return nil
+}
+
+// sized returns *buf at length n, replacing it when it is too small. A
+// bucket's buffer is read by its tensors' decoding lanes while the driver is
+// inside the next bucket's collective, and is free again by the next Step.
 func sized(buf *[]float32, n int) []float32 {
 	if cap(*buf) < n {
 		*buf = make([]float32, n)
 	}
 	return (*buf)[:n]
-}
-
-// issue runs tensor i's collective on the driver goroutine and hands the
-// result back to the owning lane for decode.
-func (e *Engine) issue(i int, info TensorInfo) error {
-	ln := e.lanes[i%len(e.lanes)]
-	cp, caps := e.compCaps(ln, i)
-	strat := caps.Strategy
-	if e.isFlush(i) {
-		strat = Allreduce
-	}
-	st := &e.rep.Tensors[i]
-	switch strat {
-	case Custom:
-		span := e.drv.start()
-		agg, sent, err := caps.Custom.CommunicateAggregate(e.compVec[i], info, e.coll)
-		if err != nil {
-			return &StepError{Tensor: i, Name: info.Name, Phase: "custom",
-				Err: fmt.Errorf("%s: %w", cp.Name(), err)}
-		}
-		e.drv.end(telemetry.PhaseCollective, info.Name, span)
-		st.SentBytes = sent
-		// CustomComm reports only its send volume; assume a symmetric
-		// exchange for the receive side rather than report zero.
-		st.RecvBytes = sent
-		if e.mem != nil {
-			t := time.Now()
-			span = e.drv.start()
-			e.mem.Update(info.Name, e.compVec[i], agg)
-			e.drv.end(telemetry.PhaseCompensate, info.Name, span)
-			st.CodecTime += time.Since(t)
-		}
-		e.out[i] = agg
-		return nil
-
-	case Allreduce:
-		pay := e.pays[i]
-		if pay.Dense == nil {
-			return fmt.Errorf("grace: %s uses Allreduce but produced no dense payload", cp.Name())
-		}
-		span := e.drv.start()
-		summed := sized(&e.sumBuf[i], len(pay.Dense))
-		copy(summed, pay.Dense)
-		e.drv.end(telemetry.PhaseEncode, info.Name, span)
-		span = e.drv.start()
-		if err := e.coll.AllreduceF32(summed); err != nil {
-			return &StepError{Tensor: i, Name: info.Name, Phase: "collective", Err: err}
-		}
-		e.drv.end(telemetry.PhaseCollective, info.Name, span)
-		st.RecvBytes = len(summed) * 4
-		e.summed[i] = summed
-		ln.dec <- i
-		return nil
-
-	case Allgather:
-		pay := e.pays[i]
-		if pay.Bytes == nil && pay.Dense != nil {
-			return fmt.Errorf("grace: %s uses Allgather but produced a dense payload", cp.Name())
-		}
-		span := e.drv.start()
-		all, err := e.coll.AllgatherBytes(pay.Bytes)
-		if err != nil {
-			return &StepError{Tensor: i, Name: info.Name, Phase: "collective", Err: err}
-		}
-		e.drv.end(telemetry.PhaseCollective, info.Name, span)
-		for rank, b := range all {
-			if rank != e.rank {
-				st.RecvBytes += len(b)
-			}
-		}
-		e.gathers[i] = all
-		ln.dec <- i
-		return nil
-
-	default:
-		return fmt.Errorf("grace: unhandled strategy %v", strat)
-	}
 }
 
 // decodeOne runs the post-communication codec work for tensor i on its lane:
@@ -1005,55 +987,36 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 	t0 := time.Now()
 	st := &e.rep.Tensors[i]
 	cp, caps := e.compCaps(ln, i)
-	strat := caps.Strategy
-	if e.isFlush(i) {
-		strat = Allreduce
-	}
-	switch strat {
+	switch caps.Strategy {
 	case Allreduce:
 		summed := e.summed[i]
-		e.summed[i] = nil
-		if e.isFlush(i) {
-			// Flush payloads are the raw compensated gradients; the sum just
-			// needs averaging, no codec involved.
-			span := ln.ts.start()
-			copy(e.out[i], summed)
-			scale(e.out[i], 1/e.n)
-			ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
-			break
-		}
 		span := ln.ts.start()
 		if caps.Into != nil {
 			if err := caps.Into.DecompressInto(&Payload{Dense: summed}, info, e.out[i]); err != nil {
 				e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", cp.Name(), err))
 				return
 			}
-			ln.ts.end(telemetry.PhaseDecode, info.Name, span)
-			span = ln.ts.start()
-			scale(e.out[i], 1/e.n)
-			ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 		} else {
 			agg, err := cp.Decompress(&Payload{Dense: summed}, info)
 			if err != nil {
 				e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", cp.Name(), err))
 				return
 			}
-			ln.ts.end(telemetry.PhaseDecode, info.Name, span)
-			span = ln.ts.start()
-			scale(agg, 1/e.n)
-			ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 			e.out[i] = agg
 		}
+		ln.ts.end(telemetry.PhaseDecode, info.Name, span)
+		span = ln.ts.start()
+		scale(e.out[i], 1/e.n)
+		ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 
 	case Allgather:
-		all := e.gathers[i]
-		e.gathers[i] = nil
-		sizes := e.gsz[i][:len(all)]
+		all := e.views[i]
+		sizes := e.gsz[i]
 		for rank, b := range all {
 			sizes[rank] = len(b)
 		}
 		st.GatherSizes = sizes
-		if err := decodeAggregate(cp, caps, all, info, e.out[i], e.n, ln.ts); err != nil {
+		if err := decodeAggregate(cp, caps, all, info, e.out[i], e.n, ln.scratch, ln.ts); err != nil {
 			e.failTensor(i, info, err)
 			return
 		}
@@ -1063,9 +1026,10 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 
 // failTensor handles a decode failure for tensor i: under DecodeFallback it
 // is recoverable — marked for the recovery round and survived — otherwise it
-// poisons the step. failed[i] is only ever touched by the lane owning tensor
-// i during the exchange and by the driver after wg.Wait, so plain writes are
-// race-free.
+// poisons the step. During the exchange tensor i's fault state is only ever
+// touched by one goroutine — the lane that decodes it, or the driver when the
+// tensor's frame never split and no lane was handed it — and by the driver
+// again after wg.Wait, so plain writes are race-free.
 func (e *Engine) failTensor(i int, info TensorInfo, err error) {
 	if e.fallback {
 		e.failed[i] = true
@@ -1149,33 +1113,19 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 	}
 	if !same {
 		p := len(e.lanes)
-		// In autotuning mode there is no single engine-wide strategy; fusion is
-		// disabled there, so planBuckets degenerates to singleton buckets and
-		// the value is inert.
-		strategy := Allreduce
-		if e.tuner == nil {
-			strategy = e.lanes[0].caps.Strategy
-		}
+		// Fusion plans on the engine-wide strategy. A tuning engine has none,
+		// but it never fuses (admit), so planBuckets yields buckets of one and
+		// the value is inert; its candidates are never Custom either.
+		strategy := e.lanes[0].caps[0].Strategy
 		e.buckets = planBuckets(infos, e.fusion, strategy)
-		e.bucketOf = make([]int, m)
-		e.fusedBuf = make([][]float32, len(e.buckets))
-		e.gsplit = make([][][]byte, m)
-		for bi, b := range e.buckets {
-			for i := b.Lo; i < b.Hi; i++ {
-				e.bucketOf[i] = bi
-				if b.size() > 1 && strategy == Allgather {
-					e.gsplit[i] = make([][]byte, e.coll.Size())
-				}
-			}
-		}
+		e.bucketBuf = make([][]float32, len(e.buckets))
 		e.sizes = make([]int, m)
 		e.out = make([][]float32, m)
 		e.comp = make([][]float32, m)
 		e.compVec = make([][]float32, m)
 		e.pays = make([]*Payload, m)
-		e.gathers = make([][][]byte, m)
+		e.views = make([][][]byte, m)
 		e.summed = make([][]float32, m)
-		e.sumBuf = make([][]float32, m)
 		e.gsz = make([][]int, m)
 		e.have = make([]bool, m)
 		e.failed = make([]bool, m)
@@ -1192,30 +1142,31 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 			size := info.Size()
 			e.sizes[i] = size
 			e.nameIdx[info.Name] = i
-			if e.tuner != nil || strategy != Custom {
+			if strategy != Custom {
 				// Custom-strategy compressors return their own aggregate
 				// slice; everything else aggregates into a persistent buffer.
-				// Autotuned candidates are never Custom.
 				e.out[i] = make([]float32, size)
 			}
 			if e.mem != nil {
 				e.comp[i] = make([]float32, size)
 			}
 			e.gsz[i] = make([]int, e.coll.Size())
+			e.views[i] = make([][]byte, e.coll.Size())
 			if size > laneMax[i%p] {
 				laneMax[i%p] = size
 			}
 		}
 		for l, ln := range e.lanes {
+			// One decode scratch per lane, for codecs with DecompressInto: the
+			// local decompress of the EF update, then the per-rank allgather
+			// decode (never both at once — a lane compresses all its tensors
+			// before it decodes any).
 			ln.scratch = nil
-			needScratch := ln.caps.Into != nil
-			for _, caps := range ln.capsL {
-				if caps.Into != nil {
-					needScratch = true
+			for _, caps := range ln.caps {
+				if caps.Into != nil && (e.mem != nil || caps.Strategy == Allgather) && laneMax[l] > 0 {
+					ln.scratch = make([]float32, laneMax[l])
+					break
 				}
-			}
-			if e.mem != nil && needScratch && laneMax[l] > 0 {
-				ln.scratch = make([]float32, laneMax[l])
 			}
 			if cap(ln.dec) < m/p+2 {
 				ln.dec = make(chan int, m/p+2)
@@ -1263,7 +1214,6 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 		e.fellback[i] = false
 		e.pays[i] = nil
 		e.compVec[i] = nil
-		e.gathers[i] = nil
 		e.summed[i] = nil
 	}
 	return nil

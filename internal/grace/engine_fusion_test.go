@@ -2,6 +2,7 @@ package grace_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -11,7 +12,9 @@ import (
 )
 
 // runEngineFusion is runEngine with an explicit fusion policy and collective
-// wrapper hook; wrap may be nil.
+// wrapper hook; wrap may be nil. On every rank it also holds the engine to its
+// fault ledger: the per-tensor QualityReport faults must add up to the faults
+// the step reports counted.
 func runEngineFusion(t *testing.T, workers, steps, lanes int, fc grace.FusionConfig,
 	infos []grace.TensorInfo, newComp func(rank int) (grace.Compressor, error), ef bool,
 	fallback bool, wrap func(rank int, c comm.Collective) comm.Collective) ([][][]float32, []*grace.StepReport) {
@@ -45,6 +48,7 @@ func runEngineFusion(t *testing.T, workers, steps, lanes int, fc grace.FusionCon
 				errs[rank] = err
 				return
 			}
+			var stepFaults, tensorFaults int64
 			for step := 0; step < steps; step++ {
 				grads := engineTestGrads(rank, step, infos)
 				aggs, rep, err := eng.Step(grads, infos)
@@ -58,6 +62,13 @@ func runEngineFusion(t *testing.T, workers, steps, lanes int, fc grace.FusionCon
 				}
 				cp := *rep
 				reports[rank] = &cp
+				stepFaults += int64(rep.Faults)
+			}
+			for _, q := range eng.QualityReport() {
+				tensorFaults += q.Faults
+			}
+			if tensorFaults != stepFaults {
+				errs[rank] = fmt.Errorf("QualityReport counts %d faults, the step reports %d", tensorFaults, stepFaults)
 			}
 		}(rank)
 	}
@@ -102,9 +113,9 @@ func TestEngineFusedMatchesUnfused(t *testing.T) {
 		}},
 	}
 	geometries := []grace.FusionConfig{
-		{TargetBytes: 1 << 20},                // everything in one bucket
-		{TargetBytes: 1500},                   // a few tensors per bucket
-		{TargetBytes: 1 << 20, MaxTensors: 2}, // pairwise
+		{TargetBytes: 1 << 20}, // everything in one bucket
+		{TargetBytes: 2600},    // three tensors per bucket
+		{TargetBytes: 1500},    // buckets of one and two, alternating
 	}
 	for _, m := range methods {
 		t.Run(m.name, func(t *testing.T) {
@@ -215,6 +226,12 @@ func TestEngineFusedFrameFaultDegradesPerTensor(t *testing.T) {
 		if reps[rank].Fallbacks != len(infos) {
 			t.Fatalf("rank %d recovered %d tensors, want the whole bucket (%d)",
 				rank, reps[rank].Fallbacks, len(infos))
+		}
+		// Every rank failed to split rank 1's frame, so each counts the whole
+		// bucket as local faults — in the step report and (runEngineFusion
+		// checks the two agree) per tensor in the quality table.
+		if reps[rank].Faults != len(infos) {
+			t.Fatalf("rank %d reports %d faults, want %d", rank, reps[rank].Faults, len(infos))
 		}
 		for ti := range infos {
 			for j := range want[rank][ti] {

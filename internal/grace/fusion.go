@@ -18,19 +18,11 @@ type FusionConfig struct {
 	// TargetBytes is the bucket fill target: consecutive tensors are packed
 	// into one bucket until their estimated payload volume (uncompressed
 	// width, 4 bytes/element — a rank-independent estimate) would exceed it.
-	// 0 disables fusion: every tensor travels in its own collective round,
-	// reproducing the legacy per-tensor schedule exactly.
+	// 0 disables fusion: every tensor travels in its own collective round —
+	// a bucket of one, whose frame is the bare payload — which is the
+	// per-tensor schedule exactly. Custom-strategy tensors are never fused
+	// regardless (the compressor drives its own communication).
 	TargetBytes int
-	// MaxTensors caps how many tensors one bucket may carry; 0 means
-	// unlimited. The cap bounds the decode fan-out a single corrupt fused
-	// frame can poison.
-	MaxTensors int
-	// ByStrategy, when set, forbids a bucket from mixing communication
-	// strategies. An Engine is single-method and therefore single-strategy,
-	// so this is a forward-compatibility guard for mixed-method schedules;
-	// Custom-strategy tensors are never fused regardless (the compressor
-	// drives its own communication).
-	ByStrategy bool
 }
 
 // Enabled reports whether the config fuses anything at all.
@@ -41,9 +33,6 @@ func (fc FusionConfig) Enabled() bool { return fc.TargetBytes > 0 }
 func (fc FusionConfig) validate() error {
 	if fc.TargetBytes < 0 {
 		return fmt.Errorf("grace: fusion TargetBytes %d is negative", fc.TargetBytes)
-	}
-	if fc.MaxTensors < 0 {
-		return fmt.Errorf("grace: fusion MaxTensors %d is negative", fc.MaxTensors)
 	}
 	return nil
 }
@@ -82,9 +71,7 @@ func planBuckets(infos []TensorInfo, fc FusionConfig, strategy Strategy) []Bucke
 	lo, volume := 0, 0
 	for i, info := range infos {
 		sz := info.Size() * 4
-		over := i > lo && volume+sz > fc.TargetBytes
-		full := fc.MaxTensors > 0 && i-lo >= fc.MaxTensors
-		if over || full {
+		if i > lo && volume+sz > fc.TargetBytes {
 			out = append(out, Bucket{Lo: lo, Hi: i})
 			lo, volume = i, 0
 		}

@@ -32,12 +32,10 @@ func checkPlan(t *testing.T, infos []TensorInfo, bs []Bucket) {
 
 func TestPlanBucketsDisabled(t *testing.T) {
 	infos := planInfos(10, 20, 30)
-	for _, fc := range []FusionConfig{{}, {MaxTensors: 4}} {
-		bs := planBuckets(infos, fc, Allreduce)
-		checkPlan(t, infos, bs)
-		if len(bs) != len(infos) {
-			t.Fatalf("disabled fusion produced %d buckets for %d tensors", len(bs), len(infos))
-		}
+	bs := planBuckets(infos, FusionConfig{}, Allreduce)
+	checkPlan(t, infos, bs)
+	if len(bs) != len(infos) {
+		t.Fatalf("disabled fusion produced %d buckets for %d tensors", len(bs), len(infos))
 	}
 }
 
@@ -72,20 +70,6 @@ func TestPlanBucketsOversizeTensor(t *testing.T) {
 	}
 }
 
-func TestPlanBucketsMaxTensors(t *testing.T) {
-	infos := planInfos(1, 1, 1, 1, 1, 1, 1)
-	bs := planBuckets(infos, FusionConfig{TargetBytes: 1 << 20, MaxTensors: 3}, Allreduce)
-	checkPlan(t, infos, bs)
-	for i, b := range bs {
-		if b.size() > 3 {
-			t.Fatalf("bucket %d carries %d tensors, cap is 3", i, b.size())
-		}
-	}
-	if len(bs) != 3 {
-		t.Fatalf("got %d buckets, want 3", len(bs))
-	}
-}
-
 func TestPlanBucketsCustomNeverFuses(t *testing.T) {
 	infos := planInfos(1, 1, 1)
 	bs := planBuckets(infos, FusionConfig{TargetBytes: 1 << 20}, Custom)
@@ -105,10 +89,7 @@ func TestFusionConfigValidate(t *testing.T) {
 	if err := (FusionConfig{TargetBytes: -1}).validate(); err == nil {
 		t.Fatal("negative TargetBytes accepted")
 	}
-	if err := (FusionConfig{MaxTensors: -1}).validate(); err == nil {
-		t.Fatal("negative MaxTensors accepted")
-	}
-	if err := (FusionConfig{TargetBytes: 1 << 20, MaxTensors: 8}).validate(); err != nil {
+	if err := (FusionConfig{TargetBytes: 1 << 20}).validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }

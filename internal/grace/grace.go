@@ -110,12 +110,12 @@ func (p *Payload) WireBytes() int {
 // Compressor is the paper's core abstraction: a (lossy) codec for gradient
 // tensors. Compress must not retain or mutate g. Decompress must return a
 // vector of exactly info.Size() elements and must not retain p or return
-// memory aliasing it (the framework recycles payload buffers through a
-// sync.Pool). Implementations may keep per-tensor state keyed by info.Name
-// (momentum, low-rank warm starts); they are used by a single worker and
-// need not be safe for concurrent use — the Engine pins each tensor to one
-// compressor instance so per-tensor state is never touched from two
-// goroutines.
+// memory aliasing it (the Engine reuses the buffers a collective's result
+// lands in from one step to the next). Implementations may keep per-tensor
+// state keyed by info.Name (momentum, low-rank warm starts); they are used by
+// a single worker and need not be safe for concurrent use — the Engine pins
+// each tensor to one compressor instance so per-tensor state is never touched
+// from two goroutines.
 type Compressor interface {
 	Name() string
 	Strategy() Strategy

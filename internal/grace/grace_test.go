@@ -343,13 +343,13 @@ func TestCommTimeModel(t *testing.T) {
 		small := StepStats{Strategy: s, SentBytes: 100}
 		big := StepStats{Strategy: s, SentBytes: 10_000_000}
 		c := clusterForTest()
-		if commTime(c, big) <= commTime(c, small) {
+		if commTimeBucket(c, []StepStats{big}) <= commTimeBucket(c, []StepStats{small}) {
 			t.Fatalf("commTime not monotone for %v", s)
 		}
 	}
 	c := clusterForTest()
 	ag := StepStats{Strategy: Allgather, GatherSizes: []int{100, 100, 100, 100}}
-	if commTime(c, ag) <= 0 {
+	if commTimeBucket(c, []StepStats{ag}) <= 0 {
 		t.Fatal("allgather time must be positive")
 	}
 }

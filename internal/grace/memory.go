@@ -47,7 +47,7 @@ func (m *Memory) Compensate(name string, g []float32) []float32 {
 }
 
 // compensateInto writes φ(m, g) into dst (len(dst) == len(g)); the engine's
-// allocation-free path over persistent or pooled buffers.
+// allocation-free path over its persistent buffers.
 func (m *Memory) compensateInto(dst []float32, name string, g []float32) {
 	st := m.residual(name)
 	if st == nil {

@@ -5,80 +5,46 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/telemetry"
 )
 
-// StepStats reports what one Exchange did, for volume accounting and
-// modeled communication time.
-type StepStats struct {
-	Strategy Strategy
-	// SentBytes is this worker's wire payload (the paper's data-volume
-	// metric).
-	SentBytes int
-	// RecvBytes is the peer payload volume this worker collected for the
-	// tensor: the reduced vector for Allreduce (full width), the n-1 peer
-	// payloads for Allgather — which is where sparsifiers' true wire cost
-	// hides at scale — and, for Custom strategies that do not report their
-	// own receive volume, a SentBytes mirror (symmetric-exchange assumption).
-	RecvBytes int
-	// GatherSizes holds every worker's payload size for Allgather exchanges
-	// (nil otherwise); simnet's allgather cost model consumes it.
-	GatherSizes []int
-	// CodecTime is the measured compress+decompress+memory time, excluding
-	// time spent blocked in the collective.
-	CodecTime time.Duration
-}
-
-// Pipeline binds a compressor, an optional framework error-feedback memory,
-// and a collective into the per-tensor exchange of Algorithm 1 (lines 5-14).
-// One Pipeline belongs to one worker. It is the single-tensor primitive; the
-// Engine composes it across a whole step's tensors with codec/communication
-// overlap.
+// Pipeline is the sequential reference implementation of the per-tensor
+// exchange of Algorithm 1 (lines 5-14): one worker, one tensor at a time,
+// compress → communicate → aggregate. Nothing but tests and benchmarks
+// constructs one — the Engine drives every run — so it exists as the bitwise
+// oracle the Engine is checked against, and is written to stay independent
+// of it: only the public Compressor, Memory and Collective APIs, the
+// allocating Decompress everywhere, its own rank-order mean, plain
+// allocation, no telemetry.
 type Pipeline struct {
 	Comp Compressor
 	Mem  *Memory // nil disables framework EF
 	Coll comm.Collective
-
-	// caps memoizes Capabilities(Comp) after the first Exchange.
-	caps    Caps
-	capsSet bool
 }
 
 // Exchange runs one tensor through compress → communicate → aggregate and
 // returns the aggregated (mean) gradient every worker agrees on. The
 // returned slice is freshly allocated and owned by the caller.
 func (p *Pipeline) Exchange(g []float32, info TensorInfo) ([]float32, StepStats, error) {
-	if !p.capsSet {
-		p.caps = Capabilities(p.Comp)
-		p.capsSet = true
-	}
-	var stats StepStats
-	stats.Strategy = p.caps.Strategy
+	name := p.Comp.Name()
+	stats := StepStats{Strategy: p.Comp.Strategy()}
 	n := float32(p.Coll.Size())
 
 	start := time.Now()
 	comp := g
-	pooled := false
 	if p.Mem != nil {
-		comp = getF32(len(g))
-		pooled = true
-		p.Mem.compensateInto(comp, info.Name, g)
+		comp = p.Mem.Compensate(info.Name, g)
 	}
-	defer func() {
-		if pooled {
-			putF32(comp)
-		}
-	}()
 
 	// Custom strategy: the compressor drives communication itself.
 	if stats.Strategy == Custom {
-		if p.caps.Custom == nil {
-			return nil, stats, fmt.Errorf("grace: %s declares Custom strategy but lacks CustomComm", p.Comp.Name())
+		cc, ok := p.Comp.(CustomComm)
+		if !ok {
+			return nil, stats, fmt.Errorf("grace: %s declares Custom strategy but lacks CustomComm", name)
 		}
 		stats.CodecTime = time.Since(start)
-		agg, sent, err := p.caps.Custom.CommunicateAggregate(comp, info, p.Coll)
+		agg, sent, err := cc.CommunicateAggregate(comp, info, p.Coll)
 		if err != nil {
-			return nil, stats, fmt.Errorf("grace: %s custom comm: %w", p.Comp.Name(), err)
+			return nil, stats, fmt.Errorf("grace: %s custom comm: %w", name, err)
 		}
 		stats.SentBytes = sent
 		stats.RecvBytes = sent // symmetric-exchange assumption, as in Engine
@@ -92,27 +58,18 @@ func (p *Pipeline) Exchange(g []float32, info TensorInfo) ([]float32, StepStats,
 
 	pay, err := p.Comp.Compress(comp, info)
 	if err != nil {
-		return nil, stats, fmt.Errorf("grace: %s compress %s: %w", p.Comp.Name(), info.Name, err)
+		return nil, stats, fmt.Errorf("grace: %s compress %s: %w", name, info.Name, err)
 	}
 	stats.SentBytes = pay.WireBytes()
 
 	// Worker-local approximation, needed for the memory update; computed
 	// before communication so codec time excludes collective wait.
 	if p.Mem != nil {
-		if p.caps.Into != nil {
-			approx := getF32(info.Size())
-			if err := p.caps.Into.DecompressInto(pay, info, approx); err != nil {
-				return nil, stats, fmt.Errorf("grace: %s local decompress: %w", p.Comp.Name(), err)
-			}
-			p.Mem.Update(info.Name, comp, approx)
-			putF32(approx)
-		} else {
-			approx, err := p.Comp.Decompress(pay, info)
-			if err != nil {
-				return nil, stats, fmt.Errorf("grace: %s local decompress: %w", p.Comp.Name(), err)
-			}
-			p.Mem.Update(info.Name, comp, approx)
+		approx, err := p.Comp.Decompress(pay, info)
+		if err != nil {
+			return nil, stats, fmt.Errorf("grace: %s local decompress: %w", name, err)
 		}
+		p.Mem.Update(info.Name, comp, approx)
 	}
 	stats.CodecTime = time.Since(start)
 
@@ -120,43 +77,58 @@ func (p *Pipeline) Exchange(g []float32, info TensorInfo) ([]float32, StepStats,
 	switch stats.Strategy {
 	case Allreduce:
 		if pay.Dense == nil {
-			return nil, stats, fmt.Errorf("grace: %s uses Allreduce but produced no dense payload", p.Comp.Name())
+			return nil, stats, fmt.Errorf("grace: %s uses Allreduce but produced no dense payload", name)
 		}
-		summed := getF32(len(pay.Dense))
-		copy(summed, pay.Dense)
+		summed := append([]float32(nil), pay.Dense...)
 		if err := p.Coll.AllreduceF32(summed); err != nil {
 			return nil, stats, fmt.Errorf("grace: allreduce: %w", err)
 		}
 		stats.RecvBytes = len(summed) * 4
 		t := time.Now()
-		agg, err = p.Comp.Decompress(&Payload{Dense: summed}, info)
-		putF32(summed)
-		if err != nil {
-			return nil, stats, fmt.Errorf("grace: %s decompress sum: %w", p.Comp.Name(), err)
+		if agg, err = p.Comp.Decompress(&Payload{Dense: summed}, info); err != nil {
+			return nil, stats, fmt.Errorf("grace: %s decompress sum: %w", name, err)
 		}
 		scale(agg, 1/n)
 		stats.CodecTime += time.Since(t)
 
 	case Allgather:
 		if pay.Bytes == nil && pay.Dense != nil {
-			return nil, stats, fmt.Errorf("grace: %s uses Allgather but produced a dense payload", p.Comp.Name())
+			return nil, stats, fmt.Errorf("grace: %s uses Allgather but produced a dense payload", name)
 		}
 		all, err := p.Coll.AllgatherBytes(pay.Bytes)
 		if err != nil {
 			return nil, stats, fmt.Errorf("grace: allgather: %w", err)
 		}
+		t := time.Now()
 		stats.GatherSizes = make([]int, len(all))
+		decoded := make([][]float32, len(all))
 		for rank, b := range all {
 			stats.GatherSizes[rank] = len(b)
 			if rank != p.Coll.Rank() {
 				stats.RecvBytes += len(b)
 			}
+			if decoded[rank], err = p.Comp.Decompress(&Payload{Bytes: b}, info); err != nil {
+				return nil, stats, fmt.Errorf("grace: %s decompress rank %d: %w", name, rank, err)
+			}
+			if len(decoded[rank]) != info.Size() {
+				return nil, stats, fmt.Errorf("grace: %s decompressed %d elements, want %d", name, len(decoded[rank]), info.Size())
+			}
 		}
-		t := time.Now()
-		agg = make([]float32, info.Size())
-		ts := telScope{rank: p.Coll.Rank(), tid: telemetry.TIDDriver}
-		if err := decodeAggregate(p.Comp, p.caps, all, info, agg, n, ts); err != nil {
-			return nil, stats, err
+		if custom, ok := p.Comp.(Aggregator); ok {
+			// Custom Agg function (Algorithm 1, line 13).
+			if agg = custom.Aggregate(decoded, info); len(agg) != info.Size() {
+				return nil, stats, fmt.Errorf("grace: %s aggregated %d elements, want %d", name, len(agg), info.Size())
+			}
+		} else {
+			// The mean, accumulated in rank order so every worker computes
+			// the same bits.
+			agg = make([]float32, info.Size())
+			for _, dec := range decoded {
+				for i, v := range dec {
+					agg[i] += v
+				}
+			}
+			scale(agg, 1/n)
 		}
 		stats.CodecTime += time.Since(t)
 
@@ -164,83 +136,4 @@ func (p *Pipeline) Exchange(g []float32, info TensorInfo) ([]float32, StepStats,
 		return nil, stats, fmt.Errorf("grace: unhandled strategy %v", stats.Strategy)
 	}
 	return agg, stats, nil
-}
-
-// decodeAggregate decompresses every rank's Allgather payload and writes the
-// aggregate into dst (len(dst) == info.Size(), contents ignored). The default
-// aggregation is the mean, accumulated in rank order so results are bitwise
-// identical on every worker; compressors with a custom Agg function
-// (caps.Aggregator) replace it. When the compressor supports DecompressInto,
-// the mean path runs allocation-free over a pooled scratch buffer. ts scopes
-// the decode/aggregate telemetry spans to the calling lane or pipeline.
-func decodeAggregate(c Compressor, caps Caps, all [][]byte, info TensorInfo, dst []float32, n float32, ts telScope) error {
-	size := info.Size()
-	if caps.Aggregator != nil {
-		// Custom Agg function (Algorithm 1, line 13) needs every rank's
-		// decoded gradient at once.
-		span := ts.start()
-		decoded := make([][]float32, len(all))
-		for rank, b := range all {
-			dec, err := c.Decompress(&Payload{Bytes: b}, info)
-			if err != nil {
-				return fmt.Errorf("grace: %s decompress rank %d: %w", c.Name(), rank, err)
-			}
-			if len(dec) != size {
-				return fmt.Errorf("grace: %s decompressed %d elements, want %d", c.Name(), len(dec), size)
-			}
-			decoded[rank] = dec
-		}
-		ts.end(telemetry.PhaseDecode, info.Name, span)
-		span = ts.start()
-		agg := caps.Aggregator.Aggregate(decoded, info)
-		if len(agg) != size {
-			return fmt.Errorf("grace: %s aggregated %d elements, want %d", c.Name(), len(agg), size)
-		}
-		copy(dst, agg)
-		ts.end(telemetry.PhaseAggregate, info.Name, span)
-		return nil
-	}
-
-	for i := range dst {
-		dst[i] = 0
-	}
-	var scratch []float32
-	if caps.Into != nil {
-		scratch = getF32(size)
-		defer putF32(scratch)
-	}
-	var decodeNs, aggNs time.Duration
-	for rank, b := range all {
-		var dec []float32
-		span := ts.start()
-		if caps.Into != nil {
-			if err := caps.Into.DecompressInto(&Payload{Bytes: b}, info, scratch); err != nil {
-				return fmt.Errorf("grace: %s decompress rank %d: %w", c.Name(), rank, err)
-			}
-			dec = scratch
-		} else {
-			var err error
-			dec, err = c.Decompress(&Payload{Bytes: b}, info)
-			if err != nil {
-				return fmt.Errorf("grace: %s decompress rank %d: %w", c.Name(), rank, err)
-			}
-			if len(dec) != size {
-				return fmt.Errorf("grace: %s decompressed %d elements, want %d", c.Name(), len(dec), size)
-			}
-		}
-		decodeNs += telemetry.Default.Observe(telemetry.PhaseDecode, ts.rank, ts.tid, info.Name, span)
-		span = ts.start()
-		for i, v := range dec {
-			dst[i] += v
-		}
-		aggNs += telemetry.Default.Observe(telemetry.PhaseAggregate, ts.rank, ts.tid, info.Name, span)
-	}
-	span := ts.start()
-	scale(dst, 1/n)
-	aggNs += telemetry.Default.Observe(telemetry.PhaseAggregate, ts.rank, ts.tid, info.Name, span)
-	if ts.acc != nil {
-		ts.acc[telemetry.PhaseDecode] += int64(decodeNs)
-		ts.acc[telemetry.PhaseAggregate] += int64(aggNs)
-	}
-	return nil
 }

@@ -89,10 +89,7 @@ func (e *Engine) methodLabel(i int) string {
 		}
 		return "?"
 	}
-	if len(e.lanes) > 0 && e.lanes[0].comp != nil {
-		return e.lanes[0].comp.Name()
-	}
-	return "?"
+	return e.lanes[0].comps[0].Name()
 }
 
 // SortQualityByDensity orders rows densest-wire-first (highest achieved

@@ -730,47 +730,34 @@ func ModeledStepCommTime(c simnet.Cluster, rep *StepReport) time.Duration {
 // commTimeBucket models the transfer time of one collective round — a fusion
 // bucket — on the cluster. A fused bucket merges its tensors' volumes into one
 // round, which is exactly the saving fusion exists for: one latency charge
-// instead of len(span). Singleton buckets and custom-strategy tensors (never
-// fused) are charged per tensor.
+// instead of len(span). An unfused tensor is a bucket of one, whose frame is
+// its bare payload (comm.FusedOverhead is 0 there).
 func commTimeBucket(c simnet.Cluster, span []StepStats) time.Duration {
-	if len(span) > 1 && span[0].Strategy == Allreduce {
+	switch span[0].Strategy {
+	case Allreduce:
 		total := 0
 		for _, s := range span {
 			total += s.SentBytes
 		}
 		return c.AllreduceTime(total)
-	}
-	if len(span) > 1 && span[0].Strategy == Allgather {
-		// Per-rank fused frame = framing header + that rank's payloads.
-		sizes := make([]int, len(span[0].GatherSizes))
+	case Allgather:
+		// Per-rank frame = framing header + that rank's payloads. The usual
+		// group sizes fit the stack array, so the hot path does not allocate.
+		var few [16]int
+		sizes := append(few[:0], span[0].GatherSizes...)
 		for r := range sizes {
-			sizes[r] = comm.FusedOverhead(len(span))
+			sizes[r] += comm.FusedOverhead(len(span))
 		}
-		for _, s := range span {
+		for _, s := range span[1:] {
 			for r, sz := range s.GatherSizes {
 				sizes[r] += sz
 			}
 		}
 		return c.AllgatherTime(sizes)
-	}
-	var d time.Duration
-	for _, s := range span {
-		d += commTime(c, s)
-	}
-	return d
-}
-
-// commTime models the transfer time of one exchange on the cluster.
-func commTime(c simnet.Cluster, s StepStats) time.Duration {
-	switch s.Strategy {
-	case Allreduce:
-		return c.AllreduceTime(s.SentBytes)
-	case Allgather:
-		return c.AllgatherTime(s.GatherSizes)
 	case Custom:
-		// PowerSGD performs two allreduces (P then Q); model each as half
-		// the sent volume.
-		return 2 * c.AllreduceTime(s.SentBytes/2)
+		// Never fused. PowerSGD performs two allreduces (P then Q); model
+		// each as half the sent volume.
+		return 2 * c.AllreduceTime(span[0].SentBytes/2)
 	default:
 		return 0
 	}

@@ -43,6 +43,27 @@ type TunerAssign struct {
 	Flush bool
 }
 
+// flushCodec is the EF flush handoff written as a codec: the identity over
+// Allreduce, held by every tuning lane after the policy's candidates. Run
+// through the ordinary exchange it sends the compensated gradient dense, its
+// local decompression makes the residual ψ = comp − comp exactly zero — so
+// the incoming method starts from clean error accounting — and the allreduce
+// decode averages the sum like any other.
+type flushCodec struct{}
+
+func (flushCodec) Name() string       { return "flush" }
+func (flushCodec) Strategy() Strategy { return Allreduce }
+func (flushCodec) Compress(g []float32, _ TensorInfo) (*Payload, error) {
+	return &Payload{Dense: g}, nil
+}
+func (flushCodec) Decompress(p *Payload, _ TensorInfo) ([]float32, error) {
+	return append([]float32(nil), p.Dense...), nil
+}
+func (flushCodec) DecompressInto(p *Payload, _ TensorInfo, dst []float32) error {
+	copy(dst, p.Dense)
+	return nil
+}
+
 // TunerObs is the engine's post-step feedback for one tensor. All fields are
 // rank-identical, so feeding them back into the policy preserves the
 // determinism contract.

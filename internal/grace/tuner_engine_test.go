@@ -1,6 +1,7 @@
 package grace_test
 
 import (
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -458,5 +459,131 @@ func TestTunedEngineStatePresence(t *testing.T) {
 	st := tuned.TunerState()
 	if st == nil || st.Sig != pol.Sig() {
 		t.Fatalf("tuned engine state %+v does not carry the policy sig", st)
+	}
+}
+
+// obsTuner is scriptTuner keeping the last observations the engine fed back.
+type obsTuner struct {
+	scriptTuner
+	last []grace.TunerObs
+}
+
+func (o *obsTuner) Observe(obs []grace.TunerObs) {
+	o.last = append(o.last[:0], obs...)
+	o.scriptTuner.Observe(obs)
+}
+
+// TestTunedFlushStepIsIdentityExchange pins the EF flush handoff from the
+// outside, on a multi-rank group: a flushed tensor travels as one dense
+// allreduce of its compensated gradient (4·d bytes each way, no gather
+// sizes), every rank applies the mean of the ranks' compensated gradients,
+// the residual is left bit-exactly zero, and the policy is told so — the
+// contract the flush codec inherits from the hand-written handoff it
+// replaced.
+func TestTunedFlushStepIsIdentityExchange(t *testing.T) {
+	const (
+		workers  = 2
+		switchAt = 2
+	)
+	infos := engineTestInfos(5)
+	hub := comm.NewHub(workers)
+	tuners := make([]*obsTuner, workers)
+	mems := make([]*grace.Memory, workers)
+	engs := make([]*grace.Engine, workers)
+	for rank := range engs {
+		tuners[rank] = &obsTuner{scriptTuner: scriptTuner{
+			cands: []grace.TunerCandidate{
+				{Label: "topk", Method: "topk", Opts: grace.Options{Ratio: 0.1}},
+				{Label: "eightbit", Method: "eightbit"},
+			},
+			switchAt: switchAt,
+			flush:    true,
+		}}
+		mems[rank] = grace.NewMemory(1, 1)
+		eng, err := grace.NewEngine(
+			grace.WithCollective(hub.Worker(rank)),
+			grace.WithTuner(tuners[rank]),
+			grace.WithEngineMemory(mems[rank]),
+			grace.WithParallelism(2),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[rank] = eng
+	}
+
+	for step := 0; step <= switchAt+1; step++ {
+		// What the flush must deliver: the mean, summed in rank order, of the
+		// gradients compensated with the residuals the ranks hold right now.
+		comps := make([][][]float32, workers)
+		for rank := range comps {
+			shadow := grace.NewMemory(1, 1)
+			shadow.LoadState(mems[rank].State())
+			for i, g := range engineTestGrads(rank, step, infos) {
+				comps[rank] = append(comps[rank], shadow.Compensate(infos[i].Name, g))
+			}
+		}
+
+		aggs := make([][][]float32, workers)
+		reps := make([]*grace.StepReport, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for rank := range engs {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				aggs[rank], reps[rank], errs[rank] = engs[rank].Step(engineTestGrads(rank, step, infos), infos)
+			}(rank)
+		}
+		wg.Wait()
+		for rank, err := range errs {
+			if err != nil {
+				t.Fatalf("step %d rank %d: %v", step, rank, err)
+			}
+		}
+
+		flush, wantFlushes := step == switchAt, 0
+		if flush {
+			wantFlushes = len(infos)
+		}
+		for rank, rep := range reps {
+			if rep.Flushes != wantFlushes {
+				t.Fatalf("step %d rank %d ran %d flush handoffs, want %d", step, rank, rep.Flushes, wantFlushes)
+			}
+			for i, o := range tuners[rank].last {
+				if o.Flush != flush {
+					t.Fatalf("step %d rank %d tensor %d: policy observed Flush=%v", step, rank, i, o.Flush)
+				}
+			}
+			if !flush {
+				continue
+			}
+			if got := rep.ByStrategy[grace.Allreduce].Tensors; got != len(infos) {
+				t.Fatalf("flush step rank %d: %d allreduce tensors, want %d", rank, got, len(infos))
+			}
+			state := mems[rank].State()
+			for i, info := range infos {
+				wire := 4 * info.Size()
+				st := rep.Tensors[i]
+				if st.Strategy != grace.Allreduce || st.SentBytes != wire || st.RecvBytes != wire || st.GatherSizes != nil {
+					t.Fatalf("flush step rank %d tensor %d: stats %+v, want a dense allreduce of %d bytes", rank, i, st, wire)
+				}
+				wantObs := grace.TunerObs{Cand: 1, Flush: true, Strategy: grace.Allreduce, ExchBytes: int64(wire)}
+				if got := tuners[rank].last[i]; got != wantObs {
+					t.Fatalf("flush step rank %d tensor %d: policy observed %+v, want %+v", rank, i, got, wantObs)
+				}
+				for j, r := range state[info.Name] {
+					if math.Float32bits(r) != 0 {
+						t.Fatalf("flush step rank %d tensor %d elem %d: residual %v is not +0", rank, i, j, r)
+					}
+				}
+				for j, got := range aggs[rank][i] {
+					if want := (comps[0][i][j] + comps[1][i][j]) * (1 / float32(workers)); got != want {
+						t.Fatalf("flush step rank %d tensor %d elem %d: applied %v, mean of compensated gradients %v",
+							rank, i, j, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -143,7 +143,7 @@ func runOneLocal(b Benchmark, spec MethodSpec, sc SweepConfig, syncEvery int) (*
 	cfg := grace.Config{
 		Workers:      sc.Workers,
 		BatchSize:    b.BatchSize,
-		Epochs:       b.scaledEpochs(sc.Scale),
+		Epochs:       b.ScaledEpochs(sc.Scale),
 		Seed:         sc.Seed,
 		NewModel:     b.NewModel,
 		Dataset:      b.NewDataset(),
@@ -168,7 +168,7 @@ func runOnePS(b Benchmark, spec MethodSpec, sc SweepConfig) (*grace.Report, erro
 	cfg := grace.Config{
 		Workers:      sc.Workers,
 		BatchSize:    b.BatchSize,
-		Epochs:       b.scaledEpochs(sc.Scale),
+		Epochs:       b.ScaledEpochs(sc.Scale),
 		Seed:         sc.Seed,
 		NewModel:     b.NewModel,
 		Dataset:      b.NewDataset(),

@@ -1,12 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/fxrand"
 	"repro/internal/grace"
 	"repro/internal/grace/autotune"
 	"repro/internal/simnet"
@@ -67,8 +66,12 @@ func DefaultAutotuneSweep() SweepConfig {
 const autotuneEvery = 2
 
 // replaySteps is the length of the common replay stream the frozen policies
-// are scored on.
-const replaySteps = 8
+// are scored on; replayTimeout is the watchdog on one replay (milliseconds of
+// work on the stock benchmarks, so expiry means a deadlock).
+const (
+	replaySteps   = 8
+	replayTimeout = 2 * time.Minute
+)
 
 // NewDefaultTuner returns a grace.Config.NewTuner factory for the stock
 // candidate set under the sweep's link and group size. Every rank must build
@@ -127,20 +130,9 @@ func benchInfos(b Benchmark, seed uint64) []grace.TensorInfo {
 	return infos
 }
 
-// replayGrads is the common gradient stream: deterministic in (rank, step,
-// tensor), identical for every policy being scored.
-func replayGrads(rank, step int, infos []grace.TensorInfo) [][]float32 {
-	r := fxrand.New(uint64(rank)*104729 + uint64(step)*31 + 5)
-	out := make([][]float32, len(infos))
-	for i, info := range infos {
-		g := make([]float32, info.Size())
-		for j := range g {
-			g[j] = r.NormFloat32() * 0.1
-		}
-		out[i] = g
-	}
-	return out
-}
+// replaySeed picks the common gradient stream: deterministic in (rank, step),
+// identical for every policy being scored.
+func replaySeed(rank, step int) uint64 { return uint64(rank)*104729 + uint64(step)*31 + 5 }
 
 // replayStepTime scores one frozen per-tensor assignment on the common
 // stream: it runs the policy through real engines (with error-feedback
@@ -154,44 +146,24 @@ func replayStepTime(b Benchmark, sc SweepConfig, cands []grace.TunerCandidate, a
 	}
 	cluster := simnet.NewCluster(sc.Net, sc.Workers)
 	hub := comm.NewHub(sc.Workers)
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var commTotal time.Duration
-	errs := make([]error, sc.Workers)
-	for rank := 0; rank < sc.Workers; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			eng, err := grace.NewEngine(
+	var commTotal time.Duration // rank 0's
+	errs, _ := runFleet(hub, sc.Workers, replaySteps, infos, replaySeed, replayTimeout,
+		func(rank int) (*grace.Engine, error) {
+			return grace.NewEngine(
 				grace.WithCollective(hub.Worker(rank)),
 				grace.WithTuner(&fixedTuner{cands: cands, assign: assign}),
 				grace.WithEngineMemory(grace.NewMemory(1, 1)),
 				grace.WithParallelism(sc.CodecParallelism),
 			)
-			if err != nil {
-				errs[rank] = err
-				return
+		},
+		func(rank, _ int, rep *grace.StepReport) error {
+			if rank == 0 {
+				commTotal += grace.ModeledStepCommTime(cluster, rep)
 			}
-			for step := 0; step < replaySteps; step++ {
-				_, rep, err := eng.Step(replayGrads(rank, step, infos), infos)
-				if err != nil {
-					errs[rank] = err
-					return
-				}
-				if rank == 0 {
-					mu.Lock()
-					commTotal += grace.ModeledStepCommTime(cluster, rep)
-					mu.Unlock()
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("harness: policy replay: %w", err)
-		}
+			return nil
+		})
+	if err := errors.Join(errs...); err != nil {
+		return 0, fmt.Errorf("harness: policy replay: %w", err)
 	}
 	return commTotal/replaySteps + b.ComputePerIter, nil
 }
@@ -206,7 +178,7 @@ func RunAutotuneBench(b Benchmark, sc SweepConfig) (*AutotuneResult, error) {
 	tunedCfg := grace.Config{
 		Workers:              sc.Workers,
 		BatchSize:            b.BatchSize,
-		Epochs:               b.scaledEpochs(sc.Scale),
+		Epochs:               b.ScaledEpochs(sc.Scale),
 		Seed:                 sc.Seed,
 		NewModel:             b.NewModel,
 		Dataset:              b.NewDataset(),

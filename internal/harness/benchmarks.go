@@ -34,8 +34,8 @@ type Benchmark struct {
 	NewEval func() func(m grace.Model) float64
 }
 
-// scaledEpochs applies the harness scale factor (cheap CI runs vs full runs).
-func (b Benchmark) scaledEpochs(scale float64) int {
+// ScaledEpochs applies the harness scale factor (cheap CI runs vs full runs).
+func (b Benchmark) ScaledEpochs(scale float64) int {
 	e := int(float64(b.Epochs) * scale)
 	if e < 1 {
 		e = 1

@@ -58,30 +58,35 @@ type ChaosConfig struct {
 	Scenarios []ChaosScenario
 }
 
-// ChaosResult is one scenario's verdict.
+// ChaosResult is one scenario's verdict, in the form the run summaries
+// serialize.
 type ChaosResult struct {
-	Scenario string
+	Scenario string `json:"scenario"`
 	// Pass is the scenario-level verdict: completed cleanly when expected
 	// to, or produced typed errors everywhere when a fatal fault was
 	// injected — and never hung.
-	Pass bool
+	Pass bool `json:"pass"`
 	// Hung reports that the watchdog fired; the group was aborted to
 	// reclaim the workers.
-	Hung    bool
-	Elapsed time.Duration
+	Hung      bool    `json:"hung,omitempty"`
+	ElapsedMs float64 `json:"elapsed_ms"`
 	// Injected counts the faults the plan actually fired, across ranks.
-	Injected int64
+	Injected int64 `json:"faults_injected"`
 	// Retries counts the transient failures absorbed by comm.Resilient across
 	// ranks (0 unless the scenario sets Retry).
-	Retries int64
+	Retries int64 `json:"retries_absorbed,omitempty"`
 	// Faults / Fallbacks sum the Engines' decode-fault and recovery
 	// counters across ranks and steps.
-	Faults    int
-	Fallbacks int
-	// Errs holds each rank's first error (nil entries for clean ranks).
-	Errs []error
+	Faults    int `json:"decode_faults"`
+	Fallbacks int `json:"decode_fallbacks"`
+	// Errors renders Errs, rank-aligned ("" for a clean rank); absent when
+	// every rank finished cleanly.
+	Errors []string `json:"errors,omitempty"`
 	// Detail explains a failed verdict.
-	Detail string
+	Detail string `json:"detail,omitempty"`
+
+	// Errs holds each rank's first error (nil entries for clean ranks).
+	Errs []error `json:"-"`
 }
 
 // DefaultChaos is the standard chaos battery: benign latency faults that must
@@ -181,110 +186,133 @@ func RunChaos(cfg ChaosConfig) []ChaosResult {
 }
 
 func runChaosScenario(cfg ChaosConfig, sc ChaosScenario) ChaosResult {
-	res := ChaosResult{Scenario: sc.Name, Errs: make([]error, cfg.Workers)}
-	infos := chaosInfos(cfg.Tensors)
+	res := ChaosResult{Scenario: sc.Name}
+	timeout := cfg.Timeout
+	if timeout <= 0 {
+		timeout = defaultFleetTimeout
+	}
 	hub := comm.NewHub(cfg.Workers)
-	faulties := make([]*comm.Faulty, cfg.Workers)
-	resilients := make([]*comm.Resilient, cfg.Workers)
-	var faultSum, fallbackSum int
 	if sc.Retry != nil {
 		// A retrying scenario's reform rendezvous must give up well before the
 		// scenario watchdog, so a rank that died outright (bug) turns into a
 		// typed error instead of a Hung verdict.
-		timeout := cfg.Timeout
-		if timeout <= 0 {
-			timeout = 30 * time.Second
-		}
 		hub.SetReformTimeout(timeout / 2)
 	}
+	faulties := make([]*comm.Faulty, cfg.Workers)
+	resilients := make([]*comm.Resilient, cfg.Workers)
+	faults, fallbacks := make([]int, cfg.Workers), make([]int, cfg.Workers)
 
 	start := time.Now()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for rank := 0; rank < cfg.Workers; rank++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				fy := comm.NewFaulty(hub.Worker(rank), sc.Plan)
-				faulties[rank] = fy
-				var coll comm.Collective = fy
-				if sc.Retry != nil {
-					rs := comm.NewResilient(fy, *sc.Retry)
-					resilients[rank] = rs
-					coll = rs
-				}
-				engOpts := []grace.EngineOption{
-					grace.WithCollective(coll),
-					grace.WithParallelism(2),
-					grace.WithDecodeFallback(sc.DecodeFallback),
-				}
-				if cfg.NewTuner != nil {
-					tn, err := cfg.NewTuner()
-					if err != nil {
-						res.Errs[rank] = err
-						return
-					}
-					engOpts = append(engOpts,
-						grace.WithTuner(tn),
-						grace.WithEngineMemory(grace.NewMemory(1, 1)))
-				} else {
-					engOpts = append(engOpts,
-						grace.WithCompressorFactory(func() (grace.Compressor, error) {
-							return grace.New(cfg.Method, cfg.Opts)
-						}),
-						grace.WithFusionBytes(cfg.FusionBytes))
-				}
-				eng, err := grace.NewEngine(engOpts...)
+	res.Errs, res.Hung = runFleet(hub, cfg.Workers, cfg.Steps, chaosInfos(cfg.Tensors), chaosSeed, timeout,
+		func(rank int) (*grace.Engine, error) {
+			faulties[rank] = comm.NewFaulty(hub.Worker(rank), sc.Plan)
+			var coll comm.Collective = faulties[rank]
+			if sc.Retry != nil {
+				resilients[rank] = comm.NewResilient(coll, *sc.Retry)
+				coll = resilients[rank]
+			}
+			engOpts := []grace.EngineOption{
+				grace.WithCollective(coll),
+				grace.WithParallelism(2),
+				grace.WithDecodeFallback(sc.DecodeFallback),
+			}
+			if cfg.NewTuner != nil {
+				tn, err := cfg.NewTuner()
 				if err != nil {
-					res.Errs[rank] = err
-					return
+					return nil, err
 				}
-				for step := 0; step < cfg.Steps; step++ {
-					_, rep, err := eng.Step(chaosGrads(rank, step, infos), infos)
-					if err != nil {
-						res.Errs[rank] = err
-						return
-					}
-					mu.Lock()
-					faultSum += rep.Faults
-					fallbackSum += rep.Fallbacks
-					mu.Unlock()
-				}
-			}(rank)
-		}
-		wg.Wait()
-	}()
-
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		res.Hung = true
-		// Reclaim the blocked workers so the sweep can continue.
-		hub.Abort(fmt.Errorf("chaos watchdog: scenario %q exceeded %v", sc.Name, timeout))
-		<-done
-	}
-	res.Elapsed = time.Since(start)
-	res.Faults = faultSum
-	res.Fallbacks = fallbackSum
-	for _, fy := range faulties {
-		if fy != nil {
+				engOpts = append(engOpts,
+					grace.WithTuner(tn),
+					grace.WithEngineMemory(grace.NewMemory(1, 1)))
+			} else {
+				engOpts = append(engOpts,
+					grace.WithCompressorFactory(func() (grace.Compressor, error) {
+						return grace.New(cfg.Method, cfg.Opts)
+					}),
+					grace.WithFusionBytes(cfg.FusionBytes))
+			}
+			return grace.NewEngine(engOpts...)
+		},
+		func(rank, _ int, rep *grace.StepReport) error {
+			faults[rank] += rep.Faults
+			fallbacks[rank] += rep.Fallbacks
+			return nil
+		})
+	res.ElapsedMs = ms(time.Since(start))
+	res.Errors = errStrings(res.Errs)
+	for rank := range faults {
+		res.Faults += faults[rank]
+		res.Fallbacks += fallbacks[rank]
+		if fy := faulties[rank]; fy != nil {
 			res.Injected += fy.Counts().Total()
 		}
-	}
-	for _, rs := range resilients {
-		if rs != nil {
+		if rs := resilients[rank]; rs != nil {
 			res.Retries += rs.Retries()
 		}
 	}
 	res.Pass, res.Detail = chaosVerdict(sc, &res)
 	return res
+}
+
+// defaultFleetTimeout is the watchdog a battery gets when its config names
+// none.
+const defaultFleetTimeout = 30 * time.Second
+
+// runFleet is the synthetic workload every engine-level battery shares: no
+// model, no optimizer — one goroutine per rank on hub, one Engine each,
+// steps lockstep steps over seeded gradients (seed picks the stream). build
+// makes a rank's engine over its hub handle, wrapped as the battery needs;
+// after each step, afterStep sees the rank's report and may issue further
+// lockstep collectives. A rank stops at its first error, which is returned
+// rank-aligned. A watchdog turns a deadlock into hung = true instead of a
+// stuck process: past timeout it aborts the hub to reclaim the workers.
+func runFleet(hub *comm.Hub, workers, steps int, infos []grace.TensorInfo, seed func(rank, step int) uint64,
+	timeout time.Duration, build func(rank int) (*grace.Engine, error),
+	afterStep func(rank, step int, rep *grace.StepReport) error) (errs []error, hung bool) {
+	errs = make([]error, workers)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for rank := 0; rank < workers; rank++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				eng, err := build(rank)
+				for step := 0; err == nil && step < steps; step++ {
+					var rep *grace.StepReport
+					if _, rep, err = eng.Step(syntheticGrads(seed(rank, step), infos), infos); err == nil {
+						err = afterStep(rank, step, rep)
+					}
+				}
+				errs[rank] = err
+			}(rank)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(timeout):
+		hung = true
+		hub.Abort(fmt.Errorf("harness watchdog: fleet exceeded %v", timeout))
+		<-done
+	}
+	return errs, hung
+}
+
+// errStrings renders rank-aligned errors for a JSON row ("" for a clean
+// rank), or nil when every rank is clean.
+func errStrings(errs []error) []string {
+	var out []string
+	for rank, err := range errs {
+		if err != nil {
+			if out == nil {
+				out = make([]string, len(errs))
+			}
+			out[rank] = err.Error()
+		}
+	}
+	return out
 }
 
 // chaosVerdict applies the scenario's expectation to what happened.
@@ -330,8 +358,13 @@ func chaosInfos(m int) []grace.TensorInfo {
 	return infos
 }
 
-func chaosGrads(rank, step int, infos []grace.TensorInfo) [][]float32 {
-	r := fxrand.New(uint64(rank)*7919 + uint64(step) + 1)
+// chaosSeed picks the chaos and straggler batteries' gradient stream.
+func chaosSeed(rank, step int) uint64 { return uint64(rank)*7919 + uint64(step) + 1 }
+
+// syntheticGrads draws one rank's gradients for one step from the stream at
+// seed.
+func syntheticGrads(seed uint64, infos []grace.TensorInfo) [][]float32 {
+	r := fxrand.New(seed)
 	out := make([][]float32, len(infos))
 	for i, info := range infos {
 		g := make([]float32, info.Size())

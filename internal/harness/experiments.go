@@ -129,7 +129,7 @@ func runTable2(sc SweepConfig) ([]*Table, error) {
 		}
 		model := b.NewModel(0)
 		t.AddRow(b.Name, b.PaperModel, b.Task, TrainingParams(model), GradientVectors(model),
-			b.scaledEpochs(sc.Scale), b.Metric, rep.BestQuality)
+			b.ScaledEpochs(sc.Scale), b.Metric, rep.BestQuality)
 	}
 	return []*Table{t}, nil
 }
@@ -363,21 +363,6 @@ func CodecLatency(spec MethodSpec, d, reps int, seed uint64) ([]time.Duration, e
 		out[r] = time.Since(start)
 	}
 	return out, nil
-}
-
-// CodecVolume compresses one d-element tensor and reports its payload wire
-// bytes — the per-worker sent volume CodecLatency's timing runs over, for
-// benchmark artifact emission.
-func CodecVolume(spec MethodSpec, d int, seed uint64) (int, error) {
-	c, g, info, err := codecInput(spec, d, seed)
-	if err != nil {
-		return 0, err
-	}
-	p, err := c.Compress(g, info)
-	if err != nil {
-		return 0, err
-	}
-	return p.WireBytes(), nil
 }
 
 func runFig8(sc SweepConfig) ([]*Table, error) {

@@ -27,13 +27,13 @@ type RunSummary struct {
 	Pass bool `json:"pass"`
 
 	Train []TrainResultJSON `json:"train,omitempty"`
-	Chaos []ChaosResultJSON `json:"chaos,omitempty"`
+	Chaos []ChaosResult     `json:"chaos,omitempty"`
 	// Recovery, Rejoin and Elastic hold the fault-scenario rows (RunScenario):
 	// restart rows; rejoin rows; shrink and grow rows.
-	Recovery  []ScenarioResult      `json:"recovery,omitempty"`
-	Rejoin    []ScenarioResult      `json:"rejoin,omitempty"`
-	Elastic   []ScenarioResult      `json:"elastic,omitempty"`
-	Straggler []StragglerResultJSON `json:"straggler,omitempty"`
+	Recovery  []ScenarioResult  `json:"recovery,omitempty"`
+	Rejoin    []ScenarioResult  `json:"rejoin,omitempty"`
+	Elastic   []ScenarioResult  `json:"elastic,omitempty"`
+	Straggler []StragglerResult `json:"straggler,omitempty"`
 	// Quality is the last training run's per-tensor compression-quality
 	// table (achieved bits/param, EF residual L2, fault history); gracestat
 	// renders it alongside the skew artifacts.
@@ -69,79 +69,6 @@ func TrainJSON(bench, method string, rep *grace.Report) TrainResultJSON {
 		RecvPerIter:  rep.RecvPerIter,
 		Iters:        rep.Iters,
 		VirtualMs:    ms(rep.TotalVirtualTime),
-	}
-}
-
-// ChaosResultJSON mirrors ChaosResult with errors rendered as strings so the
-// record survives serialization.
-type ChaosResultJSON struct {
-	Scenario  string   `json:"scenario"`
-	Pass      bool     `json:"pass"`
-	Hung      bool     `json:"hung,omitempty"`
-	ElapsedMs float64  `json:"elapsed_ms"`
-	Injected  int64    `json:"faults_injected"`
-	Retries   int64    `json:"retries_absorbed,omitempty"`
-	Faults    int      `json:"decode_faults"`
-	Fallbacks int      `json:"decode_fallbacks"`
-	Errs      []string `json:"errors,omitempty"`
-	Detail    string   `json:"detail,omitempty"`
-}
-
-// ChaosJSON converts a scenario verdict to its JSON form. Ranks that
-// finished cleanly are omitted from Errs-by-index by rendering them as ""
-// so rank alignment is preserved; a run with no errors at all serializes
-// with the field absent.
-func ChaosJSON(r ChaosResult) ChaosResultJSON {
-	out := ChaosResultJSON{
-		Scenario:  r.Scenario,
-		Pass:      r.Pass,
-		Hung:      r.Hung,
-		ElapsedMs: ms(r.Elapsed),
-		Injected:  r.Injected,
-		Retries:   r.Retries,
-		Faults:    r.Faults,
-		Fallbacks: r.Fallbacks,
-		Detail:    r.Detail,
-	}
-	any := false
-	errs := make([]string, len(r.Errs))
-	for i, err := range r.Errs {
-		if err != nil {
-			errs[i] = err.Error()
-			any = true
-		}
-	}
-	if any {
-		out.Errs = errs
-	}
-	return out
-}
-
-// StragglerResultJSON records one straggler-attribution battery: how many of
-// the merged trace's per-step skew rows named the rank carrying the injected
-// delay, the per-rank straggler tally, and the largest wait spread observed.
-type StragglerResultJSON struct {
-	Pass        bool    `json:"pass"`
-	DelayedRank int     `json:"delayed_rank"`
-	SkewSteps   int     `json:"skew_steps"`
-	Attributed  int     `json:"attributed_steps"`
-	Counts      []int64 `json:"straggler_counts,omitempty"`
-	MaxSkewMs   float64 `json:"max_skew_ms"`
-	ElapsedMs   float64 `json:"elapsed_ms"`
-	Detail      string  `json:"detail,omitempty"`
-}
-
-// StragglerJSON converts a battery verdict to its JSON form.
-func StragglerJSON(r StragglerResult) StragglerResultJSON {
-	return StragglerResultJSON{
-		Pass:        r.Pass,
-		DelayedRank: r.DelayedRank,
-		SkewSteps:   r.SkewSteps,
-		Attributed:  r.Attributed,
-		Counts:      r.Counts,
-		MaxSkewMs:   float64(r.MaxSkewNs) / 1e6,
-		ElapsedMs:   ms(r.Elapsed),
-		Detail:      r.Detail,
 	}
 }
 

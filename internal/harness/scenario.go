@@ -337,13 +337,8 @@ func runRestart(cfg RecoveryConfig, res *ScenarioResult) error {
 	if err := crash.launch("crash", scenarioWatchdog, crash.victimOnly, nil); err != nil {
 		return err
 	}
-	res.KillErrs = crash.errs
+	res.KillErrs, res.KillErrors = crash.errs, errStrings(crash.errs)
 	for rank, kerr := range crash.errs {
-		text := ""
-		if kerr != nil {
-			text = kerr.Error()
-		}
-		res.KillErrors = append(res.KillErrors, text)
 		switch {
 		case rank == cfg.KillRank:
 			if !errors.Is(kerr, ErrSimulatedCrash) {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -58,38 +57,42 @@ func DefaultStraggler(workers int, seed uint64) StragglerConfig {
 	}
 }
 
-// StragglerResult is the battery verdict.
+// StragglerResult is the battery verdict, in the form the run summaries
+// serialize: how many of the merged trace's per-step skew rows named the rank
+// carrying the injected delay, the per-rank straggler tally, and the largest
+// wait spread observed.
 type StragglerResult struct {
-	Pass bool
+	Pass bool `json:"pass"`
 	// DelayedRank echoes the injected rank. SkewSteps is how many per-step
 	// skew rows the merged trace yielded; Attributed is how many of them
 	// named DelayedRank the straggler. Counts is the full per-rank straggler
 	// tally over the rows.
-	DelayedRank int
-	SkewSteps   int
-	Attributed  int
-	Counts      []int64
-	// MaxSkewNs is the largest slowest-vs-fastest wait spread observed in
+	DelayedRank int     `json:"delayed_rank"`
+	SkewSteps   int     `json:"skew_steps"`
+	Attributed  int     `json:"attributed_steps"`
+	Counts      []int64 `json:"straggler_counts,omitempty"`
+	// MaxSkewMs is the largest slowest-vs-fastest wait spread observed in
 	// one step; with an injected delay it should be on the order of
 	// Delay × ops-per-step.
-	MaxSkewNs int64
-	Elapsed   time.Duration
-	Errs      []error
-	Detail    string
+	MaxSkewMs float64 `json:"max_skew_ms"`
+	ElapsedMs float64 `json:"elapsed_ms"`
+	Detail    string  `json:"detail,omitempty"`
+
+	// Errs holds each rank's first error (nil entries for clean ranks).
+	Errs []error `json:"-"`
 }
 
 // RunStraggler runs the battery. It owns the process-global xrank recorder
 // for its duration (reset on entry, disabled on exit), so it must not run
 // concurrently with another xrank consumer.
 func RunStraggler(cfg StragglerConfig) StragglerResult {
-	res := StragglerResult{DelayedRank: cfg.DelayRank, Errs: make([]error, cfg.Workers)}
+	res := StragglerResult{DelayedRank: cfg.DelayRank}
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
+		cfg.Timeout = defaultFleetTimeout
 	}
 	if cfg.AggregateEvery <= 0 {
 		cfg.AggregateEvery = 10
 	}
-	infos := chaosInfos(cfg.Tensors)
 	plan := comm.Plan{
 		Seed: cfg.Seed,
 		Faults: []comm.Fault{{
@@ -106,57 +109,35 @@ func RunStraggler(cfg StragglerConfig) StragglerResult {
 	defer rec.SetEnabled(false)
 
 	hub := comm.NewHub(cfg.Workers)
+	colls := make([]comm.Collective, cfg.Workers)
 	aggs := make([]*xrank.Aggregator, cfg.Workers)
 	start := time.Now()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for rank := 0; rank < cfg.Workers; rank++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				coll := comm.NewFaulty(hub.Worker(rank), plan)
-				eng, err := grace.NewEngine(
-					grace.WithCollective(coll),
-					grace.WithParallelism(2),
-					grace.WithCompressorFactory(func() (grace.Compressor, error) {
-						return grace.New(cfg.Method, cfg.Opts)
-					}),
-				)
-				if err != nil {
-					res.Errs[rank] = err
-					return
-				}
-				agg := xrank.NewAggregator(rec, rank, cfg.Workers)
-				aggs[rank] = agg
-				for step := 0; step < cfg.Steps; step++ {
-					if _, _, err := eng.Step(chaosGrads(rank, step, infos), infos); err != nil {
-						res.Errs[rank] = err
-						return
-					}
-					// Same cadence position on every rank: the piggyback
-					// allgather is part of the lockstep op sequence.
-					if (step+1)%cfg.AggregateEvery == 0 {
-						if err := agg.Exchange(coll); err != nil {
-							res.Errs[rank] = err
-							return
-						}
-					}
-				}
-			}(rank)
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(cfg.Timeout):
-		hub.Abort(fmt.Errorf("straggler watchdog: battery exceeded %v", cfg.Timeout))
-		<-done
+	var hung bool
+	res.Errs, hung = runFleet(hub, cfg.Workers, cfg.Steps, chaosInfos(cfg.Tensors), chaosSeed, cfg.Timeout,
+		func(rank int) (*grace.Engine, error) {
+			colls[rank] = comm.NewFaulty(hub.Worker(rank), plan)
+			aggs[rank] = xrank.NewAggregator(rec, rank, cfg.Workers)
+			return grace.NewEngine(
+				grace.WithCollective(colls[rank]),
+				grace.WithParallelism(2),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) {
+					return grace.New(cfg.Method, cfg.Opts)
+				}),
+			)
+		},
+		func(rank, step int, _ *grace.StepReport) error {
+			// Same cadence position on every rank: the piggyback allgather
+			// is part of the lockstep op sequence.
+			if (step+1)%cfg.AggregateEvery != 0 {
+				return nil
+			}
+			return aggs[rank].Exchange(colls[rank])
+		})
+	if hung {
 		res.Detail = "hung"
 		return res
 	}
-	res.Elapsed = time.Since(start)
+	res.ElapsedMs = ms(time.Since(start))
 	for _, err := range res.Errs {
 		if err != nil {
 			res.Detail = "rank error"
@@ -171,9 +152,7 @@ func RunStraggler(cfg StragglerConfig) StragglerResult {
 		if row.Straggler == cfg.DelayRank {
 			res.Attributed++
 		}
-		if row.SkewNs > res.MaxSkewNs {
-			res.MaxSkewNs = row.SkewNs
-		}
+		res.MaxSkewMs = max(res.MaxSkewMs, float64(row.SkewNs)/1e6)
 	}
 	if cfg.ArtifactsDir != "" {
 		if err := aggs[0].WriteArtifacts(cfg.ArtifactsDir); err != nil {
@@ -196,7 +175,7 @@ func RunStraggler(cfg StragglerConfig) StragglerResult {
 		return res
 	}
 	res.Pass = true
-	res.Detail = fmt.Sprintf("rank %d attributed in %d/%d steps, max skew %v",
-		cfg.DelayRank, res.Attributed, res.SkewSteps, time.Duration(res.MaxSkewNs))
+	res.Detail = fmt.Sprintf("rank %d attributed in %d/%d steps, max skew %.3fms",
+		cfg.DelayRank, res.Attributed, res.SkewSteps, res.MaxSkewMs)
 	return res
 }

@@ -87,18 +87,12 @@ type SweepConfig struct {
 	XRank grace.XRankConfig
 }
 
-// DefaultSweep matches the paper's default system setup: 8 workers on
-// 10 Gbps TCP (§V-A).
-func DefaultSweep() SweepConfig {
-	return SweepConfig{Workers: 8, Net: simnet.TCP10G, Scale: 1.0, Seed: 42}
-}
-
 // RunOne trains benchmark b under the given method and returns the report.
 func RunOne(b Benchmark, spec MethodSpec, sc SweepConfig) (*grace.Report, error) {
 	cfg := grace.Config{
 		Workers:      sc.Workers,
 		BatchSize:    b.BatchSize,
-		Epochs:       b.scaledEpochs(sc.Scale),
+		Epochs:       b.ScaledEpochs(sc.Scale),
 		Seed:         sc.Seed,
 		NewModel:     b.NewModel,
 		Dataset:      b.NewDataset(),

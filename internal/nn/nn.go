@@ -8,11 +8,7 @@
 // Table II terminology) that the compression pipeline consumes layer-wise.
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Param is a trainable parameter with its accumulated gradient.
 type Param struct {
@@ -56,9 +52,6 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 // Name returns the chain's name.
 func (s *Sequential) Name() string { return s.name }
 
-// Layers returns the underlying layers in order.
-func (s *Sequential) Layers() []Layer { return s.layers }
-
 // Forward runs the chain front to back.
 func (s *Sequential) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	for _, l := range s.layers {
@@ -99,14 +92,4 @@ func NumParams(ps []*Param) int {
 		n += p.Value.Size()
 	}
 	return n
-}
-
-// CheckedShape panics with a descriptive message unless x has the expected
-// trailing feature size; used by layers to fail fast on wiring bugs.
-func CheckedShape(x *tensor.Dense, features int, layer string) (batch int) {
-	sz := x.Size()
-	if features == 0 || sz%features != 0 {
-		panic(fmt.Sprintf("nn: %s: input %v not divisible into features of %d", layer, x.Shape(), features))
-	}
-	return sz / features
 }

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"expvar"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"time"
 )
 
@@ -71,4 +73,52 @@ func (t *T) Serve(addr string) (*MetricsServer, error) {
 		m.srv.Serve(ln)
 	}()
 	return m, nil
+}
+
+// StartExporters is what a command does with its -telemetry-addr, -trace and
+// -telemetry-linger flags: it enables span recording on t and stands up the
+// exporters asked for — a live endpoint on addr, a Chrome trace_event file at
+// tracePath — printing what it serves under the command's name. The returned
+// func finishes them: linger for a last scrape, flush and close the trace,
+// stop the endpoint. With neither addr nor tracePath set, both are no-ops.
+func (t *T) StartExporters(cmd, addr, tracePath string, linger time.Duration) (finish func(), err error) {
+	if addr == "" && tracePath == "" {
+		return func() {}, nil
+	}
+	t.Enable(true)
+	var tr *Tracer
+	if tracePath != "" {
+		if tr, err = CreateTrace(tracePath); err != nil {
+			return nil, err
+		}
+		t.SetTracer(tr)
+	}
+	var srv *MetricsServer
+	if addr != "" {
+		if srv, err = t.Serve(addr); err != nil {
+			if tr != nil {
+				t.SetTracer(nil)
+				tr.Close() // nothing was traced yet; the bind error is the one to report
+			}
+			return nil, err
+		}
+		fmt.Printf("telemetry: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
+	}
+	return func() {
+		if srv != nil && linger > 0 {
+			fmt.Printf("telemetry: lingering %v for a final scrape of http://%s/metrics\n", linger, srv.Addr())
+			time.Sleep(linger)
+		}
+		if tr != nil {
+			t.SetTracer(nil)
+			if err := tr.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: closing trace: %v\n", cmd, err)
+			} else {
+				fmt.Printf("telemetry: trace written to %s\n", tracePath)
+			}
+		}
+		if srv != nil {
+			srv.Close()
+		}
+	}, nil
 }

@@ -6,9 +6,9 @@
 // Three kinds of signal flow through one registry (T):
 //
 //   - Counters: monotonic totals (bytes on the wire, faults injected, decode
-//     fallbacks, heartbeat misses, checkpoint saves, pool hit rates). They
-//     are plain atomic adds and are ALWAYS live — the cost is a few
-//     nanoseconds and zero allocations, cheap enough for every hot path.
+//     fallbacks, heartbeat misses, checkpoint saves). They are plain atomic
+//     adds and are ALWAYS live — the cost is a few nanoseconds and zero
+//     allocations, cheap enough for every hot path.
 //   - Phase spans: nanosecond timings of one stage of a training step
 //     (compress, encode, wire send/recv, decode, aggregate, ...). Spans feed
 //     lock-free log2-bucket histograms and, when a Tracer is attached, Chrome
@@ -131,9 +131,6 @@ const (
 	CtrCheckpointSaves
 	CtrCheckpointBytes
 	CtrCheckpointRestores
-	// Scratch-buffer pool traffic: Get calls and the subset served by reuse.
-	CtrPoolGets
-	CtrPoolHits
 	// Tensor fusion: buckets exchanged, tensors carried by multi-tensor
 	// buckets, collective rounds saved versus the unfused per-tensor
 	// schedule, and the payload bytes packed into multi-tensor buckets
@@ -189,8 +186,6 @@ var counterNames = [NumCounters]string{
 	"checkpoint_saves_total",
 	"checkpoint_bytes_total",
 	"checkpoint_restores_total",
-	"pool_gets_total",
-	"pool_hits_total",
 	"fusion_buckets_total",
 	"fusion_tensors_fused_total",
 	"fusion_rounds_saved_total",
@@ -355,16 +350,6 @@ func (t *T) SetGauge(name string, v int64) {
 	}
 	t.gauges[name] = v
 	t.gaugeMu.Unlock()
-}
-
-// Gauge returns the last value set for name (0 if never set).
-func (t *T) Gauge(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.gaugeMu.Lock()
-	defer t.gaugeMu.Unlock()
-	return t.gauges[name]
 }
 
 // Gauges returns a copy of the gauge map, or nil when nothing has been set.

@@ -47,17 +47,6 @@ func (r *Recorder) ConfigureFlight(dir string, window time.Duration, maxDumps in
 	}
 }
 
-// OnFlightDump registers a hook invoked (synchronously) after each dump is
-// written; used by tests and the harness to collect dump paths. A nil fn
-// clears the hook.
-func (r *Recorder) OnFlightDump(fn func(path, reason string)) {
-	if fn == nil {
-		r.onDump.Store(nil)
-		return
-	}
-	r.onDump.Store(&fn)
-}
-
 // Flight freezes the trailing event window and writes a FLIGHT_*.json dump.
 // It is safe (and intended) to call from error paths on any goroutine: it is
 // a no-op unless ConfigureFlight armed a directory, rate-limited to one dump
@@ -126,14 +115,8 @@ func (r *Recorder) Flight(reason string, cause error) string {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return ""
 	}
-	if fnp := r.onDump.Load(); fnp != nil {
-		(*fnp)(path, reason)
-	}
 	return path
 }
-
-// Dumps reports how many flight dumps have been attempted (post rate limit).
-func (r *Recorder) Dumps() int64 { return r.dumps.Load() }
 
 func sanitizeReason(s string) string {
 	if s == "" {

@@ -159,7 +159,6 @@ type ring struct {
 type Recorder struct {
 	enabled atomic.Bool
 	gen     atomic.Int64
-	world   atomic.Int64
 	pos     atomic.Int64
 	ring    atomic.Pointer[ring]
 
@@ -173,7 +172,6 @@ type Recorder struct {
 	dumps     atomic.Int64
 	maxDumps  atomic.Int64
 	dumpMu    sync.Mutex
-	onDump    atomic.Pointer[func(path string, reason string)]
 }
 
 // Default is the process-global recorder, mirroring telemetry.Default.
@@ -234,13 +232,6 @@ func (r *Recorder) SetGeneration(g uint64) { r.gen.Store(int64(g)) }
 
 // Generation returns the current stamped generation.
 func (r *Recorder) Generation() int64 { return r.gen.Load() }
-
-// SetWorldSize updates the world_size gauge after an elastic membership
-// change (0 until the first elastic group publishes it).
-func (r *Recorder) SetWorldSize(n int) { r.world.Store(int64(n)) }
-
-// WorldSize returns the current world_size gauge value.
-func (r *Recorder) WorldSize() int64 { return r.world.Load() }
 
 // record claims the next slot and publishes the event. The claim word is
 // first parked at -1 (torn marker), then set to pos+1 once every field is

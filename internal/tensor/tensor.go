@@ -342,26 +342,3 @@ func NormInfF32(x []float32) float64 {
 	}
 	return m
 }
-
-// MeanF32 returns the mean of a flat float32 vector (0 if empty).
-func MeanF32(x []float32) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s / float64(len(x))
-}
-
-// Sqrt32 is a float32 square root helper.
-func Sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-
-// Abs32 is a float32 absolute-value helper.
-func Abs32(x float32) float32 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
