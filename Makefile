@@ -16,22 +16,23 @@ test:
 race:
 	go test -race ./...
 
-# Engine vs sequential-Pipeline step exchange, and the top-k selection
-# kernel across the benchmark workloads' tensor sizes and input shapes.
+# Kernel rows: the top-k selection kernel across the benchmark workloads'
+# tensor sizes and input shapes. Engine.Step and the training step are
+# measured by the benchmark module alone (bash benchmark/run.sh, judged by
+# go -C benchmark run . -compare).
 bench:
-	go test -run xxx -bench BenchmarkStepExchange -benchmem .
 	go test -run xxx -bench BenchmarkTopK -benchmem ./internal/compress/cbase
 
 # benchmark/ is a Go module of its own, so the root `go vet`/`go test ./...`
 # never compile it: a comm or grace symbol it uses could be renamed and only
 # the benchmark pipeline would notice. Vet and test it here, in the same
 # offline, checkout-local environment benchmark/run.sh builds in.
-BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOPATH=$(CURDIR)/.bench_build/gopath \
+BENCHMOD_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOPATH=$(CURDIR)/.bench_build/gopath \
 	XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config GOENV=off GOPROXY=off GOTOOLCHAIN=local
 bench-module:
 	mkdir -p .bench_build
-	$(BENCH_ENV) go -C benchmark vet ./...
-	$(BENCH_ENV) go -C benchmark test -count=1 ./...
+	$(BENCHMOD_ENV) go -C benchmark vet ./...
+	$(BENCHMOD_ENV) go -C benchmark test -count=1 ./...
 
 # Fuzz smoke: run every fuzz target for a short burst. Decoders must reject
 # hostile payloads with errors — never panic or over-allocate.

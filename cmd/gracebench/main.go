@@ -17,7 +17,6 @@ import (
 	_ "repro/internal/compress/all"
 	"repro/internal/harness"
 	"repro/internal/simnet"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "epoch scale factor (lower = faster, less faithful)")
 		seed    = flag.Uint64("seed", 42, "experiment seed")
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
-		artDir  = flag.String("artifacts", "", "write auto-named BENCH_<exp>.json artifacts into this directory")
 	)
 	flag.Parse()
 
@@ -68,34 +66,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rows := 0
 		for ti, t := range tables {
 			t.Print(os.Stdout)
-			rows += len(t.Rows)
 			if *csvDir != "" {
 				if err := writeCSV(*csvDir, fmt.Sprintf("%s_%d.csv", id, ti), t); err != nil {
 					fatal(err)
 				}
 			}
 		}
-		elapsed := time.Since(start)
-		if *artDir != "" {
-			path, err := telemetry.WriteBenchArtifact(*artDir, telemetry.BenchArtifact{
-				Name:    "exp_" + id,
-				NsPerOp: float64(elapsed.Nanoseconds()),
-				Extra: map[string]float64{
-					"tables":  float64(len(tables)),
-					"rows":    float64(rows),
-					"workers": float64(*workers),
-					"scale":   *scale,
-				},
-			})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("[wrote %s]\n", path)
-		}
-		fmt.Printf("[%s finished in %v]\n\n", id, elapsed.Round(time.Millisecond))
+		fmt.Printf("[%s finished in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }
 

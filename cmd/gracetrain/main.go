@@ -51,7 +51,7 @@ func main() {
 		rejoin      = flag.Bool("rejoin", false, "run the live-rejoin battery standalone: one rank dies mid-run, the survivors reform and heal in place, with a restart-vs-rejoin downtime comparison (included in -chaos)")
 		elastic     = flag.Bool("elastic", false, "run the elastic-membership battery: one rank dies for good, the survivors vote to continue at N-1 (verified bitwise against an N-1 reference), then a fresh joiner grows a group back to full size; includes a degrade-vs-restart downtime comparison")
 		retryBudget = flag.Int("retry-budget", 0, "override the total retry budget of the chaos sweep's transient-fault retry scenarios (0 = policy default)")
-		autotune    = flag.Bool("autotune", false, "run the autotune battery on -bench: one tuned run vs every static candidate, compared on modeled step time (writes BENCH_autotune_<bench>.json; ignores -method and -fusion-bytes)")
+		autotune    = flag.Bool("autotune", false, "run the autotune battery on -bench: one tuned run vs every static candidate, compared on modeled step time (the rows land in RUN_autotune.json under -artifacts; ignores -method and -fusion-bytes)")
 		straggler   = flag.Bool("straggler", false, "run the straggler-attribution battery: 4 ranks with one injected slow rank; the merged cross-rank trace must attribute ≥90% of steps to it (writes XRANK_* artifacts into -artifacts)")
 		xr          = flag.Bool("xrank", false, "enable the cross-rank observability plane for training runs: step-correlated distributed trace, flight recorder, skew analytics (artifacts land in -artifacts)")
 		xrEvery     = flag.Int("xrank-every", 25, "cross-rank trace aggregation cadence in optimizer steps (with -xrank; adds one small allgather per cadence tick)")
@@ -175,7 +175,7 @@ func main() {
 		// The Engine rejects fusion in tuner mode; the battery compares
 		// per-tensor collective schedules.
 		sc.FusionBytes = 0
-		runAutotune(b, sc, *artifacts, summary)
+		runAutotune(b, sc, summary)
 		finish()
 		return
 	}
@@ -251,9 +251,9 @@ func writeSummary(dir string, s *harness.RunSummary) {
 
 // runAutotune runs the autotune battery on one benchmark — a tuned training
 // run against every static candidate, all frozen policies rescored on a
-// common replay stream — prints the ranking, and writes the
-// BENCH_autotune_<bench>.json artifact (into -artifacts, or ./results).
-func runAutotune(b harness.Benchmark, sc harness.SweepConfig, artifactsDir string, summary *harness.RunSummary) {
+// common replay stream — prints the ranking, and hands the rows to the run
+// summary (RUN_autotune.json).
+func runAutotune(b harness.Benchmark, sc harness.SweepConfig, summary *harness.RunSummary) {
 	fmt.Printf("autotune battery: %s (%s) on %d workers over %s\n\n",
 		b.Name, b.PaperModel, sc.Workers, sc.Net.Name)
 	res, err := harness.RunAutotuneBench(b, sc)
@@ -266,6 +266,7 @@ func runAutotune(b harness.Benchmark, sc harness.SweepConfig, artifactsDir strin
 			r.Label, r.StepTime.Round(time.Microsecond), r.Report.FinalQuality, r.Switches)
 		summary.Train = append(summary.Train, harness.TrainJSON(b.Name, r.Label, r.Report))
 	}
+	summary.Autotune = res.Rows
 	fmt.Printf("\ntuned vs best static (%s): %s vs %s\n",
 		res.BestStatic.Label, res.Tuned.StepTime.Round(time.Microsecond), res.BestStatic.StepTime.Round(time.Microsecond))
 	fmt.Printf("final tuned policy: %s\n", strings.Join(res.Tuned.FinalPolicy, ", "))
@@ -273,15 +274,6 @@ func runAutotune(b harness.Benchmark, sc harness.SweepConfig, artifactsDir strin
 		summary.Pass = false
 		fmt.Println("WARNING: tuned policy is slower than the best static method")
 	}
-	dir := artifactsDir
-	if dir == "" {
-		dir = "results"
-	}
-	out, err := telemetry.WriteBenchArtifact(dir, harness.AutotuneArtifact(res))
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("bench artifact written to %s\n", out)
 }
 
 // runStraggler executes the straggler-attribution battery and reports the

@@ -200,47 +200,32 @@ func main() {
 		coll = rs
 	}
 
-	workers := len(addrs)
-	cfg := grace.Config{
-		Workers:              workers,
-		BatchSize:            b.BatchSize,
-		Epochs:               b.ScaledEpochs(*scale),
-		Seed:                 *seed,
-		NewModel:             b.NewModel,
-		Dataset:              b.NewDataset(),
-		NewOptimizer:         b.NewOptimizer,
-		UseMemory:            *ef,
-		CodecParallelism:     *codecpar,
-		Fusion:               grace.FusionConfig{TargetBytes: *fusion},
-		Net:                  link,
-		ComputePerIter:       b.ComputePerIter,
-		QualityLowerIsBetter: b.LowerIsBetter,
-	}
-	if *autotune {
-		// Tuner mode: the policy engine is a pure function of rank-identical
-		// inputs, so every rank building the same tuner from the shared link
-		// preset and group size stays in lockstep without extra collectives.
-		// The Engine rejects fusion in tuner mode, and the tuned run always
-		// trains with the framework error-feedback memory.
-		cfg.Fusion = grace.FusionConfig{}
-		cfg.UseMemory = true
-		cfg.NewTuner = harness.NewDefaultTuner(harness.SweepConfig{Workers: workers, Net: link})
-	} else {
-		cfg.NewCompressor = func(r int) (grace.Compressor, error) {
-			return grace.New(*method,
-				grace.WithRatio(*ratio), grace.WithLevels(*levels), grace.WithRank(*rank_),
-				grace.WithSeed(*seed*1000+uint64(r)))
-		}
-	}
-	if *rank == 0 {
-		cfg.Eval = b.NewEval()
+	sc := harness.SweepConfig{
+		Workers: len(addrs), Net: link, Scale: *scale, Seed: *seed,
+		CodecParallelism: *codecpar,
+		FusionBytes:      *fusion,
 	}
 	if *xr {
-		cfg.XRank = grace.XRankConfig{
+		sc.XRank = grace.XRankConfig{
 			Enable:         true,
 			AggregateEvery: *xrEvery,
 			ArtifactsDir:   *xrDir,
 		}
+	}
+	cfg := b.TrainConfig(harness.MethodSpec{
+		Label: *method,
+		Name:  *method,
+		Opts:  grace.BuildOptions(grace.WithRatio(*ratio), grace.WithLevels(*levels), grace.WithRank(*rank_)),
+		EF:    *ef,
+	}, sc)
+	if *autotune {
+		// Tuner mode: the policy engine is a pure function of rank-identical
+		// inputs, so every rank building the same tuner from the shared link
+		// preset and group size stays in lockstep without extra collectives.
+		// The tuned run always trains with the framework error-feedback
+		// memory.
+		cfg.UseMemory = true
+		cfg.NewCompressor, cfg.NewTuner = nil, harness.NewDefaultTuner(sc)
 	}
 
 	// Crash-consistent checkpointing. Each rank snapshots its own full state;
@@ -308,7 +293,7 @@ func main() {
 		}
 	}
 
-	rep, err := grace.RunWorker(cfg, *rank, coll, simnet.NewCluster(link, workers))
+	rep, err := grace.RunWorker(cfg, *rank, coll, cfg.Cluster())
 	if err != nil {
 		fatal(err)
 	}

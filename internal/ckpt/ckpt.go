@@ -37,11 +37,7 @@ import (
 )
 
 const (
-	// Version is the current checkpoint format version. Version 2 added the
-	// tensor-fusion policy after the method name; version 3 added the
-	// autotune policy state after the codec section. Version-1 and -2 files
-	// are still accepted and decode with the corresponding features zeroed
-	// (no fusion, no tuner), so older checkpoints keep resuming their runs.
+	// Version is the checkpoint format version, the only one Decode accepts.
 	Version = 3
 
 	magic      = "GRCK"
@@ -193,9 +189,8 @@ func Decode(b []byte) (*Snapshot, error) {
 	}
 
 	r := encode.NewReader(body[len(magic):])
-	v := r.U32()
-	if v < 1 || v > Version {
-		return nil, fmt.Errorf("%w: unsupported version %d (want 1..%d)", ErrCorrupt, v, Version)
+	if v := r.U32(); v != Version {
+		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, v, Version)
 	}
 
 	s := &Snapshot{}
@@ -207,15 +202,13 @@ func Decode(b []byte) (*Snapshot, error) {
 	s.Rank = boundedInt(r)
 	s.Workers = boundedInt(r)
 	s.Method = getString(r)
-	if v >= 2 {
-		s.Fusion.TargetBytes = boundedInt(r)
-		// A non-zero reserved slot describes a bucket plan this build cannot
-		// reproduce; replanning silently would desync the resumed run's
-		// collective sequence from the one the checkpoint was taken in.
-		if maxTensors, byStrategy := r.Uvarint(), r.U8(); maxTensors != 0 || byStrategy != 0 {
-			return nil, fmt.Errorf("%w: fusion policy uses removed options (tensor cap %d, by-strategy flag %d)",
-				ErrCorrupt, maxTensors, byStrategy)
-		}
+	s.Fusion.TargetBytes = boundedInt(r)
+	// A non-zero reserved slot describes a bucket plan this build cannot
+	// reproduce; replanning silently would desync the resumed run's
+	// collective sequence from the one the checkpoint was taken in.
+	if maxTensors, byStrategy := r.Uvarint(), r.U8(); maxTensors != 0 || byStrategy != 0 {
+		return nil, fmt.Errorf("%w: fusion policy uses removed options (tensor cap %d, by-strategy flag %d)",
+			ErrCorrupt, maxTensors, byStrategy)
 	}
 
 	var err error
@@ -273,7 +266,7 @@ func Decode(b []byte) (*Snapshot, error) {
 		})
 	}
 
-	if v >= 3 && r.U8() == 1 {
+	if r.U8() == 1 {
 		t := &grace.TunerState{}
 		t.Sig = getString(r)
 		t.Step = int64(r.U64())

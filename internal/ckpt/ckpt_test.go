@@ -132,57 +132,6 @@ func TestDecodeRefusesReservedFusionSlots(t *testing.T) {
 	}
 }
 
-// TestDecodeAcceptsVersion1 splices the version-2 fusion fields and the
-// version-3 tuner section out of an encoded record and stamps it version 1,
-// reproducing a checkpoint written before either existed. It must still
-// decode — with the zero (disabled) fusion policy and no tuner state —
-// because operators resume old runs with new binaries.
-func TestDecodeAcceptsVersion1(t *testing.T) {
-	s := sampleSnapshot()
-	s.Fusion = grace.FusionConfig{} // v1 files can only describe unfused runs
-	s.Tuner = nil                   // ... and fixed-method runs
-	b := Encode(s)
-
-	// A zero policy encodes as exactly 3 bytes (two 0 uvarints + flag).
-	off := fusionOffset(s)
-	v1 := append(append([]byte(nil), b[:off]...), b[off+3:]...)
-	// Drop the v3 tuner presence byte (a nil tuner encodes as one 0 byte at
-	// the end of the body, just before the CRC).
-	v1 = append(v1[:len(v1)-trailerLen-1], v1[len(v1)-trailerLen:]...)
-	v1[len(magic)] = 1 // version u32, little-endian
-	reseal(v1)
-
-	got, err := Decode(v1)
-	if err != nil {
-		t.Fatalf("Decode(v1): %v", err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("v1 decode mismatch:\ngot  %+v\nwant %+v", got, s)
-	}
-}
-
-// TestDecodeAcceptsVersion2 strips only the version-3 tuner section and
-// stamps the record version 2: a checkpoint written by the fusion-era format
-// must keep decoding, with no tuner state.
-func TestDecodeAcceptsVersion2(t *testing.T) {
-	s := sampleSnapshot()
-	s.Tuner = nil // v2 files can only describe fixed-method runs
-	b := Encode(s)
-
-	v2 := append([]byte(nil), b...)
-	v2 = append(v2[:len(v2)-trailerLen-1], v2[len(v2)-trailerLen:]...)
-	v2[len(magic)] = 2 // version u32, little-endian
-	reseal(v2)
-
-	got, err := Decode(v2)
-	if err != nil {
-		t.Fatalf("Decode(v2): %v", err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("v2 decode mismatch:\ngot  %+v\nwant %+v", got, s)
-	}
-}
-
 func TestEncodeIsDeterministic(t *testing.T) {
 	a, b := Encode(sampleSnapshot()), Encode(sampleSnapshot())
 	if string(a) != string(b) {
@@ -202,15 +151,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"missing-crc":   valid[:len(valid)-4],
 		"version-burst": func() []byte { b := append([]byte(nil), valid...); b[4] = 0xff; return b }(),
 	}
+	// Formats no build writes any more (1: before fusion, 2: before the
+	// tuner section), stamped and resealed so only the version check can
+	// refuse them.
+	for name, v := range map[string]byte{"version-1": 1, "version-2": 2} {
+		b := append([]byte(nil), valid...)
+		b[len(magic)] = v // version u32, little-endian
+		reseal(b)
+		cases[name] = b
+	}
 	// Flip a byte in the middle of the body.
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	cases["bit-flip"] = flipped
 
 	for name, b := range cases {
-		if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -376,10 +376,6 @@ func TestCollectiveLockstepConcurrency(t *testing.T) {
 			hub := NewHub(n)
 			return func(rank int) Collective { return hub.Worker(rank) }
 		}()},
-		{"pshub", func() func(int) Collective {
-			hub := NewPSHub(n)
-			return func(rank int) Collective { return hub.Worker(rank) }
-		}()},
 	} {
 		t.Run(sub.name, func(t *testing.T) {
 			var wg sync.WaitGroup

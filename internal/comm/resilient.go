@@ -34,12 +34,13 @@ type groupAtomic interface {
 	opsFailTogether()
 }
 
+// maxAttemptsPerOp bounds one collective op: the original try plus two
+// retries.
+const maxAttemptsPerOp = 3
+
 // RetryPolicy bounds the Resilient wrapper. The zero value picks the
 // defaults noted on each field.
 type RetryPolicy struct {
-	// PerOp is the maximum attempts for one collective op, including the
-	// first (default 3: the original try plus two retries).
-	PerOp int
 	// Budget is the total retries the handle may spend over its lifetime
 	// (default 16). Exhausting it makes further transient failures fatal.
 	Budget int
@@ -54,9 +55,6 @@ type RetryPolicy struct {
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.PerOp <= 0 {
-		p.PerOp = 3
-	}
 	if p.Budget <= 0 {
 		p.Budget = 16
 	}
@@ -142,7 +140,7 @@ func (r *Resilient) retry(ctx context.Context, k *call) error {
 		if err == nil || !IsTransient(err) {
 			return err
 		}
-		if attempt >= r.pol.PerOp {
+		if attempt >= maxAttemptsPerOp {
 			return fmt.Errorf("%w: %d attempts: %w", ErrRetriesExhausted, attempt, err)
 		}
 		if r.spent >= r.pol.Budget {

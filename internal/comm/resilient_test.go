@@ -62,7 +62,7 @@ func (f *flakyColl) BroadcastBytes(b []byte, root int) ([]byte, error) {
 func (f *flakyColl) Barrier() error { return f.fail() }
 
 func fastPolicy() RetryPolicy {
-	return RetryPolicy{PerOp: 3, Budget: 16, BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond}
+	return RetryPolicy{Budget: 16, BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond}
 }
 
 func TestResilientAbsorbsTransientFailures(t *testing.T) {

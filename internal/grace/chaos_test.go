@@ -50,12 +50,12 @@ func chaosRun(t *testing.T, workers, steps int, infos []grace.TensorInfo, plan *
 			if plan != nil {
 				coll = comm.NewFaulty(coll, *plan)
 			}
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll:           coll,
-				New:            func() (grace.Compressor, error) { return grace.New("topk", grace.WithRatio(0.2)) },
-				Parallelism:    2,
-				DecodeFallback: fallback,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(coll),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New("topk", grace.WithRatio(0.2)) }),
+				grace.WithParallelism(2),
+				grace.WithDecodeFallback(fallback),
+			)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -222,11 +222,11 @@ func runRawEngines(t *testing.T, infos []grace.TensorInfo, poison string, fallba
 			if rank == 0 {
 				p = poison
 			}
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll:           hub.Worker(rank),
-				Comp:           &rawComp{poison: p},
-				DecodeFallback: fallback,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(hub.Worker(rank)),
+				grace.WithCompressor(&rawComp{poison: p}),
+				grace.WithDecodeFallback(fallback),
+			)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -375,10 +375,7 @@ func TestEngineDrainsLanesAfterError(t *testing.T) {
 	infos := engineTestInfos(5)
 	hub := comm.NewHub(1)
 	armed := true
-	eng, err := grace.NewEngine(grace.EngineConfig{
-		Coll: hub.Worker(0),
-		Comp: &boomComp{armed: &armed, name: infos[1].Name},
-	})
+	eng, err := grace.NewEngine(grace.WithCollective(hub.Worker(0)), grace.WithCompressor(&boomComp{armed: &armed, name: infos[1].Name}))
 	if err != nil {
 		t.Fatal(err)
 	}

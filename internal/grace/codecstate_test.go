@@ -27,11 +27,11 @@ func runEngineResumable(t *testing.T, workers, lanes, from, to int, infos []grac
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll:        hub.Worker(rank),
-				New:         func() (grace.Compressor, error) { return grace.New(method, opts...) },
-				Parallelism: lanes,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(hub.Worker(rank)),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New(method, opts...) }),
+				grace.WithParallelism(lanes),
+			)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -120,10 +120,7 @@ func TestEngineCodecStateFresh(t *testing.T) {
 // and accept it back silently.
 func TestEngineCodecStateStateless(t *testing.T) {
 	hub := comm.NewHub(1)
-	eng, err := grace.NewEngine(grace.EngineConfig{
-		Coll: hub.Worker(0),
-		New:  func() (grace.Compressor, error) { return grace.New("topk", grace.WithRatio(0.1)) },
-	})
+	eng, err := grace.NewEngine(grace.WithCollective(hub.Worker(0)), grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New("topk", grace.WithRatio(0.1)) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +139,11 @@ func TestEngineCodecStateStateless(t *testing.T) {
 func TestEngineCodecStateMismatches(t *testing.T) {
 	hub := comm.NewHub(1)
 	mkEngine := func(method string, lanes int, opts ...grace.Option) *grace.Engine {
-		eng, err := grace.NewEngine(grace.EngineConfig{
-			Coll:        hub.Worker(0),
-			New:         func() (grace.Compressor, error) { return grace.New(method, opts...) },
-			Parallelism: lanes,
-		})
+		eng, err := grace.NewEngine(
+			grace.WithCollective(hub.Worker(0)),
+			grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New(method, opts...) }),
+			grace.WithParallelism(lanes),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,7 +139,7 @@ type engineLane struct {
 	phaseNs [telemetry.NumPhases]int64
 }
 
-// EngineConfig configures a per-worker Engine.
+// EngineConfig configures a per-worker Engine; the EngineOptions fill it in.
 type EngineConfig struct {
 	// Coll is this worker's collective handle. The Engine serializes every
 	// collective call on the Step caller's goroutine.
@@ -281,14 +281,16 @@ type StepReport struct {
 	PolicyByTensor []string
 }
 
-// NewEngine builds an Engine from functional options (see EngineOption; an
-// EngineConfig literal is itself an option, so both construction styles
-// work). Every lane holds the same candidate list — one compressor for a
+// NewEngine builds an Engine from functional options (see EngineOption).
+// Every lane holds the same candidate list — one compressor for a
 // fixed method, one per Tuner candidate plus the flush codec when autotuning,
 // so a tensor can run any candidate while staying pinned to its lane — and
 // admit applies the mode's rules to it.
 func NewEngine(opts ...EngineOption) (*Engine, error) {
-	cfg := BuildEngineConfig(opts...)
+	var cfg EngineConfig
+	for _, opt := range opts {
+		opt.applyEngine(&cfg)
+	}
 	if cfg.Coll == nil {
 		return nil, fmt.Errorf("grace: engine needs a collective")
 	}

@@ -2,18 +2,22 @@ package grace_test
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/grace"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/xrank"
 	"repro/internal/testrace"
 )
 
 // stepAllocs measures the steady-state allocation count of one Engine.Step on
 // a 2-rank hub group, both ranks' allocations included: rank 1 steps on a
 // goroutine of its own, in lockstep with the measured rank 0. opts builds one
-// rank's engine options beyond the collective and the single codec lane.
-func stepAllocs(t *testing.T, infos []grace.TensorInfo, opts func() []grace.EngineOption) float64 {
+// rank's engine options beyond the collective and the single codec lane. The
+// second result is the collective rounds rank 0's last step issued.
+func stepAllocs(t *testing.T, infos []grace.TensorInfo, opts func() []grace.EngineOption) (float64, int) {
 	t.Helper()
 	if testrace.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -40,18 +44,26 @@ func stepAllocs(t *testing.T, infos []grace.TensorInfo, opts func() []grace.Engi
 		}
 		peerErr <- nil
 	}()
+	// A collection mid-run empties the codecs' sync.Pools and moves the count
+	// by a few objects; with the collector off it repeats exactly, which is
+	// what lets a caller compare two configurations for equality.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var stepErr error
+	var rounds int
 	perStep := testing.AllocsPerRun(200, func() {
 		steps <- struct{}{}
-		if _, _, err := engs[0].Step(grads[0], infos); err != nil {
+		_, rep, err := engs[0].Step(grads[0], infos)
+		if err != nil {
 			stepErr = err
+			return
 		}
+		rounds = rep.Rounds
 	})
 	close(steps)
 	if err := <-peerErr; err != nil || stepErr != nil {
 		t.Fatalf("step errors: rank 0 %v, rank 1 %v", stepErr, err)
 	}
-	return perStep
+	return perStep, rounds
 }
 
 // TestEngineDenseStepAllocCeiling pins the steady-state allocation count of
@@ -61,7 +73,7 @@ func stepAllocs(t *testing.T, infos []grace.TensorInfo, opts func() []grace.Engi
 // bookkeeping (two payload headers a tensor, the lane goroutine) and nothing
 // gradient-sized.
 func TestEngineDenseStepAllocCeiling(t *testing.T) {
-	perStep := stepAllocs(t, engineTestInfos(6), func() []grace.EngineOption {
+	perStep, _ := stepAllocs(t, engineTestInfos(6), func() []grace.EngineOption {
 		return []grace.EngineOption{
 			grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New("none") })}
 	})
@@ -74,8 +86,10 @@ func TestEngineDenseStepAllocCeiling(t *testing.T) {
 	t.Logf("dense Engine.Step: %.0f allocs per step across both ranks", perStep)
 }
 
-// manySmallInfos is the fusion benchmark's layer set (bench_test.go,
-// manySmallTensors): 49 tensors, nearly all small.
+// manySmallInfos is the benchmark's exchange_tcp_manysmall layer set: 49
+// tensors, nearly all small (norm scales, biases, tiny projections) plus a
+// couple of mid-sized kernels, mirroring how transformer-style parameter lists
+// are dominated by count rather than bytes.
 func manySmallInfos() []grace.TensorInfo {
 	var shapes [][]int
 	for i := 0; i < 12; i++ {
@@ -95,21 +109,39 @@ func manySmallInfos() []grace.TensorInfo {
 // TestEngineManySmallStepAllocCeiling pins the compressed step where the
 // benchmark's 2 % allocation bound bites: 49 small tensors, top-k 5 % with
 // error feedback, one allgather round each (unfused) or 16 KiB buckets
-// (fused). Each ceiling is the measured count (1 082, 1 003) plus under 2 %,
+// (fused). Each ceiling is the measured count (1 084, 1 004) plus under 2 %,
 // and sits below what the engine allocated (1 180, 1 119) while it still drew
 // decode scratch from a pool that boxed a slice header per decoded tensor per
 // rank, and built a parts slice per fused bucket and per split frame.
+//
+// The same engines pin the two machine-independent facts the retired hub
+// step benchmark carried. Rounds: the per-tensor schedule issues one
+// collective round per tensor, 16 KiB buckets at least 4x fewer. Spans: with
+// telemetry span recording on and the cross-rank recorder armed the step
+// allocates what it does with both off, so neither the disabled nor the
+// enabled instrumentation path puts anything on the heap.
 func TestEngineManySmallStepAllocCeiling(t *testing.T) {
+	infos := manySmallInfos()
+	allocs, rounds := map[string]float64{}, map[string]int{}
 	for _, tc := range []struct {
 		name    string
 		fusion  int
+		spans   bool
 		ceiling float64
 	}{
-		{"unfused", 0, 1100},
-		{"fused-16KiB", 16 << 10, 1020},
+		{"unfused", 0, false, 1100},
+		{"fused-16KiB", 16 << 10, false, 1020},
+		{"unfused-spans-on", 0, true, 1100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			perStep := stepAllocs(t, manySmallInfos(), func() []grace.EngineOption {
+			if tc.spans {
+				prevTel, prevX := telemetry.Default.Enabled(), xrank.Default.Enabled()
+				telemetry.Default.Enable(true)
+				xrank.Default.SetEnabled(true)
+				defer telemetry.Default.Enable(prevTel)
+				defer xrank.Default.SetEnabled(prevX)
+			}
+			perStep, r := stepAllocs(t, infos, func() []grace.EngineOption {
 				return []grace.EngineOption{
 					grace.WithCompressorFactory(func() (grace.Compressor, error) {
 						return grace.New("topk", grace.WithRatio(0.05))
@@ -117,11 +149,21 @@ func TestEngineManySmallStepAllocCeiling(t *testing.T) {
 					grace.WithEngineMemory(grace.NewMemory(1, 1)),
 					grace.WithFusionBytes(tc.fusion)}
 			})
+			allocs[tc.name], rounds[tc.name] = perStep, r
 			if perStep > tc.ceiling {
 				t.Fatalf("%s Engine.Step allocates %.0f objects per step across both ranks, ceiling %.0f",
 					tc.name, perStep, tc.ceiling)
 			}
-			t.Logf("%s Engine.Step: %.0f allocs per step across both ranks", tc.name, perStep)
+			t.Logf("%s Engine.Step: %.0f allocs per step across both ranks, %d rounds", tc.name, perStep, r)
 		})
+	}
+	if len(allocs) < 3 { // the rows skipped themselves under the race detector
+		return
+	}
+	if u, f := rounds["unfused"], rounds["fused-16KiB"]; u != len(infos) || f*4 > u {
+		t.Errorf("rounds per step: %d unfused (want %d, one per tensor), %d fused (want >= 4x fewer)", u, len(infos), f)
+	}
+	if off, on := allocs["unfused"], allocs["unfused-spans-on"]; on != off {
+		t.Errorf("span recording costs allocations: %.0f per step with telemetry and xrank on, %.0f with both off", on, off)
 	}
 }

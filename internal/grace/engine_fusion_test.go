@@ -36,14 +36,14 @@ func runEngineFusion(t *testing.T, workers, steps, lanes int, fc grace.FusionCon
 			if wrap != nil {
 				coll = wrap(rank, coll)
 			}
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll:           coll,
-				New:            func() (grace.Compressor, error) { return newComp(rank) },
-				Mem:            mem,
-				Parallelism:    lanes,
-				Fusion:         fc,
-				DecodeFallback: fallback,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(coll),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) { return newComp(rank) }),
+				grace.WithEngineMemory(mem),
+				grace.WithParallelism(lanes),
+				grace.WithFusion(fc),
+				grace.WithDecodeFallback(fallback),
+			)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -251,11 +251,11 @@ func TestEngineFusedFrameFaultDegradesPerTensor(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll:   breakRank1(rank, hub.Worker(rank)),
-				New:    func() (grace.Compressor, error) { return newComp(rank) },
-				Fusion: fc,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(breakRank1(rank, hub.Worker(rank))),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) { return newComp(rank) }),
+				grace.WithFusion(fc),
+			)
 			if err != nil {
 				errs[rank] = err
 				return

@@ -107,12 +107,12 @@ func runEngine(t *testing.T, workers, steps, lanes int, infos []grace.TensorInfo
 			if ef {
 				mem = grace.NewMemory(1, 1)
 			}
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll:        hub.Worker(rank),
-				New:         func() (grace.Compressor, error) { return newComp(rank) },
-				Mem:         mem,
-				Parallelism: lanes,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(hub.Worker(rank)),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) { return newComp(rank) }),
+				grace.WithEngineMemory(mem),
+				grace.WithParallelism(lanes),
+			)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -238,11 +238,11 @@ func TestEngineStepReport(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll:        hub.Worker(rank),
-				New:         func() (grace.Compressor, error) { return grace.New("topk", grace.WithRatio(0.1)) },
-				Parallelism: 2,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(hub.Worker(rank)),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New("topk", grace.WithRatio(0.1)) }),
+				grace.WithParallelism(2),
+			)
 			if err != nil {
 				panic(err)
 			}
@@ -301,32 +301,32 @@ func (badCustom) Decompress(p *grace.Payload, info grace.TensorInfo) ([]float32,
 
 func TestNewEngineValidation(t *testing.T) {
 	coll := comm.Serial{}
-	if _, err := grace.NewEngine(grace.EngineConfig{Coll: coll}); err == nil {
+	if _, err := grace.NewEngine(grace.WithCollective(coll)); err == nil {
 		t.Fatal("engine without compressor should be rejected")
 	}
-	if _, err := grace.NewEngine(grace.EngineConfig{Comp: badCustom{}}); err == nil {
+	if _, err := grace.NewEngine(grace.WithCompressor(badCustom{})); err == nil {
 		t.Fatal("engine without collective should be rejected")
 	}
-	if _, err := grace.NewEngine(grace.EngineConfig{Coll: coll, Comp: badCustom{}}); err == nil {
+	if _, err := grace.NewEngine(grace.WithCollective(coll), grace.WithCompressor(badCustom{})); err == nil {
 		t.Fatal("Custom strategy without CustomComm should be rejected")
 	}
 	flip := 0
-	_, err := grace.NewEngine(grace.EngineConfig{
-		Coll: coll,
-		New: func() (grace.Compressor, error) {
+	_, err := grace.NewEngine(
+		grace.WithCollective(coll),
+		grace.WithCompressorFactory(func() (grace.Compressor, error) {
 			flip++
 			if flip%2 == 0 {
 				return grace.New("none")
 			}
 			return grace.New("topk")
-		},
-		Parallelism: 2,
-	})
+		}),
+		grace.WithParallelism(2),
+	)
 	if err == nil {
 		t.Fatal("lanes with disagreeing methods should be rejected")
 	}
 
-	eng, err := grace.NewEngine(grace.EngineConfig{Coll: coll, Comp: mustComp(t, "topk")})
+	eng, err := grace.NewEngine(grace.WithCollective(coll), grace.WithCompressor(mustComp(t, "topk")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func mustComp(t *testing.T, name string, opts ...grace.Option) grace.Compressor 
 
 // TestEngineEmptyStep: a zero-tensor step is a no-op, not a hang.
 func TestEngineEmptyStep(t *testing.T) {
-	eng, err := grace.NewEngine(grace.EngineConfig{Coll: comm.Serial{}, Comp: mustComp(t, "none")})
+	eng, err := grace.NewEngine(grace.WithCollective(comm.Serial{}), grace.WithCompressor(mustComp(t, "none")))
 	if err != nil {
 		t.Fatal(err)
 	}

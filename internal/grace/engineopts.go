@@ -3,24 +3,13 @@ package grace
 import "repro/internal/comm"
 
 // EngineOption configures NewEngine. Options are applied in order onto a
-// zero EngineConfig, so later options win. Two kinds of values satisfy
-// EngineOption: the With* functional options below — the preferred
-// construction surface —
+// zero EngineConfig, so later options win:
 //
 //	eng, err := grace.NewEngine(
 //		grace.WithCollective(coll),
 //		grace.WithCompressorFactory(newComp),
 //		grace.WithFusion(grace.FusionConfig{TargetBytes: 1 << 20}),
 //	)
-//
-// and the EngineConfig struct itself (which merges its non-zero fields), so
-// call sites that assemble a literal config keep working:
-//
-//	eng, err := grace.NewEngine(grace.EngineConfig{Coll: coll, Comp: c})
-//
-// Raw struct-literal construction is deprecated in examples and docs in
-// favor of the options form; it remains supported for programmatic callers
-// that build configs field by field (the harness).
 type EngineOption interface {
 	applyEngine(*EngineConfig)
 }
@@ -29,36 +18,6 @@ type EngineOption interface {
 type engineOptionFunc func(*EngineConfig)
 
 func (f engineOptionFunc) applyEngine(c *EngineConfig) { f(c) }
-
-// applyEngine merges the non-zero fields of c into dst, making a literal
-// EngineConfig usable anywhere an EngineOption is expected. Zero fields are
-// skipped because the zero value of every knob means "use the default".
-func (c EngineConfig) applyEngine(dst *EngineConfig) {
-	if c.Coll != nil {
-		dst.Coll = c.Coll
-	}
-	if c.New != nil {
-		dst.New = c.New
-	}
-	if c.Comp != nil {
-		dst.Comp = c.Comp
-	}
-	if c.Mem != nil {
-		dst.Mem = c.Mem
-	}
-	if c.Parallelism != 0 {
-		dst.Parallelism = c.Parallelism
-	}
-	if c.DecodeFallback {
-		dst.DecodeFallback = true
-	}
-	if c.Fusion != (FusionConfig{}) {
-		dst.Fusion = c.Fusion
-	}
-	if c.Tuner != nil {
-		dst.Tuner = c.Tuner
-	}
-}
 
 // WithCollective sets the worker's collective handle (required).
 func WithCollective(coll comm.Collective) EngineOption {
@@ -110,14 +69,4 @@ func WithFusionBytes(target int) EngineOption {
 // autotune.Config{...})).
 func WithTuner(tn Tuner) EngineOption {
 	return engineOptionFunc(func(c *EngineConfig) { c.Tuner = tn })
-}
-
-// BuildEngineConfig folds a list of options into the EngineConfig NewEngine
-// consumes. Exposed for callers that assemble a config once and reuse it.
-func BuildEngineConfig(opts ...EngineOption) EngineConfig {
-	var c EngineConfig
-	for _, opt := range opts {
-		opt.applyEngine(&c)
-	}
-	return c
 }

@@ -52,9 +52,11 @@ func runTelStep(t *testing.T, workers, steps int, newComp func() (grace.Compress
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll: hub.Worker(rank), New: newComp, Parallelism: 2,
-			})
+			eng, err := grace.NewEngine(
+				grace.WithCollective(hub.Worker(rank)),
+				grace.WithCompressorFactory(newComp),
+				grace.WithParallelism(2),
+			)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -270,13 +272,13 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 				return
 			}
 			defer ring.Close()
-			eng, err := grace.NewEngine(grace.EngineConfig{
-				Coll: ring,
-				New: func() (grace.Compressor, error) {
+			eng, err := grace.NewEngine(
+				grace.WithCollective(ring),
+				grace.WithCompressorFactory(func() (grace.Compressor, error) {
 					return grace.New("topk", grace.Options{Ratio: 0.25})
-				},
-				Parallelism: 2,
-			})
+				}),
+				grace.WithParallelism(2),
+			)
 			if err != nil {
 				errs[rank] = err
 				return

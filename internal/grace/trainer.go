@@ -59,9 +59,6 @@ type Config struct {
 	Dataset data.Dataset
 	// NewOptimizer constructs a per-worker optimizer.
 	NewOptimizer func() optim.Optimizer
-	// LRSchedule, when set, adjusts the optimizer's learning rate at the
-	// start of each epoch.
-	LRSchedule optim.Schedule
 	// NewCompressor constructs the per-worker compressor instance. Workers
 	// must get distinct instances (compressors carry state); randomized
 	// methods should be seeded per rank. Required unless NewTuner is set.
@@ -74,10 +71,9 @@ type Config struct {
 	// with NewCompressor and Fusion.
 	NewTuner func() (Tuner, error)
 
-	// UseMemory enables the framework error-feedback memory (Eq. 4) with
-	// coefficients Beta and Gamma (both default to 1).
-	UseMemory   bool
-	Beta, Gamma float32
+	// UseMemory enables the framework error-feedback memory (Eq. 4, with
+	// β = γ = 1).
+	UseMemory bool
 
 	// CodecParallelism bounds each worker's Engine codec lanes (concurrent
 	// compress/decompress goroutines); 0 selects GOMAXPROCS. 1 still
@@ -102,9 +98,10 @@ type Config struct {
 
 	// Net is the modeled network for virtual-time accounting.
 	Net simnet.Link
-	// ParamServer switches from peer collectives (ring cost model) to a
-	// central parameter server (star cost model), the master-worker
-	// architecture §IV-A notes the framework also supports.
+	// ParamServer charges communication to a central parameter server (star
+	// cost model) instead of a ring of peers, the master-worker architecture
+	// §IV-A notes the framework also supports. It selects the cost model
+	// only: the workers exchange the same bytes over the same hub.
 	ParamServer bool
 	// ComputePerIter, when non-zero, is the modeled accelerator time of one
 	// forward/backward pass; when zero the measured Go wall time is used.
@@ -151,11 +148,8 @@ type Config struct {
 	// everything off, which leaves the hot path at one atomic load per hook.
 	XRank XRankConfig
 
-	// Eval computes the quality metric (rank 0, every EvalEvery epochs,
-	// default 1). Optional.
+	// Eval computes the quality metric (rank 0, after every epoch). Optional.
 	Eval func(m Model) float64
-	// EvalEvery is the evaluation period in epochs.
-	EvalEvery int
 	// QualityLowerIsBetter flips best-quality tracking (perplexity).
 	QualityLowerIsBetter bool
 }
@@ -163,7 +157,7 @@ type Config struct {
 // Report is the outcome of a run.
 type Report struct {
 	// EpochQuality[i] is the metric after epoch i+1 (NaN-free; 0 when Eval
-	// is nil or the epoch was skipped by EvalEvery).
+	// is nil).
 	EpochQuality []float64
 	// EpochVirtualTime[i] is the cumulative virtual wall time at the end of
 	// epoch i+1.
@@ -209,7 +203,9 @@ type Report struct {
 
 // Run executes the distributed training loop of Algorithm 1 and returns the
 // rank-0 report. Workers are goroutines over an in-process hub; compute and
-// codec times are measured, transfer time is modeled on cfg.Net.
+// codec times are measured, transfer time is modeled on cfg.Net. The first
+// worker to fail aborts the hub, and Run returns its error once every worker
+// has unwound.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("grace: workers must be positive")
@@ -236,29 +232,26 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("grace: autotune config: %w", err)
 	}
 
-	var coll func(rank int) comm.Collective
-	if cfg.ParamServer {
-		hub := comm.NewPSHub(cfg.Workers)
-		coll = func(rank int) comm.Collective { return hub.Worker(rank) }
-	} else {
-		hub := comm.NewHub(cfg.Workers)
-		coll = func(rank int) comm.Collective { return hub.Worker(rank) }
-	}
+	hub := comm.NewHub(cfg.Workers)
 	cluster := cfg.Cluster()
 
-	var wg sync.WaitGroup
-	var report *Report
+	var (
+		wg     sync.WaitGroup
+		report *Report
+		failed sync.Once
+		first  error // the earliest worker failure: the cause, not its echoes
+	)
 	for rank := 0; rank < cfg.Workers; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			rep, err := RunWorker(cfg, rank, coll(rank), cluster)
+			rep, err := RunWorker(cfg, rank, hub.Worker(rank), cluster)
 			if err != nil {
-				// Collectives would deadlock with a missing participant; a
-				// worker that cannot continue must abort the process-wide
-				// run. This only fires on programming errors in compressors,
-				// which the per-method unit tests catch first.
-				panic(fmt.Errorf("grace: worker %d: %w", rank, err))
+				// The peers would wait in their next collective for a rank
+				// that is gone: abort the hub so they fail out of it too.
+				err = fmt.Errorf("grace: worker %d: %w", rank, err)
+				failed.Do(func() { first = err })
+				hub.Abort(err)
 			}
 			if rank == 0 {
 				report = rep
@@ -266,6 +259,9 @@ func Run(cfg Config) (*Report, error) {
 		}(rank)
 	}
 	wg.Wait()
+	if first != nil {
+		return nil, first
+	}
 	return report, nil
 }
 
@@ -363,15 +359,6 @@ type worker struct {
 // optimizer, memory and engine over coll. A JoinOnStart worker blocks in here
 // until the group absorbs it.
 func newWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluster) (*worker, error) {
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 1
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 1
-	}
-	if cfg.Gamma == 0 {
-		cfg.Gamma = 1
-	}
 	w := &worker{cfg: cfg, rank: rank, coll: coll, cluster: cluster, joinFloor: -1,
 		rep: &Report{}, ts: telScope{rank: rank, tid: telemetry.TIDDriver}}
 	if cfg.Elastic != nil {
@@ -400,7 +387,7 @@ func newWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluste
 	}
 	w.opt = cfg.NewOptimizer()
 	if cfg.UseMemory {
-		w.mem = NewMemory(cfg.Beta, cfg.Gamma)
+		w.mem = NewMemory(1, 1)
 	}
 	engOpts := []EngineOption{
 		WithCollective(coll),
@@ -616,9 +603,6 @@ func (w *worker) runEpochs() error {
 	cfg := &w.cfg
 	first := w.startEpoch
 	for epoch := first; epoch < cfg.Epochs; epoch++ {
-		if cfg.LRSchedule != nil {
-			w.opt.SetLR(cfg.LRSchedule(epoch))
-		}
 		w.lastEpochStart = w.clock.Elapsed()
 		w.lastEpochIters = 0
 		for iter, batchIdx := range w.sampler.EpochBatches(cfg.BatchSize) {
@@ -640,7 +624,7 @@ func (w *worker) runEpochs() error {
 		rep.EpochCommTime = append(rep.EpochCommTime, rep.CommTime)
 		rep.EpochIters = append(rep.EpochIters, w.lastEpochIters)
 		q := 0.0
-		if cfg.Eval != nil && (epoch+1)%cfg.EvalEvery == 0 {
+		if cfg.Eval != nil {
 			q = cfg.Eval(w.model)
 			rep.FinalQuality = q
 			better := q > rep.BestQuality

@@ -1,6 +1,9 @@
 package grace_test
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,39 +255,6 @@ func TestTrainerParamServer(t *testing.T) {
 	}
 }
 
-func TestTrainerEvalEvery(t *testing.T) {
-	cfg := baseConfig(2, "none", false)
-	cfg.Epochs = 4
-	cfg.EvalEvery = 2
-	rep, err := grace.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EpochQuality[0] != 0 || rep.EpochQuality[2] != 0 {
-		t.Fatal("skipped epochs should record 0 quality")
-	}
-	if rep.EpochQuality[1] == 0 || rep.EpochQuality[3] == 0 {
-		t.Fatal("eval epochs should record quality")
-	}
-}
-
-func TestTrainerLRSchedule(t *testing.T) {
-	// A schedule that zeroes the rate after epoch 1 freezes the model: the
-	// quality series must be flat from epoch 2 on.
-	cfg := baseConfig(2, "none", false)
-	cfg.Epochs = 4
-	cfg.LRSchedule = optim.StepDecay(0.05, 0, 1) // lr = 0 from epoch 1
-	rep, err := grace.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 2; e < 4; e++ {
-		if rep.EpochQuality[e] != rep.EpochQuality[1] {
-			t.Fatalf("model kept moving with zero LR: %v", rep.EpochQuality)
-		}
-	}
-}
-
 func TestTrainerLocalSGD(t *testing.T) {
 	// Qsparse-local-SGD: syncing every H steps must cut communication
 	// volume by ~H while still converging.
@@ -356,6 +326,58 @@ func TestMajorityVoteAggregation(t *testing.T) {
 		if out[rank][0] != 1 || out[rank][1] != -1 {
 			t.Fatalf("rank %d majority vote got %v, want [1 -1]", rank, out[rank])
 		}
+	}
+}
+
+// failOnThirdUse is a compressor that breaks the third time it sees any one
+// tensor, i.e. in the worker's third step.
+type failOnThirdUse struct {
+	grace.Compressor
+	seen map[string]int
+}
+
+var errCodecBroke = errors.New("codec broke")
+
+func (c *failOnThirdUse) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
+	if c.seen[info.Name]++; c.seen[info.Name] == 3 {
+		return nil, errCodecBroke
+	}
+	return c.Compressor.Compress(g, info)
+}
+
+// TestRunReturnsWorkerError: one rank's compressor failing mid-run must come
+// back from Run as an error naming the cause — the peers, parked in the
+// step's collective, are released by the hub abort rather than left waiting —
+// and every worker goroutine must have unwound by then.
+func TestRunReturnsWorkerError(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	cfg := baseConfig(3, "topk", true)
+	inner := cfg.NewCompressor
+	cfg.NewCompressor = func(rank int) (grace.Compressor, error) {
+		c, err := inner(rank)
+		if rank == 1 && err == nil {
+			c = &failOnThirdUse{Compressor: c, seen: map[string]int{}}
+		}
+		return c, err
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := grace.Run(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errCodecBroke) || !strings.Contains(err.Error(), "worker 1") {
+			t.Fatalf("Run returned %v, want worker 1's error wrapping %v", err, errCodecBroke)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after a worker failed: the peers are stuck in a collective")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run returned, %d before it started", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -88,7 +88,9 @@ func runPSAblation(sc SweepConfig) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := runOnePS(b, spec, sc)
+		star := b.TrainConfig(spec, sc)
+		star.ParamServer = true
+		ps, err := grace.Run(star)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +124,9 @@ func runLocalSGD(sc SweepConfig) ([]*Table, error) {
 	var baseTP float64
 	for _, m := range methods {
 		for _, h := range []int{1, 4} {
-			rep, err := runOneLocal(b, m, sc, h)
+			cfg := b.TrainConfig(m, sc)
+			cfg.SyncEvery = h
+			rep, err := grace.Run(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -137,55 +141,6 @@ func runLocalSGD(sc SweepConfig) ([]*Table, error) {
 		}
 	}
 	return []*Table{t}, nil
-}
-
-func runOneLocal(b Benchmark, spec MethodSpec, sc SweepConfig, syncEvery int) (*grace.Report, error) {
-	cfg := grace.Config{
-		Workers:      sc.Workers,
-		BatchSize:    b.BatchSize,
-		Epochs:       b.ScaledEpochs(sc.Scale),
-		Seed:         sc.Seed,
-		NewModel:     b.NewModel,
-		Dataset:      b.NewDataset(),
-		NewOptimizer: b.NewOptimizer,
-		NewCompressor: func(rank int) (grace.Compressor, error) {
-			opts := spec.Opts
-			opts.Seed = sc.Seed*1000 + uint64(rank)
-			return grace.New(spec.Name, opts)
-		},
-		UseMemory:            spec.EF,
-		SyncEvery:            syncEvery,
-		Net:                  sc.Net,
-		ComputePerIter:       b.ComputePerIter,
-		Eval:                 b.NewEval(),
-		QualityLowerIsBetter: b.LowerIsBetter,
-	}
-	return grace.Run(cfg)
-}
-
-// runOnePS is RunOne with the parameter-server topology enabled.
-func runOnePS(b Benchmark, spec MethodSpec, sc SweepConfig) (*grace.Report, error) {
-	cfg := grace.Config{
-		Workers:      sc.Workers,
-		BatchSize:    b.BatchSize,
-		Epochs:       b.ScaledEpochs(sc.Scale),
-		Seed:         sc.Seed,
-		NewModel:     b.NewModel,
-		Dataset:      b.NewDataset(),
-		NewOptimizer: b.NewOptimizer,
-		NewCompressor: func(rank int) (grace.Compressor, error) {
-			opts := spec.Opts
-			opts.Seed = sc.Seed*1000 + uint64(rank)
-			return grace.New(spec.Name, opts)
-		},
-		UseMemory:            spec.EF,
-		Net:                  sc.Net,
-		ParamServer:          true,
-		ComputePerIter:       b.ComputePerIter,
-		Eval:                 b.NewEval(),
-		QualityLowerIsBetter: b.LowerIsBetter,
-	}
-	return grace.Run(cfg)
 }
 
 // runPackingAblation quantifies the bit-packing design choice the paper

@@ -9,7 +9,6 @@ import (
 	"repro/internal/grace"
 	"repro/internal/grace/autotune"
 	"repro/internal/simnet"
-	"repro/internal/telemetry"
 )
 
 // This file is the autotune benchmark battery: one tuned training run
@@ -25,26 +24,25 @@ import (
 // per-tensor collectives, so a policy that picks each tensor's cheapest
 // candidate is additive-optimal, and two identical policies tie exactly.
 
-// AutotuneRow is one run of the battery.
+// AutotuneRow is one run of the battery; RunSummary.Autotune carries the rows
+// into RUN_autotune.json.
 type AutotuneRow struct {
 	// Label is the candidate label, or "autotune" for the tuned run.
-	Label string
-	Tuned bool
+	Label string `json:"label"`
+	Tuned bool   `json:"tuned"`
 	// StepTime is the frozen policy's modeled step time on the common
 	// replay stream: modeled comm per step + the benchmark's ComputePerIter.
-	StepTime time.Duration
+	// Deterministic, so the committed figure moves only when behaviour does.
+	StepTime time.Duration `json:"step_ns"`
 	// Switches and FinalPolicy echo the training run's Report (zero/nil for
 	// static rows).
-	Switches    int64
-	FinalPolicy []string
-	Report      *grace.Report
+	Switches    int64         `json:"switches"`
+	FinalPolicy []string      `json:"final_policy"`
+	Report      *grace.Report `json:"-"`
 }
 
 // AutotuneResult is the battery outcome.
 type AutotuneResult struct {
-	Bench   string
-	Workers int
-	Net     string
 	// Rows holds the tuned row first, then one static row per candidate.
 	Rows []AutotuneRow
 	// Tuned and BestStatic point into Rows.
@@ -172,25 +170,12 @@ func replayStepTime(b Benchmark, sc SweepConfig, cands []grace.TunerCandidate, a
 // static candidate, then scores every frozen policy on the common replay
 // stream and ranks the runs on modeled step time.
 func RunAutotuneBench(b Benchmark, sc SweepConfig) (*AutotuneResult, error) {
-	res := &AutotuneResult{Bench: b.Name, Workers: sc.Workers, Net: sc.Net.Name}
+	res := &AutotuneResult{}
 	cands := autotune.DefaultCandidates()
 
-	tunedCfg := grace.Config{
-		Workers:              sc.Workers,
-		BatchSize:            b.BatchSize,
-		Epochs:               b.ScaledEpochs(sc.Scale),
-		Seed:                 sc.Seed,
-		NewModel:             b.NewModel,
-		Dataset:              b.NewDataset(),
-		NewOptimizer:         b.NewOptimizer,
-		NewTuner:             NewDefaultTuner(sc),
-		UseMemory:            true,
-		CodecParallelism:     sc.CodecParallelism,
-		Net:                  sc.Net,
-		ComputePerIter:       b.ComputePerIter,
-		Eval:                 b.NewEval(),
-		QualityLowerIsBetter: b.LowerIsBetter,
-	}
+	// The tuned run trains with error feedback, as every static run below.
+	tunedCfg := b.TrainConfig(MethodSpec{EF: true}, sc)
+	tunedCfg.NewCompressor, tunedCfg.NewTuner = nil, NewDefaultTuner(sc)
 	rep, err := grace.Run(tunedCfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s / autotune: %w", b.Name, err)
@@ -245,28 +230,4 @@ func RunAutotuneBench(b Benchmark, sc SweepConfig) (*AutotuneResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// AutotuneArtifact renders a battery result as a BENCH_ artifact. NsPerOp is
-// the tuned policy's modeled step time on the replay stream; Extra carries
-// every row's step time and final quality plus the switch count, so the
-// tuned-vs-best-static margin is tracked across PRs.
-func AutotuneArtifact(res *AutotuneResult) telemetry.BenchArtifact {
-	a := telemetry.BenchArtifact{
-		Name:    "autotune_" + res.Bench,
-		NsPerOp: float64(res.Tuned.StepTime.Nanoseconds()),
-		Extra: map[string]float64{
-			"workers":             float64(res.Workers),
-			"switches":            float64(res.Tuned.Switches),
-			"best_static_step_ns": float64(res.BestStatic.StepTime.Nanoseconds()),
-			"tuned_quality":       res.Tuned.Report.FinalQuality,
-		},
-	}
-	for _, r := range res.Rows {
-		if !r.Tuned {
-			a.Extra["static_"+r.Label+"_step_ns"] = float64(r.StepTime.Nanoseconds())
-			a.Extra["static_"+r.Label+"_quality"] = r.Report.FinalQuality
-		}
-	}
-	return a
 }

@@ -108,12 +108,6 @@ func TestSuiteCoversRegistry(t *testing.T) {
 			t.Errorf("registered method %q missing from evaluation suite", name)
 		}
 	}
-	if _, err := SuiteByLabel("Topk(0.01)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SuiteByLabel("nope"); err == nil {
-		t.Fatal("expected error")
-	}
 }
 
 func TestRunOneProducesReport(t *testing.T) {

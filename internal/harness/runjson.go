@@ -34,6 +34,9 @@ type RunSummary struct {
 	Rejoin    []ScenarioResult  `json:"rejoin,omitempty"`
 	Elastic   []ScenarioResult  `json:"elastic,omitempty"`
 	Straggler []StragglerResult `json:"straggler,omitempty"`
+	// Autotune holds the autotune battery's rows (RunAutotuneBench): the
+	// tuned run first, then one static run per candidate.
+	Autotune []AutotuneRow `json:"autotune,omitempty"`
 	// Quality is the last training run's per-tensor compression-quality
 	// table (achieved bits/param, EF residual L2, fault history); gracestat
 	// renders it alongside the skew artifacts.

@@ -56,16 +56,6 @@ func Suite() []MethodSpec {
 	return specs
 }
 
-// SuiteByLabel finds a spec in the default suite.
-func SuiteByLabel(label string) (MethodSpec, error) {
-	for _, s := range Suite() {
-		if s.Label == label {
-			return s, nil
-		}
-	}
-	return MethodSpec{}, fmt.Errorf("harness: unknown method label %q", label)
-}
-
 // SweepConfig sets the system configuration of an experiment run.
 type SweepConfig struct {
 	Workers int
@@ -87,9 +77,14 @@ type SweepConfig struct {
 	XRank grace.XRankConfig
 }
 
-// RunOne trains benchmark b under the given method and returns the report.
-func RunOne(b Benchmark, spec MethodSpec, sc SweepConfig) (*grace.Report, error) {
-	cfg := grace.Config{
+// TrainConfig is the one benchmark → grace.Config mapping: b's model, data,
+// optimizer, evaluator and compute model; spec's method, built per rank and
+// seeded Seed*1000+rank so ranks draw distinct random streams, and its
+// error-feedback setting; sc's system point. Every harness run and
+// cmd/graceworker start from it and adjust what differs (ParamServer,
+// SyncEvery, NewTuner, the worker's ring-side fields).
+func (b Benchmark) TrainConfig(spec MethodSpec, sc SweepConfig) grace.Config {
+	return grace.Config{
 		Workers:      sc.Workers,
 		BatchSize:    b.BatchSize,
 		Epochs:       b.ScaledEpochs(sc.Scale),
@@ -111,7 +106,11 @@ func RunOne(b Benchmark, spec MethodSpec, sc SweepConfig) (*grace.Report, error)
 		Eval:                 b.NewEval(),
 		QualityLowerIsBetter: b.LowerIsBetter,
 	}
-	rep, err := grace.Run(cfg)
+}
+
+// RunOne trains benchmark b under the given method and returns the report.
+func RunOne(b Benchmark, spec MethodSpec, sc SweepConfig) (*grace.Report, error) {
+	rep, err := grace.Run(b.TrainConfig(spec, sc))
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s / %s: %w", b.Name, spec.Label, err)
 	}

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"repro/internal/fxrand"
 	"repro/internal/tensor"
 )
 
@@ -52,135 +51,6 @@ func (l *ReLU) Backward(dout *tensor.Dense) *tensor.Dense {
 		if !l.mask[i] {
 			dx.Data()[i] = 0
 		}
-	}
-	return dx
-}
-
-// Tanh applies tanh elementwise.
-type Tanh struct {
-	name string
-	y    *tensor.Dense
-}
-
-var _ Layer = (*Tanh)(nil)
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh(name string) *Tanh { return &Tanh{name: name} }
-
-// Name returns the layer name.
-func (l *Tanh) Name() string { return l.name }
-
-// Params returns nil; Tanh has no parameters.
-func (l *Tanh) Params() []*Param { return nil }
-
-// Forward computes tanh(x), caching the output for Backward.
-func (l *Tanh) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	y := x.Clone().Apply(tanh32)
-	if train {
-		l.y = y
-	}
-	return y
-}
-
-// Backward computes dx = dout * (1 - y²).
-func (l *Tanh) Backward(dout *tensor.Dense) *tensor.Dense {
-	dx := dout.Clone()
-	yd := l.y.Data()
-	for i := range dx.Data() {
-		dx.Data()[i] *= 1 - yd[i]*yd[i]
-	}
-	return dx
-}
-
-// Sigmoid applies the logistic function elementwise.
-type Sigmoid struct {
-	name string
-	y    *tensor.Dense
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid(name string) *Sigmoid { return &Sigmoid{name: name} }
-
-// Name returns the layer name.
-func (l *Sigmoid) Name() string { return l.name }
-
-// Params returns nil; Sigmoid has no parameters.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// Forward computes σ(x), caching the output for Backward.
-func (l *Sigmoid) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	y := x.Clone().Apply(sigmoid32)
-	if train {
-		l.y = y
-	}
-	return y
-}
-
-// Backward computes dx = dout * y(1-y).
-func (l *Sigmoid) Backward(dout *tensor.Dense) *tensor.Dense {
-	dx := dout.Clone()
-	yd := l.y.Data()
-	for i := range dx.Data() {
-		dx.Data()[i] *= yd[i] * (1 - yd[i])
-	}
-	return dx
-}
-
-// Dropout zeroes activations with probability p during training, scaling the
-// survivors by 1/(1-p) (inverted dropout). Evaluation passes through.
-type Dropout struct {
-	name string
-	p    float32
-	rng  *fxrand.RNG
-	mask []float32
-}
-
-var _ Layer = (*Dropout)(nil)
-
-// NewDropout returns a dropout layer with drop probability p.
-func NewDropout(name string, p float32, r *fxrand.RNG) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("nn: dropout probability out of [0,1)")
-	}
-	return &Dropout{name: name, p: p, rng: r}
-}
-
-// Name returns the layer name.
-func (l *Dropout) Name() string { return l.name }
-
-// Params returns nil; Dropout has no parameters.
-func (l *Dropout) Params() []*Param { return nil }
-
-// Forward applies inverted dropout in training mode.
-func (l *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	if !train || l.p == 0 {
-		return x.Clone()
-	}
-	if cap(l.mask) < x.Size() {
-		l.mask = make([]float32, x.Size())
-	}
-	l.mask = l.mask[:x.Size()]
-	scale := 1 / (1 - l.p)
-	y := x.Clone()
-	for i := range y.Data() {
-		if l.rng.Float32() < l.p {
-			l.mask[i] = 0
-			y.Data()[i] = 0
-		} else {
-			l.mask[i] = scale
-			y.Data()[i] *= scale
-		}
-	}
-	return y
-}
-
-// Backward scales gradients by the saved mask.
-func (l *Dropout) Backward(dout *tensor.Dense) *tensor.Dense {
-	dx := dout.Clone()
-	for i := range dx.Data() {
-		dx.Data()[i] *= l.mask[i]
 	}
 	return dx
 }

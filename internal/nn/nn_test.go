@@ -92,56 +92,6 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
-func TestTanhGradients(t *testing.T) {
-	r := fxrand.New(4)
-	l := NewTanh("tanh")
-	x := tensor.New(2, 6).RandN(r, 1)
-	runGradCheck(t, l, x)
-}
-
-func TestSigmoidGradients(t *testing.T) {
-	r := fxrand.New(5)
-	l := NewSigmoid("sig")
-	x := tensor.New(2, 6).RandN(r, 1)
-	runGradCheck(t, l, x)
-}
-
-func TestDropoutEvalPassThrough(t *testing.T) {
-	r := fxrand.New(6)
-	l := NewDropout("drop", 0.5, r)
-	x := tensor.New(100).RandN(r, 1)
-	y := l.Forward(x, false)
-	for i := range x.Data() {
-		if y.Data()[i] != x.Data()[i] {
-			t.Fatal("dropout should pass through at eval time")
-		}
-	}
-}
-
-func TestDropoutTrainRate(t *testing.T) {
-	r := fxrand.New(7)
-	l := NewDropout("drop", 0.3, r)
-	x := tensor.New(10000)
-	x.Fill(1)
-	y := l.Forward(x, true)
-	zeros := 0
-	var sum float64
-	for _, v := range y.Data() {
-		if v == 0 {
-			zeros++
-		}
-		sum += float64(v)
-	}
-	rate := float64(zeros) / float64(x.Size())
-	if math.Abs(rate-0.3) > 0.03 {
-		t.Fatalf("dropout rate %v want ~0.3", rate)
-	}
-	// Inverted dropout keeps the expectation.
-	if math.Abs(sum/float64(x.Size())-1) > 0.05 {
-		t.Fatalf("dropout mean %v want ~1", sum/float64(x.Size()))
-	}
-}
-
 func TestConvForwardKnown(t *testing.T) {
 	r := fxrand.New(8)
 	c := NewConv2D("conv", 1, 1, 2, 1, 0, r)
@@ -456,7 +406,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	r := fxrand.New(42)
 	m := NewSequential("mlp",
 		NewDense("fc1", 2, 16, r),
-		NewTanh("t1"),
+		NewReLU("r1"),
 		NewDense("fc2", 16, 2, r),
 	)
 	// Two Gaussian blobs.

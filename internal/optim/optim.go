@@ -1,5 +1,5 @@
 // Package optim implements the stochastic optimizers used by the paper's
-// benchmarks: SGD, SGD with (Nesterov) momentum, AdaGrad, RMSProp and ADAM.
+// benchmarks: SGD, SGD with momentum, RMSProp and ADAM.
 //
 // GRACE's training loop (Algorithm 1) is optimizer-independent: the optimizer
 // consumes the aggregated, decompressed gradient g_k and updates parameters.
@@ -20,20 +20,15 @@ import (
 type Optimizer interface {
 	Name() string
 	Step(params []*nn.Param, grads []*tensor.Dense)
-	// SetLR changes the learning rate (for schedules).
-	SetLR(lr float64)
 	// LR reports the current learning rate.
 	LR() float64
 }
 
-// SGD is plain stochastic gradient descent, optionally with momentum and
-// Nesterov lookahead, plus decoupled L2 weight decay.
+// SGD is plain stochastic gradient descent, optionally with momentum.
 type SGD struct {
-	lr          float64
-	momentum    float64
-	nesterov    bool
-	weightDecay float64
-	velocity    map[*nn.Param]*tensor.Dense
+	lr       float64
+	momentum float64
+	velocity map[*nn.Param]*tensor.Dense
 }
 
 var _ Optimizer = (*SGD)(nil)
@@ -46,33 +41,13 @@ func NewMomentumSGD(lr, momentum float64) *SGD {
 	return &SGD{lr: lr, momentum: momentum, velocity: map[*nn.Param]*tensor.Dense{}}
 }
 
-// NewNesterovSGD returns SGD with Nesterov momentum (§II).
-func NewNesterovSGD(lr, momentum float64) *SGD {
-	s := NewMomentumSGD(lr, momentum)
-	s.nesterov = true
-	return s
-}
-
-// WithWeightDecay sets decoupled L2 weight decay and returns s.
-func (s *SGD) WithWeightDecay(wd float64) *SGD {
-	s.weightDecay = wd
-	return s
-}
-
 // Name identifies the optimizer configuration.
 func (s *SGD) Name() string {
-	switch {
-	case s.nesterov:
-		return "nesterov-sgd"
-	case s.momentum > 0:
+	if s.momentum > 0 {
 		return "momentum-sgd"
-	default:
-		return "sgd"
 	}
+	return "sgd"
 }
-
-// SetLR changes the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // LR reports the current learning rate.
 func (s *SGD) LR() float64 { return s.lr }
@@ -81,9 +56,6 @@ func (s *SGD) LR() float64 { return s.lr }
 func (s *SGD) Step(params []*nn.Param, grads []*tensor.Dense) {
 	for i, p := range params {
 		g := grads[i]
-		if s.weightDecay > 0 {
-			g.AddScaled(float32(s.weightDecay), p.Value)
-		}
 		if s.momentum == 0 {
 			p.Value.AddScaled(float32(-s.lr), g)
 			continue
@@ -94,13 +66,7 @@ func (s *SGD) Step(params []*nn.Param, grads []*tensor.Dense) {
 			s.velocity[p] = v
 		}
 		v.Scale(float32(s.momentum)).Add(g)
-		if s.nesterov {
-			// x ← x − η(g + μv)
-			p.Value.AddScaled(float32(-s.lr), g)
-			p.Value.AddScaled(float32(-s.lr*s.momentum), v)
-		} else {
-			p.Value.AddScaled(float32(-s.lr), v)
-		}
+		p.Value.AddScaled(float32(-s.lr), v)
 	}
 }
 
@@ -121,9 +87,6 @@ func NewAdam(lr float64) *Adam {
 
 // Name identifies the optimizer.
 func (a *Adam) Name() string { return "adam" }
-
-// SetLR changes the learning rate.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // LR reports the current learning rate.
 func (a *Adam) LR() float64 { return a.lr }
@@ -171,9 +134,6 @@ func NewRMSProp(lr float64) *RMSProp {
 // Name identifies the optimizer.
 func (r *RMSProp) Name() string { return "rmsprop" }
 
-// SetLR changes the learning rate.
-func (r *RMSProp) SetLR(lr float64) { r.lr = lr }
-
 // LR reports the current learning rate.
 func (r *RMSProp) LR() float64 { return r.lr }
 
@@ -191,45 +151,6 @@ func (r *RMSProp) Step(params []*nn.Param, grads []*tensor.Dense) {
 		for j := range gd {
 			cd[j] = d*cd[j] + (1-d)*gd[j]*gd[j]
 			xd[j] -= float32(r.lr * float64(gd[j]) / (math.Sqrt(float64(cd[j])) + r.eps))
-		}
-	}
-}
-
-// AdaGrad implements Duchi et al. [47].
-type AdaGrad struct {
-	lr, eps float64
-	cache   map[*nn.Param]*tensor.Dense
-}
-
-var _ Optimizer = (*AdaGrad)(nil)
-
-// NewAdaGrad returns AdaGrad with ε=1e-8.
-func NewAdaGrad(lr float64) *AdaGrad {
-	return &AdaGrad{lr: lr, eps: 1e-8, cache: map[*nn.Param]*tensor.Dense{}}
-}
-
-// Name identifies the optimizer.
-func (a *AdaGrad) Name() string { return "adagrad" }
-
-// SetLR changes the learning rate.
-func (a *AdaGrad) SetLR(lr float64) { a.lr = lr }
-
-// LR reports the current learning rate.
-func (a *AdaGrad) LR() float64 { return a.lr }
-
-// Step applies the AdaGrad update.
-func (a *AdaGrad) Step(params []*nn.Param, grads []*tensor.Dense) {
-	for i, p := range params {
-		g := grads[i]
-		c, ok := a.cache[p]
-		if !ok {
-			c = tensor.New(p.Value.Shape()...)
-			a.cache[p] = c
-		}
-		cd, gd, xd := c.Data(), g.Data(), p.Value.Data()
-		for j := range gd {
-			cd[j] += gd[j] * gd[j]
-			xd[j] -= float32(a.lr * float64(gd[j]) / (math.Sqrt(float64(cd[j])) + a.eps))
 		}
 	}
 }

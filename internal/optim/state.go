@@ -52,7 +52,6 @@ var (
 	_ Stateful = (*SGD)(nil)
 	_ Stateful = (*Adam)(nil)
 	_ Stateful = (*RMSProp)(nil)
-	_ Stateful = (*AdaGrad)(nil)
 )
 
 // exportSlot copies a pointer-keyed slot map into params order.
@@ -182,21 +181,4 @@ func (r *RMSProp) LoadState(params []*nn.Param, st State) error {
 		return err
 	}
 	return importSlot(r.Name(), params, r.cache, slot)
-}
-
-// State exports the accumulated squared-gradient cache.
-func (a *AdaGrad) State(params []*nn.Param) State {
-	return State{Name: a.Name(), Slots: []Slot{exportSlot("cache", params, a.cache)}}
-}
-
-// LoadState restores the accumulated squared-gradient cache.
-func (a *AdaGrad) LoadState(params []*nn.Param, st State) error {
-	if err := checkName(a, st); err != nil {
-		return err
-	}
-	slot, err := findSlot(a.Name(), st, "cache")
-	if err != nil {
-		return err
-	}
-	return importSlot(a.Name(), params, a.cache, slot)
 }

@@ -69,10 +69,8 @@ func TestStateResumeEquivalence(t *testing.T) {
 	}{
 		{"sgd", func() Stateful { return NewSGD(0.1) }},
 		{"momentum-sgd", func() Stateful { return NewMomentumSGD(0.1, 0.9) }},
-		{"nesterov-sgd", func() Stateful { return NewNesterovSGD(0.1, 0.9) }},
 		{"adam", func() Stateful { return NewAdam(0.01) }},
 		{"rmsprop", func() Stateful { return NewRMSProp(0.01) }},
-		{"adagrad", func() Stateful { return NewAdaGrad(0.1) }},
 	}
 	shapes := [][]int{{4, 3}, {3}, {2, 2, 2}}
 	const before, after = 5, 7

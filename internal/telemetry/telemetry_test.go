@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -349,37 +348,6 @@ func TestConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteBenchArtifact(t *testing.T) {
-	dir := t.TempDir()
-	a := BenchArtifact{
-		Name:             "StepExchange/engine",
-		NsPerOp:          12345.6,
-		AllocsPerOp:      2,
-		SentBytes:        1 << 20,
-		RecvBytes:        3 << 20,
-		CompressionRatio: 0.05,
-		Extra:            map[string]float64{"tensors": 4},
-	}
-	path, err := WriteBenchArtifact(dir, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(path, "BENCH_StepExchange_engine.json") {
-		t.Fatalf("path = %s", path)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchArtifact
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != a.Name || back.SentBytes != a.SentBytes || back.Extra["tensors"] != 4 {
-		t.Fatalf("round trip mismatch: %+v", back)
 	}
 }
 

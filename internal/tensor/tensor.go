@@ -197,14 +197,6 @@ func (t *Dense) Scale(s float32) *Dense {
 	return t
 }
 
-// AddScalar adds s to every element.
-func (t *Dense) AddScalar(s float32) *Dense {
-	for i := range t.data {
-		t.data[i] += s
-	}
-	return t
-}
-
 // AddScaled performs t += s*o (axpy).
 func (t *Dense) AddScaled(s float32, o *Dense) *Dense {
 	t.assertSame(o, "AddScaled")
@@ -281,15 +273,6 @@ func (t *Dense) Dot(o *Dense) float64 {
 
 // --- Norms (computed on the flat vector, as compressors require) ---
 
-// Norm1 returns the L1 norm.
-func (t *Dense) Norm1() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += math.Abs(float64(v))
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm.
 func (t *Dense) Norm2() float64 {
 	var s float64
@@ -297,18 +280,6 @@ func (t *Dense) Norm2() float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// NormInf returns the infinity norm (maximum absolute value; 0 if empty).
-func (t *Dense) NormInf() float64 {
-	var m float64
-	for _, v := range t.data {
-		a := math.Abs(float64(v))
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // --- Flat-vector helpers shared with the compressors ---
