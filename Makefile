@@ -17,11 +17,13 @@ race:
 	go test -race ./...
 
 # Kernel rows: the top-k selection kernel across the benchmark workloads'
-# tensor sizes and input shapes. Engine.Step and the training step are
+# tensor sizes and input shapes, and the three matmul kernels at mlpwide's
+# layer shapes (ns per multiply-add). Engine.Step and the training step are
 # measured by the benchmark module alone (bash benchmark/run.sh, judged by
 # go -C benchmark run . -compare).
 bench:
 	go test -run xxx -bench BenchmarkTopK -benchmem ./internal/compress/cbase
+	go test -run xxx -bench 'BenchmarkMatmul$$' -benchmem ./internal/tensor
 
 # benchmark/ is a Go module of its own, so the root `go vet`/`go test ./...`
 # never compile it: a comm or grace symbol it uses could be renamed and only

@@ -440,7 +440,17 @@ func newWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluste
 		}
 	}
 	w.gradVecs = make([][]float32, len(w.params))
+	// What the optimizer steps on: in local-SGD mode the parameters' own
+	// gradients, otherwise headers trainStep re-points at the Engine's
+	// (reused) aggregate buffers.
 	w.gradTensors = make([]*tensor.Dense, len(w.params))
+	for i, p := range w.params {
+		if cfg.SyncEvery > 1 {
+			w.gradTensors[i] = p.Grad
+		} else {
+			w.gradTensors[i] = new(tensor.Dense)
+		}
+	}
 	return w, nil
 }
 
@@ -546,11 +556,7 @@ func (w *worker) trainStep(batch data.Batch) error {
 	if cfg.SyncEvery > 1 {
 		// Local step on the worker's own gradients; communicate only at
 		// sync boundaries.
-		grads := make([]*tensor.Dense, len(w.params))
-		for i, p := range w.params {
-			grads[i] = p.Grad
-		}
-		w.opt.Step(w.params, grads)
+		w.opt.Step(w.params, w.gradTensors)
 		w.sinceSync++
 		if w.sinceSync >= cfg.SyncEvery {
 			// Synchronize (Qsparse-local-SGD): exchange the compressed model
@@ -582,7 +588,7 @@ func (w *worker) trainStep(batch data.Batch) error {
 		}
 		codecDur, commDur = cd, md
 		for i, p := range w.params {
-			w.gradTensors[i] = tensor.FromSlice(aggs[i], p.Grad.Shape()...)
+			w.gradTensors[i].Wrap(aggs[i], p.Grad.Shape()...)
 		}
 		w.opt.Step(w.params, w.gradTensors)
 	}

@@ -7,12 +7,14 @@ import (
 	"repro/internal/fxrand"
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // Classifier wraps a feed-forward network with softmax cross-entropy for the
 // image-classification benchmarks.
 type Classifier struct {
 	net *nn.Sequential
+	dl  tensor.Dense // d(loss)/d(logits), reused every step
 }
 
 var _ Model = (*Classifier)(nil)
@@ -33,7 +35,7 @@ func NewMLPClassifier(seed uint64, inputDim int, hidden []int, classes int) *Cla
 		in = h
 	}
 	layers = append(layers, nn.NewDense("out", in, classes, r))
-	return &Classifier{net: nn.NewSequential("mlp", layers...)}
+	return &Classifier{net: nn.NewSequential("mlp", layers...).DiscardInputGrad()}
 }
 
 // CNNConfig sizes a small convolutional classifier.
@@ -71,7 +73,7 @@ func NewCNNClassifier(seed uint64, cfg CNNConfig) *Classifier {
 		flat = cfg.Hidden
 	}
 	layers = append(layers, nn.NewDense("out", flat, cfg.Classes, r))
-	return &Classifier{net: nn.NewSequential("cnn", layers...)}
+	return &Classifier{net: nn.NewSequential("cnn", layers...).DiscardInputGrad()}
 }
 
 // Params returns the network parameters.
@@ -80,8 +82,8 @@ func (c *Classifier) Params() []*nn.Param { return c.net.Params() }
 // ForwardBackward runs one batch through softmax cross-entropy.
 func (c *Classifier) ForwardBackward(b data.Batch) float64 {
 	logits := c.net.Forward(b.X, true)
-	loss, dl := nn.SoftmaxCrossEntropy(logits, b.Y)
-	c.net.Backward(dl)
+	loss := nn.SoftmaxCrossEntropyInto(&c.dl, logits, b.Y)
+	c.net.Backward(&c.dl)
 	return loss
 }
 

@@ -46,7 +46,7 @@ func NewSegNet(seed uint64, channels []int) *SegNet {
 		}
 		in = out
 	}
-	return &SegNet{net: nn.NewSequential("segnet", layers...)}
+	return &SegNet{net: nn.NewSequential("segnet", layers...).DiscardInputGrad()}
 }
 
 // Params returns the network parameters.

@@ -8,8 +8,9 @@ import (
 
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {
-	name string
-	mask []bool
+	name  string
+	mask  []bool
+	y, dx tensor.Dense // reused from step to step (see Layer)
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -25,32 +26,36 @@ func (l *ReLU) Params() []*Param { return nil }
 
 // Forward clamps negatives to zero, remembering the mask for Backward.
 func (l *ReLU) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	y := x.Clone()
+	y := l.y.Resize(x.Shape()...)
 	if train {
 		if cap(l.mask) < y.Size() {
 			l.mask = make([]bool, y.Size())
 		}
 		l.mask = l.mask[:y.Size()]
 	}
-	for i, v := range y.Data() {
+	yd := y.Data()
+	for i, v := range x.Data() {
 		pos := v > 0
 		if train {
 			l.mask[i] = pos
 		}
 		if !pos {
-			y.Data()[i] = 0
+			v = 0
 		}
+		yd[i] = v
 	}
 	return y
 }
 
 // Backward zeroes gradients where the input was non-positive.
 func (l *ReLU) Backward(dout *tensor.Dense) *tensor.Dense {
-	dx := dout.Clone()
-	for i := range dx.Data() {
+	dx := l.dx.Resize(dout.Shape()...)
+	dxd := dx.Data()
+	for i, v := range dout.Data() {
 		if !l.mask[i] {
-			dx.Data()[i] = 0
+			v = 0
 		}
+		dxd[i] = v
 	}
 	return dx
 }

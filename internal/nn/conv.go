@@ -114,9 +114,20 @@ func (c *Conv2D) im2col(x *tensor.Dense, s, h, w, oh, ow int) *tensor.Dense {
 
 // Backward accumulates kernel/bias gradients and returns dX.
 func (c *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
+	return c.backward(dout, true)
+}
+
+// backwardParams is Backward without dcol, col2im and dX (see
+// Sequential.DiscardInputGrad).
+func (c *Conv2D) backwardParams(dout *tensor.Dense) { c.backward(dout, false) }
+
+func (c *Conv2D) backward(dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	b, h, w := c.x.Dim(0), c.x.Dim(2), c.x.Dim(3)
 	oh, ow := c.outH, c.outW
-	dx := tensor.New(b, c.inC, h, w)
+	var dx *tensor.Dense
+	if wantDX {
+		dx = tensor.New(b, c.inC, h, w)
+	}
 	patch := c.inC * c.kh * c.kw
 	gb := c.b.Grad.Data()
 	for s := 0; s < b; s++ {
@@ -132,7 +143,10 @@ func (c *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
 				gb[oc] += v
 			}
 		}
-		c.w.Grad.Add(tensor.MatmulTA(c.cols[s], dy))
+		tensor.MatmulTAAcc(c.w.Grad, c.cols[s], dy)
+		if !wantDX {
+			continue
+		}
 		dcol := tensor.MatmulTB(dy, c.w.Value) // [oh*ow, patch]
 		// col2im: scatter-add patches back into dx.
 		dcd := dcol.Data()
@@ -235,6 +249,7 @@ func (m *MaxPool2D) Backward(dout *tensor.Dense) *tensor.Dense {
 type Flatten struct {
 	name    string
 	inShape []int
+	y, dx   tensor.Dense // reused headers over the caller's storage (see Layer)
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -252,12 +267,12 @@ func (f *Flatten) Params() []*Param { return nil }
 func (f *Flatten) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	f.inShape = append(f.inShape[:0], x.Shape()...)
 	b := x.Dim(0)
-	return x.Reshape(b, x.Size()/b)
+	return f.y.Wrap(x.Data(), b, x.Size()/b)
 }
 
 // Backward restores the original shape.
 func (f *Flatten) Backward(dout *tensor.Dense) *tensor.Dense {
-	return dout.Reshape(f.inShape...)
+	return f.dx.Wrap(dout.Data(), f.inShape...)
 }
 
 // Upsample2D nearest-neighbour upsamples spatial dimensions by an integer

@@ -17,9 +17,12 @@ type Dense struct {
 	in, out int
 	w, b    *Param
 
-	x       *tensor.Dense // cached input, flattened to [batch, in]
-	dw      *tensor.Dense // Backward's xᵀ·dY, kept between steps
-	inShape []int         // original input shape for gradient reshaping
+	inShape  []int // original input shape for gradient reshaping
+	outShape []int // inShape with the trailing dimension replaced by out
+	// Reused from step to step (see Layer): x and dy are headers over the
+	// caller's storage flattened to [batch, in] / [batch, out], y and dx own
+	// theirs.
+	x, dy, y, dx tensor.Dense
 }
 
 var _ Layer = (*Dense)(nil)
@@ -48,11 +51,9 @@ func (d *Dense) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	if x.Size()%d.in != 0 {
 		panic(fmt.Sprintf("nn: %s: input shape %v incompatible with in=%d", d.name, x.Shape(), d.in))
 	}
-	flat := x.Reshape(batch, d.in)
-	if train {
-		d.x = flat
-	}
-	y := tensor.Matmul(flat, d.w.Value)
+	d.x.Wrap(x.Data(), batch, d.in)
+	y := d.y.Resize(batch, d.out)
+	tensor.MatmulInto(y, &d.x, d.w.Value)
 	// Add bias row-wise.
 	yd, bd := y.Data(), d.b.Value.Data()
 	for i := 0; i < batch; i++ {
@@ -61,19 +62,23 @@ func (d *Dense) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 			row[j] += bd[j]
 		}
 	}
-	outShape := append(append([]int(nil), d.inShape[:len(d.inShape)-1]...), d.out)
-	return y.Reshape(outShape...)
+	d.outShape = append(append(d.outShape[:0], d.inShape[:len(d.inShape)-1]...), d.out)
+	return y.Resize(d.outShape...)
 }
 
 // Backward accumulates dW = xᵀ·dY, db = Σ dY and returns dX = dY·Wᵀ.
 func (d *Dense) Backward(dout *tensor.Dense) *tensor.Dense {
+	d.backwardParams(dout)
+	dx := d.dx.Resize(d.dy.Dim(0), d.in)
+	tensor.MatmulTBInto(dx, &d.dy, d.w.Value)
+	return dx.Resize(d.inShape...)
+}
+
+// backwardParams is Backward without dX (see Sequential.DiscardInputGrad).
+func (d *Dense) backwardParams(dout *tensor.Dense) {
 	batch := dout.Size() / d.out
-	dy := dout.Reshape(batch, d.out)
-	if d.dw == nil {
-		d.dw = tensor.New(d.in, d.out)
-	}
-	tensor.MatmulTAInto(d.dw, d.x, dy)
-	d.w.Grad.Add(d.dw)
+	dy := d.dy.Wrap(dout.Data(), batch, d.out)
+	tensor.MatmulTAAcc(d.w.Grad, &d.x, dy)
 	gb := d.b.Grad.Data()
 	dyd := dy.Data()
 	for i := 0; i < batch; i++ {
@@ -82,6 +87,4 @@ func (d *Dense) Backward(dout *tensor.Dense) *tensor.Dense {
 			gb[j] += v
 		}
 	}
-	dx := tensor.MatmulTB(dy, d.w.Value)
-	return dx.Reshape(d.inShape...)
 }

@@ -10,13 +10,20 @@ import (
 // SoftmaxCrossEntropy computes the mean cross-entropy of logits [N, classes]
 // against integer labels, returning the loss and d(loss)/d(logits).
 func SoftmaxCrossEntropy(logits *tensor.Dense, labels []int) (float64, *tensor.Dense) {
+	dl := new(tensor.Dense)
+	return SoftmaxCrossEntropyInto(dl, logits, labels), dl
+}
+
+// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing d(loss)/d(logits)
+// into dl, a buffer the caller reuses from step to step (it is resized to the
+// logits' shape).
+func SoftmaxCrossEntropyInto(dl, logits *tensor.Dense, labels []int) float64 {
 	n := len(labels)
 	classes := logits.Size() / n
 	if logits.Size() != n*classes {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy logits %v vs %d labels", logits.Shape(), n))
 	}
-	dl := tensor.New(logits.Shape()...)
-	ld, dd := logits.Data(), dl.Data()
+	ld, dd := logits.Data(), dl.Resize(logits.Shape()...).Data()
 	var loss float64
 	inv := 1 / float64(n)
 	for i := 0; i < n; i++ {
@@ -45,7 +52,7 @@ func SoftmaxCrossEntropy(logits *tensor.Dense, labels []int) (float64, *tensor.D
 			drow[j] = float32((float64(drow[j])/sum - b2f(j == label)) * inv)
 		}
 	}
-	return loss, dl
+	return loss
 }
 
 // BCEWithLogits computes the mean binary cross-entropy of logits against

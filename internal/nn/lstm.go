@@ -147,8 +147,8 @@ func (l *LSTM) Backward(dout *tensor.Dense) *tensor.Dense {
 				zr[3*H+j] = dg * (1 - gv*gv)
 			}
 		}
-		l.wx.Grad.Add(tensor.MatmulTA(st.x, dz))
-		l.wh.Grad.Add(tensor.MatmulTA(st.hPrev, dz))
+		tensor.MatmulTAAcc(l.wx.Grad, st.x, dz)
+		tensor.MatmulTAAcc(l.wh.Grad, st.hPrev, dz)
 		gb := l.b.Grad.Data()
 		for r := 0; r < b; r++ {
 			row := dzd[r*4*H : (r+1)*4*H]

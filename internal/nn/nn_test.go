@@ -306,6 +306,71 @@ func TestSequentialComposition(t *testing.T) {
 	runGradCheck(t, m, x)
 }
 
+// TestDiscardInputGradKeepsParamGradBits: with the opt-in, Backward ends at
+// the first parametrised layer and returns nil; every parameter gradient of
+// the classifiers' two layer stacks carries the same bits as without it, on
+// a second step too (reused buffers), and without it dX is still produced.
+func TestDiscardInputGradKeepsParamGradBits(t *testing.T) {
+	stacks := map[string]struct {
+		build func() *Sequential
+		x     *tensor.Dense
+	}{
+		"mlp": {func() *Sequential {
+			r := fxrand.New(5)
+			return NewSequential("mlp", NewFlatten("flatten"),
+				NewDense("fc0", 64, 48, r), NewReLU("relu0"), NewDense("out", 48, 5, r))
+		}, tensor.New(6, 1, 8, 8)},
+		"cnn": {func() *Sequential {
+			r := fxrand.New(6)
+			return NewSequential("cnn",
+				NewConv2D("conv0", 2, 4, 3, 1, 1, r), NewReLU("crelu0"), NewMaxPool2D("pool0", 2),
+				NewFlatten("flatten"), NewDense("out", 4*4*4, 5, r))
+		}, tensor.New(6, 2, 8, 8)},
+	}
+	labels := []int{0, 1, 2, 3, 4, 0}
+	for name, st := range stacks {
+		keep, discard := st.build(), st.build().DiscardInputGrad()
+		r := fxrand.New(7)
+		for step := 0; step < 2; step++ {
+			st.x.RandN(r, 1)
+			var dx [2]*tensor.Dense
+			for i, m := range []*Sequential{keep, discard} {
+				ZeroGrads(m.Params())
+				_, dl := SoftmaxCrossEntropy(m.Forward(st.x, true), labels)
+				dx[i] = m.Backward(dl)
+			}
+			if dx[0] == nil || !dx[0].SameShape(st.x) {
+				t.Fatalf("%s: Backward without the opt-in returned dX %v, want the input's shape", name, dx[0])
+			}
+			if dx[1] != nil {
+				t.Fatalf("%s: Backward after DiscardInputGrad returned %v, want nil", name, dx[1])
+			}
+			for i, p := range keep.Params() {
+				q := discard.Params()[i]
+				for j, v := range p.Grad.Data() {
+					if math.Float32bits(v) != math.Float32bits(q.Grad.Data()[j]) {
+						t.Fatalf("%s step %d: %s grad[%d] = %v with dX, %v without", name, step, p.Name, j, v, q.Grad.Data()[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDiscardInputGradFallsBackToBackward: a first parametrised layer that
+// cannot skip its input gradient (LSTM) just runs its ordinary Backward.
+func TestDiscardInputGradFallsBackToBackward(t *testing.T) {
+	r := fxrand.New(8)
+	m := NewSequential("rnn", NewLSTM("lstm", 3, 4, r)).DiscardInputGrad()
+	y := m.Forward(tensor.New(2, 5, 3).RandN(r, 1), true)
+	if m.Backward(y) != nil {
+		t.Fatal("Backward after DiscardInputGrad must return nil")
+	}
+	if m.Params()[0].Grad.Norm2() == 0 {
+		t.Fatal("the LSTM's parameter gradients were not accumulated")
+	}
+}
+
 func TestZeroGrads(t *testing.T) {
 	r := fxrand.New(21)
 	d := NewDense("fc", 2, 2, r)

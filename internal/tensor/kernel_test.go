@@ -1,0 +1,302 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/fxrand"
+)
+
+// These tests pin the bitwise contract of the multiply-add kernels: every
+// reference below rounds the product to float32 before the add (an explicit
+// conversion: the spec lets a compiler fuse x*y + z across an assignment), so
+// a kernel that later fuses the two (FMA rounds once) fails them on the
+// first operand whose low bit differs.
+
+// sameBits reports bitwise equality, except that any NaN matches any NaN:
+// which payload survives NaN+NaN depends on operand order inside the
+// instruction, and no caller can observe it.
+func sameBits(a, b float32) bool {
+	if a != a || b != b {
+		return a != a && b != b
+	}
+	return math.Float32bits(a) == math.Float32bits(b)
+}
+
+var (
+	denormal = math.Float32frombits(1)
+	specials = []float32{
+		0, float32(math.Copysign(0, -1)), denormal, -denormal, math.Float32frombits(0x007fffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 1, -1,
+	}
+)
+
+// operand returns n floats: normals, with a special value at every third
+// position when special is set.
+func operand(r *fxrand.RNG, n int, special bool) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = float32(r.NormFloat64())
+		if special && i%3 == 1 {
+			v[i] = specials[r.Intn(len(specials))]
+		}
+	}
+	return v
+}
+
+func TestAxpyMatchesGeneric(t *testing.T) {
+	r := fxrand.New(1)
+	scalars := append([]float32{0.37, -1.5e-3, 3e20}, specials...)
+	const pad = 5 // elements of y beyond len(x) that must stay untouched
+	for n := 0; n <= 130; n++ {
+		for off := 0; off <= 3; off++ {
+			for _, special := range []bool{false, true} {
+				a := scalars[(n+off)%len(scalars)]
+				x := operand(r, off+n, special)[off:]
+				y0 := operand(r, off+n+pad, special)[off:]
+				got := append([]float32(nil), y0...)
+				want := append([]float32(nil), y0...)
+				axpy(a, x, got)
+				axpyGeneric(a, x, want)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("n=%d off=%d a=%v: y[%d] = %v (%#x), generic %v (%#x), from y=%v",
+							n, off, a, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]), y0[i])
+					}
+					if i >= n && math.Float32bits(got[i]) != math.Float32bits(y0[i]) {
+						t.Fatalf("n=%d off=%d: y[%d] beyond len(x) was written", n, off, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAxpyGenericRoundsTwice pins the oracle itself: product rounded, then
+// the sum.
+func TestAxpyGenericRoundsTwice(t *testing.T) {
+	r := fxrand.New(2)
+	x, y := operand(r, 4096, false), operand(r, 4096, false)
+	const a = 0.7310586
+	want := make([]float32, len(y))
+	fusedDiffers := false
+	for i := range y {
+		want[i] = y[i] + float32(a*x[i]) // the conversion is what forbids fusing
+		if float32(float64(a)*float64(x[i])+float64(y[i])) != want[i] {
+			fusedDiffers = true
+		}
+	}
+	if !fusedDiffers {
+		t.Fatal("operands never distinguish a fused multiply-add; the test pins nothing")
+	}
+	axpyGeneric(a, x, y)
+	for i := range y {
+		if math.Float32bits(y[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("axpyGeneric[%d] = %v, want %v", i, y[i], want[i])
+		}
+	}
+}
+
+func TestAxpyShortDestinationPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("axpy wrote past a short y without panicking")
+		}
+	}()
+	axpy(1, make([]float32, 8), make([]float32, 7))
+}
+
+// naiveProduct is the contract written out: C[i,j] sums a(i,p)·b(p,j) over
+// ascending p from +0, product rounded before the add, terms with a zero
+// left factor skipped.
+func naiveProduct(m, k, n int, a func(i, p int) float32, b func(p, j int) float32) []float32 {
+	c := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				av := a(i, p)
+				if av == 0 {
+					continue
+				}
+				s += float32(av * b(p, j))
+			}
+			c[i*n+j] = s
+		}
+	}
+	return c
+}
+
+// kernelShapes are (m, k, n) of C[m×n] = Σ over k: mlpwide's three layers,
+// a conv im2col product, the LSTM gate projections, PowerSGD's rank-4
+// factors, and shapes that cross every blocking constant (rowBlock, taChunk,
+// tbRows, tbCols) raggedly.
+var kernelShapes = [][3]int{
+	{16, 256, 768}, {16, 768, 384}, {16, 384, 10},
+	{196, 27, 8},
+	{16, 16, 128}, {16, 32, 128},
+	{768, 384, 4}, {384, 768, 4}, {768, 4, 384},
+	{1, 1, 1}, {5, 3, 4}, {7, 130, 19}, {3, 5, taChunk + 76}, {6, tbRows + 9, tbCols + 45},
+}
+
+func checkBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), naive loop %v (%#x)", what, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+func TestMatmulKernelsMatchNaiveLoopBitwise(t *testing.T) {
+	r := fxrand.New(3)
+	for _, s := range kernelShapes {
+		m, k, n := s[0], s[1], s[2]
+		for _, sparse := range []bool{false, true} {
+			lhs := operand(r, m*k, false)
+			if sparse { // ReLU-like: about half the left operand is exactly zero
+				for i, v := range lhs {
+					if v < 0 {
+						lhs[i] = 0
+					}
+				}
+			}
+			rhs := operand(r, k*n, false)
+			what := fmt.Sprintf("%dx%dx%d sparse=%v", m, k, n, sparse)
+			dirty := func() *Dense { return New(m, n).RandN(r, 1) }
+
+			a, b := FromSlice(lhs, m, k), FromSlice(rhs, k, n)
+			want := naiveProduct(m, k, n, func(i, p int) float32 { return lhs[i*k+p] }, func(p, j int) float32 { return rhs[p*n+j] })
+			checkBits(t, "Matmul "+what, Matmul(a, b).data, want)
+			c := dirty()
+			MatmulInto(c, a, b)
+			checkBits(t, "MatmulInto "+what, c.data, want)
+
+			a = FromSlice(lhs, k, m) // the same numbers read as Aᵀ's storage
+			want = naiveProduct(m, k, n, func(i, p int) float32 { return lhs[p*m+i] }, func(p, j int) float32 { return rhs[p*n+j] })
+			checkBits(t, "MatmulTA "+what, MatmulTA(a, b).data, want)
+			c = dirty()
+			MatmulTAInto(c, a, b)
+			checkBits(t, "MatmulTAInto "+what, c.data, want)
+			c = dirty()
+			sum := c.Clone()
+			for i, v := range want {
+				sum.data[i] += v
+			}
+			MatmulTAAcc(c, a, b)
+			checkBits(t, "MatmulTAAcc "+what, c.data, sum.data)
+
+			a, b = FromSlice(lhs, m, k), FromSlice(rhs, n, k)
+			want = naiveProduct(m, k, n, func(i, p int) float32 { return lhs[i*k+p] }, func(p, j int) float32 { return rhs[j*k+p] })
+			checkBits(t, "MatmulTB "+what, MatmulTB(a, b).data, want)
+			c = dirty()
+			MatmulTBInto(c, a, b)
+			checkBits(t, "MatmulTBInto "+what, c.data, want)
+		}
+	}
+}
+
+// TestMatmulZeroSkipDropsNonFiniteTerms states what the skip changes: a zero
+// left factor drops its term even when the right factor is Inf or NaN.
+func TestMatmulZeroSkipDropsNonFiniteTerms(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	zeroOne := []float32{0, 1}
+	for name, got := range map[string]*Dense{
+		"Matmul":   Matmul(FromSlice(zeroOne, 1, 2), FromSlice([]float32{inf, nan, 2, 3}, 2, 2)),
+		"MatmulTA": MatmulTA(FromSlice(zeroOne, 2, 1), FromSlice([]float32{inf, nan, 2, 3}, 2, 2)),
+		"MatmulTB": MatmulTB(FromSlice(zeroOne, 1, 2), FromSlice([]float32{inf, 2, nan, 3}, 2, 2)),
+	} {
+		if got.data[0] != 2 || got.data[1] != 3 {
+			t.Errorf("%s = %v, want [2 3]", name, got.data)
+		}
+	}
+}
+
+func TestAddAndAddScaledBitwise(t *testing.T) {
+	r := fxrand.New(4)
+	for _, n := range []int{0, 1, 3, 17, 64, 1000, 295_000} {
+		x, y := operand(r, n, n < 1000), operand(r, n, n < 1000)
+		const s = -0.0123
+		wantAdd, wantScaled := make([]float32, n), make([]float32, n)
+		for i := range x {
+			wantAdd[i] = y[i] + x[i]
+			wantScaled[i] = y[i] + float32(s*x[i])
+		}
+		gotAdd := FromSlice(append([]float32(nil), y...), n).Add(FromSlice(x, n)).data
+		gotScaled := FromSlice(append([]float32(nil), y...), n).AddScaled(s, FromSlice(x, n)).data
+		for i := range x {
+			if !sameBits(gotAdd[i], wantAdd[i]) {
+				t.Fatalf("n=%d Add[%d]: %v + %v = %v, want %v", n, i, y[i], x[i], gotAdd[i], wantAdd[i])
+			}
+			if !sameBits(gotScaled[i], wantScaled[i]) {
+				t.Fatalf("n=%d AddScaled[%d]: %v + s·%v = %v, want %v", n, i, y[i], x[i], gotScaled[i], wantScaled[i])
+			}
+		}
+	}
+}
+
+func TestResizeAndWrapReuseStorage(t *testing.T) {
+	var buf Dense
+	buf.Resize(4, 6).Fill(3)
+	first := &buf.data[0]
+	if buf.Resize(2, 12); buf.Dim(1) != 12 || buf.data[23] != 3 {
+		t.Fatal("a same-size Resize must reshape in place and keep the contents")
+	}
+	if buf.Resize(3, 5); &buf.data[0] != first || buf.Size() != 15 || buf.Rank() != 2 {
+		t.Fatal("a smaller Resize must keep the storage")
+	}
+	if buf.Resize(4, 6); &buf.data[0] != first {
+		t.Fatal("growing back within capacity must keep the storage")
+	}
+	if buf.Resize(5, 6); buf.Size() != 30 {
+		t.Fatal("Resize did not grow")
+	}
+	src := []float32{1, 2, 3, 4, 5, 6}
+	var view Dense
+	view.Wrap(src, 2, 3)
+	if view.At(1, 0) != 4 || &view.data[0] != &src[0] {
+		t.Fatal("Wrap must use the slice directly")
+	}
+	if n := testing.AllocsPerRun(10, func() { buf.Resize(2, 3); view.Wrap(src, 3, 2) }); n != 0 {
+		t.Fatalf("steady-state Resize+Wrap allocate %v times, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Wrap with a mismatched shape did not panic")
+		}
+	}()
+	view.Wrap(src, 4, 2)
+}
+
+// BenchmarkMatmul times the three product kernels at the shapes of mlpwide
+// (batch 16, 256→768→384→10), the model train_tcp_topk trains, and reports
+// nanoseconds per multiply-add. Operands are dense normals, so the zero-skip
+// never fires: ReLU-sparse activations run faster than these rows.
+func BenchmarkMatmul(b *testing.B) {
+	const batch = 16
+	r := fxrand.New(1)
+	for _, l := range [][2]int{{256, 768}, {768, 384}, {384, 10}} {
+		in, out := l[0], l[1]
+		x := New(batch, in).RandN(r, 1)
+		w := New(in, out).RandN(r, 1)
+		dy := New(batch, out).RandN(r, 1)
+		y, dw, dx := New(batch, out), New(in, out), New(batch, in)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"forward", func() { MatmulInto(y, x, w) }},
+			{"dW", func() { MatmulTAInto(dw, x, dy) }},
+			{"dX", func() { MatmulTBInto(dx, dy, w) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", k.name, batch, in, out), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch*in*out), "ns/mac")
+			})
+		}
+	}
+}

@@ -42,7 +42,9 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// The copy keeps shape from escaping, so a caller's variadic
+			// dimensions stay on its stack.
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -81,6 +83,33 @@ func (t *Dense) Reshape(shape ...int) *Dense {
 		panic(fmt.Sprintf("tensor: cannot reshape size %d to %v", len(t.data), shape))
 	}
 	return &Dense{shape: append([]int(nil), shape...), data: t.data}
+}
+
+// Resize gives t the given shape in place, for a buffer its owner reuses
+// from one step to the next: storage is kept while its capacity suffices and
+// reallocated only when the shape outgrows it. A same-size Resize is a
+// reshape and keeps the contents; after any other the contents are
+// unspecified. The zero Dense is a valid receiver.
+func (t *Dense) Resize(shape ...int) *Dense {
+	n := checkShape(shape)
+	if cap(t.data) < n {
+		t.data = make([]float32, n)
+	}
+	t.data = t.data[:n]
+	t.shape = append(t.shape[:0], shape...)
+	return t
+}
+
+// Wrap re-points t at data with the given shape, the allocation-free
+// FromSlice for a header its owner reuses: the slice is used directly, and
+// whatever t held before is dropped, not overwritten.
+func (t *Dense) Wrap(data []float32, shape ...int) *Dense {
+	if n := checkShape(shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: Wrap data length %d does not match shape %v (size %d)", len(data), append([]int(nil), shape...), n))
+	}
+	t.data = data
+	t.shape = append(t.shape[:0], shape...)
+	return t
 }
 
 // offset converts a multi-index to a flat offset.
@@ -153,12 +182,10 @@ func (t *Dense) assertSame(o *Dense, op string) {
 	}
 }
 
-// Add adds o elementwise into t.
+// Add adds o elementwise into t (1·v is exactly v, so axpy adds v itself).
 func (t *Dense) Add(o *Dense) *Dense {
 	t.assertSame(o, "Add")
-	for i, v := range o.data {
-		t.data[i] += v
-	}
+	axpy(1, o.data, t.data)
 	return t
 }
 
@@ -197,12 +224,10 @@ func (t *Dense) Scale(s float32) *Dense {
 	return t
 }
 
-// AddScaled performs t += s*o (axpy).
+// AddScaled performs t += s*o, the product rounded before the add.
 func (t *Dense) AddScaled(s float32, o *Dense) *Dense {
 	t.assertSame(o, "AddScaled")
-	for i, v := range o.data {
-		t.data[i] += s * v
-	}
+	axpy(s, o.data, t.data)
 	return t
 }
 
