@@ -76,7 +76,7 @@ loc:
 	@echo "non-test Go outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' \
 		! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
 	@echo "internal/grace/engine.go: $$(cat internal/grace/engine.go | wc -l)"
-	@for dir in internal/grace internal/comm internal/harness; do \
+	@for dir in internal/grace internal/comm internal/harness internal/telemetry; do \
 		echo "$$dir (non-test, with subpackages): $$(find $$dir -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"; \
 	done
 	@echo "harness scenario files ($(LOC_HARNESS)): $$(cat $(LOC_HARNESS) | wc -l)"

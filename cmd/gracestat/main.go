@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/grace"
 	"repro/internal/harness"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/xrank"
 )
 
@@ -197,7 +198,7 @@ func renderFlightList(dir string) bool {
 		}
 		faults := 0
 		for _, ev := range d.Events {
-			if ev.Kind == xrank.KindFault {
+			if ev.Kind == telemetry.KindFault {
 				faults++
 			}
 		}
@@ -222,9 +223,9 @@ func renderFlight(path string) error {
 	}
 	fmt.Printf("frozen at:  %s (window %v, generation %d)\n\n",
 		d.Time, time.Duration(d.WindowNs), d.Generation)
-	var faults, others []xrank.Event
+	var faults, others []telemetry.Event
 	for _, ev := range d.Events {
-		if ev.Kind == xrank.KindFault {
+		if ev.Kind == telemetry.KindFault {
 			faults = append(faults, ev)
 		} else {
 			others = append(others, ev)
@@ -234,7 +235,7 @@ func renderFlight(path string) error {
 		fmt.Printf("fault events (%d):\n%-6s %-12s %-10s %-8s %s\n", len(faults), "rank", "fault", "op", "seq", "gen")
 		for _, ev := range faults {
 			fmt.Printf("%-6d %-12s %-10s %-8d %d\n",
-				ev.Rank, xrank.FaultName(ev.Aux), xrank.OpName(ev.Op), ev.Seq, ev.Gen)
+				ev.Rank, telemetry.FaultName(ev.Aux), telemetry.OpName(ev.Op), ev.Seq, ev.Gen)
 		}
 		fmt.Println()
 	}
@@ -248,8 +249,8 @@ func renderFlight(path string) error {
 	if len(others) > 0 {
 		fmt.Printf("%-6s %-6s %-10s %-8s %-12s %s\n", "rank", "kind", "op", "seq", "dur", "bytes")
 		for _, ev := range others {
-			kind, op := "op", xrank.OpName(ev.Op)
-			if ev.Kind == xrank.KindStep {
+			kind, op := "op", telemetry.OpName(ev.Op)
+			if ev.Kind == telemetry.KindStep {
 				kind, op = "step", "-"
 			}
 			fmt.Printf("%-6d %-6s %-10s %-8d %-12v %d\n",
@@ -262,12 +263,12 @@ func renderFlight(path string) error {
 	return nil
 }
 
-func readFlight(path string) (*xrank.FlightDump, error) {
+func readFlight(path string) (*telemetry.FlightDump, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var d xrank.FlightDump
+	var d telemetry.FlightDump
 	if err := json.Unmarshal(raw, &d); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 )
 
 func main() {
@@ -71,10 +70,8 @@ func main() {
 	// battery's injected faults leave flight recordings too — not only the
 	// training run (whose trainer re-applies the same configuration).
 	if *xr {
-		xrank.Default.SetEnabled(true)
-		if *artifacts != "" {
-			xrank.Default.ConfigureFlight(*artifacts, 0, 0)
-		}
+		telemetry.Default.Enable(true)
+		telemetry.Default.ConfigureFlight(*artifacts)
 	}
 
 	// -chaos / -rejoin / -elastic alone replace training; combined with an
@@ -160,7 +157,6 @@ func main() {
 	}
 	if *xr {
 		sc.XRank = grace.XRankConfig{
-			Enable:         true,
 			AggregateEvery: *xrEvery,
 			ArtifactsDir:   *artifacts,
 		}

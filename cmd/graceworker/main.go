@@ -207,7 +207,6 @@ func main() {
 	}
 	if *xr {
 		sc.XRank = grace.XRankConfig{
-			Enable:         true,
 			AggregateEvery: *xrEvery,
 			ArtifactsDir:   *xrDir,
 		}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/telemetry/xrank"
+	"repro/internal/telemetry"
 )
 
 // Op identifies the collective (or transport sub-) operation during which a
@@ -110,11 +110,11 @@ func wrapErr(rank int, op Op, step int64, err error) error {
 		return err
 	}
 	e := &Error{Rank: rank, Op: op, Step: step, Err: err}
-	code := int64(xrank.FaultError)
+	code := int64(telemetry.FaultError)
 	if errors.Is(err, ErrPeerDead) {
-		code = xrank.FaultPeerDead
+		code = telemetry.FaultPeerDead
 	}
-	xrank.Default.RecordFault(rank, xrank.OpCode(string(op)), step, code)
-	xrank.Default.Flight("comm_"+string(op), e)
+	telemetry.Default.RecordFault(rank, telemetry.OpCode(string(op)), step, code, 0)
+	telemetry.Default.Flight("comm_"+string(op), e)
 	return e
 }

@@ -152,12 +152,13 @@ func (f *Faulty) Counts() FaultCounts {
 }
 
 // note records one injection in the handle's counters, mirrors it into the
-// telemetry registry, and stamps the incident on the trace timeline. The
-// FaultKind order matches the CtrFaultDelays..CtrFaultStalls counter block.
-func (f *Faulty) note(kind FaultKind, op Op) {
+// telemetry registry, and records it as an incident event at the op's step.
+// The FaultKind order matches the CtrFaultDelays..CtrFaultStalls counter
+// block and the telemetry.FaultDelay..FaultStall codes.
+func (f *Faulty) note(kind FaultKind, op Op, step int64) {
 	f.counts[kind].Add(1)
 	telemetry.Default.Add(telemetry.CtrFaultDelays+telemetry.Counter(kind), 1)
-	telemetry.Default.Mark("fault:"+kind.String()+":"+string(op), f.inner.Rank())
+	telemetry.Default.RecordFault(f.inner.Rank(), telemetry.OpCode(string(op)), step, telemetry.FaultDelay+int64(kind), 0)
 }
 
 // pick returns the first plan rule matching this operation, rolling the
@@ -248,7 +249,7 @@ func (f *Faulty) inject(ctx context.Context, k *call) error {
 	if ft == nil {
 		return k.invoke(ctx, f.inner)
 	}
-	f.note(ft.Kind, k.op)
+	f.note(ft.Kind, k.op, step)
 	switch ft.Kind {
 	case FaultDelay:
 		ft.sleep()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 )
 
 // Hub coordinates an in-process collective group: worker goroutines in one
@@ -450,8 +449,8 @@ func (w *InProc) Reform() (uint64, error) {
 	if err != nil {
 		return 0, wrapErr(w.rank, OpReform, w.step, err)
 	}
-	xrank.Default.SetGeneration(gen)
-	xrank.Default.RecordFault(w.rank, xrank.OpReform, w.step, xrank.FaultReform)
+	telemetry.Default.SetGeneration(gen)
+	telemetry.Default.RecordFault(w.rank, telemetry.OpReform, w.step, telemetry.FaultReform, 0)
 	return gen, nil
 }
 
@@ -468,9 +467,9 @@ func (w *InProc) ReformElastic(wait time.Duration) (Membership, error) {
 		return Membership{}, wrapErr(w.rank, OpReform, w.step, err)
 	}
 	mem.Rank = mem.CurrentRank(w.rank)
-	xrank.Default.SetGeneration(mem.Gen)
+	telemetry.Default.SetGeneration(mem.Gen)
 	telemetry.Default.SetGauge("world_size", int64(mem.Size()))
-	xrank.Default.RecordFault(w.rank, xrank.OpReform, w.step, xrank.FaultReform)
+	telemetry.Default.RecordFault(w.rank, telemetry.OpReform, w.step, telemetry.FaultReform, 0)
 	return mem, nil
 }
 
@@ -484,9 +483,9 @@ func (w *InProc) ReformGrow(members []int) (Membership, error) {
 		return Membership{}, wrapErr(w.rank, OpReform, w.step, err)
 	}
 	mem.Rank = mem.CurrentRank(w.rank)
-	xrank.Default.SetGeneration(mem.Gen)
+	telemetry.Default.SetGeneration(mem.Gen)
 	telemetry.Default.SetGauge("world_size", int64(mem.Size()))
-	xrank.Default.RecordFault(w.rank, xrank.OpReform, w.step, xrank.FaultReform)
+	telemetry.Default.RecordFault(w.rank, telemetry.OpReform, w.step, telemetry.FaultReform, 0)
 	return mem, nil
 }
 
@@ -516,7 +515,7 @@ func (w *InProc) JoinGroup(wait time.Duration) (Membership, error) {
 		w.join = nil
 		mem := jw.mem
 		mem.Rank = mem.CurrentRank(w.rank)
-		xrank.Default.SetGeneration(mem.Gen)
+		telemetry.Default.SetGeneration(mem.Gen)
 		return mem, nil
 	case <-t.C:
 		return Membership{}, wrapErr(w.rank, OpReform, w.step,
@@ -531,9 +530,9 @@ func (w *InProc) AllreduceF32(x []float32) error {
 	w.step++
 	snap := append(w.snaps[w.snap][:0], x...)
 	w.snaps[w.snap] = snap
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	r, err := w.hub.exchange(w.rank, nil, snap)
-	xrank.Default.RecordOp(w.rank, xrank.OpAllreduce, w.step, int64(4*len(x)), xt0)
+	telemetry.Default.RecordOp(w.rank, telemetry.OpAllreduce, w.step, int64(4*len(x)), opT0)
 	if err != nil {
 		return wrapErr(w.rank, OpAllreduce, w.step, err)
 	}
@@ -556,9 +555,9 @@ func (w *InProc) AllreduceF32(x []float32) error {
 // AllgatherBytes distributes every worker's payload to all workers.
 func (w *InProc) AllgatherBytes(b []byte) ([][]byte, error) {
 	w.step++
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	r, err := w.hub.exchange(w.rank, b, nil)
-	xrank.Default.RecordOp(w.rank, xrank.OpAllgather, w.step, int64(len(b)), xt0)
+	telemetry.Default.RecordOp(w.rank, telemetry.OpAllgather, w.step, int64(len(b)), opT0)
 	if err != nil {
 		return nil, wrapErr(w.rank, OpAllgather, w.step, err)
 	}
@@ -579,9 +578,9 @@ func (w *InProc) BroadcastBytes(b []byte, root int) ([]byte, error) {
 	if cur == root {
 		payload = b
 	}
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	r, err := w.hub.exchange(w.rank, payload, nil)
-	xrank.Default.RecordOp(w.rank, xrank.OpBroadcast, w.step, int64(len(payload)), xt0)
+	telemetry.Default.RecordOp(w.rank, telemetry.OpBroadcast, w.step, int64(len(payload)), opT0)
 	if err != nil {
 		return nil, wrapErr(w.rank, OpBroadcast, w.step, err)
 	}
@@ -591,9 +590,9 @@ func (w *InProc) BroadcastBytes(b []byte, root int) ([]byte, error) {
 // Barrier blocks until all workers arrive.
 func (w *InProc) Barrier() error {
 	w.step++
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	_, err := w.hub.exchange(w.rank, nil, nil)
-	xrank.Default.RecordOp(w.rank, xrank.OpBarrier, w.step, 0, xt0)
+	telemetry.Default.RecordOp(w.rank, telemetry.OpBarrier, w.step, 0, opT0)
 	if err != nil {
 		return wrapErr(w.rank, OpBarrier, w.step, err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fxrand"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 )
 
 // Reformer is implemented by collectives that can rebuild their group under a
@@ -149,7 +148,7 @@ func (r *Resilient) retry(ctx context.Context, k *call) error {
 		r.spent++
 		r.retries.Add(1)
 		telemetry.Default.Add(telemetry.CtrCommRetries, 1)
-		xrank.Default.RecordFault(r.Rank(), xrank.OpRetry, int64(attempt), xrank.FaultRetry)
+		telemetry.Default.RecordFault(r.Rank(), telemetry.OpRetry, int64(attempt), telemetry.FaultRetry, 0)
 		if err := r.sleep(ctx, r.backoff(attempt)); err != nil {
 			return err
 		}

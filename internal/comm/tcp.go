@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 )
 
 // Transport hardening defaults. Production gradients are large but bounded;
@@ -202,7 +201,7 @@ func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 		inc, err := t.dial(sortedUnion(members, []int{cfg.Rank}), gen+1, time.Until(deadline))
 		if err == nil {
 			t.found(inc)
-			xrank.Default.SetGeneration(inc.gen)
+			telemetry.Default.SetGeneration(inc.gen)
 			telemetry.Default.SetGauge("world_size", int64(inc.n))
 			return t, nil
 		}
@@ -352,7 +351,7 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 
 	telemetry.Default.Add(telemetry.CtrRingReconnects, 1)
 	telemetry.Default.Add(telemetry.CtrGroupReforms, 1)
-	xrank.Default.SetGeneration(inc.gen)
+	telemetry.Default.SetGeneration(inc.gen)
 	if inc.n != old.n {
 		ctr := telemetry.CtrElasticGrows
 		if inc.n < old.n {
@@ -361,7 +360,7 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 		telemetry.Default.Add(ctr, 1)
 		telemetry.Default.SetGauge("world_size", int64(inc.n))
 	}
-	xrank.Default.RecordFault(t.cfg.Rank, xrank.OpReform, step, xrank.FaultReform)
+	telemetry.Default.RecordFault(t.cfg.Rank, telemetry.OpReform, step, telemetry.FaultReform, 0)
 	return t.Membership(), nil
 }
 
@@ -632,9 +631,9 @@ func (t *TCPRing) AllreduceF32Ctx(ctx context.Context, x []float32) error {
 	if err != nil {
 		return err
 	}
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	err = c.allreduceRounds(step, x)
-	xrank.Default.RecordOp(c.rank, xrank.OpAllreduce, step, int64(len(x)*4), xt0)
+	telemetry.Default.RecordOp(c.rank, telemetry.OpAllreduce, step, int64(len(x)*4), opT0)
 	c.endOp(stop)
 	return err
 }
@@ -646,9 +645,9 @@ func (t *TCPRing) AllgatherBytesCtx(ctx context.Context, b []byte) ([][]byte, er
 	if err != nil {
 		return nil, err
 	}
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	out, err := c.gatherRounds(step, b)
-	xrank.Default.RecordOp(c.rank, xrank.OpAllgather, step, int64(len(b)), xt0)
+	telemetry.Default.RecordOp(c.rank, telemetry.OpAllgather, step, int64(len(b)), opT0)
 	c.endOp(stop)
 	return out, err
 }
@@ -660,9 +659,9 @@ func (t *TCPRing) BroadcastBytesCtx(ctx context.Context, b []byte, root int) ([]
 	if err != nil {
 		return nil, err
 	}
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	out, err := c.broadcastRounds(step, b, root)
-	xrank.Default.RecordOp(c.rank, xrank.OpBroadcast, step, int64(len(b)), xt0)
+	telemetry.Default.RecordOp(c.rank, telemetry.OpBroadcast, step, int64(len(b)), opT0)
 	c.endOp(stop)
 	return out, err
 }
@@ -674,11 +673,11 @@ func (t *TCPRing) BarrierCtx(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	xt0 := xrank.Default.Start()
+	opT0 := telemetry.Default.Start()
 	for s := 0; s < 2 && err == nil; s++ {
 		_, err = c.sendRecv(nil)
 	}
-	xrank.Default.RecordOp(c.rank, xrank.OpBarrier, step, 0, xt0)
+	telemetry.Default.RecordOp(c.rank, telemetry.OpBarrier, step, 0, opT0)
 	c.endOp(stop)
 	return wrapErr(c.rank, OpBarrier, step, err)
 }

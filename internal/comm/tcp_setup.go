@@ -8,14 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fxrand"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 )
 
 // Connection preambles distinguish the data stream from the heartbeat side
@@ -768,9 +766,8 @@ func (c *incarnation) failPeer(peer int, cause error) {
 	c.peerMu.Unlock()
 	if first {
 		telemetry.Default.Add(telemetry.CtrPeerDeaths, 1)
-		telemetry.Default.Mark("peer_dead:rank"+strconv.Itoa(peer), c.rank)
-		xrank.Default.RecordFault(c.rank, xrank.OpHeartbeat, c.step.Load(), xrank.FaultPeerDead)
-		xrank.Default.Flight("peer_dead", verdict)
+		telemetry.Default.RecordFault(c.rank, telemetry.OpHeartbeat, c.step.Load(), telemetry.FaultPeerDead, int64(peer))
+		telemetry.Default.Flight("peer_dead", verdict)
 	}
 	c.severAll()
 }

@@ -147,9 +147,9 @@ func (w *worker) resize(m comm.Membership) error {
 		return err
 	}
 	if w.xagg != nil {
-		w.xagg = xrank.NewAggregator(xrank.Default, w.coll.Rank(), cfg.Workers)
+		w.xagg = xrank.NewAggregator(telemetry.Default, w.coll.Rank(), cfg.Workers)
 	}
-	telemetry.Default.Mark(fmt.Sprintf("elastic:size%d", m.Size()), w.rank)
+	telemetry.Default.RecordFault(w.rank, telemetry.OpReform, w.step, telemetry.FaultResize, int64(m.Size()))
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 )
 
 // Engine is the per-worker, step-scoped exchange orchestrator: it accepts
@@ -503,7 +502,7 @@ func (e *Engine) Rebind(lost int) error {
 // to a per-tensor recovery: see the config field for the protocol.
 func (e *Engine) Step(grads [][]float32, infos []TensorInfo) ([][]float32, *StepReport, error) {
 	start := time.Now()
-	xt0 := xrank.Default.Start()
+	stepT0 := telemetry.Default.Start()
 	if e.paused.Load() {
 		return nil, nil, fmt.Errorf("grace: engine is paused (heal in progress)")
 	}
@@ -647,7 +646,7 @@ driver:
 	if e.tuner != nil {
 		e.observeStep()
 	}
-	xrank.Default.RecordStep(e.rank, e.stepNum, int64(e.rep.SentBytes), xt0)
+	telemetry.Default.RecordStep(e.rank, e.stepNum, int64(e.rep.SentBytes), stepT0)
 	return e.out, &e.rep, nil
 }
 
@@ -657,13 +656,13 @@ driver:
 // one marks the step boundary the failure surfaced at — carrying the failing
 // op when a comm.Error is in the chain — so a merged trace shows both.
 func (e *Engine) noteStepError(err error) error {
-	op := int64(xrank.OpStep)
+	op := int64(telemetry.OpStep)
 	var ce *comm.Error
 	if errors.As(err, &ce) {
-		op = xrank.OpCode(string(ce.Op))
+		op = telemetry.OpCode(string(ce.Op))
 	}
-	xrank.Default.RecordFault(e.rank, op, e.stepNum+1, xrank.FaultStep)
-	xrank.Default.Flight("step_error", err)
+	telemetry.Default.RecordFault(e.rank, op, e.stepNum+1, telemetry.FaultStep, 0)
+	telemetry.Default.Flight("step_error", err)
 	return err
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/grace"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 	"repro/internal/testrace"
 )
 
@@ -117,9 +116,9 @@ func manySmallInfos() []grace.TensorInfo {
 // The same engines pin the two machine-independent facts the retired hub
 // step benchmark carried. Rounds: the per-tensor schedule issues one
 // collective round per tensor, 16 KiB buckets at least 4x fewer. Spans: with
-// telemetry span recording on and the cross-rank recorder armed the step
-// allocates what it does with both off, so neither the disabled nor the
-// enabled instrumentation path puts anything on the heap.
+// telemetry recording on — phase spans plus op and step events in the ring —
+// the step allocates what it does with it off, so neither the disabled nor
+// the enabled instrumentation path puts anything on the heap.
 func TestEngineManySmallStepAllocCeiling(t *testing.T) {
 	infos := manySmallInfos()
 	allocs, rounds := map[string]float64{}, map[string]int{}
@@ -135,11 +134,9 @@ func TestEngineManySmallStepAllocCeiling(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.spans {
-				prevTel, prevX := telemetry.Default.Enabled(), xrank.Default.Enabled()
+				prev := telemetry.Default.Enabled()
 				telemetry.Default.Enable(true)
-				xrank.Default.SetEnabled(true)
-				defer telemetry.Default.Enable(prevTel)
-				defer xrank.Default.SetEnabled(prevX)
+				defer telemetry.Default.Enable(prev)
 			}
 			perStep, r := stepAllocs(t, infos, func() []grace.EngineOption {
 				return []grace.EngineOption{
@@ -164,6 +161,6 @@ func TestEngineManySmallStepAllocCeiling(t *testing.T) {
 		t.Errorf("rounds per step: %d unfused (want %d, one per tensor), %d fused (want >= 4x fewer)", u, len(infos), f)
 	}
 	if off, on := allocs["unfused"], allocs["unfused-spans-on"]; on != off {
-		t.Errorf("span recording costs allocations: %.0f per step with telemetry and xrank on, %.0f with both off", on, off)
+		t.Errorf("span and event recording costs allocations: %.0f per step with telemetry on, %.0f with it off", on, off)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/xrank"
 )
 
 // RejoinConfig wires live single-rank rejoin into a training run: when a peer
@@ -250,7 +249,7 @@ func (w *worker) healSync() (trainerPos, error) {
 	}
 
 	telemetry.Default.Add(telemetry.CtrCheckpointRestores, 1)
-	telemetry.Default.Mark(fmt.Sprintf("heal:step%d", pos.step), w.rank)
+	telemetry.Default.RecordFault(w.rank, telemetry.OpStep, pos.step, telemetry.FaultHeal, 0)
 	return pos, nil
 }
 
@@ -284,7 +283,7 @@ func (w *worker) heal(cause error) error {
 		// dump captures the conviction and the ops leading up to it. The
 		// recorder rate-limits, so a whole group healing at once still yields
 		// a bounded artifact set.
-		xrank.Default.Flight("heal_peer_dead", cause)
+		telemetry.Default.Flight("heal_peer_dead", cause)
 	}
 
 	var mship comm.Membership

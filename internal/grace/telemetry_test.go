@@ -1,9 +1,14 @@
 package grace_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +17,7 @@ import (
 	_ "repro/internal/compress/all"
 	"repro/internal/grace"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/xrank"
 )
 
 // telInfos builds a small mixed-shape tensor set for engine telemetry tests.
@@ -202,6 +208,92 @@ func TestTrainerRecvPerIter(t *testing.T) {
 	// bytes of framing — but for one peer they must agree closely.
 	if ratio := rep.RecvPerIter / rep.BytesPerIter; ratio < 0.98 || ratio > 1.02 {
 		t.Fatalf("2-worker allgather: RecvPerIter %v vs BytesPerIter %v", rep.RecvPerIter, rep.BytesPerIter)
+	}
+}
+
+// TestTrainerXRankArtifacts drives the trainer's cross-rank aggregation path:
+// rank 0's merged trace must carry every rank's steps, the skew summary must
+// attribute at least every other step, and the piggybacked allgathers must
+// leave the trained models bitwise-identical to a run without them.
+func TestTrainerXRankArtifacts(t *testing.T) {
+	prev := telemetry.Default.Enabled()
+	defer telemetry.Default.Enable(prev)
+	defer telemetry.Default.ConfigureFlight("")
+
+	// run trains 3 ranks with top-k + EF and returns every replica's final
+	// parameters (the replicas are identical, so their order does not matter).
+	run := func(xr grace.XRankConfig) (*grace.Report, [][]float32) {
+		cfg := baseConfig(3, "topk", true)
+		cfg.XRank = xr
+		var mu sync.Mutex
+		var replicas []grace.Model
+		newModel := cfg.NewModel
+		cfg.NewModel = func(seed uint64) grace.Model {
+			m := newModel(seed)
+			mu.Lock()
+			replicas = append(replicas, m)
+			mu.Unlock()
+			return m
+		}
+		rep, err := grace.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var finals [][]float32
+		for _, m := range replicas {
+			for _, p := range m.Params() {
+				finals = append(finals, p.Value.Data())
+			}
+		}
+		return rep, finals
+	}
+	_, plain := run(grace.XRankConfig{})
+	dir := t.TempDir()
+	rep, traced := run(grace.XRankConfig{AggregateEvery: 2, ArtifactsDir: dir})
+
+	if len(plain) != len(traced) {
+		t.Fatalf("runs built %d vs %d parameter tensors", len(plain), len(traced))
+	}
+	for i := range plain {
+		for j := range plain[i] {
+			if math.Float32bits(plain[i][j]) != math.Float32bits(traced[i][j]) {
+				t.Fatalf("tensor %d element %d: %v without xrank, %v with it", i, j, plain[i][j], traced[i][j])
+			}
+		}
+	}
+
+	raw, err := os.ReadFile(filepath.Join(dir, xrank.TraceFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []struct {
+		Name string `json:"name"`
+		Ph   string `json:"ph"`
+		Pid  int    `json:"pid"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("merged trace does not parse: %v", err)
+	}
+	stepRanks := map[int]bool{}
+	for _, ev := range trace {
+		if ev.Ph == "X" && strings.HasPrefix(ev.Name, "step ") {
+			stepRanks[ev.Pid] = true
+		}
+	}
+	if len(stepRanks) != 3 {
+		t.Fatalf("merged trace has step events for ranks %v, want all 3", stepRanks)
+	}
+
+	raw, err = os.ReadFile(filepath.Join(dir, xrank.SkewFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var skew xrank.SkewSummary
+	if err := json.Unmarshal(raw, &skew); err != nil {
+		t.Fatal(err)
+	}
+	if len(skew.Rows) < rep.Iters/2 {
+		t.Fatalf("skew summary has %d rows for %d steps, want at least %d", len(skew.Rows), rep.Iters, rep.Iters/2)
 	}
 }
 

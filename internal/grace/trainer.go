@@ -16,10 +16,9 @@ import (
 )
 
 // XRankConfig parameterizes the cross-rank observability plane for one run
-// (see Config.XRank and package telemetry/xrank).
+// (see Config.XRank and package telemetry/xrank). The plane is on when either
+// field is set, which enables span and event recording on telemetry.Default.
 type XRankConfig struct {
-	// Enable turns on event recording in the process-wide xrank recorder.
-	Enable bool
 	// AggregateEvery > 0 piggybacks each rank's event window on one extra
 	// AllgatherBytes every that many optimizer steps; rank 0 merges the
 	// windows into the run's distributed trace, other ranks contribute and
@@ -414,13 +413,13 @@ func newWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluste
 
 	// Cross-rank observability: arm the process-wide recorder and, when an
 	// aggregation cadence is configured, prepare the piggyback collector.
-	if cfg.XRank.Enable {
-		xrank.Default.SetEnabled(true)
-		if cfg.XRank.ArtifactsDir != "" {
-			xrank.Default.ConfigureFlight(cfg.XRank.ArtifactsDir, 0, 0)
+	if xr := cfg.XRank; xr.AggregateEvery > 0 || xr.ArtifactsDir != "" {
+		telemetry.Default.Enable(true)
+		if xr.ArtifactsDir != "" {
+			telemetry.Default.ConfigureFlight(xr.ArtifactsDir)
 		}
-		if cfg.XRank.AggregateEvery > 0 {
-			w.xagg = xrank.NewAggregator(xrank.Default, rank, cfg.Workers)
+		if xr.AggregateEvery > 0 {
+			w.xagg = xrank.NewAggregator(telemetry.Default, rank, cfg.Workers)
 		}
 	}
 
@@ -467,7 +466,7 @@ func (w *worker) restore() error {
 		// Counted here, at the one successful application, rather than in
 		// ckpt.Load: resume negotiation probes many candidate files.
 		telemetry.Default.Add(telemetry.CtrCheckpointRestores, 1)
-		telemetry.Default.Mark(fmt.Sprintf("restore:step%d", pos.step), w.rank)
+		telemetry.Default.RecordFault(w.rank, telemetry.OpStep, pos.step, telemetry.FaultRestore, 0)
 	}
 	w.baseEpoch = w.startEpoch
 	if rj := w.cfg.Rejoin; rj != nil && rj.SyncOnStart {
@@ -676,7 +675,7 @@ func (w *worker) finish() (*Report, error) {
 	// ticks merged is still written.
 	if w.xagg != nil {
 		if err := w.xagg.Exchange(w.coll); err != nil {
-			telemetry.Default.Mark("xrank:final-exchange-failed", w.rank)
+			telemetry.Default.RecordFault(w.rank, telemetry.OpAllgather, w.step, telemetry.FaultXRank, 0)
 		}
 		if cfg.XRank.ArtifactsDir != "" {
 			if err := w.xagg.WriteArtifacts(cfg.XRank.ArtifactsDir); err != nil {

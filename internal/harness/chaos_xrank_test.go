@@ -6,9 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/xrank"
 )
 
@@ -18,13 +18,14 @@ import (
 // trace shows the faulting op on the faulting rank.
 func TestChaosResetProducesFlightRecording(t *testing.T) {
 	dir := t.TempDir()
-	rec := xrank.Default
-	rec.Reset()
-	rec.SetEnabled(true)
-	rec.ConfigureFlight(dir, 30*time.Second, 8)
+	tel := telemetry.Default
+	tel.Reset()
+	prev := tel.Enabled()
+	tel.Enable(true)
+	tel.ConfigureFlight(dir)
 	defer func() {
-		rec.ConfigureFlight("", 0, 0)
-		rec.SetEnabled(false)
+		tel.ConfigureFlight("")
+		tel.Enable(prev)
 	}()
 
 	const faultRank = 2
@@ -53,7 +54,7 @@ func TestChaosResetProducesFlightRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d xrank.FlightDump
+	var d telemetry.FlightDump
 	if err := json.Unmarshal(raw, &d); err != nil {
 		t.Fatalf("dump does not parse: %v", err)
 	}
@@ -62,7 +63,7 @@ func TestChaosResetProducesFlightRecording(t *testing.T) {
 	}
 	anyFault := false
 	for _, ev := range d.Events {
-		if ev.Kind == xrank.KindFault {
+		if ev.Kind == telemetry.KindFault {
 			anyFault = true
 		}
 	}
@@ -73,10 +74,10 @@ func TestChaosResetProducesFlightRecording(t *testing.T) {
 	// (b) The merged stream (in-process, the recorder IS the merge) must
 	// pin the allreduce fault on the injected rank, and the rendered Chrome
 	// trace must carry that instant on the faulting rank's pid.
-	evs, _ := rec.Events(0)
+	evs, _ := tel.Events(0)
 	found := false
 	for _, ev := range evs {
-		if ev.Kind == xrank.KindFault && ev.Rank == faultRank && ev.Op == xrank.OpAllreduce {
+		if ev.Kind == telemetry.KindFault && ev.Rank == faultRank && ev.Op == telemetry.OpAllreduce {
 			found = true
 			break
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/grace"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/xrank"
 )
 
@@ -82,9 +83,10 @@ type StragglerResult struct {
 	Errs []error `json:"-"`
 }
 
-// RunStraggler runs the battery. It owns the process-global xrank recorder
-// for its duration (reset on entry, disabled on exit), so it must not run
-// concurrently with another xrank consumer.
+// RunStraggler runs the battery. It owns telemetry.Default for its duration
+// (Reset on entry, counters included; recording on, and the previous gate
+// restored on exit), so it must not run concurrently with another consumer
+// of the registry.
 func RunStraggler(cfg StragglerConfig) StragglerResult {
 	res := StragglerResult{DelayedRank: cfg.DelayRank}
 	if cfg.Timeout <= 0 {
@@ -103,10 +105,11 @@ func RunStraggler(cfg StragglerConfig) StragglerResult {
 		}},
 	}
 
-	rec := xrank.Default
-	rec.Reset()
-	rec.SetEnabled(true)
-	defer rec.SetEnabled(false)
+	tel := telemetry.Default
+	tel.Reset()
+	prev := tel.Enabled()
+	tel.Enable(true)
+	defer tel.Enable(prev)
 
 	hub := comm.NewHub(cfg.Workers)
 	colls := make([]comm.Collective, cfg.Workers)
@@ -116,7 +119,7 @@ func RunStraggler(cfg StragglerConfig) StragglerResult {
 	res.Errs, hung = runFleet(hub, cfg.Workers, cfg.Steps, chaosInfos(cfg.Tensors), chaosSeed, cfg.Timeout,
 		func(rank int) (*grace.Engine, error) {
 			colls[rank] = comm.NewFaulty(hub.Worker(rank), plan)
-			aggs[rank] = xrank.NewAggregator(rec, rank, cfg.Workers)
+			aggs[rank] = xrank.NewAggregator(tel, rank, cfg.Workers)
 			return grace.NewEngine(
 				grace.WithCollective(colls[rank]),
 				grace.WithParallelism(2),

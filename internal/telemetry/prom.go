@@ -37,12 +37,7 @@ func (t *T) WritePrometheus(w io.Writer) error {
 	}
 
 	if gs := t.Gauges(); len(gs) > 0 {
-		keys := make([]string, 0, len(gs))
-		for k := range gs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(gs) {
 			fmt.Fprintf(bw, "# TYPE grace_%s gauge\n", k)
 			fmt.Fprintf(bw, "grace_%s %d\n", k, gs[k])
 		}
@@ -58,14 +53,9 @@ func (t *T) WritePrometheus(w io.Writer) error {
 	}
 
 	if ms := t.MethodSteps(); len(ms) > 0 {
-		keys := make([]string, 0, len(ms))
-		for k := range ms {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Fprintf(bw, "# HELP grace_autotune_method_steps_total Tensor-steps each compression method was the autotuner's active choice.\n")
 		fmt.Fprintf(bw, "# TYPE grace_autotune_method_steps_total counter\n")
-		for _, k := range keys {
+		for _, k := range sortedKeys(ms) {
 			fmt.Fprintf(bw, "grace_autotune_method_steps_total{method=%q} %d\n", k, ms[k])
 		}
 	}
@@ -101,6 +91,15 @@ func (t *T) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "grace_phase_seconds_count{phase=%q} %d\n", phase, snap.Count)
 	}
 	return bw.Flush()
+}
+
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // publishExpvarOnce mirrors the Default registry into expvar under the

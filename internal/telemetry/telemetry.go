@@ -11,26 +11,31 @@
 //     allocations, cheap enough for every hot path.
 //   - Phase spans: nanosecond timings of one stage of a training step
 //     (compress, encode, wire send/recv, decode, aggregate, ...). Spans feed
-//     lock-free log2-bucket histograms and, when a Tracer is attached, Chrome
-//     trace_event records. Span recording is gated behind Enable: when off,
-//     Start returns the zero Time and Observe is a no-op, so the disabled
-//     fast path costs one atomic load and allocates nothing.
-//   - Marks: instant trace events (a fault injection, a peer death) that make
-//     discrete incidents visible on the timeline; no-ops without a Tracer.
+//     lock-free log2-bucket histograms.
+//   - Events: compact op, step and incident records (a collective at the
+//     transport rendezvous, an engine step, a fault, reform, heal or
+//     restore) in a lock-free ring that the cross-rank plane (package xrank)
+//     cuts into windows and the flight recorder freezes when a fault fires.
+//
+// Spans and events sit behind one gate, Enable, and one clock, Start: while
+// off, Start returns the zero Time and Observe and Record* are no-ops, so
+// the disabled fast path costs one atomic load and allocates nothing. The
+// first Enable allocates the ring.
 //
 // Exporters: WritePrometheus renders the registry in Prometheus text format,
 // Handler/Serve expose it at /metrics alongside net/http/pprof and an expvar
 // mirror, Snapshot produces the machine-readable struct reused by the
-// harness's structured run artifacts, and Tracer streams a Chrome-loadable
-// trace (chrome://tracing, https://ui.perfetto.dev).
+// harness's structured run artifacts, and Tracer streams spans and events as
+// a Chrome-loadable trace (chrome://tracing, https://ui.perfetto.dev).
 //
 // The package-level Default registry is what the framework instruments; it is
 // per-process, which makes it per-rank in multi-process runs (graceworker)
 // and group-wide in single-process runs (gracetrain's in-process hub), with
-// trace events keyed by rank either way.
+// spans and events keyed by rank either way.
 package telemetry
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,11 +222,15 @@ const NumStrategies = 3
 
 var strategyNames = [NumStrategies]string{"allgather", "allreduce", "custom"}
 
-// Trace track (tid) conventions, so every emitter lands spans on a stable,
-// readable timeline row per rank: the comm driver / worker loop is track 0,
-// codec lanes are 1..N, and transport wire I/O gets its own high tracks.
+// Trace track (tid) conventions, so every record lands on a stable, readable
+// timeline row per rank: the comm driver / worker loop is track 0, codec
+// lanes are 1..N, ring events get steps / collectives / faults tracks, and
+// transport wire I/O gets its own high tracks.
 const (
 	TIDDriver   = 0
+	tidSteps    = 95
+	tidOps      = 96
+	tidFaults   = 97
 	TIDWireSend = 98
 	TIDWireRecv = 99
 )
@@ -249,25 +258,42 @@ type T struct {
 	// new gauges without another enum.
 	gaugeMu sync.Mutex
 	gauges  map[string]int64
+
+	// The event ring (events.go): pos is the next position to claim, gen the
+	// group generation stamped into each event.
+	ring atomic.Pointer[ring]
+	pos  atomic.Int64
+	gen  atomic.Int64
+
+	// Flight recorder (flight.go): the armed directory and the rate limiter.
+	flightDir atomic.Pointer[string]
+	lastDump  atomic.Int64
+	dumps     atomic.Int64
+	dumpMu    sync.Mutex
 }
 
 // Default is the process-wide registry the framework instruments. Counters
-// are always live on it; span recording starts with Enable (or the cmds'
-// -telemetry-addr / -trace flags).
+// are always live on it; span and event recording start with Enable (or the
+// cmds' -telemetry-addr / -trace / -xrank flags).
 var Default = New()
 
-// New creates an empty registry with span recording disabled.
+// New creates an empty registry with span and event recording disabled.
 func New() *T { return &T{} }
 
-// Enable turns span recording on or off. Counters are unaffected (always on).
+// Enable turns span and event recording on or off; the first enable
+// allocates the event ring, and disabling keeps it (and its events) for
+// inspection. Counters are unaffected (always on).
 func (t *T) Enable(on bool) {
 	if t == nil {
 		return
 	}
+	if on && t.ring.Load() == nil {
+		t.ring.CompareAndSwap(nil, newRing(ringCapacity))
+	}
 	t.enabled.Store(on)
 }
 
-// Enabled reports whether span recording is on.
+// Enabled reports whether span and event recording is on.
 func (t *T) Enabled() bool { return t != nil && t.enabled.Load() }
 
 // Add increments a counter. Always live; a few ns, zero allocations.
@@ -328,14 +354,7 @@ func (t *T) MethodSteps() map[string]int64 {
 	}
 	t.methodMu.Lock()
 	defer t.methodMu.Unlock()
-	if len(t.methodSteps) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(t.methodSteps))
-	for k, v := range t.methodSteps {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(t.methodSteps)
 }
 
 // SetGauge records an instantaneous value under name (exported as
@@ -359,19 +378,13 @@ func (t *T) Gauges() map[string]int64 {
 	}
 	t.gaugeMu.Lock()
 	defer t.gaugeMu.Unlock()
-	if len(t.gauges) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(t.gauges))
-	for k, v := range t.gauges {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(t.gauges)
 }
 
-// Start opens a span: it returns time.Now when span recording is enabled and
-// the zero Time otherwise. Pass the result to Observe; a zero start makes
-// Observe a no-op, so instrumented code needs no separate enabled check.
+// Start opens a span or a timed event: it returns time.Now when recording is
+// enabled and the zero Time otherwise. Pass the result to Observe, RecordOp or
+// RecordStep; a zero start makes them no-ops, so instrumented code needs no
+// separate enabled check.
 func (t *T) Start() time.Time {
 	if t == nil || !t.enabled.Load() {
 		return time.Time{}
@@ -405,19 +418,8 @@ func (t *T) PhaseHistogram(p Phase) *Histogram {
 	return &t.phases[p]
 }
 
-// Mark emits an instant trace event (a discrete incident: fault injected,
-// peer declared dead, checkpoint saved). No-op without an attached Tracer.
-func (t *T) Mark(name string, rank int) {
-	if t == nil {
-		return
-	}
-	if tr := t.tracer.Load(); tr != nil {
-		tr.instant(name, rank)
-	}
-}
-
-// SetTracer attaches (or, with nil, detaches) a Chrome trace writer. Span
-// recording must also be enabled for complete events to flow.
+// SetTracer attaches (or, with nil, detaches) a Chrome trace writer.
+// Recording must also be enabled for spans and events to flow.
 func (t *T) SetTracer(tr *Tracer) {
 	if t == nil {
 		return
@@ -425,9 +427,12 @@ func (t *T) SetTracer(tr *Tracer) {
 	t.tracer.Store(tr)
 }
 
-// Reset zeroes every counter, strategy total, and histogram. The attached
-// tracer and the enabled flag are left alone. Meant for tests and for
-// delimiting harness sweeps.
+// Reset zeroes everything the registry records: counters, strategy totals,
+// histograms, method occupancy, gauges, the event ring and its position,
+// the generation stamp, and the flight recorder's rate limit. The attached
+// tracer, the enabled flag and the flight directory are left alone. Meant
+// for tests and for delimiting harness sweeps; events recorded concurrently
+// with a Reset may survive it.
 func (t *T) Reset() {
 	if t == nil {
 		return
@@ -445,4 +450,16 @@ func (t *T) Reset() {
 	t.methodMu.Lock()
 	t.methodSteps = nil
 	t.methodMu.Unlock()
+	t.gaugeMu.Lock()
+	t.gauges = nil
+	t.gaugeMu.Unlock()
+	if rg := t.ring.Load(); rg != nil {
+		for i := int64(0); i < rg.n; i++ {
+			rg.slots[i*stride].Store(0)
+		}
+	}
+	t.pos.Store(0)
+	t.gen.Store(0)
+	t.lastDump.Store(0)
+	t.dumps.Store(0)
 }

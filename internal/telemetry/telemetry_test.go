@@ -44,7 +44,8 @@ func TestNilReceiverSafe(t *testing.T) {
 	nilT.Add(CtrSteps, 1)
 	nilT.AddStrategyBytes(1, 2, 3)
 	nilT.Observe(PhaseCompress, 0, 0, "", time.Now())
-	nilT.Mark("x", 0)
+	nilT.RecordFault(0, OpAllreduce, 1, FaultError, 0)
+	nilT.RecordOp(0, OpAllreduce, 1, 8, time.Now())
 	nilT.Enable(true)
 	nilT.Reset()
 	nilT.SetTracer(nil)
@@ -201,7 +202,8 @@ func TestTracerProducesValidJSON(t *testing.T) {
 	reg.SetTracer(tr)
 	reg.Observe(PhaseCompress, 0, 1, "tensor \"a\"", reg.Start())
 	reg.Observe(PhaseWireSend, 1, TIDWireSend, "", reg.Start())
-	reg.Mark("fault:corrupt", 1)
+	reg.RecordOp(1, OpAllgather, 4, 512, reg.Start())
+	reg.RecordFault(1, OpAllgather, 4, FaultCorrupt, 0)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,21 +216,29 @@ func TestTracerProducesValidJSON(t *testing.T) {
 		switch ev["ph"] {
 		case "X":
 			complete++
-			if ev["name"] == "compress" {
+			switch ev["name"] {
+			case "compress":
 				if ev["args"].(map[string]any)["detail"] != `tensor "a"` {
 					t.Fatalf("detail not round-tripped: %v", ev)
 				}
 				if ev["pid"].(float64) != 0 || ev["tid"].(float64) != 1 {
 					t.Fatalf("pid/tid wrong: %v", ev)
 				}
+			case "allgather":
+				if ev["args"].(map[string]any)["bytes"] != 512.0 || ev["tid"].(float64) != tidOps {
+					t.Fatalf("op event not on the collectives track with its bytes: %v", ev)
+				}
 			}
 		case "i":
 			instant++
+			if ev["name"] != "fault:corrupt:allgather" || ev["pid"].(float64) != 1 {
+				t.Fatalf("incident rendered wrong: %v", ev)
+			}
 		case "M":
 			meta++
 		}
 	}
-	if complete != 2 || instant != 1 || meta == 0 {
+	if complete != 3 || instant != 1 || meta == 0 {
 		t.Fatalf("events: complete=%d instant=%d meta=%d", complete, instant, meta)
 	}
 }
@@ -301,9 +311,10 @@ func TestDefaultExpvarMirror(t *testing.T) {
 	_ = Default.Handler()
 }
 
-// TestConcurrentHammer drives counters, strategy bytes, spans, snapshots,
-// Prometheus rendering, tracing, and Reset from many goroutines at once; its
-// real assertion is `go test -race` finding no data races.
+// TestConcurrentHammer drives counters, strategy bytes, spans, events,
+// snapshots, window cuts, Prometheus rendering, tracing, and Reset from many
+// goroutines at once; its real assertion is `go test -race` finding no data
+// races.
 func TestConcurrentHammer(t *testing.T) {
 	reg := New()
 	reg.Enable(true)
@@ -322,8 +333,9 @@ func TestConcurrentHammer(t *testing.T) {
 				reg.AddStrategyBytes(i%NumStrategies, 10, 20)
 				st := reg.Start()
 				reg.Observe(Phase(i%NumPhases), w, w%4, "t", st)
+				reg.RecordOp(w, OpAllreduce, int64(i), 64, st)
 				if i%37 == 0 {
-					reg.Mark("mark", w)
+					reg.RecordFault(w, OpAllreduce, int64(i), FaultRetry, 0)
 				}
 			}
 		}()
@@ -335,6 +347,7 @@ func TestConcurrentHammer(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			_ = reg.Snapshot()
 			_ = reg.WritePrometheus(io.Discard)
+			_, _ = reg.Events(0)
 		}
 	}()
 	wg.Add(1)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"os"
 	"strconv"
@@ -11,22 +12,25 @@ import (
 
 // Tracer streams Chrome trace_event JSON ("[ {event}, {event}, ... ]") to a
 // writer. The output loads in chrome://tracing and https://ui.perfetto.dev:
-// each rank renders as a process, with the driver, codec lanes, and wire
-// send/recv as threads (see the TID* constants).
+// each rank renders as a process, with the driver, codec lanes, wire
+// send/recv, and the steps, collectives and faults of the event ring as
+// threads (see the TID* constants).
 //
-// Events are "X" (complete) records emitted at span end, plus "i" (instant)
-// records for Marks; timestamps are microseconds relative to the tracer's
-// creation, keeping numbers small and the trace self-aligned. All methods are
-// safe for concurrent use; one mutex serializes writers, which is fine at
-// trace-enabled (diagnostic) rates.
+// Spans are "X" (complete) records emitted at span end; ring events are "X"
+// records (steps, collectives) or "i" instants (incidents). Timestamps are
+// microseconds relative to the tracer's creation (or, for Replay, the
+// stream's earliest event), keeping numbers small and the trace
+// self-aligned. All methods are safe for concurrent use; one mutex
+// serializes writers, which is fine at trace-enabled (diagnostic) rates.
 type Tracer struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
 	c       io.Closer
-	base    time.Time
+	base    int64 // unix ns that renders as ts 0
 	first   bool
 	named   map[int64]bool // pid<<8|tid pairs already given thread_name metadata
 	scratch []byte
+	args    []byte
 	err     error
 }
 
@@ -35,7 +39,7 @@ type Tracer struct {
 func NewTracer(w io.Writer) *Tracer {
 	tr := &Tracer{
 		w:       bufio.NewWriterSize(w, 64<<10),
-		base:    time.Now(),
+		base:    time.Now().UnixNano(),
 		first:   true,
 		named:   make(map[int64]bool),
 		scratch: make([]byte, 0, 256),
@@ -75,17 +79,16 @@ func (tr *Tracer) Close() error {
 	return tr.err
 }
 
-// Err returns the first write error, if any.
-func (tr *Tracer) Err() error {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.err
-}
-
 func trackName(tid int) string {
 	switch tid {
 	case TIDDriver:
 		return "driver"
+	case tidSteps:
+		return "steps"
+	case tidOps:
+		return "collectives"
+	case tidFaults:
+		return "faults"
 	case TIDWireSend:
 		return "wire send"
 	case TIDWireRecv:
@@ -114,23 +117,9 @@ func (tr *Tracer) meta(pid, tid int) {
 		return
 	}
 	tr.named[key] = true
-	b := tr.scratch[:0]
-	b = append(b, `{"ph":"M","name":"process_name","pid":`...)
-	b = strconv.AppendInt(b, int64(pid), 10)
-	b = append(b, `,"args":{"name":"rank `...)
-	b = strconv.AppendInt(b, int64(pid), 10)
-	b = append(b, `"}}`...)
-	b = append(b, ",\n"...)
-	b = append(b, `{"ph":"M","name":"thread_name","pid":`...)
-	b = strconv.AppendInt(b, int64(pid), 10)
-	b = append(b, `,"tid":`...)
-	b = strconv.AppendInt(b, int64(tid), 10)
-	b = append(b, `,"args":{"name":`...)
-	b = strconv.AppendQuote(b, trackName(tid))
-	b = append(b, `}}`...)
 	tr.sep()
-	tr.w.Write(b)
-	tr.scratch = b[:0]
+	fmt.Fprintf(tr.w, `{"ph":"M","name":"process_name","pid":%d,"args":{"name":"rank %d"}},`+"\n"+
+		`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%q}}`, pid, pid, pid, tid, trackName(tid))
 }
 
 // appendMicros renders a nanosecond count as microseconds with 3 decimals.
@@ -145,25 +134,87 @@ func appendMicros(b []byte, ns int64) []byte {
 	return b
 }
 
-// complete emits a ph:"X" event for a finished span.
+// complete emits a ph:"X" record for a finished span.
 func (tr *Tracer) complete(name string, pid, tid int, start time.Time, dur time.Duration, detail string) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	a := tr.args[:0]
+	if detail != "" {
+		a = append(a, `"detail":`...)
+		a = strconv.AppendQuote(a, detail)
+	}
+	tr.emit("X", name, pid, tid, start.UnixNano(), dur.Nanoseconds(), a)
+}
+
+// event renders one ring event on its rank's steps, collectives or faults
+// track: steps and ops as ph:"X" records, incidents as ph:"i" instants.
+func (tr *Tracer) event(ev Event) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	a := appendArg(tr.args[:0], "seq", ev.Seq)
+	a = appendArg(a, "gen", ev.Gen)
+	pid := int(ev.Rank)
+	switch ev.Kind {
+	case KindStep:
+		a = appendArg(a, "exch_bytes", ev.Aux)
+		tr.emit("X", "step "+strconv.FormatInt(ev.Seq, 10), pid, tidSteps, ev.T0Ns, ev.DurNs, a)
+	case KindOp:
+		a = appendArg(a, "bytes", ev.Bytes)
+		tr.emit("X", OpName(ev.Op), pid, tidOps, ev.T0Ns, ev.DurNs, a)
+	case KindFault:
+		a = appendArg(a, "subject", ev.Bytes)
+		tr.emit("i", "fault:"+FaultName(ev.Aux)+":"+OpName(ev.Op), pid, tidFaults, ev.T0Ns, 0, a)
+	}
+}
+
+// Replay renders a finished event stream (package xrank's merged cross-rank
+// windows), re-basing the tracer's clock on the stream's earliest event so
+// its timestamps start at zero. Call it on a fresh tracer.
+func (tr *Tracer) Replay(evs []Event) {
+	tr.mu.Lock()
+	for i, ev := range evs {
+		if i == 0 || ev.T0Ns < tr.base {
+			tr.base = ev.T0Ns
+		}
+	}
+	tr.mu.Unlock()
+	for _, ev := range evs {
+		tr.event(ev)
+	}
+}
+
+func appendArg(b []byte, key string, v int64) []byte {
+	if len(b) > 0 {
+		b = append(b, ',')
+	}
+	b = strconv.AppendQuote(b, key)
+	b = append(b, ':')
+	return strconv.AppendInt(b, v, 10)
+}
+
+// emit writes one record: ph, name, pid/tid, ts (and dur for "X", thread
+// scope for "i"), and args when a is non-empty. Caller holds mu.
+func (tr *Tracer) emit(ph, name string, pid, tid int, tsNs, durNs int64, a []byte) {
 	tr.meta(pid, tid)
-	b := tr.scratch[:0]
-	b = append(b, `{"ph":"X","name":`...)
+	b := append(tr.scratch[:0], `{"ph":"`...)
+	b = append(b, ph...)
+	b = append(b, `","name":`...)
 	b = strconv.AppendQuote(b, name)
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"ts":`...)
-	b = appendMicros(b, start.Sub(tr.base).Nanoseconds())
-	b = append(b, `,"dur":`...)
-	b = appendMicros(b, dur.Nanoseconds())
-	if detail != "" {
-		b = append(b, `,"args":{"detail":`...)
-		b = strconv.AppendQuote(b, detail)
+	b = appendMicros(b, tsNs-tr.base)
+	if ph == "X" {
+		b = append(b, `,"dur":`...)
+		b = appendMicros(b, durNs)
+	} else {
+		b = append(b, `,"s":"t"`...)
+	}
+	if len(a) > 0 {
+		b = append(b, `,"args":{`...)
+		b = append(b, a...)
 		b = append(b, '}')
 	}
 	b = append(b, '}')
@@ -171,27 +222,5 @@ func (tr *Tracer) complete(name string, pid, tid int, start time.Time, dur time.
 	if _, err := tr.w.Write(b); err != nil && tr.err == nil {
 		tr.err = err
 	}
-	tr.scratch = b[:0]
-}
-
-// instant emits a ph:"i" event (process-scoped) for a discrete incident.
-func (tr *Tracer) instant(name string, pid int) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.meta(pid, TIDDriver)
-	b := tr.scratch[:0]
-	b = append(b, `{"ph":"i","s":"p","name":`...)
-	b = strconv.AppendQuote(b, name)
-	b = append(b, `,"pid":`...)
-	b = strconv.AppendInt(b, int64(pid), 10)
-	b = append(b, `,"tid":`...)
-	b = strconv.AppendInt(b, int64(TIDDriver), 10)
-	b = append(b, `,"ts":`...)
-	b = appendMicros(b, time.Since(tr.base).Nanoseconds())
-	b = append(b, '}')
-	tr.sep()
-	if _, err := tr.w.Write(b); err != nil && tr.err == nil {
-		tr.err = err
-	}
-	tr.scratch = b[:0]
+	tr.scratch, tr.args = b[:0], a[:0]
 }

@@ -1,358 +1,319 @@
-// Package xrank is the cross-rank observability plane: a lock-free per-rank
-// ring buffer of compact collective-op/step/fault events, a window collector
-// that piggybacks event aggregation on the existing collective plane
-// (AllgatherBytes — no extra connections), a merged Chrome-trace + per-step
-// skew emitter, and a flight recorder that freezes the last N seconds of
-// events to the artifacts directory when a fault fires.
+// Package xrank is the cross-rank half of the observability plane: it merges
+// every rank's telemetry events and analyses the merge. Recording is
+// telemetry.T's (its event ring, enable gate and flight recorder); xrank adds
+// the window codec, an Aggregator that piggybacks event windows on the
+// existing collective plane (AllgatherBytes — no extra connections), the
+// per-step skew analysis, and rank 0's merged Chrome trace and skew
+// artifacts.
 //
-// The package sits below internal/comm in the import graph (it imports only
-// internal/telemetry and the standard library), so the communication layer
-// itself can record transport-level events. That placement is load-bearing
-// for straggler attribution: an injected delay sleeps *before* the inner
-// collective runs, so at the engine level every rank's op duration looks the
-// same (the delayed rank sleeps, its peers wait in the rendezvous). Only at
-// the transport rendezvous is the asymmetry visible — the delayed rank
-// arrives last and therefore waits the LEAST — so events are recorded around
-// the rendezvous and the straggler for a step is the rank with the minimum
-// summed collective wait (see ComputeSkew).
-//
-// Recording is designed for the hot path: one atomic load when disabled, and
-// a handful of atomic stores into a preallocated ring when enabled — no
-// locks, no allocation, no time syscalls unless enabled. Events are fixed
-// stride int64 slots with a leading claim/sequence word; readers validate
-// the claim before and after loading the fields and discard torn slots, so
-// concurrent scrape-while-record is race-clean (all slot accesses are
-// atomic) and never observes a half-written event.
+// Straggler attribution rests on where the events are recorded. An injected
+// delay sleeps *before* the inner collective runs, so at the engine level
+// every rank's op duration looks the same (the delayed rank sleeps, its peers
+// wait in the rendezvous). Only at the transport rendezvous is the asymmetry
+// visible — the delayed rank arrives last and therefore waits the LEAST — so
+// comm records op events around the rendezvous and the straggler for a step
+// is the rank with the minimum summed collective wait (see ComputeSkew).
 package xrank
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+
+	"repro/internal/telemetry"
 )
 
-// Event kinds.
+// Window wire format: a magic/version byte pair, the sender's rank and event
+// count as uvarints, then each event as 9 varints. Compact enough to
+// piggyback on the collective plane at aggregation cadence without moving
+// the wire-volume needle, and decoded defensively (count capped against the
+// buffer length) because in multi-process runs it crosses the network.
 const (
-	// KindOp is one collective operation measured at the transport
-	// rendezvous: Seq is the per-handle op sequence number (lockstep —
-	// identical across ranks for the same logical collective), DurNs the
-	// time this rank spent inside the rendezvous, Bytes the payload size.
-	KindOp = 1
-	// KindStep is one engine step on one rank: Seq is the global step,
-	// DurNs the wall time of Engine.Step, Aux the engine-observed exchange
-	// bytes for the step.
-	KindStep = 2
-	// KindFault is an error occurrence (injected fault surfacing, peer
-	// conviction, retry, reform, step error): Op says where, Aux carries a
-	// FaultCode classifying what.
-	KindFault = 3
+	windowMagic   = 0x78 // 'x'
+	windowVersion = 1
+	// maxWindowEvents bounds what a decoder will allocate for one window,
+	// independent of the (hostile) declared count.
+	maxWindowEvents = 1 << 20
 )
 
-// Op codes. These mirror comm's Op labels without importing comm (xrank is
-// below comm in the import graph); OpName renders them for traces.
-const (
-	OpAllreduce = 1
-	OpAllgather = 2
-	OpBroadcast = 3
-	OpBarrier   = 4
-	OpHeartbeat = 5
-	OpReform    = 6
-	OpRetry     = 7
-	OpStep      = 8
-	OpDial      = 9
-	OpSend      = 10
-	OpRecv      = 11
-)
+// ErrBadWindow reports a malformed or truncated window buffer.
+var ErrBadWindow = errors.New("xrank: malformed event window")
 
-// Fault codes carried in Event.Aux for KindFault events.
-const (
-	FaultError    = 1 // a *comm.Error (or equivalent) surfaced
-	FaultPeerDead = 2 // heartbeat conviction
-	FaultRetry    = 3 // transient error absorbed by a retry
-	FaultReform   = 4 // group reform executed
-	FaultStep     = 5 // grace.StepError surfaced from the engine
-)
-
-var opNames = [...]string{
-	0:           "?",
-	OpAllreduce: "allreduce",
-	OpAllgather: "allgather",
-	OpBroadcast: "broadcast",
-	OpBarrier:   "barrier",
-	OpHeartbeat: "heartbeat",
-	OpReform:    "reform",
-	OpRetry:     "retry",
-	OpStep:      "step",
-	OpDial:      "dial",
-	OpSend:      "send",
-	OpRecv:      "recv",
-}
-
-// OpName renders an op code for traces and tables; unknown codes render "?".
-func OpName(op int64) string {
-	if op < 0 || op >= int64(len(opNames)) || opNames[op] == "" {
-		return "?"
-	}
-	return opNames[op]
-}
-
-// OpCode maps a comm op label (string(comm.Op)) back to its code; unknown
-// labels map to 0.
-func OpCode(name string) int64 {
-	for code, n := range opNames {
-		if n == name {
-			return int64(code)
+// EncodeWindow serializes rank's events into the window wire format.
+func EncodeWindow(rank int, evs []telemetry.Event) []byte {
+	buf := make([]byte, 0, 2+10+len(evs)*20)
+	buf = append(buf, windowMagic, windowVersion)
+	buf = binary.AppendUvarint(buf, uint64(rank))
+	buf = binary.AppendUvarint(buf, uint64(len(evs)))
+	for _, ev := range evs {
+		for _, v := range [...]int64{ev.Kind, ev.Rank, ev.Op, ev.Seq, ev.Gen, ev.T0Ns, ev.DurNs, ev.Aux, ev.Bytes} {
+			buf = binary.AppendVarint(buf, v)
 		}
 	}
-	return 0
+	return buf
 }
 
-var faultNames = [...]string{
-	0:             "?",
-	FaultError:    "error",
-	FaultPeerDead: "peer_dead",
-	FaultRetry:    "retry",
-	FaultReform:   "reform",
-	FaultStep:     "step_error",
-}
-
-// FaultName renders a fault code.
-func FaultName(code int64) string {
-	if code < 0 || code >= int64(len(faultNames)) || faultNames[code] == "" {
-		return "?"
+// DecodeWindow parses a window buffer. It never trusts the declared count:
+// allocation is bounded by both maxWindowEvents and what the remaining bytes
+// could possibly hold (≥ 9 bytes per event).
+func DecodeWindow(b []byte) (rank int, evs []telemetry.Event, err error) {
+	if len(b) < 2 || b[0] != windowMagic || b[1] != windowVersion {
+		return 0, nil, ErrBadWindow
 	}
-	return faultNames[code]
-}
-
-// Event is the decoded form of one ring slot. All fields are plain integers
-// so windows encode compactly and dumps stay grep-able.
-type Event struct {
-	Kind  int64 `json:"kind"`
-	Rank  int64 `json:"rank"`
-	Op    int64 `json:"op"`
-	Seq   int64 `json:"seq"`
-	Gen   int64 `json:"gen"`
-	T0Ns  int64 `json:"t0_ns"`
-	DurNs int64 `json:"dur_ns"`
-	Aux   int64 `json:"aux"`
-	Bytes int64 `json:"bytes"`
-}
-
-// Slot layout: claim word + the 9 event fields.
-const stride = 10
-
-// DefaultCapacity is the ring size (events) allocated on first enable when
-// SetCapacity was not called: 32768 events ≈ 2.6 MB, several minutes of
-// small-model training or a few seconds of a many-tensor step storm.
-const DefaultCapacity = 32768
-
-type ring struct {
-	slots []atomic.Int64
-	n     int64
-}
-
-// Recorder owns one process's event ring plus the flight-recorder state.
-// In-process multi-rank runs (the hub) share one Recorder — events carry
-// their rank — while multi-process runs have one per process; the collector
-// merges either shape identically.
-type Recorder struct {
-	enabled atomic.Bool
-	gen     atomic.Int64
-	pos     atomic.Int64
-	ring    atomic.Pointer[ring]
-
-	mu  sync.Mutex // guards ring allocation and capacity changes
-	cap int64
-
-	// Flight recorder configuration + rate limiting (see flight.go).
-	flightDir atomic.Pointer[string]
-	windowNs  atomic.Int64
-	lastDump  atomic.Int64
-	dumps     atomic.Int64
-	maxDumps  atomic.Int64
-	dumpMu    sync.Mutex
-}
-
-// Default is the process-global recorder, mirroring telemetry.Default.
-var Default = NewRecorder()
-
-// NewRecorder returns a disabled recorder with default capacity.
-func NewRecorder() *Recorder {
-	r := &Recorder{cap: DefaultCapacity}
-	r.windowNs.Store(int64(10 * time.Second))
-	r.maxDumps.Store(32)
-	return r
-}
-
-// SetCapacity sizes the ring (events). Takes effect on the next enable; a
-// live ring is replaced immediately (existing events are dropped). n < 1
-// resets to DefaultCapacity.
-func (r *Recorder) SetCapacity(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n < 1 {
-		n = DefaultCapacity
+	rest := b[2:]
+	r, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return 0, nil, ErrBadWindow
 	}
-	r.cap = int64(n)
-	if r.ring.Load() != nil {
-		r.ring.Store(&ring{slots: make([]atomic.Int64, int64(n)*stride), n: int64(n)})
+	rest = rest[n:]
+	count, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return 0, nil, ErrBadWindow
 	}
-}
-
-// SetEnabled turns event recording on or off. The first enable allocates the
-// ring; disabling keeps it (and its events) for inspection.
-func (r *Recorder) SetEnabled(on bool) {
-	if on {
-		r.mu.Lock()
-		if r.ring.Load() == nil {
-			r.ring.Store(&ring{slots: make([]atomic.Int64, r.cap*stride), n: r.cap})
+	rest = rest[n:]
+	if count > maxWindowEvents || count > uint64(len(rest)) {
+		return 0, nil, fmt.Errorf("%w: count %d exceeds buffer", ErrBadWindow, count)
+	}
+	evs = make([]telemetry.Event, 0, count)
+	for i := uint64(0); i < count; i++ {
+		var ev telemetry.Event
+		fields := [...]*int64{&ev.Kind, &ev.Rank, &ev.Op, &ev.Seq, &ev.Gen,
+			&ev.T0Ns, &ev.DurNs, &ev.Aux, &ev.Bytes}
+		for _, f := range fields {
+			v, n := binary.Varint(rest)
+			if n <= 0 {
+				return 0, nil, ErrBadWindow
+			}
+			*f = v
+			rest = rest[n:]
 		}
-		r.mu.Unlock()
+		evs = append(evs, ev)
 	}
-	r.enabled.Store(on)
+	return int(r), evs, nil
 }
 
-// Enabled reports whether recording is on. This is the single hot-path gate:
-// call sites skip timestamping entirely when it is false.
-func (r *Recorder) Enabled() bool { return r.enabled.Load() }
-
-// Start returns the current time in unix nanoseconds, or 0 when recording is
-// disabled. Record* treat a zero t0 as "disabled at span start" and do
-// nothing, so the disabled path costs one atomic load and no time syscall.
-func (r *Recorder) Start() int64 {
-	if !r.enabled.Load() {
-		return 0
-	}
-	return time.Now().UnixNano()
+// Gatherer is the slice of the collective plane the aggregator needs. Any
+// comm.Collective satisfies it; taking the narrow structural interface keeps
+// xrank below comm in the import graph.
+type Gatherer interface {
+	AllgatherBytes(b []byte) ([][]byte, error)
 }
 
-// SetGeneration updates the group generation stamped into subsequent events.
-func (r *Recorder) SetGeneration(g uint64) { r.gen.Store(int64(g)) }
-
-// Generation returns the current stamped generation.
-func (r *Recorder) Generation() int64 { return r.gen.Load() }
-
-// record claims the next slot and publishes the event. The claim word is
-// first parked at -1 (torn marker), then set to pos+1 once every field is
-// stored; readers that see a claim change mid-read discard the slot.
-func (r *Recorder) record(kind, rank, op, seq, t0, dur, aux, bytes int64) {
-	rg := r.ring.Load()
-	if rg == nil {
-		return
-	}
-	p := r.pos.Add(1) - 1
-	base := (p % rg.n) * stride
-	s := rg.slots[base : base+stride]
-	s[0].Store(-1)
-	s[1].Store(kind)
-	s[2].Store(rank)
-	s[3].Store(op)
-	s[4].Store(seq)
-	s[5].Store(r.gen.Load())
-	s[6].Store(t0)
-	s[7].Store(dur)
-	s[8].Store(aux)
-	s[9].Store(bytes)
-	s[0].Store(p + 1)
+// Aggregator cuts this rank's event windows and merges all ranks' windows on
+// rank 0 via a piggybacked AllgatherBytes on the caller's existing collective
+// handle — no extra connections, one extra lockstep op per cadence tick.
+// Exchange must therefore be called at the same step on every rank (the
+// trainer calls it at globalStep % every == 0, which is lockstep by
+// construction).
+type Aggregator struct {
+	tel        *telemetry.T
+	rank, size int
+	since      int64
+	merged     []telemetry.Event // rank 0 only
 }
 
-// RecordOp records one collective op at the transport rendezvous. seq is the
-// per-handle op sequence (lockstep-identical across ranks), bytes the payload
-// size, t0 the value returned by Start (0 → no-op).
-func (r *Recorder) RecordOp(rank int, op int64, seq int64, bytes int64, t0 int64) {
-	if t0 == 0 || !r.enabled.Load() {
-		return
-	}
-	r.record(KindOp, int64(rank), op, seq, t0, time.Now().UnixNano()-t0, 0, bytes)
+// NewAggregator returns an aggregator for this rank over tel's event ring.
+func NewAggregator(tel *telemetry.T, rank, size int) *Aggregator {
+	return &Aggregator{tel: tel, rank: rank, size: size}
 }
 
-// RecordStep records one completed engine step: step is the global step,
-// t0 the Start value at step begin (0 → no-op), exchBytes the engine's
-// observed exchange volume for the step.
-func (r *Recorder) RecordStep(rank int, step int64, exchBytes int64, t0 int64) {
-	if t0 == 0 || !r.enabled.Load() {
-		return
+// Exchange cuts the window of this rank's events since the previous call and
+// allgathers it; rank 0 accumulates the merged stream. Collective — every
+// rank must call it at the same point in the op sequence.
+func (a *Aggregator) Exchange(g Gatherer) error {
+	all, next := a.tel.Events(a.since)
+	a.since = next
+	own := all[:0]
+	for _, ev := range all {
+		if int(ev.Rank) == a.rank {
+			own = append(own, ev)
+		}
 	}
-	r.record(KindStep, int64(rank), OpStep, step, t0, time.Now().UnixNano()-t0, exchBytes, 0)
+	parts, err := g.AllgatherBytes(EncodeWindow(a.rank, own))
+	if err != nil {
+		return err
+	}
+	if a.rank != 0 {
+		return nil
+	}
+	for _, p := range parts {
+		_, evs, derr := DecodeWindow(p)
+		if derr != nil {
+			return derr
+		}
+		a.merged = append(a.merged, evs...)
+	}
+	return nil
 }
 
-// RecordFault records a fault occurrence at the current time. seq carries the
-// op step / engine step the fault is attributed to (0 when unknown).
-func (r *Recorder) RecordFault(rank int, op int64, seq int64, code int64) {
-	if !r.enabled.Load() {
-		return
-	}
-	r.record(KindFault, int64(rank), op, seq, time.Now().UnixNano(), 0, code, 0)
+// Merged returns rank 0's accumulated cross-rank event stream (nil on other
+// ranks).
+func (a *Aggregator) Merged() []telemetry.Event { return a.merged }
+
+// SkewRow is one step's cross-rank imbalance verdict. WaitNs[r] is rank r's
+// total time blocked in transport rendezvous during the step; the straggler
+// is the rank that waited LEAST (it arrived last, everyone else waited for
+// it); SkewNs is max−min.
+type SkewRow struct {
+	Step      int64   `json:"step"`
+	Straggler int     `json:"straggler"`
+	WaitNs    []int64 `json:"wait_ns"`
+	SkewNs    int64   `json:"skew_ns"`
+	Ops       int     `json:"ops"`
 }
 
-// Events returns all valid events with ring position > since, ordered by
-// position, plus the maximum position seen (pass it back as since to cut
-// consecutive windows). Torn or overwritten slots are skipped. Safe to call
-// concurrently with writers.
-func (r *Recorder) Events(since int64) ([]Event, int64) {
-	rg := r.ring.Load()
-	if rg == nil {
-		return nil, since
+// ComputeSkew derives per-step skew rows from a merged event stream.
+//
+// Assignment of transport ops to engine steps is done per rank against that
+// rank's own step windows (KindStep events give [t0, t0+dur) per step), so
+// it needs no cross-rank clock alignment: a rank's ops and its step windows
+// share one clock. Steps observed by fewer than size ranks (partial windows
+// at run edges, heal intervals) are dropped.
+func ComputeSkew(evs []telemetry.Event, size int) []SkewRow {
+	if size <= 0 {
+		return nil
 	}
-	tmp := make([]posEvent, 0, rg.n)
-	maxPos := since
-	for i := int64(0); i < rg.n; i++ {
-		s := rg.slots[i*stride : i*stride+stride]
-		c1 := s[0].Load()
-		if c1 <= 0 {
+	type window struct {
+		step   int64
+		t0, t1 int64
+	}
+	wins := make([][]window, size)
+	for _, ev := range evs {
+		if ev.Kind != telemetry.KindStep || ev.Rank < 0 || ev.Rank >= int64(size) {
 			continue
 		}
-		ev := Event{
-			Kind:  s[1].Load(),
-			Rank:  s[2].Load(),
-			Op:    s[3].Load(),
-			Seq:   s[4].Load(),
-			Gen:   s[5].Load(),
-			T0Ns:  s[6].Load(),
-			DurNs: s[7].Load(),
-			Aux:   s[8].Load(),
-			Bytes: s[9].Load(),
-		}
-		if s[0].Load() != c1 {
-			continue // torn: overwritten while reading
-		}
-		if c1 <= since {
+		wins[ev.Rank] = append(wins[ev.Rank], window{ev.Seq, ev.T0Ns, ev.T0Ns + ev.DurNs})
+	}
+	for r := range wins {
+		sort.Slice(wins[r], func(i, j int) bool { return wins[r][i].t0 < wins[r][j].t0 })
+	}
+
+	type cell struct {
+		waitNs int64
+		ops    int
+	}
+	steps := map[int64][]cell{}
+	for _, ev := range evs {
+		if ev.Kind != telemetry.KindOp || ev.Rank < 0 || ev.Rank >= int64(size) {
 			continue
 		}
-		if c1 > maxPos {
-			maxPos = c1
+		if ev.Op < telemetry.OpAllreduce || ev.Op > telemetry.OpBarrier {
+			continue // only rendezvous collectives witness the skew
 		}
-		tmp = append(tmp, posEvent{c1, ev})
+		w := wins[ev.Rank]
+		i := sort.Search(len(w), func(i int) bool { return w[i].t0 > ev.T0Ns })
+		if i == 0 {
+			continue
+		}
+		win := w[i-1]
+		if ev.T0Ns >= win.t1 {
+			continue // between steps (e.g. the aggregation op itself)
+		}
+		row, ok := steps[win.step]
+		if !ok {
+			row = make([]cell, size)
+			steps[win.step] = row
+		}
+		row[ev.Rank].waitNs += ev.DurNs
+		row[ev.Rank].ops++
 	}
-	sortPosEvents(tmp)
-	evs := make([]Event, len(tmp))
-	for i, pe := range tmp {
-		evs[i] = pe.ev
+
+	var out []SkewRow
+	for step, row := range steps {
+		complete := true
+		for _, c := range row {
+			if c.ops == 0 {
+				complete = false
+				break
+			}
+		}
+		if !complete {
+			continue
+		}
+		sr := SkewRow{Step: step, WaitNs: make([]int64, size)}
+		minW, maxW := row[0].waitNs, row[0].waitNs
+		for r, c := range row {
+			sr.WaitNs[r] = c.waitNs
+			sr.Ops += c.ops
+			if c.waitNs < minW {
+				minW = c.waitNs
+				sr.Straggler = r
+			}
+			if c.waitNs > maxW {
+				maxW = c.waitNs
+			}
+		}
+		sr.SkewNs = maxW - minW
+		out = append(out, sr)
 	}
-	return evs, maxPos
+	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
+	return out
 }
 
-type posEvent struct {
-	pos int64
-	ev  Event
-}
-
-// sortPosEvents orders a ring scan by position.
-func sortPosEvents(s []posEvent) {
-	sort.Slice(s, func(i, j int) bool { return s[i].pos < s[j].pos })
-}
-
-// Reset drops all events, the position counter, and the generation stamp.
-// Test helper; not for use while writers are active.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rg := r.ring.Load(); rg != nil {
-		r.ring.Store(&ring{slots: make([]atomic.Int64, rg.n*stride), n: rg.n})
+// StragglerCounts tallies, per rank, how many steps attributed it as the
+// straggler.
+func StragglerCounts(rows []SkewRow, size int) []int64 {
+	counts := make([]int64, size)
+	for _, r := range rows {
+		if r.Straggler >= 0 && r.Straggler < size {
+			counts[r.Straggler]++
+		}
 	}
-	r.pos.Store(0)
-	r.gen.Store(0)
-	r.lastDump.Store(0)
-	r.dumps.Store(0)
+	return counts
+}
+
+// Artifact filenames written by WriteArtifacts into an artifacts directory.
+const (
+	TraceFile = "XRANK_trace.json"
+	SkewFile  = "XRANK_skew.json"
+)
+
+// WriteTrace writes the merged cross-rank event stream as a Chrome trace,
+// rendered by the same telemetry.Tracer a live -trace run uses: each rank is
+// a process with steps, collectives and faults threads. Timestamps are
+// microseconds relative to the earliest event (per-rank clocks in one
+// process share a clock anyway; across processes the alignment is cosmetic —
+// skew analytics never compare raw timestamps across ranks).
+func WriteTrace(path string, evs []telemetry.Event) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tr, err := telemetry.CreateTrace(path)
+	if err != nil {
+		return err
+	}
+	tr.Replay(evs)
+	return tr.Close()
+}
+
+// SkewSummary is the persisted form of the skew analysis: per-step rows plus
+// the per-rank straggler tallies gracestat renders as the "top stragglers"
+// table.
+type SkewSummary struct {
+	Size           int       `json:"size"`
+	Steps          int       `json:"steps"`
+	Rows           []SkewRow `json:"rows"`
+	StragglerSteps []int64   `json:"straggler_steps_per_rank"`
+}
+
+// WriteArtifacts writes rank 0's merged trace and skew summary into dir.
+// No-op (nil) on other ranks, so every rank may call it unconditionally.
+func (a *Aggregator) WriteArtifacts(dir string) error {
+	if a.rank != 0 {
+		return nil
+	}
+	if err := WriteTrace(filepath.Join(dir, TraceFile), a.merged); err != nil {
+		return err
+	}
+	rows := ComputeSkew(a.merged, a.size)
+	b, err := json.MarshalIndent(&SkewSummary{Size: a.size, Steps: len(rows), Rows: rows,
+		StragglerSteps: StragglerCounts(rows, a.size)}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, SkewFile), append(b, '\n'), 0o644)
 }

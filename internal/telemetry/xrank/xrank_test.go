@@ -9,56 +9,61 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
-func enabledRecorder(capacity int) *Recorder {
-	r := NewRecorder()
-	if capacity > 0 {
-		r.SetCapacity(capacity)
-	}
-	r.SetEnabled(true)
+// The event ring, its windows and the flight recorder are telemetry.T's; the
+// tests below pin the contract the aggregator builds on.
+
+// ringCapacity is telemetry's event ring size.
+const ringCapacity = 32768
+
+func enabledRecorder() *telemetry.T {
+	r := telemetry.New()
+	r.Enable(true)
 	return r
 }
 
 func TestRecorderDisabledIsNoop(t *testing.T) {
-	r := NewRecorder()
+	r := telemetry.New()
 	if r.Enabled() {
 		t.Fatal("new recorder should start disabled")
 	}
-	if r.Start() != 0 {
-		t.Fatal("Start should return 0 while disabled")
+	if !r.Start().IsZero() {
+		t.Fatal("Start should return the zero time while disabled")
 	}
-	r.RecordOp(0, OpAllreduce, 1, 10, 123) // t0 nonzero but disabled
-	r.RecordFault(0, OpAllreduce, 1, FaultError)
+	r.RecordOp(0, telemetry.OpAllreduce, 1, 10, time.Now()) // t0 nonzero but disabled
+	r.RecordFault(0, telemetry.OpAllreduce, 1, telemetry.FaultError, 0)
 	if evs, _ := r.Events(0); len(evs) != 0 {
 		t.Fatalf("disabled recorder stored %d events", len(evs))
 	}
 }
 
 func TestRecordAndCutWindows(t *testing.T) {
-	r := enabledRecorder(0)
+	r := enabledRecorder()
 	r.SetGeneration(3)
 	t0 := r.Start()
-	if t0 == 0 {
-		t.Fatal("Start returned 0 while enabled")
+	if t0.IsZero() {
+		t.Fatal("Start returned the zero time while enabled")
 	}
-	r.RecordOp(1, OpAllreduce, 7, 4096, t0)
+	r.RecordOp(1, telemetry.OpAllreduce, 7, 4096, t0)
 	r.RecordStep(1, 42, 9000, t0)
-	r.RecordFault(2, OpAllgather, 8, FaultRetry)
+	r.RecordFault(2, telemetry.OpAllgather, 8, telemetry.FaultRetry, 0)
 
 	evs, max := r.Events(0)
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3", len(evs))
 	}
 	op, step, fault := evs[0], evs[1], evs[2]
-	if op.Kind != KindOp || op.Rank != 1 || op.Op != OpAllreduce || op.Seq != 7 ||
-		op.Bytes != 4096 || op.Gen != 3 || op.T0Ns != t0 || op.DurNs < 0 {
+	if op.Kind != telemetry.KindOp || op.Rank != 1 || op.Op != telemetry.OpAllreduce || op.Seq != 7 ||
+		op.Bytes != 4096 || op.Gen != 3 || op.T0Ns != t0.UnixNano() || op.DurNs < 0 {
 		t.Fatalf("bad op event: %+v", op)
 	}
-	if step.Kind != KindStep || step.Seq != 42 || step.Aux != 9000 {
+	if step.Kind != telemetry.KindStep || step.Seq != 42 || step.Aux != 9000 {
 		t.Fatalf("bad step event: %+v", step)
 	}
-	if fault.Kind != KindFault || fault.Rank != 2 || fault.Aux != FaultRetry || fault.T0Ns == 0 {
+	if fault.Kind != telemetry.KindFault || fault.Rank != 2 || fault.Aux != telemetry.FaultRetry || fault.T0Ns == 0 {
 		t.Fatalf("bad fault event: %+v", fault)
 	}
 
@@ -66,25 +71,26 @@ func TestRecordAndCutWindows(t *testing.T) {
 	if evs2, _ := r.Events(max); len(evs2) != 0 {
 		t.Fatalf("window re-read returned %d events, want 0", len(evs2))
 	}
-	r.RecordOp(0, OpBarrier, 9, 0, r.Start())
+	r.RecordOp(0, telemetry.OpBarrier, 9, 0, r.Start())
 	evs3, _ := r.Events(max)
-	if len(evs3) != 1 || evs3[0].Op != OpBarrier {
+	if len(evs3) != 1 || evs3[0].Op != telemetry.OpBarrier {
 		t.Fatalf("incremental window wrong: %+v", evs3)
 	}
 }
 
 func TestRingWraparoundKeepsNewest(t *testing.T) {
-	r := enabledRecorder(8)
-	for i := 0; i < 20; i++ {
-		r.RecordOp(0, OpAllreduce, int64(i), 0, r.Start())
+	r := enabledRecorder()
+	const lapped = 12
+	for i := 0; i < ringCapacity+lapped; i++ {
+		r.RecordOp(0, telemetry.OpAllreduce, int64(i), 0, r.Start())
 	}
 	evs, _ := r.Events(0)
-	if len(evs) != 8 {
-		t.Fatalf("got %d events, want ring capacity 8", len(evs))
+	if len(evs) != ringCapacity {
+		t.Fatalf("got %d events, want ring capacity %d", len(evs), ringCapacity)
 	}
 	for i, ev := range evs {
-		if want := int64(12 + i); ev.Seq != want {
-			t.Fatalf("event %d seq = %d, want %d (newest 8 kept in order)", i, ev.Seq, want)
+		if want := int64(lapped + i); ev.Seq != want {
+			t.Fatalf("event %d seq = %d, want %d (newest %d kept in order)", i, ev.Seq, want, ringCapacity)
 		}
 	}
 }
@@ -93,7 +99,7 @@ func TestRingWraparoundKeepsNewest(t *testing.T) {
 // slots: readers must never observe a half-written event, and all slot access
 // is atomic.
 func TestConcurrentScrapeWhileRecording(t *testing.T) {
-	r := enabledRecorder(64) // tiny ring to force constant wraparound
+	r := enabledRecorder() // four writers lap the ring within milliseconds
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -106,7 +112,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 					return
 				default:
 				}
-				r.RecordOp(rank, OpAllreduce, int64(i), int64(i), r.Start())
+				r.RecordOp(rank, telemetry.OpAllreduce, int64(i), int64(i), r.Start())
 			}
 		}(w)
 	}
@@ -114,7 +120,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 	for time.Now().Before(deadline) {
 		evs, _ := r.Events(0)
 		for _, ev := range evs {
-			if ev.Kind != KindOp || ev.Op != OpAllreduce || ev.Rank < 0 || ev.Rank > 3 {
+			if ev.Kind != telemetry.KindOp || ev.Op != telemetry.OpAllreduce || ev.Rank < 0 || ev.Rank > 3 {
 				t.Errorf("torn event escaped seq validation: %+v", ev)
 			}
 		}
@@ -124,9 +130,9 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 }
 
 func TestWindowCodecRoundTrip(t *testing.T) {
-	evs := []Event{
-		{Kind: KindOp, Rank: 2, Op: OpAllgather, Seq: 11, Gen: 1, T0Ns: 1 << 40, DurNs: 12345, Bytes: 99},
-		{Kind: KindStep, Rank: 2, Op: OpStep, Seq: 5, T0Ns: -3, DurNs: 0, Aux: 7},
+	evs := []telemetry.Event{
+		{Kind: telemetry.KindOp, Rank: 2, Op: telemetry.OpAllgather, Seq: 11, Gen: 1, T0Ns: 1 << 40, DurNs: 12345, Bytes: 99},
+		{Kind: telemetry.KindStep, Rank: 2, Op: telemetry.OpStep, Seq: 5, T0Ns: -3, DurNs: 0, Aux: 7},
 	}
 	rank, got, err := DecodeWindow(EncodeWindow(2, evs))
 	if err != nil || rank != 2 {
@@ -147,7 +153,7 @@ func TestDecodeWindowHostileInput(t *testing.T) {
 		"empty":      nil,
 		"bad magic":  {0x00, windowVersion, 0, 0},
 		"bad ver":    {windowMagic, 99, 0, 0},
-		"truncated":  EncodeWindow(1, []Event{{Kind: KindOp, Seq: 1}})[:6],
+		"truncated":  EncodeWindow(1, []telemetry.Event{{Kind: telemetry.KindOp, Seq: 1}})[:6],
 		"huge count": append([]byte{windowMagic, windowVersion, 0}, 0xff, 0xff, 0xff, 0xff, 0x7f),
 	}
 	for name, b := range cases {
@@ -166,11 +172,11 @@ func (f fakeGather) AllgatherBytes(b []byte) ([][]byte, error) {
 }
 
 func TestAggregatorMergesRanks(t *testing.T) {
-	r := enabledRecorder(0)
-	r.RecordOp(0, OpAllreduce, 1, 10, r.Start())
-	r.RecordOp(1, OpAllreduce, 1, 10, r.Start()) // in-process hub: shared ring
+	r := enabledRecorder()
+	r.RecordOp(0, telemetry.OpAllreduce, 1, 10, r.Start())
+	r.RecordOp(1, telemetry.OpAllreduce, 1, 10, r.Start()) // in-process hub: shared ring
 
-	peer := EncodeWindow(1, []Event{{Kind: KindOp, Rank: 1, Op: OpAllreduce, Seq: 1, DurNs: 5}})
+	peer := EncodeWindow(1, []telemetry.Event{{Kind: telemetry.KindOp, Rank: 1, Op: telemetry.OpAllreduce, Seq: 1, DurNs: 5}})
 	a := NewAggregator(r, 0, 2)
 	if err := a.Exchange(fakeGather{peer: peer}); err != nil {
 		t.Fatal(err)
@@ -197,8 +203,8 @@ func TestAggregatorMergesRanks(t *testing.T) {
 }
 
 func TestAggregatorNonRootKeepsNothing(t *testing.T) {
-	r := enabledRecorder(0)
-	r.RecordOp(1, OpAllreduce, 1, 10, r.Start())
+	r := enabledRecorder()
+	r.RecordOp(1, telemetry.OpAllreduce, 1, 10, r.Start())
 	a := NewAggregator(r, 1, 2)
 	if err := a.Exchange(fakeGather{peer: EncodeWindow(0, nil)}); err != nil {
 		t.Fatal(err)
@@ -211,21 +217,21 @@ func TestAggregatorNonRootKeepsNothing(t *testing.T) {
 // synthSkew builds a merged stream for `size` ranks over `steps` steps where
 // rank `slow` always arrives last: it waits 1ms in each collective while the
 // others wait 5ms.
-func synthSkew(size, steps, slow int) []Event {
-	var evs []Event
+func synthSkew(size, steps, slow int) []telemetry.Event {
+	var evs []telemetry.Event
 	base := int64(1e12)
 	stepNs := int64(20e6)
 	for s := 0; s < steps; s++ {
 		t0 := base + int64(s)*stepNs
 		for r := 0; r < size; r++ {
-			evs = append(evs, Event{Kind: KindStep, Rank: int64(r), Seq: int64(s), T0Ns: t0, DurNs: stepNs - 1e6})
+			evs = append(evs, telemetry.Event{Kind: telemetry.KindStep, Rank: int64(r), Seq: int64(s), T0Ns: t0, DurNs: stepNs - 1e6})
 			for op := 0; op < 3; op++ {
 				wait := int64(5e6)
 				if r == slow {
 					wait = 1e6
 				}
-				evs = append(evs, Event{
-					Kind: KindOp, Rank: int64(r), Op: OpAllreduce,
+				evs = append(evs, telemetry.Event{
+					Kind: telemetry.KindOp, Rank: int64(r), Op: telemetry.OpAllreduce,
 					Seq: int64(s*3 + op), T0Ns: t0 + int64(op)*3e6, DurNs: wait, Bytes: 128,
 				})
 			}
@@ -260,9 +266,9 @@ func TestComputeSkewAttributesDelayedRank(t *testing.T) {
 func TestComputeSkewDropsPartialSteps(t *testing.T) {
 	evs := synthSkew(2, 3, 1)
 	// Strip rank 1's ops from step 2: that step is incomplete and must drop.
-	var filtered []Event
+	var filtered []telemetry.Event
 	for _, ev := range evs {
-		if ev.Kind == KindOp && ev.Rank == 1 && ev.Seq >= 6 {
+		if ev.Kind == telemetry.KindOp && ev.Rank == 1 && ev.Seq >= 6 {
 			continue
 		}
 		filtered = append(filtered, ev)
@@ -273,7 +279,7 @@ func TestComputeSkewDropsPartialSteps(t *testing.T) {
 	}
 	// Ops outside any step window must not be assigned (e.g. the
 	// aggregation exchange itself runs between steps).
-	between := append(evs, Event{Kind: KindOp, Rank: 0, Op: OpAllgather, Seq: 99,
+	between := append(evs, telemetry.Event{Kind: telemetry.KindOp, Rank: 0, Op: telemetry.OpAllgather, Seq: 99,
 		T0Ns: 1e12 + 100*20e6, DurNs: 1e6})
 	if got := ComputeSkew(between, 2); len(got) != 3 {
 		t.Fatalf("out-of-window op changed row count: %d", len(got))
@@ -281,11 +287,11 @@ func TestComputeSkewDropsPartialSteps(t *testing.T) {
 }
 
 func TestFlightDumpWritesAndRateLimits(t *testing.T) {
-	r := enabledRecorder(0)
+	r := enabledRecorder()
 	dir := t.TempDir()
-	r.ConfigureFlight(dir, 10*time.Second, 4)
-	r.RecordOp(1, OpAllreduce, 3, 64, r.Start())
-	r.RecordFault(1, OpAllreduce, 3, FaultError)
+	r.ConfigureFlight(dir)
+	r.RecordOp(1, telemetry.OpAllreduce, 3, 64, r.Start())
+	r.RecordFault(1, telemetry.OpAllreduce, 3, telemetry.FaultError, 0)
 
 	path := r.Flight("peer_dead", errors.New("rank 1 allreduce: boom"))
 	if path == "" {
@@ -295,7 +301,7 @@ func TestFlightDumpWritesAndRateLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump FlightDump
+	var dump telemetry.FlightDump
 	if err := json.Unmarshal(b, &dump); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
@@ -319,18 +325,18 @@ func TestFlightDumpWritesAndRateLimits(t *testing.T) {
 }
 
 func TestFlightDisarmed(t *testing.T) {
-	r := enabledRecorder(0)
+	r := enabledRecorder()
 	if p := r.Flight("x", nil); p != "" {
 		t.Fatalf("unconfigured flight wrote %q", p)
 	}
 }
 
 func TestWriteArtifacts(t *testing.T) {
-	r := enabledRecorder(0)
+	r := enabledRecorder()
 	a := NewAggregator(r, 0, 4)
 	a.merged = synthSkew(4, 5, 1)
-	a.merged = append(a.merged, Event{Kind: KindFault, Rank: 1, Op: OpAllreduce, Seq: 7,
-		Aux: FaultError, T0Ns: 1e12 + 1})
+	a.merged = append(a.merged, telemetry.Event{Kind: telemetry.KindFault, Rank: 1, Op: telemetry.OpAllreduce, Seq: 7,
+		Aux: telemetry.FaultError, T0Ns: 1e12 + 1})
 	dir := t.TempDir()
 	if err := a.WriteArtifacts(dir); err != nil {
 		t.Fatal(err)
@@ -386,13 +392,13 @@ func TestWriteArtifacts(t *testing.T) {
 }
 
 func TestOpAndFaultNames(t *testing.T) {
-	if OpName(OpAllreduce) != "allreduce" || OpName(999) != "?" || OpName(-1) != "?" {
+	if telemetry.OpName(telemetry.OpAllreduce) != "allreduce" || telemetry.OpName(999) != "?" || telemetry.OpName(-1) != "?" {
 		t.Fatal("OpName mapping broken")
 	}
-	if OpCode("allgather") != OpAllgather || OpCode("nope") != 0 {
+	if telemetry.OpCode("allgather") != telemetry.OpAllgather || telemetry.OpCode("nope") != 0 {
 		t.Fatal("OpCode mapping broken")
 	}
-	if FaultName(FaultPeerDead) != "peer_dead" || FaultName(42) != "?" {
+	if telemetry.FaultName(telemetry.FaultPeerDead) != "peer_dead" || telemetry.FaultName(42) != "?" {
 		t.Fatal("FaultName mapping broken")
 	}
 }
