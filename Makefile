@@ -1,6 +1,6 @@
 # Tier-1 gate: everything must compile, vet clean, and pass the full test
 # suite under the race detector (the Engine and collective tests rely on it).
-.PHONY: check build test vet race bench bench-module fuzz cover loc
+.PHONY: check build test vet race bench bench-module fuzz cover loc sweep
 
 check: vet build race
 
@@ -35,6 +35,14 @@ bench-module:
 	mkdir -p .bench_build
 	$(BENCHMOD_ENV) go -C benchmark vet ./...
 	$(BENCHMOD_ENV) go -C benchmark test -count=1 ./...
+
+# Kill-point sweep: the tier-1 hub grid (restart and rejoin, every kill rank
+# and step, topk + EF and dgc) under the race detector, plus shrink over the
+# same grid — 30 points that each wait out the survivors' rejoin deadline, so
+# they run here, once, as a benchmark rather than in every go test.
+sweep:
+	go test -race -count=1 -run TestScenarioKillPointSweep ./internal/harness
+	go test -race -count=1 -run xxx -bench BenchmarkScenarioKillPointSweepShrink -benchtime 1x ./internal/harness
 
 # Fuzz smoke: run every fuzz target for a short burst. Decoders must reject
 # hostile payloads with errors — never panic or over-allocate.
@@ -81,6 +89,8 @@ loc:
 	done
 	@echo "harness scenario files ($(LOC_HARNESS)): $$(cat $(LOC_HARNESS) | wc -l)"
 	@echo "cmd/gracetrain: $$(cat cmd/gracetrain/*.go | wc -l)"
+	@echo "cmd/graceworker: $$(cat cmd/graceworker/*.go | wc -l)"
+	@echo "internal/ckpt (non-test): $$(find internal/ckpt -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "grace trainer files ($(LOC_TRAINER)): $$(cat $(LOC_TRAINER) | wc -l)"
 	@awk 'FNR==1{fn=""} /^func /{fn=$$0; start=FNR} /^}/{if(fn!=""){n=FNR-start+1; if(n>best){best=n; name=fn}; fn=""}} \
 		END{sub(/ *\{$$/, "", name); print "longest function in the grace trainer files: " best " lines: " name}' $(LOC_TRAINER)

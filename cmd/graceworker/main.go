@@ -10,18 +10,18 @@
 //
 // With -checkpoint-dir/-checkpoint-every each rank snapshots its full
 // training state crash-consistently; after a crash, relaunching every rank
-// with -resume rolls the whole group back to the newest checkpoint all ranks
-// hold and continues bitwise-identically. -heartbeat enables the ring's
+// with -resume rolls the whole group back to the newest checkpoint every rank
+// can load and continues bitwise-identically. -heartbeat enables the ring's
 // liveness layer so a dead peer fails collectives in a few intervals instead
 // of a long stall timeout.
 //
 // With -rejoin (plus -heartbeat and -checkpoint-dir) a peer death no longer
 // ends the run: the survivors reform the ring under the next group
-// generation, roll back to the newest checkpoint step every rank holds, and
-// continue in place. Respawn only the dead rank with the same flags plus
-// -rejoin-sync and it negotiates its way back into the running group. A
-// -retry-budget additionally absorbs transient collective failures with
-// bounded, deterministically jittered retry before they escalate at all.
+// generation, roll back to the newest checkpoint step every rank can load,
+// and continue in place. Respawn only the dead rank with the same flags plus
+// -resume and it runs the same rollback round with them. A -retry-budget
+// additionally absorbs transient collective failures with bounded,
+// deterministically jittered retry before they escalate at all.
 //
 // With -elastic the group additionally survives PERMANENT rank loss: if the
 // dead rank's respawn misses the -rejoin-deadline, the survivors vote to
@@ -71,14 +71,13 @@ func main() {
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "seed for probabilistic fault rules")
 		heartbeat   = flag.Duration("heartbeat", 0, "liveness ping interval; >0 makes a dead neighbor fail collectives within 3 intervals (all ranks must agree)")
 		rejoin      = flag.Bool("rejoin", false, "self-heal on peer death instead of exiting: survivors reform the ring at the next generation and roll back to the newest common checkpoint; needs -checkpoint-dir and -heartbeat (all ranks must agree)")
-		rejoinSync  = flag.Bool("rejoin-sync", false, "sync into an already-running group on start: used when respawning a single dead rank whose survivors are parked at the recovery barrier (implies -rejoin)")
 		elastic     = flag.Bool("elastic", false, "elastic membership: when a dead rank misses the -rejoin-deadline the survivors vote to continue at N-1 instead of waiting forever, and a later -elastic-join worker grows the group back; implies -rejoin and needs -checkpoint-every (all ranks must agree)")
 		elasticJoin = flag.Bool("elastic-join", false, "present this process as a fresh joiner at a running elastic group's join point: it is absorbed at the members' next step boundary and adopts state from a donor snapshot (implies -elastic)")
 		rejoinDl    = flag.Duration("rejoin-deadline", 10*time.Second, "with -elastic: how long survivors hold the door open for a dead rank's respawn before voting to continue without it")
 		retryBudget = flag.Int("retry-budget", 0, "absorb transient collective failures (timeouts, resets, injected chaos) with bounded in-place retry, spending at most this many retries over the run (0 = off)")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for crash-consistent per-rank checkpoints")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint every N optimizer steps (0 = final only)")
-		resume      = flag.Bool("resume", false, "resume from the newest checkpoint step every rank can load (negotiated over the ring)")
+		resume      = flag.Bool("resume", false, "before the first step, roll back with the group to the newest checkpoint step every rank can load (negotiated over the ring): every rank of a restarted group, or one respawned rank of a healing one; starts fresh when no rank has a checkpoint")
 		xr          = flag.Bool("xrank", false, "enable the cross-rank observability plane: per-op event recording, periodic trace aggregation over the ring, fault flight recorder (all ranks must agree)")
 		xrEvery     = flag.Int("xrank-every", 25, "cross-rank trace aggregation cadence in optimizer steps (with -xrank; adds one small allgather per tick, so all ranks must agree)")
 		xrDir       = flag.String("xrank-dir", "", "directory for flight-recorder dumps and (rank 0) the merged XRANK_* artifacts (with -xrank)")
@@ -109,40 +108,26 @@ func main() {
 		fatal(err)
 	}
 
-	if *resume && *ckptDir == "" {
-		fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
-	}
 	if *autotune && *fusion > 0 {
 		fatal(fmt.Errorf("-autotune is mutually exclusive with -fusion-bytes"))
 	}
-	if *rejoinSync {
-		*rejoin = true
-	}
 	if *elasticJoin {
 		*elastic = true
+		if *resume {
+			fatal(fmt.Errorf("-resume and -elastic-join are mutually exclusive: a joiner adopts the group's state, it has no checkpoints of its own to resume"))
+		}
 	}
 	if *elastic {
 		*rejoin = true
 		if *ckptEvery <= 0 {
 			fatal(fmt.Errorf("-elastic needs -checkpoint-every > 0 (the shrink rolls back to a recent periodic step)"))
 		}
-		if *elasticJoin && *resume {
-			fatal(fmt.Errorf("-resume and -elastic-join are mutually exclusive: the first is a whole-group restart, the second joins a live group"))
-		}
-		if *elasticJoin && *rejoinSync {
-			fatal(fmt.Errorf("-rejoin-sync and -elastic-join are mutually exclusive: the first rejoins under the original membership, the second grows an elastic group"))
-		}
 	}
-	if *rejoin {
-		if *ckptDir == "" {
-			fatal(fmt.Errorf("-rejoin needs -checkpoint-dir (the heal rolls back to checkpoints)"))
-		}
-		if *heartbeat <= 0 {
-			fatal(fmt.Errorf("-rejoin needs -heartbeat (peer death is convicted by the liveness layer)"))
-		}
-		if *resume && *rejoinSync {
-			fatal(fmt.Errorf("-resume and -rejoin-sync are mutually exclusive: the first is a whole-group restart, the second joins a live group"))
-		}
+	if (*resume || *rejoin) && *ckptDir == "" {
+		fatal(fmt.Errorf("-resume and -rejoin need -checkpoint-dir (they roll back to checkpoints)"))
+	}
+	if *rejoin && *heartbeat <= 0 {
+		fatal(fmt.Errorf("-rejoin needs -heartbeat (peer death is convicted by the liveness layer)"))
 	}
 
 	// The ring is dialed with frame deadlines off: op timeouts are owned by
@@ -228,49 +213,22 @@ func main() {
 	}
 
 	// Crash-consistent checkpointing. Each rank snapshots its own full state;
-	// on -resume the ranks negotiate the newest step they ALL hold (dirs may
-	// live on different machines, and a crash can leave the victim an
+	// a resume or a heal negotiates the newest step every rank can load (dirs
+	// may live on different machines, and a crash can leave the victim an
 	// interval behind), so every replica rolls back to the same point.
 	if *ckptDir != "" {
-		d, err := ckpt.OpenDir(*ckptDir, *rank)
+		d, err := ckpt.OpenDir(*ckptDir)
 		if err != nil {
 			fatal(err)
 		}
 		cfg.Checkpoint = &grace.CheckpointConfig{
-			Every: *ckptEvery,
-			Final: true,
-			Save:  d.SaveStep,
-		}
-		if *resume {
-			// A whole-group restart has no donor path: unlike a heal, every
-			// rank must hold the step itself, so one rank without checkpoints
-			// means there is no common step.
-			mine, err := loadableSteps(d)
-			if err != nil {
-				fatal(fmt.Errorf("resume negotiation: %w", err))
-			}
-			step, _, stateless, err := grace.NegotiateCommonStep(ring, mine)
-			if err != nil {
-				fatal(fmt.Errorf("resume negotiation: %w", err))
-			}
-			if step < 0 || stateless > 0 {
-				fmt.Printf("rank %d: no common checkpoint, starting fresh\n", *rank)
-			} else {
-				s, err := ckpt.Load(d.Path(step))
-				if err != nil {
-					fatal(err)
-				}
-				cfg.Checkpoint.Resume = s
-				fmt.Printf("rank %d: resuming from step %d\n", *rank, step)
-			}
-		}
-		if *rejoin {
-			rj := d.RejoinConfig()
-			rj.SyncOnStart = *rejoinSync
-			rj.OnHeal = func(gen uint64, step int64) {
-				fmt.Printf("rank %d: healed to step %d at generation %d\n", *rank, step, gen)
-			}
-			cfg.Rejoin = rj
+			Store:  d,
+			Every:  *ckptEvery,
+			Resume: *resume,
+			Heal:   *rejoin,
+			OnHeal: func(gen uint64, step int64) {
+				fmt.Printf("rank %d: rolled back to step %d at generation %d\n", *rank, step, gen)
+			},
 		}
 		if *elastic {
 			// A joiner's deadline also bounds its JoinGroup wait, and absorption
@@ -311,22 +269,6 @@ func main() {
 		fmt.Printf("rank %d finished %d iterations (%.0f bytes/iter)\n", *rank, rep.Iters, rep.BytesPerIter)
 	}
 	finishTel()
-}
-
-// loadableSteps lists the checkpoint steps in d that actually load (a crash
-// can leave a torn newest file behind).
-func loadableSteps(d *ckpt.Dir) ([]int64, error) {
-	steps, err := d.Steps()
-	if err != nil {
-		return nil, err
-	}
-	mine := steps[:0]
-	for _, step := range steps {
-		if _, err := ckpt.Load(d.Path(step)); err == nil {
-			mine = append(mine, step)
-		}
-	}
-	return mine, nil
 }
 
 func fatal(err error) {

@@ -224,20 +224,19 @@ func TestSaveLoadAtomic(t *testing.T) {
 // TestCrashMidWriteLeavesPrevious simulates a crash mid-write using the
 // exact file names a real crash produces: partial temp files named the way
 // Save stages them (canonical name + ".tmp" + random suffix) must not be
-// mistaken for checkpoint steps, must not break pruning, and are swept by
-// OpenDir; a torn file at the final path (simulating a non-atomic writer) is
-// rejected rather than half-trusted.
+// mistaken for checkpoint steps, must not break pruning, and are swept by the
+// rank's next save; a torn file at the final path (simulating a non-atomic
+// writer) is rejected rather than half-trusted.
 func TestCrashMidWriteLeavesPrevious(t *testing.T) {
-	root := t.TempDir()
+	d, err := OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := sampleSnapshot()
 	write := func(rank int, step int64) {
-		d, err := OpenDir(root, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
 		s.Rank, s.Step = rank, step
-		if err := d.SaveStep(s); err != nil {
-			t.Fatalf("SaveStep(rank %d, step %d): %v", rank, step, err)
+		if err := d.Save(s); err != nil {
+			t.Fatalf("Save(rank %d, step %d): %v", rank, step, err)
 		}
 	}
 	write(0, 10)
@@ -251,71 +250,53 @@ func TestCrashMidWriteLeavesPrevious(t *testing.T) {
 		"rank001-step000000000042.ckpt.tmp367812345",
 		"rank001-step000000000020.ckpt.tmp99",
 	} {
-		if err := os.WriteFile(filepath.Join(root, name), torn, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(d.root, name), torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// The phantom step 42 must not be listed, and the half-re-saved step 20
 	// must not be double-counted.
-	d1 := &Dir{root: root, rank: 1}
-	steps, err := d1.Steps()
+	steps, err := d.Steps(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(steps, []int64{10, 20}) {
 		t.Fatalf("Steps next to stale temps = %v, want [10 20]", steps)
 	}
-	latest, err := d1.Latest()
-	if err != nil || latest.Step != 20 {
-		t.Fatalf("Latest next to stale temps = %+v, %v; want step 20", latest, err)
-	}
-	if got := CommonStep(root, 2); got != 10 {
-		t.Fatalf("CommonStep next to stale temps = %d, want 10", got)
-	}
 
-	// Pruning keeps working (it must never try to remove the phantom step's
-	// canonical path).
-	d1.Keep = 1
-	s.Rank, s.Step = 1, 30
-	if err := d1.SaveStep(s); err != nil {
-		t.Fatalf("SaveStep next to stale temps: %v", err)
-	}
-	if steps, err = d1.Steps(); err != nil || !reflect.DeepEqual(steps, []int64{30}) {
+	// The rank's next save sweeps its stale temps, and pruning keeps working
+	// (it must never try to remove the phantom step's canonical path).
+	d.Keep = 1
+	write(1, 30)
+	if steps, err = d.Steps(1); err != nil || !reflect.DeepEqual(steps, []int64{30}) {
 		t.Fatalf("after prune Steps = %v, %v; want [30]", steps, err)
 	}
-
-	// Reopening the rank's directory — what a restarted worker does — sweeps
-	// its stale temps; rank 0's files are untouched.
-	if _, err := OpenDir(root, 1); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(root)
+	entries, err := os.ReadDir(d.root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".ckpt.tmp") {
-			t.Fatalf("stale temp %s survived OpenDir", e.Name())
+			t.Fatalf("stale temp %s survived the rank's next save", e.Name())
 		}
 	}
-	d0 := &Dir{root: root, rank: 0}
-	if got := d0.LatestStep(); got != 10 {
-		t.Fatalf("rank 0 LatestStep after rank 1's sweep = %d, want 10", got)
+	// Rank 0's files are untouched by rank 1's sweep and prune.
+	if steps, err = d.Steps(0); err != nil || !reflect.DeepEqual(steps, []int64{10}) {
+		t.Fatalf("rank 0 Steps after rank 1's sweep = %v, %v; want [10]", steps, err)
 	}
 
 	// A torn file at the final path is detected.
-	if err := os.WriteFile(d0.Path(10), torn, 0o644); err != nil {
+	if err := os.WriteFile(d.Path(0, 10), torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(d0.Path(10)); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.Load(0, 10); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn final file: err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestDirSavePruneLatest(t *testing.T) {
-	root := t.TempDir()
-	d, err := OpenDir(root, 2)
+	d, err := OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,89 +305,71 @@ func TestDirSavePruneLatest(t *testing.T) {
 	s.Rank = 2
 	for _, step := range []int64{10, 20, 30, 40} {
 		s.Step = step
-		if err := d.SaveStep(s); err != nil {
-			t.Fatalf("SaveStep(%d): %v", step, err)
+		if err := d.Save(s); err != nil {
+			t.Fatalf("Save(%d): %v", step, err)
 		}
 	}
-	steps, err := d.Steps()
+	steps, err := d.Steps(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(steps, []int64{30, 40}) {
 		t.Fatalf("after pruning steps = %v, want [30 40]", steps)
 	}
-	latest, err := d.Latest()
-	if err != nil || latest.Step != 40 {
-		t.Fatalf("Latest = %+v, %v", latest, err)
+	latest, err := d.Load(2, steps[len(steps)-1])
+	if err != nil || latest.Step != 40 || latest.Rank != 2 {
+		t.Fatalf("newest checkpoint = %+v, %v", latest, err)
 	}
-	if got := d.LatestStep(); got != 40 {
-		t.Fatalf("LatestStep = %d", got)
+	// The donor transfer rides the checkpoint encoding.
+	if back, err := d.Decode(d.Encode(latest)); err != nil || !reflect.DeepEqual(back, latest) {
+		t.Fatalf("Encode/Decode round trip = %+v, %v", back, err)
 	}
 }
 
-func TestDirLatestSkipsCorrupt(t *testing.T) {
-	root := t.TempDir()
-	d, err := OpenDir(root, 0)
+// TestDirStepsListsLoadableOnly: Steps is what a rank offers the sync round,
+// so a corrupt file is not a recovery point — even the newest — and the sync
+// round's rule then picks the newest step every rank can load.
+func TestDirStepsListsLoadableOnly(t *testing.T) {
+	d, err := OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := sampleSnapshot()
-	s.Rank = 0
-	for _, step := range []int64{1, 2} {
-		s.Step = step
-		if err := d.SaveStep(s); err != nil {
-			t.Fatal(err)
+	for rank, steps := range [][]int64{{10, 20}, {10, 20, 30}} {
+		for _, step := range steps {
+			s.Rank, s.Step = rank, step
+			if err := d.Save(s); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Corrupt the newest file; Latest must fall back to step 1.
-	if err := os.WriteFile(d.Path(2), []byte("garbage"), 0o644); err != nil {
+	if got, err := d.Steps(2); err != nil || len(got) != 0 {
+		t.Fatalf("a rank with no files lists %v, %v; want none", got, err)
+	}
+	// Rank 0's newest file is garbage, rank 1's a bit flip behind a valid
+	// header: neither is listed.
+	if err := os.WriteFile(d.Path(0, 20), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	latest, err := d.Latest()
-	if err != nil || latest.Step != 1 {
-		t.Fatalf("Latest = %+v, %v; want step 1", latest, err)
-	}
-	// Corrupt both: ErrNoCheckpoint.
-	if err := os.WriteFile(d.Path(1), []byte("garbage"), 0o644); err != nil {
+	b, err := os.ReadFile(d.Path(1, 30))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Latest(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("all-corrupt Latest err = %v, want ErrNoCheckpoint", err)
+	b[len(b)/2] ^= 0x40
+	if err := os.WriteFile(d.Path(1, 30), b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestCommonStep(t *testing.T) {
-	root := t.TempDir()
-	s := sampleSnapshot()
-	write := func(rank int, step int64) {
-		d, err := OpenDir(root, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Rank, s.Step = rank, step
-		if err := d.SaveStep(s); err != nil {
-			t.Fatal(err)
+	for rank, want := range [][]int64{{10}, {10, 20}} {
+		if got, err := d.Steps(rank); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("rank %d Steps = %v, %v; want %v", rank, got, err, want)
 		}
 	}
-	if got := CommonStep(root, 2); got != -1 {
-		t.Fatalf("empty dir CommonStep = %d, want -1", got)
-	}
-	// Rank 0 (crashed early) has {10, 20}; rank 1 ran ahead to {10, 20, 30}.
-	write(0, 10)
-	write(0, 20)
-	write(1, 10)
-	write(1, 20)
-	write(1, 30)
-	if got := CommonStep(root, 2); got != 20 {
-		t.Fatalf("CommonStep = %d, want 20", got)
-	}
-	// Corrupting rank 0's step 20 drops the common point to 10.
-	d0 := &Dir{root: root, rank: 0}
-	if err := os.WriteFile(d0.Path(20), []byte("x"), 0o644); err != nil {
+	// Everything corrupt: nothing listed, no error — the rank is stateless.
+	if err := os.WriteFile(d.Path(0, 10), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := CommonStep(root, 2); got != 10 {
-		t.Fatalf("CommonStep after corruption = %d, want 10", got)
+	if got, err := d.Steps(0); err != nil || len(got) != 0 {
+		t.Fatalf("all-corrupt Steps = %v, %v; want none", got, err)
 	}
 }
 

@@ -90,11 +90,10 @@ func TestRingReformAfterKill(t *testing.T) {
 	cfg := func(rank int) RingConfig {
 		return RingConfig{
 			Rank: rank, Addrs: addrs,
-			SetupTimeout:    10 * time.Second,
-			OpTimeout:       30 * time.Second,
-			Heartbeat:       hbInterval,
-			HeartbeatMisses: 3,
-			Seed:            17,
+			SetupTimeout: 10 * time.Second,
+			OpTimeout:    30 * time.Second,
+			Heartbeat:    hbInterval,
+			Seed:         17,
 		}
 	}
 	withDeadline(t, 60*time.Second, func() {

@@ -27,9 +27,9 @@ const (
 	// stalls longer than this mid-collective surfaces a timeout error instead
 	// of hanging the group forever.
 	DefaultOpTimeout = 2 * time.Minute
-	// DefaultHeartbeatMisses is how many consecutive silent heartbeat
-	// intervals declare a neighbor dead.
-	DefaultHeartbeatMisses = 3
+	// heartbeatMisses is how many consecutive silent heartbeat intervals
+	// declare a neighbor dead.
+	heartbeatMisses = 3
 )
 
 // RingConfig tunes the hardened TCP ring transport beyond the required rank
@@ -53,8 +53,8 @@ type RingConfig struct {
 	MaxFrameBytes int
 	// Heartbeat, when positive, enables the liveness side channel: each
 	// neighbor pair keeps a dedicated heartbeat connection, pings flow both
-	// ways every Heartbeat interval, and a neighbor silent for Heartbeat ×
-	// HeartbeatMisses (or whose connection resets) is declared dead. The
+	// ways every Heartbeat interval, and a neighbor silent for three
+	// intervals (or whose connection resets) is declared dead. The
 	// ring then fails every pending and future collective immediately with
 	// a typed *Error wrapping ErrPeerDead — seconds-fast crash detection
 	// decoupled from OpTimeout, which stays long enough for slow but live
@@ -63,9 +63,6 @@ type RingConfig struct {
 	// joinable. All ranks must agree on whether heartbeats are on (it changes
 	// the connection handshake).
 	Heartbeat time.Duration
-	// HeartbeatMisses is the consecutive-miss threshold; 0 selects
-	// DefaultHeartbeatMisses.
-	HeartbeatMisses int
 	// Generation is the group generation this ring starts its handshake at.
 	// A respawned member of a reforming group may dial at 0 and discover the
 	// group's actual generation through handshake rejections (it adopts the
@@ -690,7 +687,7 @@ func (c *incarnation) close() error {
 	}
 	close(c.stop)
 	if c.hbNext != nil {
-		window := c.hbInterval * time.Duration(c.hbMisses)
+		window := c.hbInterval * heartbeatMisses
 		sayGoodbye(c.hbNext, window)
 		sayGoodbye(c.hbPrev, window)
 	}

@@ -97,7 +97,6 @@ type incarnation struct {
 	hbNext     *hbLink // heartbeat link to rank+1 (this side dialed)
 	hbPrev     *hbLink // heartbeat link from rank-1 (this side accepted)
 	hbInterval time.Duration
-	hbMisses   int
 
 	peerMu  sync.Mutex
 	peerErr error // first liveness failure; poisons all frame ops
@@ -296,10 +295,6 @@ func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Tim
 		c.hbNext = &hbLink{conn: hbNext, peer: (rank + 1) % n}
 		c.hbPrev = &hbLink{conn: hbPrev, peer: (rank - 1 + n) % n}
 		c.hbInterval = cfg.Heartbeat
-		c.hbMisses = cfg.HeartbeatMisses
-		if c.hbMisses <= 0 {
-			c.hbMisses = DefaultHeartbeatMisses
-		}
 		go c.pingLoop()
 		go c.watchLoop(c.hbPrev)
 		go c.watchLoop(c.hbNext)
@@ -691,15 +686,15 @@ func (p *hbParser) feed(b []byte, gen uint64) (bye bool, err error) {
 	return false, nil
 }
 
-// watchLoop reads pings from one heartbeat connection. hbMisses consecutive
-// silent intervals, or a connection reset, declare the peer dead; a goodbye
-// record instead marks an orderly departure and ends the watch without
-// declaring anything. A corrupt record or a ping from another generation is
-// an immediate death verdict carrying the typed cause. Watching interval by
-// interval (rather than one read with a window-sized deadline) keeps the same
-// death timing — hbInterval × hbMisses of total silence — while making each
-// individual miss observable as a telemetry counter tick before the verdict
-// lands.
+// watchLoop reads pings from one heartbeat connection. heartbeatMisses
+// consecutive silent intervals, or a connection reset, declare the peer dead;
+// a goodbye record instead marks an orderly departure and ends the watch
+// without declaring anything. A corrupt record or a ping from another
+// generation is an immediate death verdict carrying the typed cause. Watching
+// interval by interval (rather than one read with a window-sized deadline)
+// keeps the same death timing — hbInterval × heartbeatMisses of total silence
+// — while making each individual miss observable as a telemetry counter tick
+// before the verdict lands.
 func (c *incarnation) watchLoop(link *hbLink) {
 	buf := make([]byte, 64)
 	var parser hbParser
@@ -733,7 +728,7 @@ func (c *incarnation) watchLoop(link *hbLink) {
 			if !c.closed.Load() && !link.departed.Load() {
 				telemetry.Default.Add(telemetry.CtrHeartbeatMisses, 1)
 			}
-			if misses < c.hbMisses {
+			if misses < heartbeatMisses {
 				continue
 			}
 			err = fmt.Errorf("silent for %d intervals: %w", misses, err)
@@ -801,7 +796,7 @@ func (c *incarnation) frameErr(err error) error {
 	// the liveness layer one miss window to render its judgment so callers see
 	// ErrPeerDead rather than a bare EOF/reset.
 	if c.hbNext != nil && !c.closed.Load() {
-		deadline := time.Now().Add(c.hbInterval * time.Duration(c.hbMisses))
+		deadline := time.Now().Add(c.hbInterval * heartbeatMisses)
 		for time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 			if le := c.livenessErr(); le != nil {

@@ -270,10 +270,9 @@ func TestTCPRingHeartbeatDeadPeerAndReform(t *testing.T) {
 				defer wg.Done()
 				ring, err := DialTCPRingConfig(RingConfig{
 					Rank: rank, Addrs: addrs,
-					SetupTimeout:    5 * time.Second,
-					OpTimeout:       30 * time.Second, // stall tolerance stays long
-					Heartbeat:       hbInterval,
-					HeartbeatMisses: 3,
+					SetupTimeout: 5 * time.Second,
+					OpTimeout:    30 * time.Second, // stall tolerance stays long
+					Heartbeat:    hbInterval,
 				})
 				if err != nil {
 					errs[rank] = err
@@ -316,10 +315,9 @@ func TestTCPRingHeartbeatDeadPeerAndReform(t *testing.T) {
 				defer wg.Done()
 				ring, err := DialTCPRingConfig(RingConfig{
 					Rank: rank, Addrs: fresh,
-					SetupTimeout:    5 * time.Second,
-					OpTimeout:       10 * time.Second,
-					Heartbeat:       hbInterval,
-					HeartbeatMisses: 3,
+					SetupTimeout: 5 * time.Second,
+					OpTimeout:    10 * time.Second,
+					Heartbeat:    hbInterval,
 				})
 				if err != nil {
 					reformErrs[rank] = err

@@ -3,7 +3,9 @@ package comm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -109,34 +111,36 @@ func mixedOps(c Collective) (uint64, error) {
 
 // TestWrapperConformance: over the hub and over a loopback TCPRing, every
 // wrapper — alone and in every stacking order — returns results bitwise equal
-// to the bare handle's for all four primitives, in both spellings.
+// to the bare handle's for all four primitives, in both spellings. Each
+// transport is set up once: every rank runs the bare handle and then each
+// stacking, in the same order, over the same handle.
 func TestWrapperConformance(t *testing.T) {
 	const n = 3
+	cases := stackings()
+	names := []string{""} // the bare handle first
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names[1:])
 	transports := map[string]func(*testing.T, int, func(Collective) error){"hub": runGroup, "tcp": runTCPGroup}
 	for tname, run := range transports {
-		digests := func(wrap func(Collective) Collective) [n]uint64 {
-			var out [n]uint64
-			run(t, n, func(c Collective) error {
-				rank := c.Rank()
-				if wrap != nil {
-					c = wrap(c)
+		digests := make([][n]uint64, len(names))
+		run(t, n, func(c Collective) error {
+			for i, name := range names {
+				w := c
+				if name != "" {
+					w = cases[name](c)
 				}
-				d, err := mixedOps(c)
-				out[rank] = d
-				return err
-			})
-			return out
-		}
-		bare := digests(nil)
-		cases := stackings()
-		if tname == "tcp" && testing.Short() {
-			cases = map[string]func(Collective) Collective{}
-			for _, w := range wrapperCases {
-				cases[w.name] = w.wrap
+				d, err := mixedOps(w)
+				if err != nil {
+					return fmt.Errorf("%s: %w", name, err)
+				}
+				digests[i][c.Rank()] = d
 			}
-		}
-		for name, wrap := range cases {
-			if got := digests(wrap); got != bare {
+			return nil
+		})
+		for i, name := range names[1:] {
+			if got, bare := digests[i+1], digests[0]; got != bare {
 				t.Errorf("%s %s: results %x differ from the bare handle's %x", tname, name, got, bare)
 			}
 		}

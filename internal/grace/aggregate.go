@@ -2,7 +2,6 @@ package grace
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -46,7 +45,6 @@ func decodeAggregate(c Compressor, caps Caps, all [][]byte, info TensorInfo, dst
 	for i := range dst {
 		dst[i] = 0
 	}
-	var decodeNs, aggNs time.Duration
 	for rank, b := range all {
 		var dec []float32
 		span := ts.start()
@@ -65,17 +63,15 @@ func decodeAggregate(c Compressor, caps Caps, all [][]byte, info TensorInfo, dst
 				return fmt.Errorf("grace: %s decompressed %d elements, want %d", c.Name(), len(dec), size)
 			}
 		}
-		decodeNs += telemetry.Default.Observe(telemetry.PhaseDecode, ts.rank, ts.tid, info.Name, span)
+		ts.end(telemetry.PhaseDecode, info.Name, span)
 		span = ts.start()
 		for i, v := range dec {
 			dst[i] += v
 		}
-		aggNs += telemetry.Default.Observe(telemetry.PhaseAggregate, ts.rank, ts.tid, info.Name, span)
+		ts.end(telemetry.PhaseAggregate, info.Name, span)
 	}
 	span := ts.start()
 	scale(dst, 1/n)
-	aggNs += telemetry.Default.Observe(telemetry.PhaseAggregate, ts.rank, ts.tid, info.Name, span)
-	ts.acc[telemetry.PhaseDecode] += int64(decodeNs)
-	ts.acc[telemetry.PhaseAggregate] += int64(aggNs)
+	ts.end(telemetry.PhaseAggregate, info.Name, span)
 	return nil
 }

@@ -61,25 +61,55 @@ type Snapshot struct {
 	Tuner *TunerState
 }
 
-// CheckpointConfig wires crash-consistent checkpointing into a training
-// run.
+// Store persists per-rank snapshots. Every method is keyed by the worker's
+// original rank, so one Store serves every rank of a run; internal/ckpt.Dir
+// is the on-disk implementation. The grace package keeps no disk dependency.
+type Store interface {
+	// Save persists s as rank s.Rank's checkpoint at step s.Step.
+	Save(s *Snapshot) error
+	// Steps lists the steps of rank's checkpoints that load, in any order.
+	// A checkpoint that would fail to load must not be listed: the sync
+	// round agrees on a step from these lists, and every checkpointed rank
+	// then loads its own.
+	Steps(rank int) ([]int64, error)
+	// Load returns rank's checkpoint at step.
+	Load(rank int, step int64) (*Snapshot, error)
+	// Encode and Decode serialize a snapshot for the donor transfer, which
+	// hands a rank without checkpoints another rank's state.
+	Encode(s *Snapshot) []byte
+	Decode(b []byte) (*Snapshot, error)
+}
+
+// CheckpointConfig wires crash-consistent checkpointing and recovery into a
+// training run. Every rollback — a whole-group restart, a respawned rank, an
+// elastic joiner, a heal after a peer death — is one sync round over Store
+// (see worker.syncRound).
 type CheckpointConfig struct {
-	// Every is the snapshot period in optimizer steps; 0 disables periodic
-	// snapshots (Final may still produce one). All ranks run in lockstep,
-	// so every rank snapshots at the same steps.
+	// Store persists the snapshots; required. The terminal state is always
+	// saved after the last step, so a completed run is recoverable too. A
+	// Save error aborts the worker — a run that cannot persist its progress
+	// should fail loudly, not lose recovery points silently.
+	Store Store
+	// Every is the snapshot period in optimizer steps; 0 saves the terminal
+	// state only. All ranks run in lockstep, so every rank snapshots at the
+	// same steps.
 	Every int
-	// Save persists one snapshot (typically ckpt.Dir.SaveStep); required
-	// when Every > 0 or Final is set. A Save error aborts the worker — a
-	// run that cannot persist its progress should fail loudly, not lose
-	// recovery points silently.
-	Save func(s *Snapshot) error
-	// Resume, when non-nil, restores the worker to the snapshot before its
-	// first step. Snapshots are per-rank, so Resume is only valid with
-	// RunWorker; Run rejects it.
-	Resume *Snapshot
-	// Final snapshots once more after the last step, so a completed run's
-	// terminal state is recoverable too.
-	Final bool
+	// Resume runs the sync round before the first step: the group agrees on
+	// the newest step every checkpointed rank can load, and a rank without
+	// one adopts a donor's snapshot. When no rank holds a checkpoint the
+	// group starts fresh. Set it on every rank of a restarted group, and on a
+	// single respawned rank joining survivors that are healing.
+	Resume bool
+	// Heal enables the self-healing path: a worker whose collective fails
+	// with the comm.ErrPeerDead verdict reforms the group at the next
+	// generation (the collective must support comm.Reformer) and runs the
+	// sync round instead of surfacing the error. A heal with no checkpoint
+	// anywhere is fatal.
+	Heal bool
+	// OnHeal, when set, is called after each sync round that restored state
+	// (at start-up or after a heal) with the group generation and the step
+	// the group rolled back to.
+	OnHeal func(gen uint64, step int64)
 }
 
 // trainerPos is the loop position a snapshot pins.
@@ -90,15 +120,14 @@ type trainerPos struct {
 	sinceSync int
 }
 
-// checkpoint captures the worker's state at pos and hands it to
-// Checkpoint.Save.
+// checkpoint captures the worker's state at pos and saves it to the Store.
 func (w *worker) checkpoint(pos trainerPos) error {
 	span := w.ts.start()
 	snap, err := w.captureSnapshot(pos)
 	if err != nil {
 		return err
 	}
-	if err := w.cfg.Checkpoint.Save(snap); err != nil {
+	if err := w.cfg.Checkpoint.Store.Save(snap); err != nil {
 		return err
 	}
 	w.ts.end(telemetry.PhaseCheckpoint, "", span)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/optim"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 )
 
 // ckptConfig is a tiny run sized so checkpoints land mid-epoch: 3 workers ×
@@ -39,40 +40,44 @@ func ckptConfig(method string, mem bool) grace.Config {
 	}
 }
 
-// runCheckpointed drives RunWorker for every rank over one hub, saving
-// periodic checkpoints into dir and returning each rank's final snapshot
-// (captured via Checkpoint.Final). resume[rank], when non-nil, restores that
-// rank before its first step.
-func runCheckpointed(t *testing.T, cfg grace.Config, dir string, every int,
-	resume []*grace.Snapshot) []*grace.Snapshot {
+// recordingStore is the Store the tests run through: a checkpoint directory,
+// plus every rank's newest snapshot kept in memory as the finals a test
+// compares.
+type recordingStore struct {
+	*ckpt.Dir
+	finals []*grace.Snapshot
+}
+
+func (r recordingStore) Save(s *grace.Snapshot) error {
+	r.finals[s.Rank] = s
+	return r.Dir.Save(s)
+}
+
+func openRecordingStore(t *testing.T, dir string, finals []*grace.Snapshot) recordingStore {
+	t.Helper()
+	d, err := ckpt.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recordingStore{Dir: d, finals: finals}
+}
+
+// runRanks drives RunWorker for every rank over one hub with ck over a
+// checkpoint directory, returning each rank's final snapshot.
+func runRanks(t *testing.T, cfg grace.Config, dir string, ck grace.CheckpointConfig) []*grace.Snapshot {
 	t.Helper()
 	hub := comm.NewHub(cfg.Workers)
 	cluster := simnet.NewCluster(cfg.Net, cfg.Workers)
 	finals := make([]*grace.Snapshot, cfg.Workers)
+	ck.Store = openRecordingStore(t, dir, finals)
+	cfg.Checkpoint = &ck
 	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.Workers; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := cfg
-			d, err := ckpt.OpenDir(dir, rank)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			c.Checkpoint = &grace.CheckpointConfig{
-				Every: every,
-				Final: true,
-				Save: func(s *grace.Snapshot) error {
-					finals[rank] = s
-					return d.SaveStep(s)
-				},
-			}
-			if resume != nil {
-				c.Checkpoint.Resume = resume[rank]
-			}
-			_, errs[rank] = grace.RunWorker(c, rank, hub.Worker(rank), cluster)
+			_, errs[rank] = grace.RunWorker(cfg, rank, hub.Worker(rank), cluster)
 		}(rank)
 	}
 	wg.Wait()
@@ -83,6 +88,48 @@ func runCheckpointed(t *testing.T, cfg grace.Config, dir string, every int,
 	}
 	return finals
 }
+
+// runCheckpointed runs every rank checkpointing into dir; with resume set
+// they first roll back to the newest step dir holds for all of them.
+func runCheckpointed(t *testing.T, cfg grace.Config, dir string, every int, resume bool) []*grace.Snapshot {
+	t.Helper()
+	return runRanks(t, cfg, dir, grace.CheckpointConfig{Every: every, Resume: resume})
+}
+
+// seedStore copies the given ranks' checkpoints at step from src into a fresh
+// directory, so a resume from it rolls back to exactly that step.
+func seedStore(t *testing.T, src string, ranks []int, step int64) string {
+	t.Helper()
+	from, err := ckpt.OpenDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	to, err := ckpt.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rank := range ranks {
+		s, err := from.Load(rank, step)
+		if err != nil {
+			t.Fatalf("loading rank %d step %d: %v", rank, step, err)
+		}
+		if err := to.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// oneSnapshot is a Store that hands its one snapshot to whichever rank asks:
+// how a test puts a mismatched snapshot in front of the sync round.
+type oneSnapshot struct{ s *grace.Snapshot }
+
+func (o oneSnapshot) Save(*grace.Snapshot) error               { return nil }
+func (o oneSnapshot) Steps(int) ([]int64, error)               { return []int64{o.s.Step}, nil }
+func (o oneSnapshot) Load(int, int64) (*grace.Snapshot, error) { return o.s, nil }
+func (o oneSnapshot) Encode(s *grace.Snapshot) []byte          { return ckpt.Encode(s) }
+func (o oneSnapshot) Decode(b []byte) (*grace.Snapshot, error) { return ckpt.Decode(b) }
 
 func assertSnapshotsBitwiseEqual(t *testing.T, got, want []*grace.Snapshot, label string) {
 	t.Helper()
@@ -122,24 +169,13 @@ func TestTrainerCheckpointResumeBitwise(t *testing.T) {
 		t.Run(tc.method, func(t *testing.T) {
 			cfg := ckptConfig(tc.method, tc.mem)
 			refDir := t.TempDir()
-			want := runCheckpointed(t, cfg, refDir, 3, nil)
+			want := runCheckpointed(t, cfg, refDir, 3, false)
 
 			// Checkpoints exist at steps 3 and 6 (every=3, 8 steps total);
 			// resume from each — step 3 is mid-epoch 0, step 6 is mid-epoch 1.
 			for _, step := range []int64{3, 6} {
-				resume := make([]*grace.Snapshot, cfg.Workers)
-				for rank := range resume {
-					d, err := ckpt.OpenDir(refDir, rank)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s, err := ckpt.Load(d.Path(step))
-					if err != nil {
-						t.Fatalf("loading rank %d step %d: %v", rank, step, err)
-					}
-					resume[rank] = s
-				}
-				got := runCheckpointed(t, cfg, t.TempDir(), 3, resume)
+				dir := seedStore(t, refDir, []int{0, 1, 2}, step)
+				got := runCheckpointed(t, cfg, dir, 3, true)
 				assertSnapshotsBitwiseEqual(t, got, want, tc.method)
 			}
 		})
@@ -152,16 +188,16 @@ func TestTrainerCheckpointResumeLocalSGD(t *testing.T) {
 	cfg := ckptConfig("topk", true)
 	cfg.SyncEvery = 3 // sync boundaries at steps 3 and 6; checkpoint every 2
 	refDir := t.TempDir()
-	want := runCheckpointed(t, cfg, refDir, 2, nil)
+	want := runCheckpointed(t, cfg, refDir, 2, false)
 
-	resume := make([]*grace.Snapshot, cfg.Workers)
-	for rank := range resume {
-		d, err := ckpt.OpenDir(refDir, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Step 4: mid sync-window (sinceSync = 1).
-		s, err := ckpt.Load(d.Path(4))
+	// Step 4: mid sync-window (sinceSync = 1).
+	dir := seedStore(t, refDir, []int{0, 1, 2}, 4)
+	d, err := ckpt.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < cfg.Workers; rank++ {
+		s, err := d.Load(rank, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,9 +207,8 @@ func TestTrainerCheckpointResumeLocalSGD(t *testing.T) {
 		if s.SyncPoint == nil {
 			t.Fatalf("rank %d snapshot lacks a sync point", rank)
 		}
-		resume[rank] = s
 	}
-	got := runCheckpointed(t, cfg, t.TempDir(), 2, resume)
+	got := runCheckpointed(t, cfg, dir, 2, true)
 	assertSnapshotsBitwiseEqual(t, got, want, "local-sgd")
 }
 
@@ -182,7 +217,7 @@ func TestTrainerCheckpointResumeLocalSGD(t *testing.T) {
 func TestTrainerCheckpointValidation(t *testing.T) {
 	cfg := ckptConfig("topk", true)
 	dir := t.TempDir()
-	finals := runCheckpointed(t, cfg, dir, 0, nil) // Final-only snapshots
+	finals := runCheckpointed(t, cfg, dir, 0, false) // terminal snapshots only
 
 	tryResume := func(mutate func(c *grace.Config, s *grace.Snapshot)) error {
 		c := ckptConfig("topk", true)
@@ -191,7 +226,7 @@ func TestTrainerCheckpointValidation(t *testing.T) {
 		hub := comm.NewHub(1)
 		c.Workers = 1
 		s.Workers = 1
-		c.Checkpoint = &grace.CheckpointConfig{Resume: &s}
+		c.Checkpoint = &grace.CheckpointConfig{Store: oneSnapshot{&s}, Resume: true}
 		_, err := grace.RunWorker(c, 0, hub.Worker(0), simnet.NewCluster(c.Net, 1))
 		return err
 	}
@@ -215,12 +250,40 @@ func TestTrainerCheckpointValidation(t *testing.T) {
 	}
 }
 
-// TestRunRejectsResume: the multi-goroutine Run entry point refuses a
-// shared Resume snapshot.
-func TestRunRejectsResume(t *testing.T) {
-	cfg := ckptConfig("topk", true)
-	cfg.Checkpoint = &grace.CheckpointConfig{Resume: &grace.Snapshot{}}
-	if _, err := grace.Run(cfg); err == nil || !strings.Contains(err.Error(), "per-rank") {
-		t.Fatalf("err = %v, want per-rank rejection", err)
+// TestRunResumesFromStore: Store methods are keyed by rank, so the
+// multi-goroutine Run entry point shares one among its ranks and resumes
+// from it: a run restarted from the step-3 checkpoints finishes bitwise
+// identical to the uninterrupted one.
+func TestRunResumesFromStore(t *testing.T) {
+	cfg := ckptConfig("dgc", false)
+	run := func(dir string, resume bool) []*grace.Snapshot {
+		finals := make([]*grace.Snapshot, cfg.Workers)
+		c := cfg
+		c.Checkpoint = &grace.CheckpointConfig{Store: openRecordingStore(t, dir, finals), Every: 3, Resume: resume}
+		if _, err := grace.Run(c); err != nil {
+			t.Fatal(err)
+		}
+		return finals
+	}
+	refDir := t.TempDir()
+	want := run(refDir, false)
+	got := run(seedStore(t, refDir, []int{0, 1, 2}, 3), true)
+	assertSnapshotsBitwiseEqual(t, got, want, "Run resume")
+}
+
+// TestTrainerResumeAdoptsDonor: a whole-group resume in which one rank has
+// no checkpoint is the heal's sync round — that rank adopts the donor's
+// snapshot while the others load their own. With no per-rank
+// divergent state (EF memory off, stateless codec) the adopted state is what
+// the rank's own checkpoint would have held, so the finals still match.
+func TestTrainerResumeAdoptsDonor(t *testing.T) {
+	cfg := ckptConfig("topk", false)
+	refDir := t.TempDir()
+	want := runCheckpointed(t, cfg, refDir, 3, false)
+	before := telemetry.Default.Value(telemetry.CtrRejoinTransferBytes)
+	got := runCheckpointed(t, cfg, seedStore(t, refDir, []int{0, 2}, 3), 3, true)
+	assertSnapshotsBitwiseEqual(t, got, want, "resume with a stateless rank")
+	if telemetry.Default.Value(telemetry.CtrRejoinTransferBytes) == before {
+		t.Fatal("the stateless rank did not adopt a donor snapshot")
 	}
 }

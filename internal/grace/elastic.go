@@ -30,7 +30,7 @@ import (
 //     if that rank had flushed to /dev/null. This is the standard elastic
 //     trade-off — residual state is rank-local by construction.
 //   - The group rolls back to the newest checkpoint step every survivor
-//     holds (the same heal sync round as single-rank rejoin), then re-runs
+//     can load (the same sync round as single-rank rejoin), then re-runs
 //     the interrupted epoch from its start under the N−1 partition: the
 //     sampler is a pure function of (dataset length, workers, rank, seed),
 //     so every survivor derives the identical new shard assignment with no
@@ -40,8 +40,9 @@ import (
 //     trajectories stay rank-identical but are not comparable to the
 //     pre-shrink run.
 //
-// Requires Rejoin (for the heal sync machinery) and Checkpoint.Every > 0
-// (for a rollback point); the collective must implement comm.Elastic.
+// Requires Checkpoint.Heal (the sync round is the rollback machinery) and
+// Checkpoint.Every > 0 (for a rollback point); the collective must implement
+// comm.Elastic.
 type ElasticConfig struct {
 	// RejoinDeadline is how long survivors hold the door open for a lost
 	// rank before voting to shrink (phase 1 of the reform protocol). A rank
@@ -50,9 +51,9 @@ type ElasticConfig struct {
 	RejoinDeadline time.Duration
 	// JoinOnStart marks this worker as a fresh joiner: before its first step
 	// it presents at the group's join point (comm.Joiner.JoinGroup), adopts
-	// the survivors' state through the heal sync round, and starts training
-	// as a member. Implies the worker has no usable local loop position —
-	// its checkpoints older than the join are ignored.
+	// the survivors' state through the start-up sync round (as if
+	// Checkpoint.Resume were set), and starts training as a member. Its
+	// checkpoints older than the join are ignored.
 	JoinOnStart bool
 	// OnResize, when set, is called after each committed membership change
 	// (shrink or grow) with the new membership and the step the group rolled
@@ -74,11 +75,8 @@ func (el *ElasticConfig) rejoinDeadline() time.Duration {
 const minWorkers = 2
 
 func (el *ElasticConfig) validate(cfg *Config) error {
-	if cfg.Rejoin == nil {
-		return fmt.Errorf("grace: Elastic requires Rejoin (the heal sync round is the rollback machinery)")
-	}
-	if cfg.Checkpoint == nil || cfg.Checkpoint.Every <= 0 {
-		return fmt.Errorf("grace: Elastic requires Checkpoint.Every > 0 (a shrink rolls back to a checkpoint)")
+	if ck := cfg.Checkpoint; ck == nil || !ck.Heal || ck.Every <= 0 {
+		return fmt.Errorf("grace: Elastic requires Checkpoint.Heal and Checkpoint.Every > 0 (a shrink heals back to a checkpoint)")
 	}
 	if cfg.SyncEvery > 1 {
 		return fmt.Errorf("grace: Elastic does not support local-SGD runs (SyncEvery > 1)")
@@ -100,16 +98,13 @@ func (w *worker) bindElastic() error {
 		// handle has no JoinGroup), so the miss is not an error. Either way
 		// the joiner's own pre-eviction checkpoints are unusable until it
 		// has adopted the group's state: the join floor keeps them invisible
-		// until the startup sync pins it.
+		// until the start-up sync round pins it.
 		if j, ok := comm.AsJoiner(w.coll); ok {
 			if _, err := j.JoinGroup(el.rejoinDeadline()); err != nil {
 				return fmt.Errorf("grace: elastic join: %w", err)
 			}
 		}
 		w.joinFloor = math.MaxInt64
-		rj := *w.cfg.Rejoin
-		rj.SyncOnStart = true
-		w.cfg.Rejoin = &rj
 	}
 	ec, ok := comm.AsElastic(w.coll)
 	if !ok {

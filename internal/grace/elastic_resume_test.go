@@ -2,85 +2,29 @@ package grace_test
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/grace"
 	"repro/internal/simnet"
 )
 
-// elasticCfg is ckptConfig with the elastic prerequisites attached per rank
-// at launch time (Rejoin and Checkpoint are per-worker, built by the runner).
+// elasticCfg is ckptConfig at a chosen world size.
 func elasticCfg(method string, mem bool, workers int) grace.Config {
 	cfg := ckptConfig(method, mem)
 	cfg.Workers = workers
 	return cfg
 }
 
-// runElasticResumed drives an elastic-enabled run over one hub where each
-// rank resumes from the given snapshot (possibly captured at a different
-// world size), returning the per-rank final snapshots.
-func runElasticResumed(t *testing.T, cfg grace.Config, dir string,
-	resume []*grace.Snapshot) []*grace.Snapshot {
+// runElasticResumed drives an elastic-enabled run over one hub in which every
+// rank resumes from dir (whose snapshots may have been captured at a
+// different world size), returning the per-rank final snapshots.
+func runElasticResumed(t *testing.T, cfg grace.Config, dir string) []*grace.Snapshot {
 	t.Helper()
-	hub := comm.NewHub(cfg.Workers)
-	cluster := simnet.NewCluster(cfg.Net, cfg.Workers)
-	finals := make([]*grace.Snapshot, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for rank := 0; rank < cfg.Workers; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := cfg
-			d, err := ckpt.OpenDir(dir, rank)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			c.Checkpoint = &grace.CheckpointConfig{
-				Every: 3,
-				Final: true,
-				Save: func(s *grace.Snapshot) error {
-					finals[rank] = s
-					return d.SaveStep(s)
-				},
-			}
-			if resume != nil {
-				c.Checkpoint.Resume = resume[rank]
-			}
-			c.Rejoin = d.RejoinConfig()
-			c.Elastic = &grace.ElasticConfig{RejoinDeadline: time.Second}
-			_, errs[rank] = grace.RunWorker(c, rank, hub.Worker(rank), cluster)
-		}(rank)
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	return finals
-}
-
-// loadStep loads every rank's on-disk snapshot at one step.
-func loadStep(t *testing.T, dir string, workers int, step int64) []*grace.Snapshot {
-	t.Helper()
-	out := make([]*grace.Snapshot, workers)
-	for rank := range out {
-		d, err := ckpt.OpenDir(dir, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[rank], err = ckpt.Load(d.Path(step)); err != nil {
-			t.Fatalf("loading rank %d step %d: %v", rank, step, err)
-		}
-	}
-	return out
+	cfg.Elastic = &grace.ElasticConfig{RejoinDeadline: time.Second}
+	return runRanks(t, cfg, dir, grace.CheckpointConfig{Every: 3, Resume: true, Heal: true})
 }
 
 // TestElasticResumeShrinkWorldSize: snapshots captured by a 3-worker run
@@ -90,13 +34,12 @@ func loadStep(t *testing.T, dir string, workers int, step int64) []*grace.Snapsh
 // two independent resumed runs finish bitwise identical.
 func TestElasticResumeShrinkWorldSize(t *testing.T) {
 	srcDir := t.TempDir()
-	runCheckpointed(t, elasticCfg("topk", true, 3), srcDir, 3, nil)
+	runCheckpointed(t, elasticCfg("topk", true, 3), srcDir, 3, false)
 
 	// Ranks 0 and 1 of the 3-worker run become the 2-worker group; their
 	// snapshots keep Workers=3, which is what selects the elastic transform.
-	resume := loadStep(t, srcDir, 2, 3)
 	small := elasticCfg("topk", true, 2)
-	got := runElasticResumed(t, small, t.TempDir(), resume)
+	got := runElasticResumed(t, small, seedStore(t, srcDir, []int{0, 1}, 3))
 
 	// 96 examples / (8 batch × 2 workers) = 6 iters/epoch. Resume lands at
 	// step 3 inside epoch 0, which replays in full: 3 + 6 + 6.
@@ -110,27 +53,22 @@ func TestElasticResumeShrinkWorldSize(t *testing.T) {
 		}
 	}
 
-	again := runElasticResumed(t, small, t.TempDir(), resume)
+	again := runElasticResumed(t, small, seedStore(t, srcDir, []int{0, 1}, 3))
 	assertSnapshotsBitwiseEqual(t, again, got, "shrink-resume determinism")
 }
 
 // TestElasticResumeGrowWorldSize: snapshots captured by a 2-worker run resume
-// into a 3-worker elastic run; the extra rank adopts a donor snapshot with
-// its rank identity rewritten (the state-transfer path). Deterministic across
-// two independent runs.
+// into a 3-worker elastic run; the extra rank, holding none, adopts a donor
+// snapshot with its rank identity rewritten (the state-transfer path).
+// Deterministic across two independent runs.
 func TestElasticResumeGrowWorldSize(t *testing.T) {
 	srcDir := t.TempDir()
-	runCheckpointed(t, elasticCfg("topk", true, 2), srcDir, 3, nil)
+	runCheckpointed(t, elasticCfg("topk", true, 2), srcDir, 3, false)
 
 	// Step 3 is pruned by the source run's keep-3 retention (12 steps mean
 	// checkpoints at 3,6,9,12); step 6 — the epoch boundary — survives.
-	resume := loadStep(t, srcDir, 2, 6)
-	adopted := *resume[0]
-	adopted.Rank = 2
-	resume = append(resume, &adopted)
-
 	big := elasticCfg("topk", true, 3)
-	got := runElasticResumed(t, big, t.TempDir(), resume)
+	got := runElasticResumed(t, big, seedStore(t, srcDir, []int{0, 1}, 6))
 
 	// 96 / (8 × 3) = 4 iters/epoch. The step-6 snapshot records epoch 0,
 	// iter 6 (the epoch counter advances at the loop boundary, after the
@@ -146,7 +84,7 @@ func TestElasticResumeGrowWorldSize(t *testing.T) {
 		}
 	}
 
-	again := runElasticResumed(t, big, t.TempDir(), resume)
+	again := runElasticResumed(t, big, seedStore(t, srcDir, []int{0, 1}, 6))
 	assertSnapshotsBitwiseEqual(t, again, got, "grow-resume determinism")
 }
 
@@ -193,12 +131,10 @@ func TestElasticResumeReshardDeterministic(t *testing.T) {
 // snapshot must still be refused — the transform is opt-in.
 func TestElasticResumeRejectsWithoutElastic(t *testing.T) {
 	srcDir := t.TempDir()
-	runCheckpointed(t, elasticCfg("topk", true, 3), srcDir, 3, nil)
-	resume := loadStep(t, srcDir, 2, 3)
-	cfg := elasticCfg("topk", true, 2)
-	hub := comm.NewHub(2)
-	cfg.Checkpoint = &grace.CheckpointConfig{Resume: resume[0]}
-	_, err := grace.RunWorker(cfg, 0, hub.Worker(0), simnet.NewCluster(cfg.Net, 2))
+	finals := runCheckpointed(t, elasticCfg("topk", true, 3), srcDir, 3, false)
+	cfg := elasticCfg("topk", true, 1)
+	cfg.Checkpoint = &grace.CheckpointConfig{Store: oneSnapshot{finals[0]}, Resume: true}
+	_, err := grace.RunWorker(cfg, 0, comm.NewHub(1).Worker(0), simnet.NewCluster(cfg.Net, 1))
 	if err == nil || !strings.Contains(err.Error(), "workers") {
 		t.Fatalf("err = %v, want worker-count rejection", err)
 	}

@@ -44,11 +44,8 @@ type Engine struct {
 	fallback bool // DecodeFallback: recover decode failures via raw resend
 	fusion   FusionConfig
 
-	// drv is the comm driver's telemetry scope; drvNs is its per-phase
-	// accumulator (driver goroutine only, merged into rep.PhaseNs at step
-	// end together with the lanes' accumulators).
-	drv   telScope
-	drvNs [telemetry.NumPhases]int64
+	// drv is the comm driver's telemetry scope.
+	drv telScope
 
 	// ready carries tensor indices from lanes to the comm driver as their
 	// payloads become available; buffered to len(infos) so lanes never block.
@@ -132,10 +129,7 @@ type engineLane struct {
 	dec     chan int // tensor indices to decode; -1 ends the step
 	scratch []float32
 
-	// ts is this lane's telemetry scope; phaseNs is its private per-phase
-	// accumulator, merged by the driver after the lanes join.
-	ts      telScope
-	phaseNs [telemetry.NumPhases]int64
+	ts telScope // this lane's telemetry scope
 }
 
 // EngineConfig configures a per-worker Engine; the EngineOptions fill it in.
@@ -263,12 +257,6 @@ type StepReport struct {
 	// collective round instead of per tensor. Owned by the Engine; valid
 	// until the next Step.
 	Buckets []Bucket
-	// PhaseNs breaks the step's codec and communication time down per
-	// telemetry.Phase (index = int(phase), nanoseconds summed across the
-	// driver and all lanes). Populated only while telemetry span recording
-	// is enabled (telemetry.Default.Enable); all zeros otherwise, so the
-	// disabled fast path stays free of extra clock reads.
-	PhaseNs [telemetry.NumPhases]int64
 	// Switches counts tensors whose compression method changed at this
 	// step's start (autotuning mode; identical on every rank).
 	Switches int
@@ -302,7 +290,7 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	}
 	e := &Engine{coll: cfg.Coll, mem: cfg.Mem, n: float32(cfg.Coll.Size()),
 		rank: cfg.Coll.Rank(), fallback: cfg.DecodeFallback, fusion: cfg.Fusion, tuner: cfg.Tuner}
-	e.drv = telScope{rank: e.rank, tid: telemetry.TIDDriver, acc: &e.drvNs}
+	e.drv = telScope{rank: e.rank, tid: telemetry.TIDDriver}
 	var candidates func() ([]Compressor, error) // builds one lane's list
 	switch {
 	case cfg.Tuner != nil:
@@ -339,7 +327,7 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 		for _, c := range comps {
 			ln.caps = append(ln.caps, Capabilities(c))
 		}
-		ln.ts = telScope{rank: e.rank, tid: 1 + l, acc: &ln.phaseNs}
+		ln.ts = telScope{rank: e.rank, tid: 1 + l}
 		e.lanes = append(e.lanes, ln)
 	}
 	if err := e.admit(); err != nil {
@@ -618,14 +606,7 @@ driver:
 	e.rep.SentBytes += e.rep.FusionOverheadBytes
 	e.rep.WallTime = time.Since(start)
 
-	// Merge the per-phase accumulators (driver + lanes, each written only by
-	// its own goroutine) and feed the always-on registry counters.
-	for p := 0; p < telemetry.NumPhases; p++ {
-		e.rep.PhaseNs[p] = e.drvNs[p]
-		for _, ln := range e.lanes {
-			e.rep.PhaseNs[p] += ln.phaseNs[p]
-		}
-	}
+	// Feed the always-on registry counters.
 	tel := telemetry.Default
 	tel.Add(telemetry.CtrSteps, 1)
 	tel.Add(telemetry.CtrStepBytesSent, int64(e.rep.SentBytes))
@@ -1203,11 +1184,6 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 	e.rep.Buckets = e.buckets
 	e.rep.Switches = 0
 	e.rep.Flushes = 0
-	e.rep.PhaseNs = [telemetry.NumPhases]int64{}
-	e.drvNs = [telemetry.NumPhases]int64{}
-	for _, ln := range e.lanes {
-		ln.phaseNs = [telemetry.NumPhases]int64{}
-	}
 	for i := 0; i < m; i++ {
 		e.rep.Tensors[i] = StepStats{}
 		e.have[i] = false

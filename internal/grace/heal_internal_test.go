@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -61,64 +62,68 @@ func (rawCodec) Decompress(p *Payload, info TensorInfo) ([]float32, error) {
 	return out, nil
 }
 
-// memStore is one rank's in-memory checkpoint store.
+// memStore is an in-memory Store for every rank of a group.
 type memStore struct {
 	mu    sync.Mutex
-	snaps map[int64]*Snapshot
+	snaps map[int]map[int64]*Snapshot // rank → step → snapshot
 }
 
-func (m *memStore) save(s *Snapshot) error {
+func (m *memStore) Save(s *Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.snaps == nil {
-		m.snaps = make(map[int64]*Snapshot)
+		m.snaps = make(map[int]map[int64]*Snapshot)
 	}
-	m.snaps[s.Step] = s
+	if m.snaps[s.Rank] == nil {
+		m.snaps[s.Rank] = make(map[int64]*Snapshot)
+	}
+	m.snaps[s.Rank][s.Step] = s
 	return nil
 }
 
-func (m *memStore) last() *Snapshot {
+func (m *memStore) Steps(rank int) ([]int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var steps []int64
+	for s := range m.snaps[rank] {
+		steps = append(steps, s)
+	}
+	return steps, nil
+}
+
+func (m *memStore) Load(rank int, step int64) (*Snapshot, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.snaps[rank][step]
+	if !ok {
+		return nil, fmt.Errorf("no rank %d snapshot at step %d", rank, step)
+	}
+	return s, nil
+}
+
+func (m *memStore) Encode(s *Snapshot) []byte {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(s); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+func (m *memStore) Decode(b []byte) (*Snapshot, error) {
+	s := new(Snapshot)
+	return s, gob.NewDecoder(bytes.NewReader(b)).Decode(s)
+}
+
+// last returns rank's newest snapshot.
+func (m *memStore) last(rank int) *Snapshot {
+	steps, _ := m.Steps(rank)
 	var out *Snapshot
-	for _, s := range m.snaps {
-		if out == nil || s.Step > out.Step {
+	for _, step := range steps {
+		if s, _ := m.Load(rank, step); out == nil || s.Step > out.Step {
 			out = s
 		}
 	}
 	return out
-}
-
-func (m *memStore) rejoin() *RejoinConfig {
-	return &RejoinConfig{
-		ListSteps: func() ([]int64, error) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			var steps []int64
-			for s := range m.snaps {
-				steps = append(steps, s)
-			}
-			return steps, nil
-		},
-		LoadLocal: func(step int64) (*Snapshot, error) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			s, ok := m.snaps[step]
-			if !ok {
-				return nil, fmt.Errorf("no snapshot at step %d", step)
-			}
-			return s, nil
-		},
-		Encode: func(s *Snapshot) ([]byte, error) {
-			var b bytes.Buffer
-			err := gob.NewEncoder(&b).Encode(s)
-			return b.Bytes(), err
-		},
-		Decode: func(b []byte) (*Snapshot, error) {
-			s := new(Snapshot)
-			return s, gob.NewDecoder(bytes.NewReader(b)).Decode(s)
-		},
-	}
 }
 
 // healConfig is a small MLP run sized like the harness scenarios: 96 samples
@@ -145,11 +150,11 @@ var errTestCrash = errors.New("test: simulated crash")
 // healGroup runs one RunWorker per original rank over a hub in self-healing
 // mode and collects what each rank reported.
 type healGroup struct {
-	hub    *comm.Hub
-	base   Config
-	stores []*memStore
+	hub   *comm.Hub
+	base  Config
+	store *memStore
 	// elastic selects ElasticConfig (shrink vote after a 50ms deadline) on
-	// top of Rejoin.
+	// top of Heal.
 	elastic bool
 
 	mu      sync.Mutex
@@ -161,12 +166,9 @@ type healGroup struct {
 }
 
 func newHealGroup(workers int, elastic bool) *healGroup {
-	g := &healGroup{hub: comm.NewHub(workers), base: healConfig(workers), elastic: elastic,
-		reports: make(map[int]*Report), errs: make(map[int]error)}
+	g := &healGroup{hub: comm.NewHub(workers), base: healConfig(workers), store: &memStore{},
+		elastic: elastic, reports: make(map[int]*Report), errs: make(map[int]error)}
 	g.hub.SetReformTimeout(20 * time.Second)
-	for i := 0; i < workers; i++ {
-		g.stores = append(g.stores, &memStore{})
-	}
 	return g
 }
 
@@ -174,13 +176,11 @@ func newHealGroup(workers int, elastic bool) *healGroup {
 // is the rank's step hook.
 func (g *healGroup) start(rank int, coll comm.Collective, joiner bool, onStep func(step int64) error) {
 	cfg := g.base
-	cfg.Checkpoint = &CheckpointConfig{Every: 3, Final: true, Save: g.stores[rank].save}
-	cfg.Rejoin = g.stores[rank].rejoin()
-	cfg.Rejoin.OnHeal = func(_ uint64, step int64) {
+	cfg.Checkpoint = &CheckpointConfig{Store: g.store, Every: 3, Heal: true, OnHeal: func(_ uint64, step int64) {
 		g.mu.Lock()
 		g.heals = append(g.heals, step)
 		g.mu.Unlock()
-	}
+	}}
 	if g.elastic {
 		deadline := 50 * time.Millisecond
 		if joiner {
@@ -253,7 +253,7 @@ func TestWorkerHealShrinkAccountsEFDrops(t *testing.T) {
 		}
 		// resize → Rebind: the survivor finishes at the committed size with
 		// the evicted rank's residual set declared lost on every tensor.
-		if s := g.stores[rank].last(); s.Workers != 2 {
+		if s := g.store.last(rank); s.Workers != 2 {
 			t.Fatalf("survivor %d finished at world size %d, want 2", rank, s.Workers)
 		}
 		q := g.reports[rank].Quality
@@ -311,7 +311,7 @@ func TestWorkerHealGrowViaJoinBeacon(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if s := g.stores[1].last(); s == nil || s.Step != 3 {
+	if s := g.store.last(1); s == nil || s.Step != 3 {
 		t.Fatalf("victim's store should hold its pre-eviction step-3 checkpoint, has %+v", s)
 	}
 	joiner, err := g.hub.Join(1)
@@ -325,7 +325,7 @@ func TestWorkerHealGrowViaJoinBeacon(t *testing.T) {
 		if g.errs[rank] != nil {
 			t.Fatalf("rank %d: %v", rank, g.errs[rank])
 		}
-		if s := g.stores[rank].last(); s.Workers != 3 {
+		if s := g.store.last(rank); s.Workers != 3 {
 			t.Fatalf("rank %d finished at world size %d, want 3", rank, s.Workers)
 		}
 	}
@@ -337,7 +337,7 @@ func TestWorkerHealGrowViaJoinBeacon(t *testing.T) {
 	}
 	// Synchronous data-parallel replicas stay identical: the joiner's finals
 	// equal a survivor's bit for bit.
-	a, b := g.stores[0].last(), g.stores[1].last()
+	a, b := g.store.last(0), g.store.last(1)
 	for i := range a.Params {
 		for j := range a.Params[i].Data {
 			if math.Float32bits(a.Params[i].Data[j]) != math.Float32bits(b.Params[i].Data[j]) {
@@ -384,22 +384,26 @@ func TestWorkerHealBoundExceeded(t *testing.T) {
 }
 
 func TestWorkerHealClassifiesFatalCauses(t *testing.T) {
-	w := &worker{cfg: Config{Rejoin: &RejoinConfig{}}}
+	w := &worker{cfg: Config{Checkpoint: &CheckpointConfig{Heal: true}}}
 	cause := errors.New("disk on fire")
 	if err := w.heal(cause); err != cause {
 		t.Fatalf("heal(%v) = %v, want the cause back untouched", cause, err)
 	}
-	w.cfg.Rejoin = nil
 	dead := fmt.Errorf("op failed: %w", comm.ErrPeerDead)
-	if err := w.heal(dead); err != dead {
-		t.Fatalf("heal without Rejoin = %v, want the peer death surfaced", err)
+	for _, ck := range []*CheckpointConfig{nil, {}} {
+		w.cfg.Checkpoint = ck
+		if err := w.heal(dead); err != dead {
+			t.Fatalf("heal without Heal (%+v) = %v, want the peer death surfaced", ck, err)
+		}
 	}
 }
 
 func TestWorkerLocalStepsJoinFloor(t *testing.T) {
-	w := &worker{cfg: Config{Rejoin: &RejoinConfig{
-		ListSteps: func() ([]int64, error) { return []int64{3, 6, 9}, nil },
-	}}}
+	store := &memStore{}
+	for _, step := range []int64{3, 6, 9} {
+		store.Save(&Snapshot{Step: step})
+	}
+	w := &worker{cfg: Config{Checkpoint: &CheckpointConfig{Store: store}}}
 	for _, tc := range []struct {
 		floor int64
 		want  string
@@ -411,6 +415,7 @@ func TestWorkerLocalStepsJoinFloor(t *testing.T) {
 	} {
 		w.joinFloor = tc.floor
 		got, err := w.localSteps()
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if err != nil || string(encodeStepList(got)) != tc.want {
 			t.Errorf("floor %d: localSteps = %v, %v; want %q", tc.floor, got, err, tc.want)
 		}
@@ -419,21 +424,19 @@ func TestWorkerLocalStepsJoinFloor(t *testing.T) {
 
 func TestElasticSetupErrors(t *testing.T) {
 	hub := comm.NewHub(1)
-	store := &memStore{}
 	cfg := healConfig(1)
 	cfg.Elastic = &ElasticConfig{}
 	run := func() error {
 		_, err := RunWorker(cfg, 0, hub.Worker(0), simnet.NewCluster(cfg.Net, 1))
 		return err
 	}
-	if err := run(); err == nil || !strings.Contains(err.Error(), "requires Rejoin") {
-		t.Fatalf("Elastic without Rejoin: %v", err)
+	for _, ck := range []*CheckpointConfig{nil, {Store: &memStore{}, Every: 3}, {Store: &memStore{}, Heal: true}} {
+		cfg.Checkpoint = ck
+		if err := run(); err == nil || !strings.Contains(err.Error(), "requires Checkpoint.Heal and Checkpoint.Every") {
+			t.Fatalf("Elastic with %+v: %v", ck, err)
+		}
 	}
-	cfg.Rejoin = store.rejoin()
-	if err := run(); err == nil || !strings.Contains(err.Error(), "Checkpoint.Every") {
-		t.Fatalf("Elastic without a checkpoint cadence: %v", err)
-	}
-	cfg.Checkpoint = &CheckpointConfig{Every: 3, Save: store.save}
+	cfg.Checkpoint = &CheckpointConfig{Store: &memStore{}, Every: 3, Heal: true}
 	cfg.SyncEvery = 2
 	if err := run(); err == nil || !strings.Contains(err.Error(), "local-SGD") {
 		t.Fatalf("Elastic with local SGD: %v", err)

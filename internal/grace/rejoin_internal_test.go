@@ -2,7 +2,10 @@ package grace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 func TestStepListCodec(t *testing.T) {
@@ -43,31 +46,36 @@ func TestStepListCodec(t *testing.T) {
 
 func TestCommonStep(t *testing.T) {
 	cases := []struct {
-		name  string
-		lists [][]int64
-		step  int64
-		donor int
+		name             string
+		lists            [][]int64
+		step             int64
+		donor, stateless int
 	}{
-		{"all-aligned", [][]int64{{3, 6}, {3, 6}, {3, 6}}, 6, 0},
-		{"laggard", [][]int64{{3, 6}, {3}, {3, 6}}, 3, 0},
-		{"stateless-rank", [][]int64{{3, 6}, nil, {3, 6}}, 6, 0},
-		{"stateless-donor-shift", [][]int64{nil, {3, 6}, {3, 6}}, 6, 1},
-		{"disjoint", [][]int64{{3}, {6}, {3, 6}}, -1, 0},
-		{"nobody", [][]int64{nil, nil, nil}, -1, -1},
-		{"duplicates", [][]int64{{3, 3, 6}, {6}, {6}}, 6, 0},
+		{"all-aligned", [][]int64{{3, 6}, {3, 6}, {3, 6}}, 6, 0, 0},
+		{"laggard", [][]int64{{3, 6}, {3}, {3, 6}}, 3, 0, 0},
+		{"stateless-rank", [][]int64{{3, 6}, nil, {3, 6}}, 6, 0, 1},
+		{"stateless-donor-shift", [][]int64{nil, {3, 6}, {3, 6}}, 6, 1, 1},
+		{"disjoint", [][]int64{{3}, {6}, {3, 6}}, -1, 0, 0},
+		{"nobody", [][]int64{nil, nil, nil}, -1, -1, 3},
+		{"duplicates", [][]int64{{3, 3, 6}, {6}, {6}}, 6, 0, 0},
 	}
 	for _, tc := range cases {
-		step, donor := commonStep(tc.lists)
-		if step != tc.step || donor != tc.donor {
-			t.Errorf("%s: commonStep = (%d, %d), want (%d, %d)", tc.name, step, donor, tc.step, tc.donor)
+		step, donor, stateless := commonStep(tc.lists)
+		if step != tc.step || donor != tc.donor || stateless != tc.stateless {
+			t.Errorf("%s: commonStep = (%d, %d, %d), want (%d, %d, %d)", tc.name,
+				step, donor, stateless, tc.step, tc.donor, tc.stateless)
 		}
 	}
 }
 
+// TestRejoinConfigValidation: a self-healing configuration without a Store is
+// rejected before any collective, and a rank without checkpoints offers the
+// empty step list.
 func TestRejoinConfigValidation(t *testing.T) {
-	rj := &RejoinConfig{}
-	if err := rj.validate(); err == nil {
-		t.Fatal("empty RejoinConfig passed validation")
+	cfg := healConfig(1)
+	cfg.Checkpoint = &CheckpointConfig{Every: 3, Heal: true}
+	if _, err := newWorker(cfg, 0, comm.Serial{}, cfg.Cluster()); err == nil || !strings.Contains(err.Error(), "needs a Store") {
+		t.Fatalf("Heal without a Store: err = %v", err)
 	}
 	if !bytes.Equal(encodeStepList(nil), nil) {
 		t.Fatal("stateless rank must encode as the empty payload")

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/comm"
 	_ "repro/internal/compress/all"
 	"repro/internal/grace"
@@ -27,9 +26,9 @@ type healEvent struct {
 // runRejoinScenario runs cfg over a hub with the self-healing path enabled,
 // crashes killRank right after killStep, poisons the group the way a real
 // transport's liveness layer would (comm.ErrPeerDead), and respawns only the
-// victim with SyncOnStart. wipedDir, when non-empty, is a fresh checkpoint
-// root for the respawned rank — the donor-state-transfer scenario. It
-// returns each rank's final snapshot plus the per-rank OnHeal events.
+// victim with Resume. wipedDir, when non-empty, is a fresh checkpoint root
+// for the respawned rank — the donor-state-transfer scenario. It returns each
+// rank's final snapshot plus the per-rank OnHeal events.
 func runRejoinScenario(t *testing.T, cfg grace.Config, dir string, every int,
 	killRank int, killStep int64, wipedDir string) ([]*grace.Snapshot, []healEvent) {
 	t.Helper()
@@ -41,28 +40,20 @@ func runRejoinScenario(t *testing.T, cfg grace.Config, dir string, every int,
 	var mu sync.Mutex
 	var heals []healEvent
 
-	mkCfg := func(rank int, root string, killAt int64, respawn bool) (grace.Config, error) {
+	store := openRecordingStore(t, dir, finals)
+	mkCfg := func(rank int, store grace.Store, killAt int64, respawn bool) grace.Config {
 		c := cfg
-		d, err := ckpt.OpenDir(root, rank)
-		if err != nil {
-			return c, err
-		}
 		c.Checkpoint = &grace.CheckpointConfig{
-			Every: every,
-			Final: true,
-			Save: func(s *grace.Snapshot) error {
-				finals[rank] = s
-				return d.SaveStep(s)
+			Store:  store,
+			Every:  every,
+			Resume: respawn,
+			Heal:   true,
+			OnHeal: func(gen uint64, step int64) {
+				mu.Lock()
+				heals = append(heals, healEvent{rank: rank, gen: gen, step: step})
+				mu.Unlock()
 			},
 		}
-		rj := d.RejoinConfig()
-		rj.SyncOnStart = respawn
-		rj.OnHeal = func(gen uint64, step int64) {
-			mu.Lock()
-			heals = append(heals, healEvent{rank: rank, gen: gen, step: step})
-			mu.Unlock()
-		}
-		c.Rejoin = rj
 		if killAt > 0 {
 			c.OnStep = func(_ int, step int64) error {
 				if step == killAt {
@@ -71,7 +62,7 @@ func runRejoinScenario(t *testing.T, cfg grace.Config, dir string, every int,
 				return nil
 			}
 		}
-		return c, nil
+		return c
 	}
 
 	died := make(chan struct{})
@@ -84,12 +75,7 @@ func runRejoinScenario(t *testing.T, cfg grace.Config, dir string, every int,
 			if rank == killRank {
 				killAt = killStep
 			}
-			c, err := mkCfg(rank, dir, killAt, false)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			_, err = grace.RunWorker(c, rank, hub.Worker(rank), cluster)
+			_, err := grace.RunWorker(mkCfg(rank, store, killAt, false), rank, hub.Worker(rank), cluster)
 			if rank == killRank {
 				if !errors.Is(err, errSimulatedCrash) {
 					errs[rank] = fmt.Errorf("victim exited with %v, want the simulated crash", err)
@@ -109,16 +95,11 @@ func runRejoinScenario(t *testing.T, cfg grace.Config, dir string, every int,
 		defer wg.Done()
 		<-died
 		hub.Abort(fmt.Errorf("rank %d process died: %w", killRank, comm.ErrPeerDead))
-		root := dir
+		respawnStore := store
 		if wipedDir != "" {
-			root = wipedDir
+			respawnStore = openRecordingStore(t, wipedDir, finals)
 		}
-		c, err := mkCfg(killRank, root, 0, true)
-		if err != nil {
-			errs[killRank] = err
-			return
-		}
-		_, errs[killRank] = grace.RunWorker(c, killRank, hub.Worker(killRank), cluster)
+		_, errs[killRank] = grace.RunWorker(mkCfg(killRank, respawnStore, 0, true), killRank, hub.Worker(killRank), cluster)
 	}()
 	wg.Wait()
 	for rank, err := range errs {
@@ -146,7 +127,7 @@ func TestTrainerRejoinBitwise(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.method, func(t *testing.T) {
 			cfg := ckptConfig(tc.method, tc.mem)
-			want := runCheckpointed(t, cfg, t.TempDir(), 3, nil)
+			want := runCheckpointed(t, cfg, t.TempDir(), 3, false)
 
 			// Checkpoints at steps 3 and 6 of 8; kill right after step 5 so
 			// the group rolls back to 3 and replays two already-done steps.
@@ -172,7 +153,7 @@ func TestTrainerRejoinBitwise(t *testing.T) {
 // the state-transfer byte counter moves.
 func TestTrainerRejoinDonorTransfer(t *testing.T) {
 	cfg := ckptConfig("topk", false)
-	want := runCheckpointed(t, cfg, t.TempDir(), 3, nil)
+	want := runCheckpointed(t, cfg, t.TempDir(), 3, false)
 
 	telemetry.Default.Enable(true)
 	defer telemetry.Default.Enable(false)
@@ -188,31 +169,44 @@ func TestTrainerRejoinDonorTransfer(t *testing.T) {
 }
 
 // TestTrainerRejoinRequiresCheckpoints: a heal with no recovery point
-// anywhere fails with a descriptive error instead of looping.
+// anywhere fails with a descriptive error instead of looping, while a resume
+// with none starts the group fresh, as if Resume were off.
 func TestTrainerRejoinRequiresCheckpoints(t *testing.T) {
 	cfg := ckptConfig("topk", true)
-	cfg.Workers = 1
-	hub := comm.NewHub(1)
-	d, err := ckpt.OpenDir(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Workers = 2
+	hub := comm.NewHub(2)
+	store := openRecordingStore(t, t.TempDir(), make([]*grace.Snapshot, 2))
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for rank := 0; rank < 2; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c := cfg
+			c.Checkpoint = &grace.CheckpointConfig{Store: store, Every: 3, Heal: true}
+			if rank == 0 {
+				// The peer death is convicted before the first checkpoint.
+				c.OnStep = func(_ int, step int64) error {
+					if step == 1 {
+						hub.Abort(fmt.Errorf("test: peer died: %w", comm.ErrPeerDead))
+					}
+					return nil
+				}
+			}
+			_, errs[rank] = grace.RunWorker(c, rank, hub.Worker(rank), simnet.NewCluster(c.Net, 2))
+		}(rank)
 	}
-	rj := d.RejoinConfig()
-	rj.SyncOnStart = true // forces a heal round before the first step
-	cfg.Rejoin = rj
-	_, err = grace.RunWorker(cfg, 0, hub.Worker(0), simnet.NewCluster(cfg.Net, 1))
-	if err == nil || !strings.Contains(err.Error(), "no rank holds a checkpoint") {
-		t.Fatalf("err = %v, want the no-recovery-point rejection", err)
+	wg.Wait()
+	for rank, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "no rank holds a checkpoint") {
+			t.Fatalf("rank %d err = %v, want the no-recovery-point rejection", rank, err)
+		}
 	}
 
-	// An incomplete RejoinConfig is rejected before any training happens.
-	bad := ckptConfig("topk", true)
-	bad.Workers = 1
-	bad.Rejoin = &grace.RejoinConfig{}
-	_, err = grace.RunWorker(bad, 0, comm.NewHub(1).Worker(0), simnet.NewCluster(bad.Net, 1))
-	if err == nil || !strings.Contains(err.Error(), "ListSteps") {
-		t.Fatalf("err = %v, want the RejoinConfig validation error", err)
-	}
+	cfg = ckptConfig("topk", true)
+	want := runCheckpointed(t, cfg, t.TempDir(), 3, false)
+	got := runCheckpointed(t, cfg, t.TempDir(), 3, true)
+	assertSnapshotsBitwiseEqual(t, got, want, "resume with no checkpoints")
 }
 
 // TestEnginePauseGuard: a paused engine refuses Step, and Resume restores it.

@@ -7,23 +7,15 @@ import (
 )
 
 // telScope localizes span recording for one emitter (the comm driver or one
-// codec lane): it pins the rank and trace track once, and optionally
-// accumulates per-phase nanoseconds into a private array so concurrent lanes
-// never contend on the shared StepReport. The Engine merges the accumulators
-// after its lanes join.
+// codec lane): it pins the rank and trace track once.
 type telScope struct {
 	rank, tid int
-	acc       *[telemetry.NumPhases]int64
 }
 
 // start opens a span (zero time when span recording is disabled).
 func (s telScope) start() time.Time { return telemetry.Default.Start() }
 
-// end closes a span: histogram + trace via the Default registry, plus the
-// scope's private per-phase accumulator when one is attached.
+// end closes a span: histogram + trace via the Default registry.
 func (s telScope) end(p telemetry.Phase, detail string, t0 time.Time) {
-	d := telemetry.Default.Observe(p, s.rank, s.tid, detail, t0)
-	if s.acc != nil && d > 0 {
-		s.acc[p] += int64(d)
-	}
+	telemetry.Default.Observe(p, s.rank, s.tid, detail, t0)
 }

@@ -90,11 +90,12 @@ func runTelStep(t *testing.T, workers, steps int, newComp func() (grace.Compress
 }
 
 // TestEngineTelemetryAcrossStrategies drives one engine step per strategy
-// with span recording on and checks (a) the per-step phase timings land in
-// StepReport.PhaseNs, (b) RecvBytes follows each strategy's semantics, and
-// (c) the global registry's step and per-strategy byte counters advance by
-// exactly what the reports claim. Counter assertions are deltas: the Default
-// registry is process-global and other tests in this binary also feed it.
+// with span recording on and checks (a) the step's phase spans land in the
+// registry's phase histograms, (b) RecvBytes follows each strategy's
+// semantics, and (c) the global registry's step and per-strategy byte
+// counters advance by exactly what the reports claim. Assertions are deltas:
+// the Default registry is process-global and other tests in this binary also
+// feed it.
 func TestEngineTelemetryAcrossStrategies(t *testing.T) {
 	prev := telemetry.Default.Enabled()
 	telemetry.Default.Enable(true)
@@ -114,6 +115,9 @@ func TestEngineTelemetryAcrossStrategies(t *testing.T) {
 			const workers = 3
 			stepsBefore := telemetry.Default.Value(telemetry.CtrSteps)
 			sentBefore, recvBefore := telemetry.Default.StrategyBytes(int(tc.strategy))
+			spans := func(p telemetry.Phase) int64 { return telemetry.Default.PhaseHistogram(p).Count() }
+			collBefore := spans(telemetry.PhaseCollective)
+			decBefore := spans(telemetry.PhaseDecode) + spans(telemetry.PhaseAggregate)
 
 			rep := runTelStep(t, workers, 1, func() (grace.Compressor, error) {
 				return grace.New(tc.method, tc.opts)
@@ -145,12 +149,12 @@ func TestEngineTelemetryAcrossStrategies(t *testing.T) {
 				}
 			}
 
-			if rep.PhaseNs[telemetry.PhaseCollective] <= 0 {
-				t.Fatalf("no collective time recorded: %v", rep.PhaseNs)
+			if spans(telemetry.PhaseCollective) <= collBefore {
+				t.Fatal("no collective span recorded")
 			}
 			if tc.strategy == grace.Allgather &&
-				rep.PhaseNs[telemetry.PhaseDecode]+rep.PhaseNs[telemetry.PhaseAggregate] <= 0 {
-				t.Fatalf("allgather recorded no decode/aggregate time: %v", rep.PhaseNs)
+				spans(telemetry.PhaseDecode)+spans(telemetry.PhaseAggregate) <= decBefore {
+				t.Fatal("allgather recorded no decode/aggregate span")
 			}
 
 			if got := telemetry.Default.Value(telemetry.CtrSteps) - stepsBefore; got != workers {
@@ -166,27 +170,6 @@ func TestEngineTelemetryAcrossStrategies(t *testing.T) {
 				t.Fatalf("strategy recv delta = %d, want %d", recvAfter-recvBefore, workers*rep.RecvBytes)
 			}
 		})
-	}
-}
-
-// TestStepReportPhaseNsDisabled checks the flip side: with span recording
-// off, Step still works and PhaseNs stays zero (the disabled fast path does
-// not time anything).
-func TestStepReportPhaseNsDisabled(t *testing.T) {
-	prev := telemetry.Default.Enabled()
-	telemetry.Default.Enable(false)
-	defer telemetry.Default.Enable(prev)
-
-	rep := runTelStep(t, 2, 1, func() (grace.Compressor, error) {
-		return grace.New("topk", grace.Options{Ratio: 0.25})
-	})
-	for p, ns := range rep.PhaseNs {
-		if ns != 0 {
-			t.Fatalf("phase %v recorded %dns with telemetry disabled", telemetry.Phase(p), ns)
-		}
-	}
-	if rep.SentBytes <= 0 || rep.RecvBytes <= 0 {
-		t.Fatalf("volume accounting must not depend on telemetry: %+v", rep)
 	}
 }
 
@@ -324,7 +307,7 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 		go func() {
 			defer scrapers.Done()
 			// Scrape on a short tick, not in a busy loop: three spinning
-			// scrapers starve the 10 ms heartbeat loops on a 2-CPU box (worse
+			// scrapers starve the heartbeat loops on a 2-CPU box (worse
 			// under -race) into convicting a healthy peer. A real scraper
 			// polls; the race detector needs concurrent access, not
 			// saturation.
@@ -350,14 +333,14 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			// A generous miss budget: the scraper goroutines contend for CPU,
-			// and a late ping loop must not convict a healthy peer.
+			// A long interval: the scraper goroutines contend for CPU, and a
+			// late ping loop must not convict a healthy peer within the
+			// three-interval miss window.
 			ring, err := comm.DialTCPRingConfig(comm.RingConfig{
 				Rank: rank, Addrs: addrs,
-				SetupTimeout:    10 * time.Second,
-				OpTimeout:       30 * time.Second,
-				Heartbeat:       10 * time.Millisecond,
-				HeartbeatMisses: 20,
+				SetupTimeout: 10 * time.Second,
+				OpTimeout:    30 * time.Second,
+				Heartbeat:    70 * time.Millisecond,
 			})
 			if err != nil {
 				errs[rank] = err
@@ -384,7 +367,7 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 			}
 			// Idle past one heartbeat interval so pings provably tick even
 			// when the steps themselves finish quickly.
-			time.Sleep(25 * time.Millisecond)
+			time.Sleep(100 * time.Millisecond)
 		}(rank)
 	}
 	wg.Wait()

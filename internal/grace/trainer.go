@@ -117,27 +117,21 @@ type Config struct {
 	ComputePerIter time.Duration
 
 	// Checkpoint, when non-nil, enables crash-consistent snapshots of the
-	// full per-rank training state (and, via Resume, restores from one).
+	// full per-rank training state and the recovery paths that roll back to
+	// them: resume before the first step, heal after a peer death.
 	Checkpoint *CheckpointConfig
 	// OnStep, when set, is called after every completed optimizer step —
 	// after any checkpoint for that step has been saved — with the rank and
 	// the global step count. Returning an error aborts the worker; the
 	// supervisor harness uses this to simulate a crash at a chosen step.
 	OnStep func(rank int, step int64) error
-	// Rejoin, when non-nil, enables the self-healing path: a worker whose
-	// collective fails with the comm.ErrPeerDead verdict reforms the group at
-	// the next generation (the collective must support comm.Reformer) and
-	// runs the heal sync round — every rank rolls back to the newest
-	// checkpoint step they all hold — instead of surfacing the error. Pair it
-	// with Checkpoint.Every > 0 so there is a recovery point to roll back to.
-	Rejoin *RejoinConfig
 	// Elastic, when non-nil, upgrades the self-healing path to elastic
 	// world-size membership: a permanently lost rank is voted out after
 	// RejoinDeadline and training continues at N−1 (denominators, shards,
 	// fan-in, and the autotuner's link model all re-derive from the new
 	// Size()); a fresh worker presenting at a join point is absorbed back.
-	// Requires Rejoin and a collective implementing comm.Elastic; see
-	// ElasticConfig for the shrink semantics (EF-residual loss, epoch
+	// Requires Checkpoint.Heal and a collective implementing comm.Elastic;
+	// see ElasticConfig for the shrink semantics (EF-residual loss, epoch
 	// replay, policy reset).
 	Elastic *ElasticConfig
 
@@ -204,7 +198,8 @@ type Report struct {
 // rank-0 report. Workers are goroutines over an in-process hub; compute and
 // codec times are measured, transfer time is modeled on cfg.Net. The first
 // worker to fail aborts the hub, and Run returns its error once every worker
-// has unwound.
+// has unwound. With cfg.Checkpoint every worker saves to, and resumes from,
+// the one rank-keyed Store.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("grace: workers must be positive")
@@ -214,11 +209,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if (cfg.NewCompressor == nil) == (cfg.NewTuner == nil) {
 		return nil, fmt.Errorf("grace: config needs exactly one of NewCompressor or NewTuner")
-	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Resume != nil {
-		// Snapshots are per-rank; a single shared Resume cannot restore all
-		// workers. Multi-rank restarts drive RunWorker per rank instead.
-		return nil, fmt.Errorf("grace: Checkpoint.Resume is per-rank; use RunWorker")
 	}
 
 	// Surface compressor/policy configuration errors before any worker blocks
@@ -281,9 +271,10 @@ func (cfg *Config) Cluster() simnet.Cluster {
 // series are produced on rank 0; other ranks return per-rank accounting
 // only.
 //
-// runEpochs trains until it finishes or unwinds with a cause; heal either
-// repairs the group and rewinds the loop position, so the next runEpochs
-// replays from the agreed checkpoint, or declares the cause fatal.
+// restore runs the start-up sync round when asked to; runEpochs trains until
+// it finishes or unwinds with a cause; heal either repairs the group and
+// rewinds the loop position, so the next runEpochs replays from the agreed
+// checkpoint, or declares the cause fatal.
 func RunWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluster) (*Report, error) {
 	w, err := newWorker(cfg, rank, coll, cluster)
 	if err != nil {
@@ -369,13 +360,8 @@ func newWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluste
 	if coll.Size() != cfg.Workers {
 		return nil, fmt.Errorf("grace: collective size %d != configured workers %d", coll.Size(), cfg.Workers)
 	}
-	if rj := cfg.Rejoin; rj != nil {
-		if err := rj.validate(); err != nil {
-			return nil, err
-		}
-	}
-	if ck := cfg.Checkpoint; ck != nil && (ck.Every > 0 || ck.Final) && ck.Save == nil {
-		return nil, fmt.Errorf("grace: CheckpointConfig needs Save when Every or Final is set")
+	if ck := cfg.Checkpoint; ck != nil && ck.Store == nil {
+		return nil, fmt.Errorf("grace: CheckpointConfig needs a Store")
 	}
 
 	w.model = cfg.NewModel(cfg.Seed)
@@ -451,28 +437,6 @@ func newWorker(cfg Config, rank int, coll comm.Collective, cluster simnet.Cluste
 		}
 	}
 	return w, nil
-}
-
-// restore positions the worker before its first step: Checkpoint.Resume
-// fast-forwards to a snapshot; Rejoin.SyncOnStart instead (or additionally)
-// joins the running group's heal round.
-func (w *worker) restore() error {
-	if ck := w.cfg.Checkpoint; ck != nil && ck.Resume != nil {
-		pos, err := w.applySnapshot(ck.Resume)
-		if err != nil {
-			return err
-		}
-		w.rewind(pos)
-		// Counted here, at the one successful application, rather than in
-		// ckpt.Load: resume negotiation probes many candidate files.
-		telemetry.Default.Add(telemetry.CtrCheckpointRestores, 1)
-		telemetry.Default.RecordFault(w.rank, telemetry.OpStep, pos.step, telemetry.FaultRestore, 0)
-	}
-	w.baseEpoch = w.startEpoch
-	if rj := w.cfg.Rejoin; rj != nil && rj.SyncOnStart {
-		return w.startupSync()
-	}
-	return nil
 }
 
 // stepDone runs the post-step bookkeeping shared by both training modes:
@@ -683,7 +647,7 @@ func (w *worker) finish() (*Report, error) {
 			}
 		}
 	}
-	if ck := cfg.Checkpoint; ck != nil && ck.Final {
+	if cfg.Checkpoint != nil {
 		pos := trainerPos{step: w.step, epoch: cfg.Epochs, iter: 0, sinceSync: w.sinceSync}
 		if err := w.checkpoint(pos); err != nil {
 			return nil, fmt.Errorf("grace: final checkpoint save: %w", err)

@@ -116,8 +116,9 @@ func TestRecoveryBitwiseAutotune(t *testing.T) {
 }
 
 // recoveryWorkerMain is one rank of the SIGKILL scenario: a real TCP-ring
-// worker checkpointing to disk, optionally resuming, optionally slowed down
-// so the parent can time its kill.
+// worker checkpointing to disk, optionally resuming (GRACE_RESUME: the sync
+// round before the first step), optionally slowed down so the parent can
+// time its kill.
 func recoveryWorkerMain() int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, err)
@@ -129,10 +130,6 @@ func recoveryWorkerMain() int {
 	}
 	addrs := strings.Split(os.Getenv("GRACE_ADDRS"), ",")
 	dir := os.Getenv("GRACE_DIR")
-	resumeStep, err := strconv.ParseInt(os.Getenv("GRACE_RESUME"), 10, 64)
-	if err != nil {
-		return fail(fmt.Errorf("bad GRACE_RESUME: %w", err))
-	}
 	delayMS, _ := strconv.Atoi(os.Getenv("GRACE_STEP_DELAY_MS"))
 
 	cfg := DefaultRecovery(TransportTCP, "topk", true, dir).Train
@@ -145,33 +142,25 @@ func recoveryWorkerMain() int {
 		OpTimeout:    30 * time.Second,
 		Heartbeat:    25 * time.Millisecond,
 	}
-	// In rejoin mode a peer's SIGKILL is healed by generation reform of this
-	// same ring instead of ending this process.
-	selfHeal := os.Getenv("GRACE_REJOIN") != ""
 	ring, err := comm.DialTCPRingConfig(rcfg)
 	if err != nil {
 		return fail(err)
 	}
 	defer ring.Close()
-	d, err := ckpt.OpenDir(dir, rank)
+	d, err := ckpt.OpenDir(dir)
 	if err != nil {
 		return fail(err)
 	}
-	cfg.Checkpoint = &grace.CheckpointConfig{Every: 2, Final: true, Save: d.SaveStep}
-	if resumeStep >= 0 {
-		s, err := ckpt.Load(d.Path(resumeStep))
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Checkpoint.Resume = s
-	}
-	if selfHeal {
-		rj := d.RejoinConfig()
-		rj.SyncOnStart = os.Getenv("GRACE_REJOIN_SYNC") != ""
-		rj.OnHeal = func(gen uint64, step int64) {
+	cfg.Checkpoint = &grace.CheckpointConfig{
+		Store:  d,
+		Every:  2,
+		Resume: os.Getenv("GRACE_RESUME") != "",
+		// In rejoin mode a peer's SIGKILL is healed by generation reform of
+		// this same ring instead of ending this process.
+		Heal: os.Getenv("GRACE_REJOIN") != "",
+		OnHeal: func(gen uint64, step int64) {
 			fmt.Printf("rank %d: healed to step %d at generation %d\n", rank, step, gen)
-		}
-		cfg.Rejoin = rj
+		},
 	}
 	if delayMS > 0 {
 		cfg.OnStep = func(int, int64) error {
@@ -190,18 +179,18 @@ type workerProc struct {
 	out bytes.Buffer
 }
 
-func startWorkers(t *testing.T, exe, mode, dir string, addrs []string, resume int64, delayMS int, extraEnv ...string) []*workerProc {
+func startWorkers(t *testing.T, exe, mode, dir string, addrs []string, delayMS int, extraEnv ...string) []*workerProc {
 	t.Helper()
 	procs := make([]*workerProc, len(addrs))
 	for rank := range addrs {
-		procs[rank] = startWorker(t, exe, mode, dir, addrs, rank, resume, delayMS, extraEnv...)
+		procs[rank] = startWorker(t, exe, mode, dir, addrs, rank, delayMS, extraEnv...)
 	}
 	return procs
 }
 
 // startWorker launches a single rank, so the rejoin scenario can respawn just
 // the SIGKILLed one.
-func startWorker(t *testing.T, exe, mode, dir string, addrs []string, rank int, resume int64, delayMS int, extraEnv ...string) *workerProc {
+func startWorker(t *testing.T, exe, mode, dir string, addrs []string, rank int, delayMS int, extraEnv ...string) *workerProc {
 	t.Helper()
 	p := &workerProc{cmd: exec.Command(exe)}
 	p.cmd.Env = append(os.Environ(),
@@ -210,7 +199,6 @@ func startWorker(t *testing.T, exe, mode, dir string, addrs []string, rank int, 
 		"GRACE_RANK="+strconv.Itoa(rank),
 		"GRACE_ADDRS="+strings.Join(addrs, ","),
 		"GRACE_DIR="+dir,
-		"GRACE_RESUME="+strconv.FormatInt(resume, 10),
 		"GRACE_STEP_DELAY_MS="+strconv.Itoa(delayMS),
 	)
 	p.cmd.Env = append(p.cmd.Env, extraEnv...)
@@ -222,10 +210,47 @@ func startWorker(t *testing.T, exe, mode, dir string, addrs []string, rank int, 
 	return p
 }
 
+// waitForCheckpoint polls until rank's newest loadable checkpoint in dir
+// reaches step, failing the test after a minute.
+func waitForCheckpoint(t *testing.T, dir string, rank int, step int64, p *workerProc) {
+	t.Helper()
+	d, err := ckpt.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if steps, _ := d.Steps(rank); len(steps) > 0 && steps[len(steps)-1] >= step {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d never reached step %d; output:\n%s", rank, step, &p.out)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// loadStep loads every rank's checkpoint at step from dir.
+func loadStep(t *testing.T, dir string, n int, step int64) []*grace.Snapshot {
+	t.Helper()
+	d, err := ckpt.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*grace.Snapshot, n)
+	for rank := range out {
+		if out[rank], err = d.Load(rank, step); err != nil {
+			t.Fatalf("%s rank %d step %d: %v", dir, rank, step, err)
+		}
+	}
+	return out
+}
+
 // runSIGKILLScenario is the end-to-end chaos flow shared by the fixed-method
 // and autotune SIGKILL tests: three OS processes on a real
-// heartbeat-enabled TCP ring, one SIGKILLed mid-run, all restarted from the
-// newest common checkpoint, then every checkpoint step in compareSteps
+// heartbeat-enabled TCP ring, one SIGKILLed mid-run, all restarted with
+// Resume (the sync round picks the newest common checkpoint), then every
+// checkpoint step in compareSteps
 // (worker cadence is 2) compared bitwise against an uninterrupted
 // multi-process run — params and, in autotune mode, the policy trajectory.
 func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
@@ -257,7 +282,7 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := startWorkers(t, exe, mode, refDir, addrs, -1, 0)
+	ref := startWorkers(t, exe, mode, refDir, addrs, 0)
 	all = append(all, ref...)
 	for rank := 0; rank < n; rank++ {
 		if err := wait(ref, rank); err != nil {
@@ -271,19 +296,9 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 		t.Fatal(err)
 	}
 	const victim = 1
-	procs := startWorkers(t, exe, mode, dir, addrs, -1, 200)
+	procs := startWorkers(t, exe, mode, dir, addrs, 200)
 	all = append(all, procs...)
-	victimDir, err := ckpt.OpenDir(dir, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	killDeadline := time.Now().Add(60 * time.Second)
-	for victimDir.LatestStep() < 4 {
-		if time.Now().After(killDeadline) {
-			t.Fatalf("victim never reached step 4; output:\n%s", &procs[victim].out)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitForCheckpoint(t, dir, victim, 4, procs[victim])
 	if err := procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,19 +314,19 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 		}
 	}
 
-	// Supervised restart from the newest step all ranks hold.
-	common := ckpt.CommonStep(dir, n)
-	if common < 2 {
-		t.Fatalf("no usable common checkpoint (step %d)", common)
-	}
+	// Supervised restart: every rank resumes from the newest step all ranks
+	// can load.
 	if addrs, err = freeLoopbackAddrs(n); err != nil {
 		t.Fatal(err)
 	}
-	resumed := startWorkers(t, exe, mode, dir, addrs, common, 0)
+	resumed := startWorkers(t, exe, mode, dir, addrs, 0, "GRACE_RESUME=1")
 	all = append(all, resumed...)
 	for rank := 0; rank < n; rank++ {
 		if err := wait(resumed, rank); err != nil {
 			t.Fatalf("resumed rank %d: %v\n%s", rank, err, &resumed[rank].out)
+		}
+		if out := resumed[rank].out.String(); !strings.Contains(out, "healed to step") {
+			t.Fatalf("resumed rank %d started fresh instead of rolling back:\n%s", rank, out)
 		}
 	}
 
@@ -319,23 +334,8 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 	// (steps before the rollback come from the crash run's own trajectory,
 	// steps after it from the resumed one — all must agree).
 	for _, step := range compareSteps {
-		got := make([]*grace.Snapshot, n)
-		want := make([]*grace.Snapshot, n)
+		got, want := loadStep(t, dir, n, step), loadStep(t, refDir, n, step)
 		for rank := 0; rank < n; rank++ {
-			gd, err := ckpt.OpenDir(dir, rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wd, err := ckpt.OpenDir(refDir, rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[rank], err = ckpt.Load(gd.Path(step)); err != nil {
-				t.Fatalf("recovered rank %d step %d: %v", rank, step, err)
-			}
-			if want[rank], err = ckpt.Load(wd.Path(step)); err != nil {
-				t.Fatalf("reference rank %d step %d: %v", rank, step, err)
-			}
 			if mode == "autotune" && want[rank].Tuner == nil {
 				t.Fatalf("reference rank %d step %d snapshot carries no policy state", rank, step)
 			}
@@ -355,7 +355,7 @@ func TestRecoverySIGKILLTCP(t *testing.T) {
 // TestRejoinSIGKILLTCP: the live-rejoin path under a genuine SIGKILL. Three
 // OS processes on a real heartbeat-enabled TCP ring run in self-healing mode;
 // rank 1 is killed dead mid-run and ONLY rank 1 is relaunched (with
-// GRACE_REJOIN_SYNC, the -rejoin-sync path). The survivors' processes are
+// GRACE_RESUME, the graceworker -resume path). The survivors' processes are
 // never restarted — the same PIDs that joined the ring at generation 0 exit
 // cleanly after healing — and the step-8 finals must match an uninterrupted
 // multi-process reference bit for bit.
@@ -386,7 +386,7 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := startWorkers(t, exe, "", refDir, addrs, -1, 0, "GRACE_REJOIN=1")
+	ref := startWorkers(t, exe, "", refDir, addrs, 0, "GRACE_REJOIN=1")
 	all = append(all, ref...)
 	for rank := 0; rank < n; rank++ {
 		if err := ref[rank].cmd.Wait(); err != nil {
@@ -398,19 +398,9 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 	if addrs, err = freeLoopbackAddrs(n); err != nil {
 		t.Fatal(err)
 	}
-	procs := startWorkers(t, exe, "", dir, addrs, -1, 200, "GRACE_REJOIN=1")
+	procs := startWorkers(t, exe, "", dir, addrs, 200, "GRACE_REJOIN=1")
 	all = append(all, procs...)
-	victimDir, err := ckpt.OpenDir(dir, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	killDeadline := time.Now().Add(60 * time.Second)
-	for victimDir.LatestStep() < 4 {
-		if time.Now().After(killDeadline) {
-			t.Fatalf("victim never reached step 4; output:\n%s", &procs[victim].out)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitForCheckpoint(t, dir, victim, 4, procs[victim])
 	survivorPIDs := [2]int{procs[0].cmd.Process.Pid, procs[2].cmd.Process.Pid}
 	if err := procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -421,8 +411,8 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 
 	// Respawn ONLY the victim, syncing into the live group. The survivors are
 	// parked at the reform rendezvous; their processes are untouched.
-	respawn := startWorker(t, exe, "", dir, addrs, victim, -1, 0,
-		"GRACE_REJOIN=1", "GRACE_REJOIN_SYNC=1")
+	respawn := startWorker(t, exe, "", dir, addrs, victim, 0,
+		"GRACE_REJOIN=1", "GRACE_RESUME=1")
 	all = append(all, respawn)
 	if err := respawn.cmd.Wait(); err != nil {
 		t.Fatalf("respawned victim: %v\n%s", err, &respawn.out)
@@ -442,24 +432,7 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 		t.Fatal("survivor process identity changed across the heal")
 	}
 
-	got := make([]*grace.Snapshot, n)
-	want := make([]*grace.Snapshot, n)
-	for rank := 0; rank < n; rank++ {
-		gd, err := ckpt.OpenDir(dir, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wd, err := ckpt.OpenDir(refDir, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[rank], err = ckpt.Load(gd.Path(8)); err != nil {
-			t.Fatalf("healed rank %d step 8: %v", rank, err)
-		}
-		if want[rank], err = ckpt.Load(wd.Path(8)); err != nil {
-			t.Fatalf("reference rank %d step 8: %v", rank, err)
-		}
-	}
+	got, want := loadStep(t, dir, n, 8), loadStep(t, refDir, n, 8)
 	if ok, detail := snapshotsBitwiseEqual(got, want); !ok {
 		t.Fatalf("SIGKILL rejoin diverged: %s", detail)
 	}

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"os"
 	"testing"
+	"time"
 )
 
 // runRejoinCase executes the supervised live-rejoin scenario on one transport
@@ -100,6 +102,64 @@ func TestRejoinHangTCP(t *testing.T) {
 	cfg := DefaultRecovery(TransportTCP, "topk", true, t.TempDir())
 	cfg.KillMode = "hang"
 	runRejoinCase(t, cfg)
+}
+
+// TestRejoinSkipsCorruptCheckpoint: rank 0's newest checkpoint (step 6) is
+// corrupted before the heal that follows a kill at step 7. Rank 0 cannot load
+// it, so it does not offer it, and the group rolls back to step 3 — the
+// newest step every rank can load — and still finishes bitwise-equal to the
+// reference instead of agreeing on a step one rank then fails to load.
+func TestRejoinSkipsCorruptCheckpoint(t *testing.T) {
+	cfg := DefaultRecovery(TransportHub, "topk", true, t.TempDir())
+	cfg.KillStep = 7
+	ref, err := runReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := newGroup(cfg, ScenarioRejoin, cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(rank int) rankOpts {
+		o := g.victimOnly(rank)
+		if o.victim {
+			// Runs before the kill: every rank has finished step 6, so
+			// rank 0's step-6 file is durable and no heal has started.
+			o.onStep = func(step int64) {
+				if step != cfg.KillStep {
+					return
+				}
+				path := g.store.Path(0, 6)
+				b, err := os.ReadFile(path)
+				if err == nil {
+					b[len(b)/2] ^= 0x40
+					err = os.WriteFile(path, b, 0o644)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		return o
+	}
+	err = g.launch("rejoin", 20*time.Second, opts, func() { g.replaceVictim(rankOpts{resume: true}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.check("rejoin", true, true); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.heals) != cfg.Train.Workers {
+		t.Fatalf("%d heal events, want one per rank", len(g.heals))
+	}
+	for _, h := range g.heals {
+		if h.step != 3 {
+			t.Fatalf("healed to step %d, want 3 (rank 0's step 6 does not load)", h.step)
+		}
+	}
+	if ok, detail := snapshotsBitwiseEqual(g.finals, ref); !ok {
+		t.Fatalf("healed run diverged from the reference: %s", detail)
+	}
 }
 
 // TestRejoinValidation: the battery owns the trainer's Checkpoint/OnStep/

@@ -133,10 +133,10 @@ func freeLoopbackAddrs(n int) ([]string, error) {
 // grow — is one group.
 type group struct {
 	cfg RecoveryConfig // cfg.Train.Workers is this group's size
-	// scenario selects the trainer's recovery wiring: Rejoin for every
+	// scenario selects the trainer's recovery wiring: Heal for every
 	// scenario but restart, Elastic on top for shrink and grow.
 	scenario Scenario
-	dir      string // checkpoint root; "" keeps the finals in memory only
+	store    recordingStore // every rank's checkpoints, in the group's root
 	sc       *faultScaffold
 
 	// finals and errs are per rank, written by that rank's goroutine and
@@ -168,26 +168,46 @@ type resizeEvent struct {
 	at   time.Time
 }
 
+// recordingStore is the Store every scenario rank writes through: the
+// group's checkpoint directory, plus each rank's newest snapshot kept in
+// memory as the finals the verdict compares.
+type recordingStore struct {
+	*ckpt.Dir
+	finals []*grace.Snapshot
+}
+
+func (r recordingStore) Save(s *grace.Snapshot) error {
+	r.finals[s.Rank] = s
+	return r.Dir.Save(s)
+}
+
+// newGroup builds a group checkpointing into dir.
 func newGroup(cfg RecoveryConfig, s Scenario, dir string) (*group, error) {
 	sc, err := newFaultScaffold(&cfg)
 	if err != nil {
 		return nil, err
 	}
+	d, err := ckpt.OpenDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	d.Keep = scenarioKeep
 	n := cfg.Train.Workers
-	return &group{
-		cfg: cfg, scenario: s, dir: dir, sc: sc,
+	g := &group{
+		cfg: cfg, scenario: s, sc: sc,
 		finals: make([]*grace.Snapshot, n), errs: make([]error, n),
 		launches: make([]int, n), victimDown: make(chan struct{}),
-	}, nil
+	}
+	g.store = recordingStore{Dir: d, finals: g.finals}
+	return g, nil
 }
 
 // rankOpts is what distinguishes one RunWorker launch from another inside a
 // group.
 type rankOpts struct {
-	resume  *grace.Snapshot // Checkpoint.Resume (restart, shrink reference)
-	respawn bool            // Rejoin.SyncOnStart: sync into the healing group
-	joiner  bool            // Elastic.JoinOnStart over the scaffold's join point
-	victim  bool            // dies right after KillStep
+	resume bool // Checkpoint.Resume: restart, respawn, shrink reference
+	joiner bool // Elastic.JoinOnStart over the scaffold's join point
+	victim bool // dies right after KillStep
 	// onStep, when set, observes every completed step (before any kill): the
 	// downtime measurement and the grow gate hang off it.
 	onStep func(step int64)
@@ -199,9 +219,8 @@ func (g *group) victimOnly(rank int) rankOpts {
 	return rankOpts{victim: rank == g.cfg.KillRank}
 }
 
-// runRank is the one place a scenario rank is wired: collective → checkpoint
-// dir → CheckpointConfig → RejoinConfig → ElasticConfig → kill/observe hook →
-// RunWorker.
+// runRank is the one place a scenario rank is wired: collective →
+// CheckpointConfig → ElasticConfig → kill/observe hook → RunWorker.
 func (g *group) runRank(rank int, o rankOpts) error {
 	g.mu.Lock()
 	g.launches[rank]++
@@ -222,31 +241,15 @@ func (g *group) runRank(rank int, o rankOpts) error {
 	}
 
 	tc := g.cfg.Train
-	save := func(s *grace.Snapshot) error { return nil }
-	if g.dir != "" {
-		d, err := ckpt.OpenDir(g.dir, rank)
-		if err != nil {
-			return err
-		}
-		d.Keep = scenarioKeep
-		save = d.SaveStep
-		if g.scenario != ScenarioRestart {
-			tc.Rejoin = d.RejoinConfig()
-			tc.Rejoin.SyncOnStart = o.respawn
-			tc.Rejoin.OnHeal = func(gen uint64, step int64) {
-				g.mu.Lock()
-				g.heals = append(g.heals, healEvent{gen, step, time.Now()})
-				g.mu.Unlock()
-			}
-		}
-	}
 	tc.Checkpoint = &grace.CheckpointConfig{
+		Store:  g.store,
 		Every:  g.cfg.Every,
-		Final:  true,
 		Resume: o.resume,
-		Save: func(s *grace.Snapshot) error {
-			g.finals[rank] = s
-			return save(s)
+		Heal:   g.scenario != ScenarioRestart,
+		OnHeal: func(gen uint64, step int64) {
+			g.mu.Lock()
+			g.heals = append(g.heals, healEvent{gen, step, time.Now()})
+			g.mu.Unlock()
 		},
 	}
 	if g.scenario == ScenarioShrink || g.scenario == ScenarioGrow {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/grace"
@@ -42,8 +41,10 @@ type Scenario string
 
 const (
 	// ScenarioRestart: the crash poisons the group for good; the supervisor
-	// tears every rank down and relaunches all of them from the newest
-	// checkpoint step they all hold. Reference: an uninterrupted run.
+	// tears every rank down and relaunches all of them with Resume, so they
+	// roll back to the newest checkpoint step they can all load (or start
+	// fresh when the kill came before the first one). Reference: an
+	// uninterrupted run.
 	ScenarioRestart Scenario = "restart"
 	// ScenarioRejoin: the survivors never leave their RunWorker call — they
 	// reform the group at the next generation and roll back in place while
@@ -86,10 +87,11 @@ const (
 // periodic checkpoints, kill one rank mid-run, recover the way the Scenario
 // says, and require the finals to match the fault-free reference bit for bit.
 type RecoveryConfig struct {
-	// Train is the base run. Checkpoint, OnStep, Rejoin and Elastic are owned
-	// by the supervisor and must be nil.
+	// Train is the base run. Checkpoint, OnStep and Elastic are owned by the
+	// supervisor and must be nil.
 	Train grace.Config
-	// Dir is the checkpoint root; per-rank subdirectories are created inside.
+	// Dir is the checkpoint root; each phase of a scenario checkpoints into
+	// it or a subdirectory.
 	Dir string
 	// Every is the checkpoint cadence in optimizer steps.
 	Every int
@@ -119,8 +121,8 @@ func (cfg *RecoveryConfig) ringConfig(rank int, addrs []string) comm.RingConfig 
 // validate is the one scenario validation.
 func (cfg *RecoveryConfig) validate(s Scenario) error {
 	n := cfg.Train.Workers
-	if t := cfg.Train; t.Checkpoint != nil || t.OnStep != nil || t.Rejoin != nil || t.Elastic != nil {
-		return fmt.Errorf("harness: the scenario runner owns Checkpoint, OnStep, Rejoin, and Elastic")
+	if t := cfg.Train; t.Checkpoint != nil || t.OnStep != nil || t.Elastic != nil {
+		return fmt.Errorf("harness: the scenario runner owns Checkpoint, OnStep, and Elastic")
 	}
 	if cfg.Dir == "" || cfg.Every <= 0 {
 		return fmt.Errorf("harness: a scenario needs Dir and Every")
@@ -161,8 +163,8 @@ type ScenarioResult struct {
 	// Pass is the scenario's verdict: the bitwise match (restart, rejoin,
 	// shrink) or the group back at full size past the shrink (grow).
 	Pass bool `json:"pass"`
-	// ResumeStep is the step every rank rolled back to: the newest common
-	// checkpoint (restart) or the heal's verdict (rejoin).
+	// ResumeStep is the step every rank rolled back to, the sync round's
+	// verdict (restart, rejoin); 0 when a restart started fresh.
 	ResumeStep int64 `json:"resume_step,omitempty"`
 	// Generation is the group generation after the heal (rejoin).
 	Generation uint64 `json:"generation,omitempty"`
@@ -311,7 +313,7 @@ func RunScenario(s Scenario, cfg RecoveryConfig) (*ScenarioResult, error) {
 // runReference trains cfg's group uninterrupted on the same transport and
 // returns the per-rank finals.
 func runReference(cfg RecoveryConfig) ([]*grace.Snapshot, error) {
-	g, err := newGroup(cfg, ScenarioRestart, "")
+	g, err := newGroup(cfg, ScenarioRestart, filepath.Join(cfg.Dir, "reference"))
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +325,6 @@ func runReference(cfg RecoveryConfig) ([]*grace.Snapshot, error) {
 
 func runRestart(cfg RecoveryConfig, res *ScenarioResult) error {
 	start := time.Now()
-	n := cfg.Train.Workers
 	ref, err := runReference(cfg)
 	if err != nil {
 		return err
@@ -351,23 +352,16 @@ func runRestart(cfg RecoveryConfig, res *ScenarioResult) error {
 		}
 	}
 
-	// Roll back to the newest step every rank can actually load — ranks may
-	// have checkpointed unevenly around the crash — and restart all of them.
-	res.ResumeStep = ckpt.CommonStep(cfg.Dir, n)
-	if res.ResumeStep < 0 {
-		return fmt.Errorf("harness: no common checkpoint step across %d ranks", n)
-	}
-	resume, err := loadSnapshots(cfg.Dir, n, res.ResumeStep, func(rank int) int { return rank })
-	if err != nil {
-		return err
-	}
+	// Restart every rank with Resume: the sync round rolls the group back to
+	// the newest step every rank can load — ranks may have checkpointed
+	// unevenly around the crash.
 	rec, err := newGroup(cfg, ScenarioRestart, cfg.Dir)
 	if err != nil {
 		return err
 	}
 	var firstStep sync.Once
 	err = rec.launch("restart", scenarioWatchdog, func(rank int) rankOpts {
-		return rankOpts{resume: resume[rank], onStep: func(int64) {
+		return rankOpts{resume: true, onStep: func(int64) {
 			firstStep.Do(func() { res.DowntimeMs = ms(time.Since(crash.killT)) })
 		}}
 	}, nil)
@@ -376,6 +370,9 @@ func runRestart(cfg RecoveryConfig, res *ScenarioResult) error {
 	}
 	if err := rec.check("restart", false, false); err != nil {
 		return err
+	}
+	for _, h := range rec.heals {
+		res.ResumeStep = h.step
 	}
 	res.Reference, res.Finals = ref, rec.finals
 	res.Match, res.Detail = snapshotsBitwiseEqual(rec.finals, ref)
@@ -398,7 +395,7 @@ func runRejoin(cfg RecoveryConfig, res *ScenarioResult) error {
 	// The healthy ranks' goroutines — and their RunWorker calls — are never
 	// touched: the supervisor respawns only the victim, into the same group.
 	err = g.launch("rejoin", scenarioWatchdog, g.victimOnly, func() {
-		g.replaceVictim(rankOpts{respawn: true})
+		g.replaceVictim(rankOpts{resume: true})
 	})
 	if err != nil {
 		return err
@@ -448,32 +445,41 @@ func runShrink(cfg RecoveryConfig, res *ScenarioResult) error {
 	res.DowntimeMs = ms(shrunk.at.Sub(g.killT))
 
 	// The reference replays the post-shrink run from scratch: a fresh N−1
-	// group resumes the survivors' rollback snapshots and runs to completion
-	// with no faults. Survivors in original-rank order are its launch order —
-	// post-shrink current rank is the index in this list — and they keep the
-	// compressors their ORIGINAL rank seeded.
-	var survivors []int
-	for rank := 0; rank < n; rank++ {
-		if rank != cfg.KillRank {
-			survivors = append(survivors, rank)
-			res.Finals = append(res.Finals, g.finals[rank])
-		}
-	}
+	// group resumes from a store holding only the survivors' rollback
+	// snapshots and runs to completion with no faults. Survivors in
+	// original-rank order are its launch order — post-shrink current rank is
+	// the index in this list — and they keep the compressors their ORIGINAL
+	// rank seeded. A snapshot taken before the shrink keeps its pre-shrink
+	// Workers count: that is what makes the trainer take the elastic resume
+	// transform (replay the epoch from its start under the new partition),
+	// the same path the survivors took.
 	ref := cfg
-	ref.Train.Workers = len(survivors)
-	if base := cfg.Train.NewCompressor; base != nil {
-		ref.Train.NewCompressor = func(cur int) (grace.Compressor, error) { return base(survivors[cur]) }
-	}
-	resume, err := loadSnapshots(shrinkDir, len(survivors), res.ShrinkStep, func(cur int) int { return survivors[cur] })
-	if err != nil {
-		return err
-	}
+	ref.Train.Workers = n - 1
 	rg, err := newGroup(ref, ScenarioShrink, filepath.Join(cfg.Dir, "ref"))
 	if err != nil {
 		return err
 	}
-	err = rg.launch("shrink reference", scenarioWatchdog, func(rank int) rankOpts {
-		return rankOpts{resume: resume[rank]}
+	var survivors []int
+	for rank := 0; rank < n; rank++ {
+		if rank == cfg.KillRank {
+			continue
+		}
+		s, err := g.store.Load(rank, res.ShrinkStep)
+		if err != nil {
+			return fmt.Errorf("harness: loading rank %d step %d: %w", rank, res.ShrinkStep, err)
+		}
+		s.Rank = len(survivors)
+		if err := rg.store.Dir.Save(s); err != nil {
+			return err
+		}
+		survivors = append(survivors, rank)
+		res.Finals = append(res.Finals, g.finals[rank])
+	}
+	if base := cfg.Train.NewCompressor; base != nil {
+		rg.cfg.Train.NewCompressor = func(cur int) (grace.Compressor, error) { return base(survivors[cur]) }
+	}
+	err = rg.launch("shrink reference", scenarioWatchdog, func(int) rankOpts {
+		return rankOpts{resume: true}
 	}, nil)
 	if err != nil {
 		return err
@@ -581,27 +587,6 @@ func runGrow(cfg RecoveryConfig, res *ScenarioResult) error {
 	res.Finals = g.finals
 	res.Pass = res.GrowStep > res.ShrinkStep
 	return nil
-}
-
-// loadSnapshots loads the step checkpoint of n ranks from root; orig maps a
-// launch rank to the original rank that owns the file, and the snapshot is
-// re-addressed to the launch rank. A snapshot taken before a shrink keeps its
-// pre-shrink Workers count: that is what makes the trainer take the elastic
-// resume transform (replay the epoch from its start under the new
-// partition), the same path the survivors took.
-func loadSnapshots(root string, n int, step int64, orig func(rank int) int) ([]*grace.Snapshot, error) {
-	out := make([]*grace.Snapshot, n)
-	for rank := range out {
-		d, err := ckpt.OpenDir(root, orig(rank))
-		if err != nil {
-			return nil, err
-		}
-		if out[rank], err = ckpt.Load(d.Path(step)); err != nil {
-			return nil, fmt.Errorf("harness: loading rank %d step %d: %w", orig(rank), step, err)
-		}
-		out[rank].Rank = rank
-	}
-	return out, nil
 }
 
 // snapshotsBitwiseEqual compares per-rank final params — and, in autotuning

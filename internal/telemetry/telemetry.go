@@ -393,21 +393,19 @@ func (t *T) Start() time.Time {
 }
 
 // Observe closes a span opened by Start: it records the elapsed time in the
-// phase's histogram, emits a Chrome trace event when a Tracer is attached
-// (pid = rank, tid = track, args.detail = detail), and returns the duration
-// (0 when the span was never opened). detail is typically the tensor name;
-// it labels trace events only — never metric series — so cardinality stays
-// bounded.
-func (t *T) Observe(p Phase, rank, tid int, detail string, start time.Time) time.Duration {
+// phase's histogram and emits a Chrome trace event when a Tracer is attached
+// (pid = rank, tid = track, args.detail = detail); a span never opened
+// records nothing. detail is typically the tensor name; it labels trace
+// events only — never metric series — so cardinality stays bounded.
+func (t *T) Observe(p Phase, rank, tid int, detail string, start time.Time) {
 	if t == nil || start.IsZero() || int(p) >= NumPhases {
-		return 0
+		return
 	}
 	d := time.Since(start)
 	t.phases[p].Record(d)
 	if tr := t.tracer.Load(); tr != nil {
 		tr.complete(p.String(), rank, tid, start, d, detail)
 	}
-	return d
 }
 
 // PhaseHistogram exposes one phase's latency histogram (read-only use).

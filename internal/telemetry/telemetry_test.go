@@ -67,9 +67,7 @@ func TestDisabledSpansAreNoops(t *testing.T) {
 	if !reg.Start().IsZero() {
 		t.Fatal("Start should return zero time while disabled")
 	}
-	if d := reg.Observe(PhaseCompress, 0, 0, "", time.Time{}); d != 0 {
-		t.Fatalf("Observe of zero start should return 0, got %v", d)
-	}
+	reg.Observe(PhaseCompress, 0, 0, "", time.Time{})
 	if reg.PhaseHistogram(PhaseCompress).Count() != 0 {
 		t.Fatal("disabled span must not record")
 	}
@@ -78,11 +76,9 @@ func TestDisabledSpansAreNoops(t *testing.T) {
 	if st.IsZero() {
 		t.Fatal("Start should return real time when enabled")
 	}
-	if reg.Observe(PhaseCompress, 0, 0, "t0", st) <= 0 {
-		t.Fatal("enabled Observe should return positive duration")
-	}
-	if reg.PhaseHistogram(PhaseCompress).Count() != 1 {
-		t.Fatal("enabled span must record")
+	reg.Observe(PhaseCompress, 0, 0, "t0", st)
+	if h := reg.PhaseHistogram(PhaseCompress); h.Count() != 1 || h.SumNs() <= 0 {
+		t.Fatal("enabled span must record a positive duration")
 	}
 }
 
