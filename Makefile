@@ -53,6 +53,7 @@ fuzz:
 	go test -run xxx -fuzz FuzzSplitFused -fuzztime $(FUZZTIME) ./internal/comm
 	go test -run xxx -fuzz FuzzRingHandshake -fuzztime $(FUZZTIME) ./internal/comm
 	go test -run xxx -fuzz FuzzElasticHandshake -fuzztime $(FUZZTIME) ./internal/comm
+	go test -run xxx -fuzz FuzzDecompressAll -fuzztime $(FUZZTIME) ./internal/compress/all
 	go test -run xxx -fuzz FuzzDecompress -fuzztime $(FUZZTIME) ./internal/compress/topk
 	go test -run xxx -fuzz FuzzDecompress -fuzztime $(FUZZTIME) ./internal/compress/randomk
 	go test -run xxx -fuzz FuzzDecompress -fuzztime $(FUZZTIME) ./internal/compress/qsgd

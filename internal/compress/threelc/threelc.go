@@ -121,16 +121,22 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 func (c *Compressor) Decompress(p *grace.Payload, info grace.TensorInfo) ([]float32, error) {
 	r := encode.NewReader(p.Bytes)
 	M := r.F32()
-	packedLen := int(r.Uvarint())
+	claimed := r.Uvarint()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("threelc: %w", r.Err())
+	}
+	// The encoder always packs ⌈d/5⌉ groups. Any other count is corrupt, and
+	// must not size the decode buffer or the last group's digit count.
+	d := info.Size()
+	packedLen := (d + base3PerByte - 1) / base3PerByte
+	if claimed != uint64(packedLen) {
+		return nil, fmt.Errorf("threelc: payload claims %d packed groups, want %d for %d elements", claimed, packedLen, d)
 	}
 	body := p.Bytes[len(p.Bytes)-r.Remaining():]
 	packed, err := encode.ZRLEDecompress(body, packedLen)
 	if err != nil {
 		return nil, fmt.Errorf("threelc: %w", err)
 	}
-	d := info.Size()
 	out := make([]float32, d)
 	for group := 0; group < packedLen; group++ {
 		v := packed[group]

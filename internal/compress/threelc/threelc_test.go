@@ -1,9 +1,11 @@
 package threelc
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"repro/internal/encode"
 	"repro/internal/fxrand"
 	"repro/internal/grace"
 )
@@ -92,6 +94,31 @@ func TestRejectsBadMultiplier(t *testing.T) {
 	}
 	if _, err := grace.New("threelc", grace.Options{Threshold: 0.5}); err == nil {
 		t.Fatal("expected error for s < 1")
+	}
+}
+
+// TestDecompressRejectsWrongGroupCount pins two payloads that crashed the
+// decoding process while the packed-group count came off the wire unchecked:
+// 34 bytes claiming 1.6·10¹² groups, which the ZRLE stage preallocated (a
+// fatal out-of-memory, not a panic a caller could recover), and a claim of
+// one group more than ⌈d/5⌉, whose last group had a negative digit count.
+func TestDecompressRejectsWrongGroupCount(t *testing.T) {
+	info := grace.NewTensorInfo("t", []int{37})
+	payload := func(groups uint64, body []byte) []byte {
+		w := encode.NewWriter(16 + len(body))
+		w.F32(1)
+		w.Uvarint(groups)
+		w.Raw(body)
+		return w.Bytes()
+	}
+	c, _ := grace.New("threelc", grace.Options{})
+	for name, p := range map[string][]byte{
+		"huge claim":         payload(1_600_000_000_000, bytes.Repeat([]byte{1}, 24)),
+		"one group too many": payload(9, bytes.Repeat([]byte{1}, 9)),
+	} {
+		if _, err := c.Decompress(&grace.Payload{Bytes: p}, info); err == nil {
+			t.Errorf("%s (%d bytes): decoded without error", name, len(p))
+		}
 	}
 }
 

@@ -150,6 +150,9 @@ func TestZRLECorruptLength(t *testing.T) {
 	if _, err := ZRLEDecompress(comp, 2); err == nil {
 		t.Fatal("expected error when decoded length mismatches")
 	}
+	if _, err := ZRLEDecompress(comp, -1); err == nil {
+		t.Fatal("expected error for a negative expected length")
+	}
 }
 
 // --- quantile sketch ---

@@ -31,8 +31,13 @@ func ZRLECompress(src []byte) []byte {
 }
 
 // ZRLEDecompress reverses ZRLECompress. n is the expected decoded length and
-// guards against corrupt input.
+// guards against corrupt input. It also sizes the output up front, so the
+// caller must bound it by what it knows without the input (a tensor's
+// size), never read it off the wire. A negative n is an error.
 func ZRLEDecompress(src []byte, n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("encode: ZRLE expected length %d is negative", n)
+	}
 	out := make([]byte, 0, n)
 	r := NewReader(src)
 	for r.Remaining() > 0 {

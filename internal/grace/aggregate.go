@@ -6,72 +6,49 @@ import (
 	"repro/internal/telemetry"
 )
 
-// decodeAggregate decompresses every rank's Allgather payload and writes the
-// aggregate into dst (len(dst) == info.Size(), contents ignored). The default
-// aggregation is the mean, accumulated in rank order so results are bitwise
-// identical on every worker; compressors with a custom Agg function
-// (caps.Aggregator) replace it. When the compressor supports DecompressInto,
-// the mean path runs allocation-free over scratch — the decoding lane's own
-// buffer, free because a lane finishes its compress loop before it decodes.
-// ts scopes the decode/aggregate telemetry spans to that lane.
-func decodeAggregate(c Compressor, caps Caps, all [][]byte, info TensorInfo, dst []float32, n float32, scratch []float32, ts telScope) error {
-	size := info.Size()
-	if caps.Aggregator != nil {
-		// Custom Agg function (Algorithm 1, line 13) needs every rank's
-		// decoded gradient at once.
-		span := ts.start()
-		decoded := make([][]float32, len(all))
-		for rank, b := range all {
-			dec, err := c.Decompress(&Payload{Bytes: b}, info)
-			if err != nil {
-				return fmt.Errorf("grace: %s decompress rank %d: %w", c.Name(), rank, err)
-			}
-			if len(dec) != size {
-				return fmt.Errorf("grace: %s decompressed %d elements, want %d", c.Name(), len(dec), size)
-			}
-			decoded[rank] = dec
-		}
-		ts.end(telemetry.PhaseDecode, info.Name, span)
-		span = ts.start()
-		agg := caps.Aggregator.Aggregate(decoded, info)
-		if len(agg) != size {
-			return fmt.Errorf("grace: %s aggregated %d elements, want %d", c.Name(), len(agg), size)
-		}
-		copy(dst, agg)
-		ts.end(telemetry.PhaseAggregate, info.Name, span)
-		return nil
+// decodeAggregate decodes every rank's Allgather payload with candidate c of
+// the lane and writes the aggregate into dst (len(dst) == info.Size(),
+// contents ignored). The default aggregation is the mean, accumulated in rank
+// order so results are bitwise identical on every worker, and decoded
+// through the lane's scratch — free because a lane finishes its compress loop
+// before it decodes. A codec with a custom Agg function (Caps.Aggregator,
+// Algorithm 1 line 13) replaces the mean and needs every rank's decoded
+// gradient at once, so each gets a slice of its own.
+func (ln *engineLane) decodeAggregate(c int, all [][]byte, info TensorInfo, dst []float32, n float32) error {
+	name, agg := ln.comps[c].Name(), ln.caps[c].Aggregator
+	var decoded [][]float32
+	into := ln.scratch
+	if agg != nil {
+		decoded, into = make([][]float32, len(all)), nil
 	}
-
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	for rank, b := range all {
-		var dec []float32
-		span := ts.start()
-		if caps.Into != nil {
-			dec = scratch[:size]
-			if err := caps.Into.DecompressInto(&Payload{Bytes: b}, info, dec); err != nil {
-				return fmt.Errorf("grace: %s decompress rank %d: %w", c.Name(), rank, err)
-			}
-		} else {
-			var err error
-			dec, err = c.Decompress(&Payload{Bytes: b}, info)
-			if err != nil {
-				return fmt.Errorf("grace: %s decompress rank %d: %w", c.Name(), rank, err)
-			}
-			if len(dec) != size {
-				return fmt.Errorf("grace: %s decompressed %d elements, want %d", c.Name(), len(dec), size)
-			}
+		span := ln.ts.start()
+		dec, err := ln.decode(c, &Payload{Bytes: b}, info, into)
+		if err != nil {
+			return fmt.Errorf("grace: %s decompress rank %d: %w", name, rank, err)
 		}
-		ts.end(telemetry.PhaseDecode, info.Name, span)
-		span = ts.start()
+		ln.ts.end(telemetry.PhaseDecode, info.Name, span)
+		if agg != nil {
+			decoded[rank] = dec
+			continue
+		}
+		span = ln.ts.start()
 		for i, v := range dec {
 			dst[i] += v
 		}
-		ts.end(telemetry.PhaseAggregate, info.Name, span)
+		ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 	}
-	span := ts.start()
-	scale(dst, 1/n)
-	ts.end(telemetry.PhaseAggregate, info.Name, span)
+	span := ln.ts.start()
+	if agg != nil {
+		out := agg.Aggregate(decoded, info)
+		if len(out) != len(dst) {
+			return fmt.Errorf("grace: %s aggregated %d elements, want %d", name, len(out), len(dst))
+		}
+		copy(dst, out)
+	} else {
+		scale(dst, 1/n)
+	}
+	ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 	return nil
 }

@@ -224,7 +224,8 @@ func runRawEngines(t *testing.T, infos []grace.TensorInfo, poison string, fallba
 			}
 			eng, err := grace.NewEngine(
 				grace.WithCollective(hub.Worker(rank)),
-				grace.WithCompressor(&rawComp{poison: p}),
+				grace.WithCompressorFactory(oneComp(&rawComp{poison: p})),
+				grace.WithParallelism(1),
 				grace.WithDecodeFallback(fallback),
 			)
 			if err != nil {
@@ -375,7 +376,8 @@ func TestEngineDrainsLanesAfterError(t *testing.T) {
 	infos := engineTestInfos(5)
 	hub := comm.NewHub(1)
 	armed := true
-	eng, err := grace.NewEngine(grace.WithCollective(hub.Worker(0)), grace.WithCompressor(&boomComp{armed: &armed, name: infos[1].Name}))
+	eng, err := grace.NewEngine(grace.WithCollective(hub.Worker(0)),
+		grace.WithCompressorFactory(oneComp(&boomComp{armed: &armed, name: infos[1].Name})), grace.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,54 +401,86 @@ func TestEngineDrainsLanesAfterError(t *testing.T) {
 	})
 }
 
-// lyingComp declares one strategy and hands the engine the other strategy's
-// payload form for one tensor: dense floats under Allgather, bytes under
-// Allreduce.
+// lyingComp lies about one tensor. By default it declares one strategy and
+// hands the engine the other strategy's payload form: dense floats under
+// Allgather, bytes under Allreduce. With short set it sends the honest form
+// and decodes one element short instead.
 type lyingComp struct {
 	rawComp
 	strategy grace.Strategy
 	liesOn   string
+	short    bool
 }
 
 func (c *lyingComp) Name() string             { return "liartest" }
 func (c *lyingComp) Strategy() grace.Strategy { return c.strategy }
 
 func (c *lyingComp) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
-	if (c.strategy == grace.Allreduce) == (info.Name == c.liesOn) {
-		return c.rawComp.Compress(g, info)
+	dense := c.strategy == grace.Allreduce
+	if info.Name == c.liesOn && !c.short {
+		dense = !dense
 	}
-	return &grace.Payload{Dense: g}, nil
+	if dense {
+		return &grace.Payload{Dense: g}, nil
+	}
+	return c.rawComp.Compress(g, info)
 }
 
 func (c *lyingComp) Decompress(p *grace.Payload, info grace.TensorInfo) ([]float32, error) {
-	if p.Dense != nil {
-		return append([]float32(nil), p.Dense...), nil
+	out := append([]float32(nil), p.Dense...)
+	if p.Dense == nil {
+		var err error
+		if out, err = c.rawComp.Decompress(p, info); err != nil {
+			return nil, err
+		}
 	}
-	return c.rawComp.Decompress(p, info)
+	if c.short && info.Name == c.liesOn {
+		out = out[:len(out)-1]
+	}
+	return out, nil
 }
 
 // TestEnginePayloadContradictsStrategy: a compressor whose payload is not the
 // form its declared strategy exchanges fails the step as a compress-phase
 // StepError pinning the tensor and naming the method — like every other
-// Engine failure — before anything reaches the collective.
+// Engine failure — before anything reaches the collective. So does one that
+// decodes short on either strategy, in the EF update's local decode (a
+// compress-phase error) or in the decode of the collective's result (a
+// decode-phase one), instead of indexing past the short vector or handing
+// it to the caller.
 func TestEnginePayloadContradictsStrategy(t *testing.T) {
 	infos := engineTestInfos(4)
-	for _, strategy := range []grace.Strategy{grace.Allreduce, grace.Allgather} {
-		for _, fusion := range []int{0, 1 << 20} {
-			eng, err := grace.NewEngine(
+	for _, tc := range []struct {
+		short  bool
+		ef     bool
+		fusion int
+		phase  string
+	}{
+		{false, false, 0, "compress"},
+		{false, false, 1 << 20, "compress"},
+		{true, false, 0, "decode"},
+		{true, true, 0, "compress"},
+	} {
+		for _, strategy := range []grace.Strategy{grace.Allreduce, grace.Allgather} {
+			opts := []grace.EngineOption{
 				grace.WithCollective(comm.NewHub(1).Worker(0)),
-				grace.WithCompressor(&lyingComp{strategy: strategy, liesOn: infos[2].Name}),
-				grace.WithFusionBytes(fusion))
+				grace.WithCompressorFactory(oneComp(&lyingComp{strategy: strategy, liesOn: infos[2].Name, short: tc.short})),
+				grace.WithParallelism(1),
+				grace.WithFusionBytes(tc.fusion)}
+			if tc.ef {
+				opts = append(opts, grace.WithEngineMemory(grace.NewMemory(1, 1)))
+			}
+			eng, err := grace.NewEngine(opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, _, err = eng.Step(engineTestGrads(0, 0, infos), infos)
 			var se *grace.StepError
-			if !errors.As(err, &se) || se.Phase != "compress" || se.Tensor != 2 || se.Name != infos[2].Name {
-				t.Fatalf("%v fusion=%d: step error %v, want a compress-phase StepError at tensor 2", strategy, fusion, err)
+			if !errors.As(err, &se) || se.Phase != tc.phase || se.Tensor != 2 || se.Name != infos[2].Name {
+				t.Fatalf("%v %+v: step error %v, want a %s-phase StepError at tensor 2", strategy, tc, err, tc.phase)
 			}
 			if !strings.Contains(err.Error(), "liartest") {
-				t.Fatalf("%v fusion=%d: step error %q does not name the method", strategy, fusion, err)
+				t.Fatalf("%v %+v: step error %q does not name the method", strategy, tc, err)
 			}
 		}
 	}

@@ -55,12 +55,7 @@ type EngineCodecState struct {
 // mode there is no single method; the policy signature stands in, so
 // checkpoints reject a resume under a differently configured policy through
 // the same config check that pins fixed methods.
-func (e *Engine) Method() string {
-	if e.tuner != nil {
-		return e.tuner.Sig()
-	}
-	return e.lanes[0].comps[0].Name()
-}
+func (e *Engine) Method() string { return e.methodLabel(-1) }
 
 // CodecState captures the merged compressor state across all codec lanes as
 // a deep copy. For per-tensor slots, only the lane that owns a tensor
@@ -85,9 +80,10 @@ func (e *Engine) CodecState() EngineCodecState {
 			out.LaneRNGs[l] = *st.RNG
 		}
 		for slot, byName := range st.Tensors {
-			for name, vec := range byName {
-				idx, known := e.nameIdx[name]
-				if !known || idx%p != l {
+			for i := l; i < len(e.slots); i += p {
+				name := e.slots[i].q.Name
+				vec, ok := byName[name]
+				if !ok {
 					continue
 				}
 				if out.Tensors == nil {

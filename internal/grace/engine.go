@@ -29,9 +29,9 @@ import (
 // and no Collective handle is ever used concurrently.
 //
 // Every buffer the exchange needs belongs to the Engine and persists across
-// steps (outputs, compensated gradients, gather-size slices, the per-bucket
-// allreduce buffers, each lane's decode scratch), so a steady-state Step
-// performs near-zero framework allocation.
+// steps (each tensor's slot, the per-bucket allreduce buffers, each lane's
+// decode scratch), so a steady-state Step performs near-zero framework
+// allocation.
 //
 // An Engine belongs to one worker; Step must not be called concurrently.
 // The returned gradients and report are valid until the next Step call.
@@ -51,38 +51,15 @@ type Engine struct {
 	// payloads become available; buffered to len(infos) so lanes never block.
 	ready chan int
 
-	// nameIdx maps tensor name → index for the current tensor set; the
-	// lane-ownership filter for CodecState (lane = index mod lane count).
-	nameIdx map[string]int
-
-	// Step-scoped state, reused across steps while tensor shapes are stable.
-	sizes   []int
-	out     [][]float32 // aggregated gradient per tensor
-	comp    [][]float32 // compensated gradient per tensor (mem != nil)
-	compVec [][]float32 // what went into the codec (comp[i] or the raw grad)
-	pays    []*Payload
-	views   [][][]byte  // allgather results awaiting decode: per tensor, every rank's payload
-	summed  [][]float32 // allreduce results awaiting decode: subslices of the bucket's bucketBuf entry
-	gsz     [][]int     // persistent GatherSizes backing store
-	have    []bool      // driver-side arrival tracking
-	failed  []bool      // recoverable per-tensor decode failures (DecodeFallback)
+	// slots holds one record per tensor of the current tensor set, reused
+	// across steps while tensor shapes are stable. out is what Step returns:
+	// each tensor's aggregated gradient, in input order. stepNum counts
+	// completed Steps (lockstep, so identical across ranks — the correlation
+	// key for xrank step events).
+	slots   []tensorSlot
+	out     [][]float32
 	rep     StepReport
-
-	// Cross-rank observability + per-tensor quality accounting. stepNum
-	// counts completed Steps (lockstep, so identical across ranks — the
-	// correlation key for xrank step events). fellback marks this step's
-	// union-recovered tensors; because it derives from recoverStep's union
-	// bitmask it is rank-identical and safe as a tuner observation. The q*
-	// slices accumulate per-tensor quality totals (local decode faults,
-	// union fallbacks, sent payload bytes, exchanged steps) for the lifetime
-	// of the current tensor set; QualityReport renders them.
-	stepNum    int64
-	fellback   []bool
-	qFaults    []int64
-	qFallbacks []int64
-	qSentBytes []int64
-	qSteps     []int64
-	qEFDrops   []int64 // EF residual sets lost to elastic shrinks (Rebind)
+	stepNum int64
 
 	// Exchange units. buckets is the step's bucket plan (contiguous tensor
 	// ranges, identical on every rank; one tensor each when fusion is off).
@@ -132,6 +109,60 @@ type engineLane struct {
 	ts telScope // this lane's telemetry scope
 }
 
+// decode is the Engine's one decompression call, for candidate c of the
+// lane: a codec with DecompressInto writes into dst[:info.Size()], or into a
+// fresh slice when dst is nil; any other codec returns its own slice from
+// Decompress. Either way the result must hold exactly info.Size() elements —
+// a codec that decodes short fails the tensor here instead of indexing past
+// the EF update's approximation or handing the optimizer a short gradient.
+func (ln *engineLane) decode(c int, pay *Payload, info TensorInfo, dst []float32) ([]float32, error) {
+	size := info.Size()
+	var out []float32
+	var err error
+	if into := ln.caps[c].Into; into != nil {
+		if dst == nil {
+			dst = make([]float32, size)
+		}
+		out = dst[:size]
+		err = into.DecompressInto(pay, info, out)
+	} else {
+		out, err = ln.comps[c].Decompress(pay, info)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != size {
+		return nil, fmt.Errorf("decompressed %d elements, want %d", len(out), size)
+	}
+	return out, nil
+}
+
+// tensorSlot is everything the Engine keeps for one tensor. Its lane writes
+// the codec side (vec, pay, failed), the comm driver the wire side (have,
+// summed, views) and the recovery round fellback; the driver hands a tensor
+// to its lane only after the tensor's collective completed, so no field is
+// written by two goroutines at once.
+type tensorSlot struct {
+	// q is the tensor's identity (Tensor, Name, Params) and its quality
+	// totals for the lifetime of the tensor set (Steps, SentBytes, Faults,
+	// Fallbacks, EFDrops); QualityReport fills in the derived fields.
+	q TensorQuality
+
+	comp  []float32 // compensated gradient (mem != nil)
+	views [][]byte  // allgather results awaiting decode: every rank's payload
+	gsz   []int     // GatherSizes backing store
+
+	// Step state, reset by ensure. fellback marks a union-recovered tensor:
+	// it derives from recoverStep's union bitmask, so it is rank-identical
+	// and safe as a tuner observation.
+	vec      []float32 // what went into the codec: comp or the raw gradient
+	pay      *Payload
+	summed   []float32 // allreduce result: a subslice of the bucket's buffer
+	have     bool      // payload ready (driver-side arrival tracking)
+	failed   bool      // recoverable decode failure (DecodeFallback)
+	fellback bool
+}
+
 // EngineConfig configures a per-worker Engine; the EngineOptions fill it in.
 type EngineConfig struct {
 	// Coll is this worker's collective handle. The Engine serializes every
@@ -140,15 +171,11 @@ type EngineConfig struct {
 	// New constructs one compressor instance per codec lane. Instances must
 	// be configured identically (same method, same options); per-tensor
 	// state stays consistent because tensors are pinned to lanes. Required
-	// unless Comp is set.
+	// unless Tuner is set.
 	New func() (Compressor, error)
-	// Comp is a pre-built compressor used as the single lane when New is
-	// nil; the engine still overlaps its codec work with communication.
-	Comp Compressor
 	// Mem is the optional framework error-feedback memory (Eq. 4).
 	Mem *Memory
-	// Parallelism bounds the codec lane count; 0 selects GOMAXPROCS. It is
-	// ignored (forced to 1) when New is nil.
+	// Parallelism bounds the codec lane count; 0 selects GOMAXPROCS.
 	Parallelism int
 	// DecodeFallback enables graceful degradation for decode failures: when a
 	// payload fails to decompress or aggregate (e.g. corrupted on the wire),
@@ -168,8 +195,8 @@ type EngineConfig struct {
 	// Tuner, when set, puts the engine in autotuning mode: every lane holds
 	// one compressor instance per Tuner candidate, each tensor's method is
 	// chosen per step by the policy, and the engine feeds rank-identical
-	// exchange observations back after every step (see Tuner). New/Comp are
-	// then ignored. Mutually exclusive with Fusion (a mixed-method step has
+	// exchange observations back after every step (see Tuner). New is then
+	// ignored. Mutually exclusive with Fusion (a mixed-method step has
 	// no single-strategy buckets to fuse); candidates must be codec-stateless
 	// and must not use the Custom strategy. Every worker must run an
 	// identically configured Tuner — the policy trajectory is part of the
@@ -312,11 +339,8 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 			c, err := cfg.New()
 			return []Compressor{c}, err
 		}
-	case cfg.Comp != nil:
-		p = 1
-		candidates = func() ([]Compressor, error) { return []Compressor{cfg.Comp}, nil }
 	default:
-		return nil, fmt.Errorf("grace: engine needs a compressor (Comp) or factory (New)")
+		return nil, fmt.Errorf("grace: engine needs a compressor factory (New) or a tuner")
 	}
 	for l := 0; l < p; l++ {
 		comps, err := candidates()
@@ -377,19 +401,18 @@ func (e *Engine) admit() error {
 	return nil
 }
 
-// compCaps resolves tensor i's compressor instance and capabilities on lane
-// ln: the lane's only instance in fixed-method mode; in autotuning mode the
-// instance of the tensor's assigned candidate, or the flush codec that
-// follows the candidates when the tensor runs the EF flush handoff.
-func (e *Engine) compCaps(ln *engineLane, i int) (Compressor, Caps) {
-	c := 0
-	if e.tuner != nil {
-		c = e.assign[i].Cand
-		if e.isFlush(i) {
-			c = len(e.cands)
-		}
+// cand is the position, in every lane's candidate list, of the codec tensor
+// i runs this step: the only one in fixed-method mode; in autotuning mode the
+// tensor's assigned candidate, or the flush codec that follows the candidates
+// when the tensor runs the EF flush handoff.
+func (e *Engine) cand(i int) int {
+	switch {
+	case e.tuner == nil:
+		return 0
+	case e.isFlush(i):
+		return len(e.cands)
 	}
-	return ln.comps[c], ln.caps[c]
+	return e.assign[i].Cand
 }
 
 // isFlush reports whether tensor i runs the EF flush handoff this step: the
@@ -450,17 +473,16 @@ func (e *Engine) Rebind(lost int) error {
 	for _, ln := range e.lanes {
 		ln.ts.rank = e.rank
 	}
-	for i := range e.gsz {
-		if len(e.gsz[i]) != n {
-			e.gsz[i] = make([]int, n)
-			e.views[i] = make([][]byte, n)
+	for i := range e.slots {
+		if s := &e.slots[i]; len(s.gsz) != n {
+			s.gsz, s.views = make([]int, n), make([][]byte, n)
 		}
 	}
 	if e.mem != nil && lost > 0 {
-		for i := range e.qEFDrops {
-			e.qEFDrops[i] += int64(lost)
+		for i := range e.slots {
+			e.slots[i].q.EFDrops += int64(lost)
 		}
-		telemetry.Default.Add(telemetry.CtrElasticEFDrops, int64(lost)*int64(len(e.qEFDrops)))
+		telemetry.Default.Add(telemetry.CtrElasticEFDrops, int64(lost)*int64(len(e.slots)))
 	}
 	if e.tuner != nil {
 		ws, ok := e.tuner.(WorldSizeSetter)
@@ -550,8 +572,8 @@ func (e *Engine) Step(grads [][]float32, infos []TensorInfo) ([][]float32, *Step
 driver:
 	for nb < len(e.buckets) {
 		i := <-e.ready
-		e.have[i] = true
-		for next < m && e.have[next] {
+		e.slots[i].have = true
+		for next < m && e.slots[next].have {
 			next++
 		}
 		for nb < len(e.buckets) && e.buckets[nb].Hi <= next {
@@ -586,9 +608,9 @@ driver:
 
 	e.stepNum++
 	for i := range e.rep.Tensors {
-		st := &e.rep.Tensors[i]
-		e.qSentBytes[i] += int64(st.SentBytes)
-		e.qSteps[i]++
+		st, q := &e.rep.Tensors[i], &e.slots[i].q
+		q.SentBytes += int64(st.SentBytes)
+		q.Steps++
 		e.rep.SentBytes += st.SentBytes
 		e.rep.RecvBytes += st.RecvBytes
 		e.rep.CodecTime += st.CodecTime
@@ -691,7 +713,7 @@ func (e *Engine) observeStep() {
 		o.Cand = e.assign[i].Cand
 		o.Flush = e.isFlush(i)
 		o.Strategy = st.Strategy
-		o.Fault = e.fellback[i]
+		o.Fault = e.slots[i].fellback
 		switch st.Strategy {
 		case Allgather:
 			var total int64
@@ -712,20 +734,20 @@ func (e *Engine) observeStep() {
 func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo) {
 	defer func() { e.ready <- i }()
 	t0 := time.Now()
-	st := &e.rep.Tensors[i]
-	cp, caps := e.compCaps(ln, i)
-	st.Strategy = caps.Strategy
+	s, st := &e.slots[i], &e.rep.Tensors[i]
+	c := e.cand(i)
+	cp, strategy := ln.comps[c], ln.caps[c].Strategy
+	st.Strategy = strategy
 
-	comp := g
+	s.vec = g
 	if e.mem != nil {
 		span := ln.ts.start()
-		comp = e.comp[i]
-		e.mem.compensateInto(comp, info.Name, g)
+		s.vec = s.comp
+		e.mem.compensateInto(s.vec, info.Name, g)
 		ln.ts.end(telemetry.PhaseCompensate, info.Name, span)
 	}
-	e.compVec[i] = comp
 
-	if caps.Strategy == Custom {
+	if strategy == Custom {
 		// The compressor drives communication itself; all codec happens
 		// inside CommunicateAggregate on the driver goroutine.
 		st.CodecTime = time.Since(t0)
@@ -733,7 +755,7 @@ func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo
 	}
 
 	span := ln.ts.start()
-	pay, err := cp.Compress(comp, info)
+	pay, err := cp.Compress(s.vec, info)
 	if err != nil {
 		e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "compress",
 			Err: fmt.Errorf("%s: %w", cp.Name(), err)})
@@ -744,16 +766,16 @@ func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo
 	// Bytes is an empty payload); a codec whose payload contradicts its
 	// declared strategy would desync the collective sequence.
 	switch {
-	case caps.Strategy == Allreduce && pay.Dense == nil:
+	case strategy == Allreduce && pay.Dense == nil:
 		err = fmt.Errorf("%s uses Allreduce but produced no dense payload", cp.Name())
-	case caps.Strategy == Allgather && pay.Bytes == nil && pay.Dense != nil:
+	case strategy == Allgather && pay.Bytes == nil && pay.Dense != nil:
 		err = fmt.Errorf("%s uses Allgather but produced a dense payload", cp.Name())
 	}
 	if err != nil {
 		e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "compress", Err: err})
 		return
 	}
-	e.pays[i] = pay
+	s.pay = pay
 	st.SentBytes = pay.WireBytes()
 
 	if e.mem != nil {
@@ -762,23 +784,13 @@ func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo
 		// compensate phase: the decompression here exists only to feed the
 		// residual update (Eq. 4).
 		span = ln.ts.start()
-		if caps.Into != nil {
-			scratch := ln.scratch[:info.Size()]
-			if err := caps.Into.DecompressInto(pay, info, scratch); err != nil {
-				e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "compress",
-					Err: fmt.Errorf("%s local decompress: %w", cp.Name(), err)})
-				return
-			}
-			e.mem.Update(info.Name, comp, scratch)
-		} else {
-			approx, err := cp.Decompress(pay, info)
-			if err != nil {
-				e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "compress",
-					Err: fmt.Errorf("%s local decompress: %w", cp.Name(), err)})
-				return
-			}
-			e.mem.Update(info.Name, comp, approx)
+		approx, err := ln.decode(c, pay, info, ln.scratch)
+		if err != nil {
+			e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "compress",
+				Err: fmt.Errorf("%s local decompress: %w", cp.Name(), err)})
+			return
 		}
+		e.mem.Update(info.Name, s.vec, approx)
 		ln.ts.end(telemetry.PhaseCompensate, info.Name, span)
 	}
 	st.CodecTime = time.Since(t0)
@@ -835,12 +847,12 @@ func (e *Engine) exchangeAllreduce(bi int, b Bucket, infos []TensorInfo) error {
 	span := e.drv.start()
 	total := 0
 	for i := b.Lo; i < b.Hi; i++ {
-		total += len(e.pays[i].Dense)
+		total += len(e.slots[i].pay.Dense)
 	}
 	buf := sized(&e.bucketBuf[bi], total)
 	off := 0
 	for i := b.Lo; i < b.Hi; i++ {
-		off += copy(buf[off:], e.pays[i].Dense)
+		off += copy(buf[off:], e.slots[i].pay.Dense)
 	}
 	e.drv.end(stagePhase(b), name, span)
 
@@ -852,8 +864,8 @@ func (e *Engine) exchangeAllreduce(bi int, b Bucket, infos []TensorInfo) error {
 
 	off = 0
 	for i := b.Lo; i < b.Hi; i++ {
-		n := len(e.pays[i].Dense)
-		e.summed[i] = buf[off : off+n : off+n]
+		n := len(e.slots[i].pay.Dense)
+		e.slots[i].summed = buf[off : off+n : off+n]
 		e.rep.Tensors[i].RecvBytes = n * 4
 		off += n
 		e.lanes[i%len(e.lanes)].dec <- i
@@ -872,7 +884,7 @@ func (e *Engine) exchangeAllgather(b Bucket, infos []TensorInfo) error {
 	span := e.drv.start()
 	parts := e.parts[:0]
 	for i := b.Lo; i < b.Hi; i++ {
-		parts = append(parts, e.pays[i].Bytes)
+		parts = append(parts, e.slots[i].pay.Bytes)
 	}
 	e.parts = parts
 	// The frame is never a reused buffer: on the in-process hub peers read
@@ -904,14 +916,14 @@ func (e *Engine) exchangeAllgather(b Bucket, infos []TensorInfo) error {
 			return e.err()
 		}
 		for k, p := range parts {
-			e.views[b.Lo+k][r] = p
+			e.slots[b.Lo+k].views[r] = p
 		}
 	}
 	e.drv.end(stage, name, span)
 
 	for i := b.Lo; i < b.Hi; i++ {
 		st := &e.rep.Tensors[i]
-		for r, p := range e.views[i] {
+		for r, p := range e.slots[i].views {
 			if r != e.rank {
 				st.RecvBytes += len(p)
 			}
@@ -925,13 +937,13 @@ func (e *Engine) exchangeAllgather(b Bucket, infos []TensorInfo) error {
 // communication itself (never fused, never autotuned); all of its codec work
 // happens inside CommunicateAggregate on the driver goroutine.
 func (e *Engine) exchangeCustom(i int, info TensorInfo) error {
-	cp, caps := e.compCaps(e.lanes[i%len(e.lanes)], i)
+	ln, vec := e.lanes[i%len(e.lanes)], e.slots[i].vec
 	st := &e.rep.Tensors[i]
 	span := e.drv.start()
-	agg, sent, err := caps.Custom.CommunicateAggregate(e.compVec[i], info, e.coll)
+	agg, sent, err := ln.caps[0].Custom.CommunicateAggregate(vec, info, e.coll)
 	if err != nil {
 		return &StepError{Tensor: i, Name: info.Name, Phase: "custom",
-			Err: fmt.Errorf("%s: %w", cp.Name(), err)}
+			Err: fmt.Errorf("%s: %w", ln.comps[0].Name(), err)}
 	}
 	e.drv.end(telemetry.PhaseCollective, info.Name, span)
 	st.SentBytes = sent
@@ -941,7 +953,7 @@ func (e *Engine) exchangeCustom(i int, info TensorInfo) error {
 	if e.mem != nil {
 		t := time.Now()
 		span = e.drv.start()
-		e.mem.Update(info.Name, e.compVec[i], agg)
+		e.mem.Update(info.Name, vec, agg)
 		e.drv.end(telemetry.PhaseCompensate, info.Name, span)
 		st.CodecTime += time.Since(t)
 	}
@@ -967,38 +979,28 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 		return
 	}
 	t0 := time.Now()
-	st := &e.rep.Tensors[i]
-	cp, caps := e.compCaps(ln, i)
-	switch caps.Strategy {
+	s, st := &e.slots[i], &e.rep.Tensors[i]
+	c := e.cand(i)
+	switch ln.caps[c].Strategy {
 	case Allreduce:
-		summed := e.summed[i]
 		span := ln.ts.start()
-		if caps.Into != nil {
-			if err := caps.Into.DecompressInto(&Payload{Dense: summed}, info, e.out[i]); err != nil {
-				e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", cp.Name(), err))
-				return
-			}
-		} else {
-			agg, err := cp.Decompress(&Payload{Dense: summed}, info)
-			if err != nil {
-				e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", cp.Name(), err))
-				return
-			}
-			e.out[i] = agg
+		agg, err := ln.decode(c, &Payload{Dense: s.summed}, info, e.out[i])
+		if err != nil {
+			e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", ln.comps[c].Name(), err))
+			return
 		}
+		e.out[i] = agg
 		ln.ts.end(telemetry.PhaseDecode, info.Name, span)
 		span = ln.ts.start()
-		scale(e.out[i], 1/e.n)
+		scale(agg, 1/e.n)
 		ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 
 	case Allgather:
-		all := e.views[i]
-		sizes := e.gsz[i]
-		for rank, b := range all {
-			sizes[rank] = len(b)
+		for rank, b := range s.views {
+			s.gsz[rank] = len(b)
 		}
-		st.GatherSizes = sizes
-		if err := decodeAggregate(cp, caps, all, info, e.out[i], e.n, ln.scratch, ln.ts); err != nil {
+		st.GatherSizes = s.gsz
+		if err := ln.decodeAggregate(c, s.views, info, e.out[i], e.n); err != nil {
 			e.failTensor(i, info, err)
 			return
 		}
@@ -1014,8 +1016,8 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 // again after wg.Wait, so plain writes are race-free.
 func (e *Engine) failTensor(i int, info TensorInfo, err error) {
 	if e.fallback {
-		e.failed[i] = true
-		e.qFaults[i]++
+		e.slots[i].failed = true
+		e.slots[i].q.Faults++
 		return
 	}
 	e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "decode", Err: err})
@@ -1033,8 +1035,8 @@ func (e *Engine) recoverStep(infos []TensorInfo) error {
 	span := e.drv.start()
 	m := len(infos)
 	mask := make([]byte, (m+7)/8)
-	for i, bad := range e.failed {
-		if bad {
+	for i := range e.slots {
+		if e.slots[i].failed {
 			mask[i/8] |= 1 << (i % 8)
 			e.rep.Faults++
 		}
@@ -1059,20 +1061,21 @@ func (e *Engine) recoverStep(infos []TensorInfo) error {
 		if union[i/8]&(1<<(i%8)) == 0 {
 			continue
 		}
-		if e.out[i] == nil || e.compVec[i] == nil {
+		s := &e.slots[i]
+		if e.out[i] == nil || s.vec == nil {
 			// Custom-strategy tensors own their aggregation and never mark
 			// failures; a peer claiming one is a protocol violation.
 			return &StepError{Tensor: i, Name: infos[i].Name, Phase: "recovery",
 				Err: fmt.Errorf("tensor is not recoverable")}
 		}
-		copy(e.out[i], e.compVec[i])
+		copy(e.out[i], s.vec)
 		if err := e.coll.AllreduceF32(e.out[i]); err != nil {
 			return &StepError{Tensor: i, Name: infos[i].Name, Phase: "recovery", Err: err}
 		}
 		scale(e.out[i], 1/e.n)
 		e.rep.Fallbacks++
-		e.fellback[i] = true
-		e.qFallbacks[i]++
+		s.fellback = true
+		s.q.Fallbacks++
 		e.rep.Tensors[i].SentBytes += len(e.out[i]) * 4
 		e.rep.Tensors[i].RecvBytes += len(e.out[i]) * 4
 	}
@@ -1080,60 +1083,40 @@ func (e *Engine) recoverStep(infos []TensorInfo) error {
 	return nil
 }
 
-// ensure sizes the engine's step-scoped state for the given tensor set,
-// reusing everything when shapes are unchanged from the previous step.
+// ensure sizes the engine's state for the given tensor set in one pass —
+// reusing everything while shapes are unchanged from the previous step — and
+// resets the per-step state.
 func (e *Engine) ensure(infos []TensorInfo) error {
 	m := len(infos)
-	same := len(e.sizes) == m
-	if same {
-		for i := range infos {
-			if e.sizes[i] != infos[i].Size() {
-				same = false
-				break
-			}
-		}
+	same := len(e.slots) == m
+	for i := 0; same && i < m; i++ {
+		same = e.slots[i].q.Params == infos[i].Size()
 	}
 	if !same {
-		p := len(e.lanes)
+		p, n := len(e.lanes), e.coll.Size()
 		// Fusion plans on the engine-wide strategy. A tuning engine has none,
 		// but it never fuses (admit), so planBuckets yields buckets of one and
 		// the value is inert; its candidates are never Custom either.
 		strategy := e.lanes[0].caps[0].Strategy
 		e.buckets = planBuckets(infos, e.fusion, strategy)
 		e.bucketBuf = make([][]float32, len(e.buckets))
-		e.sizes = make([]int, m)
+		e.slots = make([]tensorSlot, m)
 		e.out = make([][]float32, m)
-		e.comp = make([][]float32, m)
-		e.compVec = make([][]float32, m)
-		e.pays = make([]*Payload, m)
-		e.views = make([][][]byte, m)
-		e.summed = make([][]float32, m)
-		e.gsz = make([][]int, m)
-		e.have = make([]bool, m)
-		e.failed = make([]bool, m)
-		e.fellback = make([]bool, m)
-		e.qFaults = make([]int64, m)
-		e.qFallbacks = make([]int64, m)
-		e.qSentBytes = make([]int64, m)
-		e.qSteps = make([]int64, m)
-		e.qEFDrops = make([]int64, m)
 		e.rep.Tensors = make([]StepStats, m)
-		e.nameIdx = make(map[string]int, m)
 		laneMax := make([]int, p)
 		for i, info := range infos {
 			size := info.Size()
-			e.sizes[i] = size
-			e.nameIdx[info.Name] = i
+			s := &e.slots[i]
+			s.q = TensorQuality{Tensor: i, Name: info.Name, Params: size}
+			s.views, s.gsz = make([][]byte, n), make([]int, n)
 			if strategy != Custom {
 				// Custom-strategy compressors return their own aggregate
 				// slice; everything else aggregates into a persistent buffer.
 				e.out[i] = make([]float32, size)
 			}
 			if e.mem != nil {
-				e.comp[i] = make([]float32, size)
+				s.comp = make([]float32, size)
 			}
-			e.gsz[i] = make([]int, e.coll.Size())
-			e.views[i] = make([][]byte, e.coll.Size())
 			if size > laneMax[i%p] {
 				laneMax[i%p] = size
 			}
@@ -1167,31 +1150,13 @@ func (e *Engine) ensure(infos []TensorInfo) error {
 		}
 	}
 
-	// Per-step reset.
 	e.firstErr = nil
-	e.rep.SentBytes = 0
-	e.rep.RecvBytes = 0
-	e.rep.CodecTime = 0
-	e.rep.WallTime = 0
-	e.rep.ByStrategy = [3]StrategyStats{}
-	e.rep.Faults = 0
-	e.rep.Fallbacks = 0
-	e.rep.Rounds = 0
-	e.rep.FusedBuckets = 0
-	e.rep.FusedTensors = 0
-	e.rep.FusedBytes = 0
-	e.rep.FusionOverheadBytes = 0
-	e.rep.Buckets = e.buckets
-	e.rep.Switches = 0
-	e.rep.Flushes = 0
-	for i := 0; i < m; i++ {
+	e.rep = StepReport{Tensors: e.rep.Tensors, Buckets: e.buckets, PolicyByTensor: e.rep.PolicyByTensor}
+	for i := range e.slots {
+		s := &e.slots[i]
+		s.vec, s.pay, s.summed = nil, nil, nil
+		s.have, s.failed, s.fellback = false, false, false
 		e.rep.Tensors[i] = StepStats{}
-		e.have[i] = false
-		e.failed[i] = false
-		e.fellback[i] = false
-		e.pays[i] = nil
-		e.compVec[i] = nil
-		e.summed[i] = nil
 	}
 	return nil
 }

@@ -85,6 +85,34 @@ func TestEngineDenseStepAllocCeiling(t *testing.T) {
 	t.Logf("dense Engine.Step: %.0f allocs per step across both ranks", perStep)
 }
 
+// TestEngineQuantizerStepAllocCeiling pins the decode arm of the 19 codecs
+// without DecompressInto, which no benchmark workload runs: each decode
+// (the EF local approximation, then every rank's payload) allocates its
+// output, so the count scales with tensors x (ranks + 1). Each ceiling is the
+// measured count (162, 102) plus under 2 %.
+func TestEngineQuantizerStepAllocCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		method  string
+		ceiling float64
+	}{
+		{"qsgd", 165},
+		{"eightbit", 104},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			perStep, _ := stepAllocs(t, engineTestInfos(6), func() []grace.EngineOption {
+				return []grace.EngineOption{
+					grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New(tc.method) }),
+					grace.WithEngineMemory(grace.NewMemory(1, 1))}
+			})
+			if perStep > tc.ceiling {
+				t.Fatalf("%s + EF Engine.Step allocates %.0f objects per step across both ranks, ceiling %.0f",
+					tc.method, perStep, tc.ceiling)
+			}
+			t.Logf("%s + EF Engine.Step: %.0f allocs per step across both ranks", tc.method, perStep)
+		})
+	}
+}
+
 // manySmallInfos is the benchmark's exchange_tcp_manysmall layer set: 49
 // tensors, nearly all small (norm scales, biases, tiny projections) plus a
 // couple of mid-sized kernels, mirroring how transformer-style parameter lists

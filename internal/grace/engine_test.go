@@ -304,10 +304,11 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := grace.NewEngine(grace.WithCollective(coll)); err == nil {
 		t.Fatal("engine without compressor should be rejected")
 	}
-	if _, err := grace.NewEngine(grace.WithCompressor(badCustom{})); err == nil {
+	if _, err := grace.NewEngine(grace.WithCompressorFactory(oneComp(badCustom{})), grace.WithParallelism(1)); err == nil {
 		t.Fatal("engine without collective should be rejected")
 	}
-	if _, err := grace.NewEngine(grace.WithCollective(coll), grace.WithCompressor(badCustom{})); err == nil {
+	if _, err := grace.NewEngine(grace.WithCollective(coll),
+		grace.WithCompressorFactory(oneComp(badCustom{})), grace.WithParallelism(1)); err == nil {
 		t.Fatal("Custom strategy without CustomComm should be rejected")
 	}
 	flip := 0
@@ -326,7 +327,8 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Fatal("lanes with disagreeing methods should be rejected")
 	}
 
-	eng, err := grace.NewEngine(grace.WithCollective(coll), grace.WithCompressor(mustComp(t, "topk")))
+	eng, err := grace.NewEngine(grace.WithCollective(coll),
+		grace.WithCompressorFactory(oneComp(mustComp(t, "topk"))), grace.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +350,16 @@ func mustComp(t *testing.T, name string, opts ...grace.Option) grace.Compressor 
 	return c
 }
 
+// oneComp is a compressor factory that hands out one pre-built instance; pair
+// it with WithParallelism(1), so that a single lane owns the instance.
+func oneComp(c grace.Compressor) func() (grace.Compressor, error) {
+	return func() (grace.Compressor, error) { return c, nil }
+}
+
 // TestEngineEmptyStep: a zero-tensor step is a no-op, not a hang.
 func TestEngineEmptyStep(t *testing.T) {
-	eng, err := grace.NewEngine(grace.WithCollective(comm.Serial{}), grace.WithCompressor(mustComp(t, "none")))
+	eng, err := grace.NewEngine(grace.WithCollective(comm.Serial{}),
+		grace.WithCompressorFactory(oneComp(mustComp(t, "none"))), grace.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,6 @@ func WithCompressorFactory(f func() (Compressor, error)) EngineOption {
 	return engineOptionFunc(func(c *EngineConfig) { c.New = f })
 }
 
-// WithCompressor sets a single pre-built compressor (see EngineConfig.Comp).
-func WithCompressor(comp Compressor) EngineOption {
-	return engineOptionFunc(func(c *EngineConfig) { c.Comp = comp })
-}
-
 // WithEngineMemory attaches the framework error-feedback memory (Eq. 4).
 func WithEngineMemory(m *Memory) EngineOption {
 	return engineOptionFunc(func(c *EngineConfig) { c.Mem = m })

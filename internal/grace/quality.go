@@ -49,47 +49,37 @@ type TensorQuality struct {
 // for cadence/END-of-run consumption (artifacts, gracestat), not the per-step
 // hot path. Must not be called concurrently with Step.
 func (e *Engine) QualityReport() []TensorQuality {
-	m := len(e.sizes)
-	if m == 0 {
+	if len(e.slots) == 0 {
 		return nil
 	}
-	names := make([]string, m)
-	for name, i := range e.nameIdx {
-		names[i] = name
-	}
-	rows := make([]TensorQuality, m)
-	for i := 0; i < m; i++ {
-		q := &rows[i]
-		q.Tensor = i
-		q.Name = names[i]
+	rows := make([]TensorQuality, len(e.slots))
+	for i := range e.slots {
+		q := e.slots[i].q
 		q.Method = e.methodLabel(i)
-		q.Params = e.sizes[i]
-		q.Steps = e.qSteps[i]
-		q.SentBytes = e.qSentBytes[i]
 		if denom := float64(q.Params) * float64(q.Steps); denom > 0 {
 			q.BitsPerParam = float64(q.SentBytes) * 8 / denom
 		}
 		if e.mem != nil {
 			q.ResidualL2 = e.mem.Norm2(q.Name)
 		}
-		q.Faults = e.qFaults[i]
-		q.Fallbacks = e.qFallbacks[i]
-		q.EFDrops = e.qEFDrops[i]
+		rows[i] = q
 	}
 	return rows
 }
 
-// methodLabel names tensor i's active compression method: the tuner's
-// current candidate label in autotuning mode, the fixed compressor's name
-// otherwise.
+// methodLabel names the compression method: the fixed compressor's name, or
+// in autotuning mode tensor i's current candidate label — and for i < 0 the
+// policy signature, which stands in for the engine's one method (Method).
 func (e *Engine) methodLabel(i int) string {
-	if e.tuner != nil {
-		if i < len(e.rep.PolicyByTensor) && e.rep.PolicyByTensor[i] != "" {
-			return e.rep.PolicyByTensor[i]
-		}
-		return "?"
+	switch {
+	case e.tuner == nil:
+		return e.lanes[0].comps[0].Name()
+	case i < 0:
+		return e.tuner.Sig()
+	case i < len(e.rep.PolicyByTensor) && e.rep.PolicyByTensor[i] != "":
+		return e.rep.PolicyByTensor[i]
 	}
-	return e.lanes[0].comps[0].Name()
+	return "?"
 }
 
 // SortQualityByDensity orders rows densest-wire-first (highest achieved

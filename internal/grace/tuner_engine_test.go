@@ -431,7 +431,8 @@ func TestTunedEngineValidation(t *testing.T) {
 // the policy signature so checkpoint validation pins the whole configuration.
 func TestTunedEngineStatePresence(t *testing.T) {
 	coll := comm.Serial{}
-	fixed, err := grace.NewEngine(grace.WithCollective(coll), grace.WithCompressor(mustComp(t, "none")))
+	fixed, err := grace.NewEngine(grace.WithCollective(coll),
+		grace.WithCompressorFactory(oneComp(mustComp(t, "none"))), grace.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
