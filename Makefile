@@ -1,11 +1,14 @@
-# Tier-1 gate: everything must compile, vet clean, and pass the full test
-# suite under the race detector (the Engine and collective tests rely on it).
+# Tier-1 gate: everything must compile, vet and gofmt clean, and pass the
+# full test suite under the race detector (the Engine and collective tests
+# rely on it).
 .PHONY: check build test vet race bench bench-module fuzz cover loc sweep
 
 check: vet build race
 
 vet:
 	go vet ./...
+	@unformatted=$$(find . -name '*.go' ! -path './.bench_build/*' -print0 | xargs -0 gofmt -l); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	go build ./...

@@ -49,16 +49,16 @@ var fatalSentinels = []error{
 
 // transientSentinels are causes a bounded retry is allowed to absorb.
 var transientSentinels = []error{
-	ErrInjected,               // chaos drops/resets are transient by design
-	ErrAborted,                // group poison: cleared by a reform rendezvous
-	context.DeadlineExceeded,  // per-op deadline (comm.WithTimeout)
-	io.EOF,                    // peer closed mid-frame
-	io.ErrUnexpectedEOF,       // truncated frame
-	net.ErrClosed,             // connection torn down under the op
-	syscall.ECONNRESET,        // TCP RST
-	syscall.ECONNREFUSED,      // peer not listening (yet)
-	syscall.EPIPE,             // write to a closed connection
-	syscall.ECONNABORTED,      // accept-queue teardown
+	ErrInjected,              // chaos drops/resets are transient by design
+	ErrAborted,               // group poison: cleared by a reform rendezvous
+	context.DeadlineExceeded, // per-op deadline (comm.WithTimeout)
+	io.EOF,                   // peer closed mid-frame
+	io.ErrUnexpectedEOF,      // truncated frame
+	net.ErrClosed,            // connection torn down under the op
+	syscall.ECONNRESET,       // TCP RST
+	syscall.ECONNREFUSED,     // peer not listening (yet)
+	syscall.EPIPE,            // write to a closed connection
+	syscall.ECONNABORTED,     // accept-queue teardown
 }
 
 // Classify maps a communication failure onto the retry taxonomy. Fatal

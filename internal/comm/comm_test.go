@@ -265,6 +265,30 @@ func TestTCPRingAllreduceMatchesSerialSum(t *testing.T) {
 		}
 		return nil
 	})
+	// Two ranks: each element is one float32 addition, so the ring must equal
+	// the serial sum bit for bit. The lengths give empty chunks, one-float
+	// chunks, and chunks twice the 64 KiB staging buffer; the odd-length
+	// allgather before each allreduce leaves the float bodies at an odd offset
+	// in the read buffer.
+	runTCPGroup(t, 2, func(w Collective) error {
+		for iter, n := range []int{0, 1, 3, 1<<16 + 3} {
+			all, err := w.AllgatherBytes(make([]byte, 2*iter+1))
+			if err != nil {
+				return err
+			}
+			if len(all[1-w.Rank()]) != 2*iter+1 {
+				return fmt.Errorf("allgather before %d floats: %d bytes from the peer", n, len(all[1-w.Rank()]))
+			}
+			x := denseInput(w.Rank(), iter, n)
+			if err := w.AllreduceF32(x); err != nil {
+				return err
+			}
+			if !bitsEqual(x, serialSum(2, iter, n)) {
+				return fmt.Errorf("%d floats: ring sum differs from the serial sum", n)
+			}
+		}
+		return nil
+	})
 }
 
 func TestTCPRingAllgather(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 // ContextCollective, so the dispatch helpers must take their fallback path.
 type bareColl struct{ inner Collective }
 
-func (b *bareColl) Rank() int                          { return b.inner.Rank() }
-func (b *bareColl) Size() int                          { return b.inner.Size() }
-func (b *bareColl) AllreduceF32(x []float32) error     { return b.inner.AllreduceF32(x) }
+func (b *bareColl) Rank() int                      { return b.inner.Rank() }
+func (b *bareColl) Size() int                      { return b.inner.Size() }
+func (b *bareColl) AllreduceF32(x []float32) error { return b.inner.AllreduceF32(x) }
 func (b *bareColl) AllgatherBytes(p []byte) ([][]byte, error) {
 	return b.inner.AllgatherBytes(p)
 }

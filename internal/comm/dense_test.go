@@ -253,13 +253,19 @@ func leFloats(vs ...float32) []byte {
 }
 
 // TestReadF32Frame: the float-frame reader adds or stores exactly the
-// announced chunk, across read-buffer refills, and rejects a frame whose
-// header disagrees with the chunk before touching its body.
+// announced chunk, across read-buffer refills and staging pieces, from any
+// byte offset in the read buffer, and rejects a frame whose header disagrees
+// with the chunk before touching its body. A body cut short is taken up to
+// the end of the stream: after any frame error the connection is dead.
 func TestReadF32Frame(t *testing.T) {
 	big := make([]float32, 5000) // 20 kB through a 4 kB read buffer
 	for i := range big {
 		big[i] = float32(i) * 0.5
 	}
+	// An odd-length byte frame first leaves the float body at an offset of 7
+	// in the read buffer: the reader must never view those bytes as floats.
+	odd := appendFrame(nil, []byte{1, 2, 3})
+	misaligned := append(append([]byte(nil), odd...), f32Frame(20000, leFloats(big...))...)
 	for _, tc := range []struct {
 		name     string
 		stream   []byte
@@ -273,16 +279,29 @@ func TestReadF32Frame(t *testing.T) {
 		{name: "add", stream: f32Frame(8, leFloats(1, 2)), dst: []float32{10, 20}, add: true, want: []float32{11, 22}, consumed: 12},
 		{name: "empty chunk", stream: f32Frame(0, nil), dst: nil, want: nil, consumed: 4},
 		{name: "multi-buffer", stream: f32Frame(20000, leFloats(big...)), dst: make([]float32, 5000), want: big, consumed: 20004},
+		{name: "multi-buffer add", stream: f32Frame(20000, leFloats(big...)), dst: make([]float32, 5000), add: true, want: big, consumed: 20004},
+		{name: "misaligned store", stream: misaligned, dst: make([]float32, 5000), want: big, consumed: 20011},
+		{name: "misaligned add", stream: misaligned, dst: make([]float32, 5000), add: true, want: big, consumed: 20011},
 		{name: "short header", stream: []byte{8, 0}, dst: []float32{0, 0}, wantErr: io.EOF, consumed: 0},
 		{name: "length mismatch", stream: f32Frame(12, leFloats(1, 2, 3)), dst: []float32{0, 0}, wantErr: ErrCorrupt, consumed: 4},
 		{name: "oversized", stream: f32Frame(1<<31, nil), dst: []float32{0, 0}, wantErr: ErrFrameTooLarge, consumed: 4},
-		{name: "truncated body", stream: f32Frame(8, leFloats(1)[:3]), dst: []float32{0, 0}, wantErr: io.ErrUnexpectedEOF, consumed: 4},
-		{name: "truncated mid-float", stream: f32Frame(8, append(leFloats(1), 9, 9)), dst: []float32{0, 0}, wantErr: io.ErrUnexpectedEOF, consumed: 8},
+		{name: "truncated body", stream: f32Frame(8, leFloats(1)[:3]), dst: []float32{0, 0}, wantErr: io.ErrUnexpectedEOF, consumed: 7},
+		{name: "truncated mid-float", stream: f32Frame(8, append(leFloats(1), 9, 9)), dst: []float32{0, 0}, wantErr: io.ErrUnexpectedEOF, consumed: 10},
+		{name: "truncated add", stream: f32Frame(8, leFloats(1)), dst: []float32{0, 0}, add: true, wantErr: io.ErrUnexpectedEOF, consumed: 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := bytes.NewReader(tc.stream)
 			r := bufio.NewReaderSize(src, 4096)
-			err := readF32Frame(r, 1<<20, tc.dst, tc.add)
+			if bytes.HasPrefix(tc.stream, odd) {
+				if b, err := readFrame(r, 1<<20); err != nil || len(b) != 3 {
+					t.Fatalf("leading byte frame: %v, %v", b, err)
+				}
+			}
+			var stage []float32
+			if tc.add {
+				stage = make([]float32, 1000) // 5 pieces for the big chunk
+			}
+			err := readF32Frame(r, 1<<20, tc.dst, stage)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}

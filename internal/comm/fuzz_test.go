@@ -3,7 +3,10 @@ package comm
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"testing"
 )
 
@@ -11,8 +14,11 @@ import (
 // it must either return a frame within the configured bound or a clean
 // error — never panic, and never allocate a body larger than maxFrame from a
 // hostile length prefix. The float-frame reader sees the same streams as a
-// 3-float chunk: it must take the header plus exactly 12 body bytes, or
-// reject a header of any other length without touching the body.
+// 3-float and a 5-float chunk (longer than the 16-byte read buffer), in both
+// the store and the add phase: it must take the header plus exactly the
+// chunk's body bytes, or reject a header of any other length without touching
+// the body, and the floats it accepts must be the ones the per-float
+// little-endian decode loop yields.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, []byte("hello")))
@@ -22,20 +28,43 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(hostileFrame(1<<32 - 1))
 	f.Add(hostileFrame(1 << 20))
 	f.Add([]byte{0xFF, 0xFF})
+	f.Add(appendFrame(nil, leFloats(0.5, -2, 7e-45, 1e38, -3)))
+	f.Add(appendFrame(nil, leFloats(1, 2, 3, 4, 5))[:17])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxFrame = 1 << 16
-		src := bytes.NewReader(data)
-		fr := bufio.NewReaderSize(src, 16)
-		chunk := make([]float32, 3)
-		err := readF32Frame(fr, maxFrame, chunk, true)
-		taken := len(data) - src.Len() - fr.Buffered()
-		switch {
-		case err == nil && taken != 16:
-			t.Fatalf("3-float frame accepted after %d bytes, want 16", taken)
-		case (errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFrameTooLarge)) && taken != 4:
-			t.Fatalf("mis-sized frame rejected after %d bytes, want the 4-byte header only (%v)", taken, err)
-		case taken > 16:
-			t.Fatalf("float reader took %d bytes for a 12-byte chunk (%v)", taken, err)
+		for _, n := range []int{3, 5} {
+			for _, add := range []bool{false, true} {
+				src := bytes.NewReader(data)
+				fr := bufio.NewReaderSize(src, 16)
+				chunk := []float32{0.25, -1, 3e38, 0, -7}[:n]
+				var stage []float32
+				if add {
+					stage = make([]float32, 2) // several pieces per chunk
+				}
+				err := readF32Frame(fr, maxFrame, chunk, stage)
+				taken := len(data) - src.Len() - fr.Buffered()
+				want := 4 + 4*n
+				switch {
+				case err == nil && taken != want:
+					t.Fatalf("%d-float frame accepted after %d bytes, want %d", n, taken, want)
+				case (errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFrameTooLarge)) && taken != 4:
+					t.Fatalf("mis-sized frame rejected after %d bytes, want the 4-byte header only (%v)", taken, err)
+				case taken > want:
+					t.Fatalf("float reader took %d bytes for a %d-byte chunk (%v)", taken, 4*n, err)
+				}
+				oracle := []float32{0.25, -1, 3e38, 0, -7}[:n]
+				oerr := decodeF32FrameLoop(bufio.NewReaderSize(bytes.NewReader(data), 16), maxFrame, oracle, add)
+				if (err == nil) != (oerr == nil) {
+					t.Fatalf("n=%d add=%v: reader says %v, decode loop says %v", n, add, err, oerr)
+				}
+				match := bitsEqual // stored floats are the body's own bits
+				if add {
+					match = sameFloats
+				}
+				if err == nil && !match(chunk, oracle) {
+					t.Fatalf("n=%d add=%v: reader gives %v, decode loop %v", n, add, chunk, oracle)
+				}
+			}
 		}
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
@@ -51,6 +80,53 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeF32FrameLoop is the float-frame reader as a per-float decode loop
+// over the read buffer, the oracle FuzzReadFrame holds readF32Frame to.
+func decodeF32FrameLoop(r *bufio.Reader, maxFrame int, dst []float32, add bool) error {
+	n, err := readFrameLen(r, maxFrame)
+	if err != nil {
+		return err
+	}
+	if n != 4*len(dst) {
+		return ErrCorrupt
+	}
+	for len(dst) > 0 {
+		if _, err := r.Peek(4); err != nil {
+			return io.ErrUnexpectedEOF
+		}
+		m := min(len(dst), r.Buffered()/4)
+		p, _ := r.Peek(4 * m)
+		for i := range dst[:m] {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+			if add {
+				v = dst[i] + v
+			}
+			dst[i] = v
+		}
+		r.Discard(4 * m)
+		dst = dst[m:]
+	}
+	return nil
+}
+
+// sameFloats is bitsEqual, except that any NaN matches any NaN: which NaN
+// payload an add returns depends on operand order inside the instruction.
+func sameFloats(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != a[i] || b[i] != b[i] {
+			if a[i] == a[i] || b[i] == b[i] {
+				return false
+			}
+		} else if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzRingHandshake drives the generation protocol's decoders — the dialer
@@ -144,8 +220,8 @@ func FuzzElasticHandshake(f *testing.F) {
 	f.Add([]byte{}, uint32(0), uint32(1), uint32(2))
 	f.Add(encodeMembers([]int{0, 1, 2}), uint32(0), uint32(1), uint32(2))
 	f.Add(encodeMembers([]int{3}), uint32(3), uint32(3), uint32(3))
-	f.Add([]byte{0, 0, 0, 1}, uint32(1), uint32(0), uint32(5))                  // truncated body
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint32(0), uint32(2), uint32(4))      // hostile count
+	f.Add([]byte{0, 0, 0, 1}, uint32(1), uint32(0), uint32(5))                         // truncated body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint32(0), uint32(2), uint32(4))             // hostile count
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 5}, uint32(5), uint32(6), uint32(7)) // duplicate
 	f.Fuzz(func(t *testing.T, data []byte, a, b, c uint32) {
 		members, err := decodeMembers(data)

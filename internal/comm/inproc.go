@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // Hub coordinates an in-process collective group: worker goroutines in one
@@ -545,9 +546,7 @@ func (w *InProc) AllreduceF32(x []float32) error {
 	}
 	clear(x)
 	for _, other := range r.f32 {
-		for i, v := range other {
-			x[i] += v
-		}
+		tensor.Axpy(1, other, x) // 1·v is exactly v: the same adds, bit for bit
 	}
 	return nil
 }

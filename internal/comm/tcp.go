@@ -13,8 +13,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // Transport hardening defaults. Production gradients are large but bounded;
@@ -818,9 +820,11 @@ func (c *incarnation) ctxErr() error {
 }
 
 // sendFrame writes one length-prefixed frame to the successor under the
-// per-op write deadline: the header, then b, then f encoded little-endian
-// straight into the write buffer's free space, a buffer-sized piece at a time
-// (no staging copy). It runs on the sender goroutine.
+// per-op write deadline: the header, then b, then f's little-endian bytes.
+// On a little-endian host those are f's own memory, written through the
+// write buffer (bufio hands a body larger than the buffer straight to the
+// socket); elsewhere each float is encoded into the buffer's free space, a
+// buffer-sized piece at a time. It runs on the sender goroutine.
 func (c *incarnation) sendFrame(b []byte, f []float32) error {
 	if err := c.livenessErr(); err != nil {
 		return err
@@ -846,6 +850,12 @@ func (c *incarnation) sendFrame(b []byte, f []float32) error {
 	}
 	if _, err := c.nextW.Write(b); err != nil {
 		return c.frameErr(err)
+	}
+	if nativeLE {
+		if _, err := c.nextW.Write(f32Bytes(f)); err != nil {
+			return c.frameErr(err)
+		}
+		f = nil
 	}
 	for len(f) > 0 {
 		buf := c.nextW.AvailableBuffer()
@@ -912,12 +922,12 @@ func (c *incarnation) recvFrame() ([]byte, error) {
 }
 
 // recvF32 reads one frame from the predecessor into dst (see readF32Frame).
-func (c *incarnation) recvF32(dst []float32, add bool) error {
+func (c *incarnation) recvF32(dst, stage []float32) error {
 	span, err := c.beginRecv()
 	if err != nil {
 		return err
 	}
-	return c.endRecv(span, 4*len(dst), readF32Frame(c.prevR, c.maxFrame, dst, add))
+	return c.endRecv(span, 4*len(dst), readF32Frame(c.prevR, c.maxFrame, dst, stage))
 }
 
 // readFrameLen decodes a frame's length prefix. A header announcing more than
@@ -952,11 +962,12 @@ func readFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
 }
 
 // readF32Frame decodes one frame that must carry exactly len(dst)
-// little-endian floats, adding them to dst (reduce-scatter) or storing them
-// (allgather phase). The header is checked against the chunk before any body
-// byte is consumed, and the body is decoded out of r's own buffer as it fills.
-// On an error dst may be partly updated.
-func readF32Frame(r *bufio.Reader, maxFrame int, dst []float32, add bool) error {
+// little-endian floats. With a nil stage it reads them straight into dst
+// (allgather phase); otherwise it reads them a stage-sized piece at a time
+// into stage and adds each piece to dst (reduce-scatter). The header is
+// checked against the chunk before any body byte is consumed. On an error dst
+// may be partly updated and the reader has taken whatever body bytes arrived.
+func readF32Frame(r *bufio.Reader, maxFrame int, dst, stage []float32) error {
 	n, err := readFrameLen(r, maxFrame)
 	if err != nil {
 		return err
@@ -965,25 +976,38 @@ func readF32Frame(r *bufio.Reader, maxFrame int, dst []float32, add bool) error 
 		return fmt.Errorf("%w: allreduce frame of %d bytes, chunk is %d", ErrCorrupt, n, 4*len(dst))
 	}
 	for len(dst) > 0 {
-		if _, err := r.Peek(4); err != nil {
+		into := dst
+		if stage != nil {
+			into = stage[:min(len(dst), len(stage))]
+		}
+		raw := f32Bytes(into)
+		if _, err := io.ReadFull(r, raw); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return err
 		}
-		m := min(len(dst), r.Buffered()/4)
-		p, _ := r.Peek(4 * m)
-		for i := range dst[:m] {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
-			if add {
-				v = dst[i] + v
+		if !nativeLE {
+			for i := range into {
+				into[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 			}
-			dst[i] = v
 		}
-		r.Discard(4 * m)
-		dst = dst[m:]
+		if stage != nil {
+			tensor.Axpy(1, into, dst)
+		}
+		dst = dst[len(into):]
 	}
 	return nil
+}
+
+// nativeLE reports whether this host stores a float32 in the wire's
+// little-endian byte order, so that a float body is the chunk's own memory.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f32Bytes views f's memory as bytes. This direction is always aligned; the
+// reverse would not be, since byte frames of any length share the reader.
+func f32Bytes(f []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
 }
 
 // sendJob is one outgoing frame handed to the sender goroutine: a byte body,
@@ -1043,13 +1067,14 @@ func (c *incarnation) sendRecv(out []byte) ([]byte, error) {
 }
 
 // sendRecvF32 is one allreduce round: send streams out through the write
-// buffer while the predecessor's frame streams through the read buffer into
-// recv. The two must not overlap.
-func (c *incarnation) sendRecvF32(send, recv []float32, add bool) error {
+// buffer while the predecessor's frame is added into recv through stage
+// (reduce-scatter), or stored into it when stage is nil. The two must not
+// overlap.
+func (c *incarnation) sendRecvF32(send, recv, stage []float32) error {
 	if err := c.startSend(nil, send); err != nil {
 		return err
 	}
-	return c.joinSend(c.recvF32(recv, add))
+	return c.joinSend(c.recvF32(recv, stage))
 }
 
 // allreduceRounds is AllreduceF32's ring schedule, split out so the op-level
@@ -1065,13 +1090,13 @@ func (c *incarnation) allreduceRounds(step int64, x []float32) error {
 	// Reduce-scatter: after n-1 steps, rank r holds the fully reduced chunk
 	// (r+1) mod n.
 	for s := 0; s < n-1; s++ {
-		if err := c.sendRecvF32(chunk(c.rank-s), chunk(c.rank-s-1), true); err != nil {
+		if err := c.sendRecvF32(chunk(c.rank-s), chunk(c.rank-s-1), c.stage); err != nil {
 			return wrapErr(c.rank, OpAllreduce, step, err)
 		}
 	}
 	// Allgather of the reduced chunks.
 	for s := 0; s < n-1; s++ {
-		if err := c.sendRecvF32(chunk(c.rank+1-s), chunk(c.rank-s), false); err != nil {
+		if err := c.sendRecvF32(chunk(c.rank+1-s), chunk(c.rank-s), nil); err != nil {
 			return wrapErr(c.rank, OpAllreduce, step, err)
 		}
 	}

@@ -73,6 +73,7 @@ type incarnation struct {
 	prev     net.Conn // from rank-1
 	nextW    *bufio.Writer
 	prevR    *bufio.Reader
+	stage    []float32 // reduce-scatter bodies land here before the add
 	opTO     time.Duration
 	maxFrame int
 	step     atomic.Int64
@@ -273,6 +274,7 @@ func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Tim
 	}
 	c.nextW = bufio.NewWriterSize(next, 1<<16)
 	c.prevR = bufio.NewReaderSize(prev, 1<<16)
+	c.stage = make([]float32, 1<<14) // as many bytes as the read buffer
 	c.opTO = cfg.OpTimeout
 	if c.opTO == 0 {
 		c.opTO = DefaultOpTimeout

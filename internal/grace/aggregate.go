@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // decodeAggregate decodes every rank's Allgather payload with candidate c of
@@ -34,9 +35,7 @@ func (ln *engineLane) decodeAggregate(c int, all [][]byte, info TensorInfo, dst 
 			continue
 		}
 		span = ln.ts.start()
-		for i, v := range dec {
-			dst[i] += v
-		}
+		tensor.Axpy(1, dec, dst)
 		ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 	}
 	span := ln.ts.start()
@@ -47,7 +46,7 @@ func (ln *engineLane) decodeAggregate(c int, all [][]byte, info TensorInfo, dst 
 		}
 		copy(dst, out)
 	} else {
-		scale(dst, 1/n)
+		tensor.Scale(1/n, dst)
 	}
 	ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 	return nil

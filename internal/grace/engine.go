@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // Engine is the per-worker, step-scoped exchange orchestrator: it accepts
@@ -992,7 +993,7 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 		e.out[i] = agg
 		ln.ts.end(telemetry.PhaseDecode, info.Name, span)
 		span = ln.ts.start()
-		scale(agg, 1/e.n)
+		tensor.Scale(1/e.n, agg)
 		ln.ts.end(telemetry.PhaseAggregate, info.Name, span)
 
 	case Allgather:
@@ -1072,7 +1073,7 @@ func (e *Engine) recoverStep(infos []TensorInfo) error {
 		if err := e.coll.AllreduceF32(e.out[i]); err != nil {
 			return &StepError{Tensor: i, Name: infos[i].Name, Phase: "recovery", Err: err}
 		}
-		scale(e.out[i], 1/e.n)
+		tensor.Scale(1/e.n, e.out[i])
 		e.rep.Fallbacks++
 		s.fellback = true
 		s.q.Fallbacks++

@@ -142,11 +142,3 @@ type CustomComm interface {
 	Compressor
 	CommunicateAggregate(g []float32, info TensorInfo, coll comm.Collective) (agg []float32, sentBytes int, err error)
 }
-
-// scale multiplies a vector by s in place and returns it.
-func scale(x []float32, s float32) []float32 {
-	for i := range x {
-		x[i] *= s
-	}
-	return x
-}

@@ -137,3 +137,11 @@ func (p *Pipeline) Exchange(g []float32, info TensorInfo) ([]float32, StepStats,
 	}
 	return agg, stats, nil
 }
+
+// scale is the Pipeline's own mean step, a plain loop, so the oracle shares
+// no kernel with the Engine it checks.
+func scale(x []float32, s float32) {
+	for i := range x {
+		x[i] *= s
+	}
+}

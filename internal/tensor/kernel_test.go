@@ -58,7 +58,7 @@ func TestAxpyMatchesGeneric(t *testing.T) {
 				y0 := operand(r, off+n+pad, special)[off:]
 				got := append([]float32(nil), y0...)
 				want := append([]float32(nil), y0...)
-				axpy(a, x, got)
+				Axpy(a, x, got)
 				axpyGeneric(a, x, want)
 				for i := range want {
 					if !sameBits(got[i], want[i]) {
@@ -99,13 +99,62 @@ func TestAxpyGenericRoundsTwice(t *testing.T) {
 	}
 }
 
+func TestScaleMatchesGeneric(t *testing.T) {
+	r := fxrand.New(5)
+	scalars := append([]float32{0.37, -1.5e-3, 3e20, 0.5}, specials...)
+	const pad = 5 // elements beyond len(x) that must stay untouched
+	for n := 0; n <= 130; n++ {
+		for off := 0; off <= 3; off++ {
+			for _, special := range []bool{false, true} {
+				s := scalars[(n+off)%len(scalars)]
+				x0 := operand(r, off+n+pad, special)[off:]
+				got := append([]float32(nil), x0...)
+				want := append([]float32(nil), x0...)
+				Scale(s, got[:n])
+				scaleGeneric(s, want[:n])
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("n=%d off=%d s=%v: x[%d] = %v (%#x), generic %v (%#x), from x=%v",
+							n, off, s, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]), x0[i])
+					}
+					if i >= n && math.Float32bits(got[i]) != math.Float32bits(x0[i]) {
+						t.Fatalf("n=%d off=%d: x[%d] beyond len(x) was written", n, off, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScaleGenericRoundsOnce pins the oracle: each element is the exact
+// product (a float64 holds a product of two float32s exactly) rounded once,
+// which is what x[i]*s means.
+func TestScaleGenericRoundsOnce(t *testing.T) {
+	r := fxrand.New(6)
+	x := operand(r, 4096, false)
+	const s = 0.7310586
+	want := make([]float32, len(x))
+	for i, v := range x {
+		want[i] = float32(float64(v) * float64(float32(s)))
+		if want[i] != v*s {
+			t.Fatalf("x[%d]·s: the float32 product %v is not the exact product rounded once %v", i, v*s, want[i])
+		}
+	}
+	scaleGeneric(s, x)
+	for i := range x {
+		if math.Float32bits(x[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("scaleGeneric[%d] = %v, want %v", i, x[i], want[i])
+		}
+	}
+}
+
 func TestAxpyShortDestinationPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("axpy wrote past a short y without panicking")
 		}
 	}()
-	axpy(1, make([]float32, 8), make([]float32, 7))
+	Axpy(1, make([]float32, 8), make([]float32, 7))
 }
 
 // naiveProduct is the contract written out: C[i,j] sums a(i,p)·b(p,j) over

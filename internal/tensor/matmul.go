@@ -4,7 +4,7 @@ import "fmt"
 
 // The three products share one numeric contract: every output element is the
 // sum of its k terms taken in ascending p, starting from +0, each term one
-// rounded multiply followed by one rounded add (axpy, never fused), and a
+// rounded multiply followed by one rounded add (Axpy, never fused), and a
 // term whose left-hand factor is exactly zero is skipped. Loop order, row
 // blocking and SIMD width only change which elements are in flight together,
 // never the order of one element's sum, so the results are bitwise those of
@@ -39,7 +39,7 @@ func MatmulInto(c, a, b *Dense) {
 			bp := b.data[p*n : (p+1)*n]
 			for i := i0; i < i1; i++ {
 				if av := a.data[i*k+p]; av != 0 {
-					axpy(av, bp, c.data[i*n:(i+1)*n])
+					Axpy(av, bp, c.data[i*n:(i+1)*n])
 				}
 			}
 		}
@@ -86,11 +86,11 @@ func matmulTA(c, a, b *Dense, acc bool, op string) {
 			clear(row)
 			for p := 0; p < k; p++ {
 				if av := a.data[p*m+i]; av != 0 {
-					axpy(av, b.data[p*n+j0:p*n+j1], row)
+					Axpy(av, b.data[p*n+j0:p*n+j1], row)
 				}
 			}
 			if acc {
-				axpy(1, row, ci)
+				Axpy(1, row, ci)
 			}
 		}
 	}
@@ -115,7 +115,7 @@ const (
 // MatmulTBInto computes C = A·Bᵀ into an existing m×n tensor. C must not
 // alias A or B.
 //
-// B's rows run along p, the wrong way for axpy, so B is transposed a
+// B's rows run along p, the wrong way for Axpy, so B is transposed a
 // tbCols×tbRows tile at a time into a stack buffer and each tile is then used
 // by every row of A: one element moved per m multiply-adds. Tiles advance
 // along p inside a column block, so an element of C still meets its terms in
@@ -138,7 +138,7 @@ func MatmulTBInto(c, a, b *Dense) {
 				ci := c.data[i*n+j0:][:w]
 				for p, av := range a.data[i*k+p0:][:h] {
 					if av != 0 {
-						axpy(av, tile[p*w:][:w], ci)
+						Axpy(av, tile[p*w:][:w], ci)
 					}
 				}
 			}

@@ -182,10 +182,10 @@ func (t *Dense) assertSame(o *Dense, op string) {
 	}
 }
 
-// Add adds o elementwise into t (1·v is exactly v, so axpy adds v itself).
+// Add adds o elementwise into t (1·v is exactly v, so Axpy adds v itself).
 func (t *Dense) Add(o *Dense) *Dense {
 	t.assertSame(o, "Add")
-	axpy(1, o.data, t.data)
+	Axpy(1, o.data, t.data)
 	return t
 }
 
@@ -218,16 +218,14 @@ func (t *Dense) Div(o *Dense) *Dense {
 
 // Scale multiplies every element by s.
 func (t *Dense) Scale(s float32) *Dense {
-	for i := range t.data {
-		t.data[i] *= s
-	}
+	Scale(s, t.data)
 	return t
 }
 
 // AddScaled performs t += s*o, the product rounded before the add.
 func (t *Dense) AddScaled(s float32, o *Dense) *Dense {
 	t.assertSame(o, "AddScaled")
-	axpy(s, o.data, t.data)
+	Axpy(s, o.data, t.data)
 	return t
 }
 
