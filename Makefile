@@ -41,8 +41,9 @@ bench-module:
 
 # Kill-point sweep: the tier-1 hub grid (restart and rejoin, every kill rank
 # and step, topk + EF and dgc) under the race detector, plus shrink over the
-# same grid — 30 points that each wait out the survivors' rejoin deadline, so
-# they run here, once, as a benchmark rather than in every go test.
+# same grid and once per registered method — 52 points that each wait out
+# the survivors' rejoin deadline, so they run here, once, as a benchmark
+# rather than in every go test.
 sweep:
 	go test -race -count=1 -run TestScenarioKillPointSweep ./internal/harness
 	go test -race -count=1 -run xxx -bench BenchmarkScenarioKillPointSweepShrink -benchtime 1x ./internal/harness
@@ -88,7 +89,7 @@ loc:
 	@echo "non-test Go outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' \
 		! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
 	@echo "internal/grace/engine.go: $$(cat internal/grace/engine.go | wc -l)"
-	@for dir in internal/grace internal/comm internal/harness internal/telemetry; do \
+	@for dir in internal/grace internal/comm internal/harness internal/telemetry internal/compress; do \
 		echo "$$dir (non-test, with subpackages): $$(find $$dir -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"; \
 	done
 	@echo "harness scenario files ($(LOC_HARNESS)): $$(cat $(LOC_HARNESS) | wc -l)"

@@ -76,10 +76,7 @@ func (c *Compressor) selectPart(g []float32, part []int, negative bool) ([]int, 
 	if len(part) == 0 {
 		return nil, 0
 	}
-	k := int(c.alpha * float64(len(part)))
-	if k < 1 {
-		k = 1
-	}
+	k := max(int(c.alpha*float64(len(part))), 1)
 	// Threshold at the (1-α) magnitude quantile of this part.
 	mags := make([]float64, len(part))
 	for i, j := range part {

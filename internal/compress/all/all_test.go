@@ -74,11 +74,12 @@ func TestTableIMetadata(t *testing.T) {
 			t.Errorf("%s: class/nature = %s/%s, want %s/%s", name, m.Class, m.Nature, want.class, want.nature)
 		}
 	}
-	// Built-in EF methods must be flagged so the framework memory stays off.
-	for _, name := range []string{"onebit", "dgc", "threelc", "powersgd"} {
-		m, _ := grace.Lookup(name)
-		if !m.BuiltinEF {
-			t.Errorf("%s should declare BuiltinEF", name)
+	// Built-in EF methods must be flagged so the framework memory stays off;
+	// every other method's residual belongs to grace.Memory.
+	builtin := map[string]bool{"dgc": true, "powersgd": true}
+	for _, m := range grace.All() {
+		if m.BuiltinEF != builtin[m.Name] {
+			t.Errorf("%s: BuiltinEF = %v, want %v", m.Name, m.BuiltinEF, builtin[m.Name])
 		}
 	}
 }
@@ -332,20 +333,23 @@ func TestEightbitRelativeAccuracy(t *testing.T) {
 	}
 }
 
-func TestOnebitBuiltinMemory(t *testing.T) {
+func TestOnebitFrameworkMemory(t *testing.T) {
 	// Feeding a constant gradient, the cumulative decoded mass must approach
-	// the cumulative input mass thanks to the built-in error feedback.
+	// the cumulative input mass thanks to the framework error feedback.
 	info := grace.NewTensorInfo("t", []int{4})
 	g := []float32{1, 0.5, -0.25, -1}
 	c := newCompressor(t, "onebit", 1)
+	mem := grace.NewMemory(1, 1)
 	total := make([]float64, 4)
 	const steps = 50
 	for s := 0; s < steps; s++ {
-		p, err := c.Compress(g, info)
+		x := mem.Compensate(info.Name, g)
+		p, err := c.Compress(x, info)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out, _ := c.Decompress(p, info)
+		mem.Update(info.Name, x, out)
 		for i, v := range out {
 			total[i] += float64(v)
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/compress/cbase"
 	"repro/internal/encode"
 	"repro/internal/fxrand"
 	"repro/internal/grace"
@@ -37,7 +38,7 @@ func init() {
 			if budget < 1 {
 				return nil, fmt.Errorf("atomo: sparsity budget %d must be >= 1", budget)
 			}
-			return &Compressor{budget: budget, rng: fxrand.New(o.Seed)}, nil
+			return &Compressor{State: cbase.NewState(fxrand.New(o.Seed)), budget: budget}, nil
 		},
 	})
 }
@@ -48,13 +49,14 @@ const maxTriples = 8
 // powerIters is the number of power-iteration refinement steps per triple.
 const powerIters = 6
 
-// Compressor transmits sampled singular triples.
+// Compressor transmits sampled singular triples; its sampling stream is
+// checkpointed codec state.
 type Compressor struct {
+	cbase.State
 	budget int
-	rng    *fxrand.RNG
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // Name returns "atomo".
 func (*Compressor) Name() string { return "atomo" }
@@ -70,13 +72,7 @@ const denseFlag = 0xffff
 // Compress implements grace.Compressor.
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
 	rows, cols := info.Rows, info.Cols
-	k := maxTriples
-	if rows < k {
-		k = rows
-	}
-	if cols < k {
-		k = cols
-	}
+	k := min(maxTriples, rows, cols)
 	// Dense fallback when factorization cannot pay for itself.
 	if k < 1 || c.budget*(rows+cols+1) >= rows*cols {
 		w := encode.NewWriter(4 + 4*len(g))
@@ -98,11 +94,8 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 	var chosen []int
 	if sum > 0 {
 		for i, s := range sigmas {
-			p := float64(c.budget) * s / sum
-			if p > 1 {
-				p = 1
-			}
-			if s > 0 && c.rng.Float64() < p {
+			p := min(float64(c.budget)*s/sum, 1)
+			if s > 0 && c.RNG.Float64() < p {
 				chosen = append(chosen, i)
 				sigmas[i] = s / p // fold 1/p into the scale for unbiasedness
 			}

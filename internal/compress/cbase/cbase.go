@@ -1,6 +1,7 @@
 // Package cbase holds helpers shared by the compressor implementations: the
 // sparse (indices, values) wire format the paper's sparsify/desparsify API
-// describes, and top-k selection by absolute value.
+// describes, top-k selection by absolute value, and State, the one holder of
+// a codec's private state.
 package cbase
 
 import (
@@ -237,33 +238,18 @@ func QuantileAbsThreshold(g []float32, ratio float64, sampleCap int, stride int)
 	if len(g) == 0 || ratio >= 1 {
 		return 0
 	}
-	if stride < 1 {
-		stride = 1
-	}
+	stride = max(stride, 1)
 	sample := make([]float32, 0, sampleCap)
 	for i := 0; i < len(g) && len(sample) < sampleCap; i += stride {
 		sample = append(sample, abs(g[i]))
 	}
 	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	pos := int(float64(len(sample)) * (1 - ratio))
-	if pos >= len(sample) {
-		pos = len(sample) - 1
-	}
-	if pos < 0 {
-		pos = 0
-	}
+	pos := max(min(int(float64(len(sample))*(1-ratio)), len(sample)-1), 0)
 	return sample[pos]
 }
 
 // KFor returns the selection count for a sparsification ratio over d
 // elements, never below 1.
 func KFor(ratio float64, d int) int {
-	k := int(ratio * float64(d))
-	if k < 1 {
-		k = 1
-	}
-	if k > d {
-		k = d
-	}
-	return k
+	return min(max(int(ratio*float64(d)), 1), d)
 }

@@ -36,20 +36,20 @@ func init() {
 			if momentum == 0 {
 				momentum = 0.9
 			}
-			return &Compressor{ratio: ratio, momentum: float32(momentum),
-				u: map[string][]float32{}, v: map[string][]float32{}}, nil
+			return &Compressor{State: cbase.NewState(nil, "u", "v"), ratio: ratio, momentum: float32(momentum)}, nil
 		},
 	})
 }
 
-// Compressor carries the per-tensor momentum (u) and accumulation (v) state.
+// Compressor carries the per-tensor momentum (slot "u") and accumulation
+// (slot "v") state, checkpointed as codec state.
 type Compressor struct {
+	cbase.State
 	ratio    float64
 	momentum float32
-	u, v     map[string][]float32
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // Name returns "dgc".
 func (*Compressor) Name() string { return "dgc" }
@@ -61,8 +61,8 @@ func (*Compressor) Strategy() grace.Strategy { return grace.Allgather }
 // elements of the accumulator whose magnitude clears the sampled threshold.
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
 	d := len(g)
-	u := c.state(c.u, info.Name, d)
-	v := c.state(c.v, info.Name, d)
+	u, _ := c.Vec("u", info.Name, d)
+	v, _ := c.Vec("v", info.Name, d)
 	for i, gi := range g {
 		u[i] = c.momentum*u[i] + gi
 		v[i] += u[i]
@@ -106,48 +106,4 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 // Decompress restores the dense gradient.
 func (c *Compressor) Decompress(p *grace.Payload, info grace.TensorInfo) ([]float32, error) {
 	return cbase.DecodeSparse(p.Bytes, info.Size())
-}
-
-// CodecState exports a deep copy of the per-tensor momentum (slot "u") and
-// accumulator (slot "v") state for checkpointing.
-func (c *Compressor) CodecState() grace.CodecState {
-	return grace.CodecState{Tensors: map[string]map[string][]float32{
-		"u": copyState(c.u),
-		"v": copyState(c.v),
-	}}
-}
-
-// LoadCodecState replaces the momentum and accumulator state with a deep
-// copy of the snapshot; training resumed from it reproduces the
-// uninterrupted run bit for bit.
-func (c *Compressor) LoadCodecState(st grace.CodecState) error {
-	c.u = copyState(st.Tensors["u"])
-	c.v = copyState(st.Tensors["v"])
-	return nil
-}
-
-var _ grace.Stateful = (*Compressor)(nil)
-
-func copyState(m map[string][]float32) map[string][]float32 {
-	out := make(map[string][]float32, len(m))
-	for name, s := range m {
-		out[name] = append([]float32(nil), s...)
-	}
-	return out
-}
-
-func (c *Compressor) state(m map[string][]float32, name string, d int) []float32 {
-	s := m[name]
-	if s == nil {
-		s = make([]float32, d)
-		m[name] = s
-	}
-	return s
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

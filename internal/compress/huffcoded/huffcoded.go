@@ -50,12 +50,13 @@ func init() {
 	})
 }
 
-// Compressor wraps an inner compressor with a Huffman lossless stage.
+// Compressor wraps an inner compressor with a Huffman lossless stage; the
+// inner codec's state is its state.
 type Compressor struct {
 	inner grace.Compressor
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // Wrap decorates inner with Huffman coding of its wire payload.
 func Wrap(inner grace.Compressor) *Compressor {
@@ -87,4 +88,20 @@ func (c *Compressor) Decompress(p *grace.Payload, info grace.TensorInfo) ([]floa
 		return nil, fmt.Errorf("huffcoded: %w", err)
 	}
 	return c.inner.Decompress(&grace.Payload{Bytes: raw}, info)
+}
+
+// CodecState forwards the inner codec's state; a stateless inner has none.
+func (c *Compressor) CodecState() grace.CodecState {
+	if sf, ok := c.inner.(grace.Stateful); ok {
+		return sf.CodecState()
+	}
+	return grace.CodecState{}
+}
+
+// LoadCodecState forwards to the inner codec.
+func (c *Compressor) LoadCodecState(st grace.CodecState) error {
+	if sf, ok := c.inner.(grace.Stateful); ok {
+		return sf.LoadCodecState(st)
+	}
+	return nil
 }

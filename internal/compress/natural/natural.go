@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/compress/cbase"
 	"repro/internal/fxrand"
 	"repro/internal/grace"
 )
@@ -22,7 +23,7 @@ func init() {
 		DefaultEF: true,
 		Reference: "Horvath et al., 2019 [31]",
 		New: func(o grace.Options) (grace.Compressor, error) {
-			return &Compressor{rng: fxrand.New(o.Seed)}, nil
+			return &Compressor{State: cbase.NewState(fxrand.New(o.Seed))}, nil
 		},
 	})
 }
@@ -31,12 +32,13 @@ func init() {
 // [-63, 63], covering every gradient magnitude that occurs in practice.
 const expBias = 64
 
-// Compressor rounds to powers of two.
+// Compressor rounds to powers of two; its rounding stream is checkpointed
+// codec state.
 type Compressor struct {
-	rng *fxrand.RNG
+	cbase.State
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // Name returns "natural".
 func (*Compressor) Name() string { return "natural" }
@@ -63,17 +65,14 @@ func (c *Compressor) encodeOne(v float32) byte {
 	lo := math.Pow(2, e)
 	// Round up to 2^(e+1) with probability (a-lo)/lo, the unbiased choice:
 	// E[out] = lo*(1-p) + 2lo*p = lo*(1+p) = a when p = a/lo - 1.
-	if c.rng.Float64() < a/lo-1 {
+	if c.RNG.Float64() < a/lo-1 {
 		e++
 	}
 	ei := int(e) + expBias
 	if ei < 1 {
 		return 0 // underflow to zero
 	}
-	if ei > 127 {
-		ei = 127
-	}
-	b := byte(ei)
+	b := byte(min(ei, 127))
 	if v < 0 {
 		b |= 0x80
 	}

@@ -1,9 +1,9 @@
 // Package onebit implements 1-bit SGD [13]: elements below a threshold
 // (default 0) quantize to '0', the rest to '1'; decoding maps the two code
 // words to the mean of the negative and non-negative parts respectively.
-// The original work introduced the memory mechanism m = g − Q⁻¹(g̃); that
-// memory is built into this compressor (BuiltinEF), applied to g + m before
-// quantization.
+// The original work introduced the memory mechanism m = g − Q⁻¹(g̃); it is
+// the framework's error feedback with β = γ = 1 (DefaultEF), which hands the
+// compressor g + m and keeps the residual.
 package onebit
 
 import (
@@ -20,18 +20,16 @@ func init() {
 		Output:    "‖g‖0",
 		Nature:    "deterministic",
 		DefaultEF: true,
-		BuiltinEF: true,
 		Reference: "Seide et al., INTERSPEECH 2014 [13]",
 		New: func(o grace.Options) (grace.Compressor, error) {
-			return &Compressor{threshold: float32(o.Threshold), mem: map[string][]float32{}}, nil
+			return &Compressor{threshold: float32(o.Threshold)}, nil
 		},
 	})
 }
 
-// Compressor carries the built-in error memory.
+// Compressor splits at a fixed threshold.
 type Compressor struct {
 	threshold float32
-	mem       map[string][]float32
 }
 
 var _ grace.Compressor = (*Compressor)(nil)
@@ -42,23 +40,13 @@ func (*Compressor) Name() string { return "onebit" }
 // Strategy returns Allgather.
 func (*Compressor) Strategy() grace.Strategy { return grace.Allgather }
 
-// Compress quantizes g+m to one bit per element with two decode means, then
-// updates the memory with the quantization residual.
+// Compress quantizes g to one bit per element with two decode means.
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
 	d := len(g)
-	m := c.mem[info.Name]
-	if m == nil {
-		m = make([]float32, d)
-		c.mem[info.Name] = m
-	}
-	x := make([]float32, d)
-	for i := range x {
-		x[i] = g[i] + m[i]
-	}
 	var sumLo, sumHi float64
 	var nLo, nHi int
 	bits := make([]byte, (d+7)/8)
-	for i, v := range x {
+	for i, v := range g {
 		if v >= c.threshold {
 			bits[i/8] |= 1 << (uint(i) % 8)
 			sumHi += float64(v)
@@ -79,14 +67,6 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 	w.F32(meanLo)
 	w.F32(meanHi)
 	w.Raw(bits)
-	// Built-in memory update: m ← x − Q⁻¹(Q(x)).
-	for i, v := range x {
-		if bits[i/8]&(1<<(uint(i)%8)) != 0 {
-			m[i] = v - meanHi
-		} else {
-			m[i] = v - meanLo
-		}
-	}
 	return &grace.Payload{Bytes: w.Bytes()}, nil
 }
 

@@ -16,6 +16,8 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/compress/cbase"
+	"repro/internal/encode"
 	"repro/internal/fxrand"
 	"repro/internal/grace"
 	"repro/internal/tensor"
@@ -43,21 +45,21 @@ func init() {
 	})
 }
 
-// Compressor carries the per-tensor warm-start factors.
+// Compressor carries the per-tensor warm-start factors (slot "q") and its
+// built-in error-feedback memory (slot "mem"), checkpointed as codec state.
 type Compressor struct {
+	cbase.State
 	rank int
-	q    map[string]*tensor.Dense
-	mem  map[string][]float32 // built-in error feedback
 }
 
 var (
-	_ grace.Compressor = (*Compressor)(nil)
+	_ grace.Stateful   = (*Compressor)(nil)
 	_ grace.CustomComm = (*Compressor)(nil)
 )
 
 // New constructs a PowerSGD compressor of the given rank.
 func New(rank int) *Compressor {
-	return &Compressor{rank: rank, q: map[string]*tensor.Dense{}, mem: map[string][]float32{}}
+	return &Compressor{State: cbase.NewState(nil, "q", "mem"), rank: rank}
 }
 
 // Name returns "powersgd".
@@ -73,18 +75,19 @@ func (c *Compressor) worthFactoring(info grace.TensorInfo) bool {
 		info.Rows > c.rank && info.Cols > c.rank
 }
 
-// warmQ returns the per-tensor Q factor, initializing it with a deterministic
-// Gaussian seeded by the tensor name so all workers agree.
+// warmQ returns the per-tensor Q factor, a view of its state vector,
+// initializing it on first use with a deterministic Gaussian seeded by the
+// tensor name so all workers agree.
 func (c *Compressor) warmQ(info grace.TensorInfo) *tensor.Dense {
-	q := c.q[info.Name]
-	if q == nil {
+	v, fresh := c.Vec("q", info.Name, info.Cols*c.rank)
+	q := tensor.FromSlice(v, info.Cols, c.rank)
+	if fresh {
 		seed := uint64(14695981039346656037)
 		for _, ch := range info.Name {
 			seed = (seed ^ uint64(ch)) * 1099511628211
 		}
-		q = tensor.New(info.Cols, c.rank).RandN(fxrand.New(seed), 1)
+		q.RandN(fxrand.New(seed), 1)
 		orthonormalize(q)
-		c.q[info.Name] = q
 	}
 	return q
 }
@@ -109,11 +112,7 @@ func (c *Compressor) CommunicateAggregate(g []float32, info grace.TensorInfo, co
 	}
 
 	// Built-in error feedback: compress x = g + m.
-	m := c.mem[info.Name]
-	if m == nil {
-		m = make([]float32, len(g))
-		c.mem[info.Name] = m
-	}
+	m, _ := c.Vec("mem", info.Name, len(g))
 	x := make([]float32, len(g))
 	for i := range x {
 		x[i] = g[i] + m[i]
@@ -135,7 +134,7 @@ func (c *Compressor) CommunicateAggregate(g []float32, info grace.TensorInfo, co
 		return nil, 0, err
 	}
 	qNew.Scale(1 / n)
-	c.q[info.Name] = qNew
+	copy(q.Data(), qNew.Data())
 
 	// Aggregated approximation = P·Q'ᵀ.
 	agg := tensor.MatmulTB(p, qNew)
@@ -154,38 +153,35 @@ func (c *Compressor) CommunicateAggregate(g []float32, info grace.TensorInfo, co
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
 	if !c.worthFactoring(info) {
 		// Dense passthrough, flagged by payload length.
-		buf := make([]byte, 4*len(g))
-		for i, v := range g {
-			putF32(buf[i*4:], v)
+		w := encode.NewWriter(4 * len(g))
+		for _, v := range g {
+			w.F32(v)
 		}
-		return &grace.Payload{Bytes: buf}, nil
+		return &grace.Payload{Bytes: w.Bytes()}, nil
 	}
 	M := tensor.FromSlice(append([]float32(nil), g...), info.Rows, info.Cols)
 	q := c.warmQ(info)
 	p := tensor.Matmul(M, q)
 	orthonormalize(p)
 	qNew := tensor.MatmulTA(M, p)
-	c.q[info.Name] = qNew
-	buf := make([]byte, 4*(p.Size()+qNew.Size()))
-	off := 0
-	for _, v := range p.Data() {
-		putF32(buf[off:], v)
-		off += 4
+	copy(q.Data(), qNew.Data())
+	w := encode.NewWriter(4 * (p.Size() + qNew.Size()))
+	for _, x := range [][]float32{p.Data(), qNew.Data()} {
+		for _, v := range x {
+			w.F32(v)
+		}
 	}
-	for _, v := range qNew.Data() {
-		putF32(buf[off:], v)
-		off += 4
-	}
-	return &grace.Payload{Bytes: buf}, nil
+	return &grace.Payload{Bytes: w.Bytes()}, nil
 }
 
 // Decompress reconstructs P·Qᵀ (or the dense passthrough).
 func (c *Compressor) Decompress(pay *grace.Payload, info grace.TensorInfo) ([]float32, error) {
 	d := info.Size()
+	r := encode.NewReader(pay.Bytes)
 	if len(pay.Bytes) == 4*d && !c.worthFactoring(info) {
 		out := make([]float32, d)
 		for i := range out {
-			out[i] = getF32(pay.Bytes[i*4:])
+			out[i] = r.F32()
 		}
 		return out, nil
 	}
@@ -195,14 +191,10 @@ func (c *Compressor) Decompress(pay *grace.Payload, info grace.TensorInfo) ([]fl
 	}
 	p := tensor.New(info.Rows, c.rank)
 	q := tensor.New(info.Cols, c.rank)
-	off := 0
-	for i := range p.Data() {
-		p.Data()[i] = getF32(pay.Bytes[off:])
-		off += 4
-	}
-	for i := range q.Data() {
-		q.Data()[i] = getF32(pay.Bytes[off:])
-		off += 4
+	for _, x := range [][]float32{p.Data(), q.Data()} {
+		for i := range x {
+			x[i] = r.F32()
+		}
 	}
 	return tensor.MatmulTB(p, q).Data(), nil
 }
@@ -266,17 +258,4 @@ func orthonormalize(m *tensor.Dense) {
 		}
 		setCol(j, v)
 	}
-}
-
-func putF32(b []byte, v float32) {
-	u := math.Float32bits(v)
-	b[0] = byte(u)
-	b[1] = byte(u >> 8)
-	b[2] = byte(u >> 16)
-	b[3] = byte(u >> 24)
-}
-
-func getF32(b []byte) float32 {
-	u := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return math.Float32frombits(u)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/compress/cbase"
 	"repro/internal/encode"
 	"repro/internal/fxrand"
 	"repro/internal/grace"
@@ -33,14 +34,15 @@ func init() {
 	})
 }
 
-// Compressor quantizes to s+1 levels with randomized rounding.
+// Compressor quantizes to s+1 levels with randomized rounding; its rounding
+// stream is checkpointed codec state.
 type Compressor struct {
+	cbase.State
 	s         int
 	levelBits uint
-	rng       *fxrand.RNG
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // New constructs a QSGD compressor with s levels.
 func New(s int, seed uint64) (*Compressor, error) {
@@ -51,7 +53,7 @@ func New(s int, seed uint64) (*Compressor, error) {
 	if bits == 0 {
 		bits = 1
 	}
-	return &Compressor{s: s, levelBits: bits, rng: fxrand.New(seed)}, nil
+	return &Compressor{State: cbase.NewState(fxrand.New(seed)), s: s, levelBits: bits}, nil
 }
 
 // Name returns "qsgd".
@@ -69,13 +71,10 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 		for i, v := range g {
 			r := math.Abs(float64(v)) / norm * sf
 			l := math.Floor(r)
-			if c.rng.Float64() < r-l {
+			if c.RNG.Float64() < r-l {
 				l++
 			}
-			if l > sf {
-				l = sf
-			}
-			sym := uint32(l)
+			sym := uint32(min(l, sf))
 			if v < 0 {
 				sym |= 1 << c.levelBits
 			}
@@ -87,24 +86,6 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 	w.Raw(encode.PackBits(symbols, c.levelBits+1))
 	return &grace.Payload{Bytes: w.Bytes()}, nil
 }
-
-// CodecState exports the randomized-rounding RNG stream position so a
-// restored run draws the identical continuation of rounding decisions.
-func (c *Compressor) CodecState() grace.CodecState {
-	st := c.rng.State()
-	return grace.CodecState{RNG: &st}
-}
-
-// LoadCodecState rewinds the rounding RNG to a captured stream position.
-func (c *Compressor) LoadCodecState(st grace.CodecState) error {
-	if st.RNG == nil {
-		return fmt.Errorf("qsgd: codec state has no RNG stream")
-	}
-	c.rng.Restore(*st.RNG)
-	return nil
-}
-
-var _ grace.Stateful = (*Compressor)(nil)
 
 // Decompress reconstructs sign·‖g‖₂·level/s.
 func (c *Compressor) Decompress(p *grace.Payload, info grace.TensorInfo) ([]float32, error) {

@@ -28,24 +28,25 @@ func init() {
 			if ratio < 0 || ratio > 1 {
 				return nil, fmt.Errorf("randomk: ratio %v out of (0,1]", ratio)
 			}
-			return &Compressor{ratio: ratio, rng: fxrand.New(o.Seed)}, nil
+			return New(ratio, o.Seed), nil
 		},
 	})
 }
 
-// Compressor selects k uniformly random elements.
+// Compressor selects k uniformly random elements; its sampling stream is
+// checkpointed codec state.
 type Compressor struct {
+	cbase.State
 	ratio float64
-	rng   *fxrand.RNG
 	// Unbiased applies the d/k rescaling that makes the operator unbiased.
 	Unbiased bool
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // New constructs a Random-k compressor directly (examples/tests).
 func New(ratio float64, seed uint64) *Compressor {
-	return &Compressor{ratio: ratio, rng: fxrand.New(seed)}
+	return &Compressor{State: cbase.NewState(fxrand.New(seed)), ratio: ratio}
 }
 
 // Name returns "randomk".
@@ -58,7 +59,7 @@ func (*Compressor) Strategy() grace.Strategy { return grace.Allgather }
 // Compress samples k random positions and serializes them.
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
 	k := cbase.KFor(c.ratio, len(g))
-	idx := c.rng.Sample(len(g), k)
+	idx := c.RNG.Sample(len(g), k)
 	vals := make([]float32, len(idx))
 	scale := float32(1)
 	if c.Unbiased {

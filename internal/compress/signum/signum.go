@@ -7,6 +7,7 @@ package signum
 import (
 	"fmt"
 
+	"repro/internal/compress/cbase"
 	"repro/internal/encode"
 	"repro/internal/grace"
 )
@@ -26,18 +27,19 @@ func init() {
 			if momentum < 0 || momentum >= 1 {
 				return nil, fmt.Errorf("signum: momentum %v out of [0,1)", momentum)
 			}
-			return &Compressor{momentum: float32(momentum), buf: map[string][]float32{}}, nil
+			return &Compressor{State: cbase.NewState(nil, "m"), momentum: float32(momentum)}, nil
 		},
 	})
 }
 
-// Compressor transmits the sign of the gradient momentum.
+// Compressor transmits the sign of the gradient momentum; the per-tensor
+// momentum (slot "m") is checkpointed codec state.
 type Compressor struct {
+	cbase.State
 	momentum float32
-	buf      map[string][]float32
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // Name returns "signum".
 func (*Compressor) Name() string { return "signum" }
@@ -47,11 +49,7 @@ func (*Compressor) Strategy() grace.Strategy { return grace.Allgather }
 
 // Compress updates the momentum m ← βm + (1−β)g and packs sign(m).
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
-	m := c.buf[info.Name]
-	if m == nil {
-		m = make([]float32, len(g))
-		c.buf[info.Name] = m
-	}
+	m, _ := c.Vec("m", info.Name, len(g))
 	for i, v := range g {
 		m[i] = c.momentum*m[i] + (1-c.momentum)*v
 	}

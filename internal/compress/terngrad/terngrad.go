@@ -7,6 +7,7 @@ package terngrad
 import (
 	"fmt"
 
+	"repro/internal/compress/cbase"
 	"repro/internal/encode"
 	"repro/internal/fxrand"
 	"repro/internal/grace"
@@ -21,7 +22,7 @@ func init() {
 		Nature:    "randomized",
 		Reference: "Wen et al., NeurIPS 2017 [14]",
 		New: func(o grace.Options) (grace.Compressor, error) {
-			return &Compressor{rng: fxrand.New(o.Seed)}, nil
+			return &Compressor{State: cbase.NewState(fxrand.New(o.Seed))}, nil
 		},
 	})
 }
@@ -33,12 +34,13 @@ const (
 	symNeg  = 2
 )
 
-// Compressor quantizes to scaled ternary values.
+// Compressor quantizes to scaled ternary values; its survival stream is
+// checkpointed codec state.
 type Compressor struct {
-	rng *fxrand.RNG
+	cbase.State
 }
 
-var _ grace.Compressor = (*Compressor)(nil)
+var _ grace.Stateful = (*Compressor)(nil)
 
 // Name returns "terngrad".
 func (*Compressor) Name() string { return "terngrad" }
@@ -56,7 +58,7 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 			if a < 0 {
 				a = -a
 			}
-			if c.rng.Float64() < a/scale {
+			if c.RNG.Float64() < a/scale {
 				if v >= 0 {
 					symbols[i] = symPos
 				} else {

@@ -2,7 +2,8 @@
 // multiplier s ∈ [1, 2) — elements quantize to {−1, 0, +1}·M with
 // M = s·‖g‖∞, so larger s zeroes more elements — followed by an aggressive
 // lossless stage (five ternary digits packed per byte, then zero run-length
-// encoding). Error compensation is built in, per the original design.
+// encoding). The original design's error compensation is the framework's
+// error feedback with β = γ = 1 (DefaultEF): the compressor sees g + m.
 package threelc
 
 import (
@@ -21,7 +22,6 @@ func init() {
 		Output:    "adaptive",
 		Nature:    "deterministic",
 		DefaultEF: true,
-		BuiltinEF: true,
 		Reference: "Lim et al., MLSys 2019 [23]",
 		New: func(o grace.Options) (grace.Compressor, error) {
 			s := o.Threshold
@@ -31,7 +31,7 @@ func init() {
 			if s < 1 || s >= 2 {
 				return nil, fmt.Errorf("threelc: sparsity multiplier %v out of [1,2)", s)
 			}
-			return &Compressor{s: s, mem: map[string][]float32{}}, nil
+			return &Compressor{s: s}, nil
 		},
 	})
 }
@@ -39,10 +39,9 @@ func init() {
 // base3PerByte is how many ternary digits fit a byte (3^5 = 243 <= 255).
 const base3PerByte = 5
 
-// Compressor carries the built-in error-compensation memory.
+// Compressor quantizes with sparsity multiplier s.
 type Compressor struct {
-	s   float64
-	mem map[string][]float32
+	s float64
 }
 
 var _ grace.Compressor = (*Compressor)(nil)
@@ -53,42 +52,23 @@ func (*Compressor) Name() string { return "threelc" }
 // Strategy returns Allgather.
 func (*Compressor) Strategy() grace.Strategy { return grace.Allgather }
 
-// Compress quantizes g+m to scaled ternary, packs 5 digits per byte, ZRLE
-// encodes the byte stream, and folds the quantization error back into m.
+// Compress quantizes g to scaled ternary, packs 5 digits per byte and ZRLE
+// encodes the byte stream.
 func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payload, error) {
 	d := len(g)
-	m := c.mem[info.Name]
-	if m == nil {
-		m = make([]float32, d)
-		c.mem[info.Name] = m
-	}
-	x := make([]float32, d)
-	for i := range x {
-		x[i] = g[i] + m[i]
-	}
-	// M = s·‖x‖∞: a larger sparsity multiplier shrinks (1/M)·x, so more
+	// M = s·‖g‖∞: a larger sparsity multiplier shrinks (1/M)·g, so more
 	// elements round to zero.
-	M := float32(tensor.NormInfF32(x) * c.s)
+	M := float32(tensor.NormInfF32(g) * c.s)
 	trits := make([]byte, d) // 0, 1, 2 encoding -1, 0, +1 offset by 1
-	if M > 0 {
-		for i, v := range x {
-			q := math.Round(float64(v / M))
-			switch {
+	for i, v := range g {
+		trits[i] = 1
+		if M > 0 {
+			switch q := math.Round(float64(v / M)); {
 			case q <= -1:
 				trits[i] = 0
-				m[i] = v + M
 			case q >= 1:
 				trits[i] = 2
-				m[i] = v - M
-			default:
-				trits[i] = 1
-				m[i] = v
 			}
-		}
-	} else {
-		for i := range trits {
-			trits[i] = 1
-			m[i] = x[i]
 		}
 	}
 	// Base-3^5 packing. The digit value 1 ("zero") yields byte value

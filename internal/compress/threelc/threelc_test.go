@@ -2,6 +2,7 @@ package threelc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -68,17 +69,14 @@ func TestSparsityMultiplierIncreasesZeros(t *testing.T) {
 
 func TestErrorCompensationAccumulates(t *testing.T) {
 	// A gradient too small to quantize on its own must eventually transmit
-	// through the built-in memory.
+	// through the error-feedback memory.
 	c, _ := grace.New("threelc", grace.Options{})
+	mem := grace.NewMemory(1, 1)
 	info := grace.NewTensorInfo("t", []int{2})
 	g := []float32{1.0, 0.2} // second element below the rounding threshold
 	sent := false
 	for i := 0; i < 10 && !sent; i++ {
-		p, err := c.Compress(g, info)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, _ := c.Decompress(p, info)
+		_, out := efStep(t, c, mem, g, info)
 		if out[1] != 0 {
 			sent = true
 		}
@@ -86,6 +84,81 @@ func TestErrorCompensationAccumulates(t *testing.T) {
 	if !sent {
 		t.Fatal("small element never transmitted despite error compensation")
 	}
+}
+
+// TestFrameworkEFMatchesBuiltinMemory: grace.Memory(1, 1) around the codec
+// sends the same bytes and keeps the same residual, bit for bit, as the
+// error compensation 3LC used to carry inside its compressor.
+func TestFrameworkEFMatchesBuiltinMemory(t *testing.T) {
+	c, err := grace.New("threelc", grace.Options{Threshold: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := grace.NewMemory(1, 1)
+	info := grace.NewTensorInfo("t", []int{37})
+	m := make([]float32, info.Size())
+	r := fxrand.New(3)
+	for step := 0; step < 20; step++ {
+		g := make([]float32, info.Size())
+		for i := range g {
+			g[i] = r.NormFloat32()
+		}
+		want := builtinStep(t, c, m, g, info)
+		got, _ := efStep(t, c, mem, g, info)
+		if !bytes.Equal(got.Bytes, want) {
+			t.Fatalf("step %d: payload differs from the built-in loop's", step)
+		}
+		for i, v := range mem.State()["t"] {
+			if math.Float32bits(v) != math.Float32bits(m[i]) {
+				t.Fatalf("step %d: residual[%d] = %v, built-in loop %v", step, i, v, m[i])
+			}
+		}
+	}
+}
+
+// builtinStep is the deleted built-in compensation loop, kept as the oracle:
+// x = g + m, quantize x, then m ← x − Q⁻¹(Q(x)) from the payload's M, as
+// m = x + M, x − M or x for the digits −1, +1 and 0. It returns the payload.
+func builtinStep(t *testing.T, c grace.Compressor, m, g []float32, info grace.TensorInfo) []byte {
+	t.Helper()
+	x := make([]float32, len(g))
+	for i := range x {
+		x[i] = g[i] + m[i]
+	}
+	p, err := c.Compress(x, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	M := math.Float32frombits(binary.LittleEndian.Uint32(p.Bytes))
+	for i, v := range x {
+		m[i] = v
+		if M > 0 {
+			switch q := math.Round(float64(v / M)); {
+			case q <= -1:
+				m[i] = v + M
+			case q >= 1:
+				m[i] = v - M
+			}
+		}
+	}
+	return p.Bytes
+}
+
+// efStep runs one framework error-feedback step (Eq. 4, β = γ = 1): compress
+// g + m, decode locally and keep the residual in mem.
+func efStep(t *testing.T, c grace.Compressor, mem *grace.Memory, g []float32, info grace.TensorInfo) (*grace.Payload, []float32) {
+	t.Helper()
+	x := mem.Compensate(info.Name, g)
+	p, err := c.Compress(x, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Decompress(p, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.Update(info.Name, x, out)
+	return p, out
 }
 
 func TestRejectsBadMultiplier(t *testing.T) {

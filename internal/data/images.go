@@ -90,10 +90,3 @@ func (d *Images) Batch(indices []int) Batch {
 	}
 	return Batch{X: x, Y: y}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -62,7 +62,7 @@ func NewRatings(cfg RatingsConfig) *Ratings {
 		// The user's true positives are their top-scoring items among a
 		// random candidate pool; this creates learnable structure without an
 		// O(U·I) full sort.
-		pool := r.Sample(cfg.Items, minInt(cfg.Items, cfg.PosPerUser*8))
+		pool := r.Sample(cfg.Items, min(cfg.Items, cfg.PosPerUser*8))
 		// Partial selection of top PosPerUser+1 by score.
 		topK := cfg.PosPerUser + 1 // +1 held out for eval
 		for sel := 0; sel < topK && sel < len(pool); sel++ {
@@ -74,7 +74,7 @@ func NewRatings(cfg RatingsConfig) *Ratings {
 			}
 			pool[sel], pool[best] = pool[best], pool[sel]
 		}
-		positives := pool[:minInt(topK, len(pool))]
+		positives := pool[:min(topK, len(pool))]
 		held := positives[0] // highest-scored item is held out
 		d.evalPos = append(d.evalPos, held)
 		negs := make([]int, 0, 99)
@@ -125,10 +125,3 @@ func (d *Ratings) Batch(indices []int) Batch {
 // EvalCases returns the leave-one-out evaluation cases: for each user, the
 // held-out positive item and its 99 sampled negatives.
 func (d *Ratings) EvalCases() (pos []int, negs [][]int) { return d.evalPos, d.evalNegs }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

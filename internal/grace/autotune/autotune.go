@@ -84,8 +84,8 @@ const (
 // configuration, and every worker must be constructed with identical values.
 type Config struct {
 	// Candidates is the method set the policy chooses among; nil selects
-	// DefaultCandidates(). Candidates must be codec-stateless, non-Custom
-	// registry methods (grace.NewEngine enforces this).
+	// DefaultCandidates(). Candidates must be non-Custom registry methods
+	// without per-tensor codec state (grace.NewEngine enforces this).
 	Candidates []grace.TunerCandidate
 	// Every is the decision period in steps; 0 selects 5. The first
 	// len(Candidates) windows probe each candidate in turn (warmup).

@@ -151,23 +151,16 @@ func assertSnapshotsBitwiseEqual(t *testing.T, got, want []*grace.Snapshot, labe
 	}
 }
 
-// TestTrainerCheckpointResumeBitwise: for a stateless method with framework
-// EF memory (topk), a built-in-EF method (dgc), and an RNG-carrying method
-// (qsgd), a run restored from its on-disk mid-run checkpoint must finish
-// with weights bitwise identical to the uninterrupted run — through the full
-// ckpt encode→fsync→decode path, mid-epoch and at an epoch boundary.
+// TestTrainerCheckpointResumeBitwise: for every registered method, with
+// framework EF as Table I runs it, a run restored from its on-disk mid-run
+// checkpoint must finish with weights bitwise identical to the uninterrupted
+// run — through the full ckpt encode→fsync→decode path, mid-epoch and at an
+// epoch boundary. Codec state of every kind crosses it: EF residuals,
+// per-tensor vectors (dgc, signum, powersgd) and random streams.
 func TestTrainerCheckpointResumeBitwise(t *testing.T) {
-	cases := []struct {
-		method string
-		mem    bool
-	}{
-		{"topk", true},
-		{"dgc", false},
-		{"qsgd", true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.method, func(t *testing.T) {
-			cfg := ckptConfig(tc.method, tc.mem)
+	for _, meta := range grace.All() {
+		t.Run(meta.Name, func(t *testing.T) {
+			cfg := ckptConfig(meta.Name, meta.DefaultEF && !meta.BuiltinEF)
 			refDir := t.TempDir()
 			want := runCheckpointed(t, cfg, refDir, 3, false)
 
@@ -176,7 +169,7 @@ func TestTrainerCheckpointResumeBitwise(t *testing.T) {
 			for _, step := range []int64{3, 6} {
 				dir := seedStore(t, refDir, []int{0, 1, 2}, step)
 				got := runCheckpointed(t, cfg, dir, 3, true)
-				assertSnapshotsBitwiseEqual(t, got, want, tc.method)
+				assertSnapshotsBitwiseEqual(t, got, want, meta.Name)
 			}
 		})
 	}

@@ -6,14 +6,16 @@ import (
 	"repro/internal/fxrand"
 )
 
-// CodecState is a serializable snapshot of one compressor instance's evolving
-// state. Two kinds of state exist in this repository's methods:
+// CodecState is a serializable snapshot of one compressor instance's private
+// state (EF residuals are Memory's). It is of two kinds, both held by the
+// codecs' one holder, compress/cbase.State:
 //
-//   - Per-tensor vectors (DGC's momentum u and accumulator v), keyed
+//   - Per-tensor vectors (DGC's momentum u and accumulator v, SIGNUM's
+//     momentum, PowerSGD's warm-start Q and post-compression memory), keyed
 //     slot name → tensor name → flat vector.
-//   - A deterministic random stream (QSGD's randomized rounding RNG).
+//   - A deterministic random stream (every randomized method's RNG).
 //
-// A compressor reports whichever it has; both maps/pointers may be nil.
+// A compressor reports whichever it has; both may be nil.
 type CodecState struct {
 	// Tensors holds per-tensor state vectors: slot → tensor name → data.
 	Tensors map[string]map[string][]float32
@@ -38,16 +40,17 @@ type Stateful interface {
 // Tensors are pinned to lanes (tensor i → lane i mod P), so each per-tensor
 // vector lives authoritatively in exactly one lane instance; the engine
 // filters out stale duplicates at capture and hands every lane the full map
-// at restore (non-owned entries are never read, hence harmless). Lane RNG
-// streams are positional, which makes a snapshot valid only for the same
-// lane count — LoadCodecState enforces that.
+// at restore (non-owned entries are never read, hence harmless). RNG streams
+// are positional, which makes a snapshot valid only for the same lane count
+// and candidate list — LoadCodecState enforces that.
 type EngineCodecState struct {
 	// Method is the compressor name the state belongs to.
 	Method string
 	// Tensors is the merged per-tensor state: slot → tensor name → data.
 	Tensors map[string]map[string][]float32
-	// LaneRNGs holds one RNG state per codec lane, or nil when the method
-	// has no random stream.
+	// LaneRNGs holds the RNG state of every codec instance with a random
+	// stream, lane-major (lane 0's candidates in order, then lane 1's, ...):
+	// one per lane for a fixed randomized method, nil when there is none.
 	LaneRNGs []fxrand.State
 }
 
@@ -61,38 +64,34 @@ func (e *Engine) Method() string { return e.methodLabel(-1) }
 // a deep copy. For per-tensor slots, only the lane that owns a tensor
 // (tensor index mod lane count, per the last Step's tensor set) contributes
 // its entry; entries for tensors the engine has never exchanged are dropped
-// as stale. Stateless methods yield a state with empty Tensors and nil
-// LaneRNGs. Only a lane's first instance can carry state: a fixed-method
-// lane has no other, and a tuning lane's candidates are stateless (admit).
+// as stale. LaneRNGs lists every instance's stream, a tuning lane's
+// candidates too (admit keeps their vectors out). Stateless methods yield a
+// state with empty Tensors and nil LaneRNGs.
 func (e *Engine) CodecState() EngineCodecState {
-	p := len(e.lanes)
 	out := EngineCodecState{Method: e.Method()}
 	for l, ln := range e.lanes {
-		sf, ok := ln.comps[0].(Stateful)
-		if !ok {
-			continue
-		}
-		st := sf.CodecState()
-		if st.RNG != nil {
-			if out.LaneRNGs == nil {
-				out.LaneRNGs = make([]fxrand.State, p)
+		for _, c := range ln.comps {
+			sf, ok := c.(Stateful)
+			if !ok {
+				continue
 			}
-			out.LaneRNGs[l] = *st.RNG
-		}
-		for slot, byName := range st.Tensors {
-			for i := l; i < len(e.slots); i += p {
-				name := e.slots[i].q.Name
-				vec, ok := byName[name]
-				if !ok {
-					continue
+			st := sf.CodecState()
+			if st.RNG != nil {
+				out.LaneRNGs = append(out.LaneRNGs, *st.RNG)
+			}
+			for slot, byName := range st.Tensors {
+				for i := l; i < len(e.slots); i += len(e.lanes) {
+					name := e.slots[i].q.Name
+					if vec, ok := byName[name]; ok { // st is already a copy
+						if out.Tensors == nil {
+							out.Tensors = map[string]map[string][]float32{}
+						}
+						if out.Tensors[slot] == nil {
+							out.Tensors[slot] = map[string][]float32{}
+						}
+						out.Tensors[slot][name] = vec
+					}
 				}
-				if out.Tensors == nil {
-					out.Tensors = map[string]map[string][]float32{}
-				}
-				if out.Tensors[slot] == nil {
-					out.Tensors[slot] = map[string][]float32{}
-				}
-				out.Tensors[slot][name] = append([]float32(nil), vec...)
 			}
 		}
 	}
@@ -100,34 +99,44 @@ func (e *Engine) CodecState() EngineCodecState {
 }
 
 // LoadCodecState restores a previously captured snapshot into every codec
-// lane. Each lane receives the full per-tensor map (it only ever reads the
-// tensors it owns) and its own positional RNG state; the snapshot must come
-// from the same method and, when RNG streams are present, the same lane
-// count.
+// instance. Each receives the full per-tensor map (it only ever reads the
+// tensors its lane owns) and, when it has a random stream, the next of
+// LaneRNGs in CodecState's order; the snapshot must come from the same
+// method and, when RNG streams are present, the same lane count.
 func (e *Engine) LoadCodecState(st EngineCodecState) error {
 	if st.Method != "" && st.Method != e.Method() {
 		return fmt.Errorf("grace: cannot load %q codec state into %q engine", st.Method, e.Method())
 	}
-	if st.LaneRNGs != nil && len(st.LaneRNGs) != len(e.lanes) {
-		return fmt.Errorf("grace: codec state has %d lane RNG streams, engine has %d lanes; "+
-			"restore with the same codec parallelism", len(st.LaneRNGs), len(e.lanes))
-	}
+	rngs, stateless := st.LaneRNGs, true
 	for l, ln := range e.lanes {
-		sf, ok := ln.comps[0].(Stateful)
-		if !ok {
-			if len(st.Tensors) > 0 || st.LaneRNGs != nil {
-				return fmt.Errorf("grace: method %q carries codec state but the engine's compressor is stateless", st.Method)
+		for _, c := range ln.comps {
+			sf, ok := c.(Stateful)
+			if !ok {
+				continue
 			}
-			continue
+			stateless = false
+			cs := CodecState{Tensors: st.Tensors}
+			if st.LaneRNGs != nil && sf.CodecState().RNG != nil {
+				if len(rngs) == 0 {
+					return errLaneRNGs(st)
+				}
+				cs.RNG, rngs = &rngs[0], rngs[1:]
+			}
+			if err := sf.LoadCodecState(cs); err != nil {
+				return fmt.Errorf("grace: lane %d: %w", l, err)
+			}
 		}
-		cs := CodecState{Tensors: st.Tensors}
-		if st.LaneRNGs != nil {
-			r := st.LaneRNGs[l]
-			cs.RNG = &r
-		}
-		if err := sf.LoadCodecState(cs); err != nil {
-			return fmt.Errorf("grace: lane %d: %w", l, err)
-		}
+	}
+	if stateless && (len(st.Tensors) > 0 || st.LaneRNGs != nil) {
+		return fmt.Errorf("grace: method %q carries codec state but the engine's compressor is stateless", st.Method)
+	}
+	if len(rngs) > 0 {
+		return errLaneRNGs(st)
 	}
 	return nil
+}
+
+func errLaneRNGs(st EngineCodecState) error {
+	return fmt.Errorf("grace: codec state has %d lane RNG streams, not one per random codec instance of this engine; "+
+		"restore with the same codec parallelism", len(st.LaneRNGs))
 }

@@ -198,10 +198,10 @@ type EngineConfig struct {
 	// chosen per step by the policy, and the engine feeds rank-identical
 	// exchange observations back after every step (see Tuner). New is then
 	// ignored. Mutually exclusive with Fusion (a mixed-method step has
-	// no single-strategy buckets to fuse); candidates must be codec-stateless
-	// and must not use the Custom strategy. Every worker must run an
-	// identically configured Tuner — the policy trajectory is part of the
-	// collective sequence.
+	// no single-strategy buckets to fuse); candidates must keep no
+	// per-tensor codec state and must not use the Custom strategy. Every
+	// worker must run an identically configured Tuner — the policy
+	// trajectory is part of the collective sequence.
 	Tuner Tuner
 }
 
@@ -365,9 +365,10 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 // fixed-method engine needs its lanes to agree on method name and strategy,
 // and a Custom-strategy method to implement CustomComm. A tuning engine
 // rejects fusion (a mixed-method step has no single-strategy buckets) and
-// stateful or Custom-strategy candidates — the former would need
-// per-candidate codec-state checkpointing, the latter own their collective
-// sequence and cannot be hot-swapped safely.
+// candidates with per-tensor codec state or the Custom strategy — a tensor's
+// vectors would go stale in a candidate while it runs another, and a Custom
+// method owns its collective sequence. Random streams are fine: CodecState
+// lists every candidate's.
 func (e *Engine) admit() error {
 	first := e.lanes[0]
 	if e.tuner == nil {
@@ -391,9 +392,9 @@ func (e *Engine) admit() error {
 		return fmt.Errorf("grace: autotune policy has no candidates")
 	}
 	for ci, cand := range e.cands {
-		if _, stateful := first.comps[ci].(Stateful); stateful {
-			return fmt.Errorf("grace: autotune candidate %q: method %s carries codec state; "+
-				"only codec-stateless methods can be autotuned", cand.Label, cand.Method)
+		if sf, ok := first.comps[ci].(Stateful); ok && sf.CodecState().Tensors != nil {
+			return fmt.Errorf("grace: autotune candidate %q: method %s keeps per-tensor codec state; "+
+				"only methods without it (a random stream is fine) can be autotuned", cand.Label, cand.Method)
 		}
 		if first.caps[ci].Strategy == Custom {
 			return fmt.Errorf("grace: autotune candidate %q: Custom-strategy methods cannot be autotuned", cand.Label)

@@ -45,8 +45,8 @@ type Meta struct {
 	// error feedback on (Table I's EF-On column).
 	DefaultEF bool
 	// BuiltinEF reports whether the method manages its own memory, in which
-	// case framework EF must stay off (1-bit SGD, EFsignSGD, DGC, 3LC,
-	// PowerSGD).
+	// case framework EF must stay off (DGC's local gradient accumulation,
+	// PowerSGD's feedback on the allreduced factors).
 	BuiltinEF bool
 	// Reference cites the original paper.
 	Reference string

@@ -18,9 +18,9 @@ import "fmt"
 // the same step and the collective sequence stays in lockstep.
 
 // TunerCandidate is one (method, options) configuration an autotuning policy
-// may assign to a tensor. Candidates must be codec-stateless (not
-// implementing Stateful) and must not use the Custom communication strategy;
-// NewEngine enforces both.
+// may assign to a tensor. Candidates must keep no per-tensor codec state (a
+// random stream is allowed and checkpointed) and must not use the Custom
+// communication strategy; NewEngine enforces both.
 type TunerCandidate struct {
 	// Label names the candidate in reports and policy traces, e.g.
 	// "topk@0.01".

@@ -20,15 +20,23 @@ import (
 // handful of steps crosses warmup into scored decisions.
 func tunerTestPolicy(t *testing.T, workers, every int) *autotune.Policy {
 	t.Helper()
+	return tunerPolicyOver(t, workers, every, tunerTestCandidates)
+}
+
+var tunerTestCandidates = []grace.TunerCandidate{
+	{Label: "none", Method: "none"},
+	{Label: "topk@0.05", Method: "topk", Opts: grace.Options{Ratio: 0.05}},
+	{Label: "eightbit", Method: "eightbit"},
+}
+
+// tunerPolicyOver is tunerTestPolicy's policy over another candidate list.
+func tunerPolicyOver(t *testing.T, workers, every int, cands []grace.TunerCandidate) *autotune.Policy {
+	t.Helper()
 	p, err := autotune.New(autotune.Config{
-		Candidates: []grace.TunerCandidate{
-			{Label: "none", Method: "none"},
-			{Label: "topk@0.05", Method: "topk", Opts: grace.Options{Ratio: 0.05}},
-			{Label: "eightbit", Method: "eightbit"},
-		},
-		Every:   every,
-		Link:    simnet.TCP1G,
-		Workers: workers,
+		Candidates: cands,
+		Every:      every,
+		Link:       simnet.TCP1G,
+		Workers:    workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +289,21 @@ func TestTunedEngineNoMemory(t *testing.T) {
 // fresh engines replays the identical policy trajectory and aggregates,
 // bitwise, as the uninterrupted reference.
 func TestTunedEngineResume(t *testing.T) {
+	// The second run probes a randomized candidate in the warmup window the
+	// cut splits: the switch step 3 flushes, steps 4 and 5 draw its stream on
+	// either side of the cut.
+	withRandomK := []grace.TunerCandidate{tunerTestCandidates[0],
+		{Label: "randomk@0.25", Method: "randomk", Opts: grace.Options{Ratio: 0.25, Seed: 7}},
+		tunerTestCandidates[1], tunerTestCandidates[2]}
+	t.Run("stateless", func(t *testing.T) { testTunedEngineResume(t, tunerTestCandidates, 2) })
+	t.Run("randomk", func(t *testing.T) { testTunedEngineResume(t, withRandomK, 3) })
+}
+
+func testTunedEngineResume(t *testing.T, cands []grace.TunerCandidate, every int) {
 	const (
 		workers = 2
 		steps   = 10
 		cut     = 5
-		every   = 2
 	)
 	infos := engineTestInfos(6)
 
@@ -331,7 +349,7 @@ func TestTunedEngineResume(t *testing.T) {
 			mem := grace.NewMemory(1, 1)
 			eng, err := grace.NewEngine(
 				grace.WithCollective(hub.Worker(rank)),
-				grace.WithTuner(tunerTestPolicy(t, workers, every)),
+				grace.WithTuner(tunerPolicyOver(t, workers, every, cands)),
 				grace.WithEngineMemory(mem),
 			)
 			if err != nil {
@@ -351,6 +369,9 @@ func TestTunedEngineResume(t *testing.T) {
 		resumed[rank].mem.LoadState(first[rank].mem.State())
 		if err := resumed[rank].eng.LoadTunerState(first[rank].eng.TunerState()); err != nil {
 			t.Fatalf("rank %d restore: %v", rank, err)
+		}
+		if err := resumed[rank].eng.LoadCodecState(first[rank].eng.CodecState()); err != nil {
+			t.Fatalf("rank %d codec restore: %v", rank, err)
 		}
 	}
 	post := run(resumed, cut, steps)
@@ -411,10 +432,18 @@ func TestTunedEngineValidation(t *testing.T) {
 	if _, err := grace.NewEngine(
 		grace.WithCollective(coll),
 		grace.WithTuner(mustPolicy([]grace.TunerCandidate{
-			{Label: "qsgd", Method: "qsgd", Opts: grace.Options{Levels: 8, Seed: 1}},
+			{Label: "dgc", Method: "dgc", Opts: grace.Options{Ratio: 0.25}},
 		})),
 	); err == nil {
-		t.Fatal("codec-stateful candidate (qsgd) should be rejected")
+		t.Fatal("candidate with per-tensor codec state (dgc) should be rejected")
+	}
+	if _, err := grace.NewEngine(
+		grace.WithCollective(coll),
+		grace.WithTuner(mustPolicy([]grace.TunerCandidate{
+			{Label: "qsgd", Method: "qsgd", Opts: grace.Options{Levels: 8, Seed: 1}},
+		})),
+	); err != nil {
+		t.Fatalf("candidate with only a random stream (qsgd) rejected: %v", err)
 	}
 	if _, err := grace.NewEngine(
 		grace.WithCollective(coll),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/grace"
 )
 
 // The kill-point sweep: the standard hub recovery scenario with the kill moved
@@ -74,6 +75,25 @@ func sweep(run func(name string, point func(testing.TB)), s Scenario, steps []in
 	}
 }
 
+// methodSweep runs scenario s once per registered method — the default kill
+// point (rank 1 after step 5), error feedback as Table I runs the method — so
+// every kind of codec state crosses the recovery: EF residuals, per-tensor
+// vectors and random streams.
+func methodSweep(run func(name string, point func(testing.TB)), s Scenario) {
+	for _, m := range grace.All() {
+		mem := m.DefaultEF && !m.BuiltinEF
+		run(fmt.Sprintf("%s/method/%s", s, m.Name), func(tb testing.TB) { sweepPoint(tb, s, m.Name, mem, 1, 5) })
+	}
+}
+
+// TestScenarioMethodSweep is the method axis of the sweep on the hub: a
+// single-rank respawn through the sync round for every registered method.
+func TestScenarioMethodSweep(t *testing.T) {
+	methodSweep(func(name string, point func(testing.TB)) {
+		t.Run(name, func(t *testing.T) { point(t) })
+	}, ScenarioRejoin)
+}
+
 // TestScenarioKillPointSweep covers restart and rejoin on the hub — 60
 // points at a few milliseconds each — plus restart killed before the first
 // checkpoint, which must start fresh and still match the reference.
@@ -85,16 +105,19 @@ func TestScenarioKillPointSweep(t *testing.T) {
 	sweep(run, ScenarioRejoin, sweepKillSteps)
 }
 
-// BenchmarkScenarioKillPointSweepShrink adds shrink over the same grid. Each
-// point waits out the survivors' rejoin deadline before the vote, so the 30
-// points take seconds rather than milliseconds; `make sweep` runs them once
-// (-benchtime 1x) next to the tier-1 sweep.
+// BenchmarkScenarioKillPointSweepShrink adds shrink over the same grid and
+// the method axis: every survivor re-binds its Engine to the smaller group.
+// Each point waits out the survivors' rejoin deadline before the vote, so the
+// 30 grid and 22 method points take seconds rather than milliseconds; `make
+// sweep` runs them once (-benchtime 1x) next to the tier-1 sweep.
 func BenchmarkScenarioKillPointSweepShrink(b *testing.B) {
-	sweep(func(name string, point func(testing.TB)) {
+	run := func(name string, point func(testing.TB)) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				point(b)
 			}
 		})
-	}, ScenarioShrink, sweepKillSteps)
+	}
+	sweep(run, ScenarioShrink, sweepKillSteps)
+	methodSweep(run, ScenarioShrink)
 }

@@ -37,7 +37,7 @@ func Suite() []MethodSpec {
 		{Label: "SignSGD", Name: "signsgd"},
 		{Label: "SIGNUM", Name: "signum"},
 		{Label: "EFsignSGD", Name: "efsignsgd", EF: true},
-		{Label: "1-bit SGD", Name: "onebit"},
+		{Label: "1-bit SGD", Name: "onebit", EF: true},
 		{Label: "QSGD(64)", Name: "qsgd", Opts: grace.Options{Levels: 64}},
 		{Label: "TernGrad", Name: "terngrad"},
 		{Label: "Natural", Name: "natural", EF: true},
@@ -49,7 +49,7 @@ func Suite() []MethodSpec {
 		{Label: "DGC(0.01)", Name: "dgc", Opts: grace.Options{Ratio: 0.01}},
 		{Label: "Adaptive(0.01)", Name: "adaptive", Opts: grace.Options{Ratio: 0.01}, EF: true},
 		{Label: "SketchML(64)", Name: "sketchml", Opts: grace.Options{Levels: 64}, EF: true},
-		{Label: "3LC", Name: "threelc"},
+		{Label: "3LC", Name: "threelc", EF: true},
 		{Label: "PowerSGD(4)", Name: "powersgd", Opts: grace.Options{Rank: 4}},
 		{Label: "ATOMO(3)", Name: "atomo", Opts: grace.Options{Rank: 3}},
 	}
