@@ -1,6 +1,7 @@
 package all_test
 
 import (
+	"slices"
 	"testing"
 
 	_ "repro/internal/compress/all"
@@ -44,6 +45,11 @@ func FuzzDecompressAll(f *testing.F) {
 		}
 		methods = append(methods, name)
 	}
+	// A regression row: a topk payload that lists index 3 twice (index
+	// block [2 4 0], values 1.5 and -7), which no encoder writes and the
+	// sparse decoder once accepted.
+	dup := []byte{3, 2, 4, 0, 0, 0, 0xc0, 0x3f, 0, 0, 0xe0, 0xc0}
+	f.Add(uint8(slices.Index(methods, "topk")), uint8(0), dup)
 	f.Fuzz(func(t *testing.T, mi, si uint8, data []byte) {
 		name := methods[int(mi)%len(methods)]
 		info := fuzzShapes[int(si)%len(fuzzShapes)]

@@ -2,6 +2,7 @@ package cbase
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -164,7 +165,52 @@ var topkShapes = map[string]func(r *fxrand.RNG, g []float32){
 			g[i] = math.Float32frombits(0x3f800000 + uint32(r.Intn(3)))
 		}
 	},
+	// The rest defeat a strided sample of every (d/sampleLen)-th key.
+	"between-samples": func(r *fxrand.RNG, g []float32) { // the sample sees only small values
+		s := sampleStride(len(g))
+		for i := range g {
+			g[i] = r.NormFloat32()
+			if i%s != 0 {
+				g[i] *= 1e6
+			}
+		}
+	},
+	"on-samples": func(r *fxrand.RNG, g []float32) { // the sample sees only large values: the guess misses
+		s := sampleStride(len(g))
+		for i := range g {
+			g[i] = r.NormFloat32()
+			if i%s == 0 {
+				g[i] *= 1e6
+			}
+		}
+	},
+	"ramp": func(r *fxrand.RNG, g []float32) {
+		for i := range g {
+			g[i] = float32(i) / float32(len(g))
+		}
+	},
+	"periodic": func(r *fxrand.RNG, g []float32) { // every sample point holds the period's peak
+		s := sampleStride(len(g))
+		for i := range g {
+			g[i] = float32(s - i%s)
+		}
+	},
+	"nan-inf-runs": func(r *fxrand.RNG, g []float32) {
+		for i := range g {
+			switch i / 37 % 5 {
+			case 1:
+				g[i] = float32(math.NaN())
+			case 3:
+				g[i] = float32(math.Inf(1))
+			default:
+				g[i] = r.NormFloat32()
+			}
+		}
+	},
 }
+
+// sampleStride is the spacing of the sampled selection's sample at length d.
+func sampleStride(d int) int { return max(d/sampleLen, 1) }
 
 // TestTopKMatchesReferenceSort pins the documented total order: TopK must
 // return exactly the first k indices of a full sort by (|g| descending with
@@ -177,7 +223,7 @@ func TestTopKMatchesReferenceSort(t *testing.T) {
 		}
 		return math.Abs(float64(v))
 	}
-	for _, d := range []int{1, 2, 24, 64, 4096, 294912} {
+	for _, d := range []int{1, 2, 24, 64, 4096, 32767, 32768, 196608, 294912} {
 		for name, fill := range topkShapes {
 			g := make([]float32, d)
 			fill(fxrand.New(uint64(d)), g)
@@ -312,5 +358,174 @@ func TestQuantileAbsThresholdEdges(t *testing.T) {
 func TestKFor(t *testing.T) {
 	if KFor(0.01, 100) != 1 || KFor(0.5, 100) != 50 || KFor(0.0001, 100) != 1 || KFor(2, 100) != 100 {
 		t.Fatal("KFor clamping wrong")
+	}
+}
+
+// TestTopKSampledPaths pins which way the sampled selection goes on the
+// shapes built to steer it, so the reference-sort test above really covers
+// each exit: the guess holds on normal data and takes the zero-key exit when
+// k exceeds the non-zero count (mostlyzero-0.5%); it falls back to the exact
+// selection when the sample sees only the large values (too few hits) or
+// only the small ones, every key ties, or NaN runs qualify (too many). Every
+// exit must return the exact selection's winners.
+func TestTopKSampledPaths(t *testing.T) {
+	const d = 196608
+	for _, tc := range []struct {
+		shape    string
+		fallback bool
+	}{
+		{"normal", false},
+		{"mostlyzero-0.5%", false},
+		{"mostlyzero-5%", false},
+		{"between-samples", true},
+		{"on-samples", true},
+		{"periodic", false},
+		{"constant", true},
+		{"nan-inf-runs", true},
+	} {
+		g := make([]float32, d)
+		topkShapes[tc.shape](fxrand.New(9), g)
+		k := d / 100
+		var sc selScratch
+		got := slices.Clone(sc.sampled(g, k))
+		if (got == nil) != tc.fallback {
+			t.Fatalf("%s: sampled selection fell back = %v, want %v", tc.shape, got == nil, tc.fallback)
+		}
+		want, _ := sc.exact(g, k)
+		if got != nil && !slices.Equal(got, want) {
+			t.Fatalf("%s: sampled selection differs from the exact one", tc.shape)
+		}
+	}
+}
+
+// scanOperand is an operand of the scan kernel test: random magnitudes or,
+// with special set, the values whose keys sit at the edges of the order.
+func scanOperand(r *fxrand.RNG, n int, special bool) []float32 {
+	specials := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), math.Float32frombits(0x807fffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.Float32frombits(0xffc00001), 1, -1}
+	g := make([]float32, n)
+	for i := range g {
+		g[i] = r.NormFloat32()
+		if special && r.Intn(3) == 0 {
+			g[i] = specials[r.Intn(len(specials))]
+		}
+	}
+	return g
+}
+
+// TestScanMatchesGeneric holds scanBlocks (the SSE2 kernel on amd64) to its
+// Go twin at every length to 130 and offsets 0-3, over special values and
+// thresholds equal to keys in the operand. The kernel writes without bounds
+// checks, so it must also leave out untouched past the count it returns.
+func TestScanMatchesGeneric(t *testing.T) {
+	r := fxrand.New(11)
+	const pad, sentinel = 5, 0xdeadbeef
+	for n := 0; n <= 130; n++ {
+		for off := 0; off <= 3; off++ {
+			for _, special := range []bool{false, true} {
+				g := scanOperand(r, off+n, special)[off:]
+				ts := []uint32{1, 2, 0xff000000, 0xff000001, 0x7f000000}
+				for i := 0; i < n; i += 7 {
+					ts = append(ts, max(math.Float32bits(g[i])<<1, 1))
+				}
+				for _, th := range ts {
+					got := make([]uint32, n+pad)
+					for i := range got {
+						got[i] = sentinel
+					}
+					want := make([]uint32, n)
+					m := scanBlocks(g, th, 100, got)
+					w := scanGeneric(g, th, 100, want)
+					if m != w || !slices.Equal(got[:m], want[:w]) {
+						t.Fatalf("n=%d off=%d t=%#x: kernel hits %v, generic %v", n, off, th, got[:m], want[:w])
+					}
+					for i := m; i < len(got); i++ {
+						if got[i] != sentinel {
+							t.Fatalf("n=%d off=%d t=%#x: out[%d] beyond the %d hits was written", n, off, th, i, m)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// decodeSparseOracle is the decoder DecodeSparseInto replaced, kept as its
+// differential oracle: it decodes the index block with encode.DecodeIndices
+// and then reads the values.
+func decodeSparseOracle(buf []byte, dst []float32) error {
+	r := encode.NewReader(buf)
+	idxBlock := r.BytesSlice()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	idx, err := encode.DecodeIndices(idxBlock)
+	if err != nil {
+		return err
+	}
+	clear(dst)
+	for _, i := range idx {
+		if i < 0 || i >= len(dst) {
+			return fmt.Errorf("sparse index %d out of size %d", i, len(dst))
+		}
+		dst[i] = r.F32()
+	}
+	return r.Err()
+}
+
+// dupIndexPayload lists index 3 twice: index block [2 4 0] (two indices,
+// deltas 4 and 0), values 1.5 and -7. No encoder writes it; the oracle
+// accepted it and let the second value win.
+var dupIndexPayload = []byte{3, 2, 4, 0, 0, 0, 0xc0, 0x3f, 0, 0, 0xe0, 0xc0}
+
+func TestDecodeSparseRejectsRepeatedIndex(t *testing.T) {
+	dst := make([]float32, 8)
+	if err := decodeSparseOracle(dupIndexPayload, dst); err != nil || dst[3] != -7 {
+		t.Fatalf("the payload no longer shows the oracle's defect: err %v, dst[3] = %v", err, dst[3])
+	}
+	if err := DecodeSparseInto(dupIndexPayload, dst); err == nil {
+		t.Fatal("DecodeSparseInto accepted a repeated index")
+	}
+}
+
+// TestDecodeSparseMatchesOracle runs the streaming decoder and the oracle on
+// every payload the encoders write, over sizes and densities, and on
+// truncated and bit-flipped copies of them. On an encoder's payload both
+// must accept with bitwise the same dst; on any other the streaming decoder
+// may reject more, never accept what the oracle rejects, and when both
+// accept they agree.
+func TestDecodeSparseMatchesOracle(t *testing.T) {
+	r := fxrand.New(13)
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + r.Intn(1<<uint(r.Intn(17)))
+		g := scanOperand(r, d, trial%2 == 0)
+		buf := EncodeTopK(g, 1+r.Intn(d))
+		got, want := make([]float32, d), make([]float32, d)
+		errGot, errWant := DecodeSparseInto(buf, got), decodeSparseOracle(buf, want)
+		if errGot != nil || errWant != nil {
+			t.Fatalf("d=%d: encoder payload rejected: streaming %v, oracle %v", d, errGot, errWant)
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("d=%d: dst[%d] = %#x, oracle %#x", d, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+		for m := 0; m < 8; m++ {
+			bad := slices.Clone(buf)
+			if m%2 == 0 {
+				bad = bad[:r.Intn(len(bad)+1)]
+			} else if len(bad) > 0 {
+				bad[r.Intn(len(bad))] ^= 1 << uint(r.Intn(8))
+			}
+			size := d + r.Intn(3) - 1
+			got, want := make([]float32, max(size, 0)), make([]float32, max(size, 0))
+			errGot, errWant := DecodeSparseInto(bad, got), decodeSparseOracle(bad, want)
+			if errGot == nil && errWant != nil {
+				t.Fatalf("d=%d: streaming decoder accepted a payload the oracle rejects (%v)", d, errWant)
+			}
+			if errGot == nil && !slices.EqualFunc(got, want, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+				t.Fatalf("d=%d: both accept a mutated payload but decode it differently", d)
+			}
+		}
 	}
 }

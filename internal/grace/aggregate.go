@@ -25,7 +25,7 @@ func (ln *engineLane) decodeAggregate(c int, all [][]byte, info TensorInfo, dst 
 	clear(dst)
 	for rank, b := range all {
 		span := ln.ts.start()
-		dec, err := ln.decode(c, &Payload{Bytes: b}, info, into)
+		dec, err := ln.decode(c, Payload{Bytes: b}, info, into)
 		if err != nil {
 			return fmt.Errorf("grace: %s decompress rank %d: %w", name, rank, err)
 		}

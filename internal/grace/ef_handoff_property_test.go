@@ -2,9 +2,11 @@ package grace_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/fxrand"
 	"repro/internal/grace"
 )
 
@@ -188,6 +190,92 @@ func TestEFHandoffTelescopes(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// compensateOracle and updateOracle are the scalar loops Memory ran before it
+// moved onto the tensor kernels: φ = β·m + γ·g (γ·g with no residual yet)
+// and ψ = φ − g̃.
+func compensateOracle(beta, gamma float32, m, g []float32) []float32 {
+	out := make([]float32, len(g))
+	for i, v := range g {
+		if m == nil {
+			out[i] = gamma * v
+		} else {
+			out[i] = beta*m[i] + gamma*v
+		}
+	}
+	return out
+}
+
+func updateOracle(comp, approx []float32) []float32 {
+	out := make([]float32, len(comp))
+	for i := range out {
+		out[i] = comp[i] - approx[i]
+	}
+	return out
+}
+
+// efOperand fills a vector from one of the input classes the EF kernels are
+// held to: random values, signed zeros, subnormals, or infinities mixed in.
+func efOperand(r *fxrand.RNG, n int, class string) []float32 {
+	g := make([]float32, n)
+	for i := range g {
+		g[i] = r.NormFloat32()
+		switch {
+		case class == "zero" && r.Intn(2) == 0:
+			g[i] = float32(math.Copysign(0, float64(r.Intn(2)*2-1)))
+		case class == "subnormal" && r.Intn(2) == 0:
+			g[i] = math.Float32frombits(r.Uint32()&0x807fffff | 1)
+		case class == "inf" && r.Intn(4) == 0:
+			g[i] = float32(math.Inf(r.Intn(2)*2 - 1))
+		}
+	}
+	return g
+}
+
+// TestMemoryKernelsMatchScalarLoops holds Memory's Compensate and Update to
+// the scalar loops they replaced, bitwise, over every input class and β, γ
+// in {1, 0.9, 0.5}, on the first step (no residual) and three later ones.
+// Engine and Pipeline share Memory, so TestEngineMatchesPipeline cannot see
+// a change here. Where both addends are NaN only NaN-ness is compared: the
+// payload an addition of two NaNs keeps depends on their order.
+func TestMemoryKernelsMatchScalarLoops(t *testing.T) {
+	same := func(a, b float32) bool {
+		return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+	}
+	coeffs := []float32{1, 0.9, 0.5}
+	for _, class := range []string{"random", "zero", "subnormal", "inf"} {
+		for _, beta := range coeffs {
+			for _, gamma := range coeffs {
+				r := fxrand.New(uint64(len(class)) + uint64(beta*100) + uint64(gamma*10))
+				mem := grace.NewMemory(beta, gamma)
+				var resid []float32
+				for step := 0; step < 4; step++ {
+					n := 1 + r.Intn(70)
+					if resid != nil {
+						n = len(resid)
+					}
+					g, approx := efOperand(r, n, class), efOperand(r, n, class)
+					comp, want := mem.Compensate("w", g), compensateOracle(beta, gamma, resid, g)
+					for i := range want {
+						if !same(comp[i], want[i]) {
+							t.Fatalf("%s β=%v γ=%v step %d: φ[%d] = %#x, scalar loop %#x",
+								class, beta, gamma, step, i, math.Float32bits(comp[i]), math.Float32bits(want[i]))
+						}
+					}
+					mem.Update("w", comp, approx)
+					got := mem.State()["w"]
+					resid = updateOracle(comp, approx)
+					for i := range resid {
+						if !same(got[i], resid[i]) {
+							t.Fatalf("%s β=%v γ=%v step %d: ψ[%d] = %#x, scalar loop %#x",
+								class, beta, gamma, step, i, math.Float32bits(got[i]), math.Float32bits(resid[i]))
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -106,28 +106,28 @@ type engineLane struct {
 	caps    []Caps
 	dec     chan int // tensor indices to decode; -1 ends the step
 	scratch []float32
+	pay     Payload // the header every decode reads its input through
 
 	ts telScope // this lane's telemetry scope
 }
 
 // decode is the Engine's one decompression call, for candidate c of the
-// lane: a codec with DecompressInto writes into dst[:info.Size()], or into a
-// fresh slice when dst is nil; any other codec returns its own slice from
-// Decompress. Either way the result must hold exactly info.Size() elements —
-// a codec that decodes short fails the tensor here instead of indexing past
-// the EF update's approximation or handing the optimizer a short gradient.
-func (ln *engineLane) decode(c int, pay *Payload, info TensorInfo, dst []float32) ([]float32, error) {
+// lane, reading pay through the lane's header: a codec with DecompressInto
+// writes into dst[:info.Size()] (a fresh slice when dst is nil), any other
+// returns its own slice from Decompress. Either way the result must hold
+// exactly info.Size() elements — a short decode fails the tensor here, not by
+// indexing past the EF approximation or shortening the optimizer's gradient.
+func (ln *engineLane) decode(c int, pay Payload, info TensorInfo, dst []float32) (out []float32, err error) {
 	size := info.Size()
-	var out []float32
-	var err error
-	if into := ln.caps[c].Into; into != nil {
+	ln.pay = pay
+	if into := ln.caps[c].Into; into == nil {
+		out, err = ln.comps[c].Decompress(&ln.pay, info)
+	} else {
 		if dst == nil {
 			dst = make([]float32, size)
 		}
 		out = dst[:size]
-		err = into.DecompressInto(pay, info, out)
-	} else {
-		out, err = ln.comps[c].Decompress(pay, info)
+		err = into.DecompressInto(&ln.pay, info, out)
 	}
 	if err != nil {
 		return nil, err
@@ -786,7 +786,7 @@ func (e *Engine) compressOne(ln *engineLane, i int, g []float32, info TensorInfo
 		// compensate phase: the decompression here exists only to feed the
 		// residual update (Eq. 4).
 		span = ln.ts.start()
-		approx, err := ln.decode(c, pay, info, ln.scratch)
+		approx, err := ln.decode(c, *pay, info, ln.scratch)
 		if err != nil {
 			e.setErr(&StepError{Tensor: i, Name: info.Name, Phase: "compress",
 				Err: fmt.Errorf("%s local decompress: %w", cp.Name(), err)})
@@ -986,7 +986,7 @@ func (e *Engine) decodeOne(ln *engineLane, i int, info TensorInfo) {
 	switch ln.caps[c].Strategy {
 	case Allreduce:
 		span := ln.ts.start()
-		agg, err := ln.decode(c, &Payload{Dense: s.summed}, info, e.out[i])
+		agg, err := ln.decode(c, Payload{Dense: s.summed}, info, e.out[i])
 		if err != nil {
 			e.failTensor(i, info, fmt.Errorf("%s decompress sum: %w", ln.comps[c].Name(), err))
 			return

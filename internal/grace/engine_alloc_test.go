@@ -68,17 +68,18 @@ func stepAllocs(t *testing.T, infos []grace.TensorInfo, opts func() []grace.Engi
 // TestEngineDenseStepAllocCeiling pins the steady-state allocation count of
 // one uncompressed Engine.Step per 2-rank hub group: the identity codec
 // aliases the gradient, the engine sums in its own per-bucket buffers and
-// the hub deposits into handle-owned snapshots, so what remains is per-tensor
-// bookkeeping (two payload headers a tensor, the lane goroutine) and nothing
+// the hub deposits into handle-owned snapshots, and the decode reads the sum
+// through its lane's payload header, so what remains is per-tensor
+// bookkeeping (the codec's payload header, the lane goroutine) and nothing
 // gradient-sized.
 func TestEngineDenseStepAllocCeiling(t *testing.T) {
 	perStep, _ := stepAllocs(t, engineTestInfos(6), func() []grace.EngineOption {
 		return []grace.EngineOption{
 			grace.WithCompressorFactory(func() (grace.Compressor, error) { return grace.New("none") })}
 	})
-	// Both ranks' allocations land in the count: 6 tensors x 2 ranks x 2
-	// payload headers, plus 3 per Step call; measured 30.
-	const ceiling = 32
+	// Both ranks' allocations land in the count: 6 tensors x 2 ranks x 1
+	// payload header, plus 3 per Step call; measured 18.
+	const ceiling = 18
 	if perStep > ceiling {
 		t.Fatalf("dense Engine.Step allocates %.0f objects per step across both ranks, ceiling %d", perStep, ceiling)
 	}
@@ -89,14 +90,14 @@ func TestEngineDenseStepAllocCeiling(t *testing.T) {
 // without DecompressInto, which no benchmark workload runs: each decode
 // (the EF local approximation, then every rank's payload) allocates its
 // output, so the count scales with tensors x (ranks + 1). Each ceiling is the
-// measured count (162, 102) plus under 2 %.
+// measured count (138, 78) plus under 2 %.
 func TestEngineQuantizerStepAllocCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		method  string
 		ceiling float64
 	}{
-		{"qsgd", 165},
-		{"eightbit", 104},
+		{"qsgd", 140},
+		{"eightbit", 79},
 	} {
 		t.Run(tc.method, func(t *testing.T) {
 			perStep, _ := stepAllocs(t, engineTestInfos(6), func() []grace.EngineOption {
@@ -136,10 +137,10 @@ func manySmallInfos() []grace.TensorInfo {
 // TestEngineManySmallStepAllocCeiling pins the compressed step where the
 // benchmark's 2 % allocation bound bites: 49 small tensors, top-k 5 % with
 // error feedback, one allgather round each (unfused) or 16 KiB buckets
-// (fused). Each ceiling is the measured count (1 084, 1 004) plus under 2 %,
-// and sits below what the engine allocated (1 180, 1 119) while it still drew
-// decode scratch from a pool that boxed a slice header per decoded tensor per
-// rank, and built a parts slice per fused bucket and per split frame.
+// (fused). Each ceiling is the measured count (300, 220) plus under 2 %, and
+// sits below what the engine allocated (1 084, 1 004) while the sparse decode
+// copied the index block and built an index list, and every decode boxed a
+// fresh payload header.
 //
 // The same engines pin the two machine-independent facts the retired hub
 // step benchmark carried. Rounds: the per-tensor schedule issues one
@@ -156,9 +157,9 @@ func TestEngineManySmallStepAllocCeiling(t *testing.T) {
 		spans   bool
 		ceiling float64
 	}{
-		{"unfused", 0, false, 1100},
-		{"fused-16KiB", 16 << 10, false, 1020},
-		{"unfused-spans-on", 0, true, 1100},
+		{"unfused", 0, false, 305},
+		{"fused-16KiB", 16 << 10, false, 224},
+		{"unfused-spans-on", 0, true, 305},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.spans {
@@ -190,5 +191,38 @@ func TestEngineManySmallStepAllocCeiling(t *testing.T) {
 	}
 	if off, on := allocs["unfused"], allocs["unfused-spans-on"]; on != off {
 		t.Errorf("span and event recording costs allocations: %.0f per step with telemetry on, %.0f with it off", on, off)
+	}
+}
+
+// TestSparseDecompressIntoAllocs pins the decode the Engine runs n + 1 times
+// per sparsified tensor a step: topk's and randomk's DecompressInto stream
+// the payload into the caller's slice and allocate nothing.
+func TestSparseDecompressIntoAllocs(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	info := grace.NewTensorInfo("w", []int{64, 64})
+	g := engineTestGrads(0, 0, []grace.TensorInfo{info})[0]
+	dst := make([]float32, info.Size())
+	for _, method := range []string{"topk", "randomk"} {
+		c, err := grace.New(method, grace.WithRatio(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Compress(g, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := grace.Capabilities(c).Into
+		if into == nil {
+			t.Fatalf("%s has no DecompressInto", method)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := into.DecompressInto(p, info, dst); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s DecompressInto allocates %v objects per call, want 0", method, n)
+		}
 	}
 }

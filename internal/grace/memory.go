@@ -3,6 +3,8 @@ package grace
 import (
 	"math"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
 // Memory implements the paper's error-feedback mechanism (Eq. 4):
@@ -13,6 +15,9 @@ import (
 // where g̃ is the worker-local decompressed approximation Q⁻¹(Q(φ(m,g))).
 // State is per tensor, keyed by TensorInfo.Name. The zero value is not
 // usable; construct with NewMemory.
+//
+// Both run on tensor.Scale and tensor.Axpy (never fused): bitwise the
+// expressions above everywhere, but a sum of two NaNs may keep either payload.
 //
 // Concurrency: a Memory is safe for concurrent use across *distinct* tensor
 // names — the map is internally locked, and per-tensor residual slices are
@@ -41,24 +46,20 @@ func (m *Memory) residual(name string) []float32 {
 
 // Compensate returns φ(m, g) = β·m + γ·g as a fresh slice; g is not mutated.
 func (m *Memory) Compensate(name string, g []float32) []float32 {
-	out := make([]float32, len(g))
-	m.compensateInto(out, name, g)
-	return out
+	return m.compensateInto(make([]float32, len(g)), name, g)
 }
 
-// compensateInto writes φ(m, g) into dst (len(dst) == len(g)); the engine's
-// allocation-free path over its persistent buffers.
-func (m *Memory) compensateInto(dst []float32, name string, g []float32) {
-	st := m.residual(name)
-	if st == nil {
-		for i, v := range g {
-			dst[i] = m.gamma * v
-		}
-		return
+// compensateInto writes φ(m, g) into dst (len(dst) == len(g)) and returns
+// it; the engine's allocation-free path over its persistent buffers.
+func (m *Memory) compensateInto(dst []float32, name string, g []float32) []float32 {
+	copy(dst, g)
+	if m.gamma != 1 {
+		tensor.Scale(m.gamma, dst)
 	}
-	for i, v := range g {
-		dst[i] = m.beta*st[i] + m.gamma*v
+	if st := m.residual(name); st != nil {
+		tensor.Axpy(m.beta, st, dst)
 	}
+	return dst
 }
 
 // Update stores ψ = compensated − approx as the new memory for the tensor.
@@ -70,9 +71,8 @@ func (m *Memory) Update(name string, compensated, approx []float32) {
 		m.state[name] = st
 		m.mu.Unlock()
 	}
-	for i := range st {
-		st[i] = compensated[i] - approx[i]
-	}
+	copy(st, compensated)
+	tensor.Axpy(-1, approx, st)
 }
 
 // State returns a deep copy of every tensor's residual memory, keyed by

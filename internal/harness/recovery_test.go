@@ -211,8 +211,9 @@ func startWorker(t *testing.T, exe, mode, dir string, addrs []string, rank int, 
 }
 
 // waitForCheckpoint polls until rank's newest loadable checkpoint in dir
-// reaches step, failing the test after a minute.
-func waitForCheckpoint(t *testing.T, dir string, rank int, step int64, p *workerProc) {
+// reaches step, failing the test after a minute with every rank's output: the
+// rank that left the run early is not necessarily the one waited on.
+func waitForCheckpoint(t *testing.T, dir string, rank int, step int64, procs []*workerProc) {
 	t.Helper()
 	d, err := ckpt.OpenDir(dir)
 	if err != nil {
@@ -224,7 +225,11 @@ func waitForCheckpoint(t *testing.T, dir string, rank int, step int64, p *worker
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rank %d never reached step %d; output:\n%s", rank, step, &p.out)
+			var out strings.Builder
+			for r, p := range procs {
+				fmt.Fprintf(&out, "--- rank %d:\n%s\n", r, &p.out)
+			}
+			t.Fatalf("rank %d never reached step %d; output:\n%s", rank, step, &out)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -298,7 +303,7 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 	const victim = 1
 	procs := startWorkers(t, exe, mode, dir, addrs, 200)
 	all = append(all, procs...)
-	waitForCheckpoint(t, dir, victim, 4, procs[victim])
+	waitForCheckpoint(t, dir, victim, 4, procs)
 	if err := procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +405,7 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 	}
 	procs := startWorkers(t, exe, "", dir, addrs, 200, "GRACE_REJOIN=1")
 	all = append(all, procs...)
-	waitForCheckpoint(t, dir, victim, 4, procs[victim])
+	waitForCheckpoint(t, dir, victim, 4, procs)
 	survivorPIDs := [2]int{procs[0].cmd.Process.Pid, procs[2].cmd.Process.Pid}
 	if err := procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
