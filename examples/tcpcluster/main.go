@@ -35,15 +35,15 @@ func main() {
 		infos[i] = grace.NewTensorInfo(fmt.Sprintf("layer%d", i), s)
 	}
 
-	// Reserve distinct localhost ports for the ring.
+	// Bind one localhost listener per worker; each ring takes its own over.
+	lns := make([]net.Listener, workers)
 	addrs := make([]string, workers)
-	for i := range addrs {
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			panic(err)
 		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	fmt.Printf("forming a %d-worker TCP ring: %v\n", workers, addrs)
 
@@ -53,7 +53,7 @@ func main() {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ring, err := comm.DialTCPRingConfig(comm.RingConfig{Rank: rank, Addrs: addrs, SetupTimeout: 5 * time.Second})
+			ring, err := comm.DialTCPRingConfig(comm.RingConfig{Rank: rank, Addrs: addrs, Listener: lns[rank], SetupTimeout: 5 * time.Second})
 			if err != nil {
 				panic(fmt.Sprintf("rank %d: %v", rank, err))
 			}

@@ -195,31 +195,34 @@ func TestMeterAccounting(t *testing.T) {
 
 // --- TCP ring ---
 
-// freeAddrs reserves n distinct localhost ports.
-func freeAddrs(t *testing.T, n int) []string {
+// bindAddrs binds n loopback listeners on ports the kernel picks, one per
+// rank, to be handed to that rank's ring (RingConfig.Listener), which owns it
+// from then on. The cleanup closes any listener a test never handed over.
+func bindAddrs(t *testing.T, n int) ([]net.Listener, []string) {
 	t.Helper()
+	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
-	for i := range addrs {
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+		t.Cleanup(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	return addrs
+	return lns, addrs
 }
 
 func runTCPGroup(t *testing.T, n int, fn func(w Collective) error) {
 	t.Helper()
-	addrs := freeAddrs(t, n)
+	lns, addrs := bindAddrs(t, n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for rank := 0; rank < n; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ring, err := DialTCPRingConfig(RingConfig{Rank: rank, Addrs: addrs, SetupTimeout: 5 * time.Second})
+			ring, err := DialTCPRingConfig(RingConfig{Rank: rank, Addrs: addrs, Listener: lns[rank], SetupTimeout: 5 * time.Second})
 			if err != nil {
 				errs[rank] = err
 				return

@@ -67,7 +67,7 @@ func TestSerialContext(t *testing.T) {
 // waits on it.
 func dialRingPair(t *testing.T, opTO time.Duration) (r0, r1 *TCPRing) {
 	t.Helper()
-	addrs := freeAddrs(t, 2)
+	lns, addrs := bindAddrs(t, 2)
 	rings := make([]*TCPRing, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -76,7 +76,7 @@ func dialRingPair(t *testing.T, opTO time.Duration) (r0, r1 *TCPRing) {
 		go func(rank int) {
 			defer wg.Done()
 			rings[rank], errs[rank] = DialTCPRingConfig(RingConfig{
-				Rank: rank, Addrs: addrs,
+				Rank: rank, Addrs: addrs, Listener: lns[rank],
 				SetupTimeout: 5 * time.Second,
 				OpTimeout:    opTO,
 			})

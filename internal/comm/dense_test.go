@@ -330,33 +330,26 @@ func TestTCPRingHostileAllreduceFrames(t *testing.T) {
 		{"truncated body", f32Frame(16, leFloats(1)), io.ErrUnexpectedEOF},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			addrs := freeAddrs(t, 2)
-			ln, err := net.Listen("tcp", addrs[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
+			lns, addrs := bindAddrs(t, 2)
 			withDeadline(t, 20*time.Second, func() {
-				// The hostile rank 1: no heartbeats, so ring setup is one
-				// accepted and one dialled connection and no handshake.
+				// The hostile rank 1 plays the ring setup honestly, then
+				// answers the allreduce with its frame.
 				go func() {
-					fromRing, err := ln.Accept()
+					toRing, fromRing, conns, err := fakeRankSetup(lns[1], 1, addrs, false)
+					defer func() {
+						for _, c := range conns {
+							c.Close()
+						}
+					}()
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					defer fromRing.Close()
-					toRing, err := dialRetry(addrs[0], time.Now().Add(5*time.Second), fxrand.New(1))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					defer toRing.Close()
 					toRing.Write(tc.reply)
 					toRing.(*net.TCPConn).CloseWrite() // nothing more is coming
 					io.Copy(io.Discard, fromRing)      // until the ring gives up and closes
 				}()
-				ring, err := DialTCPRingConfig(RingConfig{Rank: 0, Addrs: addrs, SetupTimeout: 5 * time.Second, OpTimeout: 5 * time.Second})
+				ring, err := DialTCPRingConfig(RingConfig{Rank: 0, Addrs: addrs, Listener: lns[0], SetupTimeout: 5 * time.Second, OpTimeout: 5 * time.Second})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -214,18 +214,12 @@ func TestTCPRingShrinkAndGrow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback ring lifecycle")
 	}
-	addrs := make([]string, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	cfg := func(rank int) RingConfig {
+	lns, addrs := bindAddrs(t, 3)
+	// The founders own the bound listeners; the joiner re-binds the port
+	// killed rank 1 released.
+	cfg := func(rank int, ln net.Listener) RingConfig {
 		return RingConfig{
-			Rank: rank, Addrs: addrs,
+			Rank: rank, Addrs: addrs, Listener: ln,
 			SetupTimeout: 20 * time.Second,
 			OpTimeout:    10 * time.Second,
 			Heartbeat:    25 * time.Millisecond,
@@ -239,7 +233,7 @@ func TestTCPRingShrinkAndGrow(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rings[i], errs[i] = DialTCPRingConfig(cfg(i))
+			rings[i], errs[i] = DialTCPRingConfig(cfg(i, lns[i]))
 		}(i)
 	}
 	wg.Wait()
@@ -303,7 +297,7 @@ func TestTCPRingShrinkAndGrow(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		joined, joinErr = JoinTCPRing(cfg(1), 20*time.Second)
+		joined, joinErr = JoinTCPRing(cfg(1, nil), 20*time.Second)
 	}()
 	go func() {
 		defer wg.Done()

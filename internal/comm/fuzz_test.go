@@ -137,30 +137,24 @@ func sameFloats(a, b []float32) bool {
 // records must round-trip through the encoder.
 func FuzzRingHandshake(f *testing.F) {
 	f.Add([]byte{}, uint64(0), 1)
-	f.Add(appendHandshakeInto(nil, preambleData, 7), uint64(7), 4)
-	f.Add(appendHandshakeInto(nil, confirmMagic, 1<<40), uint64(1), 0)
-	f.Add(appendHandshakeInto(nil, hsAccept, 1), uint64(1), 3)
-	f.Add(appendHandshakeInto(nil, hsReject, 2), uint64(2), 9)
-	f.Add(appendHandshakeInto(appendHandshakeInto(nil, preambleHeartbeat, 3), preambleHeartbeat, 3), uint64(3), 9)
-	f.Add(appendHandshakeInto(nil, preambleHeartbeat, 5), uint64(6), 2)
+	f.Add(appendRecord(nil, preambleData, 7), uint64(7), 4)
+	f.Add(appendRecord(nil, confirmMagic, 1<<40), uint64(1), 0)
+	f.Add(appendRecord(nil, hsAccept, 1), uint64(1), 3)
+	f.Add(appendRecord(nil, hsReject, 2), uint64(2), 9)
+	f.Add(appendRecord(appendRecord(nil, preambleHeartbeat, 3), preambleHeartbeat, 3), uint64(3), 9)
+	f.Add(appendRecord(nil, preambleHeartbeat, 5), uint64(6), 2)
 	f.Add([]byte{hbBye}, uint64(0), 0)
 	f.Add([]byte{preambleHeartbeat, 0, 0}, uint64(0), 2)
 	f.Fuzz(func(t *testing.T, data []byte, gen uint64, split int) {
-		kind, g, err := parseHandshake(data)
-		if err == nil {
-			if !bytes.Equal(appendHandshakeInto(nil, kind, g), data) {
-				t.Fatalf("accepted handshake does not round-trip: %q", data)
+		for _, kinds := range []string{kindsOpen + string(confirmMagic), kindsReply} {
+			kind, g, err := parseRecord(data, kinds)
+			if err == nil {
+				if !bytes.Equal(appendRecord(nil, kind, g), data) {
+					t.Fatalf("accepted record does not round-trip: %q", data)
+				}
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("record rejection is untyped: %v", err)
 			}
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("handshake rejection is untyped: %v", err)
-		}
-		status, g, err := parseHandshakeReply(data)
-		if err == nil {
-			if !bytes.Equal(appendHandshakeInto(nil, status, g), data) {
-				t.Fatalf("accepted reply does not round-trip: %q", data)
-			}
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("reply rejection is untyped: %v", err)
 		}
 
 		// The heartbeat stream parser, fed the same bytes in two arbitrary

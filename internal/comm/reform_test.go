@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -84,12 +85,14 @@ func TestHubReformTimeout(t *testing.T) {
 func TestRingReformAfterKill(t *testing.T) {
 	const n = 3
 	const hbInterval = 25 * time.Millisecond
-	addrs := freeAddrs(t, n)
+	lns, addrs := bindAddrs(t, n)
 
 	rings := make([]*TCPRing, n)
-	cfg := func(rank int) RingConfig {
+	// The founding rings own the bound listeners; the replacement for rank 1
+	// re-binds the port its killed predecessor released.
+	cfg := func(rank int, ln net.Listener) RingConfig {
 		return RingConfig{
-			Rank: rank, Addrs: addrs,
+			Rank: rank, Addrs: addrs, Listener: ln,
 			SetupTimeout: 10 * time.Second,
 			OpTimeout:    30 * time.Second,
 			Heartbeat:    hbInterval,
@@ -102,7 +105,7 @@ func TestRingReformAfterKill(t *testing.T) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				r, err := DialTCPRingConfig(cfg(rank))
+				r, err := DialTCPRingConfig(cfg(rank, lns[rank]))
 				if err != nil {
 					t.Errorf("rank %d dial: %v", rank, err)
 					return
@@ -171,7 +174,7 @@ func TestRingReformAfterKill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := DialTCPRingConfig(cfg(1)) // Generation left at 0: must discover
+			r, err := DialTCPRingConfig(cfg(1, nil)) // Generation left at 0: must discover
 			if err != nil {
 				t.Errorf("replacement dial: %v", err)
 				return
@@ -219,7 +222,7 @@ func TestRingReformAfterKill(t *testing.T) {
 // off, the way graceworker dials it; the rings are killed at test end.
 func dialHBRing(t *testing.T, n int, hb, setup time.Duration) []*TCPRing {
 	t.Helper()
-	addrs := freeAddrs(t, n)
+	lns, addrs := bindAddrs(t, n)
 	rings := make([]*TCPRing, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -228,7 +231,7 @@ func dialHBRing(t *testing.T, n int, hb, setup time.Duration) []*TCPRing {
 		go func(rank int) {
 			defer wg.Done()
 			rings[rank], errs[rank] = DialTCPRingConfig(RingConfig{
-				Rank: rank, Addrs: addrs, SetupTimeout: setup, OpTimeout: -1, Heartbeat: hb, Seed: 3,
+				Rank: rank, Addrs: addrs, Listener: lns[rank], SetupTimeout: setup, OpTimeout: -1, Heartbeat: hb, Seed: 3,
 			})
 		}(rank)
 	}
@@ -328,7 +331,7 @@ func TestReformFailuresAreTyped(t *testing.T) {
 // TestHBParser: the stateful heartbeat decoder must handle split records,
 // reject unknown kinds as corruption, and flag cross-generation pings.
 func TestHBParser(t *testing.T) {
-	ping := appendHandshakeInto(nil, preambleHeartbeat, 7)
+	ping := appendRecord(nil, preambleHeartbeat, 7)
 
 	var p hbParser
 	// Three pings delivered in awkward fragment sizes.
@@ -351,36 +354,80 @@ func TestHBParser(t *testing.T) {
 	}
 
 	p = hbParser{}
-	stale := appendHandshakeInto(nil, preambleHeartbeat, 6)
+	stale := appendRecord(nil, preambleHeartbeat, 6)
 	if _, err := p.feed(stale, 7); !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("cross-generation ping err = %v, want ErrStaleGeneration", err)
 	}
 }
 
 // TestHandshakeCodecs: record encode/decode round-trips and corruption
-// rejection for the setup handshake and its reply.
+// rejection for the opening records, the confirmation token and the reply.
 func TestHandshakeCodecs(t *testing.T) {
 	for _, kind := range []byte{preambleData, preambleHeartbeat, confirmMagic} {
-		rec := appendHandshakeInto(nil, kind, 0xDEADBEEF01)
-		k, gen, err := parseHandshake(rec)
+		rec := appendRecord(nil, kind, 0xDEADBEEF01)
+		k, gen, err := parseRecord(rec, kindsOpen+string(confirmMagic))
 		if err != nil || k != kind || gen != 0xDEADBEEF01 {
 			t.Fatalf("handshake round trip kind %q: %q %d %v", kind, k, gen, err)
 		}
 	}
 	for _, status := range []byte{hsAccept, hsReject} {
-		rec := appendHandshakeInto(nil, status, 3)
-		s, gen, err := parseHandshakeReply(rec)
+		rec := appendRecord(nil, status, 3)
+		s, gen, err := parseRecord(rec, kindsReply)
 		if err != nil || s != status || gen != 3 {
 			t.Fatalf("reply round trip %q: %q %d %v", status, s, gen, err)
 		}
 	}
-	if _, _, err := parseHandshake([]byte{preambleData, 1}); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := parseRecord([]byte{preambleData, 1}, kindsOpen); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short handshake err = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := parseHandshake(appendHandshakeInto(nil, 'Z', 1)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := parseRecord(appendRecord(nil, 'Z', 1), kindsOpen); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown handshake kind err = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := parseHandshakeReply(appendHandshakeInto(nil, 'Z', 1)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := parseRecord(appendRecord(nil, 'Z', 1), kindsReply); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown reply status err = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestTCPRingOwnsHandedListener: a heartbeat ring founded on listeners its
+// caller bound owns them for life. A census probe on a member's address is
+// answered, every member can reform on it (back to back, with no wait for the
+// listener between setups), and Close releases the address.
+func TestTCPRingOwnsHandedListener(t *testing.T) {
+	const n, reforms = 2, 12
+	rings := dialHBRing(t, n, 25*time.Millisecond, 5*time.Second)
+	addrs := rings[0].cfg.Addrs
+	withDeadline(t, 30*time.Second, func() {
+		for _, addr := range addrs {
+			if !probe(addr, 0) {
+				t.Errorf("probe of %s went unanswered", addr)
+			}
+		}
+		start := time.Now()
+		for k := 1; k <= reforms; k++ {
+			var wg sync.WaitGroup
+			for rank, r := range rings {
+				wg.Add(1)
+				go func(rank int, r *TCPRing) {
+					defer wg.Done()
+					if gen, err := r.Reform(); err != nil || gen != uint64(k) {
+						t.Errorf("rank %d reform %d: generation %d, %v", rank, k, gen, err)
+					}
+				}(rank, r)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+		}
+		t.Logf("%d back-to-back %d-rank reforms: %v each", reforms, n, time.Since(start)/reforms)
+		for _, r := range rings {
+			r.Close()
+		}
+		for _, addr := range addrs {
+			if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+				c.Close()
+				t.Errorf("%s still accepts connections after Close", addr)
+			}
+		}
+	})
 }

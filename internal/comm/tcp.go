@@ -60,17 +60,16 @@ type RingConfig struct {
 	// ring then fails every pending and future collective immediately with
 	// a typed *Error wrapping ErrPeerDead — seconds-fast crash detection
 	// decoupled from OpTimeout, which stays long enough for slow but live
-	// peers. Heartbeats also carry the group generation, so they are what
+	// peers. Only the liveness layer convicts a death, so it is also what
 	// makes a ring reformable (Reform, ReformElastic, ReformGrow) and
-	// joinable. All ranks must agree on whether heartbeats are on (it changes
-	// the connection handshake).
+	// joinable. All ranks must agree on whether heartbeats are on (it sets
+	// how many connections each neighbor pair keeps).
 	Heartbeat time.Duration
 	// Generation is the group generation this ring starts its handshake at.
 	// A respawned member of a reforming group may dial at 0 and discover the
 	// group's actual generation through handshake rejections (it adopts the
-	// higher generation and retries within SetupTimeout). Only meaningful
-	// with Heartbeat > 0 — without the liveness layer the wire carries no
-	// generation.
+	// higher generation and retries within SetupTimeout). A ring without
+	// heartbeats handshakes it too, but never moves past it.
 	Generation uint64
 	// Seed drives the deterministic jitter stream (fxrand) behind dial
 	// retries and setup backoff, mixed with Rank so ranks desynchronize.
@@ -83,11 +82,11 @@ type RingConfig struct {
 	// can never splice into one ring. Nil means the full world [0,len(Addrs)).
 	Members []int
 	// Listener, when non-nil, is the already-bound listen socket for
-	// Addrs[Rank]. The founding setup borrows it — it is neither retained nor
-	// closed — so such a ring has no join point: it cannot be probed or
-	// joined, and a reform would have to bind Addrs[Rank] itself. Nil makes
-	// the ring bind its own: for the setup only without heartbeats, for the
-	// life of the handle (the join point) with them.
+	// Addrs[Rank], and ownership passes to the ring: it serves every setup
+	// and probe for the life of the handle, and Close, Kill or a failed dial
+	// closes it. Nil makes the ring bind Addrs[Rank] itself, once. Closing a
+	// handed-over listener from outside ends the ring's acceptor and nothing
+	// else: the ring can no longer be probed, joined or reformed.
 	Listener net.Listener
 }
 
@@ -104,13 +103,15 @@ type RingConfig struct {
 // exponential backoff, and every failure is wrapped in a typed *Error
 // carrying (rank, op, step).
 //
-// The handle owns its RingConfig and the current incarnation — one set of
-// connections formed over one member list at one group generation. Without
-// heartbeats that is the whole story: the founding incarnation lives until
-// Close. With heartbeats the handle also keeps a join point (a persistent
-// listener on its own address, answering liveness probes and join requests
-// between setups) and can replace its incarnation through one routine with
-// three outcomes, the TCP mirror of Hub.rendezvous:
+// The handle owns its RingConfig, the current incarnation — one set of
+// connections formed over one member list at one group generation — and one
+// listener on its own address for its whole life. The listener's one
+// acceptor routes every connection by its opening record: a census probe is
+// answered, a join request recorded, and a ring connection handed to the
+// setup waiting for it (or rejected when none is). Without heartbeats the
+// founding incarnation lives until Close. With them the handle can replace
+// its incarnation through one routine with three outcomes, the TCP mirror of
+// Hub.rendezvous:
 //
 //   - Reform: every member comes back; same member set, generation+1.
 //   - ReformElastic: as Reform within the rejoin deadline; otherwise a census
@@ -129,17 +130,16 @@ type RingConfig struct {
 // the incarnation pointer, and the op in flight fails with a typed error when
 // its sockets die underneath it).
 type TCPRing struct {
-	cfg RingConfig // as dialled, SetupTimeout defaulted; Listener only while founding
+	cfg RingConfig // as dialled, SetupTimeout defaulted, Listener cleared
 	cur atomic.Pointer[incarnation]
 
-	// Join point; all nil/zero when the ring has none (see RingConfig.Listener).
-	ln      net.Listener
-	lnTok   chan struct{} // listener ownership token (cap 1): acceptor vs ring setup
-	stop    chan struct{}
-	stopped sync.Once
-	wg      sync.WaitGroup
-	pendMu  sync.Mutex
-	pending map[int]bool // join requests observed by the acceptor
+	ln       net.Listener  // owned for life; its acceptor is acceptLoop
+	gone     chan struct{} // closed when the acceptor has left
+	arrivals chan arrival  // ring connections the acceptor hands to a setup
+
+	mu        sync.Mutex
+	setupDone chan struct{} // open while a setup runs (from birth until founded); nil between setups
+	pending   map[int]bool  // join requests the acceptor recorded
 }
 
 var (
@@ -163,12 +163,12 @@ func DialTCPRingConfig(cfg RingConfig) (*TCPRing, error) {
 			members[i] = i
 		}
 	}
-	inc, err := t.dial(members, cfg.Generation, t.cfg.SetupTimeout)
+	inc, err := t.setup(members, cfg.Generation, t.cfg.SetupTimeout)
 	if err != nil {
-		t.stopJoinPoint()
+		t.closeListener()
 		return nil, wrapErr(cfg.Rank, OpDial, 0, err)
 	}
-	t.found(inc)
+	t.cur.Store(inc)
 	return t, nil
 }
 
@@ -177,8 +177,8 @@ func DialTCPRingConfig(cfg RingConfig) (*TCPRing, error) {
 // set, and then dials into the grow reform the members initiate at their next
 // join point (ReformGrow). The call blocks up to wait; cfg.Rank is the
 // joiner's original rank and cfg.Addrs the full world address table (the
-// joiner's own address included). Heartbeats are required: the join rides the
-// generation handshake.
+// joiner's own address included). Heartbeats are required: only a ring with
+// them can reform to absorb the joiner.
 func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 	if cfg.Heartbeat <= 0 {
 		return nil, fmt.Errorf("comm: joining a ring requires Heartbeat > 0")
@@ -188,7 +188,7 @@ func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 		return nil, err
 	}
 	fail := func(err error) (*TCPRing, error) {
-		t.stopJoinPoint()
+		t.closeListener()
 		return nil, wrapErr(cfg.Rank, OpDial, 0, fmt.Errorf("ring join: %w", err))
 	}
 	deadline := time.Now().Add(wait)
@@ -197,9 +197,9 @@ func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 		if err != nil {
 			return fail(err)
 		}
-		inc, err := t.dial(sortedUnion(members, []int{cfg.Rank}), gen+1, time.Until(deadline))
+		inc, err := t.setup(sortedUnion(members, []int{cfg.Rank}), gen+1, time.Until(deadline))
 		if err == nil {
-			t.found(inc)
+			t.cur.Store(inc)
 			telemetry.Default.SetGeneration(inc.gen)
 			telemetry.Default.SetGauge("world_size", int64(inc.n))
 			return t, nil
@@ -212,55 +212,39 @@ func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 	}
 }
 
-// newTCPRing validates cfg and builds the handle, binding the join point when
-// the ring is to have one.
+// newTCPRing validates cfg and builds the handle around its listener —
+// cfg.Listener, or Addrs[Rank] bound here — and starts the acceptor. The
+// handle is born in setup: the acceptor holds ring connections for the
+// founding setup from the first one on.
 func newTCPRing(cfg RingConfig) (*TCPRing, error) {
+	ln := cfg.Listener
 	if cfg.Rank < 0 || cfg.Rank >= len(cfg.Addrs) {
+		if ln != nil {
+			ln.Close()
+		}
 		return nil, fmt.Errorf("comm: rank %d out of [0,%d)", cfg.Rank, len(cfg.Addrs))
+	}
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", cfg.Addrs[cfg.Rank]); err != nil {
+			return nil, wrapErr(cfg.Rank, OpDial, 0, fmt.Errorf("listen %s: %w", cfg.Addrs[cfg.Rank], err))
+		}
 	}
 	if cfg.SetupTimeout <= 0 {
 		cfg.SetupTimeout = 30 * time.Second
 	}
-	t := &TCPRing{cfg: cfg}
-	if cfg.Heartbeat > 0 && cfg.Listener == nil {
-		ln, err := net.Listen("tcp", cfg.Addrs[cfg.Rank])
-		if err != nil {
-			return nil, wrapErr(cfg.Rank, OpDial, 0, fmt.Errorf("listen %s: %w", cfg.Addrs[cfg.Rank], err))
-		}
-		t.ln = ln
-		t.lnTok = make(chan struct{}, 1)
-		t.lnTok <- struct{}{}
-		t.stop = make(chan struct{})
-		t.pending = make(map[int]bool)
+	cfg.Listener = nil
+	t := &TCPRing{
+		cfg: cfg, ln: ln, gone: make(chan struct{}), arrivals: make(chan arrival),
+		setupDone: make(chan struct{}), pending: make(map[int]bool),
 	}
+	go t.acceptLoop()
 	return t, nil
 }
 
-// dial forms one incarnation over members at generation gen, lending the
-// join point's listener to the setup for its duration.
-func (t *TCPRing) dial(members []int, gen uint64, timeout time.Duration) (*incarnation, error) {
-	cfg := t.cfg
-	cfg.Members, cfg.Generation, cfg.SetupTimeout = members, gen, timeout
-	if t.ln != nil {
-		<-t.lnTok
-		defer func() { t.lnTok <- struct{}{} }()
-		cfg.Listener = t.ln
-	}
-	return dialIncarnation(cfg)
-}
-
-// found installs the founding incarnation and opens the join point.
-func (t *TCPRing) found(inc *incarnation) {
-	t.cur.Store(inc)
-	t.cfg.Listener = nil
-	if t.ln != nil {
-		t.wg.Add(1)
-		go t.acceptorLoop()
-	}
-}
-
-// canReform reports whether the reform calls can work on this handle: the
-// generation protocol rides the heartbeat handshake (see reformCapable).
+// canReform reports whether the reform calls can work on this handle: every
+// ring handshakes generations, but only the liveness layer convicts a death
+// (see reformCapable).
 func (t *TCPRing) canReform() bool { return t.cfg.Heartbeat > 0 }
 
 // Reform tears down the current incarnation and forms the same member set at
@@ -299,7 +283,7 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 		return Membership{}, wrapErr(t.cfg.Rank, OpReform, step, err)
 	}
 	if !t.canReform() {
-		return fail(errors.New("ring reform needs a heartbeat interval (the generation protocol rides the liveness layer)"))
+		return fail(errors.New("ring reform needs a heartbeat interval (only the liveness layer convicts a death)"))
 	}
 	old.kill() // sever every old-incarnation connection before redialing
 	target := old.members
@@ -309,7 +293,7 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 	}
 	// A transiently lost rank that respawned in time joins here and nothing
 	// shrinks.
-	inc, err := t.dial(target, old.gen+1, wait)
+	inc, err := t.setup(target, old.gen+1, wait)
 	if err != nil && shrinkOK {
 		// Census, then the survivors at generation+2. A refused or silent
 		// join point is a permanent loss (the process, and so its listener,
@@ -324,7 +308,7 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 				return fail(fmt.Errorf("elastic shrink: %d of %d members reachable, ring needs 2: %w",
 					len(target), len(old.members), ErrPeerDead))
 			}
-			if inc, err = t.dial(target, old.gen+2, t.cfg.SetupTimeout); err == nil {
+			if inc, err = t.setup(target, old.gen+2, t.cfg.SetupTimeout); err == nil {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -342,11 +326,11 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 		}
 	}
 	t.cur.Store(inc)
-	t.pendMu.Lock()
+	t.mu.Lock()
 	for _, m := range target {
 		delete(t.pending, m)
 	}
-	t.pendMu.Unlock()
+	t.mu.Unlock()
 
 	telemetry.Default.Add(telemetry.CtrRingReconnects, 1)
 	telemetry.Default.Add(telemetry.CtrGroupReforms, 1)
@@ -385,10 +369,10 @@ func probe(addr string, gen uint64) bool {
 		return false
 	}
 	defer c.Close()
-	if err := writeHandshake(c, hsProbe, gen, deadline); err != nil {
+	if err := writeRecord(c, hsProbe, gen, deadline); err != nil {
 		return false
 	}
-	_, _, err = readHandshakeReply(c, deadline)
+	_, _, err = readRecord(c, deadline, kindsReply)
 	return err == nil
 }
 
@@ -419,10 +403,10 @@ func requestJoinOne(addr string, rank int, deadline time.Time) (uint64, []int, e
 		return 0, nil, err
 	}
 	defer c.Close()
-	if err := writeHandshake(c, hsJoin, uint64(rank), deadline); err != nil {
+	if err := writeRecord(c, hsJoin, uint64(rank), deadline); err != nil {
 		return 0, nil, err
 	}
-	status, gen, err := readHandshakeReply(c, deadline)
+	status, gen, err := readRecord(c, deadline, kindsReply)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -457,96 +441,102 @@ func readMembers(c net.Conn, deadline time.Time) ([]int, error) {
 	return decodeMembers(append(hdr[:], body...))
 }
 
-// acceptorLoop answers probes and join requests on the join point whenever a
-// ring setup isn't borrowing the listener. Each iteration holds the listener
-// token for at most one bounded accept.
-func (t *TCPRing) acceptorLoop() {
-	defer t.wg.Done()
-	tl, _ := t.ln.(*net.TCPListener)
+// acceptLoop is the ring's one acceptor, running for the life of the
+// listener: each connection is routed on its own goroutine, so a slow or
+// hostile dialer never holds up the next.
+func (t *TCPRing) acceptLoop() {
+	defer close(t.gone)
 	for {
-		select {
-		case <-t.stop:
-			return
-		case <-t.lnTok:
-		}
-		if tl != nil {
-			tl.SetDeadline(time.Now().Add(150 * time.Millisecond))
-		}
 		c, err := t.ln.Accept()
-		t.lnTok <- struct{}{}
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			return // listener closed (Close/Kill) or broken: nothing to serve
+			return // listener closed (Close, Kill, or from outside) or broken
 		}
-		t.serveConn(c)
+		go t.route(c)
 	}
 }
 
-// serveConn handles one between-setups connection on the join point.
-func (t *TCPRing) serveConn(c net.Conn) {
-	defer c.Close()
+// route serves one accepted connection by its opening record. A ring
+// connection goes to the waiting setup, which decides its generation; with
+// no setup waiting — a stale incarnation, or a respawned member ahead of our
+// own reform — it is rejected with the current generation, so the dialer
+// adopts and converges. A probe is answered; a join request is recorded and
+// answered with the member list, or rejected while a setup runs. Nothing
+// waits for route: it ends within its 2 s record deadline, or when the setup
+// takes the connection, that setup ends, or the listener closes.
+func (t *TCPRing) route(c net.Conn) {
 	deadline := time.Now().Add(2 * time.Second)
-	role, payload, err := readHandshake(c, deadline)
+	kind, v, err := readRecord(c, deadline, kindsOpen)
 	if err != nil {
+		c.Close() // hostile or truncated record
 		return
 	}
-	cur := t.cur.Load()
-	switch role {
-	case hsProbe:
-		writeHandshakeReply(c, hsAccept, cur.gen, deadline)
-	case hsJoin:
-		rank := int(payload)
-		if rank < 0 || rank > maxMembers || indexOf(cur.members, rank) >= 0 {
-			writeHandshakeReply(c, hsReject, cur.gen, deadline)
-			return
+	if kind == preambleData || kind == preambleHeartbeat {
+		t.mu.Lock()
+		done := t.setupDone
+		t.mu.Unlock()
+		if done != nil {
+			select {
+			case t.arrivals <- arrival{c, kind, v}:
+				return // the setup owns c now
+			case <-done:
+			case <-t.gone:
+			}
 		}
-		t.pendMu.Lock()
-		t.pending[rank] = true
-		t.pendMu.Unlock()
-		if writeHandshakeReply(c, hsAccept, cur.gen, deadline) != nil {
-			return
-		}
-		c.SetWriteDeadline(deadline)
-		c.Write(encodeMembers(cur.members))
-	default:
-		// A data/heartbeat dialer reached us while no setup is running — a
-		// stale incarnation, or a respawned member ahead of our own reform.
-		// Reject with our generation so it adopts and converges.
-		writeHandshakeReply(c, hsReject, cur.gen, deadline)
 	}
+	defer c.Close()
+	cur, gen := t.cur.Load(), t.cfg.Generation
+	if cur != nil {
+		gen = cur.gen
+	}
+	reply := appendRecord(nil, hsReject, gen)
+	switch {
+	case kind == hsProbe:
+		reply[0] = hsAccept
+	case kind == hsJoin && t.recordJoin(v, cur):
+		reply[0] = hsAccept
+		reply = append(reply, encodeMembers(cur.members)...)
+	}
+	c.SetWriteDeadline(deadline)
+	c.Write(reply)
 }
 
-// stopJoinPoint shuts the acceptor and its listener down; peers' probes then
-// find nothing listening, which is the census's permanent-loss signal.
-func (t *TCPRing) stopJoinPoint() {
-	if t.ln == nil {
-		return
+// recordJoin records a join request from original rank v, unless a setup is
+// running, the ring has not formed (cur is nil) or v cannot join cur.
+func (t *TCPRing) recordJoin(v uint64, cur *incarnation) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.setupDone != nil || cur == nil || v > maxMembers || indexOf(cur.members, int(v)) >= 0 {
+		return false
 	}
-	t.stopped.Do(func() { close(t.stop) })
+	t.pending[int(v)] = true
+	return true
+}
+
+// closeListener closes the listener and waits for the acceptor to leave;
+// peers' probes then find nothing listening, which is the census's
+// permanent-loss signal. The listener may already be closed.
+func (t *TCPRing) closeListener() {
 	t.ln.Close()
-	t.wg.Wait()
+	<-t.gone
 }
 
-// Close shuts the join point and the current incarnation down gracefully
+// Close shuts the listener and the current incarnation down gracefully
 // (with heartbeats: a goodbye, so neighbors still draining their final
 // collective can tell an orderly departure from a crash). Safe to call from
 // another goroutine to reset a worker stuck mid-collective: its pending frame
 // ops fail immediately.
 func (t *TCPRing) Close() error {
-	t.stopJoinPoint()
+	t.closeListener()
 	return t.cur.Load().close()
 }
 
 // Kill abruptly severs everything — ring and heartbeat sockets with no
-// goodbye, join point, acceptor — the way a process or machine loss would:
+// goodbye, listener, acceptor — the way a process or machine loss would:
 // neighbors observe resets/silence and declare this rank dead with
 // ErrPeerDead, and a census finds nothing listening. For fault-injection
 // harnesses; an orderly shutdown is Close.
 func (t *TCPRing) Kill() {
-	t.stopJoinPoint()
+	t.closeListener()
 	t.cur.Load().kill()
 }
 
@@ -554,9 +544,9 @@ func (t *TCPRing) Kill() {
 // process (SIGSTOP, a wedged disk, a pathological GC pause): connections stay
 // open and ACKing, but pings stop, so neighbors' liveness layer must reach
 // its verdict through the full miss window rather than a socket reset. The
-// join point keeps answering probes — wedged but alive — so a census will not
+// acceptor keeps answering probes — wedged but alive — so a census will not
 // evict it; only Kill does. For fault-injection harnesses. A later Close
-// releases the join point but sends no goodbye.
+// releases the listener but sends no goodbye.
 func (t *TCPRing) Hang() { t.cur.Load().hang() }
 
 // Rank returns this worker's current rank: its index in the member set.
@@ -573,7 +563,8 @@ func (t *TCPRing) OriginalRank() int { return t.cfg.Rank }
 func (t *TCPRing) MaxFrameBytes() int { return t.cur.Load().maxFrame }
 
 // Generation reports the group generation the current incarnation formed
-// under (always 0 when heartbeats are off — that wire carries no generation).
+// under. Without heartbeats that is RingConfig.Generation for the handle's
+// life: such a ring never reforms.
 func (t *TCPRing) Generation() uint64 { return t.cur.Load().gen }
 
 // Step reports how many collective operations the current incarnation has
@@ -591,11 +582,11 @@ func (t *TCPRing) Membership() Membership {
 	}
 }
 
-// PendingJoins reports the original ranks whose join requests the join point
+// PendingJoins reports the original ranks whose join requests the acceptor
 // has recorded, sorted ascending.
 func (t *TCPRing) PendingJoins() []int {
-	t.pendMu.Lock()
-	defer t.pendMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]int, 0, len(t.pending))
 	for k := range t.pending {
 		out = append(out, k)

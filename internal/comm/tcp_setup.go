@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,20 +17,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Connection preambles distinguish the data stream from the heartbeat side
-// channel when RingConfig.Heartbeat is enabled; without heartbeats the wire
-// format carries no preamble and stays byte-compatible with older rings.
-//
-// With heartbeats on, every dialed connection opens with a 9-byte generation
-// handshake ([role][8-byte big-endian generation]) that the acceptor answers
-// with a 9-byte reply ([hsAccept|hsReject][generation]). A rejection carries
-// the higher of the two generations, and both sides adopt upward and retry,
-// so a ring reforming after a member death converges on generation g+1 while
-// every connection from the old incarnation is refused — a stale member can
-// never splice itself into the new ring. Heartbeat pings then carry the
-// generation in every record, so a generation mismatch that slips past setup
-// is detected within one ping interval and the peer is rejected with
-// ErrStaleGeneration.
+// Every ring connection opens with a 9-byte record ([kind][8-byte big-endian
+// value]) read by the receiving ring's acceptor. A ring dialer announces its
+// role ('G' data, 'H' heartbeat) and its group generation; the setup waiting
+// for it answers with a 9-byte reply ([hsAccept|hsReject][generation]). A
+// rejection carries the higher of the two generations, and both sides adopt
+// upward and retry, so a ring reforming after a member death converges on
+// generation g+1 while every connection from the old incarnation is refused —
+// a stale member can never splice itself into the new ring. Ring confirmation
+// tokens and heartbeat pings are records of the same shape, so a generation
+// mismatch that slips past setup is detected within one ping interval and the
+// peer is rejected with ErrStaleGeneration.
 const (
 	preambleData      = 'G'
 	preambleHeartbeat = 'H'
@@ -42,20 +40,24 @@ const (
 	hsReject = 'R'
 	// confirmMagic opens the post-setup ring confirmation token.
 	confirmMagic = 'C'
-	// hsProbe is an elastic liveness census probe: the payload field carries
-	// the prober's generation, the reply ('A') the acceptor's current one.
-	// Probes are answered during ring setup too — an overlapping setup phase
-	// must not read as a death — and never affect the acceptor's state.
+	// hsProbe is an elastic liveness census probe: the value carries the
+	// prober's generation, the reply ('A') the ring's current one. The
+	// acceptor answers probes at any time, during a setup too — an
+	// overlapping setup phase must not read as a death.
 	hsProbe = 'E'
-	// hsJoin is an elastic join request; the payload field carries the
-	// joiner's original rank, not a generation. A member's join point
-	// answers with its generation and member list; plain ring setup rejects
-	// it (the joiner retries until a member is listening).
+	// hsJoin is an elastic join request; the value carries the joiner's
+	// original rank, not a generation. Between setups the acceptor answers
+	// with the generation and member list; during one it rejects (the joiner
+	// retries until a formed member answers).
 	hsJoin = 'J'
-	// handshakeLen is the wire size of handshake records, replies, ping
-	// records, and confirmation tokens alike: one kind byte plus the
-	// generation.
+	// handshakeLen is the wire size of every record: one kind byte plus the
+	// value.
 	handshakeLen = 9
+
+	// The record kinds each reader accepts: a connection's opening record
+	// and an acceptor's reply.
+	kindsOpen  = string(preambleData) + string(preambleHeartbeat) + string(hsProbe) + string(hsJoin)
+	kindsReply = string(hsAccept) + string(hsReject)
 )
 
 // incarnation is one formed ring: the connections to both neighbors (plus the
@@ -112,168 +114,135 @@ type hbLink struct {
 	departed atomic.Bool
 }
 
-// dialIncarnation forms one ring incarnation over cfg.Members (sorted
-// original ranks; cfg.Rank and cfg.Addrs are in original-rank space) at
-// cfg.Generation. cfg.Listener, when set, is borrowed for the setup and left
-// open; otherwise the setup binds Addrs[Rank] and closes it again.
-//
-// With heartbeats enabled the setup is generation-aware: the listener stays
-// open across attempts, every connection handshakes the group generation, and
-// an attempt that discovers a higher generation (through a handshake
-// rejection or a mismatched confirmation token) restarts at that generation
-// until SetupTimeout. This is what lets a reforming group converge on g+1
-// while a respawned member dialing at generation 0 discovers the group's
-// actual generation on the fly.
-func dialIncarnation(cfg RingConfig) (*incarnation, error) {
+// arrival is one predecessor connection the acceptor hands to the waiting
+// setup, with the role and generation its opening record announced.
+type arrival struct {
+	c    net.Conn
+	role byte
+	gen  uint64
+}
+
+// setup forms one ring incarnation over members (sorted original ranks) at
+// generation gen within timeout. It dials the successor itself and takes the
+// predecessor's connections from the ring's acceptor; it never touches the
+// listener. Every connection handshakes the group generation, and an attempt
+// that fails — most often because it discovered a higher generation, through
+// a handshake rejection or a mismatched confirmation token — restarts at the
+// highest generation seen until the timeout. This is what lets a reforming
+// group converge on g+1 while a respawned member dialing at generation 0
+// discovers the group's actual generation on the fly.
+func (t *TCPRing) setup(members []int, gen uint64, timeout time.Duration) (*incarnation, error) {
+	cfg := t.cfg
 	// Narrow the world to the member set: the ring is indexed by position in
 	// the sorted member list.
-	rank := indexOf(cfg.Members, cfg.Rank)
+	rank := indexOf(members, cfg.Rank)
 	if rank < 0 {
-		return nil, fmt.Errorf("comm: rank %d not in ring members %v", cfg.Rank, cfg.Members)
+		return nil, fmt.Errorf("comm: rank %d not in ring members %v", cfg.Rank, members)
 	}
-	n := len(cfg.Members)
+	n := len(members)
 	if n < 2 {
 		return nil, fmt.Errorf("comm: tcp ring needs >= 2 workers, got %d", n)
 	}
 	addrs := make([]string, n)
-	for i, m := range cfg.Members {
+	for i, m := range members {
 		if m < 0 || m >= len(cfg.Addrs) {
 			return nil, fmt.Errorf("comm: ring member %d outside address table [0,%d)", m, len(cfg.Addrs))
 		}
-		if i > 0 && m <= cfg.Members[i-1] {
-			return nil, fmt.Errorf("comm: ring members %v not strictly ascending", cfg.Members)
+		if i > 0 && m <= members[i-1] {
+			return nil, fmt.Errorf("comm: ring members %v not strictly ascending", members)
 		}
 		addrs[i] = cfg.Addrs[m]
 	}
-	cfg.Rank, cfg.Addrs = rank, addrs
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", addrs[rank])
-		if err != nil {
-			return nil, fmt.Errorf("listen %s: %w", addrs[rank], err)
-		}
-		defer ln.Close()
-	}
+	cfg.Rank, cfg.Addrs, cfg.Members = rank, addrs, members
 
-	deadline := time.Now().Add(cfg.SetupTimeout)
+	t.mu.Lock()
+	if t.setupDone == nil {
+		t.setupDone = make(chan struct{})
+	}
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		close(t.setupDone)
+		t.setupDone = nil
+		t.mu.Unlock()
+	}()
+
+	deadline := time.Now().Add(timeout)
 	rng := fxrand.New(cfg.Seed*0x9e3779b97f4a7c15 + uint64(rank) + 1)
-	gen := cfg.Generation
 	for {
-		c, adopt, err := setupAttempt(cfg, ln, gen, deadline, rng)
-		if err == nil {
-			return c, nil
+		c, adopt, err := t.setupAttempt(cfg, gen, deadline, rng)
+		if err == nil || !time.Now().Before(deadline) || errors.Is(err, net.ErrClosed) {
+			return c, err // formed, out of time, or the listener is gone
 		}
-		// Only the generation-aware protocol retries whole attempts: a
-		// rejected handshake or a broken confirmation round means a peer is
-		// reforming, not that setup failed. Heartbeat-less setup keeps its
-		// single-attempt semantics.
-		if cfg.Heartbeat <= 0 || !time.Now().Before(deadline) {
-			return nil, err
-		}
-		if adopt > gen {
-			gen = adopt
-		}
+		gen = max(gen, adopt)
 		// Brief jittered pause so restarting ranks don't re-collide.
 		time.Sleep(time.Duration(rng.Int63()%int64(5*time.Millisecond)) + time.Millisecond)
 	}
 }
 
-// acceptOut is the accept side's verdict for one setup attempt.
-type acceptOut struct {
+// predConns is what one setup attempt took from its predecessor: the data
+// connection, plus the heartbeat connection when the liveness layer is on.
+type predConns struct {
 	data, hb net.Conn
 	adopt    uint64 // non-zero: a dialer announced this higher generation
 	err      error
 }
 
 // setupAttempt runs one complete ring-establishment attempt at a fixed
-// generation: concurrent accept+classify of the predecessor's connections and
-// dial of the successor's, followed (in generation mode) by the ring
+// generation (cfg narrowed to the member set): the dial of the successor's
+// connections, concurrent with taking the predecessor's, followed by the ring
 // confirmation that proves every member formed this same incarnation. On
 // failure it reports the highest generation it learned about so the caller
 // can adopt it.
-func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Time, rng *fxrand.RNG) (*incarnation, uint64, error) {
-	rank, addrs := cfg.Rank, cfg.Addrs
-	n := len(addrs)
+func (t *TCPRing) setupAttempt(cfg RingConfig, gen uint64, deadline time.Time, rng *fxrand.RNG) (*incarnation, uint64, error) {
+	rank, n := cfg.Rank, len(cfg.Addrs)
 	hb := cfg.Heartbeat > 0
-	succ := addrs[(rank+1)%n]
-
 	stop := make(chan struct{})
-	acceptCh := make(chan acceptOut, 1)
-	go func() { acceptCh <- acceptSide(ln, gen, hb, deadline, stop) }()
+	predCh := make(chan predConns, 1)
+	go func() { predCh <- t.takePredecessor(gen, hb, deadline, stop) }()
 
-	var opened []net.Conn
-	var adopt uint64
-	// join collects the accept goroutine's verdict exactly once. The success
-	// path waits for it to finish naturally (the predecessor may still be
-	// dialing); the failure path abandons it through the stop channel first.
-	var joined *acceptOut
-	join := func(abandon bool) acceptOut {
-		if joined == nil {
-			if abandon {
-				close(stop)
-			}
-			ao := <-acceptCh
-			joined = &ao
-		}
-		return *joined
+	roles := []byte{preambleData, preambleHeartbeat}
+	if !hb {
+		roles = roles[:1]
 	}
-	fail := func(err error) (*incarnation, uint64, error) {
-		ao := join(true)
-		for _, conn := range append(opened, ao.data, ao.hb) {
+	var dialed []net.Conn // data, then heartbeat
+	var adopt uint64
+	var err error
+	for _, role := range roles {
+		c, a, derr := dialHandshake(cfg.Addrs[(rank+1)%n], role, gen, deadline, rng)
+		adopt, err = max(adopt, a), derr
+		if err != nil {
+			close(stop)
+			break
+		}
+		dialed = append(dialed, c)
+	}
+	pred := <-predCh
+	opened := append(dialed, pred.data, pred.hb)
+	fail := func(err error, peerGen uint64) (*incarnation, uint64, error) {
+		for _, conn := range opened {
 			if conn != nil {
 				conn.Close()
 			}
 		}
-		if ao.adopt > adopt {
-			adopt = ao.adopt
-		}
-		return nil, adopt, err
+		return nil, max(adopt, pred.adopt, peerGen), err
 	}
-
-	// Dial the successor's data connection (and, with heartbeats, the
-	// liveness connection). In generation mode each dialed connection opens
-	// with the role+generation handshake and must be accepted by the peer.
-	next, dAdopt, err := dialHandshake(succ, preambleData, gen, hb, deadline, rng)
-	if dAdopt > adopt {
-		adopt = dAdopt
+	if err == nil {
+		err = pred.err
 	}
 	if err != nil {
-		return fail(err)
-	}
-	opened = append(opened, next)
-	var hbNext net.Conn
-	if hb {
-		hbNext, dAdopt, err = dialHandshake(succ, preambleHeartbeat, gen, hb, deadline, rng)
-		if dAdopt > adopt {
-			adopt = dAdopt
-		}
-		if err != nil {
-			return fail(err)
-		}
-		opened = append(opened, hbNext)
-	}
-
-	// Wait for the accept side's verdict.
-	ao := join(false)
-	if ao.err != nil {
-		return fail(ao.err)
-	}
-	prev, hbPrev := ao.data, ao.hb
-	opened = append(opened, prev)
-	if hbPrev != nil {
-		opened = append(opened, hbPrev)
+		return fail(err, 0)
 	}
 
 	c := &incarnation{
 		rank: rank, n: n, gen: gen,
 		members: cfg.Members, digest: membershipDigest(cfg.Members),
-		next: next, prev: prev,
+		next: dialed[0], prev: pred.data,
 		sendJobs: make(chan sendJob), sendErrs: make(chan error, 1),
 		sendDone: make(chan struct{}), stop: make(chan struct{}),
 	}
-	c.nextW = bufio.NewWriterSize(next, 1<<16)
-	c.prevR = bufio.NewReaderSize(prev, 1<<16)
+	c.nextW = bufio.NewWriterSize(c.next, 1<<16)
+	c.prevR = bufio.NewReaderSize(c.prev, 1<<16)
 	c.stage = make([]float32, 1<<14) // as many bytes as the read buffer
 	c.opTO = cfg.OpTimeout
 	if c.opTO == 0 {
@@ -283,19 +252,16 @@ func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Tim
 	if c.maxFrame <= 0 {
 		c.maxFrame = DefaultMaxFrameBytes
 	}
+	// Ring confirmation: completing it proves every member of the loop
+	// handshook this generation and member set and is still alive — a
+	// neighbor that restarted into a newer incarnation after its handshake
+	// breaks the round here, before the ring is handed to callers.
+	if peerGen, err := c.confirmRing(deadline); err != nil {
+		return fail(fmt.Errorf("ring confirmation: %w", err), peerGen)
+	}
 	if hb {
-		// Ring confirmation: completing it proves every member of the loop
-		// handshook this generation and member set and is still alive — a
-		// neighbor that restarted into a newer incarnation after its handshake
-		// breaks the round here, before the ring is handed to callers.
-		if peerGen, err := c.confirmRing(deadline); err != nil {
-			if peerGen > adopt {
-				adopt = peerGen
-			}
-			return fail(fmt.Errorf("ring confirmation: %w", err))
-		}
-		c.hbNext = &hbLink{conn: hbNext, peer: (rank + 1) % n}
-		c.hbPrev = &hbLink{conn: hbPrev, peer: (rank - 1 + n) % n}
+		c.hbNext = &hbLink{conn: dialed[1], peer: (rank + 1) % n}
+		c.hbPrev = &hbLink{conn: pred.hb, peer: (rank - 1 + n) % n}
 		c.hbInterval = cfg.Heartbeat
 		go c.pingLoop()
 		go c.watchLoop(c.hbPrev)
@@ -305,158 +271,89 @@ func setupAttempt(cfg RingConfig, ln net.Listener, gen uint64, deadline time.Tim
 	return c, 0, nil
 }
 
-// acceptSide collects and classifies the predecessor's connections for one
-// setup attempt: the data stream, plus the heartbeat stream in generation
-// mode. Generation-mode connections handshake first — a matching generation
-// is accepted ('A'), a mismatch is rejected ('R') carrying the higher of the
-// two generations, and a higher announced generation additionally abandons
-// the attempt so the caller can adopt it. Malformed handshakes close the
-// offending connection and keep listening: a hostile dialer must not be able
-// to wedge ring setup.
-func acceptSide(ln net.Listener, gen uint64, hb bool, deadline time.Time, stop chan struct{}) acceptOut {
-	var out acceptOut
-	cleanup := func() {
+// takePredecessor collects the predecessor's connections for one setup
+// attempt from the arrivals the acceptor hands over, until the attempt has
+// them all, is abandoned through stop, or runs out of time. A matching
+// generation is accepted ('A'); a mismatch is rejected ('R') carrying the
+// higher of the two generations, and a higher announced generation
+// additionally ends the attempt so the caller can adopt it. A duplicate role,
+// or a heartbeat connection on a ring without heartbeats, is dropped.
+func (t *TCPRing) takePredecessor(gen uint64, hb bool, deadline time.Time, stop <-chan struct{}) (out predConns) {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	fail := func(err error) predConns {
 		for _, c := range []net.Conn{out.data, out.hb} {
 			if c != nil {
 				c.Close()
 			}
 		}
-		out.data, out.hb = nil, nil
+		out.data, out.hb, out.err = nil, nil, err
+		return out
 	}
-	need := func() bool { return out.data == nil || (hb && out.hb == nil) }
-	tl, _ := ln.(*net.TCPListener)
-	for need() {
+	for out.data == nil || (hb && out.hb == nil) {
+		var a arrival
 		select {
 		case <-stop:
-			cleanup()
-			out.err = fmt.Errorf("setup attempt abandoned")
-			return out
-		default:
+			return fail(errors.New("setup attempt abandoned"))
+		case <-t.gone:
+			return fail(fmt.Errorf("accept: %w", net.ErrClosed))
+		case <-timer.C:
+			return fail(errors.New("timed out waiting for predecessor"))
+		case a = <-t.arrivals:
 		}
-		if tl != nil {
-			poll := time.Now().Add(150 * time.Millisecond)
-			if poll.After(deadline) {
-				poll = deadline
-			}
-			tl.SetDeadline(poll)
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if time.Now().After(deadline) {
-					cleanup()
-					out.err = fmt.Errorf("timed out waiting for predecessor")
-					return out
-				}
-				continue
-			}
-			cleanup()
-			out.err = fmt.Errorf("accept: %w", err)
-			return out
-		}
-		if !hb {
-			out.data = c
-			continue
-		}
-		// Every accepted connection gets a whole handshake, even one landing
-		// in the attempt's last instant: dropping a census probe because the
-		// setup budget ran out a millisecond ago would read as a death.
-		hsBy := time.Now().Add(2 * time.Second)
-		role, peerGen, err := readHandshake(c, hsBy)
-		if err != nil {
-			c.Close() // hostile or truncated handshake: drop, keep listening
-			continue
-		}
-		if role == hsProbe {
-			// Elastic census probe: answer with our generation and keep
-			// listening. Answered before the generation check so a probe
-			// landing mid-setup reads as "alive", never as a death.
-			writeHandshakeReply(c, hsAccept, gen, hsBy)
-			c.Close()
-			continue
-		}
-		if role == hsJoin {
-			// A joiner found us mid-setup; reject so it retries against a
-			// formed member's join point (the payload is its rank, so
-			// the generation check below would misfire on it).
-			writeHandshakeReply(c, hsReject, gen, hsBy)
-			c.Close()
-			continue
-		}
-		if peerGen != gen {
-			reject := gen
-			if peerGen > reject {
-				reject = peerGen
-			}
-			writeHandshakeReply(c, hsReject, reject, hsBy)
-			c.Close()
-			if peerGen > gen {
-				cleanup()
-				out.adopt = peerGen
-				out.err = fmt.Errorf("peer announced generation %d > %d", peerGen, gen)
-				return out
+		replyBy := time.Now().Add(2 * time.Second)
+		if a.gen != gen {
+			writeRecord(a.c, hsReject, max(gen, a.gen), replyBy)
+			a.c.Close()
+			if a.gen > gen {
+				out.adopt = a.gen
+				return fail(fmt.Errorf("peer announced generation %d > %d", a.gen, gen))
 			}
 			continue // stale dialer; it will adopt our generation and retry
 		}
-		switch {
-		case role == preambleData && out.data == nil:
-			if err := writeHandshakeReply(c, hsAccept, gen, hsBy); err != nil {
-				c.Close()
-				continue
-			}
-			out.data = c
-		case role == preambleHeartbeat && out.hb == nil:
-			if err := writeHandshakeReply(c, hsAccept, gen, hsBy); err != nil {
-				c.Close()
-				continue
-			}
-			out.hb = c
-		default:
-			c.Close() // duplicate role: drop, keep listening
+		slot := &out.data
+		if a.role == preambleHeartbeat {
+			slot = &out.hb
 		}
+		if *slot != nil || (slot == &out.hb && !hb) || writeRecord(a.c, hsAccept, gen, replyBy) != nil {
+			a.c.Close()
+			continue
+		}
+		*slot = a.c
 	}
 	return out
 }
 
-// dialHandshake dials the successor and, in generation mode, runs the
-// role+generation handshake until accepted. A rejection carrying a higher
-// generation aborts with that generation for the caller to adopt; a rejection
-// at or below our own backs off and redials (the peer is still converging).
-func dialHandshake(addr string, role byte, gen uint64, hb bool, deadline time.Time, rng *fxrand.RNG) (net.Conn, uint64, error) {
+// dialHandshake dials the successor and runs the role+generation handshake
+// until accepted. A rejection carrying a higher generation aborts with that
+// generation for the caller to adopt; a rejection at or below our own backs
+// off and redials (the peer is still converging).
+func dialHandshake(addr string, role byte, gen uint64, deadline time.Time, rng *fxrand.RNG) (net.Conn, uint64, error) {
 	for {
 		c, err := dialRetry(addr, deadline, rng)
 		if err != nil {
 			return nil, 0, err
 		}
-		if !hb {
-			return c, 0, nil
-		}
-		if err := writeHandshake(c, role, gen, deadline); err != nil {
+		if err := writeRecord(c, role, gen, deadline); err != nil {
 			c.Close()
 			return nil, 0, err
 		}
-		status, peerGen, err := readHandshakeReply(c, deadline)
-		if err != nil {
-			c.Close()
-			if time.Now().After(deadline) {
-				return nil, 0, fmt.Errorf("handshake with %s: %w", addr, err)
-			}
-			// The peer may be mid-restart between incarnations; pause and
-			// redial.
-			time.Sleep(time.Duration(rng.Int63()%int64(10*time.Millisecond)) + time.Millisecond)
-			continue
-		}
-		if status == hsAccept {
+		status, peerGen, err := readRecord(c, deadline, kindsReply)
+		if err == nil && status == hsAccept {
 			return c, 0, nil
 		}
 		c.Close()
-		if peerGen > gen {
+		if err == nil && peerGen > gen {
 			return nil, peerGen, fmt.Errorf("handshake rejected: peer at generation %d > %d", peerGen, gen)
 		}
 		if time.Now().After(deadline) {
-			return nil, 0, fmt.Errorf("handshake with %s: rejected at generation %d", addr, gen)
+			if err == nil {
+				err = fmt.Errorf("rejected at generation %d", gen)
+			}
+			return nil, 0, fmt.Errorf("handshake with %s: %w", addr, err)
 		}
+		// The peer may be mid-restart between incarnations, or not yet in
+		// its setup; pause and redial.
 		time.Sleep(time.Duration(rng.Int63()%int64(10*time.Millisecond)) + time.Millisecond)
 	}
 }
@@ -472,7 +369,7 @@ func dialHandshake(addr string, role byte, gen uint64, hb bool, deadline time.Ti
 func (c *incarnation) confirmRing(deadline time.Time) (uint64, error) {
 	var tok [handshakeLen]byte
 	for round, want := range [3]uint64{c.gen, c.gen, c.digest} {
-		appendHandshakeInto(tok[:0], confirmMagic, want)
+		appendRecord(tok[:0], confirmMagic, want)
 		c.next.SetWriteDeadline(deadline)
 		if _, err := c.nextW.Write(tok[:]); err != nil {
 			return 0, err
@@ -484,8 +381,8 @@ func (c *incarnation) confirmRing(deadline time.Time) (uint64, error) {
 		if _, err := io.ReadFull(c.prevR, tok[:]); err != nil {
 			return 0, err
 		}
-		kind, got, err := parseHandshake(tok[:])
-		if err != nil || kind != confirmMagic {
+		_, got, err := parseRecord(tok[:], string(confirmMagic))
+		if err != nil {
 			return 0, fmt.Errorf("%w: bad confirmation token", ErrCorrupt)
 		}
 		switch {
@@ -527,75 +424,46 @@ func dialRetry(addr string, deadline time.Time, rng *fxrand.RNG) (net.Conn, erro
 	}
 }
 
-// appendHandshakeInto encodes a handshake-format record (kind byte + 8-byte
-// big-endian generation) into dst.
-func appendHandshakeInto(dst []byte, kind byte, gen uint64) []byte {
-	dst = append(dst, kind)
-	var g [8]byte
-	binary.BigEndian.PutUint64(g[:], gen)
-	return append(dst, g[:]...)
+// appendRecord encodes a record (kind byte + 8-byte big-endian value) onto
+// dst.
+func appendRecord(dst []byte, kind byte, v uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, kind), v)
 }
 
-// parseHandshake decodes a dialer's opening record: role ('G' data or 'H'
-// heartbeat) plus generation. Anything else is protocol corruption.
-func parseHandshake(b []byte) (kind byte, gen uint64, err error) {
+// parseRecord decodes one record whose kind must be one of kinds. Anything
+// else is protocol corruption.
+func parseRecord(b []byte, kinds string) (kind byte, v uint64, err error) {
 	if len(b) != handshakeLen {
-		return 0, 0, fmt.Errorf("%w: handshake record is %d bytes, want %d", ErrCorrupt, len(b), handshakeLen)
+		return 0, 0, fmt.Errorf("%w: record is %d bytes, want %d", ErrCorrupt, len(b), handshakeLen)
 	}
-	kind = b[0]
-	switch kind {
-	case preambleData, preambleHeartbeat, confirmMagic, hsProbe, hsJoin:
-	default:
-		return 0, 0, fmt.Errorf("%w: unknown handshake kind %q", ErrCorrupt, kind)
+	if strings.IndexByte(kinds, b[0]) < 0 {
+		return 0, 0, fmt.Errorf("%w: record kind %q, want one of %q", ErrCorrupt, b[0], kinds)
 	}
-	return kind, binary.BigEndian.Uint64(b[1:]), nil
+	return b[0], binary.BigEndian.Uint64(b[1:]), nil
 }
 
-// parseHandshakeReply decodes an acceptor's reply: accept/reject plus the
-// generation the verdict refers to.
-func parseHandshakeReply(b []byte) (status byte, gen uint64, err error) {
-	if len(b) != handshakeLen {
-		return 0, 0, fmt.Errorf("%w: handshake reply is %d bytes, want %d", ErrCorrupt, len(b), handshakeLen)
-	}
-	status = b[0]
-	if status != hsAccept && status != hsReject {
-		return 0, 0, fmt.Errorf("%w: unknown handshake reply %q", ErrCorrupt, status)
-	}
-	return status, binary.BigEndian.Uint64(b[1:]), nil
-}
-
-func writeHandshake(c net.Conn, role byte, gen uint64, deadline time.Time) error {
+// writeRecord sends one record under deadline.
+func writeRecord(c net.Conn, kind byte, v uint64, deadline time.Time) error {
 	if err := c.SetWriteDeadline(deadline); err != nil {
 		return err
 	}
 	defer c.SetWriteDeadline(time.Time{})
-	_, err := c.Write(appendHandshakeInto(nil, role, gen))
+	_, err := c.Write(appendRecord(nil, kind, v))
 	return err
 }
 
-func readHandshake(c net.Conn, deadline time.Time) (byte, uint64, error) {
-	b, err := readHandshakeBytes(c, deadline)
-	if err != nil {
+// readRecord reads one record whose kind must be one of kinds, within
+// handshakeDeadline(deadline).
+func readRecord(c net.Conn, deadline time.Time, kinds string) (byte, uint64, error) {
+	if err := c.SetReadDeadline(handshakeDeadline(deadline)); err != nil {
 		return 0, 0, err
 	}
-	return parseHandshake(b)
-}
-
-func writeHandshakeReply(c net.Conn, status byte, gen uint64, deadline time.Time) error {
-	if err := c.SetWriteDeadline(deadline); err != nil {
-		return err
-	}
-	defer c.SetWriteDeadline(time.Time{})
-	_, err := c.Write(appendHandshakeInto(nil, status, gen))
-	return err
-}
-
-func readHandshakeReply(c net.Conn, deadline time.Time) (byte, uint64, error) {
-	b, err := readHandshakeBytes(c, deadline)
-	if err != nil {
+	defer c.SetReadDeadline(time.Time{})
+	var b [handshakeLen]byte
+	if _, err := io.ReadFull(c, b[:]); err != nil {
 		return 0, 0, err
 	}
-	return parseHandshakeReply(b)
+	return parseRecord(b[:], kinds)
 }
 
 // handshakeDeadline bounds one handshake read. Individual handshakes answer
@@ -608,23 +476,11 @@ func handshakeDeadline(deadline time.Time) time.Time {
 	return deadline
 }
 
-func readHandshakeBytes(c net.Conn, deadline time.Time) ([]byte, error) {
-	if err := c.SetReadDeadline(handshakeDeadline(deadline)); err != nil {
-		return nil, err
-	}
-	defer c.SetReadDeadline(time.Time{})
-	var b [handshakeLen]byte
-	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return nil, err
-	}
-	return b[:], nil
-}
-
 // pingLoop writes one generation-stamped ping record to each heartbeat
 // neighbor every interval. A write failure means the neighbor's socket reset
 // — declare it dead rather than waiting for the read side to time out.
 func (c *incarnation) pingLoop() {
-	ping := appendHandshakeInto(nil, preambleHeartbeat, c.gen)
+	ping := appendRecord(nil, preambleHeartbeat, c.gen)
 	ticker := time.NewTicker(c.hbInterval)
 	defer ticker.Stop()
 	for {
@@ -672,7 +528,7 @@ func (p *hbParser) feed(b []byte, gen uint64) (bye bool, err error) {
 			if len(p.buf) < handshakeLen {
 				return false, nil // partial ping; wait for the rest
 			}
-			_, pingGen, perr := parseHandshake(p.buf[:handshakeLen])
+			_, pingGen, perr := parseRecord(p.buf[:handshakeLen], string(preambleHeartbeat))
 			if perr != nil {
 				return false, perr
 			}

@@ -85,7 +85,7 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 // TestTCPRingSendRejectsOversizedFrame: the sender side refuses to emit
 // frames beyond the bound instead of poisoning the peer.
 func TestTCPRingSendRejectsOversizedFrame(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	lns, addrs := bindAddrs(t, 2)
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	withDeadline(t, 10*time.Second, func() {
@@ -94,7 +94,7 @@ func TestTCPRingSendRejectsOversizedFrame(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				ring, err := DialTCPRingConfig(RingConfig{
-					Rank: rank, Addrs: addrs,
+					Rank: rank, Addrs: addrs, Listener: lns[rank],
 					SetupTimeout:  5 * time.Second,
 					OpTimeout:     2 * time.Second,
 					MaxFrameBytes: 1 << 10,
@@ -123,7 +123,7 @@ func TestTCPRingSendRejectsOversizedFrame(t *testing.T) {
 // TestTCPRingOpDeadline: a peer that goes silent mid-collective must surface
 // a timeout error on the healthy rank, not a hang.
 func TestTCPRingOpDeadline(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	lns, addrs := bindAddrs(t, 2)
 	var healthyErr error
 	withDeadline(t, 15*time.Second, func() {
 		var wg sync.WaitGroup
@@ -133,7 +133,7 @@ func TestTCPRingOpDeadline(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				ring, err := DialTCPRingConfig(RingConfig{
-					Rank: rank, Addrs: addrs,
+					Rank: rank, Addrs: addrs, Listener: lns[rank],
 					SetupTimeout: 5 * time.Second,
 					OpTimeout:    200 * time.Millisecond,
 				})
@@ -166,77 +166,78 @@ func TestTCPRingOpDeadline(t *testing.T) {
 	}
 }
 
-// fakeSilentRank performs the generation-era ring handshake for rank —
-// including the ring-confirmation rounds, so its neighbors' setup
-// completes — and then goes silent: connections held open, no heartbeats, no
-// frames. This is the failure mode only the liveness layer can detect — a
+// fakeRankSetup plays rank's side of ring setup at generation 0 over ln:
+// it dials and handshakes its successor's data connection (and, with hb,
+// the heartbeat connection), accepts and answers its predecessor's, and
+// plays the three ring-confirmation rounds (generation twice, member digest
+// once), so its neighbors' setup completes. It returns the data connections
+// to its successor and from its predecessor, and every connection it opened.
+func fakeRankSetup(ln net.Listener, rank int, addrs []string, hb bool) (toSucc, fromPred net.Conn, conns []net.Conn, err error) {
+	deadline := time.Now().Add(5 * time.Second)
+	roles := []byte{preambleData, preambleHeartbeat}
+	if !hb {
+		roles = roles[:1]
+	}
+	rng := fxrand.New(99)
+	for _, role := range roles {
+		c, _, err := dialHandshake(addrs[(rank+1)%len(addrs)], role, 0, deadline, rng)
+		if err != nil {
+			return nil, nil, conns, err
+		}
+		conns = append(conns, c)
+		if role == preambleData {
+			toSucc = c
+		}
+	}
+	for range roles {
+		c, err := ln.Accept()
+		if err != nil {
+			return nil, nil, conns, err
+		}
+		conns = append(conns, c)
+		role, _, err := readRecord(c, deadline, kindsOpen)
+		if err != nil {
+			return nil, nil, conns, err
+		}
+		if err := writeRecord(c, hsAccept, 0, deadline); err != nil {
+			return nil, nil, conns, err
+		}
+		if role == preambleData {
+			fromPred = c
+		}
+	}
+	all := make([]int, len(addrs))
+	for i := range all {
+		all[i] = i
+	}
+	var in [handshakeLen]byte
+	for _, stamp := range []uint64{0, 0, membershipDigest(all)} {
+		toSucc.SetWriteDeadline(deadline)
+		if _, err := toSucc.Write(appendRecord(nil, confirmMagic, stamp)); err != nil {
+			return nil, nil, conns, err
+		}
+		fromPred.SetReadDeadline(deadline)
+		if _, err := io.ReadFull(fromPred, in[:]); err != nil {
+			return nil, nil, conns, err
+		}
+	}
+	return toSucc, fromPred, conns, nil
+}
+
+// fakeSilentRank performs rank's side of a heartbeat ring's setup on ln (see
+// fakeRankSetup) and then goes silent: connections held open, no heartbeats,
+// no frames. This is the failure mode only the liveness layer can detect — a
 // hung or partitioned process emits no RST, so the data connections of its
 // neighbors stay "healthy" right up to their (long) OpTimeout.
-func fakeSilentRank(t *testing.T, rank int, addrs []string) (stop func()) {
+func fakeSilentRank(t *testing.T, ln net.Listener, rank int, addrs []string) (stop func()) {
 	t.Helper()
-	ln, err := net.Listen("tcp", addrs[rank])
-	if err != nil {
-		t.Fatal(err)
-	}
 	var conns []net.Conn
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		deadline := time.Now().Add(5 * time.Second)
-		rng := fxrand.New(99)
-		succ := addrs[(rank+1)%len(addrs)]
-		var dialedData net.Conn
-		for _, role := range []byte{preambleData, preambleHeartbeat} {
-			c, _, err := dialHandshake(succ, role, 0, true, deadline, rng)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			conns = append(conns, c)
-			if role == preambleData {
-				dialedData = c
-			}
-		}
-		var acceptedData net.Conn
-		for i := 0; i < 2; i++ {
-			c, err := ln.Accept()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			conns = append(conns, c)
-			role, _, err := readHandshake(c, deadline)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := writeHandshakeReply(c, hsAccept, 0, deadline); err != nil {
-				t.Error(err)
-				return
-			}
-			if role == preambleData {
-				acceptedData = c
-			}
-		}
-		// Play the three ring-confirmation rounds (generation twice, member
-		// digest once) so neighbors finish setup.
-		all := make([]int, len(addrs))
-		for i := range all {
-			all[i] = i
-		}
-		var in [handshakeLen]byte
-		for _, stamp := range []uint64{0, 0, membershipDigest(all)} {
-			tok := appendHandshakeInto(nil, confirmMagic, stamp)
-			dialedData.SetWriteDeadline(deadline)
-			if _, err := dialedData.Write(tok); err != nil {
-				t.Error(err)
-				return
-			}
-			acceptedData.SetReadDeadline(deadline)
-			if _, err := io.ReadFull(acceptedData, in[:]); err != nil {
-				t.Error(err)
-				return
-			}
+		var err error
+		if _, _, conns, err = fakeRankSetup(ln, rank, addrs, true); err != nil {
+			t.Error(err)
 		}
 	}()
 	return func() {
@@ -256,8 +257,8 @@ func fakeSilentRank(t *testing.T, rank int, addrs []string) (stop func()) {
 func TestTCPRingHeartbeatDeadPeerAndReform(t *testing.T) {
 	const n = 3
 	const hbInterval = 25 * time.Millisecond
-	addrs := freeAddrs(t, n)
-	stop := fakeSilentRank(t, 1, addrs)
+	lns, addrs := bindAddrs(t, n)
+	stop := fakeSilentRank(t, lns[1], 1, addrs)
 	defer stop()
 
 	errs := make([]error, n)
@@ -269,7 +270,7 @@ func TestTCPRingHeartbeatDeadPeerAndReform(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				ring, err := DialTCPRingConfig(RingConfig{
-					Rank: rank, Addrs: addrs,
+					Rank: rank, Addrs: addrs, Listener: lns[rank],
 					SetupTimeout: 5 * time.Second,
 					OpTimeout:    30 * time.Second, // stall tolerance stays long
 					Heartbeat:    hbInterval,
@@ -305,7 +306,7 @@ func TestTCPRingHeartbeatDeadPeerAndReform(t *testing.T) {
 	// longer than the miss window, which must NOT trigger a false positive
 	// because idle pings keep flowing.
 	stop()
-	fresh := freeAddrs(t, n)
+	freshLns, fresh := bindAddrs(t, n)
 	withDeadline(t, 30*time.Second, func() {
 		var wg sync.WaitGroup
 		reformErrs := make([]error, n)
@@ -314,7 +315,7 @@ func TestTCPRingHeartbeatDeadPeerAndReform(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				ring, err := DialTCPRingConfig(RingConfig{
-					Rank: rank, Addrs: fresh,
+					Rank: rank, Addrs: fresh, Listener: freshLns[rank],
 					SetupTimeout: 5 * time.Second,
 					OpTimeout:    10 * time.Second,
 					Heartbeat:    hbInterval,
@@ -350,7 +351,7 @@ func TestTCPRingHeartbeatDeadPeerAndReform(t *testing.T) {
 // surfaces typed errors on every rank within the deadline.
 func TestTCPRingResetFault(t *testing.T) {
 	const n = 3
-	addrs := freeAddrs(t, n)
+	lns, addrs := bindAddrs(t, n)
 	errs := make([]error, n)
 	withDeadline(t, 15*time.Second, func() {
 		var wg sync.WaitGroup
@@ -359,7 +360,7 @@ func TestTCPRingResetFault(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				ring, err := DialTCPRingConfig(RingConfig{
-					Rank: rank, Addrs: addrs,
+					Rank: rank, Addrs: addrs, Listener: lns[rank],
 					SetupTimeout: 5 * time.Second,
 					OpTimeout:    2 * time.Second,
 				})

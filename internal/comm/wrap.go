@@ -31,8 +31,8 @@ func as[T any](c Collective) (T, bool) {
 
 // reformCapable filters a reform-capability probe through the transport's own
 // say. TCPRing carries the Reformer and Elastic methods on its one type, but
-// they work only with heartbeats on (the generation protocol rides the
-// liveness layer); AsReformer and AsElastic must report what the handle can
+// they work only with heartbeats on (only the liveness layer convicts a
+// death); AsReformer and AsElastic must report what the handle can
 // do, not what its method set spells, so that callers fail fast at setup
 // ("cannot reform") instead of at the first peer death.
 func reformCapable[T any](t T, ok bool) (T, bool) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -298,7 +297,7 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 	wireBefore := telemetry.Default.Value(telemetry.CtrWireBytesSent)
 
 	const ranks = 2
-	addrs := freeTelAddrs(t, ranks)
+	lns, addrs := bindRingAddrs(t, ranks)
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
@@ -337,7 +336,7 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 			// late ping loop must not convict a healthy peer within the
 			// three-interval miss window.
 			ring, err := comm.DialTCPRingConfig(comm.RingConfig{
-				Rank: rank, Addrs: addrs,
+				Rank: rank, Addrs: addrs, Listener: lns[rank],
 				SetupTimeout: 10 * time.Second,
 				OpTimeout:    30 * time.Second,
 				Heartbeat:    70 * time.Millisecond,
@@ -387,19 +386,4 @@ func TestTelemetryConcurrentEngineAndHeartbeat(t *testing.T) {
 	if telemetry.Default.Value(telemetry.CtrHeartbeatPings) <= pingsBefore {
 		t.Fatal("no heartbeat pings counted")
 	}
-}
-
-// freeTelAddrs reserves n distinct loopback ports by briefly listening.
-func freeTelAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
 }

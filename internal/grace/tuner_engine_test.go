@@ -170,19 +170,22 @@ func requirePolicyEqual(t *testing.T, name string, got, want []tunerTrace) {
 	}
 }
 
-// freeRingAddrs reserves n distinct localhost TCP addresses for a ring.
-func freeRingAddrs(t *testing.T, n int) []string {
+// bindRingAddrs binds n loopback listeners on ports the kernel picks, one
+// per rank, to be handed to that rank's ring (RingConfig.Listener), which
+// owns it from then on. The cleanup closes any listener never handed over.
+func bindRingAddrs(t *testing.T, n int) ([]net.Listener, []string) {
 	t.Helper()
+	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = l.Addr().String()
-		l.Close()
+		t.Cleanup(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	return addrs
+	return lns, addrs
 }
 
 // TestTunedLockstepSubstrates is the autotune determinism proof: the policy
@@ -220,7 +223,7 @@ func TestTunedLockstepSubstrates(t *testing.T) {
 	}
 
 	t.Run("tcp-ring", func(t *testing.T) {
-		addrs := freeRingAddrs(t, workers)
+		lns, addrs := bindRingAddrs(t, workers)
 		rings := make([]*comm.TCPRing, workers)
 		var dial sync.WaitGroup
 		dialErrs := make([]error, workers)
@@ -228,7 +231,7 @@ func TestTunedLockstepSubstrates(t *testing.T) {
 			dial.Add(1)
 			go func(rank int) {
 				defer dial.Done()
-				r, err := comm.DialTCPRingConfig(comm.RingConfig{Rank: rank, Addrs: addrs, SetupTimeout: 5 * time.Second})
+				r, err := comm.DialTCPRingConfig(comm.RingConfig{Rank: rank, Addrs: addrs, Listener: lns[rank], SetupTimeout: 5 * time.Second})
 				rings[rank] = r
 				dialErrs[rank] = err
 			}(rank)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -174,6 +175,24 @@ func recoveryWorkerMain() int {
 	return 0
 }
 
+// reserveLoopbackAddrs reserves n distinct loopback ports by listening on
+// them and closing the listeners again, for the worker processes to bind.
+// In-process rings are handed bound listeners instead; handing a socket to
+// a child process would need a graceworker flag, so a port taken by another
+// test between the close and a child's bind remains possible here.
+func reserveLoopbackAddrs(n int) ([]string, error) {
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	return addrs, nil
+}
+
 type workerProc struct {
 	cmd *exec.Cmd
 	out bytes.Buffer
@@ -283,7 +302,7 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 	}
 
 	// Uninterrupted multi-process reference.
-	addrs, err := freeLoopbackAddrs(n)
+	addrs, err := reserveLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +316,7 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 
 	// Crash run: slowed steps so the SIGKILL lands mid-run. The parent waits
 	// until the victim's step-4 checkpoint is durable, then kills it dead.
-	if addrs, err = freeLoopbackAddrs(n); err != nil {
+	if addrs, err = reserveLoopbackAddrs(n); err != nil {
 		t.Fatal(err)
 	}
 	const victim = 1
@@ -321,7 +340,7 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 
 	// Supervised restart: every rank resumes from the newest step all ranks
 	// can load.
-	if addrs, err = freeLoopbackAddrs(n); err != nil {
+	if addrs, err = reserveLoopbackAddrs(n); err != nil {
 		t.Fatal(err)
 	}
 	resumed := startWorkers(t, exe, mode, dir, addrs, 0, "GRACE_RESUME=1")
@@ -387,7 +406,7 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 
 	// Uninterrupted multi-process reference, also in self-healing mode so the
 	// code path under comparison is identical.
-	addrs, err := freeLoopbackAddrs(n)
+	addrs, err := reserveLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +419,7 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 	}
 
 	// Self-healing run: slowed steps so the SIGKILL lands mid-run.
-	if addrs, err = freeLoopbackAddrs(n); err != nil {
+	if addrs, err = reserveLoopbackAddrs(n); err != nil {
 		t.Fatal(err)
 	}
 	procs := startWorkers(t, exe, "", dir, addrs, 200, "GRACE_REJOIN=1")

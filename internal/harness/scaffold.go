@@ -62,9 +62,21 @@ func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 		}, nil
 	}
 
-	addrs, err := freeLoopbackAddrs(n)
-	if err != nil {
-		return nil, err
+	// Every founding rank's listener is bound here, on a port the kernel
+	// picks, and handed to its first ring, which owns it from then on. A
+	// respawned or joining rank binds its address again: the port its killed
+	// predecessor released.
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range lns[:i] {
+				l.Close()
+			}
+			return nil, err
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	var mu sync.Mutex
 	var rings []*comm.TCPRing
@@ -73,9 +85,16 @@ func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 		rings = append(rings, ring)
 		mu.Unlock()
 	}
+	rankConfig := func(rank int) comm.RingConfig {
+		rc := cfg.ringConfig(rank, addrs)
+		mu.Lock()
+		rc.Listener, lns[rank] = lns[rank], nil
+		mu.Unlock()
+		return rc
+	}
 	return &faultScaffold{
 		collFor: func(rank int) (comm.Collective, func(), error) {
-			ring, err := comm.DialTCPRingConfig(cfg.ringConfig(rank, addrs))
+			ring, err := comm.DialTCPRingConfig(rankConfig(rank))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -93,7 +112,7 @@ func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 			}
 		},
 		join: func(rank int, wait time.Duration) (comm.Collective, error) {
-			ring, err := comm.JoinTCPRing(cfg.ringConfig(rank, addrs), wait)
+			ring, err := comm.JoinTCPRing(rankConfig(rank), wait)
 			if err != nil {
 				return nil, err
 			}
@@ -110,21 +129,6 @@ func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 			return out
 		},
 	}, nil
-}
-
-// freeLoopbackAddrs reserves n distinct loopback ports by briefly listening
-// on them.
-func freeLoopbackAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs, nil
 }
 
 // group is one supervised set of RunWorker calls over one collective group:
@@ -183,11 +187,11 @@ func (r recordingStore) Save(s *grace.Snapshot) error {
 
 // newGroup builds a group checkpointing into dir.
 func newGroup(cfg RecoveryConfig, s Scenario, dir string) (*group, error) {
-	sc, err := newFaultScaffold(&cfg)
+	d, err := ckpt.OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	d, err := ckpt.OpenDir(dir)
+	sc, err := newFaultScaffold(&cfg)
 	if err != nil {
 		return nil, err
 	}
