@@ -1,7 +1,7 @@
 # Tier-1 gate: everything must compile, vet and gofmt clean, and pass the
 # full test suite under the race detector (the Engine and collective tests
 # rely on it).
-.PHONY: check build test vet race bench bench-module fuzz cover loc sweep
+.PHONY: check build test vet race bench bench-module fuzz cover loc sweep stress-tcp
 
 check: vet build race
 
@@ -47,6 +47,30 @@ bench-module:
 sweep:
 	go test -race -count=1 -run TestScenarioKillPointSweep ./internal/harness
 	go test -race -count=1 -run xxx -bench BenchmarkScenarioKillPointSweepShrink -benchtime 1x ./internal/harness
+
+# TCP stress: the harness's SIGKILL and TCP batteries, uncached, STRESS_N
+# times, while the comm tests loop under the race detector beside them (other
+# rings live on loopback, 2 CPUs contended: the load the TCP flakes surfaced
+# under). Prints the failure count and keeps every failing run's full output
+# in STRESS_DIR (a failing comm run's too). Minutes long, so not part of CI.
+STRESS_N ?= 20
+STRESS_DIR ?= stress-tcp
+stress-tcp:
+	@mkdir -p $(STRESS_DIR); \
+	setsid sh -c 'j=0; while :; do j=$$((j+1)); \
+		go test -race -count=20 ./internal/comm > $(STRESS_DIR)/.comm.log 2>&1 || mv $(STRESS_DIR)/.comm.log $(STRESS_DIR)/comm$$j.log; \
+		done' & bg=$$!; \
+	trap 'kill -- -$$bg 2>/dev/null; rm -f $(STRESS_DIR)/.comm.log' EXIT INT TERM; \
+	fails=0; \
+	for i in $$(seq 1 $(STRESS_N)); do \
+		log=$(STRESS_DIR)/harness$$i.log; \
+		if go test -count=1 -v -run 'SIGKILL|TCP' ./internal/harness > $$log 2>&1; then \
+			echo "run $$i: ok $$(tail -n 1 $$log)"; rm $$log; \
+		else \
+			fails=$$((fails+1)); echo "run $$i: FAIL, output kept in $$log"; \
+		fi; \
+	done; \
+	echo "stress-tcp: $$fails of $(STRESS_N) harness runs failed; failing comm runs: $$(ls $(STRESS_DIR) | grep -c '^comm')"
 
 # Fuzz smoke: run every fuzz target for a short burst. Decoders must reject
 # hostile payloads with errors — never panic or over-allocate.

@@ -6,7 +6,8 @@
 //	graceworker -rank 1 -addrs 127.0.0.1:7000,127.0.0.1:7001 -bench ncf -method topk -ratio 0.01 -ef
 //
 // Every process builds the same synthetic dataset and model from the shared
-// seed, so replicas agree exactly as the in-process trainer's do.
+// seed, so replicas agree exactly as the in-process trainer's do. Each process
+// binds its own -addrs entry for its life: a relaunch needs the old one gone.
 //
 // With -checkpoint-dir/-checkpoint-every each rank snapshots its full
 // training state crash-consistently; after a crash, relaunching every rank
@@ -35,6 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"time"
@@ -61,7 +63,7 @@ func main() {
 		codecpar    = flag.Int("codecpar", 0, "codec lanes for this worker's Engine (0 = GOMAXPROCS)")
 		fusion      = flag.Int("fusion-bytes", 0, "tensor-fusion bucket fill target in bytes; one collective round carries many tensors (0 = per-tensor rounds; all ranks must agree)")
 		autotune    = flag.Bool("autotune", false, "run under the runtime compression autotuner instead of a fixed -method (all ranks must agree; mutually exclusive with -fusion-bytes)")
-		net         = flag.String("net", "tcp-10g", "modeled network preset for the virtual clock")
+		netPreset   = flag.String("net", "tcp-10g", "modeled network preset for the virtual clock")
 		scale       = flag.Float64("scale", 1.0, "epoch scale factor")
 		seed        = flag.Uint64("seed", 42, "shared run seed")
 		timeout     = flag.Duration("timeout", 30*time.Second, "ring setup timeout")
@@ -103,7 +105,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	link, err := simnet.PresetByName(*net)
+	link, err := simnet.PresetByName(*netPreset)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,6 +137,11 @@ func main() {
 	// collective instead of each wire frame. With -heartbeat the ring can
 	// reform under the next generation after a peer death; whether the
 	// trainer asks it to is -rejoin / -elastic's business, not the ring's.
+	// Founding, respawned or joining, the process binds its own address.
+	ln, err := net.Listen("tcp", addrs[*rank])
+	if err != nil {
+		fatal(fmt.Errorf("ring setup: %w", err))
+	}
 	rcfg := comm.RingConfig{
 		Rank:          *rank,
 		Addrs:         addrs,
@@ -142,6 +149,7 @@ func main() {
 		OpTimeout:     -1,
 		MaxFrameBytes: *maxframe,
 		Heartbeat:     *heartbeat,
+		Listener:      ln,
 	}
 	var ring *comm.TCPRing
 	if *elasticJoin {

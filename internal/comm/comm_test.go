@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -213,6 +214,36 @@ func bindAddrs(t *testing.T, n int) ([]net.Listener, []string) {
 	return lns, addrs
 }
 
+// holdAddrs is bindAddrs plus a descriptor of each socket kept for the
+// test's life ((*net.TCPListener).File), the way a supervisor keeps a rank's
+// socket across its incarnations: the founders get the bound listeners,
+// listenerOf hands a later incarnation its own listener of the same socket,
+// and a killed incarnation leaves the port bound for the next.
+func holdAddrs(t *testing.T, n int) ([]net.Listener, []*os.File, []string) {
+	t.Helper()
+	lns, addrs := bindAddrs(t, n)
+	socks := make([]*os.File, n)
+	for i, ln := range lns {
+		f, err := ln.(*net.TCPListener).File()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		socks[i] = f
+	}
+	return lns, socks, addrs
+}
+
+// listenerOf is one incarnation's listener of a socket holdAddrs keeps.
+func listenerOf(t *testing.T, f *os.File) net.Listener {
+	t.Helper()
+	ln, err := net.FileListener(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
 func runTCPGroup(t *testing.T, n int, fn func(w Collective) error) {
 	t.Helper()
 	lns, addrs := bindAddrs(t, n)
@@ -366,12 +397,49 @@ func TestTCPRingLargePayload(t *testing.T) {
 	})
 }
 
+// TestDialTCPRingRejectsBadConfig: each rejected configuration fails at once,
+// and the listener it handed over is closed with it: its address can be bound
+// again.
 func TestDialTCPRingRejectsBadConfig(t *testing.T) {
-	if _, err := DialTCPRingConfig(RingConfig{Rank: 0, Addrs: []string{"127.0.0.1:1"}, SetupTimeout: time.Second}); err == nil {
-		t.Fatal("expected error for 1-node ring")
-	}
-	if _, err := DialTCPRingConfig(RingConfig{Rank: 5, Addrs: []string{"a", "b"}, SetupTimeout: time.Second}); err == nil {
-		t.Fatal("expected error for out-of-range rank")
+	dial := func(cfg RingConfig) error { _, err := DialTCPRingConfig(cfg); return err }
+	join := func(cfg RingConfig) error { _, err := JoinTCPRing(cfg, time.Second); return err }
+	for _, tc := range []struct {
+		name  string
+		open  func(RingConfig) error
+		rank  int
+		addrs int  // entries in Addrs, all this row's address
+		hand  bool // hand the bound listener over
+	}{
+		{"nil listener", dial, 0, 2, false},
+		{"1-node ring", dial, 0, 1, true},
+		{"rank out of range", dial, 5, 2, true},
+		{"join without heartbeat", join, 0, 2, true}, // Heartbeat is 0 in every row
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lns, addrs := bindAddrs(t, 1)
+			cfg := RingConfig{Rank: tc.rank, SetupTimeout: 5 * time.Second}
+			for range tc.addrs {
+				cfg.Addrs = append(cfg.Addrs, addrs[0])
+			}
+			if tc.hand {
+				cfg.Listener = lns[0]
+			}
+			start := time.Now()
+			if err := tc.open(cfg); err == nil {
+				t.Fatal("config accepted")
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("rejection took %v", took)
+			}
+			if !tc.hand {
+				return
+			}
+			ln, err := net.Listen("tcp", addrs[0])
+			if err != nil {
+				t.Fatalf("the handed listener outlived the rejection: %v", err)
+			}
+			ln.Close()
+		})
 	}
 }
 

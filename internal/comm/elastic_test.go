@@ -214,9 +214,11 @@ func TestTCPRingShrinkAndGrow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback ring lifecycle")
 	}
-	lns, addrs := bindAddrs(t, 3)
-	// The founders own the bound listeners; the joiner re-binds the port
-	// killed rank 1 released.
+	lns, socks, addrs := holdAddrs(t, 3)
+	// The test holds every rank's socket (holdAddrs): the joiner serves the
+	// socket killed rank 1 served. While rank 1 is down its port stays bound
+	// and silent, so the survivors' census counts it lost at the probe
+	// deadline rather than on a refusal.
 	cfg := func(rank int, ln net.Listener) RingConfig {
 		return RingConfig{
 			Rank: rank, Addrs: addrs, Listener: ln,
@@ -294,10 +296,11 @@ func TestTCPRingShrinkAndGrow(t *testing.T) {
 	var joined *TCPRing
 	var joinErr error
 	agreed := make(chan []int, 1)
+	joiner := cfg(1, listenerOf(t, socks[1]))
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		joined, joinErr = JoinTCPRing(cfg(1, nil), 20*time.Second)
+		joined, joinErr = JoinTCPRing(joiner, 20*time.Second)
 	}()
 	go func() {
 		defer wg.Done()

@@ -85,11 +85,12 @@ func TestHubReformTimeout(t *testing.T) {
 func TestRingReformAfterKill(t *testing.T) {
 	const n = 3
 	const hbInterval = 25 * time.Millisecond
-	lns, addrs := bindAddrs(t, n)
+	lns, socks, addrs := holdAddrs(t, n)
 
 	rings := make([]*TCPRing, n)
-	// The founding rings own the bound listeners; the replacement for rank 1
-	// re-binds the port its killed predecessor released.
+	// The test holds every rank's socket (holdAddrs): the replacement for
+	// rank 1 serves the socket its killed predecessor served, and the port is
+	// never released in between.
 	cfg := func(rank int, ln net.Listener) RingConfig {
 		return RingConfig{
 			Rank: rank, Addrs: addrs, Listener: ln,
@@ -171,10 +172,11 @@ func TestRingReformAfterKill(t *testing.T) {
 				gens[rank] = gen
 			}(rank)
 		}
+		replacement := cfg(1, listenerOf(t, socks[1]))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := DialTCPRingConfig(cfg(1, nil)) // Generation left at 0: must discover
+			r, err := DialTCPRingConfig(replacement) // Generation left at 0: must discover
 			if err != nil {
 				t.Errorf("replacement dial: %v", err)
 				return

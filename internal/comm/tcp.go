@@ -81,12 +81,17 @@ type RingConfig struct {
 	// of the member list, so two ranks that disagree on who is in the group
 	// can never splice into one ring. Nil means the full world [0,len(Addrs)).
 	Members []int
-	// Listener, when non-nil, is the already-bound listen socket for
-	// Addrs[Rank], and ownership passes to the ring: it serves every setup
-	// and probe for the life of the handle, and Close, Kill or a failed dial
-	// closes it. Nil makes the ring bind Addrs[Rank] itself, once. Closing a
-	// handed-over listener from outside ends the ring's acceptor and nothing
-	// else: the ring can no longer be probed, joined or reformed.
+	// Listener is the required, already-bound listen socket for
+	// Addrs[Rank]: the ring never binds. Ownership passes to the ring: it
+	// serves every setup and probe for the life of the handle, and Close,
+	// Kill or a failed dial or join closes it. A supervisor that respawns a
+	// rank may keep its socket across incarnations (each gets a
+	// net.FileListener of a kept descriptor); while the rank is down, peers'
+	// dials then complete into the backlog unanswered instead of being
+	// refused, and a census counts the rank as lost only at its probe
+	// deadline. Closing a handed-over listener from outside ends the ring's
+	// acceptor and nothing else: the ring can no longer be probed, joined or
+	// reformed.
 	Listener net.Listener
 }
 
@@ -180,9 +185,6 @@ func DialTCPRingConfig(cfg RingConfig) (*TCPRing, error) {
 // joiner's own address included). Heartbeats are required: only a ring with
 // them can reform to absorb the joiner.
 func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
-	if cfg.Heartbeat <= 0 {
-		return nil, fmt.Errorf("comm: joining a ring requires Heartbeat > 0")
-	}
 	t, err := newTCPRing(cfg)
 	if err != nil {
 		return nil, err
@@ -190,6 +192,9 @@ func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 	fail := func(err error) (*TCPRing, error) {
 		t.closeListener()
 		return nil, wrapErr(cfg.Rank, OpDial, 0, fmt.Errorf("ring join: %w", err))
+	}
+	if cfg.Heartbeat <= 0 {
+		return fail(errors.New("joining a ring requires Heartbeat > 0"))
 	}
 	deadline := time.Now().Add(wait)
 	for {
@@ -212,23 +217,18 @@ func JoinTCPRing(cfg RingConfig, wait time.Duration) (*TCPRing, error) {
 	}
 }
 
-// newTCPRing validates cfg and builds the handle around its listener —
-// cfg.Listener, or Addrs[Rank] bound here — and starts the acceptor. The
+// newTCPRing validates cfg and builds the handle around its handed listener,
+// and starts the acceptor; a rejected cfg's listener is closed here. The
 // handle is born in setup: the acceptor holds ring connections for the
 // founding setup from the first one on.
 func newTCPRing(cfg RingConfig) (*TCPRing, error) {
 	ln := cfg.Listener
-	if cfg.Rank < 0 || cfg.Rank >= len(cfg.Addrs) {
-		if ln != nil {
-			ln.Close()
-		}
-		return nil, fmt.Errorf("comm: rank %d out of [0,%d)", cfg.Rank, len(cfg.Addrs))
-	}
 	if ln == nil {
-		var err error
-		if ln, err = net.Listen("tcp", cfg.Addrs[cfg.Rank]); err != nil {
-			return nil, wrapErr(cfg.Rank, OpDial, 0, fmt.Errorf("listen %s: %w", cfg.Addrs[cfg.Rank], err))
-		}
+		return nil, errors.New("comm: RingConfig.Listener is nil: the ring serves a socket bound by its caller")
+	}
+	if cfg.Rank < 0 || cfg.Rank >= len(cfg.Addrs) {
+		ln.Close()
+		return nil, fmt.Errorf("comm: rank %d out of [0,%d)", cfg.Rank, len(cfg.Addrs))
 	}
 	if cfg.SetupTimeout <= 0 {
 		cfg.SetupTimeout = 30 * time.Second
@@ -296,8 +296,9 @@ func (t *TCPRing) reform(wait time.Duration, shrinkOK bool, grow []int) (Members
 	inc, err := t.setup(target, old.gen+1, wait)
 	if err != nil && shrinkOK {
 		// Census, then the survivors at generation+2. A refused or silent
-		// join point is a permanent loss (the process, and so its listener,
-		// is gone). The member digest circulated during ring confirmation
+		// join point is a permanent loss (the process is gone; its socket
+		// closed, or kept by a supervisor with nobody accepting). The member
+		// digest circulated during ring confirmation
 		// guarantees all survivors agreed on the same set; a disagreement
 		// fails the attempt, the census reruns, and the retry converges.
 		budget := 2 * t.cfg.SetupTimeout
@@ -359,9 +360,10 @@ func (t *TCPRing) census(members []int, gen uint64) []int {
 	return alive
 }
 
-// probe sends one hsProbe to addr and reports whether anything answered.
-// Any well-formed reply counts as life — a member mid-setup at a different
-// generation is alive, just busy.
+// probe sends one hsProbe to addr and reports whether anything answered
+// within a second. Any well-formed reply counts as life — a member mid-setup
+// at a different generation is alive, just busy. A refused dial is a loss at
+// once, a kept socket with nobody accepting one at the deadline.
 func probe(addr string, gen uint64) bool {
 	deadline := time.Now().Add(time.Second)
 	c, err := net.DialTimeout("tcp", addr, time.Second)
@@ -513,8 +515,9 @@ func (t *TCPRing) recordJoin(v uint64, cur *incarnation) bool {
 }
 
 // closeListener closes the listener and waits for the acceptor to leave;
-// peers' probes then find nothing listening, which is the census's
-// permanent-loss signal. The listener may already be closed.
+// peers' probes then find nothing answering — refused, or unanswered until
+// the probe deadline while a supervisor keeps the socket — which is the
+// census's permanent-loss signal. The listener may already be closed.
 func (t *TCPRing) closeListener() {
 	t.ln.Close()
 	<-t.gone
@@ -533,8 +536,8 @@ func (t *TCPRing) Close() error {
 // Kill abruptly severs everything — ring and heartbeat sockets with no
 // goodbye, listener, acceptor — the way a process or machine loss would:
 // neighbors observe resets/silence and declare this rank dead with
-// ErrPeerDead, and a census finds nothing listening. For fault-injection
-// harnesses; an orderly shutdown is Close.
+// ErrPeerDead, and a census finds nothing answering (see closeListener). For
+// fault-injection harnesses; an orderly shutdown is Close.
 func (t *TCPRing) Kill() {
 	t.closeListener()
 	t.cur.Load().kill()

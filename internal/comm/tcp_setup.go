@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -198,8 +199,9 @@ func (t *TCPRing) setupAttempt(cfg RingConfig, gen uint64, deadline time.Time, r
 	rank, n := cfg.Rank, len(cfg.Addrs)
 	hb := cfg.Heartbeat > 0
 	stop := make(chan struct{})
+	var next atomic.Pointer[net.Conn] // the data connection, once dialed
 	predCh := make(chan predConns, 1)
-	go func() { predCh <- t.takePredecessor(gen, hb, deadline, stop) }()
+	go func() { predCh <- t.takePredecessor(gen, hb, deadline, stop, &next) }()
 
 	roles := []byte{preambleData, preambleHeartbeat}
 	if !hb {
@@ -216,6 +218,9 @@ func (t *TCPRing) setupAttempt(cfg RingConfig, gen uint64, deadline time.Time, r
 			break
 		}
 		dialed = append(dialed, c)
+		if role == preambleData {
+			next.Store(&c)
+		}
 	}
 	pred := <-predCh
 	opened := append(dialed, pred.data, pred.hb)
@@ -278,7 +283,14 @@ func (t *TCPRing) setupAttempt(cfg RingConfig, gen uint64, deadline time.Time, r
 // higher of the two generations, and a higher announced generation
 // additionally ends the attempt so the caller can adopt it. A duplicate role,
 // or a heartbeat connection on a ring without heartbeats, is dropped.
-func (t *TCPRing) takePredecessor(gen uint64, hb bool, deadline time.Time, stop <-chan struct{}) (out predConns) {
+//
+// Attempts on both sides die and retry independently, so a connection may
+// come from, or go to, an attempt that has since died and closed it (see
+// closedByPeer). A dead successor (next) ends the attempt and the arrival is
+// rejected, so its dialer redials into the next one; a dead held connection
+// gives way to a newer one of its role, and a data connection does not
+// complete a pair with a heartbeat one that has died since it arrived.
+func (t *TCPRing) takePredecessor(gen uint64, hb bool, deadline time.Time, stop <-chan struct{}, next *atomic.Pointer[net.Conn]) (out predConns) {
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	fail := func(err error) predConns {
@@ -311,15 +323,28 @@ func (t *TCPRing) takePredecessor(gen uint64, hb bool, deadline time.Time, stop 
 			}
 			continue // stale dialer; it will adopt our generation and retry
 		}
+		if c := next.Load(); c != nil && closedByPeer(*c) {
+			writeRecord(a.c, hsReject, gen, replyBy)
+			a.c.Close()
+			return fail(errors.New("successor abandoned the attempt"))
+		}
 		slot := &out.data
 		if a.role == preambleHeartbeat {
 			slot = &out.hb
+		}
+		if *slot != nil && closedByPeer(*slot) {
+			(*slot).Close()
+			*slot = nil
 		}
 		if *slot != nil || (slot == &out.hb && !hb) || writeRecord(a.c, hsAccept, gen, replyBy) != nil {
 			a.c.Close()
 			continue
 		}
 		*slot = a.c
+		if slot == &out.data && out.hb != nil && closedByPeer(out.hb) {
+			out.hb.Close()
+			out.hb = nil
+		}
 	}
 	return out
 }
@@ -365,7 +390,9 @@ func dialHandshake(addr string, role byte, gen uint64, deadline time.Time, rng *
 // mismatch means two ranks formed this generation with different ideas of who
 // is in the group — a retryable setup failure (no generation to adopt), so
 // overlapping elastic reforms self-stabilize instead of exchanging payloads
-// across disagreeing rings.
+// across disagreeing rings. A round waiting on prev checks every 100 ms
+// that the successor has not closed next (see closedByPeer), or both sides
+// would sit out the deadline.
 func (c *incarnation) confirmRing(deadline time.Time) (uint64, error) {
 	var tok [handshakeLen]byte
 	for round, want := range [3]uint64{c.gen, c.gen, c.digest} {
@@ -377,9 +404,21 @@ func (c *incarnation) confirmRing(deadline time.Time) (uint64, error) {
 		if err := c.nextW.Flush(); err != nil {
 			return 0, err
 		}
-		c.prev.SetReadDeadline(deadline)
-		if _, err := io.ReadFull(c.prevR, tok[:]); err != nil {
-			return 0, err
+		for read := 0; read < len(tok); {
+			poll := time.Now().Add(100 * time.Millisecond)
+			if deadline.Before(poll) {
+				poll = deadline
+			}
+			c.prev.SetReadDeadline(poll)
+			n, err := io.ReadFull(c.prevR, tok[read:])
+			read += n
+			switch {
+			case err == nil:
+			case !errors.Is(err, os.ErrDeadlineExceeded) || !time.Now().Before(deadline):
+				return 0, err
+			case closedByPeer(c.next):
+				return 0, errors.New("successor abandoned the attempt")
+			}
 		}
 		_, got, err := parseRecord(tok[:], string(confirmMagic))
 		if err != nil {
@@ -397,6 +436,19 @@ func (c *incarnation) confirmRing(deadline time.Time) (uint64, error) {
 	c.next.SetWriteDeadline(time.Time{})
 	c.prev.SetReadDeadline(time.Time{})
 	return 0, nil
+}
+
+// closedByPeer reports whether the peer is done with c, a setup connection
+// it does not write on yet: the data connection this side dialed, or one
+// held from the predecessor before this side confirms. A read that ends at
+// once instead of timing out — a close, or bytes from an attempt this setup
+// is not part of — is that end.
+func closedByPeer(c net.Conn) bool {
+	c.SetReadDeadline(time.Now().Add(time.Millisecond))
+	defer c.SetReadDeadline(time.Time{})
+	var b [1]byte
+	_, err := c.Read(b[:])
+	return !errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // dialRetry dials addr with jittered exponential backoff until it connects

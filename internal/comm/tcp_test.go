@@ -249,6 +249,73 @@ func fakeSilentRank(t *testing.T, ln net.Listener, rank int, addrs []string) (st
 	}
 }
 
+// TestSetupSurvivesAbandonedDial: a successor that accepts a dial and then
+// abandons its setup attempt — closing that connection before it dials back
+// from its next attempt — must not leave the dialer waiting for its setup
+// deadline in a confirmation whose successor is gone, while the successor
+// waits for a dial the dialer no longer makes. The dialer watches the
+// connection it dialed, abandons its own attempt at once, and the two meet
+// in their next attempts.
+func TestSetupSurvivesAbandonedDial(t *testing.T) {
+	lns, addrs := bindAddrs(t, 2)
+	cfg := func(rank int) RingConfig {
+		return RingConfig{Rank: rank, Addrs: addrs, Listener: lns[rank], SetupTimeout: 20 * time.Second}
+	}
+	withDeadline(t, 60*time.Second, func() {
+		var rings [2]*TCPRing
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := time.Now()
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			rings[0], errs[0] = DialTCPRingConfig(cfg(0))
+		}()
+		go func() {
+			defer wg.Done()
+			// Rank 1's abandoned attempt accepts rank 0's data dial and drops
+			// it; its next attempt is a real ring's setup on the same listener.
+			deadline := time.Now().Add(5 * time.Second)
+			c, err := lns[1].Accept()
+			if err != nil {
+				errs[1] = err
+				return
+			}
+			if _, _, err = readRecord(c, deadline, kindsOpen); err == nil {
+				err = writeRecord(c, hsAccept, 0, deadline)
+			}
+			c.Close()
+			if err != nil {
+				errs[1] = err
+				return
+			}
+			rings[1], errs[1] = DialTCPRingConfig(cfg(1))
+		}()
+		wg.Wait()
+		for rank, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d: %v", rank, err)
+			}
+		}
+		defer rings[0].Close()
+		defer rings[1].Close()
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("setup took %v after an abandoned dial; the setup deadline is 20s", took)
+		}
+		for rank, r := range rings {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				x := []float32{float32(rank + 1)}
+				if err := r.AllreduceF32(x); err != nil || x[0] != 3 {
+					t.Errorf("rank %d allreduce: %v %v", rank, x, err)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
 // TestTCPRingHeartbeatDeadPeerAndReform: with heartbeats on, a rank that
 // hangs after joining the ring is declared dead within the heartbeat window —
 // surfacing a typed *Error wrapping ErrPeerDead on the survivors seconds

@@ -9,6 +9,8 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -119,7 +121,7 @@ func TestRecoveryBitwiseAutotune(t *testing.T) {
 // recoveryWorkerMain is one rank of the SIGKILL scenario: a real TCP-ring
 // worker checkpointing to disk, optionally resuming (GRACE_RESUME: the sync
 // round before the first step), optionally slowed down so the parent can
-// time its kill.
+// time its kill. Its listen socket is the parent's (fd 3, see bindRanks).
 func recoveryWorkerMain() int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, err)
@@ -132,13 +134,19 @@ func recoveryWorkerMain() int {
 	addrs := strings.Split(os.Getenv("GRACE_ADDRS"), ",")
 	dir := os.Getenv("GRACE_DIR")
 	delayMS, _ := strconv.Atoi(os.Getenv("GRACE_STEP_DELAY_MS"))
+	sock := os.NewFile(3, "rank socket")
+	ln, err := net.FileListener(sock)
+	sock.Close()
+	if err != nil {
+		return fail(fmt.Errorf("rank socket: %w", err))
+	}
 
 	cfg := DefaultRecovery(TransportTCP, "topk", true, dir).Train
 	if os.Getenv("GRACE_MODE") == "autotune" {
 		cfg = AutotuneRecovery(TransportTCP, dir).Train
 	}
 	rcfg := comm.RingConfig{
-		Rank: rank, Addrs: addrs,
+		Rank: rank, Addrs: addrs, Listener: ln,
 		SetupTimeout: 20 * time.Second,
 		OpTimeout:    30 * time.Second,
 		Heartbeat:    25 * time.Millisecond,
@@ -175,52 +183,110 @@ func recoveryWorkerMain() int {
 	return 0
 }
 
-// reserveLoopbackAddrs reserves n distinct loopback ports by listening on
-// them and closing the listeners again, for the worker processes to bind.
-// In-process rings are handed bound listeners instead; handing a socket to
-// a child process would need a graceworker flag, so a port taken by another
-// test between the close and a child's bind remains possible here.
-func reserveLoopbackAddrs(n int) ([]string, error) {
+// phase is one set of worker processes of a multi-process test: they share a
+// checkpoint directory and one listen socket per rank, which the test binds
+// once (bindRanks) and keeps for the phase's life. Every process of a rank —
+// the first and any respawn — inherits that rank's socket as fd 3
+// (exec.Cmd.ExtraFiles), so a killed rank's port stays bound until its
+// respawn serves it.
+type phase struct {
+	name, exe, mode, dir string
+	socks                []*os.File
+	addrs                []string
+	delayMS              int
+	env                  []string
+}
+
+func newPhase(t *testing.T, name, exe, mode, dir string, n, delayMS int, env ...string) *phase {
+	t.Helper()
+	p := &phase{name: name, exe: exe, mode: mode, dir: dir, delayMS: delayMS, env: env}
+	p.socks, p.addrs = bindRanks(t, n)
+	return p
+}
+
+// bindRanks binds n loopback sockets on ports the kernel picks and keeps a
+// descriptor of each until the test ends.
+func bindRanks(t *testing.T, n int) ([]*os.File, []string) {
+	t.Helper()
+	socks := make([]*os.File, n)
 	addrs := make([]string, n)
-	for i := range addrs {
+	for i := range socks {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
+		f, err := ln.(*net.TCPListener).File()
 		ln.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		socks[i], addrs[i] = f, ln.Addr().String()
 	}
-	return addrs, nil
+	return socks, addrs
 }
 
 type workerProc struct {
-	cmd *exec.Cmd
-	out bytes.Buffer
+	name string // phase and rank, for failure output
+	cmd  *exec.Cmd
+	out  syncBuffer
 }
 
-func startWorkers(t *testing.T, exe, mode, dir string, addrs []string, delayMS int, extraEnv ...string) []*workerProc {
+// syncBuffer is the output of a worker process: written by the process's
+// copier goroutine while a failing test may already read it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// workerOutput renders every given process's output, labelled with its phase
+// and rank, for a failure message: the process that left a run early is not
+// necessarily the one whose check failed.
+func workerOutput(procs []*workerProc) string {
+	var out strings.Builder
+	for _, p := range procs {
+		fmt.Fprintf(&out, "--- %s:\n%s\n", p.name, p.out.String())
+	}
+	return out.String()
+}
+
+// startAll launches every rank of the phase.
+func (ph *phase) startAll(t *testing.T) []*workerProc {
 	t.Helper()
-	procs := make([]*workerProc, len(addrs))
-	for rank := range addrs {
-		procs[rank] = startWorker(t, exe, mode, dir, addrs, rank, delayMS, extraEnv...)
+	procs := make([]*workerProc, len(ph.addrs))
+	for rank := range procs {
+		procs[rank] = ph.start(t, rank)
 	}
 	return procs
 }
 
-// startWorker launches a single rank, so the rejoin scenario can respawn just
-// the SIGKILLed one.
-func startWorker(t *testing.T, exe, mode, dir string, addrs []string, rank int, delayMS int, extraEnv ...string) *workerProc {
+// start launches a single rank, so the rejoin scenario can respawn just the
+// SIGKILLed one.
+func (ph *phase) start(t *testing.T, rank int, extraEnv ...string) *workerProc {
 	t.Helper()
-	p := &workerProc{cmd: exec.Command(exe)}
+	p := &workerProc{name: fmt.Sprintf("%s rank %d", ph.name, rank), cmd: exec.Command(ph.exe)}
 	p.cmd.Env = append(os.Environ(),
 		"GRACE_RECOVERY_WORKER=1",
-		"GRACE_MODE="+mode,
+		"GRACE_MODE="+ph.mode,
 		"GRACE_RANK="+strconv.Itoa(rank),
-		"GRACE_ADDRS="+strings.Join(addrs, ","),
-		"GRACE_DIR="+dir,
-		"GRACE_STEP_DELAY_MS="+strconv.Itoa(delayMS),
+		"GRACE_ADDRS="+strings.Join(ph.addrs, ","),
+		"GRACE_DIR="+ph.dir,
+		"GRACE_STEP_DELAY_MS="+strconv.Itoa(ph.delayMS),
 	)
-	p.cmd.Env = append(p.cmd.Env, extraEnv...)
+	p.cmd.Env = append(append(p.cmd.Env, ph.env...), extraEnv...)
+	p.cmd.ExtraFiles = []*os.File{ph.socks[rank]}
 	p.cmd.Stdout = &p.out
 	p.cmd.Stderr = &p.out
 	if err := p.cmd.Start(); err != nil {
@@ -230,8 +296,7 @@ func startWorker(t *testing.T, exe, mode, dir string, addrs []string, rank int, 
 }
 
 // waitForCheckpoint polls until rank's newest loadable checkpoint in dir
-// reaches step, failing the test after a minute with every rank's output: the
-// rank that left the run early is not necessarily the one waited on.
+// reaches step, failing the test after a minute with every process's output.
 func waitForCheckpoint(t *testing.T, dir string, rank int, step int64, procs []*workerProc) {
 	t.Helper()
 	d, err := ckpt.OpenDir(dir)
@@ -244,18 +309,15 @@ func waitForCheckpoint(t *testing.T, dir string, rank int, step int64, procs []*
 			return
 		}
 		if time.Now().After(deadline) {
-			var out strings.Builder
-			for r, p := range procs {
-				fmt.Fprintf(&out, "--- rank %d:\n%s\n", r, &p.out)
-			}
-			t.Fatalf("rank %d never reached step %d; output:\n%s", rank, step, &out)
+			t.Fatalf("rank %d never reached step %d; output:\n%s", rank, step, workerOutput(procs))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// loadStep loads every rank's checkpoint at step from dir.
-func loadStep(t *testing.T, dir string, n int, step int64) []*grace.Snapshot {
+// loadStep loads every rank's checkpoint at step from dir; procs are the
+// processes whose output a failure shows.
+func loadStep(t *testing.T, dir string, n int, step int64, procs []*workerProc) []*grace.Snapshot {
 	t.Helper()
 	d, err := ckpt.OpenDir(dir)
 	if err != nil {
@@ -264,7 +326,7 @@ func loadStep(t *testing.T, dir string, n int, step int64) []*grace.Snapshot {
 	out := make([]*grace.Snapshot, n)
 	for rank := range out {
 		if out[rank], err = d.Load(rank, step); err != nil {
-			t.Fatalf("%s rank %d step %d: %v", dir, rank, step, err)
+			t.Fatalf("%s rank %d step %d: %v\n%s", dir, rank, step, err, workerOutput(procs))
 		}
 	}
 	return out
@@ -302,55 +364,45 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 	}
 
 	// Uninterrupted multi-process reference.
-	addrs, err := reserveLoopbackAddrs(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := startWorkers(t, exe, mode, refDir, addrs, 0)
+	ref := newPhase(t, "reference", exe, mode, refDir, n, 0).startAll(t)
 	all = append(all, ref...)
 	for rank := 0; rank < n; rank++ {
 		if err := wait(ref, rank); err != nil {
-			t.Fatalf("reference rank %d: %v\n%s", rank, err, &ref[rank].out)
+			t.Fatalf("reference rank %d: %v\n%s", rank, err, workerOutput(ref))
 		}
 	}
 
 	// Crash run: slowed steps so the SIGKILL lands mid-run. The parent waits
 	// until the victim's step-4 checkpoint is durable, then kills it dead.
-	if addrs, err = reserveLoopbackAddrs(n); err != nil {
-		t.Fatal(err)
-	}
 	const victim = 1
-	procs := startWorkers(t, exe, mode, dir, addrs, 200)
+	procs := newPhase(t, "crash", exe, mode, dir, n, 200).startAll(t)
 	all = append(all, procs...)
 	waitForCheckpoint(t, dir, victim, 4, procs)
 	if err := procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	if err := wait(procs, victim); err == nil {
-		t.Fatal("victim exited cleanly despite SIGKILL")
+		t.Fatalf("victim exited cleanly despite SIGKILL\n%s", workerOutput(procs))
 	}
 	for _, rank := range []int{0, 2} {
 		if err := wait(procs, rank); err == nil {
-			t.Fatalf("survivor rank %d completed despite the dead peer", rank)
+			t.Fatalf("survivor rank %d completed despite the dead peer\n%s", rank, workerOutput(procs))
 		}
 		if out := procs[rank].out.String(); !strings.Contains(out, "comm: rank") {
-			t.Fatalf("survivor rank %d exited without a typed comm error:\n%s", rank, out)
+			t.Fatalf("survivor rank %d exited without a typed comm error:\n%s", rank, workerOutput(procs))
 		}
 	}
 
 	// Supervised restart: every rank resumes from the newest step all ranks
 	// can load.
-	if addrs, err = reserveLoopbackAddrs(n); err != nil {
-		t.Fatal(err)
-	}
-	resumed := startWorkers(t, exe, mode, dir, addrs, 0, "GRACE_RESUME=1")
+	resumed := newPhase(t, "resumed", exe, mode, dir, n, 0, "GRACE_RESUME=1").startAll(t)
 	all = append(all, resumed...)
 	for rank := 0; rank < n; rank++ {
 		if err := wait(resumed, rank); err != nil {
-			t.Fatalf("resumed rank %d: %v\n%s", rank, err, &resumed[rank].out)
+			t.Fatalf("resumed rank %d: %v\n%s", rank, err, workerOutput(resumed))
 		}
 		if out := resumed[rank].out.String(); !strings.Contains(out, "healed to step") {
-			t.Fatalf("resumed rank %d started fresh instead of rolling back:\n%s", rank, out)
+			t.Fatalf("resumed rank %d started fresh instead of rolling back:\n%s", rank, workerOutput(resumed))
 		}
 	}
 
@@ -358,14 +410,14 @@ func runSIGKILLScenario(t *testing.T, mode string, compareSteps []int64) {
 	// (steps before the rollback come from the crash run's own trajectory,
 	// steps after it from the resumed one — all must agree).
 	for _, step := range compareSteps {
-		got, want := loadStep(t, dir, n, step), loadStep(t, refDir, n, step)
+		got, want := loadStep(t, dir, n, step, all), loadStep(t, refDir, n, step, all)
 		for rank := 0; rank < n; rank++ {
 			if mode == "autotune" && want[rank].Tuner == nil {
-				t.Fatalf("reference rank %d step %d snapshot carries no policy state", rank, step)
+				t.Fatalf("reference rank %d step %d snapshot carries no policy state\n%s", rank, step, workerOutput(ref))
 			}
 		}
 		if ok, detail := snapshotsBitwiseEqual(got, want); !ok {
-			t.Fatalf("SIGKILL recovery diverged at step %d: %s", step, detail)
+			t.Fatalf("SIGKILL recovery diverged at step %d: %s\n%s", step, detail, workerOutput(all))
 		}
 	}
 }
@@ -382,7 +434,8 @@ func TestRecoverySIGKILLTCP(t *testing.T) {
 // GRACE_RESUME, the graceworker -resume path). The survivors' processes are
 // never restarted — the same PIDs that joined the ring at generation 0 exit
 // cleanly after healing — and the step-8 finals must match an uninterrupted
-// multi-process reference bit for bit.
+// multi-process reference bit for bit. While rank 1 is down its port stays
+// bound: the test holds the socket its respawn inherits.
 func TestRejoinSIGKILLTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -406,23 +459,17 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 
 	// Uninterrupted multi-process reference, also in self-healing mode so the
 	// code path under comparison is identical.
-	addrs, err := reserveLoopbackAddrs(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := startWorkers(t, exe, "", refDir, addrs, 0, "GRACE_REJOIN=1")
+	ref := newPhase(t, "reference", exe, "", refDir, n, 0, "GRACE_REJOIN=1").startAll(t)
 	all = append(all, ref...)
 	for rank := 0; rank < n; rank++ {
 		if err := ref[rank].cmd.Wait(); err != nil {
-			t.Fatalf("reference rank %d: %v\n%s", rank, err, &ref[rank].out)
+			t.Fatalf("reference rank %d: %v\n%s", rank, err, workerOutput(ref))
 		}
 	}
 
 	// Self-healing run: slowed steps so the SIGKILL lands mid-run.
-	if addrs, err = reserveLoopbackAddrs(n); err != nil {
-		t.Fatal(err)
-	}
-	procs := startWorkers(t, exe, "", dir, addrs, 200, "GRACE_REJOIN=1")
+	run := newPhase(t, "rejoin", exe, "", dir, n, 200, "GRACE_REJOIN=1")
+	procs := run.startAll(t)
 	all = append(all, procs...)
 	waitForCheckpoint(t, dir, victim, 4, procs)
 	survivorPIDs := [2]int{procs[0].cmd.Process.Pid, procs[2].cmd.Process.Pid}
@@ -430,24 +477,30 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := procs[victim].cmd.Wait(); err == nil {
-		t.Fatal("victim exited cleanly despite SIGKILL")
+		t.Fatalf("victim exited cleanly despite SIGKILL\n%s", workerOutput(procs))
+	}
+	if ln, err := net.Listen("tcp", run.addrs[victim]); !errors.Is(err, syscall.EADDRINUSE) {
+		if ln != nil {
+			ln.Close()
+		}
+		t.Fatalf("bind of the killed rank's port: %v, want EADDRINUSE (the test holds the socket)", err)
 	}
 
 	// Respawn ONLY the victim, syncing into the live group. The survivors are
 	// parked at the reform rendezvous; their processes are untouched.
-	respawn := startWorker(t, exe, "", dir, addrs, victim, 0,
-		"GRACE_REJOIN=1", "GRACE_RESUME=1")
+	respawn := run.start(t, victim, "GRACE_RESUME=1")
+	respawn.name += " (respawn)"
 	all = append(all, respawn)
 	if err := respawn.cmd.Wait(); err != nil {
-		t.Fatalf("respawned victim: %v\n%s", err, &respawn.out)
+		t.Fatalf("respawned victim: %v\n%s", err, workerOutput(append(procs, respawn)))
 	}
 	for _, rank := range []int{0, 2} {
 		if err := procs[rank].cmd.Wait(); err != nil {
-			t.Fatalf("survivor rank %d: %v\n%s", rank, err, &procs[rank].out)
+			t.Fatalf("survivor rank %d: %v\n%s", rank, err, workerOutput(append(procs, respawn)))
 		}
 		out := procs[rank].out.String()
 		if !strings.Contains(out, "healed to step 4 at generation 1") {
-			t.Fatalf("survivor rank %d never reported the heal:\n%s", rank, out)
+			t.Fatalf("survivor rank %d never reported the heal:\n%s", rank, workerOutput(append(procs, respawn)))
 		}
 	}
 	// The healthy ranks' processes were started exactly once; assert the PIDs
@@ -456,9 +509,9 @@ func TestRejoinSIGKILLTCP(t *testing.T) {
 		t.Fatal("survivor process identity changed across the heal")
 	}
 
-	got, want := loadStep(t, dir, n, 8), loadStep(t, refDir, n, 8)
+	got, want := loadStep(t, dir, n, 8, all), loadStep(t, refDir, n, 8, all)
 	if ok, detail := snapshotsBitwiseEqual(got, want); !ok {
-		t.Fatalf("SIGKILL rejoin diverged: %s", detail)
+		t.Fatalf("SIGKILL rejoin diverged: %s\n%s", detail, workerOutput(all))
 	}
 }
 

@@ -1,9 +1,15 @@
 package harness
 
 import (
+	"errors"
+	"net"
 	"os"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/comm"
 )
 
 // runRejoinCase executes the supervised live-rejoin scenario on one transport
@@ -174,5 +180,92 @@ func TestRejoinValidation(t *testing.T) {
 	cfg.Every = 0
 	if _, err := RunScenario(ScenarioRejoin, cfg); err == nil {
 		t.Fatal("config without a checkpoint cadence must be rejected")
+	}
+}
+
+// TestScaffoldHoldsKilledRankSocket: the TCP scaffold keeps every rank's
+// socket for the group's life. While a rejoin victim is down its port stays
+// bound — nothing else can take it — and the respawn serves the same socket;
+// a shrink victim never returns, so its socket is released with its death and
+// a dial to it is refused.
+func TestScaffoldHoldsKilledRankSocket(t *testing.T) {
+	for _, s := range []Scenario{ScenarioRejoin, ScenarioShrink} {
+		t.Run(string(s), func(t *testing.T) {
+			cfg := DefaultRecovery(TransportTCP, "topk", true, t.TempDir())
+			sc, err := newFaultScaffold(&cfg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.release()
+			n, victim := cfg.Train.Workers, cfg.KillRank
+			colls := make([]comm.Collective, n)
+			dies := make([]func(), n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for rank := range colls {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					colls[rank], dies[rank], errs[rank] = sc.collFor(rank)
+				}(rank)
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			defer sc.teardown()
+			dies[victim]()
+
+			if s == ScenarioShrink {
+				if c, err := net.DialTimeout("tcp", sc.addrs[victim], time.Second); !errors.Is(err, syscall.ECONNREFUSED) {
+					if c != nil {
+						c.Close()
+					}
+					t.Fatalf("dial to the dead shrink victim: %v, want a refusal", err)
+				}
+				return
+			}
+			if ln, err := net.Listen("tcp", sc.addrs[victim]); !errors.Is(err, syscall.EADDRINUSE) {
+				if ln != nil {
+					ln.Close()
+				}
+				t.Fatalf("bind of the down victim's port: %v, want EADDRINUSE", err)
+			}
+			// The survivors reform while the respawn dials in on the held
+			// socket; the healed group then sums correctly.
+			for rank := range colls {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					if rank == victim {
+						colls[rank], _, errs[rank] = sc.collFor(rank)
+						return
+					}
+					_, errs[rank] = colls[rank].(comm.Reformer).Reform()
+				}(rank)
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			sums := make([][]float32, n)
+			for rank := range colls {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					sums[rank] = []float32{float32(rank + 1)}
+					errs[rank] = colls[rank].AllreduceF32(sums[rank])
+				}(rank)
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			for rank, x := range sums {
+				if x[0] != float32(n*(n+1)/2) {
+					t.Fatalf("rank %d healed sum %v, want %d", rank, x[0], n*(n+1)/2)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -36,11 +37,16 @@ type faultScaffold struct {
 	// visible to any live member — the grow supervisor polls it to know a
 	// join request has landed before releasing the gate.
 	pending func() []int
+	// release frees what the group held for its life (TCP: every rank's
+	// socket) once no rank runs any more.
+	release func()
+	// addrs is every rank's address on TCP (nil on the hub).
+	addrs []string
 }
 
 // newFaultScaffold assembles the scaffold for one group of a supervised
-// scenario. Each call builds a fresh group of cfg.Train.Workers ranks.
-func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
+// scenario s. Each call builds a fresh group of cfg.Train.Workers ranks.
+func newFaultScaffold(cfg *RecoveryConfig, s Scenario) (*faultScaffold, error) {
 	n := cfg.Train.Workers
 	if cfg.Transport != TransportTCP {
 		hub := comm.NewHub(n)
@@ -59,50 +65,73 @@ func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 				return hub.Join(rank)
 			},
 			pending: func() []int { return hub.Worker(0).PendingJoins() },
+			release: func() {},
 		}, nil
 	}
 
-	// Every founding rank's listener is bound here, on a port the kernel
-	// picks, and handed to its first ring, which owns it from then on. A
-	// respawned or joining rank binds its address again: the port its killed
-	// predecessor released.
-	lns := make([]net.Listener, n)
+	// The scaffold owns every rank's socket for the group's life: it binds
+	// each once and hands every incarnation of the rank — founder, respawn,
+	// joiner — its own listener of a kept descriptor, so a killed rank's
+	// port stays bound until its respawn serves it. A victim that never
+	// returns (every scenario but rejoin and grow) has its socket released
+	// as it dies, so the survivors' census is refused at once instead of
+	// waiting out a silent socket.
+	socks := make([]*os.File, n)
 	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:i] {
-				l.Close()
+	release := func() {
+		for _, f := range socks {
+			if f != nil {
+				f.Close()
 			}
+		}
+	}
+	for i := range socks {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err == nil {
+			addrs[i] = ln.Addr().String()
+			socks[i], err = ln.(*net.TCPListener).File()
+			ln.Close()
+		}
+		if err != nil {
+			release()
 			return nil, err
 		}
-		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
+	returns := s == ScenarioRejoin || s == ScenarioGrow
 	var mu sync.Mutex
 	var rings []*comm.TCPRing
-	track := func(ring *comm.TCPRing) {
-		mu.Lock()
-		rings = append(rings, ring)
-		mu.Unlock()
-	}
-	rankConfig := func(rank int) comm.RingConfig {
+	// open builds one incarnation of rank with dial (DialTCPRingConfig or a
+	// JoinTCPRing) on its own listener of the rank's socket.
+	open := func(rank int, dial func(comm.RingConfig) (*comm.TCPRing, error)) (*comm.TCPRing, error) {
 		rc := cfg.ringConfig(rank, addrs)
-		mu.Lock()
-		rc.Listener, lns[rank] = lns[rank], nil
-		mu.Unlock()
-		return rc
+		ln, err := net.FileListener(socks[rank])
+		if err != nil {
+			return nil, err
+		}
+		rc.Listener = ln
+		ring, err := dial(rc)
+		if err == nil {
+			mu.Lock()
+			rings = append(rings, ring)
+			mu.Unlock()
+		}
+		return ring, err
 	}
 	return &faultScaffold{
 		collFor: func(rank int) (comm.Collective, func(), error) {
-			ring, err := comm.DialTCPRingConfig(rankConfig(rank))
-			if err != nil {
+			ring, err := open(rank, comm.DialTCPRingConfig)
+			switch {
+			case err != nil:
 				return nil, nil, err
-			}
-			track(ring)
-			if cfg.KillMode == "hang" {
+			case cfg.KillMode == "hang":
 				return ring, ring.Hang, nil
+			case returns:
+				return ring, ring.Kill, nil
 			}
-			return ring, ring.Kill, nil
+			return ring, func() {
+				ring.Kill()
+				socks[rank].Close()
+			}, nil
 		},
 		teardown: func() {
 			mu.Lock()
@@ -112,11 +141,12 @@ func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 			}
 		},
 		join: func(rank int, wait time.Duration) (comm.Collective, error) {
-			ring, err := comm.JoinTCPRing(rankConfig(rank), wait)
+			ring, err := open(rank, func(rc comm.RingConfig) (*comm.TCPRing, error) {
+				return comm.JoinTCPRing(rc, wait)
+			})
 			if err != nil {
 				return nil, err
 			}
-			track(ring)
 			return ring, nil
 		},
 		pending: func() []int {
@@ -128,6 +158,8 @@ func newFaultScaffold(cfg *RecoveryConfig) (*faultScaffold, error) {
 			}
 			return out
 		},
+		release: release,
+		addrs:   addrs,
 	}, nil
 }
 
@@ -141,7 +173,7 @@ type group struct {
 	// scenario but restart, Elastic on top for shrink and grow.
 	scenario Scenario
 	store    recordingStore // every rank's checkpoints, in the group's root
-	sc       *faultScaffold
+	sc       *faultScaffold // built by launch, for its duration
 
 	// finals and errs are per rank, written by that rank's goroutine and
 	// read after launch returns. errs holds the first incarnation's RunWorker
@@ -191,14 +223,10 @@ func newGroup(cfg RecoveryConfig, s Scenario, dir string) (*group, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := newFaultScaffold(&cfg)
-	if err != nil {
-		return nil, err
-	}
 	d.Keep = scenarioKeep
 	n := cfg.Train.Workers
 	g := &group{
-		cfg: cfg, scenario: s, sc: sc,
+		cfg: cfg, scenario: s,
 		finals: make([]*grace.Snapshot, n), errs: make([]error, n),
 		launches: make([]int, n), victimDown: make(chan struct{}),
 	}
@@ -295,11 +323,19 @@ func (g *group) runRank(rank int, o rankOpts) error {
 	return err
 }
 
-// launch runs every rank of the group (opts describes each) plus an optional
-// supervisor, and waits for all of them under the watchdog — the one place a
-// scenario can time out. what names the phase in errors. The returned error
-// is the watchdog's; the ranks' own outcomes are judged by check.
+// launch builds the group's transport scaffold, runs every rank of the group
+// (opts describes each) plus an optional supervisor, and waits for all of
+// them under the watchdog — the one place a scenario can time out — before
+// releasing the scaffold. what names the phase in errors. The returned error
+// is the scaffold's or the watchdog's; the ranks' own outcomes are judged by
+// check.
 func (g *group) launch(what string, timeout time.Duration, opts func(rank int) rankOpts, supervisor func()) error {
+	sc, err := newFaultScaffold(&g.cfg, g.scenario)
+	if err != nil {
+		return err
+	}
+	defer sc.release()
+	g.sc = sc
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
