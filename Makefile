@@ -20,13 +20,15 @@ race:
 	go test -race ./...
 
 # Kernel rows: the top-k selection kernel across the benchmark workloads'
-# tensor sizes and input shapes, and the three matmul kernels at mlpwide's
-# layer shapes (ns per multiply-add). Engine.Step and the training step are
-# measured by the benchmark module alone (bash benchmark/run.sh, judged by
-# go -C benchmark run . -compare).
+# tensor sizes and input shapes, the three matmul kernels at mlpwide's
+# layer shapes on every Axpy path (ns per multiply-add), and the momentum
+# update over mlpwide's parameters, fused and as three IEEE calls, from a
+# velocity with 0 % and 9 % subnormal entries (ns per parameter).
+# Engine.Step and the training step are measured by the benchmark module
+# alone (bash benchmark/run.sh, judged by go -C benchmark run . -compare).
 bench:
 	go test -run xxx -bench BenchmarkTopK -benchmem ./internal/compress/cbase
-	go test -run xxx -bench 'BenchmarkMatmul$$' -benchmem ./internal/tensor
+	go test -run xxx -bench 'BenchmarkMatmul$$|BenchmarkMomentum$$' -benchmem ./internal/tensor
 
 # benchmark/ is a Go module of its own, so the root `go vet`/`go test ./...`
 # never compile it: a comm or grace symbol it uses could be renamed and only

@@ -176,8 +176,14 @@ func (t *TCPRing) setup(members []int, gen uint64, timeout time.Duration) (*inca
 			return c, err // formed, out of time, or the listener is gone
 		}
 		gen = max(gen, adopt)
-		// Brief jittered pause so restarting ranks don't re-collide.
-		time.Sleep(time.Duration(rng.Int63()%int64(5*time.Millisecond)) + time.Millisecond)
+		// Brief jittered pause so restarting ranks don't re-collide. An
+		// attempt started after the deadline could still take a live
+		// neighbour's dial before it dies, so a pause that reaches the
+		// deadline ends the setup.
+		time.Sleep(min(time.Duration(rng.Int63()%int64(5*time.Millisecond))+time.Millisecond, time.Until(deadline)))
+		if !time.Now().Before(deadline) {
+			return nil, err
+		}
 	}
 }
 
@@ -371,15 +377,15 @@ func dialHandshake(addr string, role byte, gen uint64, deadline time.Time, rng *
 		if err == nil && peerGen > gen {
 			return nil, peerGen, fmt.Errorf("handshake rejected: peer at generation %d > %d", peerGen, gen)
 		}
-		if time.Now().After(deadline) {
-			if err == nil {
-				err = fmt.Errorf("rejected at generation %d", gen)
-			}
-			return nil, 0, fmt.Errorf("handshake with %s: %w", addr, err)
+		if err == nil {
+			err = fmt.Errorf("rejected at generation %d", gen)
 		}
 		// The peer may be mid-restart between incarnations, or not yet in
-		// its setup; pause and redial.
-		time.Sleep(time.Duration(rng.Int63()%int64(10*time.Millisecond)) + time.Millisecond)
+		// its setup; pause and redial, unless the pause reaches the deadline.
+		time.Sleep(min(time.Duration(rng.Int63()%int64(10*time.Millisecond))+time.Millisecond, time.Until(deadline)))
+		if !time.Now().Before(deadline) {
+			return nil, 0, fmt.Errorf("handshake with %s: %w", addr, err)
+		}
 	}
 }
 
@@ -452,28 +458,24 @@ func closedByPeer(c net.Conn) bool {
 }
 
 // dialRetry dials addr with jittered exponential backoff until it connects
-// or the deadline passes. The jitter stream is deterministic (fxrand seeded
-// from RingConfig.Seed and the rank), so chaos and recovery runs retry in a
-// reproducible pattern while still desynchronizing the ranks' retry storms.
+// or the deadline passes, and never dials after the deadline. The jitter
+// stream is deterministic (fxrand seeded from RingConfig.Seed and the rank),
+// so chaos and recovery runs retry in a reproducible pattern while still
+// desynchronizing the ranks' retry storms.
 func dialRetry(addr string, deadline time.Time, rng *fxrand.RNG) (net.Conn, error) {
 	backoff := 10 * time.Millisecond
-	for {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
+	err := os.ErrDeadlineExceeded
+	for time.Now().Before(deadline) {
+		var c net.Conn
+		if c, err = net.DialTimeout("tcp", addr, time.Second); err == nil {
 			return c, nil
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dial %s: %w", addr, err)
-		}
-		sleep := backoff/2 + time.Duration(rng.Int63()%int64(backoff))
-		if remain := time.Until(deadline); sleep > remain {
-			sleep = remain
-		}
-		time.Sleep(sleep)
+		time.Sleep(min(backoff/2+time.Duration(rng.Int63()%int64(backoff)), time.Until(deadline)))
 		if backoff < 500*time.Millisecond {
 			backoff *= 2
 		}
 	}
+	return nil, fmt.Errorf("dial %s: %w", addr, err)
 }
 
 // appendRecord encodes a record (kind byte + 8-byte big-endian value) onto

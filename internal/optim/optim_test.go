@@ -111,3 +111,85 @@ func TestStatefulOptimizersTrackParamsByIdentity(t *testing.T) {
 		t.Fatalf("independent state violated: %v %v", p1.Value.Data()[0], p2.Value.Data()[0])
 	}
 }
+
+// ieeeMomentum is momentum SGD as the three IEEE kernel calls SGD made
+// before tensor.MomentumStep: v.Scale(μ).Add(g), then w.AddScaled(−η, v).
+type ieeeMomentum struct {
+	lr, mu   float32
+	velocity map[*nn.Param]*tensor.Dense
+}
+
+func (o *ieeeMomentum) Step(params []*nn.Param, grads []*tensor.Dense) {
+	for i, p := range params {
+		v, ok := o.velocity[p]
+		if !ok {
+			v = tensor.New(p.Value.Shape()...)
+			o.velocity[p] = v
+		}
+		v.Scale(o.mu).Add(grads[i])
+		p.Value.AddScaled(-o.lr, v)
+	}
+}
+
+func subnormal(x float32) bool { return x != 0 && math.Abs(float64(x)) < 0x1p-126 }
+
+// TestMomentumSparseGradientsLeaveNoSubnormalVelocity replays what top-k +
+// EF does to momentum: a few coordinates of each tensor get a gradient every
+// step, and the rest get one for a while and then none for at least 1 000
+// steps, so their velocity decays by μ each step. In IEEE arithmetic it
+// sinks into the subnormal range and stays there (0.9·2⁻¹⁴⁹ rounds back to
+// 2⁻¹⁴⁹), the regime where every x86 operation on it is about a hundred
+// times slower; SGD must flush it to ±0 instead and train the same weights,
+// bit for bit.
+func TestMomentumSparseGradientsLeaveNoSubnormalVelocity(t *testing.T) {
+	const lr, mu, steps, quiet = 0.05, 0.9, 1400, 1000
+	shapes := [][]int{{13, 37}, {37}, {5}}
+	r := fxrand.New(12)
+	var got, ref []*nn.Param
+	for _, shape := range shapes {
+		w := tensor.New(shape...).RandN(r, 1)
+		got = append(got, nn.NewParam("w", w.Clone()))
+		ref = append(ref, nn.NewParam("w", w))
+	}
+	sgd := NewMomentumSGD(lr, mu)
+	ieee := &ieeeMomentum{lr: lr, mu: mu, velocity: map[*nn.Param]*tensor.Dense{}}
+	for step := 0; step < steps; step++ {
+		grads := make([]*tensor.Dense, len(shapes))
+		for i, shape := range shapes {
+			grads[i] = tensor.New(shape...)
+			g := grads[i].Data()
+			for j := range g {
+				// Every eighth coordinate stays in the top-k set; the others
+				// drop out at staggered steps before the quiet stretch.
+				if j%8 == 0 || step < (steps-quiet)*(j%8)/8 {
+					g[j] = float32(r.NormFloat64() / 4)
+				}
+			}
+		}
+		sgd.Step(got, grads)
+		ieee.Step(ref, grads)
+	}
+	subnormals := 0
+	for i := range shapes {
+		w, wRef := got[i].Value.Data(), ref[i].Value.Data()
+		v, vRef := sgd.velocity[got[i]].Data(), ieee.velocity[ref[i]].Data()
+		for j := range w {
+			if math.Float32bits(w[j]) != math.Float32bits(wRef[j]) {
+				t.Fatalf("tensor %d: w[%d] = %v, IEEE momentum %v", i, j, w[j], wRef[j])
+			}
+			if subnormal(v[j]) {
+				t.Fatalf("tensor %d: velocity[%d] = %v is subnormal", i, j, v[j])
+			}
+			if subnormal(vRef[j]) {
+				subnormals++
+			}
+			if math.Float32bits(v[j]) != math.Float32bits(vRef[j]) && (v[j] != 0 || math.Abs(float64(vRef[j])) > 0x1p-126) {
+				t.Fatalf("tensor %d: velocity[%d] = %v, IEEE momentum %v: only entries at or below 2⁻¹²⁶ may differ", i, j, v[j], vRef[j])
+			}
+		}
+	}
+	if subnormals == 0 {
+		t.Fatal("the IEEE reference holds no subnormal velocity; the test does not reach the regime")
+	}
+	t.Logf("%d of the IEEE reference's velocity entries are subnormal", subnormals)
+}
